@@ -23,37 +23,43 @@
 
 open Cmdliner
 open Cgraph
+module Exec = Serve.Exec
 
 (* ------------------------------------------------------------------ *)
 (* Graph specification parsing                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* the spec DSL lives in Serve.Exec so the resident service accepts
-   exactly the strings this CLI accepts *)
-let parse_graph_spec = Serve.Exec.parse_graph_spec
-
+(* the spec DSL (Exec.parse_graph_spec) lives in Serve.Exec, next to
+   the op bodies the CLI and the resident service both run, so both
+   accept exactly the same strings *)
 let graph_conv =
-  let parser s = try parse_graph_spec s with _ -> Error (`Msg "bad graph spec") in
+  let parser s =
+    try Exec.parse_graph_spec s with _ -> Error (`Msg "bad graph spec")
+  in
   let printer ppf _ = Format.fprintf ppf "<graph>" in
   Arg.conv (parser, printer)
 
-let parse_color = Serve.Exec.parse_color
-
 let color_conv =
-  let parser s = try parse_color s with _ -> Error (`Msg "bad colour spec") in
+  let parser s =
+    try Exec.parse_color s with _ -> Error (`Msg "bad colour spec")
+  in
   let printer ppf (name, _) = Format.fprintf ppf "%s=..." name in
   Arg.conv (parser, printer)
 
-(* Formulas are taken as plain strings and parsed inside the command
-   body: cmdliner reserves its own exit code (124) for [Arg.conv]
-   failures, and a malformed formula must be a usage error (2) with the
-   parser's line/column diagnostics on stderr. *)
-let parse_formula_or_exit ~cmd ~flag s =
-  match Fo.Parser.parse_result s with
-  | Ok f -> f
-  | Error e ->
-      Format.eprintf "folearn %s: %s: %a@." cmd flag Fo.Parser.pp_error e;
-      exit 2
+(* Formulas are taken as plain strings and parsed by Serve.Exec:
+   cmdliner reserves its own exit code (124) for [Arg.conv] failures,
+   and a malformed formula must be a usage error (2) with the parser's
+   line/column diagnostics on stderr.  Exec raises [Usage] for it, and
+   for out-of-range parameters and bad colours; [exit] (rather than a
+   return) skips the --stats/--trace epilogue, as any usage error does. *)
+let or_usage f =
+  try f ()
+  with Exec.Usage m ->
+    Format.eprintf "%s@." m;
+    exit 2
+
+(* the CLI's own usage errors inside [or_usage] take the same route *)
+let usage fmt = Format.kasprintf (fun m -> raise (Exec.Usage m)) fmt
 
 (* common args *)
 
@@ -69,8 +75,6 @@ let colors_arg =
     value & opt_all color_conv []
     & info [ "c"; "color" ] ~docv:"NAME=V,V"
         ~doc:"Add a colour class (repeatable), e.g. --color Red=0,3,6.")
-
-let with_cli_colors g colors = Graph.with_colors g colors
 
 (* observability: --trace / --stats / --stats-json on the compute-heavy
    subcommands.  The sink stays disabled unless one of them is given, so
@@ -208,9 +212,6 @@ let with_obs ~pulse ~trace ~stats ~stats_json f =
    checkpoint.  Exit codes: 0 complete, 2 usage, 3 degraded but
    answered, 4 exhausted with nothing to show. *)
 
-let exit_degraded = 3
-let exit_exhausted = 4
-
 let fuel_arg =
   Arg.(
     value
@@ -274,9 +275,25 @@ let apply_jobs = function
       Format.eprintf "folearn: --jobs must be >= 1 (got %d)@." n;
       exit 2
 
-let budget_of ~fuel ~timeout ~max_table ~max_ball =
-  if fuel = None && timeout = None && max_table = None && max_ball = None then
-    None
+type budget_opts = {
+  fuel : int option;
+  timeout : float option;
+  max_table : int option;
+  max_ball : int option;
+}
+
+let budget_term =
+  let mk fuel timeout max_table max_ball =
+    { fuel; timeout; max_table; max_ball }
+  in
+  Term.(const mk $ fuel_arg $ timeout_arg $ max_table_arg $ max_ball_arg)
+
+let has_limits b =
+  b.fuel <> None || b.timeout <> None || b.max_table <> None
+  || b.max_ball <> None
+
+let budget_of ({ fuel; timeout; max_table; max_ball } as b) =
+  if not (has_limits b) then None
   else
     Some
       (Guard.Budget.make ?fuel ?timeout_s:timeout ?max_table ?max_ball ())
@@ -290,26 +307,6 @@ let budget_for_pulse pulse budget =
   | None ->
       if pulse.metrics_addr = None then None
       else Some (Guard.Budget.unlimited ())
-
-let report_exhausted ~cmd ~reason ~checkpoint ~(spent : Guard.spent) =
-  let what =
-    match reason with
-    | Guard.Interrupted -> "interrupted"
-    | r -> "budget exhausted: " ^ Guard.reason_to_string r
-  in
-  Format.eprintf "folearn %s: %s at %s (fuel %d, %.3f s, table %d, ball %d)@."
-    cmd what
-    (Guard.checkpoint_to_string checkpoint)
-    spent.Guard.fuel
-    (Int64.to_float spent.Guard.elapsed_ns /. 1e9)
-    spent.Guard.table_rows spent.Guard.ball_peak;
-  (* preserve the final event window when a run dies of exhaustion or a
-     signal (no-op unless --fdr attached the recorder) *)
-  Pulse.Fdr.dump_now
-    ~reason:
-      (match reason with
-      | Guard.Interrupted -> "interrupted"
-      | r -> "guard.exhausted:" ^ Guard.reason_to_string r)
 
 (* crash safety: --checkpoint / --resume on the long-running
    subcommands.  Snapshot cadence rides the Guard tick hook, so an
@@ -406,17 +403,13 @@ let setup_resilience ~cmd ~solver ~run_id ~budget
               cmd path;
             None
         | Error (`Corrupt msg) ->
-            Format.eprintf "folearn %s: --resume %s: corrupt snapshot: %s@."
-              cmd path msg;
-            exit 2
+            usage "folearn %s: --resume %s: corrupt snapshot: %s" cmd path msg
         | Error (`Mismatch m) ->
-            Format.eprintf "folearn %s: --resume %s: %a@." cmd path
-              Resil.Snapshot.pp_mismatch m;
-            Format.eprintf
-              "folearn %s: hint: that snapshot belongs to another \
-               invocation; pass a fresh --checkpoint path to start over@."
-              cmd;
-            exit 2)
+            usage
+              "folearn %s: --resume %s: %a@.folearn %s: hint: that snapshot \
+               belongs to another invocation; pass a fresh --checkpoint path \
+               to start over"
+              cmd path Resil.Snapshot.pp_mismatch m cmd)
   in
   let wants_ckpt = ck_path <> None || resume <> None in
   let budget =
@@ -463,14 +456,6 @@ let install_progress ~metrics ~run_id ~solver ~sample_size ?fuel_lo ?fuel_hi
                fuel_lo;
                fuel_hi;
              }))
-
-(* an interrupted run exits 3 even with nothing salvaged: the operator
-   asked for the stop, and the snapshot (if any) holds the progress *)
-let exhausted_exit reason ~salvaged =
-  if reason = Guard.Interrupted || salvaged then exit_degraded
-  else exit_exhausted
-
-let run_id_of parts = Digest.to_hex (Digest.string (String.concat "\n" parts))
 
 (* ------------------------------------------------------------------ *)
 (* fleet: fault-tolerant multi-process ERM sharding (learn only)       *)
@@ -581,28 +566,64 @@ let fleet_term =
     $ fleet_worker_id_arg $ fleet_heartbeat_arg $ fleet_chunk_arg
     $ fleet_max_attempts_arg $ fleet_chaos_arg)
 
-let fleet_chaos_of ~cmd = function
+let fleet_chaos_of = function
   | None -> []
   | Some spec -> (
       match Fleet.parse_chaos spec with
       | Ok chaos -> chaos
-      | Error m ->
-          Format.eprintf "folearn %s: --fleet-chaos: %s@." cmd m;
-          exit 2)
+      | Error m -> usage "folearn learn: --fleet-chaos: %s" m)
 
 (* fleet shards the indexable parameter sweeps; nd and local have no
    stable candidate numbering to shard over *)
-let fleet_check_solver ~cmd solver =
-  match solver with
+let fleet_check_solver = function
   | `Brute | `Counting -> ()
   | `Nd | `Local ->
-      Format.eprintf
-        "folearn %s: --fleet supports --solver brute and counting only@." cmd;
-      exit 2
+      usage "folearn learn: --fleet supports --solver brute and counting only"
 
 (* ------------------------------------------------------------------ *)
 (* learn                                                               *)
 (* ------------------------------------------------------------------ *)
+
+(* the learning-problem flags, shared by learn and plan; defaults are
+   Serve.Exec's, which served requests fall back to as well *)
+let learn_p_term ~target ~noise =
+  let int_arg names default doc =
+    Arg.(value & opt int default & info names ~doc)
+  in
+  let k = int_arg [ "k" ] Exec.default_k "Arity of examples." in
+  let ell = int_arg [ "l"; "ell" ] Exec.default_ell "Parameter budget." in
+  let q = int_arg [ "q" ] Exec.default_q "Quantifier-rank budget." in
+  let tmax =
+    int_arg [ "tmax" ] Exec.default_tmax
+      "Counting-threshold cap for $(b,--solver counting)."
+  in
+  let m =
+    int_arg [ "m" ] Exec.default_m
+      "Sample size (0 = label every tuple of the graph)."
+  in
+  let seed = int_arg [ "seed" ] Exec.default_seed "Random seed." in
+  let solver =
+    Arg.(
+      value
+      & opt (enum Exec.solvers) Exec.default_solver
+      & info [ "solver" ]
+          ~doc:
+            "ERM solver: $(b,brute) (Prop 11, exact), $(b,nd) (Theorem 13, \
+             nowhere dense), $(b,counting) (FOC extension), or $(b,local) \
+             (sublinear local access).  With budget flags, $(b,local) runs \
+             through the degradation chain.  $(b,plan) analyzes all four \
+             and predicts the selected one.")
+  in
+  let mk lp_graph lp_colors lp_target lp_k lp_ell lp_q lp_solver lp_tmax
+      lp_noise lp_m lp_seed =
+    {
+      Exec.lp_graph; lp_colors; lp_target; lp_k; lp_ell; lp_q; lp_solver;
+      lp_tmax; lp_noise; lp_m; lp_seed;
+    }
+  in
+  Term.(
+    const mk $ graph_arg $ colors_arg $ target $ k $ ell $ q $ solver $ tmax
+    $ noise $ m $ seed)
 
 let learn_cmd =
   let target_arg =
@@ -614,114 +635,27 @@ let learn_cmd =
             "Hidden target query over x1..xk (used only to label the \
              training data).")
   in
-  let k_arg = Arg.(value & opt int 1 & info [ "k" ] ~doc:"Arity of examples.") in
-  let ell_arg =
-    Arg.(value & opt int 0 & info [ "l"; "ell" ] ~doc:"Parameter budget.")
-  in
-  let q_arg =
-    Arg.(value & opt int 1 & info [ "q" ] ~doc:"Quantifier-rank budget.")
-  in
-  let solver_arg =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("brute", `Brute); ("nd", `Nd); ("counting", `Counting);
-               ("local", `Local);
-             ])
-          `Brute
-      & info [ "solver" ]
-          ~doc:
-            "ERM solver: $(b,brute) (Prop 11, exact), $(b,nd) (Theorem 13, \
-             nowhere dense), $(b,counting) (FOC extension), or $(b,local) \
-             (sublinear local access).")
-  in
-  let tmax_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "tmax" ]
-          ~doc:"Counting-threshold cap for $(b,--solver counting).")
-  in
   let noise_arg =
     Arg.(value & opt float 0.0 & info [ "noise" ] ~doc:"Label-flip probability.")
   in
-  let m_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "m" ]
-          ~doc:"Sample size (0 = label every tuple of the graph).")
-  in
-  let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.") in
-  (* shared by the solo path, the fleet coordinator and fleet workers:
-     parse/validate the target, colour the graph, fix the run identity
-     and label the training sequence.  Workers must rebuild exactly
-     this state from their own flags, so it only depends on the
-     arguments — never on ambient process state. *)
-  let learn_prep g colors target k ell q solver tmax noise m seed =
-    let target = parse_formula_or_exit ~cmd:"learn" ~flag:"--target" target in
-    let g = with_cli_colors g colors in
-    let solver_name =
-      match solver with
-      | `Brute -> "brute"
-      | `Nd -> "nd"
-      | `Counting -> "counting"
-      | `Local -> "local"
-    in
-    let run_id =
-      run_id_of
-        [
-          "learn"; Io.to_string g;
-          Format.asprintf "%a" Fo.Formula.pp target;
-          string_of_int k; string_of_int ell; string_of_int q; solver_name;
-          string_of_int tmax; string_of_float noise; string_of_int m;
-          string_of_int seed;
-        ]
-    in
-    let module Sam = Folearn.Sample in
-    let xvars = Folearn.Hypothesis.xvars k in
-    (match
-       Analysis.Diagnostic.errors
-         (Analysis.Fo_check.check
-            ~vocab:(Analysis.Vocab.of_graph g)
-            ~allowed_free:xvars target)
-     with
-    | [] -> ()
-    | errs ->
-        Format.eprintf
-          "folearn learn: the target must be a query over x1..x%d in the \
-           graph's vocabulary:@.%s@."
-          k
-          (Analysis.Diagnostic.render_list errs);
-        exit 2);
-    let tuples =
-      if m = 0 then Sam.all_tuples g ~k else Sam.random_tuples ~seed g ~k ~m
-    in
-    let lam =
-      Sam.label_with_query g ~formula:target ~xvars tuples
-      |> fun l -> if noise > 0.0 then Sam.flip_noise ~seed ~p:noise l else l
-    in
-    (g, solver_name, run_id, tuples, lam)
-  in
   (* fleet worker: claim/evaluate/publish against --fleet DIR until the
      coordinator writes DONE.  No stdout, no telemetry, no signal
-     rewiring — the coordinator owns the run's observable surface. *)
-  let run_fleet_worker fleet g colors target k ell q solver tmax noise m seed
-      fuel timeout max_table max_ball =
+     rewiring — the coordinator owns the run's observable surface.
+     Workers rebuild the run's state from their own flags through
+     [Exec.learn_prep], which depends only on the arguments. *)
+  let run_fleet_worker fleet (p : Exec.learn_p) budget_opts =
     let dir =
       match fleet.f_dir with
       | Some d -> d
-      | None ->
-          Format.eprintf "folearn learn: --worker requires --fleet DIR@.";
-          exit 2
+      | None -> usage "folearn learn: --worker requires --fleet DIR"
     in
-    fleet_check_solver ~cmd:"learn" solver;
-    let chaos = fleet_chaos_of ~cmd:"learn" fleet.f_chaos in
-    let g, solver_name, run_id, _tuples, lam =
-      learn_prep g colors target k ell q solver tmax noise m seed
-    in
+    fleet_check_solver p.lp_solver;
+    let chaos = fleet_chaos_of fleet.f_chaos in
+    let l = Exec.learn_prep p in
+    let { Exec.lp_k = k; lp_ell = ell; lp_q = q; lp_tmax = tmax; _ } = p in
+    let g = l.g and lam = l.sample in
     let eval =
-      match solver with
+      match p.lp_solver with
       | `Brute ->
           fun ~lo ~hi -> Folearn.Erm_brute.eval_range g ~k ~ell ~q lam ~lo ~hi
       | `Counting ->
@@ -736,15 +670,14 @@ let learn_cmd =
           (match fleet.f_worker_id with
           | Some id -> id
           | None -> Printf.sprintf "w-ext-%d" (Unix.getpid ()));
-        w_run_id = run_id;
-        w_solver = solver_name;
+        w_run_id = l.run_id;
+        w_solver = Exec.solver_name p.lp_solver;
         w_parent =
           Option.bind
             (Sys.getenv_opt "FOLEARN_FLEET_PARENT")
             int_of_string_opt;
         w_chaos = chaos;
-        w_make_budget =
-          (fun () -> budget_of ~fuel ~timeout ~max_table ~max_ball);
+        w_make_budget = (fun () -> budget_of budget_opts);
         (* chunk results carry only (index, errors): no type ids
            survive a chunk, so the worker process can drop the intern
            registries instead of growing them for the whole drain *)
@@ -757,74 +690,45 @@ let learn_cmd =
   in
   (* fleet coordinator: shard, supervise, merge; the printed result is
      byte-identical to the sequential solver's *)
-  let run_fleet_coordinator ~dir fleet ~precheck g colors target k ell q
-      solver tmax noise m seed fuel timeout max_table max_ball ckpt_opts pulse
-      =
-    fleet_check_solver ~cmd:"learn" solver;
-    (match (ckpt_opts.ck_path, ckpt_opts.ck_resume) with
-    | None, None -> ()
-    | _ ->
-        Format.eprintf
-          "folearn learn: --fleet and --checkpoint/--resume are mutually \
-           exclusive (the fleet directory is the durable state)@.";
-        exit 2);
-    (match fleet.f_worker_id with
-    | None -> ()
-    | Some _ ->
-        Format.eprintf "folearn learn: --fleet-worker-id requires --worker@.";
-        exit 2);
-    if fleet.f_workers < 0 then begin
-      Format.eprintf "folearn learn: --workers must be >= 0 (got %d)@."
-        fleet.f_workers;
-      exit 2
-    end;
-    if fleet.f_heartbeat <= 0.0 then begin
-      Format.eprintf "folearn learn: --fleet-heartbeat must be positive@.";
-      exit 2
-    end;
-    if fleet.f_max_attempts < 1 then begin
-      Format.eprintf "folearn learn: --fleet-max-attempts must be >= 1@.";
-      exit 2
-    end;
+  let run_fleet_coordinator ~dir fleet ~precheck (p : Exec.learn_p)
+      budget_opts ckpt_opts pulse =
+    fleet_check_solver p.lp_solver;
+    if ckpt_opts.ck_path <> None || ckpt_opts.ck_resume <> None then
+      usage
+        "folearn learn: --fleet and --checkpoint/--resume are mutually \
+         exclusive (the fleet directory is the durable state)";
+    if fleet.f_worker_id <> None then
+      usage "folearn learn: --fleet-worker-id requires --worker";
+    if fleet.f_workers < 0 then
+      usage "folearn learn: --workers must be >= 0 (got %d)" fleet.f_workers;
+    if fleet.f_heartbeat <= 0.0 then
+      usage "folearn learn: --fleet-heartbeat must be positive";
+    if fleet.f_max_attempts < 1 then
+      usage "folearn learn: --fleet-max-attempts must be >= 1";
     (* workers apply the chaos spec; validate it up front anyway so a
        typo fails the run before any fork *)
-    let (_ : Fleet.chaos list) = fleet_chaos_of ~cmd:"learn" fleet.f_chaos in
-    let g, solver_name, run_id, _tuples, lam =
-      learn_prep g colors target k ell q solver tmax noise m seed
-    in
-    let module Sam = Folearn.Sample in
-    Format.printf "training sequence: %d examples (%d positive)@."
-      (Sam.size lam)
-      (List.length (Sam.positives lam));
-    let n = Graph.order g in
+    let (_ : Fleet.chaos list) = fleet_chaos_of fleet.f_chaos in
+    let l = Exec.learn_prep p in
+    let run_id = l.run_id and solver_name = Exec.solver_name p.lp_solver in
+    let sample_size = Folearn.Sample.size l.sample in
+    Exec.print_training Format.std_formatter l;
     let total =
-      match Graph.Tuple.count ~n ~k:ell with
+      match Graph.Tuple.count ~n:(Graph.order l.g) ~k:p.lp_ell with
       | Some t -> t
       | None ->
-          Format.eprintf
+          usage
             "folearn learn: --fleet: the candidate space n^ell does not fit \
-             in an int; nothing to shard@.";
-          exit 2
-    in
-    let user_budget = budget_of ~fuel ~timeout ~max_table ~max_ball in
-    let what, plan_solver =
-      match solver with
-      | `Brute -> ("Erm_brute", Analysis.Plan.Brute)
-      | `Counting -> ("Erm_counting", Analysis.Plan.Counting)
-      | _ -> assert false
+             in an int; nothing to shard"
     in
     (* same admission gate the sequential solvers run: a per-chunk
        budget provably below the first-settle floor is rejected before
        any worker forks *)
     (match
-       Folearn.Admission.erm ?budget:user_budget ~tmax ~enabled:precheck ~what
-         ~solver:plan_solver g ~k ~ell ~q lam
+       Exec.sweep_admission ~out:Format.std_formatter
+         ~err:Format.err_formatter ?budget:(budget_of budget_opts) ~precheck l
      with
-    | Some (Guard.Exhausted { reason; checkpoint; spent; _ }) ->
-        report_exhausted ~cmd:"learn" ~reason ~checkpoint ~spent;
-        Format.eprintf "folearn learn: no hypothesis salvaged@.";
-        exit (exhausted_exit reason ~salvaged:false)
-    | Some (Guard.Complete _) | None -> ());
+    | Some code -> exit code
+    | None -> ());
     Guard.clear_interrupt ();
     install_signals ();
     let mon = Fleet.Monitor.create () in
@@ -847,7 +751,7 @@ let learn_cmd =
                    frontier = Resil.Ctl.frontier ctl;
                    total = Some total;
                    best = Resil.Ctl.best ctl;
-                   sample_size = Sam.size lam;
+                   sample_size;
                    fuel_spent = None;
                    elapsed_ns = None;
                    fuel_lo = None;
@@ -862,10 +766,7 @@ let learn_cmd =
     let chunk_size =
       match fleet.f_chunk with
       | Some c when c >= 1 -> c
-      | Some c ->
-          Format.eprintf "folearn learn: --fleet-chunk must be >= 1 (got %d)@."
-            c;
-          exit 2
+      | Some c -> usage "folearn learn: --fleet-chunk must be >= 1 (got %d)" c
       | None ->
           let by_workers = max 1 (total / (8 * max 1 fleet.f_workers)) in
           let min_for_cap = (total + 4095) / 4096 in
@@ -887,7 +788,7 @@ let learn_cmd =
         c_chunk_size = chunk_size;
         c_heartbeat_s = fleet.f_heartbeat;
         c_max_attempts = fleet.f_max_attempts;
-        c_sample_size = Sam.size lam;
+        c_sample_size = sample_size;
         c_workers = fleet.f_workers;
         c_spawn = spawn;
         c_backoff_base_s = Fleet.default_backoff_base_s;
@@ -903,58 +804,12 @@ let learn_cmd =
            lex-min index with a fresh context — the same mechanism a
            full-skip checkpoint resume uses, so the output bytes match
            the sequential run *)
-        let print_winner ~params_tried =
-          (match solver with
-          | `Brute ->
-              Format.printf
-                "solver: Prop 11 exact ERM (tried %d parameter tuples)@."
-                params_tried
-          | `Counting ->
-              Format.printf
-                "solver: exact counting ERM (FOC, thresholds <= %d; tried %d \
-                 parameter tuples)@."
-                tmax params_tried
-          | _ -> assert false);
-          match out.Fleet.best with
-          | Some (i, _) ->
-              let params = Graph.Tuple.of_index ~n ~k:ell i in
-              let err, hyp =
-                match solver with
-                | `Brute ->
-                    let r =
-                      Folearn.Erm_brute.solve_for_params g ~k ~q ~params lam
-                    in
-                    (r.Folearn.Erm_brute.err, r.Folearn.Erm_brute.hypothesis)
-                | `Counting ->
-                    let r =
-                      Folearn.Erm_counting.solve_for_params g ~k ~q ~tmax
-                        ~params lam
-                    in
-                    ( r.Folearn.Erm_counting.err,
-                      r.Folearn.Erm_counting.hypothesis )
-                | _ -> assert false
-              in
-              Format.printf "training error: %.4f@." err;
-              Format.printf "%a@." Folearn.Hypothesis.pp hyp
-          | None ->
-              Format.printf "training error: %.4f@."
-                (Sam.error_of (fun _ -> false) lam);
-              Format.printf "%a@." Folearn.Hypothesis.pp
-                (Folearn.Hypothesis.constantly g ~k false)
-        in
         if out.Fleet.interrupted then begin
           Format.eprintf
             "folearn learn: interrupted; fleet directory %s holds the \
              settled frontier (%d of %d candidates)@."
             dir out.Fleet.settled total;
-          Pulse.Fdr.dump_now ~reason:"interrupted";
-          (match out.Fleet.best with
-          | Some _ ->
-              Format.printf
-                "best-so-far hypothesis (no optimality certificate):@.";
-              print_winner ~params_tried:out.Fleet.settled
-          | None -> Format.eprintf "folearn learn: no hypothesis salvaged@.");
-          exit_degraded
+          Pulse.Fdr.dump_now ~reason:"interrupted"
         end
         else if out.Fleet.quarantined <> [] then begin
           Format.eprintf
@@ -967,228 +822,74 @@ let learn_cmd =
                 "  chunk %d [%d,%d): %d attempts, last error: %s@."
                 qc.Fleet.q_chunk qc.Fleet.q_lo qc.Fleet.q_hi qc.Fleet.q_attempts
                 qc.Fleet.q_error)
-            out.Fleet.quarantined;
-          match out.Fleet.best with
-          | Some _ ->
-              Format.printf
-                "best-so-far hypothesis (no optimality certificate):@.";
-              print_winner ~params_tried:out.Fleet.settled;
-              exit_degraded
-          | None ->
-              Format.eprintf "folearn learn: no hypothesis salvaged@.";
-              exit_exhausted
-        end
-        else begin
-          print_winner ~params_tried:total;
-          0
-        end
+            out.Fleet.quarantined
+        end;
+        let interrupted = out.Fleet.interrupted in
+        let complete = (not interrupted) && out.Fleet.quarantined = [] in
+        Exec.sweep_answer ~out:Format.std_formatter ~err:Format.err_formatter l
+          ~complete ~interrupted
+          ~params_tried:(if complete then total else out.Fleet.settled)
+          (Option.map fst out.Fleet.best)
   in
-  let run g colors target k ell q solver tmax noise m seed fuel timeout
-      max_table max_ball no_precheck jobs fleet_opts ckpt_opts pulse trace
-      stats stats_json =
+  let run p budget_opts no_precheck jobs fleet_opts ckpt_opts pulse trace stats
+      stats_json =
     apply_jobs jobs;
     let precheck = not no_precheck in
     if fleet_opts.f_worker then
-      run_fleet_worker fleet_opts g colors target k ell q solver tmax noise m
-        seed fuel timeout max_table max_ball
+      or_usage (fun () -> run_fleet_worker fleet_opts p budget_opts)
     else
+      with_obs ~pulse ~trace ~stats ~stats_json @@ fun () ->
+      with_pulse ~cmd:"learn" pulse @@ fun () ->
+      or_usage @@ fun () ->
       match fleet_opts.f_dir with
       | Some dir ->
-          with_obs ~pulse ~trace ~stats ~stats_json @@ fun () ->
-          with_pulse ~cmd:"learn" pulse @@ fun () ->
-          run_fleet_coordinator ~dir fleet_opts ~precheck g colors target k
-            ell q solver tmax noise m seed fuel timeout max_table max_ball
+          run_fleet_coordinator ~dir fleet_opts ~precheck p budget_opts
             ckpt_opts pulse
       | None ->
-    with_obs ~pulse ~trace ~stats ~stats_json @@ fun () ->
-    with_pulse ~cmd:"learn" pulse @@ fun () ->
-    let user_budget = budget_of ~fuel ~timeout ~max_table ~max_ball in
-    let budget = budget_for_pulse pulse user_budget in
-    let g, solver_name, run_id, tuples, lam =
-      learn_prep g colors target k ell q solver tmax noise m seed
-    in
-    let budget, ckpt =
-      setup_resilience ~cmd:"learn" ~solver:solver_name ~run_id ~budget
-        ckpt_opts
-    in
-    (* no checkpointing asked for, but a live /progress endpoint wants
-       the settled frontier: track it passively (admission prechecks
-       still see an un-checkpointed run) *)
-    let ckpt =
-      if pulse.metrics_addr <> None && not (Resil.Ctl.active ckpt) then
-        Resil.Ctl.observer ~run_id ~solver:solver_name ()
-      else ckpt
-    in
-    let module Sam = Folearn.Sample in
-    Format.printf "training sequence: %d examples (%d positive)@."
-      (Sam.size lam)
-      (List.length (Sam.positives lam));
-    (* /progress marries the live frontier with the static plan
-       envelope, so scrapers get fuel_spent / fuel_hi percent-complete
-       without running `folearn plan` themselves *)
-    (if pulse.metrics_addr <> None then
-       let module Plan = Analysis.Plan in
-       let module Cm = Analysis.Cost_model in
-       let psolver =
-         match solver with
-         | `Brute -> Plan.Brute
-         | `Nd -> Plan.Nd
-         | `Counting -> Plan.Counting
-         | `Local -> Plan.Local
-       in
-       let plan = Plan.analyze (Plan.input ~tmax g ~k ~ell ~q tuples) psolver in
-       let env_lo (e : Cm.Env.t) = Cm.Count.to_int_opt e.Cm.Env.lo in
-       let env_hi (e : Cm.Env.t) = Cm.Count.to_int_opt e.Cm.Env.hi in
-       install_progress ~metrics:true ~run_id ~solver:solver_name
-         ~sample_size:(Sam.size lam)
-         ?fuel_lo:(env_lo plan.Plan.fuel_total)
-         ?fuel_hi:(env_hi plan.Plan.fuel_total)
-         ?total:(env_hi plan.Plan.hypotheses)
-         budget ckpt);
-    (* one outcome handler for every solver: 0 on a complete run, 3
-       when only a best-so-far hypothesis (with its true empirical
-       error, but no min-error certificate) survived, 4 when nothing
-       did *)
-    let conclude outcome print =
-      match outcome with
-      | Guard.Complete r ->
-          Resil.Ctl.flush ~complete:true ckpt;
-          print r;
-          0
-      | Guard.Exhausted { best_so_far = Some r; reason; checkpoint; spent } ->
-          Resil.Ctl.flush ckpt;
-          report_exhausted ~cmd:"learn" ~reason ~checkpoint ~spent;
-          Format.printf "best-so-far hypothesis (no optimality certificate):@.";
-          print r;
-          exhausted_exit reason ~salvaged:true
-      | Guard.Exhausted { best_so_far = None; reason; checkpoint; spent } ->
-          Resil.Ctl.flush ckpt;
-          report_exhausted ~cmd:"learn" ~reason ~checkpoint ~spent;
-          Format.eprintf "folearn learn: no hypothesis salvaged@.";
-          exhausted_exit reason ~salvaged:false
-    in
-    match solver with
-    | `Brute ->
-        conclude
-          (Folearn.Erm_brute.solve_budgeted ?budget ~precheck ~ckpt g ~k ~ell
-             ~q lam)
-          (fun (r : Folearn.Erm_brute.result) ->
-            Format.printf
-              "solver: Prop 11 exact ERM (tried %d parameter tuples)@."
-              r.Folearn.Erm_brute.params_tried;
-            Format.printf "training error: %.4f@." r.Folearn.Erm_brute.err;
-            Format.printf "%a@." Folearn.Hypothesis.pp
-              r.Folearn.Erm_brute.hypothesis)
-    | `Nd ->
-        let cls = Splitter.Nowhere_dense.of_graph "cli" g in
-        let cfg =
-          Folearn.Erm_nd.default_config ~radius:1 ~k ~ell_star:(max 1 ell)
-            ~q_star:q cls
-        in
-        conclude
-          (Folearn.Erm_nd.solve_budgeted ?budget ~precheck ~ckpt cfg g lam)
-          (fun (rep : Folearn.Erm_nd.report) ->
-            Format.printf
-              "solver: Theorem 13 (rounds %d, branches %d, ell used %d, rank \
-               %d)@."
-              (List.length rep.Folearn.Erm_nd.rounds)
-              rep.Folearn.Erm_nd.branches_explored rep.Folearn.Erm_nd.ell_used
-              rep.Folearn.Erm_nd.q_used;
-            Format.printf "training error: %.4f@." rep.Folearn.Erm_nd.err;
-            Format.printf "parameters: %a@." Graph.Tuple.pp
-              (Folearn.Hypothesis.params rep.Folearn.Erm_nd.hypothesis))
-    | `Counting ->
-        conclude
-          (Folearn.Erm_counting.solve_budgeted ?budget ~precheck ~ckpt g ~k
-             ~ell ~q ~tmax lam)
-          (fun (r : Folearn.Erm_counting.result) ->
-            Format.printf
-              "solver: exact counting ERM (FOC, thresholds <= %d; tried %d \
-               parameter tuples)@."
-              tmax r.Folearn.Erm_counting.params_tried;
-            Format.printf "training error: %.4f@." r.Folearn.Erm_counting.err;
-            Format.printf "%a@." Folearn.Hypothesis.pp
-              r.Folearn.Erm_counting.hypothesis)
-    | `Local -> (
-        match budget with
-        | None ->
-            let r = Folearn.Erm_local.solve g ~k ~ell ~q lam in
-            Format.printf
-              "solver: sublinear local learner (pool %d, touched %d of %d \
-               vertices)@."
-              r.Folearn.Erm_local.pool_size r.Folearn.Erm_local.vertices_touched
-              (Graph.order g);
-            Format.printf "training error: %.4f@." r.Folearn.Erm_local.err;
-            Format.printf "parameters: %a@." Graph.Tuple.pp
-              (Folearn.Hypothesis.params r.Folearn.Erm_local.hypothesis);
-            0
-        | Some _ when Resil.Ctl.active ckpt || user_budget = None ->
-            (* a checkpointed local run must resume bit-identically,
-               so it bypasses the degradation chain (whose stage
-               hand-offs have no stable candidate numbering) and runs
-               the local solver directly under the budget; likewise a
-               run whose only budget is the synthetic unlimited one
-               --metrics-addr installs (nothing to degrade under) *)
-            conclude
-              (Folearn.Erm_local.solve_budgeted ?budget ~precheck ~ckpt g ~k
-                 ~ell ~q lam)
-              (fun (r : Folearn.Erm_local.result) ->
-                Format.printf
-                  "solver: sublinear local learner (pool %d, touched %d of \
-                   %d vertices)@."
-                  r.Folearn.Erm_local.pool_size
-                  r.Folearn.Erm_local.vertices_touched (Graph.order g);
-                Format.printf "training error: %.4f@."
-                  r.Folearn.Erm_local.err;
-                Format.printf "parameters: %a@." Graph.Tuple.pp
-                  (Folearn.Hypothesis.params r.Folearn.Erm_local.hypothesis))
-        | Some _ ->
-            (* budgeted local runs go through the degradation chain:
-               local at rank q, then exact brute-force ERM at ranks
-               q-1, ..., 0, all racing one wall-clock deadline *)
-            let print (l : Folearn.Degrade.learned) =
-              List.iter
-                (fun (a : Folearn.Degrade.attempt) ->
-                  Format.eprintf
-                    "folearn learn: stage %s at rank %d exhausted (%s at %s)@."
-                    a.Folearn.Degrade.solver a.Folearn.Degrade.q
-                    (Guard.reason_to_string a.Folearn.Degrade.reason)
-                    (Guard.checkpoint_to_string a.Folearn.Degrade.checkpoint))
-                l.Folearn.Degrade.attempts;
-              Format.printf "solver: %s ERM at rank %d%s@."
-                (match l.Folearn.Degrade.solver with
-                | "local" -> "sublinear local"
-                | s -> "fallback " ^ s)
-                l.Folearn.Degrade.q_used
-                (if l.Folearn.Degrade.degraded then " (degraded)" else "");
-              Format.printf "training error: %.4f@." l.Folearn.Degrade.err;
-              Format.printf "parameters: %a@." Graph.Tuple.pp
-                (Folearn.Hypothesis.params l.Folearn.Degrade.hypothesis)
-            in
-            match Folearn.Degrade.learn ?budget ~precheck g ~k ~ell ~q lam with
-            | Guard.Complete l ->
-                print l;
-                if l.Folearn.Degrade.degraded then exit_degraded else 0
-            | Guard.Exhausted
-                { best_so_far = Some l; reason; checkpoint; spent } ->
-                report_exhausted ~cmd:"learn" ~reason ~checkpoint ~spent;
-                Format.printf
-                  "best-so-far hypothesis (no optimality certificate):@.";
-                print l;
-                exhausted_exit reason ~salvaged:true
-            | Guard.Exhausted { best_so_far = None; reason; checkpoint; spent }
-              ->
-                report_exhausted ~cmd:"learn" ~reason ~checkpoint ~spent;
-                Format.eprintf "folearn learn: no hypothesis salvaged@.";
-                exhausted_exit reason ~salvaged:false)
+          let l = Exec.learn_prep p in
+          let run_id = l.run_id and solver = Exec.solver_name p.lp_solver in
+          let budget, ckpt =
+            setup_resilience ~cmd:"learn" ~solver ~run_id
+              ~budget:(budget_for_pulse pulse (budget_of budget_opts))
+              ckpt_opts
+          in
+          (* no checkpointing asked for, but a live /progress endpoint
+             wants the settled frontier: track it passively (admission
+             prechecks still see an un-checkpointed run) *)
+          let ckpt =
+            if pulse.metrics_addr <> None && not (Resil.Ctl.active ckpt) then
+              Resil.Ctl.observer ~run_id ~solver ()
+            else ckpt
+          in
+          (* /progress marries the live frontier with the static plan
+             envelope, so scrapers get fuel_spent / fuel_hi
+             percent-complete without running `folearn plan` themselves *)
+          (if pulse.metrics_addr <> None then
+             let module Plan = Analysis.Plan in
+             let module Cm = Analysis.Cost_model in
+             let plan =
+               Plan.analyze
+                 (Plan.input ~tmax:p.lp_tmax l.g ~k:p.lp_k ~ell:p.lp_ell
+                    ~q:p.lp_q l.tuples)
+                 (Exec.plan_solver p.lp_solver)
+             in
+             let env_lo (e : Cm.Env.t) = Cm.Count.to_int_opt e.Cm.Env.lo in
+             let env_hi (e : Cm.Env.t) = Cm.Count.to_int_opt e.Cm.Env.hi in
+             install_progress ~metrics:true ~run_id ~solver
+               ~sample_size:(Folearn.Sample.size l.sample)
+               ?fuel_lo:(env_lo plan.Plan.fuel_total)
+               ?fuel_hi:(env_hi plan.Plan.fuel_total)
+               ?total:(env_hi plan.Plan.hypotheses)
+               budget ckpt);
+          Exec.learn_solve ~out:Format.std_formatter
+            ~err:Format.err_formatter ?budget ~ckpt ~precheck l
   in
   let term =
     Term.(
-      const run $ graph_arg $ colors_arg $ target_arg $ k_arg $ ell_arg $ q_arg
-      $ solver_arg $ tmax_arg $ noise_arg $ m_arg $ seed_arg $ fuel_arg
-      $ timeout_arg $ max_table_arg $ max_ball_arg $ no_precheck_arg
-      $ jobs_arg $ fleet_term $ ckpt_term $ pulse_term $ trace_arg $ stats_arg
-      $ stats_json_arg)
+      const run
+      $ learn_p_term ~target:target_arg ~noise:noise_arg
+      $ budget_term $ no_precheck_arg $ jobs_arg $ fleet_term $ ckpt_term
+      $ pulse_term $ trace_arg $ stats_arg $ stats_json_arg)
   in
   Cmd.v
     (Cmd.info "learn" ~doc:"Learn a first-order query from labelled examples.")
@@ -1219,43 +920,6 @@ let plan_cmd =
              the cost plan itself depends only on the example tuples, \
              never on the labels.")
   in
-  let k_arg = Arg.(value & opt int 1 & info [ "k" ] ~doc:"Arity of examples.") in
-  let ell_arg =
-    Arg.(value & opt int 0 & info [ "l"; "ell" ] ~doc:"Parameter budget.")
-  in
-  let q_arg =
-    Arg.(value & opt int 1 & info [ "q" ] ~doc:"Quantifier-rank budget.")
-  in
-  let solver_arg =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("brute", `Brute); ("nd", `Nd); ("counting", `Counting);
-               ("local", `Local);
-             ])
-          `Brute
-      & info [ "solver" ]
-          ~doc:
-            "Solver whose run the top-level prediction covers (all four \
-             are always analyzed).  $(b,local) with budget flags is \
-             predicted through the degradation chain, exactly as \
-             $(b,learn) executes it.")
-  in
-  let tmax_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "tmax" ]
-          ~doc:"Counting-threshold cap for $(b,--solver counting).")
-  in
-  let m_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "m" ]
-          ~doc:"Sample size (0 = label every tuple of the graph).")
-  in
-  let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.") in
   let format_arg =
     Arg.(
       value
@@ -1274,47 +938,24 @@ let plan_cmd =
              the selected solver (the admission precheck would reject \
              the run).")
   in
-  let run g colors target k ell q solver tmax m seed fuel timeout max_table
-      max_ball format strict =
-    let g = with_cli_colors g colors in
-    (match target with
-    | None -> ()
-    | Some t -> (
-        let t = parse_formula_or_exit ~cmd:"plan" ~flag:"--target" t in
-        let xvars = Folearn.Hypothesis.xvars k in
-        match
-          Analysis.Diagnostic.errors
-            (Analysis.Fo_check.check
-               ~vocab:(Analysis.Vocab.of_graph g)
-               ~allowed_free:xvars t)
-        with
-        | [] -> ()
-        | errs ->
-            Format.eprintf
-              "folearn plan: the target must be a query over x1..x%d in \
-               the graph's vocabulary:@.%s@."
-              k
-              (Analysis.Diagnostic.render_list errs);
-            exit 2));
-    let module Sam = Folearn.Sample in
-    let tuples =
-      if m = 0 then Sam.all_tuples g ~k else Sam.random_tuples ~seed g ~k ~m
-    in
+  (* plan labels nothing: [p] carries no target or noise, and the
+     optional --target is only validated *)
+  let run (p : Exec.learn_p) target budget format strict =
+    or_usage @@ fun () ->
+    let { Exec.lp_k = k; lp_ell = ell; lp_q = q; lp_tmax = tmax; _ } = p in
+    let g = Exec.learn_graph ~op:"plan" p in
+    Option.iter
+      (fun t -> ignore (Exec.check_target ~op:"plan" g ~k t : Fo.Formula.t))
+      target;
+    let tuples = Exec.learn_tuples p g in
     let inp = Plan.input ~tmax g ~k ~ell ~q tuples in
     let solvers = [ Plan.Brute; Plan.Local; Plan.Nd; Plan.Counting ] in
     let plans = List.map (Plan.analyze inp) solvers in
     let chain = Plan.degrade_stages inp in
+    let { fuel; timeout; max_table; max_ball } = budget in
     let limits = Plan.limits ?fuel ?timeout_s:timeout ?max_table ?max_ball () in
-    let has_limits =
-      fuel <> None || timeout <> None || max_table <> None || max_ball <> None
-    in
-    let selected =
-      match solver with
-      | `Brute -> Plan.Brute
-      | `Nd -> Plan.Nd
-      | `Counting -> Plan.Counting
-      | `Local -> Plan.Local
-    in
+    let has_limits = has_limits budget in
+    let selected = Exec.plan_solver p.lp_solver in
     let selected_plan = Plan.analyze inp selected in
     (* the budgeted local path of `learn` runs the degradation chain,
        so its prediction and admission must use chain semantics *)
@@ -1418,13 +1059,40 @@ let plan_cmd =
          "Static cost analysis: predict the spend, exit code and best \
           solver of a $(b,learn) run without executing it.")
     Term.(
-      const run $ graph_arg $ colors_arg $ target_arg $ k_arg $ ell_arg
-      $ q_arg $ solver_arg $ tmax_arg $ m_arg $ seed_arg $ fuel_arg
-      $ timeout_arg $ max_table_arg $ max_ball_arg $ format_arg $ strict_arg)
+      const run
+      $ learn_p_term ~target:(const "") ~noise:(const 0.0)
+      $ target_arg $ budget_term $ format_arg $ strict_arg)
 
 (* ------------------------------------------------------------------ *)
-(* mc                                                                  *)
+(* mc / types / game                                                   *)
 (* ------------------------------------------------------------------ *)
+
+(* Serve.Exec validates and runs the op; the CLI wraps it in
+   telemetry and checkpointing and hands it the process streams *)
+let exec_op_cmd ~cmd ~doc ~precheck prep =
+  let run prep budget_opts precheck jobs ckpt_opts pulse trace stats
+      stats_json =
+    apply_jobs jobs;
+    with_obs ~pulse ~trace ~stats ~stats_json @@ fun () ->
+    with_pulse ~cmd pulse @@ fun () ->
+    or_usage @@ fun () ->
+    let op = prep () in
+    let run_id = Exec.run_id op in
+    let budget, ckpt =
+      setup_resilience ~cmd ~solver:cmd ~run_id
+        ~budget:(budget_for_pulse pulse (budget_of budget_opts))
+        ckpt_opts
+    in
+    install_progress
+      ~metrics:(pulse.metrics_addr <> None)
+      ~run_id ~solver:cmd ~sample_size:0 budget ckpt;
+    Exec.solve ~out:Format.std_formatter ~err:Format.err_formatter
+      ?budget ~ckpt ~precheck op
+  in
+  Cmd.v (Cmd.info cmd ~doc)
+    Term.(
+      const run $ prep $ budget_term $ precheck $ jobs_arg $ ckpt_term
+      $ pulse_term $ trace_arg $ stats_arg $ stats_json_arg)
 
 let mc_cmd =
   let formula_arg =
@@ -1439,88 +1107,13 @@ let mc_cmd =
       & info [ "via-erm" ]
           ~doc:"Decide through the Theorem 1 reduction (ERM-oracle calls).")
   in
-  let run g colors phi via_erm fuel timeout max_table max_ball no_precheck
-      jobs ckpt_opts pulse trace stats stats_json =
-    apply_jobs jobs;
-    with_obs ~pulse ~trace ~stats ~stats_json @@ fun () ->
-    with_pulse ~cmd:"mc" pulse @@ fun () ->
-    let phi = parse_formula_or_exit ~cmd:"mc" ~flag:"--formula" phi in
-    (match Fo.Formula.free_vars phi with
-    | [] -> ()
-    | fv ->
-        Format.eprintf
-          "folearn mc: --formula must be a sentence; free variable%s: %s@."
-          (if List.length fv > 1 then "s" else "")
-          (String.concat ", " fv);
-        exit 2);
-    let budget =
-      budget_for_pulse pulse (budget_of ~fuel ~timeout ~max_table ~max_ball)
-    in
-    let g = with_cli_colors g colors in
-    (* mc has no candidate enumeration to replay-skip: checkpoints
-       record run identity and spend only, and a resumed run re-checks
-       from scratch (coarse resume) *)
-    let run_id =
-      run_id_of
-        [
-          "mc"; Io.to_string g;
-          Format.asprintf "%a" Fo.Formula.pp phi;
-          string_of_bool via_erm;
-        ]
-    in
-    let budget, ckpt =
-      setup_resilience ~cmd:"mc" ~solver:"mc" ~run_id ~budget ckpt_opts
-    in
-    install_progress
-      ~metrics:(pulse.metrics_addr <> None)
-      ~run_id ~solver:"mc" ~sample_size:0 budget ckpt;
-    let outcome =
-      Resil.Ctl.with_attached ckpt @@ fun () ->
-      if via_erm then
-        Guard.outcome_map
-          (fun (verdict, stats) ->
-            fun () ->
-             Format.printf "%b@." verdict;
-             Format.printf
-               "(oracle calls: %d, recursion nodes: %d, representative sets: \
-                [%s])@."
-               stats.Folearn.Reduction.oracle_calls
-               stats.Folearn.Reduction.recursion_nodes
-               (String.concat "; "
-                  (List.map string_of_int
-                     stats.Folearn.Reduction.representative_sets)))
-          (Folearn.Reduction.model_check_budgeted ?budget
-             ~precheck:(not no_precheck)
-             ~oracle:Folearn.Reduction.exact_oracle g phi)
-      else
-        Guard.run ?budget
-          ~salvage:(fun () -> None)
-          (fun () ->
-            let verdict = Modelcheck.Eval.sentence g phi in
-            fun () -> Format.printf "%b@." verdict)
-    in
-    match outcome with
-    | Guard.Complete print ->
-        Resil.Ctl.flush ~complete:true ckpt;
-        print ();
-        0
-    | Guard.Exhausted { reason; checkpoint; spent; _ } ->
-        (* a truth value is all-or-nothing: no partial verdict to keep *)
-        Resil.Ctl.flush ckpt;
-        report_exhausted ~cmd:"mc" ~reason ~checkpoint ~spent;
-        exhausted_exit reason ~salvaged:false
+  let prep mp_graph mp_colors mp_formula mp_via_erm () =
+    Exec.mc { Exec.mp_graph; mp_colors; mp_formula; mp_via_erm }
   in
-  Cmd.v
-    (Cmd.info "mc" ~doc:"First-order model checking (direct or via Theorem 1).")
-    Term.(
-      const run $ graph_arg $ colors_arg $ formula_arg $ via_erm_arg $ fuel_arg
-      $ timeout_arg $ max_table_arg $ max_ball_arg $ no_precheck_arg
-      $ jobs_arg $ ckpt_term $ pulse_term $ trace_arg $ stats_arg
-      $ stats_json_arg)
-
-(* ------------------------------------------------------------------ *)
-(* types                                                               *)
-(* ------------------------------------------------------------------ *)
+  exec_op_cmd ~cmd:"mc"
+    ~doc:"First-order model checking (direct or via Theorem 1)."
+    ~precheck:Term.(const not $ no_precheck_arg)
+    Term.(const prep $ graph_arg $ colors_arg $ formula_arg $ via_erm_arg)
 
 let types_cmd =
   let q_arg = Arg.(value & opt int 1 & info [ "q" ] ~doc:"Quantifier rank.") in
@@ -1530,120 +1123,22 @@ let types_cmd =
       value & flag
       & info [ "hintikka" ] ~doc:"Also print one Hintikka formula per class.")
   in
-  let run g colors q k hintikka fuel timeout max_table max_ball jobs ckpt_opts
-      pulse trace stats stats_json =
-    apply_jobs jobs;
-    with_obs ~pulse ~trace ~stats ~stats_json @@ fun () ->
-    with_pulse ~cmd:"types" pulse @@ fun () ->
-    let budget =
-      budget_for_pulse pulse (budget_of ~fuel ~timeout ~max_table ~max_ball)
-    in
-    let g = with_cli_colors g colors in
-    let run_id =
-      run_id_of
-        [
-          "types"; Io.to_string g; string_of_int q; string_of_int k;
-          string_of_bool hintikka;
-        ]
-    in
-    let budget, ckpt =
-      setup_resilience ~cmd:"types" ~solver:"types" ~run_id ~budget ckpt_opts
-    in
-    install_progress
-      ~metrics:(pulse.metrics_addr <> None)
-      ~run_id ~solver:"types" ~sample_size:0 budget ckpt;
-    let outcome =
-      Resil.Ctl.with_attached ckpt @@ fun () ->
-      Guard.run ?budget
-        ~salvage:(fun () -> None)
-        (fun () ->
-          let ctx = Modelcheck.Types.make_ctx g in
-          Modelcheck.Types.partition_by_tp ctx ~q
-            (Graph.Tuple.all ~n:(Graph.order g) ~k))
-    in
-    match outcome with
-    | Guard.Complete classes ->
-        Resil.Ctl.flush ~complete:true ckpt;
-        Format.printf "%d distinct tp_%d classes of %d-tuples on %d vertices@."
-          (List.length classes) q k (Graph.order g);
-        List.iteri
-          (fun i (ty, members) ->
-            Format.printf "class %d (%a): %d tuples, e.g. %a@." i
-              Modelcheck.Types.pp ty (List.length members) Graph.Tuple.pp
-              (List.hd members);
-            if hintikka then
-              Format.printf "  %a@." Fo.Formula.pp
-                (Modelcheck.Hintikka.of_type ~colors:(Graph.color_names g) ty))
-          classes;
-        0
-    | Guard.Exhausted { reason; checkpoint; spent; _ } ->
-        Resil.Ctl.flush ckpt;
-        report_exhausted ~cmd:"types" ~reason ~checkpoint ~spent;
-        exhausted_exit reason ~salvaged:false
+  let prep tp_graph tp_colors tp_q tp_k tp_hintikka () =
+    Exec.types
+      { Exec.tp_graph; tp_colors; tp_q; tp_k; tp_hintikka }
   in
-  Cmd.v
-    (Cmd.info "types" ~doc:"Print the q-type partition of the graph.")
-    Term.(
-      const run $ graph_arg $ colors_arg $ q_arg $ k_arg $ hintikka_arg
-      $ fuel_arg $ timeout_arg $ max_table_arg $ max_ball_arg $ jobs_arg
-      $ ckpt_term $ pulse_term $ trace_arg $ stats_arg $ stats_json_arg)
-
-(* ------------------------------------------------------------------ *)
-(* game                                                                *)
-(* ------------------------------------------------------------------ *)
+  exec_op_cmd ~cmd:"types" ~doc:"Print the q-type partition of the graph."
+    ~precheck:(Term.const true)
+    Term.(const prep $ graph_arg $ colors_arg $ q_arg $ k_arg $ hintikka_arg)
 
 let game_cmd =
   let r_arg = Arg.(value & opt int 2 & info [ "r" ] ~doc:"Game radius.") in
-  let run g colors r fuel timeout max_table max_ball jobs ckpt_opts pulse
-      trace stats stats_json =
-    apply_jobs jobs;
-    with_obs ~pulse ~trace ~stats ~stats_json @@ fun () ->
-    with_pulse ~cmd:"game" pulse @@ fun () ->
-    let budget =
-      budget_for_pulse pulse (budget_of ~fuel ~timeout ~max_table ~max_ball)
-    in
-    let g = with_cli_colors g colors in
-    let run_id = run_id_of [ "game"; Io.to_string g; string_of_int r ] in
-    let budget, ckpt =
-      setup_resilience ~cmd:"game" ~solver:"game" ~run_id ~budget ckpt_opts
-    in
-    install_progress
-      ~metrics:(pulse.metrics_addr <> None)
-      ~run_id ~solver:"game" ~sample_size:0 budget ckpt;
-    let outcome =
-      Resil.Ctl.with_attached ckpt @@ fun () ->
-      Guard.run ?budget
-        ~salvage:(fun () -> None)
-        (fun () ->
-          Splitter.Game.trace g ~r
-            ~connector:(Splitter.Strategy.connector_max_ball ~r)
-            ~splitter:Splitter.Strategy.best_heuristic)
-    in
-    match outcome with
-    | Guard.Complete tr ->
-        Resil.Ctl.flush ~complete:true ckpt;
-        List.iteri
-          (fun i (v, w, remaining) ->
-            Format.printf
-              "round %d: Connector -> %d, Splitter -> %d, arena %d vertices@."
-              (i + 1) v w remaining)
-          tr;
-        (match List.rev tr with
-        | (_, _, 0) :: _ ->
-            Format.printf "Splitter wins in %d rounds@." (List.length tr)
-        | _ -> Format.printf "no win within the round cap@.");
-        0
-    | Guard.Exhausted { reason; checkpoint; spent; _ } ->
-        Resil.Ctl.flush ckpt;
-        report_exhausted ~cmd:"game" ~reason ~checkpoint ~spent;
-        exhausted_exit reason ~salvaged:false
+  let prep gp_graph gp_colors gp_r () =
+    Exec.game { Exec.gp_graph; gp_colors; gp_r }
   in
-  Cmd.v
-    (Cmd.info "game" ~doc:"Play out the (r, s)-splitter game.")
-    Term.(
-      const run $ graph_arg $ colors_arg $ r_arg $ fuel_arg $ timeout_arg
-      $ max_table_arg $ max_ball_arg $ jobs_arg $ ckpt_term $ pulse_term
-      $ trace_arg $ stats_arg $ stats_json_arg)
+  exec_op_cmd ~cmd:"game" ~doc:"Play out the (r, s)-splitter game."
+    ~precheck:(Term.const true)
+    Term.(const prep $ graph_arg $ colors_arg $ r_arg)
 
 (* ------------------------------------------------------------------ *)
 (* graph                                                               *)
@@ -1661,7 +1156,8 @@ let graph_cmd =
     Arg.(value & flag & info [ "dot" ] ~doc:"Emit GraphViz instead.")
   in
   let run g colors out dot =
-    let g = with_cli_colors g colors in
+    or_usage @@ fun () ->
+    let g = Exec.apply_colors ~op:"graph" g colors in
     let text = if dot then Graph.to_dot g else Io.to_string g in
     (match out with
     | Some path ->
@@ -1727,27 +1223,22 @@ let strings_cmd =
              compilation; '|', '*', '+', '?', parentheses).")
   in
   let run word alphabet sentence target hyps regex =
+    or_usage @@ fun () ->
     let letters = List.init (String.length alphabet) (fun i -> String.make 1 alphabet.[i]) in
     let sigma = List.length letters in
     let w =
       try Mso.Word.of_string ~alphabet word
-      with Invalid_argument m ->
-        Format.eprintf "folearn strings: %s@." m;
-        exit 2
+      with Invalid_argument m -> usage "folearn strings: %s" m
     in
     let parse src =
       try Mso.Parser.parse ~letters src
-      with Mso.Parser.Parse_error m ->
-        Format.eprintf "folearn strings: %s@." m;
-        exit 2
+      with Mso.Parser.Parse_error m -> usage "folearn strings: %s" m
     in
     (match regex with
     | Some src ->
         let r =
           try Mso.Regex.of_string ~letters src
-          with Mso.Regex.Parse_error m ->
-            Format.eprintf "folearn strings: %s@." m;
-            exit 2
+          with Mso.Regex.Parse_error m -> usage "folearn strings: %s" m
         in
         let dfa = Mso.Regex.to_dfa ~sigma r in
         Format.printf "%b  (regex automaton: %d states)@."
@@ -1756,10 +1247,8 @@ let strings_cmd =
     (match sentence with
     | Some src ->
         let phi = parse src in
-        if Mso.Formula.free phi <> [] then begin
-          Format.eprintf "folearn strings: -f needs a sentence@.";
-          exit 2
-        end;
+        if Mso.Formula.free phi <> [] then
+          usage "folearn strings: -f needs a sentence";
         let dfa = Mso.Formula.language ~sigma phi in
         Format.printf "%b  (automaton: %d states)@."
           (Mso.Dfa.accepts dfa w) dfa.Mso.Dfa.states
@@ -1769,9 +1258,7 @@ let strings_cmd =
         let tphi = parse src in
         (match Mso.Formula.free tphi with
         | [ ("x", Mso.Formula.Pos) ] -> ()
-        | _ ->
-            Format.eprintf "folearn strings: -t needs exactly x free@.";
-            exit 2);
+        | _ -> usage "folearn strings: -t needs exactly x free");
         let scope = [ ("x", Mso.Formula.Pos) ] in
         let tdfa = Mso.Formula.compile ~sigma ~scope tphi in
         let examples =
@@ -1798,10 +1285,8 @@ let strings_cmd =
               })
             hyps
         in
-        if catalogue = [] then begin
-          Format.eprintf "folearn strings: -t needs at least one --hyp@.";
-          exit 2
-        end;
+        if catalogue = [] then
+          usage "folearn strings: -t needs at least one --hyp";
         (match Mso.Learner.solve ~sigma ~word:w ~catalogue examples with
         | Some r ->
             Format.printf
@@ -1860,33 +1345,26 @@ let trees_cmd =
              two-pass oracle and print the satisfying nodes.")
   in
   let run tree_src labels formula concept =
+    or_usage @@ fun () ->
     let label_names =
       List.init (String.length labels) (fun i -> String.make 1 labels.[i])
     in
     let sigma = List.length label_names in
     let tree =
       try Mso.Tree.of_string tree_src
-      with Mso.Tree.Parse_error m ->
-        Format.eprintf "folearn trees: %s@." m;
-        exit 2
+      with Mso.Tree.Parse_error m -> usage "folearn trees: %s" m
     in
     (try Mso.Tree.check_labels ~sigma tree
-     with Invalid_argument m ->
-       Format.eprintf "folearn trees: %s@." m;
-       exit 2);
+     with Invalid_argument m -> usage "folearn trees: %s" m);
     let parse src =
       try Mso.Tree_parser.parse ~labels:label_names src
-      with Mso.Tree_parser.Parse_error m ->
-        Format.eprintf "folearn trees: %s@." m;
-        exit 2
+      with Mso.Tree_parser.Parse_error m -> usage "folearn trees: %s" m
     in
     (match formula with
     | Some src ->
         let phi = parse src in
-        if Mso.Tree_formula.free phi <> [] then begin
-          Format.eprintf "folearn trees: -f needs a sentence@.";
-          exit 2
-        end;
+        if Mso.Tree_formula.free phi <> [] then
+          usage "folearn trees: -f needs a sentence";
         let ta = Mso.Tree_formula.compile ~sigma ~scope:[] phi in
         Format.printf "%b@." (Mso.Tree_automaton.accepts ta tree)
     | None -> ());
@@ -1895,9 +1373,7 @@ let trees_cmd =
         let phi = parse src in
         let oracle =
           try Mso.Tree_learner.Node_oracle.make ~sigma phi tree
-          with Invalid_argument m ->
-            Format.eprintf "folearn trees: %s@." m;
-            exit 2
+          with Invalid_argument m -> usage "folearn trees: %s" m
         in
         let hits =
           List.filter
@@ -2036,6 +1512,7 @@ let lint_cmd =
   in
   let run files formulas lang vocab alphabet free q max_free radius format
       strict list_rules cost =
+    or_usage @@ fun () ->
     let open Analysis in
     if list_rules then begin
       List.iter
@@ -2054,8 +1531,7 @@ let lint_cmd =
             match Vocab.of_string s with
             | Ok v -> Some v
             | Error m ->
-                Format.eprintf "folearn lint: %s@." m;
-                exit 2)
+                usage "folearn lint: %s" m)
       in
       let allowed_free =
         Option.map
@@ -2082,10 +1558,8 @@ let lint_cmd =
           files
         @ List.map (fun src -> ("--formula", src)) formulas
       in
-      if inputs = [] then begin
-        Format.eprintf "folearn lint: no formulas given (FILE or --formula)@.";
-        exit 2
-      end;
+      if inputs = [] then
+        usage "folearn lint: no formulas given (FILE or --formula)";
       let parse_diag msg =
         [ Diagnostic.make ~rule:"parse-error" msg ]
       in
@@ -2443,7 +1917,7 @@ let rpc_timeout_arg =
     & info [ "rpc-timeout" ] ~docv:"SECONDS"
         ~doc:"Socket receive timeout while waiting for the response.")
 
-let budget_req_of ~fuel ~timeout ~max_table ~max_ball =
+let budget_req_of { fuel; timeout; max_table; max_ball } =
   { Serve.Proto.fuel; deadline_s = timeout; max_table; max_ball }
 
 let rpc_with_retries ~cmd ~connect ~retries ~backoff ~timeout_s req =
@@ -2610,13 +2084,12 @@ let call_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"OP" ~doc:"learn, mc, types, game or ping.")
   in
-  let run op connect tenant retries backoff timeout_s fuel timeout max_table
-      max_ball params =
+  let run op connect tenant retries backoff timeout_s budget params =
     let req =
       {
         Serve.Proto.tenant;
         op;
-        budget = budget_req_of ~fuel ~timeout ~max_table ~max_ball;
+        budget = budget_req_of budget;
         params;
       }
     in
@@ -2633,17 +2106,15 @@ let call_cmd =
           stdout/stderr/exit code locally.")
     Term.(
       const run $ op_arg $ connect_arg $ rpc_tenant_arg $ retries_arg
-      $ backoff_arg $ rpc_timeout_arg $ fuel_arg $ timeout_arg
-      $ max_table_arg $ max_ball_arg $ params_term)
+      $ backoff_arg $ rpc_timeout_arg $ budget_term $ params_term)
 
 let submit_cmd =
-  let run connect tenant retries backoff timeout_s fuel timeout max_table
-      max_ball params =
+  let run connect tenant retries backoff timeout_s budget params =
     let req =
       {
         Serve.Proto.tenant;
         op = "submit";
-        budget = budget_req_of ~fuel ~timeout ~max_table ~max_ball;
+        budget = budget_req_of budget;
         params;
       }
     in
@@ -2673,8 +2144,7 @@ let submit_cmd =
           $(b,folearn poll).  Submitting identical work is idempotent.")
     Term.(
       const run $ connect_arg $ rpc_tenant_arg $ retries_arg $ backoff_arg
-      $ rpc_timeout_arg $ fuel_arg $ timeout_arg $ max_table_arg
-      $ max_ball_arg $ params_term)
+      $ rpc_timeout_arg $ budget_term $ params_term)
 
 let poll_cmd =
   let id_arg =
