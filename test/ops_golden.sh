@@ -1,7 +1,8 @@
 #!/bin/sh
 # Golden check for the op commands of `folearn_cli` (learn, mc, types,
-# game): stdout and exit code are pinned byte for byte, stderr on every
-# line that carries no timing.
+# game, and plan's parameter checks): stdout and exit code are pinned
+# byte for byte, stderr on every line that carries no timing.  A row
+# that exits 125 (an uncaught exception) always fails.
 #
 #   ops_golden.sh BINARY DIR [--update]
 #
@@ -42,6 +43,13 @@ for f in "$dir"/*.expected; do
     eval "set -- $args"
     "$bin" "$@" >"$out" 2>"$err"
     code=$?
+    if [ "$code" = 125 ]; then
+        # cmdliner's exit for an uncaught exception: never a golden result
+        echo "FAIL (uncaught exception, exit 125): $f" >&2
+        sed 's/^/    /' "$err" >&2
+        fail=1
+        continue
+    fi
     {
         printf '$ %s\nexit %d\n--- stdout\n' "$args" "$code"
         cat "$out"

@@ -379,6 +379,83 @@ let test_run_op_usage () =
      in
      has_sub "graph")
 
+let contains hay needle =
+  let n = String.length needle and l = String.length hay in
+  let rec go i = i + n <= l && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+(* out-of-range learn parameters and colours outside the graph are usage
+   errors on every entry point, never an escaping exception *)
+let test_params_validated () =
+  let learn extra =
+    J.Obj
+      ([ ("graph", J.String "path:5"); ("target", J.String "x1=x1") ] @ extra)
+  in
+  let limits =
+    { Analysis.Plan.fuel = None; timeout_s = None; max_table = None;
+      max_ball = None }
+  in
+  List.iter
+    (fun (extra, msg) ->
+      let r = Serve.Exec.run_op ~op:"learn" ~params:(learn extra) () in
+      check_int ("usage exit for " ^ msg) 2 r.Serve.Exec.code;
+      check ("stderr names " ^ msg) true
+        (contains r.Serve.Exec.err ("folearn learn: " ^ msg));
+      (match Serve.Exec.learn_identity (learn extra) with
+      | Error m -> check ("identity names " ^ msg) true (contains m msg)
+      | Ok _ -> Alcotest.failf "identity must reject %s" msg);
+      match
+        Serve.Exec.precheck_rejection ~op:"learn" ~params:(learn extra) ~limits
+      with
+      | Error m -> check ("precheck names " ^ msg) true (contains m msg)
+      | Ok _ -> Alcotest.failf "precheck must reject %s" msg)
+    [
+      ([ ("ell", J.Int (-1)) ], "--ell must be >= 0");
+      ([ ("q", J.Int (-1)) ], "-q must be >= 0");
+      ([ ("m", J.Int (-1)) ], "-m must be >= 0");
+      ([ ("tmax", J.Int 0) ], "--tmax must be >= 1");
+      ([ ("noise", J.Float 2.0) ], "--noise must be in [0, 1]");
+      ([ ("noise", J.Float (-0.5)) ], "--noise must be in [0, 1]");
+    ];
+  let r =
+    Serve.Exec.run_op ~op:"mc"
+      ~params:
+        (J.Obj
+           [
+             ("graph", J.String "path:5");
+             ("colors", J.List [ J.String "Red=99" ]);
+             ("formula", J.String "exists x1. Red(x1)");
+           ])
+      ()
+  in
+  check_int "colour outside the graph exits 2" 2 r.Serve.Exec.code;
+  check "colour error names the vertex and order" true
+    (contains r.Serve.Exec.err "--color Red: vertex 99 is outside the graph \
+                               (order 5)")
+
+(* --solver local degrades only under a budget with a limit: the
+   limitless budget live telemetry installs runs the local solver
+   directly *)
+let test_local_rule_reads_the_budget () =
+  let params =
+    J.Obj
+      [
+        ("graph", J.String "path:5"); ("target", J.String "x1=x1");
+        ("solver", J.String "local"); ("ell", J.Int 1);
+      ]
+  in
+  let solver_line budget =
+    let r = Serve.Exec.run_op ~budget ~op:"learn" ~params () in
+    check_int "local completes" 0 r.Serve.Exec.code;
+    List.nth (String.split_on_char '\n' r.Serve.Exec.out) 1
+  in
+  check "unlimited budget: direct local solver" true
+    (contains (solver_line (Guard.Budget.unlimited ())) "local learner (pool");
+  check "budget with a limit: degradation chain" true
+    (contains
+       (solver_line (Guard.Budget.make ~fuel:1_000_000 ()))
+       "sublinear local ERM at rank")
+
 let test_precheck_rejects_tiny_fuel () =
   let params =
     J.Obj
@@ -452,6 +529,10 @@ let suite =
     Alcotest.test_case "warm repeat op is byte-identical" `Quick
       test_run_op_warm_identical;
     Alcotest.test_case "op usage errors exit 2" `Quick test_run_op_usage;
+    Alcotest.test_case "out-of-range parameters are usage errors" `Quick
+      test_params_validated;
+    Alcotest.test_case "local rule reads the budget" `Quick
+      test_local_rule_reads_the_budget;
     Alcotest.test_case "admission precheck rejects tiny fuel" `Quick
       test_precheck_rejects_tiny_fuel;
     Alcotest.test_case "learn identity is deterministic" `Quick
