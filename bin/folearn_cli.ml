@@ -29,8 +29,8 @@ module Exec = Serve.Exec
 (* Graph specification parsing                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* the spec DSL (Exec.parse_graph_spec) lives in Serve.Exec, next to
-   the op bodies the CLI and the resident service both run, so both
+(* the spec DSL (parse_graph_spec) lives in Serve.Exec with the op
+   bodies that the CLI and the resident service both run, so the two
    accept exactly the same strings *)
 let graph_conv =
   let parser s =

@@ -3,8 +3,9 @@
 
 Scenarios (all run by default):
 
-  identity     a learn/mc through the server is byte-identical to the
-               one-shot CLI, at --jobs 1 and --jobs 4
+  identity     a learn/mc/game through the server is byte-identical to
+               the one-shot CLI, at --jobs 1 and --jobs 4, including a
+               salvaged (exit 3) and an exhausted (exit 4) learn
   admission    an over-budget request is refused `rejected` with
                reason would_exhaust before any fuel burns, visible in
                the live /metrics counters
@@ -25,6 +26,7 @@ Run from the repo root:
 import argparse
 import json
 import os
+import shlex
 import signal
 import socket
 import subprocess
@@ -49,6 +51,35 @@ LONG_LEARN = [
     "--target", "exists y. (E(x1,y) & Red(y))",
     "-k", "1", "-l", "1", "-q", "2", "--solver", "brute",
 ]
+
+
+# golden rows of test/corpus/ops replayed through the server, with
+# whether the row spends a fuel budget: at more than one domain a fuel
+# budget settles a schedule-dependent number of candidates, so those
+# rows are compared on the one-domain server only
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "corpus", "ops")
+IDENTITY_ROWS = [
+    ("game", False),
+    ("learn_fuel_salvaged", True),
+    ("learn_ball_cap_exhausted", False),
+]
+
+
+def golden_row(name):
+    """(op, args, pinned exit code) of a golden row, with --jobs dropped
+    and the short flags `call` lacks spelled long."""
+    with open(os.path.join(GOLDEN_DIR, name + ".expected")) as f:
+        argv = shlex.split(f.readline()[len("$ "):])
+        code = int(f.readline().split()[1])
+    args = []
+    rest = iter(argv[1:])
+    for a in rest:
+        if a == "--jobs":
+            next(rest)
+        else:
+            args.append({"-t": "--target", "-f": "--formula"}.get(a, a))
+    return argv[0], args, code
 
 
 def fail(msg):
@@ -189,10 +220,24 @@ def scenario_identity(binary, tmpdir):
             if got_mc.stdout != ref_mc.stdout or \
                got_mc.returncode != ref_mc.returncode:
                 fail(f"served mc diverged at jobs {jobs}")
+            for name, fuel_row in IDENTITY_ROWS:
+                if fuel_row and jobs != 1:
+                    continue
+                op, args, code = golden_row(name)
+                ref_row = run([binary, op, "--jobs", str(jobs)] + args)
+                if ref_row.returncode != code:
+                    fail(f"reference {name} exited {ref_row.returncode}, "
+                         f"golden pins {code} (jobs {jobs})")
+                got_row = call(binary, srv, op, args)
+                if got_row.stdout != ref_row.stdout or \
+                   got_row.returncode != ref_row.returncode:
+                    fail(f"served {name} diverged at jobs {jobs}: exit "
+                         f"{got_row.returncode} vs {ref_row.returncode}")
         finally:
             if srv.sigterm_wait() != 0:
                 fail(f"identity server did not drain cleanly (jobs {jobs})")
-    print("ok identity: served learn/mc byte-identical at jobs 1 and 4")
+    print("ok identity: served learn/mc/game and exit-3/exit-4 learns "
+          "byte-identical at jobs 1 and 4")
 
 
 def scenario_admission(binary, tmpdir):
