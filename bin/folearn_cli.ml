@@ -301,8 +301,8 @@ let budget_of ({ fuel; timeout; max_table; max_ball } as b) =
 (* the /progress fuel gauge needs a live budget to read spend from, so
    --metrics-addr with no budget flag installs an unlimited one — the
    same precedent --checkpoint set for its snapshot cadence *)
-let budget_for_pulse pulse budget =
-  match budget with
+let budget_for_pulse pulse opts =
+  match budget_of opts with
   | Some _ as b -> b
   | None ->
       if pulse.metrics_addr = None then None
@@ -850,7 +850,7 @@ let learn_cmd =
           let run_id = l.run_id and solver = Exec.solver_name p.lp_solver in
           let budget, ckpt =
             setup_resilience ~cmd:"learn" ~solver ~run_id
-              ~budget:(budget_for_pulse pulse (budget_of budget_opts))
+              ~budget:(budget_for_pulse pulse budget_opts)
               ckpt_opts
           in
           (* no checkpointing asked for, but a live /progress endpoint
@@ -1080,7 +1080,7 @@ let exec_op_cmd ~cmd ~doc ~precheck prep =
     let run_id = Exec.run_id op in
     let budget, ckpt =
       setup_resilience ~cmd ~solver:cmd ~run_id
-        ~budget:(budget_for_pulse pulse (budget_of budget_opts))
+        ~budget:(budget_for_pulse pulse budget_opts)
         ckpt_opts
     in
     install_progress
