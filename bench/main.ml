@@ -52,6 +52,15 @@ let bench_checkpoint_writes = ref 0
    at the top level so check_bench_json.py can gate on them) *)
 let bench_extra_headline : (string * Obs.Json.t) list ref = ref []
 
+(* a shape check that does not hold prints FAIL and makes the whole
+   bench run exit 1, once every requested experiment has written its
+   telemetry *)
+let shape_failed = ref false
+
+let shape_fail msg =
+  shape_failed := true;
+  Printf.printf "FAIL: %s\n%!" msg
+
 let jint n = Obs.Json.Int n
 let jfloat x = Obs.Json.Float x
 let jstr s = Obs.Json.String s
@@ -557,23 +566,57 @@ let e10 () =
 
 let e11 () =
   header "E11  sublinear local learner: access independent of |G|";
-  row "%-8s %8s %6s | %9s %9s %10s %9s | %12s\n" "class" "n" "m" "touched"
-    "pool" "local t(s)" "err" "brute t(s)";
+  (* The examples and the hidden parameter live in a fixed 200-vertex
+     block at the start of every graph; only the rest of the graph grows
+     with n.  Every ball the learner builds is then the same graph at
+     every n >= 800, so touched, pool, error and fuel must not move:
+     a BFS that touched anything beyond N_r would show up as fuel. *)
+  let block_n = 200 and m = 12 and w = 100 in
+  let deg3_block = Gen.random_bounded_degree ~seed:3 ~n:block_n ~d:3 in
+  (* deg3 at order n: the block, a 20-vertex path, then a random
+     degree-3 background on the rest, joined through the path into one
+     component.  No ball reaches 20 steps down the path, but a search
+     that ran on past radius r would walk the whole background. *)
+  let deg3 n =
+    if n <= block_n then deg3_block
+    else begin
+      let tail = 20 in
+      let bg_start = block_n + tail in
+      let bg = Gen.random_bounded_degree ~seed:n ~n:(n - bg_start) ~d:3 in
+      let free g = List.find (fun v -> Graph.degree g v < 3) (Graph.vertices g) in
+      Graph.create ~n ~colors:[]
+        ~edges:
+          (Graph.edges deg3_block
+          @ List.init (tail - 1) (fun i -> (block_n + i, block_n + i + 1))
+          @ List.map (fun (u, v) -> (u + bg_start, v + bg_start)) (Graph.edges bg)
+          @ [ (free deg3_block, block_n); (bg_start - 1, bg_start + free bg) ])
+    end
+  in
+  (* drawn from the block's vertex ids, which every graph shares *)
+  let examples = Sam.random_tuples ~seed:5 (Gen.path block_n) ~k:1 ~m in
+  row "%-8s %8s %6s | %9s %9s %10s %9s %10s | %12s\n" "class" "n" "m"
+    "touched" "pool" "local t(s)" "err" "fuel" "brute t(s)";
+  let fuel_at = Hashtbl.create 8 in
   List.iter
     (fun (cname, make_g) ->
       List.iter
         (fun n ->
           let g = make_g n in
-          let m = 12 in
-          let w = n / 2 in
           let lam =
-            Sam.label_with g ~target:(fun v -> Bfs.dist g v.(0) w <= 1)
-              (Sam.random_tuples ~seed:5 g ~k:1 ~m)
+            Sam.label_with g ~target:(fun v -> Bfs.dist g v.(0) w <= 1) examples
           in
+          let budget = Guard.Budget.unlimited () in
           let local, t_local =
             time (fun () ->
-                Folearn.Erm_local.solve ~radius:1 g ~k:1 ~ell:1 ~q:1 lam)
+                match
+                  Folearn.Erm_local.solve_budgeted ~budget ~radius:1 g ~k:1
+                    ~ell:1 ~q:1 lam
+                with
+                | Guard.Complete r -> r
+                | Guard.Exhausted _ -> failwith "E11: unlimited budget tripped")
           in
+          let fuel = (Guard.Budget.spent budget).Guard.fuel in
+          Hashtbl.replace fuel_at (cname, n) fuel;
           let t_brute =
             if n <= 200 then
               Printf.sprintf "%.4f"
@@ -588,20 +631,29 @@ let e11 () =
               ("pool", jint local.Folearn.Erm_local.pool_size);
               ("local_time_s", jfloat t_local);
               ("err", jfloat local.Folearn.Erm_local.err);
+              ("fuel", jint fuel);
             ];
-          row "%-8s %8d %6d | %9d %9d %10.4f %9.3f | %12s\n" cname n m
+          row "%-8s %8d %6d | %9d %9d %10.4f %9.3f %10d | %12s\n" cname n m
             local.Folearn.Erm_local.vertices_touched
             local.Folearn.Erm_local.pool_size t_local
-            local.Folearn.Erm_local.err t_brute)
-        [ 50; 200; 800; 3200 ])
-    [
-      ("path", Gen.path);
-      ("deg3", fun n -> Gen.random_bounded_degree ~seed:n ~n ~d:3);
-    ];
+            local.Folearn.Erm_local.err fuel t_brute)
+        [ 200; 800; 3200; 12800 ])
+    [ ("path", Gen.path); ("deg3", deg3) ];
+  List.iter
+    (fun cname ->
+      let f800 = Hashtbl.find fuel_at (cname, 800)
+      and f3200 = Hashtbl.find fuel_at (cname, 3200) in
+      if f800 <> f3200 then
+        shape_fail
+          (Printf.sprintf "E11 %s: fuel %d at n = 800 but %d at n = 3200"
+             cname f800 f3200))
+    [ "path"; "deg3" ];
   row
-    "shape check: vertices touched and local time stay flat as n grows \
-     16x (they depend on d, m, r only), while the brute-force baseline \
-     scales with n; the sublinear-regime claim of [22] reproduced.\n"
+    "shape check: vertices touched, fuel (BFS, type and sweep ticks under \
+     an unlimited budget) and local time stay flat as n grows 64x (they \
+     depend on d, m, r only; fuel at n = 800 and 3200 must be equal), \
+     while the brute-force baseline scales with n; the sublinear-regime \
+     claim of [22] reproduced.\n"
 
 (* ------------------------------------------------------------------ *)
 (* E12: ablations of the Theorem 13 learner's design choices           *)
@@ -2086,4 +2138,5 @@ let () =
           exit 2)
     requested;
   (match !metrics_srv with Some srv -> Pulse.Server.stop srv | None -> ());
-  Printf.printf "\ntotal bench time: %.1f s\n" (Obs.Clock.elapsed_s t0)
+  Printf.printf "\ntotal bench time: %.1f s\n" (Obs.Clock.elapsed_s t0);
+  if !shape_failed then exit 1

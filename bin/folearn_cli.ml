@@ -382,7 +382,9 @@ let install_signals () =
    snapshot whose run id or solver differs from this invocation would
    silently replay-skip the wrong candidates, so that is a usage
    error; a missing snapshot file is a fresh start, letting harnesses
-   pass --checkpoint and --resume together unconditionally. *)
+   pass --checkpoint and --resume together unconditionally.  The run
+   id digests the whole graph, so it is forced only when a snapshot is
+   read or written. *)
 let setup_resilience ~cmd ~solver ~run_id ~budget
     { ck_path; ck_every; ck_interval; ck_resume } =
   Guard.clear_interrupt ();
@@ -390,7 +392,9 @@ let setup_resilience ~cmd ~solver ~run_id ~budget
     match ck_resume with
     | None -> None
     | Some path -> (
-        match Resil.Snapshot.load_for ~run_id ~solver path with
+        match
+          Resil.Snapshot.load_for ~run_id:(Lazy.force run_id) ~solver path
+        with
         | Ok snap ->
             Format.eprintf
               "folearn %s: resuming from %s (cursor %d, %d snapshot \
@@ -422,7 +426,7 @@ let setup_resilience ~cmd ~solver ~run_id ~budget
     if not wants_ckpt then Resil.Ctl.none
     else
       Resil.Ctl.create ?path:ck_path ?every:ck_every ~interval_s:ck_interval
-        ?budget ?resume ~run_id ~solver ()
+        ?budget ?resume ~run_id:(Lazy.force run_id) ~solver ()
   in
   (budget, ckpt)
 
@@ -433,6 +437,7 @@ let setup_resilience ~cmd ~solver ~run_id ~budget
 let install_progress ~metrics ~run_id ~solver ~sample_size ?fuel_lo ?fuel_hi
     ?total budget ckpt =
   if metrics then
+    let run_id = Lazy.force run_id in
     Pulse.Server.set_progress
       (Some
          (fun () ->
@@ -670,7 +675,7 @@ let learn_cmd =
           (match fleet.f_worker_id with
           | Some id -> id
           | None -> Printf.sprintf "w-ext-%d" (Unix.getpid ()));
-        w_run_id = l.run_id;
+        w_run_id = Lazy.force l.run_id;
         w_solver = Exec.solver_name p.lp_solver;
         w_parent =
           Option.bind
@@ -709,7 +714,8 @@ let learn_cmd =
        typo fails the run before any fork *)
     let (_ : Fleet.chaos list) = fleet_chaos_of fleet.f_chaos in
     let l = Exec.learn_prep p in
-    let run_id = l.run_id and solver_name = Exec.solver_name p.lp_solver in
+    let run_id = Lazy.force l.run_id
+    and solver_name = Exec.solver_name p.lp_solver in
     let sample_size = Folearn.Sample.size l.sample in
     Exec.print_training Format.std_formatter l;
     let total =
@@ -858,7 +864,7 @@ let learn_cmd =
              prechecks still see an un-checkpointed run) *)
           let ckpt =
             if pulse.metrics_addr <> None && not (Resil.Ctl.active ckpt) then
-              Resil.Ctl.observer ~run_id ~solver ()
+              Resil.Ctl.observer ~run_id:(Lazy.force run_id) ~solver ()
             else ckpt
           in
           (* /progress marries the live frontier with the static plan
@@ -1077,7 +1083,7 @@ let exec_op_cmd ~cmd ~doc ~precheck prep =
     with_pulse ~cmd pulse @@ fun () ->
     or_usage @@ fun () ->
     let op = prep () in
-    let run_id = Exec.run_id op in
+    let run_id = lazy (Exec.run_id op) in
     let budget, ckpt =
       setup_resilience ~cmd ~solver:cmd ~run_id
         ~budget:(budget_for_pulse pulse budget_opts)

@@ -147,10 +147,16 @@ let saturated_plan solver stage_q ~notes =
     exact = false; notes;
   }
 
-(* Erm_local, sequential model.  The first candidate (empty parameter
-   tuple, enumerated first) is costed exactly from per-root structure
-   probes; later candidates get a [reach/ball <= touched-neighbourhood]
-   upper bound and a trivial lower bound. *)
+(* Erm_local, sequential model, in ball sizes: a [Bfs.ball] of radius
+   [r] spends [|N_r| + 1] fuel (one tick per ball vertex, one for
+   [note_ball]), whatever the order of the graph.  Building the pool
+   takes two balls, [|N_{2r+1}| + |N_{3r+2}| + 2]; a local-type miss on
+   a root is its ball, its [Hintikka_build] tick and its type table,
+   [|N_r(root)| + 2 + rows].  The first candidate (empty parameter
+   tuple, enumerated first) is costed exactly from per-root ball
+   probes; later candidates' balls lie inside the touched
+   neighbourhood [N_{3r+2}], which bounds them above, with a trivial
+   lower bound. *)
 let analyze_local i =
   let g = i.g in
   let q = i.q in
@@ -169,17 +175,14 @@ let analyze_local i =
           [ "locality radius (7^q - 1)/2 overflows: every envelope saturates" ]
   | C.Saturated -> assert false (* covered by the guard above *)
   | C.Finite r ->
-      let reach = Cgraph.Stats.reachable_count g entries in
       let pool = Cgraph.Stats.ball_size g ~r:((2 * r) + 1) entries in
       let touched = Cgraph.Stats.ball_size g ~r:((3 * r) + 2) entries in
-      let poolbuild = ci ((2 * reach) + 2) in
+      let poolbuild = ci (pool + touched + 2) in
       let c_loc = Cost_model.local_candidate_count ~pool ~ell:i.ell in
       let miss_of root =
-        let vs = Array.to_list root in
-        let reach_i = Cgraph.Stats.reachable_count g vs in
-        let b_i = Cgraph.Stats.ball_size g ~r vs in
+        let b_i = Cgraph.Stats.ball_size g ~r (Array.to_list root) in
         let rows = Cost_model.type_table_rows ~n:b_i ~q in
-        (ci (reach_i + 2) ++ rows, rows)
+        (ci (b_i + 2) ++ rows, rows)
       in
       let first_misses = List.map miss_of roots in
       let first_cand =
@@ -189,7 +192,7 @@ let analyze_local i =
         List.fold_left (fun acc (_, rows) -> cmax acc rows) C.zero first_misses
       in
       let tq_touched = Cost_model.type_table_rows ~n:touched ~q in
-      let miss_hi = ci (reach + 2) ++ tq_touched in
+      let miss_hi = ci (touched + 2) ++ tq_touched in
       let per_cand_hi = C.one ++ (ci d ** miss_hi) in
       let per_cand_lo = ci (1 + (d * (q + 4))) in
       let rest = pred c_loc in

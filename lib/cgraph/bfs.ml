@@ -21,14 +21,21 @@ let record_frontiers dist =
       levels
   end
 
-(* The traversals below run on a flat int-array FIFO over the CSR rows
-   instead of a boxed [Queue]: the frontier is one contiguous scan, a
-   vertex costs a store on push and a load on pop, and every discovered
-   vertex enters the queue exactly once so a plain [n]-slot array never
-   overflows.  Visit order (and therefore the per-dequeue [Guard.tick]
+(* The whole-graph traversals below run on a flat int-array FIFO over
+   the CSR rows instead of a boxed [Queue]: the frontier is one
+   contiguous scan, a vertex costs a store on push and a load on pop,
+   and every discovered vertex enters the queue exactly once so a plain
+   [n]-slot array never overflows.  Visit order (and therefore the per-dequeue [Guard.tick]
    count, which budgeted runs pin) is identical to the queue version. *)
 
+let check_sources g srcs =
+  let n = Graph.order g in
+  List.iter
+    (fun s -> if s < 0 || s >= n then raise (Graph.Invalid_vertex s))
+    srcs
+
 let distances_multi g srcs =
+  check_sources g srcs;
   Obs.Metric.incr bfs_calls;
   let n = Graph.order g in
   let dist = Array.make n infinity in
@@ -102,21 +109,71 @@ let dist_tuple g a b =
     Array.fold_left (fun acc v -> min acc d.(v)) infinity b
   end
 
+(* Vertex ids hash to themselves: the membership set of a bounded
+   traversal costs one masked index per probe. *)
+module Seen = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash v = v
+end)
+
+(* The bounded kernel.  Level-synchronous, so the depth of the vertex
+   being dequeued is the number of completed levels, and vertices at
+   depth [r] are visited but never expanded.  The membership set and
+   the queue start small and double with the ball: nothing here is
+   sized by [Graph.order g]. *)
+let visit_ball g ~r ~visit ~level srcs =
+  if r < 0 then invalid_arg "Bfs.visit_ball: negative radius";
+  check_sources g srcs;
+  let seen = Seen.create 16 in
+  let queue = ref (Array.make 16 0) in
+  let tail = ref 0 in
+  let push v =
+    if not (Seen.mem seen v) then begin
+      Seen.add seen v ();
+      if !tail = Array.length !queue then begin
+        let bigger = Array.make (2 * !tail) 0 in
+        Array.blit !queue 0 bigger 0 !tail;
+        queue := bigger
+      end;
+      !queue.(!tail) <- v;
+      incr tail
+    end
+  in
+  List.iter push srcs;
+  let head = ref 0 and depth = ref 0 in
+  let level_start = ref 0 and level_end = ref !tail in
+  while !head < !tail do
+    if !head = !level_end then begin
+      level (!level_end - !level_start);
+      level_start := !level_end;
+      level_end := !tail;
+      incr depth
+    end;
+    let u = !queue.(!head) in
+    incr head;
+    visit u;
+    if !depth < r then Graph.iter_neighbors g u push
+  done;
+  if !tail > !level_start then level (!tail - !level_start);
+  Array.sub !queue 0 !tail
+
 let ball g ~r srcs =
   if r < 0 then invalid_arg "Bfs.ball: negative radius";
-  let d = distances_multi g srcs in
-  let acc = ref [] in
-  let count = ref 0 in
-  for v = Graph.order g - 1 downto 0 do
-    if d.(v) <= r then begin
-      acc := v :: !acc;
-      incr count
-    end
-  done;
-  Guard.note_ball !count;
-  if Obs.Sink.enabled () then
-    Obs.Metric.observe ball_h (float_of_int !count);
-  !acc
+  Obs.Metric.incr bfs_calls;
+  let observing = Obs.Sink.enabled () in
+  let vs =
+    visit_ball g ~r srcs
+      ~visit:(fun _ -> Guard.tick Guard.Bfs_frontier)
+      ~level:(fun w ->
+        if observing then Obs.Metric.observe frontier_h (float_of_int w))
+  in
+  let count = Array.length vs in
+  Guard.note_ball count;
+  if observing then Obs.Metric.observe ball_h (float_of_int count);
+  Array.sort Int.compare vs;
+  Array.to_list vs
 
 let ball_tuple g ~r t = ball g ~r (Array.to_list t)
 

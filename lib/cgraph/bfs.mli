@@ -15,7 +15,9 @@ val distances : Graph.t -> Graph.vertex -> int array
 
 val distances_multi : Graph.t -> Graph.vertex list -> int array
 (** Multi-source distances: [dist(v, S)] for every [v] (all {!infinity}
-    when [S] is empty). *)
+    when [S] is empty).  Walks the sources' whole components: [O(n + m)]
+    time and memory, one [Bfs_frontier] tick per reachable vertex.
+    @raise Graph.Invalid_vertex on a source outside the graph. *)
 
 val dist : Graph.t -> Graph.vertex -> Graph.vertex -> int
 (** Pairwise distance. *)
@@ -27,10 +29,34 @@ val dist_tuple : Graph.t -> Graph.Tuple.t -> Graph.Tuple.t -> int
 val ball : Graph.t -> r:int -> Graph.vertex list -> Graph.vertex list
 (** [ball g ~r srcs] is the [r]-neighbourhood [N_r(srcs)]: all vertices at
     distance at most [r] from some source, sorted increasingly.  Includes
-    the sources themselves (distance 0). *)
+    the sources themselves (distance 0).
+
+    The search stops at depth [r], so a ball costs
+    [O(|N_r(srcs)| · Δ + |N_r| log |N_r|)] time and [O(|N_r|)] memory,
+    independent of [Graph.order g] (Gaifman locality).  Its fuel is
+    exactly [|N_r(srcs)|] [Bfs_frontier] ticks, one per ball vertex,
+    plus the one tick of [Guard.note_ball].
+    @raise Graph.Invalid_vertex on a source outside the graph.
+    @raise Invalid_argument on a negative radius. *)
 
 val ball_tuple : Graph.t -> r:int -> Graph.Tuple.t -> Graph.vertex list
-(** [N_r(ū)] for a tuple. *)
+(** [N_r(ū)] for a tuple; same cost and fuel as {!ball}. *)
+
+val visit_ball :
+  Graph.t ->
+  r:int ->
+  visit:(Graph.vertex -> unit) ->
+  level:(int -> unit) ->
+  Graph.vertex list ->
+  Graph.vertex array
+(** The bounded traversal behind {!ball} and [Stats.ball_size]:
+    [visit] sees every vertex of [N_r(srcs)] once, in BFS order, and
+    [level] the number of vertices at each non-empty depth, nearest
+    first.
+    Returns [N_r(srcs)] in BFS order.  Tick-free and unrecorded, in
+    the time and memory bounds of {!ball}.
+    @raise Graph.Invalid_vertex on a source outside the graph.
+    @raise Invalid_argument on a negative radius. *)
 
 val eccentricity : Graph.t -> Graph.vertex -> int
 (** Largest finite distance from the vertex. *)

@@ -32,12 +32,17 @@ let induced g s =
         |> List.rev)
       (List.init m Fun.id)
   in
+  (* test the members of [S], not the members of each class: O(|S|) per
+     colour however large the class is in [g] *)
   let colors =
     List.map
       (fun c ->
-        ( c,
-          Graph.color_class g c
-          |> List.filter_map (fun v -> Hashtbl.find_opt new_of_old v) ))
+        let has = Graph.color_test g c in
+        let members = ref [] in
+        for i = m - 1 downto 0 do
+          if has old_of_new.(i) then members := i :: !members
+        done;
+        (c, !members))
       (Graph.color_names g)
   in
   {

@@ -16,10 +16,15 @@ type embedding = {
 
 val induced : Graph.t -> Graph.vertex list -> embedding
 (** [induced g s] is [G\[S\]] (edges and colours restricted to [S]).
-    Duplicates in [s] are merged; vertex order is preserved. *)
+    Duplicates in [s] are merged; vertex order is preserved.  Costs
+    [O(|S| · (log |S| + Δ + c))] for [c] colours, however large [g] and
+    its colour classes are.
+    @raise Graph.Invalid_vertex on a member outside the graph. *)
 
 val neighborhood : Graph.t -> r:int -> Graph.Tuple.t -> embedding
-(** The induced [r]-neighbourhood graph [N_r^G(ū)] around a tuple. *)
+(** The induced [r]-neighbourhood graph [N_r^G(ū)] around a tuple, at the
+    cost and fuel of {!Bfs.ball_tuple} plus {!induced} on the ball.
+    @raise Graph.Invalid_vertex on an entry outside the graph. *)
 
 val disjoint_union : Graph.t list -> Graph.t * (int -> Graph.vertex -> Graph.vertex)
 (** [disjoint_union gs] is the disjoint union; the returned function maps

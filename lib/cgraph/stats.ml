@@ -9,41 +9,27 @@ type t = {
   smallest_component : int;
 }
 
-(* A private BFS over the CSR rows: [Bfs] reports every dequeue to
-   the guard, and a planner probing the structure must not spend the
+(* A private component walk for [probe]: [Bfs] reports every dequeue
+   to the guard, and a planner probing the structure must not spend the
    fuel of the run it is planning. *)
-let bfs_mark g seen srcs ~r ~on_visit =
+let component_size g seen src =
   let q = Queue.create () in
-  List.iter
-    (fun v ->
-      if not seen.(v) then begin
-        seen.(v) <- true;
-        on_visit v;
-        Queue.add (v, 0) q
-      end)
-    srcs;
+  seen.(src) <- true;
+  Queue.add src q;
+  let size = ref 1 in
   while not (Queue.is_empty q) do
-    let u, d = Queue.pop q in
-    if d < r then
-      Graph.iter_neighbors g u (fun w ->
-          if not seen.(w) then begin
-            seen.(w) <- true;
-            on_visit w;
-            Queue.add (w, d + 1) q
-          end)
-  done
-
-let count_from g srcs ~r =
-  let seen = Array.make (max 1 (Graph.order g)) false in
-  let count = ref 0 in
-  bfs_mark g seen srcs ~r ~on_visit:(fun _ -> incr count);
-  !count
-
-let reachable_count g srcs = count_from g srcs ~r:max_int
+    Graph.iter_neighbors g (Queue.pop q) (fun w ->
+        if not seen.(w) then begin
+          seen.(w) <- true;
+          incr size;
+          Queue.add w q
+        end)
+  done;
+  !size
 
 let ball_size g ~r srcs =
   if r < 0 then invalid_arg "Stats.ball_size: need r >= 0";
-  count_from g srcs ~r
+  Array.length (Bfs.visit_ball g ~r ~visit:ignore ~level:ignore srcs)
 
 let probe g =
   let n = Graph.order g in
@@ -65,10 +51,9 @@ let probe g =
   for v = 0 to n - 1 do
     if not seen.(v) then begin
       incr component_count;
-      let sz = ref 0 in
-      bfs_mark g seen [ v ] ~r:max_int ~on_visit:(fun _ -> incr sz);
-      if !sz > !largest then largest := !sz;
-      if !smallest = 0 || !sz < !smallest then smallest := !sz
+      let sz = component_size g seen v in
+      if sz > !largest then largest := sz;
+      if !smallest = 0 || sz < !smallest then smallest := sz
     end
   done;
   {

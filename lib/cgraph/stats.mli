@@ -4,13 +4,13 @@
     instantiates the paper's parameterized cost bounds against a handful
     of measured quantities of the input structure: order, size, the
     degree histogram, colour-class cardinalities, and (optionally) exact
-    reachable-set and ball sizes around the example roots.
+    ball sizes around the example roots.
 
     Everything in this module is deliberately {e tick-free}: unlike
     {!Bfs}, the traversals here never call [Guard.tick]/[note_ball], so
     probing a structure for planning purposes cannot consume fuel from
-    an installed budget or trip a cap.  All probes run in
-    [O(n + m)] per BFS source set. *)
+    an installed budget or trip a cap.  {!probe} runs in [O(n + m)];
+    {!ball_size} in [O(|N_r| · Δ)], independent of [n]. *)
 
 type t = {
   order : int;  (** [n = |V(G)|] *)
@@ -28,15 +28,12 @@ type t = {
 val probe : Graph.t -> t
 (** Measure the whole structure in [O(n + m)]. *)
 
-val reachable_count : Graph.t -> Graph.vertex list -> int
-(** [reachable_count g srcs] is the number of vertices reachable from
-    [srcs] — exactly the number of dequeues (hence [Bfs_frontier]
-    ticks) a {!Bfs.distances_multi} from the same sources performs,
-    which is what makes BFS fuel statically predictable. *)
-
 val ball_size : Graph.t -> r:int -> Graph.vertex list -> int
 (** [ball_size g ~r srcs = |N_r(srcs)|], the exact size of the
-    [r]-neighbourhood — tick-free, unlike [Bfs.ball] which also reports
-    the size to [Guard.note_ball]. *)
+    [r]-neighbourhood, by the same bounded traversal as {!Bfs.ball} —
+    tick-free, where [Bfs.ball] spends exactly [|N_r(srcs)|] ticks plus
+    one for [Guard.note_ball], which is what makes ball fuel statically
+    predictable.
+    @raise Graph.Invalid_vertex on a source outside the graph. *)
 
 val to_json : t -> Obs.Json.t

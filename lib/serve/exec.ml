@@ -237,7 +237,7 @@ let learn_run_id p g target =
 type learn = {
   lp : learn_p;
   g : Graph.t;
-  run_id : string;
+  run_id : string Lazy.t;
   tuples : Graph.Tuple.t list;
   sample : Folearn.Sample.t;
 }
@@ -256,7 +256,7 @@ let learn_prep p =
       Sam.flip_noise ~seed:p.lp_seed ~p:p.lp_noise sample
     else sample
   in
-  { lp = p; g; run_id = learn_run_id p g target; tuples; sample }
+  { lp = p; g; run_id = lazy (learn_run_id p g target); tuples; sample }
 
 let print_training out l =
   Format.fprintf out "training sequence: %d examples (%d positive)@."

@@ -92,14 +92,17 @@ val check_target :
 type learn = {
   lp : learn_p;
   g : Cgraph.Graph.t;  (** coloured *)
-  run_id : string;  (** digest of every parameter: checkpoint identity *)
+  run_id : string Lazy.t;
+      (** digest of every parameter, the graph's text included:
+          checkpoint identity.  Forced only by what needs it
+          (checkpoint/resume, [/progress], the fleet). *)
   tuples : Cgraph.Graph.Tuple.t list;
   sample : Folearn.Sample.t;  (** the tuples labelled by the target *)
 }
 
 val learn_prep : learn_p -> learn
-(** Validate, fix the run identity and label the training sequence.
-    @raise Usage *)
+(** Validate and label the training sequence; the run identity is left
+    unforced.  @raise Usage *)
 
 val learn_solve : learn runner
 (** [--solver local] under a budget with at least one limit, and no

@@ -149,6 +149,24 @@ let test_ball () =
   check_int "eccentricity of end" 4 (Bfs.eccentricity p5 0);
   check_int "eccentricity of middle" 2 (Bfs.eccentricity p5 2)
 
+let test_out_of_range_sources () =
+  (* a source outside the graph is a structured error naming the
+     vertex, the same one [Ops.induced] raises, never an array fault *)
+  List.iter
+    (fun v ->
+      let raises what f =
+        Alcotest.check_raises
+          (Printf.sprintf "%s on vertex %d" what v)
+          (Graph.Invalid_vertex v)
+          (fun () -> ignore (f ()))
+      in
+      raises "ball" (fun () -> Bfs.ball p5 ~r:1 [ 0; v ]);
+      raises "ball_tuple" (fun () -> Bfs.ball_tuple p5 ~r:1 [| v |]);
+      raises "distances_multi" (fun () -> Bfs.distances_multi p5 [ v ]);
+      raises "Stats.ball_size" (fun () -> Stats.ball_size p5 ~r:2 [ v ]);
+      raises "Ops.neighborhood" (fun () -> Ops.neighborhood p5 ~r:1 [| v |]))
+    [ 5; 99; -1 ]
+
 let test_dist_tuple () =
   check_int "tuple-tuple" 1 (Bfs.dist_tuple p5 [| 0 |] [| 1; 4 |]);
   check "empty tuple" true (Bfs.dist_tuple p5 [||] [| 1 |] = Bfs.infinity)
@@ -397,6 +415,20 @@ let ball_monotone =
       let b2 = Bfs.ball g ~r:(r + 1) [ 0 ] in
       List.for_all (fun v -> List.mem v b2) b1)
 
+let ball_matches_distances =
+  QCheck.Test.make ~name:"bounded ball = distance filter, ball_size = length"
+    ~count:60
+    QCheck.(
+      quad (int_range 1 40) (int_range 0 5) (int_range 0 1000)
+        (small_list (int_range 0 39)))
+    (fun (n, r, seed, srcs) ->
+      let g = Gen.random_bounded_degree ~seed ~n ~d:3 in
+      let srcs = List.map (fun v -> v mod n) srcs in
+      let d = Bfs.distances_multi g srcs in
+      let expected = List.filter (fun v -> d.(v) <= r) (Graph.vertices g) in
+      let ball = Bfs.ball g ~r srcs in
+      ball = expected && Stats.ball_size g ~r srcs = List.length ball)
+
 let union_properties =
   QCheck.Test.make ~name:"disjoint union: orders and degrees add" ~count:30
     QCheck.(pair (int_range 1 12) (int_range 1 12))
@@ -473,6 +505,7 @@ let suite =
     Alcotest.test_case "multi source" `Quick test_multi_source;
     Alcotest.test_case "ball" `Quick test_ball;
     Alcotest.test_case "dist tuple" `Quick test_dist_tuple;
+    Alcotest.test_case "out-of-range sources" `Quick test_out_of_range_sources;
     Alcotest.test_case "dist starts at the lower-degree endpoint" `Quick
       test_dist_swaps_to_lower_degree;
     Alcotest.test_case "tuple count/of_index" `Quick test_tuple_count_of_index;
@@ -500,6 +533,7 @@ let suite =
     QCheck_alcotest.to_alcotest vitali_property;
     QCheck_alcotest.to_alcotest tuple_all_size;
     QCheck_alcotest.to_alcotest ball_monotone;
+    QCheck_alcotest.to_alcotest ball_matches_distances;
     QCheck_alcotest.to_alcotest ktree_treewidth_property;
     QCheck_alcotest.to_alcotest union_properties;
     QCheck_alcotest.to_alcotest delete_edges_properties;

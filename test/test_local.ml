@@ -66,6 +66,24 @@ let test_sublinear_access () =
   check "touched equal across n" true (t100 = t400);
   check "touched far below n" true (t400 < 50)
 
+let test_fuel_independent_of_n () =
+  (* the same examples on ever longer paths: every ball the solver
+     builds is the same, so under Gaifman locality the BFS, type and
+     sweep fuel must not move with n *)
+  let fuel_for n =
+    let g = Gen.path n in
+    let lam = [ ([| 3 |], true); ([| 7 |], false); ([| 40 |], true) ] in
+    let budget = Guard.Budget.unlimited () in
+    (match L.solve_budgeted ~budget ~radius:1 g ~k:1 ~ell:0 ~q:1 lam with
+    | Guard.Complete _ -> ()
+    | Guard.Exhausted _ -> Alcotest.fail "an unlimited budget must complete");
+    (Guard.Budget.spent budget).Guard.fuel
+  in
+  let f100 = fuel_for 100 in
+  Alcotest.(check int) "n = 400 spends what n = 100 does" f100 (fuel_for 400);
+  Alcotest.(check int) "n = 10000 spends what n = 100 does" f100
+    (fuel_for 10_000)
+
 let test_realisable_parameterised () =
   let g = Gen.caterpillar ~seed:4 ~spine:12 ~legs:2 in
   let w = 6 in
@@ -217,6 +235,7 @@ let suite =
   [
     Alcotest.test_case "matches global optimum" `Quick test_matches_global_optimum;
     Alcotest.test_case "sublinear access" `Quick test_sublinear_access;
+    Alcotest.test_case "fuel independent of n" `Quick test_fuel_independent_of_n;
     Alcotest.test_case "realisable parameterised" `Quick
       test_realisable_parameterised;
     Alcotest.test_case "pool sizing" `Quick test_pool_contains_examples_neighbourhood;

@@ -172,6 +172,32 @@ let monotone_prop =
       && env_leq (mk n q (Some 1)).Plan.fuel_total
            (mk n q (Some 2)).Plan.fuel_total)
 
+(* the local model is in ball sizes: on a long path the reachable set
+   (2000 vertices) dwarfs every ball, so a model that charged
+   reachability would overshoot the observed spend by two orders of
+   magnitude; with [ell = 0] the one candidate is costed exactly *)
+let test_local_fuel_exact_on_long_path () =
+  let g = Gen.path 2000 in
+  let lam =
+    Sam.label_with g ~target:(fun v -> v.(0) mod 3 = 0)
+      (List.map (fun v -> [| v |]) [ 990; 1000; 1003; 1010; 1500 ])
+  in
+  let p =
+    Plan.analyze (Plan.input g ~k:1 ~ell:0 ~q:1 (List.map fst lam)) Plan.Local
+  in
+  let lo = Count.to_int_opt p.Plan.fuel_total.CM.Env.lo
+  and hi = Count.to_int_opt p.Plan.fuel_total.CM.Env.hi in
+  check "fuel_total is exact" true (lo = hi && lo <> None);
+  let budget = Guard.Budget.unlimited () in
+  (match
+     Folearn.Erm_local.solve_budgeted ~budget g ~k:1 ~ell:0 ~q:1 lam
+   with
+  | Guard.Complete _ -> ()
+  | Guard.Exhausted _ -> Alcotest.fail "an unlimited budget must complete");
+  let spent = (Guard.Budget.spent budget).Guard.fuel in
+  check_int "predicted fuel = observed fuel" (Option.get lo) spent;
+  check "fuel independent of the 2000 reachable vertices" true (spent < 2000)
+
 (* ------------------------------------------------------------------ *)
 (* Admission precheck behaviour                                        *)
 (* ------------------------------------------------------------------ *)
@@ -318,6 +344,8 @@ let suite =
       `Quick test_matrix_local_chain;
     Alcotest.test_case "matrix: nd {ample, infeasible, zero}" `Quick
       test_matrix_nd;
+    Alcotest.test_case "local fuel exact in ball sizes on a long path" `Quick
+      test_local_fuel_exact_on_long_path;
     QCheck_alcotest.to_alcotest catalogue_exact_prop;
     QCheck_alcotest.to_alcotest monotone_prop;
     Alcotest.test_case "precheck rejects with zero burn; escape hatch works"

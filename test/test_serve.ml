@@ -501,6 +501,45 @@ let test_learn_identity_deterministic () =
   | Error m, _, _ | _, Error m, _ ->
       Alcotest.failf "identity must compute: %s" m
 
+let test_learn_run_id_is_lazy () =
+  (* a learn that neither checkpoints nor serves /progress never digests
+     the graph; forced, the identity is the one the daemon keys jobs on *)
+  let module E = Serve.Exec in
+  let p =
+    {
+      E.lp_graph = Cgraph.Gen.path 6;
+      lp_colors = [];
+      lp_target = "E(x1,x2)";
+      lp_k = 2;
+      lp_ell = E.default_ell;
+      lp_q = E.default_q;
+      lp_solver = E.default_solver;
+      lp_tmax = E.default_tmax;
+      lp_noise = 0.0;
+      lp_m = E.default_m;
+      lp_seed = E.default_seed;
+    }
+  in
+  let l = E.learn_prep p in
+  let code =
+    E.learn_solve ~out:Format.str_formatter ~err:Format.str_formatter
+      ~ckpt:Resil.Ctl.none ~precheck:true l
+  in
+  ignore (Format.flush_str_formatter ());
+  check_int "learn completes" 0 code;
+  check "run id unforced after a plain learn" false (Lazy.is_val l.E.run_id);
+  let params =
+    J.Obj
+      [
+        ("graph", J.String "path:6");
+        ("target", J.String "E(x1,x2)");
+        ("k", J.Int 2);
+      ]
+  in
+  match E.learn_identity params with
+  | Ok (id, _) -> check_str "forced id = job id" id (Lazy.force l.E.run_id)
+  | Error m -> Alcotest.failf "identity must compute: %s" m
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_frame_roundtrip;
@@ -537,4 +576,6 @@ let suite =
       test_precheck_rejects_tiny_fuel;
     Alcotest.test_case "learn identity is deterministic" `Quick
       test_learn_identity_deterministic;
+    Alcotest.test_case "learn run id is computed lazily" `Quick
+      test_learn_run_id_is_lazy;
   ]
