@@ -505,7 +505,6 @@ let suite =
     Alcotest.test_case "multi source" `Quick test_multi_source;
     Alcotest.test_case "ball" `Quick test_ball;
     Alcotest.test_case "dist tuple" `Quick test_dist_tuple;
-    Alcotest.test_case "out-of-range sources" `Quick test_out_of_range_sources;
     Alcotest.test_case "dist starts at the lower-degree endpoint" `Quick
       test_dist_swaps_to_lower_degree;
     Alcotest.test_case "tuple count/of_index" `Quick test_tuple_count_of_index;
@@ -538,4 +537,5 @@ let suite =
     QCheck_alcotest.to_alcotest union_properties;
     QCheck_alcotest.to_alcotest delete_edges_properties;
     QCheck_alcotest.to_alcotest induced_preserves_edges;
+    Alcotest.test_case "out-of-range sources" `Quick test_out_of_range_sources;
   ]
