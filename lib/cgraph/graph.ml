@@ -171,6 +171,15 @@ let fold_neighbors g v f init =
   done;
   !acc
 
+let rec exists_row g p i stop =
+  i < stop
+  && (p (Bigarray.Array1.unsafe_get g.targets i)
+     || exists_row g p (i + 1) stop)
+
+let exists_neighbor g v p =
+  check_vertex g v;
+  exists_row g p (row_start g v) (row_stop g v)
+
 let degree g v =
   check_vertex g v;
   row_stop g v - row_start g v

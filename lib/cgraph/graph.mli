@@ -58,6 +58,12 @@ val fold_neighbors : t -> vertex -> ('a -> vertex -> 'a) -> 'a -> 'a
 (** [fold_neighbors g v f init] folds [f] over the neighbours of [v] in
     increasing order, without allocating. *)
 
+val exists_neighbor : t -> vertex -> (vertex -> bool) -> bool
+(** [exists_neighbor g v p] tests [p] on the neighbours of [v] in
+    increasing order and stops at the first that satisfies it, without
+    allocating.
+    @raise Invalid_vertex if [v] is out of range. *)
+
 val degree : t -> vertex -> int
 (** Number of neighbours. *)
 

@@ -31,6 +31,30 @@ let quantifier_nodes = Obs.Metric.counter "modelcheck.eval.quantifier_nodes"
 let compiles_c = Obs.Metric.counter "modelcheck.compile.compiles"
 let cache_hits_c = Obs.Metric.counter "modelcheck.compile.cache_hits"
 
+(* Edge guards.  [guard_slot senv x a] is the slot of [z] when [a] is
+   [E(z,x)] or [E(x,z)] with [z <> x] bound in [senv]. *)
+let guard_slot senv x (a : Fo.Formula.t) =
+  match a with
+  | Atom (Edge (u, z)) when u = x && z <> x -> List.assoc_opt z senv
+  | Atom (Edge (z, u)) when u = x && z <> x -> List.assoc_opt z senv
+  | _ -> None
+
+(* The body of [exists x] or [atleast t x] guarded by its first
+   conjunct, or bare [E(z,x)]: the guard's slot and the rest. *)
+let conj_guard senv x (body : Fo.Formula.t) =
+  match body with
+  | And (a :: rest) ->
+      Option.map (fun z -> (z, Fo.Formula.And rest)) (guard_slot senv x a)
+  | Atom (Edge _) ->
+      Option.map (fun z -> (z, Fo.Formula.True)) (guard_slot senv x body)
+  | _ -> None
+
+(* The body of [forall x] guarded as [E(z,x) -> rest]. *)
+let impl_guard senv x (body : Fo.Formula.t) =
+  match body with
+  | Implies (a, rest) -> Option.map (fun z -> (z, rest)) (guard_slot senv x a)
+  | _ -> None
+
 (* The static environment maps a variable to its slot.  It is an assoc
    list with inner bindings in front, so quantifier shadowing — and,
    on the permissive path, a repeated free variable where the {e last}
@@ -92,49 +116,93 @@ let lower g ~senv ~first_bound f =
     | Iff (a, b) ->
         let ca = go senv depth a and cb = go senv depth b in
         fun env nd -> ca env nd = cb env nd
-    | Exists (x, body) ->
-        let s = depth in
-        if s + 1 > !max_slots then max_slots := s + 1;
-        let c = go ((x, s) :: senv) (depth + 1) body in
-        fun env nd ->
-          incr nd;
-          Guard.tick Guard.Eval_step;
-          let rec try_from v =
-            v < n
-            && ((env.(s) <- v;
-                 c env nd)
-               || try_from (v + 1))
-          in
-          try_from 0
-    | Forall (x, body) ->
-        let s = depth in
-        if s + 1 > !max_slots then max_slots := s + 1;
-        let c = go ((x, s) :: senv) (depth + 1) body in
-        fun env nd ->
-          incr nd;
-          Guard.tick Guard.Eval_step;
-          let rec all_from v =
-            v >= n
-            || ((env.(s) <- v;
-                 c env nd)
-               && all_from (v + 1))
-          in
-          all_from 0
-    | CountGe (t, x, body) ->
-        let s = depth in
-        if s + 1 > !max_slots then max_slots := s + 1;
-        let c = go ((x, s) :: senv) (depth + 1) body in
-        fun env nd ->
-          incr nd;
-          Guard.tick Guard.Eval_step;
-          let rec count_from v found =
-            found >= t
-            || (v < n
-               &&
-               (env.(s) <- v;
-                count_from (v + 1) (if c env nd then found + 1 else found)))
-          in
-          count_from 0 0
+    (* A guarded quantifier walks the guard vertex's ascending row,
+       where the scan would test the guard at every vertex in order
+       (see the .mli).  The scan's first guard test raises
+       [Graph.Invalid_vertex] for an out-of-range guard vertex, as
+       [Graph.exists_neighbor] does; on the empty graph neither runs,
+       hence the [n] tests. *)
+    | Exists (x, body) -> (
+        match conj_guard senv x body with
+        | Some (z, rest) ->
+            let s, c = bind senv depth x rest in
+            fun env nd ->
+              incr nd;
+              Guard.tick Guard.Eval_step;
+              n > 0
+              && Graph.exists_neighbor g env.(z) (fun w ->
+                     env.(s) <- w;
+                     c env nd)
+        | None ->
+            let s, c = bind senv depth x body in
+            fun env nd ->
+              incr nd;
+              Guard.tick Guard.Eval_step;
+              let rec try_from v =
+                v < n
+                && ((env.(s) <- v;
+                     c env nd)
+                   || try_from (v + 1))
+              in
+              try_from 0)
+    | Forall (x, body) -> (
+        match impl_guard senv x body with
+        | Some (z, rest) ->
+            let s, c = bind senv depth x rest in
+            fun env nd ->
+              incr nd;
+              Guard.tick Guard.Eval_step;
+              n = 0
+              || not
+                   (Graph.exists_neighbor g env.(z) (fun w ->
+                        env.(s) <- w;
+                        not (c env nd)))
+        | None ->
+            let s, c = bind senv depth x body in
+            fun env nd ->
+              incr nd;
+              Guard.tick Guard.Eval_step;
+              let rec all_from v =
+                v >= n
+                || ((env.(s) <- v;
+                     c env nd)
+                   && all_from (v + 1))
+              in
+              all_from 0)
+    | CountGe (t, x, body) -> (
+        match conj_guard senv x body with
+        | Some (z, rest) ->
+            let s, c = bind senv depth x rest in
+            fun env nd ->
+              incr nd;
+              Guard.tick Guard.Eval_step;
+              t <= 0
+              || n > 0
+                 &&
+                 let found = ref 0 in
+                 Graph.exists_neighbor g env.(z) (fun w ->
+                     env.(s) <- w;
+                     c env nd
+                     && (incr found;
+                         !found >= t))
+        | None ->
+            let s, c = bind senv depth x body in
+            fun env nd ->
+              incr nd;
+              Guard.tick Guard.Eval_step;
+              let rec count_from v found =
+                found >= t
+                || (v < n
+                   &&
+                   (env.(s) <- v;
+                    count_from (v + 1) (if c env nd then found + 1 else found)))
+              in
+              count_from 0 0)
+  (* a quantifier binds [x] to the next slot and lowers its body there *)
+  and bind senv depth x body =
+    let s = depth in
+    if s + 1 > !max_slots then max_slots := s + 1;
+    (s, go ((x, s) :: senv) (depth + 1) body)
   in
   let code = go senv first_bound f in
   (code, !max_slots)

@@ -6,9 +6,26 @@
     evaluate the {e same} hypothesis formula across every sample tuple,
     that interpretive overhead dominates.  [compile] lowers a formula
     into a tree of closures over a flat int slot array — variables are
-    resolved to array indices, colours to bitset tests, quantifier
-    domains to the (fixed) graph order — so a per-tuple evaluation does
-    no name lookup and allocates only the slot array.
+    resolved to array indices, colours to bitset tests — so a per-tuple
+    evaluation does no name lookup and allocates only the slot array.
+
+    A quantifier ranges over the whole graph order, except when its
+    body is guarded by an edge atom to a variable [z] bound outside it
+    ([z <> x], either orientation [E(z,x)] or [E(x,z)]):
+    - [exists x. E(z,x) /\ rest] and [atleast t x. E(z,x) /\ rest],
+      where the guard is the {e first} conjunct, and both with the
+      bare body [E(z,x)];
+    - [forall x. E(z,x) -> body].
+
+    These loop over [z]'s sorted neighbour row instead, in [O(deg z)].
+    The scan would test the guard first at every vertex and go on only
+    where it holds, so the row loop reaches the same vertices in the
+    same order.  The first witness, the short-circuit point, the count
+    cut-off at [t], every inner quantifier visit and its tick all
+    stay as they were.  So does the error for an out-of-range [z]
+    ([Graph.Invalid_vertex], raised on a non-empty graph only).  A
+    guard naming an unbound variable keeps the scan, and with it the
+    lazy {!Unbound_variable}.
 
     Semantics, including evaluation order, short-circuiting, laziness
     of unbound-variable and invalid-vertex errors, [Guard.tick]

@@ -19,6 +19,17 @@ module Reg = Intern.Make (struct
   type key = Types.atomsig * (ty * int) list option
 
   let dummy = (dummy_sig, None)
+
+  let hash (sg, children) =
+    let h = Types.hash_atomsig 0 sg in
+    match children with
+    | None -> h
+    | Some l ->
+        List.fold_left
+          (fun h (t, c) -> Intern.mix (Intern.mix h t) c)
+          (Intern.mix h (-1))
+          l
+
   let prefix = "modelcheck.ctypes"
 end)
 

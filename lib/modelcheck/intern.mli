@@ -13,11 +13,21 @@
     at a quiescent point (e.g. between fleet chunks).  The approximate
     footprint is exported on the [<prefix>.table_bytes] gauge. *)
 
+val mix : int -> int -> int
+(** [mix h x] folds [x] into the running hash [h]: the step the
+    registries' key hashes are built from.  Non-negative. *)
+
 module Make (C : sig
   type key
 
   val dummy : key
   (** Filler for unallocated entry slots; never returned. *)
+
+  val hash : key -> int
+  (** A hash over the whole key, consistent with structural equality,
+      which the registry tables use to compare keys.  The polymorphic
+      [Hashtbl.hash] sees only the first ten meaningful values of a
+      key, so keys that differ deeper would share one bucket. *)
 
   val prefix : string
   (** Metric name prefix, e.g. ["modelcheck.types.intern"]. *)

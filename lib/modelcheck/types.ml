@@ -18,11 +18,31 @@ type atomsig = {
 (* Hash-consing registry (sharded; see Intern)                         *)
 (* ------------------------------------------------------------------ *)
 
+(* Every field, so keys that differ deep in a list still hash apart;
+   [-1] separates the lists. *)
+let hash_atomsig h sg =
+  let pair h (i, j) = Intern.mix (Intern.mix h i) j in
+  let h = List.fold_left pair (Intern.mix h sg.sig_arity) sg.eqs in
+  let h = List.fold_left pair (Intern.mix h (-1)) sg.edgs in
+  Array.fold_left
+    (fun h cs ->
+      List.fold_left
+        (fun h c -> Intern.mix h (Hashtbl.hash c))
+        (Intern.mix h (-1)) cs)
+    h sg.cols
+
 (* children sorted & deduplicated; None = rank 0 *)
 module Reg = Intern.Make (struct
   type key = atomsig * ty list option
 
   let dummy = ({ sig_arity = 0; eqs = []; edgs = []; cols = [||] }, None)
+
+  let hash (sg, children) =
+    let h = hash_atomsig 0 sg in
+    match children with
+    | None -> h
+    | Some l -> List.fold_left Intern.mix (Intern.mix h (-1)) l
+
   let prefix = "modelcheck.types"
 end)
 

@@ -78,6 +78,11 @@ type atomsig = {
 
 val atomic_signature : Graph.t -> Graph.Tuple.t -> atomsig
 
+val hash_atomsig : int -> atomsig -> int
+(** [hash_atomsig h sg] folds every field of [sg] into the running hash
+    [h] (see {!Intern.mix}); the type registries hash their keys with
+    it. *)
+
 val node : ty -> atomsig * ty list option
 (** Decompose a canonical type: its atomic signature, and [None] for rank 0
     or [Some children] (sorted, distinct [(q-1)]-types of the one-point

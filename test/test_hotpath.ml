@@ -119,6 +119,129 @@ let test_compile_cache () =
   check "after expansion: colour seen" true
     (E.holds_tuple g' ~vars:[ "x" ] [| 0 |] f)
 
+(* Edge-guarded quantifiers compile to a loop over the guard vertex's
+   neighbour row.  The generator emits every guarded shape, both
+   orientations, guards on the quantified variable itself and on an
+   unbound one (which keep the scan), and binder names that shadow the
+   guard variable; free variables range past the graph order so the
+   out-of-range and empty-graph paths are compared too. *)
+let rec gen_guarded vars depth st =
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  if depth = 0 || Random.State.int st 4 = 0 then
+    Test_formula.gen_formula vars 0 st
+  else
+    let sub vars = gen_guarded vars (depth - 1) st in
+    match Random.State.int st 8 with
+    | 0 -> F.Not (sub vars)
+    | 1 -> F.And [ sub vars; sub vars ]
+    | 2 -> F.Or [ sub vars; sub vars ]
+    | _ -> (
+        let x = pick [ "b0"; "b1"; "b2"; "x" ] in
+        let z = if Random.State.int st 8 = 0 then "u" else pick (x :: vars) in
+        let guard =
+          if Random.State.bool st then F.Atom (F.Edge (z, x))
+          else F.Atom (F.Edge (x, z))
+        in
+        let inner = x :: vars in
+        match Random.State.int st 5 with
+        | 0 -> F.Exists (x, F.And [ guard; sub inner ])
+        | 1 -> F.Exists (x, guard)
+        | 2 -> F.Forall (x, F.Implies (guard, sub inner))
+        | 3 ->
+            F.CountGe
+              (Random.State.int st 4, x, F.And [ guard; sub inner; sub inner ])
+        | _ -> F.CountGe (Random.State.int st 3, x, guard))
+
+(* verdict (or exception), quantifier nodes and fuel of one evaluation *)
+let observe eval =
+  let budget = Guard.Budget.unlimited () in
+  let before = Obs.Metric.value quantifier_nodes in
+  let verdict =
+    match Guard.run ~budget ~salvage:(fun () -> None) eval with
+    | Guard.Complete b -> Ok b
+    | Guard.Exhausted _ -> Error "exhausted"
+    | exception e -> Error (Printexc.to_string e)
+  in
+  ( verdict,
+    Obs.Metric.value quantifier_nodes - before,
+    (Guard.Budget.spent budget).Guard.fuel )
+
+let guarded_compiled_agrees_with_reference =
+  QCheck.Test.make ~name:"guarded quantifiers: compiled = walker" ~count:300
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      with_sink @@ fun () ->
+      let st = Random.State.make [| seed; 0xc2 |] in
+      let n = Random.State.int st 7 in
+      let g =
+        Gen.colored ~seed ~colors:[ "Red"; "Blue" ]
+          (Gen.gnp ~seed:(seed + 1) ~n ~p:0.4)
+      in
+      let f = gen_guarded [ "x"; "y" ] 4 st in
+      let comp = C.compile g ~vars:[ "x"; "y" ] f in
+      List.for_all
+        (fun (vx, vy) ->
+          observe (fun () -> E.holds g [ ("x", vx); ("y", vy) ] f)
+          = observe (fun () -> C.holds_tuple comp [| vx; vy |]))
+        [ (0, 1); (1, 0); (2, 3); (0, n); (n + 1, 0); (-1, 2) ])
+
+(* One pinned case per exceptional path, so a failure names it. *)
+let test_guarded_edge_cases () =
+  with_sink @@ fun () ->
+  let same name g env f =
+    let vars = List.map fst env and tuple = Array.of_list (List.map snd env) in
+    let comp = C.compile g ~vars f in
+    check name true
+      (observe (fun () -> E.holds g env f)
+      = observe (fun () -> C.holds_tuple comp tuple))
+  in
+  let red = Graph.with_colors (Gen.path 5) [ ("Red", [ 0; 4 ]) ] in
+  let ex = F.Exists ("y", F.And [ F.edge "y" "x"; F.color "Red" "y" ]) in
+  same "reversed guard, witness" red [ ("x", 1) ] ex;
+  same "reversed guard, no witness" red [ ("x", 2) ] ex;
+  same "out-of-range guard vertex raises" red [ ("x", 9) ] ex;
+  same "empty graph never tests the guard" (Gen.path 0) [ ("x", 9) ] ex;
+  same "forall over the row" red [ ("x", 3) ]
+    (F.Forall ("y", F.Implies (F.edge "x" "y", F.color "Red" "y")));
+  same "atleast 0 tries no vertex" red [ ("x", 9) ]
+    (F.CountGe (0, "y", F.edge "x" "y"));
+  same "atleast cut-off" red [ ("x", 2) ]
+    (F.CountGe
+       (2, "y", F.And [ F.edge "x" "y"; F.exists "z" (F.edge "y" "z") ]));
+  same "unbound guard variable keeps the scan" red [ ("x", 1) ]
+    (F.Exists ("y", F.And [ F.edge "w" "y"; F.color "Red" "y" ]));
+  same "guard variable shadowed by an inner binder" red [ ("x", 1) ]
+    (F.Exists
+       ( "y",
+         F.And
+           [
+             F.edge "x" "y";
+             F.Exists ("x", F.And [ F.edge "y" "x"; F.color "Red" "x" ]);
+           ] ))
+
+(* Labelling on a long path: one [exists y. E(x,y) /\ Red(y)] per tuple.
+   A scan over V would try 2 * 10^8 vertices here (seconds of CPU); the
+   row loop tries two per tuple.  Fuel cannot tell the two apart, as
+   ticks count quantifier visits, not vertices tried. *)
+let test_guarded_label_cost () =
+  let n = 200_000 and m = 1_000 in
+  let g =
+    Graph.with_colors (Gen.path n)
+      [ ("Red", List.init ((n + 6) / 7) (fun i -> 7 * i)) ]
+  in
+  let tuples = List.init m (fun i -> [| n - 1 - (i * 97) |]) in
+  let formula = F.Exists ("y", F.And [ F.edge "x" "y"; F.color "Red" "y" ]) in
+  let t0 = Sys.time () in
+  let lam = Folearn.Sample.label_with_query g ~formula ~xvars:[ "x" ] tuples in
+  let cpu = Sys.time () -. t0 in
+  List.iter
+    (fun (v, b) ->
+      let x = v.(0) in
+      check "label" ((x - 1) mod 7 = 0 || (x + 1 < n && (x + 1) mod 7 = 0)) b)
+    lam;
+  check (Printf.sprintf "labelling took %.3f s of CPU (bound 1 s)" cpu) true
+    (cpu < 1.0)
+
 (* ------------------------------------------------------------------ *)
 (* CSR graph ≡ naive reference model                                   *)
 (* ------------------------------------------------------------------ *)
@@ -300,6 +423,31 @@ let test_ctypes_reset () =
   check_int "ctypes reset empties" 0
     (Modelcheck.Ctypes.table_stats ()).Modelcheck.Ctypes.live
 
+(* Keys that differ only past the polymorphic hash's horizon still get
+   distinct dense ids, and the same ids when interned again. *)
+module Deep_hash = struct
+  type key = int list
+
+  let dummy = []
+  let hash = List.fold_left Modelcheck.Intern.mix 0
+  let prefix = "test.intern.deep"
+end
+
+module Deep = Modelcheck.Intern.Make (Deep_hash)
+
+let test_intern_deep_keys () =
+  let key i = List.init 40 (fun _ -> 0) @ [ i ] in
+  let distinct hash =
+    List.length (List.sort_uniq compare (List.init 100 (fun i -> hash (key i))))
+  in
+  check_int "the polymorphic hash sees one key" 1 (distinct Hashtbl.hash);
+  check_int "the whole-key hash sees them all" 100 (distinct Deep_hash.hash);
+  let ids = List.init 100 (fun i -> Deep.intern (key i) 0) in
+  check "dense ids in first-sight order" true (ids = List.init 100 Fun.id);
+  check "stable on re-intern" true
+    (List.init 100 (fun i -> Deep.intern (key (99 - i)) 0) = List.rev ids);
+  check "keys round-trip" true (List.for_all (fun i -> Deep.key i = key i) ids)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest compiled_agrees_with_reference;
@@ -322,4 +470,11 @@ let suite =
     Alcotest.test_case "intern cross-domain merge" `Quick
       test_intern_cross_domain_merge;
     Alcotest.test_case "ctypes registry lifecycle" `Quick test_ctypes_reset;
+    QCheck_alcotest.to_alcotest guarded_compiled_agrees_with_reference;
+    Alcotest.test_case "guarded quantifier edge cases" `Quick
+      test_guarded_edge_cases;
+    Alcotest.test_case "guarded labelling is O(deg) per tuple" `Quick
+      test_guarded_label_cost;
+    Alcotest.test_case "intern hashes the whole key" `Quick
+      test_intern_deep_keys;
   ]
