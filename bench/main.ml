@@ -71,6 +71,10 @@ let run_instrumented name f =
   bench_extra_headline := [];
   Obs.enable ();
   Obs.reset_all ();
+  (* fresh intern tables too, so an experiment's counters do not depend
+     on the experiments run before it in the same process *)
+  Modelcheck.Types.reset_tables ();
+  Modelcheck.Ctypes.reset_tables ();
   (* account resource spend through a capless budget — except for the
      micro/overhead benchmarks, whose acceptance bar is the cost of the
      checkpoint fast path with NO budget installed *)

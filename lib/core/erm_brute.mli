@@ -24,10 +24,9 @@ type result = {
 val solve :
   ?pool:Par.Pool.t -> Graph.t -> k:int -> ell:int -> q:int -> Sample.t -> result
 (** Exact ERM.  Cost [O(n^ℓ · m)] type computations of rank [q] on
-    [(k+ℓ)]-tuples.  [pool] (default {!Par.default}) sweeps the [n^ℓ]
-    candidate tuples in parallel chunks; the result is bit-identical to
-    the sequential sweep — the winner is the (errors, candidate index)
-    lexicographic minimum either way.
+    [(k+ℓ)]-tuples.  The [n^ℓ] candidate tuples are swept by {!Sweep}:
+    [pool] (default {!Par.default}) chunks the sweep, and the result is
+    bit-identical to the sequential one.
     @raise Invalid_argument if an example has arity other than [k]. *)
 
 val solve_budgeted :
@@ -43,11 +42,9 @@ val solve_budgeted :
     under the agnostic semantics, only without the min-error
     certificate.
 
-    [ckpt] (default inert) threads a checkpoint controller: settled
-    candidate ranges are reported for cadence snapshots, and on resume
-    candidates below the snapshot cursor are replay-skipped — ticked
-    and counted, but not re-evaluated, except the recorded best index.
-    The result is bit-identical to an uninterrupted run.
+    [ckpt] (default inert) threads a checkpoint controller; a resumed
+    run is bit-identical to an uninterrupted one.  {!Sweep} states the
+    salvage, [tried] and resume contracts.
 
     [precheck] (default [true]) runs the static admission precheck of
     {!Analysis.Plan} first: if the declared budget is provably below
@@ -74,9 +71,7 @@ val eval_range :
   hi:int ->
   (int * int) option
 (** One standalone slice of the candidate sweep, for an out-of-process
-    fleet worker: the [(index, errors)] lex-min over candidates
-    [\[lo, hi)], computed with a fresh type context and the same
-    per-candidate [Guard] tick and obs-counter discipline as {!solve}.
-    The winning hypothesis is recovered from the returned index with
-    {!solve_for_params} — the same mechanism a checkpoint resume uses,
-    so the assembled result is bit-identical to the sequential run. *)
+    fleet worker: {!Sweep.range} over candidates [\[lo, hi)].  The
+    winning hypothesis is recovered from the returned index with
+    {!solve_for_params}, so the assembled result is bit-identical to
+    the sequential run. *)

@@ -24,9 +24,8 @@ type result = {
 val solve :
   ?pool:Par.Pool.t ->
   Graph.t -> k:int -> ell:int -> q:int -> tmax:int -> Sample.t -> result
-(** Exact counting ERM.  [pool] (default {!Par.default}) parallelises
-    the candidate sweep with results bit-identical to sequential; see
-    {!Erm_brute.solve}.
+(** Exact counting ERM.  [pool] (default {!Par.default}) chunks the
+    {!Sweep} with results bit-identical to sequential.
     @raise Invalid_argument on arity mismatch or [tmax < 1]. *)
 
 val solve_budgeted :
@@ -37,8 +36,8 @@ val solve_budgeted :
   Graph.t -> k:int -> ell:int -> q:int -> tmax:int -> Sample.t ->
   result Guard.outcome
 (** {!solve} under a resource budget; see {!Erm_brute.solve_budgeted}
-    for the [best_so_far], [ckpt] (checkpoint/resume) and [precheck]
-    (static admission) contracts. *)
+    for the [precheck] (static admission) contract and {!Sweep} for the
+    [best_so_far], [tried] and [ckpt] (checkpoint/resume) ones. *)
 
 val optimal_error :
   Graph.t -> k:int -> ell:int -> q:int -> tmax:int -> Sample.t -> float
@@ -65,5 +64,5 @@ val eval_range :
   lo:int ->
   hi:int ->
   (int * int) option
-(** Standalone sweep slice over candidates [\[lo, hi)] for a fleet
-    worker; see {!Erm_brute.eval_range}. *)
+(** {!Sweep.range} over candidates [\[lo, hi)] for a fleet worker; see
+    {!Erm_brute.eval_range}. *)

@@ -52,9 +52,10 @@ val solve_budgeted :
     unbudgeted result; on exhaustion, [best_so_far] is the best
     hypothesis among the parameter tuples that finished evaluating, or
     [None] if the run tripped before any did (e.g. while building the
-    candidate pool).  [ckpt] threads a checkpoint controller over the
-    global candidate index (counting through the tuple lengths
-    [j = 0..ell] in enumeration order); [precheck] (default [true])
-    gates the call through the static admission precheck of
-    {!Analysis.Plan} — see {!Erm_brute.solve_budgeted} for both
-    contracts. *)
+    candidate pool).  The candidates form one index space, counting
+    through the tuple lengths [j = 0..ell] in enumeration order, swept
+    by {!Sweep}: [pool] chunks it, and [ckpt] threads a checkpoint
+    controller over that index (see {!Sweep} for the salvage, [tried]
+    and resume contracts).  [precheck] (default [true]) gates the call
+    through the static admission precheck of {!Analysis.Plan}; see
+    {!Erm_brute.solve_budgeted}. *)

@@ -296,6 +296,145 @@ let fuel_trip_deterministic () =
   check "fuel cap trips sequentially" true (reason_at 1 = Some Guard.Out_of_fuel);
   check "fuel cap trips at jobs 4" true (reason_at 4 = Some Guard.Out_of_fuel)
 
+(* ------------------------------------------------------------------ *)
+(* The shared candidate sweep under a random fuel budget               *)
+(* ------------------------------------------------------------------ *)
+
+module Plan = Analysis.Plan
+
+(* one sweep solver on one instance: its plan, a budgeted run, and for
+   brute/counting the fleet pieces (slice, best-index recovery) *)
+type sweep_case = {
+  plan : Plan.t;
+  run :
+    Par.Pool.t -> Guard.Budget.t option -> (Hyp.t * float * int) Guard.outcome;
+  fleet :
+    ((lo:int -> hi:int -> (int * int) option) * (int -> Hyp.t * float)) option;
+}
+
+let sweep_case solver g ~ell ~q ~tmax lam =
+  let n = Graph.order g in
+  let plan =
+    Plan.analyze (Plan.input ~tmax g ~k:1 ~ell ~q (List.map fst lam)) solver
+  in
+  let params i = Graph.Tuple.of_index ~n ~k:ell i in
+  match solver with
+  | Plan.Brute ->
+      let run pool budget =
+        Guard.outcome_map
+          (fun (r : Brute.result) ->
+            (r.Brute.hypothesis, r.Brute.err, r.Brute.params_tried))
+          (Brute.solve_budgeted ?budget ~pool g ~k:1 ~ell ~q lam)
+      in
+      let recover i =
+        let r = Brute.solve_for_params g ~k:1 ~q ~params:(params i) lam in
+        (r.Brute.hypothesis, r.Brute.err)
+      in
+      {
+        plan;
+        run;
+        fleet = Some (Brute.eval_range g ~k:1 ~ell ~q lam, recover);
+      }
+  | Plan.Counting ->
+      let run pool budget =
+        Guard.outcome_map
+          (fun (r : Counting.result) ->
+            (r.Counting.hypothesis, r.Counting.err, r.Counting.params_tried))
+          (Counting.solve_budgeted ?budget ~pool g ~k:1 ~ell ~q ~tmax lam)
+      in
+      let recover i =
+        let r =
+          Counting.solve_for_params g ~k:1 ~q ~tmax ~params:(params i) lam
+        in
+        (r.Counting.hypothesis, r.Counting.err)
+      in
+      {
+        plan;
+        run;
+        fleet = Some (Counting.eval_range g ~k:1 ~ell ~q ~tmax lam, recover);
+      }
+  | _ ->
+      let run pool budget =
+        Guard.outcome_map
+          (fun (r : Local.result) ->
+            (r.Local.hypothesis, r.Local.err, r.Local.params_tried))
+          (Local.solve_budgeted ?budget ~pool g ~k:1 ~ell ~q lam)
+      in
+      { plan; run; fleet = None }
+
+(* sequential = parallel = fleet on Complete; a salvaged answer reports
+   its true error; a budget at the planner's tight band always salvages *)
+let sweep_prop =
+  QCheck.Test.make ~count:40
+    ~name:"sweep: jobs 1 = jobs 4 = fleet; salvage sound; tight salvages"
+    QCheck.(
+      pair
+        (quad (int_range 1 10) (int_range 0 2) (int_range 0 2) (int_range 0 2))
+        (triple (int_range 0 1000) (int_range 0 1000) (int_range 1 2)))
+    (fun ((n, ell, q, which), (seed, draw, tmax)) ->
+      let g = Gen.gnp ~seed ~n ~p:0.3 in
+      let lam =
+        Sam.label_with g
+          ~target:(fun v -> (v.(0) * (seed + 3)) mod 5 < 2)
+          (Sam.all_tuples g ~k:1)
+      in
+      let solver = List.nth [ Plan.Brute; Plan.Counting; Plan.Local ] which in
+      let c = sweep_case solver g ~ell ~q ~tmax lam in
+      let project (h, err, tried) = (Hyp.signature h, err, tried) in
+      (* jobs 1 first: warms the process-global intern tables *)
+      let reference =
+        match with_pool ~jobs:1 (fun pool -> c.run pool None) with
+        | Guard.Complete r -> project r
+        | Guard.Exhausted _ -> QCheck.Test.fail_report "unbudgeted, exhausted"
+      in
+      let sig_, err, _ = reference in
+      let fleet_ok =
+        match c.fleet with
+        | None -> true
+        | Some (range, recover) -> (
+            let total = Option.get (Graph.Tuple.count ~n ~k:ell) in
+            (* slices: [0, total) split at two random points *)
+            let a = seed mod (total + 1) and b = draw mod (total + 1) in
+            let cuts = [ (0, min a b); (min a b, max a b); (max a b, total) ] in
+            let best =
+              List.fold_left
+                (fun acc (lo, hi) ->
+                  match (acc, range ~lo ~hi) with
+                  | None, x | x, None -> x
+                  | Some (bi, be), Some (i, e) ->
+                      if e < be || (e = be && i < bi) then Some (i, e) else acc)
+                None cuts
+            in
+            match best with
+            | None -> total = 0
+            | Some (i, _) ->
+                let h, e = recover i in
+                Hyp.signature h = sig_ && e = err)
+      in
+      let ample =
+        match (Plan.suggest_fuel c.plan).Plan.ample with
+        | Some f -> f
+        | None -> 1_000_000
+      in
+      let tight = (Plan.suggest_fuel c.plan).Plan.tight in
+      let fuels = (draw * ample / 1000) :: Option.to_list tight in
+      let sound jobs fuel =
+        with_pool ~jobs @@ fun pool ->
+        match c.run pool (Some (Guard.Budget.make ~fuel ())) with
+        | Guard.Complete r -> project r = reference
+        | Guard.Exhausted { best_so_far = Some (h, e, _); _ } ->
+            Hyp.training_error h lam = e
+        | Guard.Exhausted { best_so_far = None; _ } -> (
+            match tight with Some t -> fuel < t | None -> true)
+      in
+      let parallel_ok =
+        match with_pool ~jobs:4 (fun pool -> c.run pool None) with
+        | Guard.Complete r -> project r = reference
+        | Guard.Exhausted _ -> false
+      in
+      fleet_ok && parallel_ok
+      && List.for_all (fun fuel -> sound 1 fuel && sound 4 fuel) fuels)
+
 let suite =
   [
     Alcotest.test_case "map_tasks returns index-ordered results" `Quick
@@ -324,4 +463,5 @@ let suite =
         `Quick fault_trip_deterministic;
       Alcotest.test_case "fuel cap trips under jobs 4" `Quick
         fuel_trip_deterministic;
+      QCheck_alcotest.to_alcotest sweep_prop;
     ]

@@ -47,6 +47,13 @@ let exit_of_degrade = function
   | Guard.Exhausted { best_so_far = Some _; _ } -> 3
   | Guard.Exhausted { best_so_far = None; _ } -> 4
 
+(* the ample and tight rows run again on an explicit 4-domain pool (the
+   ample row first, so the tight one meets running workers): the bands
+   must hold at every pool size, not only at the ambient [FOLEARN_JOBS] *)
+let with_pool ~jobs f =
+  let pool = Par.Pool.create ~jobs in
+  Fun.protect ~finally:(fun () -> Par.Pool.shutdown pool) (fun () -> f pool)
+
 let case ~prediction name fuel expect run =
   match fuel with
   | None -> Alcotest.failf "%s: no fuel suggestion" name
@@ -60,28 +67,34 @@ let case ~prediction name fuel expect run =
 let test_matrix_brute () =
   let p = Plan.analyze inp12 Plan.Brute in
   let s = Plan.suggest_fuel p in
-  let run f =
+  let run pool f =
     exit_of_erm
-      (Folearn.Erm_brute.solve_budgeted ~budget:(fuel_budget f) g12 ~k ~ell ~q
-         lam12)
+      (Folearn.Erm_brute.solve_budgeted ?pool ~budget:(fuel_budget f) g12 ~k
+         ~ell ~q lam12)
   in
   let case = case ~prediction:(Plan.predict p) in
-  case "brute ample" s.Plan.ample 0 run;
-  case "brute tight" s.Plan.tight 3 run;
-  case "brute infeasible" s.Plan.infeasible 4 run
+  case "brute ample" s.Plan.ample 0 (run None);
+  case "brute tight" s.Plan.tight 3 (run None);
+  case "brute infeasible" s.Plan.infeasible 4 (run None);
+  with_pool ~jobs:4 @@ fun pool ->
+  case "brute ample (4 domains)" s.Plan.ample 0 (run (Some pool));
+  case "brute tight (4 domains)" s.Plan.tight 3 (run (Some pool))
 
 let test_matrix_counting () =
   let p = Plan.analyze inp12 Plan.Counting in
   let s = Plan.suggest_fuel p in
-  let run f =
+  let run pool f =
     exit_of_erm
-      (Folearn.Erm_counting.solve_budgeted ~budget:(fuel_budget f) g12 ~k ~ell
-         ~q ~tmax:2 lam12)
+      (Folearn.Erm_counting.solve_budgeted ?pool ~budget:(fuel_budget f) g12
+         ~k ~ell ~q ~tmax:2 lam12)
   in
   let case = case ~prediction:(Plan.predict p) in
-  case "counting ample" s.Plan.ample 0 run;
-  case "counting tight" s.Plan.tight 3 run;
-  case "counting infeasible" s.Plan.infeasible 4 run
+  case "counting ample" s.Plan.ample 0 (run None);
+  case "counting tight" s.Plan.tight 3 (run None);
+  case "counting infeasible" s.Plan.infeasible 4 (run None);
+  with_pool ~jobs:4 @@ fun pool ->
+  case "counting ample (4 domains)" s.Plan.ample 0 (run (Some pool));
+  case "counting tight (4 domains)" s.Plan.tight 3 (run (Some pool))
 
 let test_matrix_local_chain () =
   (* a budgeted --solver local run walks the degradation chain *)
@@ -91,10 +104,23 @@ let test_matrix_local_chain () =
     exit_of_degrade
       (Folearn.Degrade.learn ~budget:(fuel_budget f) g12 ~k ~ell ~q lam12)
   in
+  (* the chain takes the ambient pool, so its first stage, the local
+     learner, runs its own tight band on the explicit one *)
+  let local = Plan.analyze inp12 Plan.Local in
+  let local_case = case ~prediction:(Plan.predict local) in
   let case = case ~prediction:(Plan.predict_chain stages) in
   case "local-chain ample" s.Plan.ample 0 run;
   case "local-chain tight" s.Plan.tight 3 run;
-  case "local-chain infeasible" s.Plan.infeasible 4 run
+  case "local-chain infeasible" s.Plan.infeasible 4 run;
+  let sl = Plan.suggest_fuel local in
+  with_pool ~jobs:4 @@ fun pool ->
+  let run f =
+    exit_of_erm
+      (Folearn.Erm_local.solve_budgeted ~pool ~budget:(fuel_budget f) g12 ~k
+         ~ell ~q lam12)
+  in
+  local_case "local ample (4 domains)" sl.Plan.ample 0 run;
+  local_case "local tight (4 domains)" sl.Plan.tight 3 run
 
 let test_matrix_nd () =
   let p = Plan.analyze inp12 Plan.Nd in

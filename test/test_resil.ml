@@ -12,7 +12,7 @@
      the tick hook fires only under a budget;
    - in-process resume equality: a fuel-tripped solver run, resumed
      from its flushed snapshot, reproduces the uninterrupted result
-     bit-identically (pool sizes 1 and 4). *)
+     bit-identically (pool sizes 1 and 4, every sweep solver). *)
 
 open Cgraph
 module Sam = Folearn.Sample
@@ -348,4 +348,8 @@ let suite =
       (resume_counting ~jobs:1);
     Alcotest.test_case "local resume = uninterrupted (jobs 1)" `Quick
       (resume_local ~jobs:1);
+    Alcotest.test_case "counting resume = uninterrupted (jobs 4)" `Quick
+      (resume_counting ~jobs:4);
+    Alcotest.test_case "local resume = uninterrupted (jobs 4)" `Quick
+      (resume_local ~jobs:4);
   ]
