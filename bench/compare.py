@@ -22,6 +22,10 @@ Design choices, so the gate stays useful in CI:
   hit/miss splits, intern shard merges, per-worker task tallies) whose
   values legitimately vary with the core count or chunking even though
   the solver output is byte-identical.
+- the events_recorded headline depends on the core count too: Par
+  clamps every pool to the host's cores, and only a pool of two or more
+  domains opens a par.run span.  When both files record `cores` and
+  the values differ, that headline is skipped with a note.
 """
 import argparse
 import json
@@ -89,9 +93,17 @@ def main():
             f"jobs: baseline {base.get('jobs')}, current {cur.get('jobs')} "
             "(counter determinism only holds at matching job counts)")
 
+    cores_differ = ("cores" in base and "cores" in cur
+                    and base["cores"] != cur["cores"])
     for key in HEADLINE_COUNTERS:
         if key in base:
-            if key not in cur:
+            if key == "events_recorded" and cores_differ:
+                print(f"compare: {cur.get('experiment', '?')}: headline "
+                      f"events_recorded skipped: baseline "
+                      f"recorded on {base['cores']} core(s), current on "
+                      f"{cur['cores']} (par.run spans open only on pools of "
+                      f"2+ domains)")
+            elif key not in cur:
                 problems.append(f"headline {key}: missing from current run")
             else:
                 check(f"headline {key}", base[key], cur[key], args.tol)

@@ -17,29 +17,98 @@ let top_of_ball arena ~radius ~connector =
     (fun best v -> if d.(v) < d.(best) then v else best)
     (List.hd ball) ball
 
+(* One low-link DFS over the ball's induced edges scores every answer:
+   removing [w] leaves the other components whole, each child subtree [c]
+   of [w] with [low c >= disc w] as a component of its own, and the rest
+   of [w]'s component (its parent side) as one more. *)
 let min_max_component arena ~radius ~connector =
-  let ball = Bfs.ball arena ~r:radius [ connector ] in
-  let score w =
-    let rest = List.filter (fun v -> v <> w) ball in
-    let emb = Ops.induced arena rest in
-    List.fold_left
-      (fun acc c -> max acc (List.length c))
-      0
-      (Invariants.components emb.Ops.graph)
+  let ball = Array.of_list (Bfs.ball arena ~r:radius [ connector ]) in
+  let n = Array.length ball in
+  let index = Hashtbl.create n in
+  Array.iteri (fun i v -> Hashtbl.replace index v i) ball;
+  let adj =
+    Array.map
+      (fun v ->
+        Graph.fold_neighbors arena v
+          (fun acc u ->
+            match Hashtbl.find_opt index u with
+            | Some j -> j :: acc
+            | None -> acc)
+          []
+        |> Array.of_list)
+      ball
   in
-  match ball with
-  | [] -> connector
-  | first :: _ ->
-      let best = ref first and best_score = ref (score first) in
-      List.iter
-        (fun w ->
-          let s = score w in
-          if s < !best_score then begin
-            best := w;
-            best_score := s
-          end)
-        ball;
-      !best
+  let disc = Array.make n (-1) and low = Array.make n 0 in
+  let size = Array.make n 1 and parent = Array.make n (-1) in
+  let next = Array.make n 0 and comp = Array.make n 0 in
+  (* per vertex: the largest cut-off child subtree and their total *)
+  let cut_max = Array.make n 0 and cut_sum = Array.make n 0 in
+  let comp_size = Array.make n 0 and stack = Array.make n 0 in
+  let time = ref 0 and ncomp = ref 0 in
+  let visit v =
+    disc.(v) <- !time;
+    low.(v) <- !time;
+    comp.(v) <- !ncomp;
+    incr time
+  in
+  for root = 0 to n - 1 do
+    if disc.(root) < 0 then begin
+      let start = !time in
+      visit root;
+      stack.(0) <- root;
+      let sp = ref 1 in
+      while !sp > 0 do
+        let v = stack.(!sp - 1) in
+        if next.(v) < Array.length adj.(v) then begin
+          let u = adj.(v).(next.(v)) in
+          next.(v) <- next.(v) + 1;
+          if disc.(u) < 0 then begin
+            parent.(u) <- v;
+            visit u;
+            stack.(!sp) <- u;
+            incr sp
+          end
+          else low.(v) <- min low.(v) disc.(u)
+        end
+        else begin
+          decr sp;
+          let p = parent.(v) in
+          if p >= 0 then begin
+            size.(p) <- size.(p) + size.(v);
+            low.(p) <- min low.(p) low.(v);
+            if low.(v) >= disc.(p) then begin
+              cut_max.(p) <- max cut_max.(p) size.(v);
+              cut_sum.(p) <- cut_sum.(p) + size.(v)
+            end
+          end
+        end
+      done;
+      comp_size.(!ncomp) <- !time - start;
+      incr ncomp
+    end
+  done;
+  (* the two largest components, so each vertex finds the largest
+     component other than its own *)
+  let top = ref 0 in
+  Array.iteri (fun c s -> if s > comp_size.(!top) then top := c) comp_size;
+  let second = ref 0 in
+  Array.iteri
+    (fun c s -> if c <> !top && s > !second then second := s)
+    comp_size;
+  let score w =
+    let c = comp.(w) in
+    let others = if c = !top then !second else comp_size.(!top) in
+    max others (max cut_max.(w) (comp_size.(c) - 1 - cut_sum.(w)))
+  in
+  let best = ref 0 and best_score = ref (score 0) in
+  for w = 1 to n - 1 do
+    let s = score w in
+    if s < !best_score then begin
+      best := w;
+      best_score := s
+    end
+  done;
+  ball.(!best)
 
 let best_heuristic arena ~radius ~connector =
   let ball = Bfs.ball arena ~r:radius [ connector ] in

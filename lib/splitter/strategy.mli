@@ -22,11 +22,16 @@ val top_of_ball : Game.splitter_strategy
 
 val min_max_component : Game.splitter_strategy
 (** Answer with the ball vertex whose removal minimises the largest
-    remaining component of the ball — a strong (quadratic-cost)
-    heuristic. *)
+    remaining component of the ball; among equal scores, the first in
+    {!Bfs.ball} order (increasing vertex id).  One articulation pass
+    scores every vertex: [O(|B| + e)] for a ball [B] whose vertices have
+    [e] incident edges, after the one {!Bfs.ball}, whose ticks are the
+    only fuel it spends. *)
 
 val best_heuristic : Game.splitter_strategy
-(** {!min_max_component} on small balls, {!top_of_ball} on large ones. *)
+(** {!min_max_component} on balls of at most 160 vertices, {!top_of_ball}
+    on larger ones.  Its size test is a {!Bfs.ball} of its own, so on
+    small balls it spends the fuel of two. *)
 
 (** {1 Connector strategies} *)
 

@@ -189,6 +189,103 @@ let game_arena_monotone =
       in
       decreasing sizes)
 
+(* The per-vertex scorer [min_max_component] replaced: rebuild the ball
+   minus [w] and take its largest component.  Quadratic in the ball; kept
+   here as the oracle for the one-pass scorer. *)
+let min_max_component_oracle arena ~radius ~connector =
+  let ball = Bfs.ball arena ~r:radius [ connector ] in
+  let score w =
+    let rest = List.filter (fun v -> v <> w) ball in
+    let emb = Ops.induced arena rest in
+    List.fold_left
+      (fun acc c -> max acc (List.length c))
+      0
+      (Invariants.components emb.Ops.graph)
+  in
+  match ball with
+  | [] -> connector
+  | first :: _ ->
+      let best = ref first and best_score = ref (score first) in
+      List.iter
+        (fun w ->
+          let s = score w in
+          if s < !best_score then begin
+            best := w;
+            best_score := s
+          end)
+        ball;
+      !best
+
+let oracle_graph kind n seed =
+  let n = max 4 n in
+  match kind with
+  | 0 -> Gen.gnp ~seed ~n ~p:(0.05 +. float_of_int (seed mod 8) /. 16.)
+  | 1 -> Gen.random_tree ~seed n
+  | 2 -> Gen.random_bounded_degree ~seed ~n ~d:(2 + (seed mod 3))
+  | 3 -> Gen.grid (1 + (n mod 6)) (1 + (n / 6))
+  | 4 -> Gen.partial_ktree ~seed ~k:(1 + (seed mod 3)) ~n ~keep:0.7
+  | _ -> Gen.cycle n
+
+let one_pass_matches_oracle =
+  QCheck.Test.make ~name:"min_max_component = per-vertex rebuild oracle"
+    ~count:120
+    QCheck.(quad (int_range 0 5) (int_range 1 30) (int_range 0 10_000)
+              (int_range 0 3))
+    (fun (kind, n, seed, radius) ->
+      let g = oracle_graph kind n seed in
+      (* several connectors per graph: every vertex on small ones *)
+      let step = max 1 (Graph.order g / 12) in
+      List.for_all
+        (fun connector ->
+          connector mod step <> 0
+          || S.min_max_component g ~radius ~connector
+             = min_max_component_oracle g ~radius ~connector)
+        (Graph.vertices g))
+
+let test_min_max_component_ties () =
+  (* the first minimiser in ball order wins *)
+  List.iter
+    (fun (name, g, radius, connector, expected) ->
+      check_int name expected (S.min_max_component g ~radius ~connector);
+      check_int (name ^ " (oracle)") expected
+        (min_max_component_oracle g ~radius ~connector))
+    [
+      ("path:7 ball 0..3: 1 and 2 tie", Gen.path 7, 3, 0, 1);
+      ("path:7 ball 3..6: 4 and 5 tie", Gen.path 7, 3, 6, 4);
+      ("cycle:8 whole cycle: all tie", Gen.cycle 8, 4, 5, 0);
+      ("cycle:8 arc 6..2: unique middle 0", Gen.cycle 8, 2, 0, 0);
+      ("singleton ball (radius 0)", Gen.path 7, 0, 4, 4);
+      ("singleton ball (isolated vertex)",
+       Graph.create ~n:3 ~edges:[ (0, 1) ] ~colors:[], 2, 2, 2);
+      ("one-vertex graph", Gen.path 1, 1, 0, 0);
+    ]
+
+let test_splitter_fuel () =
+  (* one Bfs.ball per answer, two for best_heuristic on balls <= 160:
+     budgeted nd learns and [game] runs count these ticks *)
+  let fuel f =
+    let budget = Guard.Budget.unlimited () in
+    (match Guard.run ~budget ~salvage:(fun () -> None) f with
+    | Guard.Complete _ -> ()
+    | Guard.Exhausted _ -> Alcotest.fail "unlimited budget tripped");
+    (Guard.Budget.spent budget).Guard.fuel
+  in
+  List.iter
+    (fun (name, g, radius, connector) ->
+      let ball = fuel (fun () -> ignore (Bfs.ball g ~r:radius [ connector ])) in
+      check (name ^ ": ball <= 160") true
+        (List.length (Bfs.ball g ~r:radius [ connector ]) <= 160);
+      check_int (name ^ ": min_max_component = one ball") ball
+        (fuel (fun () -> ignore (S.min_max_component g ~radius ~connector)));
+      check_int (name ^ ": best_heuristic = two balls") (2 * ball)
+        (fuel (fun () -> ignore (S.best_heuristic g ~radius ~connector))))
+    [
+      ("tree:60 r2", Gen.random_tree ~seed:4 60, 2, 7);
+      ("grid 7x7 r3", Gen.grid 7 7, 3, 24);
+      ("gnp:40 r1", Gen.gnp ~seed:9 ~n:40 ~p:0.1, 1, 3);
+      ("path:7 r0", Gen.path 7, 0, 3);
+    ]
+
 let suite =
   [
     Alcotest.test_case "start state" `Quick test_start_state;
@@ -208,4 +305,8 @@ let suite =
     Alcotest.test_case "dense graphs resist" `Quick test_dense_graph_resists;
     QCheck_alcotest.to_alcotest splitter_always_wins_eventually;
     QCheck_alcotest.to_alcotest game_arena_monotone;
+    QCheck_alcotest.to_alcotest one_pass_matches_oracle;
+    Alcotest.test_case "min-max component ties" `Quick
+      test_min_max_component_ties;
+    Alcotest.test_case "splitter fuel = its balls" `Quick test_splitter_fuel;
   ]
