@@ -97,28 +97,14 @@ module Meta = struct
 
   let of_json j =
     let open Obs.Json in
-    let int_field name =
-      match Option.bind (member name j) to_int_opt with
-      | Some v -> Ok v
-      | None -> Error (Printf.sprintf "missing or non-int field %S" name)
-    in
-    let str_field name =
-      match Option.bind (member name j) to_string_opt with
-      | Some v -> Ok v
-      | None -> Error (Printf.sprintf "missing or non-string field %S" name)
-    in
     let ( let* ) = Result.bind in
-    let* run_id = str_field "run_id" in
-    let* solver = str_field "solver" in
-    let* total = int_field "total" in
-    let* chunk_size = int_field "chunk_size" in
-    let* heartbeat_s =
-      match Option.bind (member "heartbeat_s" j) to_float_opt with
-      | Some v -> Ok v
-      | None -> Error "missing or non-float field \"heartbeat_s\""
-    in
-    let* max_attempts = int_field "max_attempts" in
-    let* sample_size = int_field "sample_size" in
+    let* run_id = string_field "run_id" j in
+    let* solver = string_field "solver" j in
+    let* total = int_field "total" j in
+    let* chunk_size = int_field "chunk_size" j in
+    let* heartbeat_s = float_field "heartbeat_s" j in
+    let* max_attempts = int_field "max_attempts" j in
+    let* sample_size = int_field "sample_size" j in
     Ok { run_id; solver; total; chunk_size; heartbeat_s; max_attempts;
          sample_size }
 

@@ -1,8 +1,7 @@
-(* Lease files: see the .mli for the protocol.  The framing reuses
-   [Resil]'s header + CRC discipline so external harnesses can validate
-   a lease with nothing but zlib.crc32, and the atomic-claim primitive
-   is link(2): creating a hard link fails with EEXIST when the target
-   exists, which rename(2) does not. *)
+(* Lease files: see the .mli for the protocol.  A lease is a
+   [Resil.Framed] envelope, and the atomic-claim primitive is link(2):
+   creating a hard link fails with EEXIST when the target exists, which
+   rename(2) does not. *)
 
 let magic = "FOLEARNLEASE1"
 let schema_version = 1
@@ -32,90 +31,32 @@ let to_json l =
 
 let of_json j =
   let open Obs.Json in
-  let int_field name =
-    match Option.bind (member name j) to_int_opt with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing or non-int field %S" name)
-  in
   let ( let* ) = Result.bind in
-  let* version = int_field "schema_version" in
+  let* version = int_field "schema_version" j in
   if version <> schema_version then
     Error (Printf.sprintf "unsupported schema_version %d" version)
   else
-    let* chunk = int_field "chunk" in
-    let* lo = int_field "lo" in
-    let* hi = int_field "hi" in
-    let* worker =
-      match Option.bind (member "worker" j) to_string_opt with
-      | Some v -> Ok v
-      | None -> Error "missing or non-string field \"worker\""
-    in
-    let* pid = int_field "pid" in
-    let* fence = int_field "fence" in
-    let* deadline =
-      match Option.bind (member "deadline" j) to_float_opt with
-      | Some v -> Ok v
-      | None -> Error "missing or non-float field \"deadline\""
-    in
+    let* chunk = int_field "chunk" j in
+    let* lo = int_field "lo" j in
+    let* hi = int_field "hi" j in
+    let* worker = string_field "worker" j in
+    let* pid = int_field "pid" j in
+    let* fence = int_field "fence" j in
+    let* deadline = float_field "deadline" j in
     Ok { chunk; lo; hi; worker; pid; fence; deadline }
 
-let encode l =
-  let body = Obs.Json.to_string (to_json l) in
-  Printf.sprintf "%s %s %d\n%s\n" magic
-    (Resil.Crc32.to_hex (Resil.Crc32.string body))
-    (String.length body) body
-
-let decode data =
-  match String.index_opt data '\n' with
-  | None -> Error "missing header line"
-  | Some nl -> (
-      let header = String.sub data 0 nl in
-      match String.split_on_char ' ' header with
-      | [ m; crc_hex; len_s ] when m = magic -> (
-          match
-            (int_of_string_opt ("0x" ^ crc_hex), int_of_string_opt len_s)
-          with
-          | Some crc, Some len ->
-              if String.length data < nl + 1 + len then Error "truncated body"
-              else
-                let body = String.sub data (nl + 1) len in
-                let actual =
-                  Int32.to_int (Resil.Crc32.string body) land 0xFFFFFFFF
-                in
-                if actual <> crc land 0xFFFFFFFF then
-                  Error
-                    (Printf.sprintf "CRC mismatch (header %08x, body %08x)" crc
-                       actual)
-                else (
-                  match Obs.Json.of_string body with
-                  | Error e -> Error ("body is not JSON: " ^ e)
-                  | Ok j -> of_json j)
-          | _ -> Error "malformed header fields"
-          | exception _ -> Error "malformed header fields")
-      | m :: _ when m <> magic -> Error (Printf.sprintf "bad magic %S" m)
-      | _ -> Error "malformed header line")
+let encode l = Resil.Framed.encode ~magic (to_json l)
+let decode data = Result.bind (Resil.Framed.decode ~magic data) of_json
 
 (* unique temp names even for two claimants in one process *)
 let claim_seq = Atomic.make 0
-
-let write_file path data =
-  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with _ -> ())
-    (fun () ->
-      let n = String.length data in
-      let written = ref 0 in
-      while !written < n do
-        written :=
-          !written + Unix.write_substring fd data !written (n - !written)
-      done)
 
 let claim ~path l =
   let tmp =
     Printf.sprintf "%s.claim.%d.%d" path (Unix.getpid ())
       (Atomic.fetch_and_add claim_seq 1)
   in
-  write_file tmp (encode l);
+  Resil.atomic_write ~fsync:false ~path:tmp (encode l);
   let won =
     match Unix.link tmp path with
     | () -> true
@@ -126,11 +67,7 @@ let claim ~path l =
 
 let renew ~path l = Resil.atomic_write ~fsync:false ~path (encode l)
 
-let load path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error _ -> Error `Not_found
-  | data -> (
-      match decode data with Ok l -> Ok l | Error e -> Error (`Corrupt e))
+let load path = Resil.Framed.load ~magic of_json path
 
 let release ~path ~mine =
   match load path with

@@ -2,10 +2,7 @@
 
     A lease file at [leases/<chunk>.lease] records who is evaluating a
     candidate chunk, under which fence token, and until when.  The
-    framing is the same one-line ASCII header + JSON body used by
-    [Resil.Snapshot]:
-    {v FOLEARNLEASE1 <crc32-hex> <body-length>
-<body JSON> v}
+    file is a [Resil.Framed] envelope with magic [FOLEARNLEASE1].
 
     {b Claiming is atomic.}  A claimant writes the lease to a private
     temp file and {e hard-links} it to the lease path: [link(2)] fails
@@ -20,9 +17,6 @@
     a stale fence — so a worker that lost its lease (but not its life)
     can never corrupt the run. *)
 
-val magic : string
-val schema_version : int
-
 type t = {
   chunk : int;  (** chunk id *)
   lo : int;  (** first candidate index of the chunk *)
@@ -35,7 +29,7 @@ type t = {
 
 val encode : t -> string
 val decode : string -> (t, string) result
-(** [decode (encode l) = Ok l]; corruption of magic, length, CRC,
+(** [decode (encode l) = Ok l]; a broken envelope ([Resil.Framed]),
     JSON shape or schema version yields [Error]. *)
 
 val claim : path:string -> t -> bool

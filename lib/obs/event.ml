@@ -95,17 +95,8 @@ let to_json e =
     ]
 
 let of_json j =
-  let int_field name =
-    match Option.bind (Json.member name j) Json.to_int_opt with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "event: missing or non-int field %S" name)
-  in
-  let str_field name =
-    match Option.bind (Json.member name j) Json.to_string_opt with
-    | Some v -> Ok v
-    | None ->
-        Error (Printf.sprintf "event: missing or non-string field %S" name)
-  in
+  let int_field name = Json.int_field ~prefix:"event: " name j in
+  let str_field name = Json.string_field ~prefix:"event: " name j in
   let ( let* ) = Result.bind in
   let* seq = int_field "seq" in
   let* t_ns = int_field "t_ns" in

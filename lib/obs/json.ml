@@ -282,3 +282,16 @@ let to_float_opt = function
 
 let to_string_opt = function String s -> Some s | _ -> None
 let to_list_opt = function List vs -> Some vs | _ -> None
+
+let field kind conv ?(prefix = "") name j =
+  match Option.bind (member name j) conv with
+  | Some v -> Ok v
+  | None ->
+      Error (Printf.sprintf "%smissing or non-%s field %S" prefix kind name)
+
+let int_field ?prefix name j = field "int" to_int_opt ?prefix name j
+let float_field ?prefix name j = field "float" to_float_opt ?prefix name j
+let string_field ?prefix name j = field "string" to_string_opt ?prefix name j
+
+let bool_field ?prefix name j =
+  field "bool" (function Bool b -> Some b | _ -> None) ?prefix name j

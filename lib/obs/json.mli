@@ -39,3 +39,14 @@ val to_int_opt : t -> int option
 val to_float_opt : t -> float option
 val to_string_opt : t -> string option
 val to_list_opt : t -> t list option
+
+(** {1 Field readers}
+
+    For [of_json] decoders: the named member of an [Obj], converted as
+    by the accessors above, or [Error "missing or non-KIND field
+    \"NAME\""] with [prefix] (default empty) in front. *)
+
+val int_field : ?prefix:string -> string -> t -> (int, string) result
+val float_field : ?prefix:string -> string -> t -> (float, string) result
+val string_field : ?prefix:string -> string -> t -> (string, string) result
+val bool_field : ?prefix:string -> string -> t -> (bool, string) result

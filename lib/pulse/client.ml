@@ -57,12 +57,7 @@ let get addr path =
                    close\r\n\r\n"
                   path
               in
-              let n = String.length req in
-              let written = ref 0 in
-              while !written < n do
-                written :=
-                  !written + Unix.write_substring fd req !written (n - !written)
-              done;
+              Resil.write_all fd req;
               match split_response (read_all fd) with
               | Error e -> Error e
               | Ok (status, body) ->

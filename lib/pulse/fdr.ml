@@ -1,8 +1,5 @@
 (* The flight-data-recorder file: the in-memory Obs.Event ring,
-   persisted in the same header style as Resil snapshots so external
-   tooling can validate it with nothing but zlib.crc32:
-
-     FOLEARNFDR1 <crc32-hex> <body-length>\n<body JSON>\n
+   persisted as a [Resil.Framed] envelope with magic FOLEARNFDR1.
 
    A SIGKILL cannot run any handler, so readability after a hard kill
    comes from write cadence, not from a dump hook: [attach] writes an
@@ -41,25 +38,16 @@ let to_json d =
 
 let of_json j =
   let open Obs.Json in
-  let int_field name =
-    match Option.bind (member name j) to_int_opt with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing or non-int field %S" name)
-  in
   let ( let* ) = Result.bind in
-  let* version = int_field "schema_version" in
+  let* version = int_field "schema_version" j in
   if version <> schema_version then
     Error (Printf.sprintf "unsupported schema_version %d" version)
   else
-    let* reason =
-      match Option.bind (member "reason" j) to_string_opt with
-      | Some r -> Ok r
-      | None -> Error "missing or non-string field \"reason\""
-    in
-    let* written_ns = int_field "written_ns" in
-    let* pid = int_field "pid" in
-    let* total = int_field "total" in
-    let* dropped = int_field "dropped" in
+    let* reason = string_field "reason" j in
+    let* written_ns = int_field "written_ns" j in
+    let* pid = int_field "pid" j in
+    let* total = int_field "total" j in
+    let* dropped = int_field "dropped" j in
     let* events =
       match member "events" j with
       | Some (List es) ->
@@ -74,41 +62,8 @@ let of_json j =
     in
     Ok { reason; written_ns = Int64.of_int written_ns; pid; total; dropped; events }
 
-let encode d =
-  let body = Obs.Json.to_string (to_json d) in
-  Printf.sprintf "%s %s %d\n%s\n" magic
-    (Resil.Crc32.to_hex (Resil.Crc32.string body))
-    (String.length body) body
-
-let decode data =
-  match String.index_opt data '\n' with
-  | None -> Error "missing header line"
-  | Some nl -> (
-      let header = String.sub data 0 nl in
-      match String.split_on_char ' ' header with
-      | [ m; crc_hex; len_s ] when m = magic -> (
-          match
-            (int_of_string_opt ("0x" ^ crc_hex), int_of_string_opt len_s)
-          with
-          | Some crc, Some len ->
-              if String.length data < nl + 1 + len then Error "truncated body"
-              else
-                let body = String.sub data (nl + 1) len in
-                let actual =
-                  Int32.to_int (Resil.Crc32.string body) land 0xFFFFFFFF
-                in
-                if actual <> crc land 0xFFFFFFFF then
-                  Error
-                    (Printf.sprintf "CRC mismatch (header %08x, body %08x)"
-                       crc actual)
-                else (
-                  match Obs.Json.of_string body with
-                  | Error e -> Error ("body is not JSON: " ^ e)
-                  | Ok j -> of_json j)
-          | _ -> Error "malformed header fields"
-          | exception _ -> Error "malformed header fields")
-      | m :: _ when m <> magic -> Error (Printf.sprintf "bad magic %S" m)
-      | _ -> Error "malformed header line")
+let encode d = Resil.Framed.encode ~magic (to_json d)
+let decode data = Result.bind (Resil.Framed.decode ~magic data) of_json
 
 let capture ~reason =
   {
@@ -124,9 +79,9 @@ let write ~path ~reason =
   Resil.atomic_write ~fsync:false ~path (encode (capture ~reason))
 
 let load path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error e -> Error e
-  | data -> decode data
+  Result.map_error
+    (function `Not_found -> "no such file" | `Corrupt e -> e)
+    (Resil.Framed.load ~magic of_json path)
 
 (* ------------------------------------------------------------------ *)
 (* Attachment: cadence + crash dumps into one configured file          *)

@@ -1,11 +1,8 @@
 (** The crash flight recorder's durable dump: the {!Obs.Event} ring
     persisted as a [FOLEARNFDR1] file.
 
-    {b File format} — one ASCII header line, then a JSON body, in the
-    style of [FOLEARNSNAP1] so external tooling can validate it with
-    [zlib.crc32] alone:
-    {v FOLEARNFDR1 <crc32-hex> <body-length>
-<body JSON> v}
+    {b File format} — a [Resil.Framed] envelope with magic
+    [FOLEARNFDR1].
 
     {b Dump triggers.}  SIGKILL runs no handler, so post-hard-kill
     readability comes from cadence: {!attach} writes the file
@@ -15,9 +12,6 @@
     exceptions dump via an installed handler, process exit dumps from
     [at_exit], and the CLI calls {!dump_now} on Guard exhaustion and
     signal shutdown. *)
-
-val magic : string
-val schema_version : int
 
 type dump = {
   reason : string;
@@ -33,7 +27,7 @@ type dump = {
 val encode : dump -> string
 
 val decode : string -> (dump, string) result
-(** [decode (encode d) = Ok d]; corruption of magic, length, CRC or
+(** [decode (encode d) = Ok d]; a broken envelope ([Resil.Framed]) or
     JSON shape yields [Error]. *)
 
 val capture : reason:string -> dump
@@ -43,6 +37,8 @@ val write : path:string -> reason:string -> unit
 (** [capture] + atomic write, regardless of attachment state. *)
 
 val load : string -> (dump, string) result
+(** [Error "no such file"] when [path] cannot be read, else the
+    {!decode} error. *)
 
 val attach : ?flush_every:int -> path:string -> unit -> unit
 (** Start recording to [path]: write an initial dump now, rewrite every

@@ -112,12 +112,7 @@ let parse_request_path head =
 let disconnects = Obs.Metric.counter "pulse.disconnects"
 
 let write_all conn s =
-  let n = String.length s in
-  let written = ref 0 in
-  try
-    while !written < n do
-      written := !written + Unix.write_substring conn s !written (n - !written)
-    done
+  try Resil.write_all conn s
   with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
     Obs.Metric.incr disconnects
 

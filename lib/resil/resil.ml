@@ -1,11 +1,7 @@
 (* Crash-safe checkpoint/resume for in-flight learning runs.  See the
    .mli for the contract; implementation notes:
 
-   - The on-disk format is a one-line ASCII header followed by a JSON
-     body: "FOLEARNSNAP1 <crc32-hex> <body-length>\n<body>\n".  The CRC
-     is the standard IEEE/zlib polynomial over the body bytes, so an
-     external harness can validate a snapshot with nothing but
-     [zlib.crc32].
+   - A snapshot file is a [Framed] envelope with magic "FOLEARNSNAP1".
    - Durability is temp file + fsync + atomic rename (+ best-effort
      directory fsync): a reader sees either the previous snapshot or
      the new one, never a torn write.
@@ -55,17 +51,20 @@ module Crc32 = struct
   let to_hex c = Printf.sprintf "%08lx" c
 end
 
+let write_all fd data =
+  let n = String.length data in
+  let written = ref 0 in
+  while !written < n do
+    written := !written + Unix.write_substring fd data !written (n - !written)
+  done
+
 let atomic_write ?(fsync = true) ~path data =
   let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
   let fd =
     Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
   in
   (try
-     let n = String.length data in
-     let written = ref 0 in
-     while !written < n do
-       written := !written + Unix.write_substring fd data !written (n - !written)
-     done;
+     write_all fd data;
      if fsync then Unix.fsync fd;
      Unix.close fd
    with e ->
@@ -81,6 +80,73 @@ let atomic_write ?(fsync = true) ~path data =
         (try Unix.fsync dfd with _ -> ());
         (try Unix.close dfd with _ -> ())
     | exception _ -> ())
+
+module Framed = struct
+  let encode ~magic j =
+    let body = Obs.Json.to_string j in
+    Printf.sprintf "%s %s %d\n%s\n" magic
+      (Crc32.to_hex (Crc32.string body))
+      (String.length body) body
+
+  let is_hex = function
+    | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+    | _ -> false
+
+  let is_digit = function '0' .. '9' -> true | _ -> false
+
+  (* Digits only: [int_of_string] alone would also take signs, [0x],
+     [0o], [0b] and [_].  Eighteen decimal digits stay below [max_int],
+     so neither conversion can fail. *)
+  let parse_header ~magic ?max_len line =
+    match String.split_on_char ' ' line with
+    | [ m; crc_hex; len_s ] when m = magic -> (
+        if
+          String.length crc_hex <> 8
+          || (not (String.for_all is_hex crc_hex))
+          || len_s = "" || String.length len_s > 18
+          || not (String.for_all is_digit len_s)
+        then Error "malformed header fields"
+        else
+          let crc = int_of_string ("0x" ^ crc_hex) in
+          let len = int_of_string len_s in
+          match max_len with
+          | Some cap when len > cap ->
+              Error (Printf.sprintf "frame too large (%d > %d)" len cap)
+          | _ -> Ok (crc, len))
+    | m :: _ when m <> magic -> Error (Printf.sprintf "bad magic %S" m)
+    | _ -> Error "malformed header line"
+
+  let check_body ~crc ~len ?(pos = 0) data =
+    (* compared by subtraction: [pos + len] may overflow *)
+    if String.length data - pos <= len then Error "truncated body"
+    else if data.[pos + len] <> '\n' then Error "missing frame terminator"
+    else
+      let body = String.sub data pos len in
+      let actual = Int32.to_int (Crc32.string body) land 0xFFFFFFFF in
+      if actual <> crc then
+        Error
+          (Printf.sprintf "CRC mismatch (header %08x, body %08x)" crc actual)
+      else
+        Result.map_error
+          (fun e -> "body is not JSON: " ^ e)
+          (Obs.Json.of_string body)
+
+  let decode ~magic ?max_len data =
+    match String.index_opt data '\n' with
+    | None -> Error "missing header line"
+    | Some nl ->
+        Result.bind
+          (parse_header ~magic ?max_len (String.sub data 0 nl))
+          (fun (crc, len) -> check_body ~crc ~len ~pos:(nl + 1) data)
+
+  let load ~magic of_json path =
+    match In_channel.with_open_bin path In_channel.input_all with
+    | exception Sys_error _ -> Error `Not_found
+    | data ->
+        Result.map_error
+          (fun e -> `Corrupt e)
+          (Result.bind (decode ~magic data) of_json)
+end
 
 module Snapshot = struct
   let schema_version = 1
@@ -122,24 +188,14 @@ module Snapshot = struct
 
   let of_json j =
     let open Obs.Json in
-    let int_field name =
-      match Option.bind (member name j) to_int_opt with
-      | Some v -> Ok v
-      | None -> Error (Printf.sprintf "missing or non-int field %S" name)
-    in
-    let str_field name =
-      match Option.bind (member name j) to_string_opt with
-      | Some v -> Ok v
-      | None -> Error (Printf.sprintf "missing or non-string field %S" name)
-    in
     let ( let* ) = Result.bind in
-    let* version = int_field "schema_version" in
+    let* version = int_field "schema_version" j in
     if version <> schema_version then
       Error (Printf.sprintf "unsupported schema_version %d" version)
     else
-      let* run_id = str_field "run_id" in
-      let* solver = str_field "solver" in
-      let* cursor = int_field "cursor" in
+      let* run_id = string_field "run_id" j in
+      let* solver = string_field "solver" j in
+      let* cursor = int_field "cursor" j in
       let* best =
         match member "best" j with
         | None | Some Null -> Ok None
@@ -151,14 +207,10 @@ module Snapshot = struct
             | Some i, Some e -> Ok (Some (i, e))
             | _ -> Error "malformed \"best\" object")
       in
-      let* complete =
-        match member "complete" j with
-        | Some (Bool b) -> Ok b
-        | _ -> Error "missing or non-bool field \"complete\""
-      in
-      let* writes = int_field "writes" in
-      let* spent_fuel = int_field "spent_fuel" in
-      let* elapsed = int_field "elapsed_ns" in
+      let* complete = bool_field "complete" j in
+      let* writes = int_field "writes" j in
+      let* spent_fuel = int_field "spent_fuel" j in
+      let* elapsed = int_field "elapsed_ns" j in
       let* counters =
         match member "counters" j with
         | Some (Obj kvs) ->
@@ -184,42 +236,8 @@ module Snapshot = struct
           counters;
         }
 
-  let encode s =
-    let body = Obs.Json.to_string (to_json s) in
-    Printf.sprintf "%s %s %d\n%s\n" magic
-      (Crc32.to_hex (Crc32.string body))
-      (String.length body) body
-
-  let decode data =
-    match String.index_opt data '\n' with
-    | None -> Error "missing header line"
-    | Some nl -> (
-        let header = String.sub data 0 nl in
-        match String.split_on_char ' ' header with
-        | [ m; crc_hex; len_s ] when m = magic -> (
-            match
-              (int_of_string_opt ("0x" ^ crc_hex), int_of_string_opt len_s)
-            with
-            | Some crc, Some len ->
-                if String.length data < nl + 1 + len then
-                  Error "truncated body"
-                else
-                  let body = String.sub data (nl + 1) len in
-                  let actual =
-                    Int32.to_int (Crc32.string body) land 0xFFFFFFFF
-                  in
-                  if actual <> crc land 0xFFFFFFFF then
-                    Error
-                      (Printf.sprintf "CRC mismatch (header %08x, body %08x)"
-                         crc actual)
-                  else (
-                    match Obs.Json.of_string body with
-                    | Error e -> Error ("body is not JSON: " ^ e)
-                    | Ok j -> of_json j)
-            | _ -> Error "malformed header fields"
-            | exception _ -> Error "malformed header fields")
-        | m :: _ when m <> magic -> Error (Printf.sprintf "bad magic %S" m)
-        | _ -> Error "malformed header line")
+  let encode s = Framed.encode ~magic (to_json s)
+  let decode data = Result.bind (Framed.decode ~magic data) of_json
 
   let save ~path s =
     Obs.Span.with_ "resil.snapshot.save"
@@ -239,14 +257,9 @@ module Snapshot = struct
 
   let load path =
     Obs.Span.with_ "resil.snapshot.load" @@ fun () ->
-    match In_channel.with_open_bin path In_channel.input_all with
-    | exception Sys_error _ -> Error `Not_found
-    | data -> (
-        match decode data with
-        | Ok s ->
-            Obs.Metric.incr snapshot_loads;
-            Ok s
-        | Error e -> Error (`Corrupt e))
+    let r = Framed.load ~magic of_json path in
+    if Result.is_ok r then Obs.Metric.incr snapshot_loads;
+    r
 
   type mismatch = { field : string; expected : string; found : string }
 

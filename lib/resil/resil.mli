@@ -7,15 +7,11 @@
     configurable cadence, and a resumed run replays deterministically
     to an output bit-identical to the uninterrupted one.
 
-    {b Snapshot format.}  One ASCII header line followed by a JSON
-    body:
-    {v FOLEARNSNAP1 <crc32-hex> <body-length>
-<body JSON> v}
-    The CRC is the standard IEEE/zlib polynomial over the body bytes
-    (verifiable externally with [zlib.crc32]).  Writes are atomic:
-    temp file, [fsync], [rename], best-effort directory [fsync] — a
-    reader sees the previous snapshot or the new one, never a torn
-    file.  Loads validate magic, length, CRC and schema version.
+    {b Snapshot format.}  A {!Framed} envelope with magic
+    [FOLEARNSNAP1].  Writes are atomic: temp file, [fsync], [rename],
+    best-effort directory [fsync] — a reader sees the previous
+    snapshot or the new one, never a torn file.  Loads validate the
+    envelope, then the schema version.
 
     {b Resume model.}  The snapshot stores the {e settled frontier}: a
     cursor [n] such that every candidate index [< n] was fully
@@ -44,17 +40,82 @@ module Crc32 : sig
   (** Fixed-width lowercase hex (8 digits). *)
 end
 
+val write_all : Unix.file_descr -> string -> unit
+(** Write every byte of the string, looping over short writes.
+    [Unix_error]s propagate. *)
+
 val atomic_write : ?fsync:bool -> path:string -> string -> unit
 (** [atomic_write ~path data] writes [data] to [path] via a temp file
     in the same directory, [fsync] (default [true]), and an atomic
     [rename].  Concurrent readers of [path] never observe a partial
     file. *)
 
+(** The one codec of the CRC-framed JSON formats: snapshots,
+    fleet leases, flight-recorder dumps and RPC frames.
+
+    {b Envelope.}  One ASCII header line, the body, and a newline:
+    {v MAGIC <crc32-hex> <body-length>
+<body JSON>
+v}
+    The magic names the format:
+    - [FOLEARNSNAP1]: checkpoint snapshots ({!Snapshot});
+    - [FOLEARNLEASE1]: fleet chunk leases ([Fleet.Lease]);
+    - [FOLEARNFDR1]: flight-recorder dumps ([Pulse.Fdr]);
+    - [FOLEARNRPC1]: daemon RPC frames ([Serve.Frame]).
+
+    The CRC is the standard IEEE/zlib polynomial over the body bytes
+    ({!Crc32}, Python's [zlib.crc32]), so an external harness can
+    validate any of the four with one checksum routine.
+
+    {b Rules.}  {!decode} applies the same checks, in this order, to
+    every format, and reports the first failure as [Error] (never an
+    exception):
+    + a header line (["missing header line"]) of exactly three
+      space-separated fields (["malformed header line"]) whose first
+      is the expected magic (["bad magic \"M\""]);
+    + a CRC of exactly 8 hex digits and a length of 1 to 18 decimal
+      digits — no sign, prefix or separator (["malformed header
+      fields"]);
+    + a length no larger than the cap, when one is given (["frame too
+      large (N > CAP)"]);
+    + the whole body and its terminator present (["truncated body"]);
+    + a ['\n'] right after the body (["missing frame terminator"]);
+    + the CRC of the body (["CRC mismatch (header H, body B)"]);
+    + a JSON body (["body is not JSON: ..."]).
+    Bytes after the terminator are ignored. *)
+module Framed : sig
+  val encode : magic:string -> Obs.Json.t -> string
+  (** The full envelope bytes for a JSON body. *)
+
+  val decode :
+    magic:string -> ?max_len:int -> string -> (Obs.Json.t, string) result
+  (** Check [data] against the rules above and parse its body.
+      [max_len] caps the announced body length (default: no cap).
+      [decode ~magic (encode ~magic j) = Ok j]. *)
+
+  val load :
+    magic:string ->
+    (Obs.Json.t -> ('a, string) result) ->
+    string ->
+    ('a, [> `Not_found | `Corrupt of string ]) result
+  (** Read a file, {!decode} it and convert the body.  [`Not_found]
+      when the file cannot be read; [`Corrupt] carries the decode or
+      conversion error. *)
+
+  val parse_header :
+    magic:string -> ?max_len:int -> string -> (int * int, string) result
+  (** The header rules alone, on the line without its ['\n']:
+      [Ok (crc, body_length)].  For readers that take the header and
+      the body from a stream in two steps. *)
+
+  val check_body :
+    crc:int -> len:int -> ?pos:int -> string -> (Obs.Json.t, string) result
+  (** The body rules alone: the [len] body bytes at [pos] (default 0)
+      and their terminator, the CRC, and the JSON parse. *)
+end
+
 (** The durable snapshot record and its codec. *)
 module Snapshot : sig
-  val schema_version : int
-  val magic : string
-
   type t = {
     run_id : string;  (** digest of the run's defining parameters *)
     solver : string;  (** enumerator name: brute/counting/local/nd/... *)
@@ -69,8 +130,8 @@ module Snapshot : sig
 
   val encode : t -> string
   val decode : string -> (t, string) result
-  (** [decode (encode s) = Ok s]; any corruption of magic, length,
-      CRC, JSON shape, or schema version yields [Error]. *)
+  (** [decode (encode s) = Ok s]; a broken envelope ({!Framed}), JSON
+      shape or schema version yields [Error]. *)
 
   val save : path:string -> t -> unit
   (** Atomic durable write ({!atomic_write}); records an obs span

@@ -1,51 +1,15 @@
-(* See the .mli for the wire format.  The header line is capped too
-   (magic + 8 hex digits + a 20-digit length is well under 64 bytes),
-   so a peer streaming garbage without a newline cannot grow a buffer
-   unboundedly. *)
+(* See the .mli for the wire format; the envelope rules live in
+   [Resil.Framed].  The header line is capped too (magic + 8 hex digits
+   + an 18-digit length is well under 64 bytes), so a peer streaming
+   garbage without a newline cannot grow a buffer unboundedly. *)
 
 let magic = "FOLEARNRPC1"
 let default_max_len = 8 * 1024 * 1024
 let max_header = 64
-
-let encode j =
-  let body = Obs.Json.to_string j in
-  Printf.sprintf "%s %s %d\n%s\n" magic
-    (Resil.Crc32.to_hex (Resil.Crc32.string body))
-    (String.length body) body
-
-let parse_header header =
-  match String.split_on_char ' ' header with
-  | [ m; crc_hex; len_s ] when m = magic -> (
-      match (int_of_string_opt ("0x" ^ crc_hex), int_of_string_opt len_s) with
-      | Some crc, Some len when len >= 0 -> Ok (crc, len)
-      | _ -> Error "malformed header fields"
-      | exception _ -> Error "malformed header fields")
-  | m :: _ when m <> magic -> Error (Printf.sprintf "bad magic %S" m)
-  | _ -> Error "malformed header line"
-
-let check_body ~crc body =
-  let actual = Int32.to_int (Resil.Crc32.string body) land 0xFFFFFFFF in
-  if actual <> crc land 0xFFFFFFFF then
-    Error (Printf.sprintf "CRC mismatch (header %08x, body %08x)" crc actual)
-  else
-    match Obs.Json.of_string body with
-    | Error e -> Error ("body is not JSON: " ^ e)
-    | Ok j -> Ok j
+let encode j = Resil.Framed.encode ~magic j
 
 let decode ?(max_len = default_max_len) data =
-  match String.index_opt data '\n' with
-  | None -> Error "missing header line"
-  | Some nl -> (
-      match parse_header (String.sub data 0 nl) with
-      | Error e -> Error e
-      | Ok (crc, len) ->
-          if len > max_len then
-            Error (Printf.sprintf "frame too large (%d > %d)" len max_len)
-          else if String.length data < nl + 1 + len + 1 then
-            Error "truncated body"
-          else if data.[nl + 1 + len] <> '\n' then
-            Error "missing frame terminator"
-          else check_body ~crc (String.sub data (nl + 1) len))
+  Resil.Framed.decode ~magic ~max_len data
 
 (* -- socket IO ----------------------------------------------------- *)
 
@@ -76,39 +40,32 @@ let read ?(max_len = default_max_len) fd =
   match read_header () with
   | Error _ as e -> e
   | Ok line -> (
-      match parse_header line with
+      match Resil.Framed.parse_header ~magic ~max_len line with
       | Error e -> Error (`Error e)
-      | Ok (crc, len) ->
-          if len > max_len then
-            Error
-              (`Error (Printf.sprintf "frame too large (%d > %d)" len max_len))
-          else (
-            (* body + trailing newline *)
-            let want = len + 1 in
-            let buf = Bytes.create want in
-            let got = ref 0 in
-            let short = ref false in
-            (try
-               while (not !short) && !got < want do
-                 match Unix.read fd buf !got (want - !got) with
-                 | 0 -> short := true
-                 | n -> got := !got + n
-               done
-             with Unix.Unix_error (Unix.ECONNRESET, _, _) -> short := true);
-            if !short then Error (`Error "EOF inside body")
-            else
-              match check_body ~crc (Bytes.sub_string buf 0 len) with
-              | Ok j -> Ok j
-              | Error e -> Error (`Error e)))
+      | Ok (crc, len) -> (
+          (* body + trailing newline *)
+          let want = len + 1 in
+          let buf = Bytes.create want in
+          let got = ref 0 in
+          let short = ref false in
+          (try
+             while (not !short) && !got < want do
+               match Unix.read fd buf !got (want - !got) with
+               | 0 -> short := true
+               | n -> got := !got + n
+             done
+           with Unix.Unix_error (Unix.ECONNRESET, _, _) -> short := true);
+          if !short then Error (`Error "EOF inside body")
+          else
+            match
+              Resil.Framed.check_body ~crc ~len (Bytes.unsafe_to_string buf)
+            with
+            | Ok j -> Ok j
+            | Error e -> Error (`Error e)))
 
 let write fd j =
-  let s = encode j in
-  let n = String.length s in
-  let written = ref 0 in
   try
-    while !written < n do
-      written := !written + Unix.write_substring fd s !written (n - !written)
-    done;
+    Resil.write_all fd (encode j);
     Ok ()
   with
   | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->

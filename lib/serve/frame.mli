@@ -1,21 +1,10 @@
-(** Length-framed, CRC'd JSON frames for the folserve RPC socket.
-
-    One frame is one ASCII header line followed by the body and a
-    trailing newline:
-    {v FOLEARNRPC1 <crc32-hex> <body-length>
-<body JSON>
-v}
-    The CRC is the standard IEEE/zlib polynomial over the body bytes
-    (verifiable externally with [zlib.crc32]) — the same discipline as
-    the [Resil] snapshots and the fleet lease files, so a harness can
-    validate any durable or on-wire artefact of this codebase with one
-    checksum routine.
+(** Length-framed, CRC'd JSON frames for the folserve RPC socket: one
+    frame is a [Resil.Framed] envelope with magic [FOLEARNRPC1], whose
+    trailing newline ends the frame on the stream.
 
     Both sides enforce a frame cap: a peer announcing a body longer
     than [max_len] is cut off before any allocation, so a corrupt or
     malicious length field cannot balloon the daemon. *)
-
-val magic : string
 
 val default_max_len : int
 (** 8 MiB: comfortably above any hypothesis or stats payload. *)
@@ -24,14 +13,15 @@ val encode : Obs.Json.t -> string
 (** The full frame bytes for a JSON body. *)
 
 val decode : ?max_len:int -> string -> (Obs.Json.t, string) result
-(** Validate magic, header shape, length, cap and CRC, then parse the
-    body.  [decode ?max_len (encode j) = Ok j] whenever
-    [String.length (Obs.Json.to_string j) <= max_len]. *)
+(** [Resil.Framed.decode] with the RPC magic and a [max_len] cap
+    (default {!default_max_len}).  [decode ?max_len (encode j) = Ok j]
+    whenever [String.length (Obs.Json.to_string j) <= max_len]. *)
 
 val read : ?max_len:int -> Unix.file_descr -> (Obs.Json.t, [ `Eof | `Error of string ]) result
 (** Read exactly one frame from a socket.  [`Eof] when the peer closed
     before the first header byte (a clean disconnect); [`Error] on a
-    malformed or oversized frame, a mid-frame EOF, or a socket error. *)
+    frame that breaks a {!decode} rule, a mid-frame EOF, or a socket
+    error. *)
 
 val write : Unix.file_descr -> Obs.Json.t -> (unit, string) result
 (** Write one frame; EPIPE/ECONNRESET surface as [Error] (the peer

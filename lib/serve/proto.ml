@@ -36,14 +36,14 @@ let request_to_json r =
 
 let request_of_json j =
   let mem name = J.member name j in
-  match Option.bind (mem "schema_version") J.to_int_opt with
-  | None -> Error "missing or non-int field \"schema_version\""
-  | Some v when v <> schema_version ->
+  match J.int_field "schema_version" j with
+  | Error _ as e -> e
+  | Ok v when v <> schema_version ->
       Error (Printf.sprintf "unsupported schema_version %d" v)
-  | Some _ -> (
-      match Option.bind (mem "op") J.to_string_opt with
-      | None -> Error "missing or non-string field \"op\""
-      | Some op ->
+  | Ok _ -> (
+      match J.string_field "op" j with
+      | Error _ as e -> e
+      | Ok op ->
           let tenant =
             Option.value ~default:"anon"
               (Option.bind (mem "tenant") J.to_string_opt)

@@ -7,7 +7,8 @@ For each ERM solver, the harness:
      records its stdout and exit code;
   2. repeatedly starts the same command with `--checkpoint SNAP
      --resume SNAP`, SIGKILLs it at a seeded-random point, validates
-     the surviving snapshot (magic, length, zlib CRC), and resumes;
+     the surviving snapshot (magic, CRC and decimal length fields,
+     body terminator, zlib CRC), and resumes;
   3. asserts that the run that finally completes produced stdout
      byte-identical to the reference and the same exit code.
 
@@ -68,20 +69,29 @@ def fail(msg):
 
 
 def load_snapshot(path):
-    """Validate the snapshot framing and return the decoded body."""
+    """Validate the snapshot framing (the rules of lib/resil's Framed
+    codec) and return the decoded body."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if not raw:
         fail(f"{path}: zero-length snapshot")
     header, _, body = raw.partition(b"\n")
-    fields = header.split()
+    fields = header.split(b" ")
     if len(fields) != 3 or fields[0] != MAGIC:
         fail(f"{path}: bad header {header!r}")
-    length = int(fields[2])
-    if len(body) < length:
-        fail(f"{path}: truncated body ({len(body)} < {length})")
+    crc_hex, length_s = fields[1], fields[2]
+    hex_digits = b"0123456789abcdefABCDEF"
+    if len(crc_hex) != 8 or not all(c in hex_digits for c in crc_hex):
+        fail(f"{path}: bad CRC field {crc_hex!r}")
+    if not (1 <= len(length_s) <= 18 and length_s.isdigit()):
+        fail(f"{path}: bad length field {length_s!r}")
+    length = int(length_s)
+    if len(body) < length + 1:
+        fail(f"{path}: truncated body ({len(body)} < {length + 1})")
+    if body[length:length + 1] != b"\n":
+        fail(f"{path}: missing terminator after the body")
     body = body[:length]
-    if zlib.crc32(body) & 0xFFFFFFFF != int(fields[1], 16):
+    if zlib.crc32(body) & 0xFFFFFFFF != int(crc_hex, 16):
         fail(f"{path}: CRC mismatch")
     return json.loads(body)
 

@@ -24,6 +24,7 @@ let () =
       ("guard", Test_guard.suite);
       ("par", Test_par.suite);
       ("resil", Test_resil.suite);
+      ("framed", Test_framed.suite);
       ("pulse", Test_pulse.suite);
       ("fleet", Test_fleet.suite);
       ("hotpath", Test_hotpath.suite);

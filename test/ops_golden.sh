@@ -1,8 +1,8 @@
 #!/bin/sh
 # Golden check for the op commands of `folearn_cli` (learn, mc, types,
-# game, and plan's parameter checks): stdout and exit code are pinned
-# byte for byte, stderr on every line that carries no timing.  A row
-# that exits 125 (an uncaught exception) always fails.
+# game, plan's parameter checks, and pulse reading a dump): stdout and
+# exit code are pinned byte for byte, stderr on every line that carries
+# no timing.  A row that exits 125 (an uncaught exception) always fails.
 #
 #   ops_golden.sh BINARY DIR [--update]
 #

@@ -10,7 +10,9 @@
    - coordinator expiry: a dead claimant's expired lease returns the
      chunk to the pool under a bumped fence within the heartbeat;
    - fencing: a publish carrying a stale fence token is rejected (and
-     removed) without corrupting the merged best. *)
+     removed) without corrupting the merged best;
+   - corrupt input: a negative-length lease is cleared and a
+     negative-length result rejected, never raised on. *)
 
 module Fl = Fleet
 module Lease = Fleet.Lease
@@ -309,6 +311,32 @@ let test_failures_quarantine () =
       check "poison file written" true
         (Sys.file_exists (Fl.Layout.poison_file dir 0))
 
+(* A lease or a published result whose header announces a negative
+   length is corrupt input: the coordinator clears the lease and
+   rejects the result, and the run settles once good results arrive. *)
+let test_negative_length_files_rejected () =
+  with_dir @@ fun dir ->
+  let meta = meta_for dir ~total:4 ~chunk_size:2 ~heartbeat_s:0.1 in
+  let lease_path = Fl.Layout.lease dir 0 in
+  let done_path = Fl.Layout.done_file dir 1 in
+  Out_channel.with_open_bin lease_path (fun oc ->
+      output_string oc "FOLEARNLEASE1 00000000 -1\n{}\n");
+  Out_channel.with_open_bin done_path (fun oc ->
+      output_string oc "FOLEARNSNAP1 00000000 -1\n{}\n");
+  let cfg = coord_cfg dir ~total:4 ~chunk_size:2 ~heartbeat_s:0.1 in
+  let coord = Domain.spawn (fun () -> Fl.coordinate cfg) in
+  wait_for "corrupt lease and result cleared" (fun () ->
+      (not (Sys.file_exists lease_path)) && not (Sys.file_exists done_path));
+  Fl.publish_done ~dir ~meta ~chunk:0 ~fence:0 ~best:(Some (1, 2));
+  Fl.publish_done ~dir ~meta ~chunk:1 ~fence:0 ~best:(Some (3, 1));
+  match Domain.join coord with
+  | Error m -> Alcotest.failf "coordinate: %s" m
+  | Ok out ->
+      check_int "the corrupt result was rejected" 1
+        (stat out "stale_publishes");
+      check_int "all candidates settled" 4 out.Fl.settled;
+      check "best from the good results" true (out.Fl.best = Some (3, 1))
+
 (* ------------------------------------------------------------------ *)
 (* Chaos spec parsing                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -342,4 +370,6 @@ let suite =
     Alcotest.test_case "repeated failures quarantine" `Quick
       test_failures_quarantine;
     Alcotest.test_case "chaos spec parsing" `Quick test_parse_chaos;
+    Alcotest.test_case "negative-length lease and result rejected" `Quick
+      test_negative_length_files_rejected;
   ]

@@ -164,6 +164,24 @@ let test_mid_frame_disconnect_is_error () =
       | Error `Eof -> Alcotest.fail "mid-frame close must not look like Eof"
       | Ok _ -> Alcotest.fail "half a frame must not decode")
 
+(* [read] applies [decode]'s body rules: a frame whose last byte is not
+   the newline terminator is an error on the socket as on a string *)
+let test_read_checks_terminator () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close a with _ -> ());
+      try Unix.close b with _ -> ())
+    (fun () ->
+      let frame = Serve.Frame.encode (J.Obj [ ("op", J.String "ping") ]) in
+      let bad = String.sub frame 0 (String.length frame - 1) ^ "X" in
+      check "decode rejects it" true (Result.is_error (Serve.Frame.decode bad));
+      ignore (Unix.write_substring a bad 0 (String.length bad));
+      match Serve.Frame.read b with
+      | Error (`Error _) -> ()
+      | Error `Eof -> Alcotest.fail "a full bad frame must not look like Eof"
+      | Ok _ -> Alcotest.fail "a frame ending in X must not decode")
+
 (* ------------------------------------------------------------------ *)
 (* Protocol round-trip and taxonomy                                    *)
 (* ------------------------------------------------------------------ *)
@@ -578,4 +596,6 @@ let suite =
       test_learn_identity_deterministic;
     Alcotest.test_case "learn run id is computed lazily" `Quick
       test_learn_run_id_is_lazy;
+    Alcotest.test_case "read checks the frame terminator" `Quick
+      test_read_checks_terminator;
   ]
