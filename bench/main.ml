@@ -48,7 +48,12 @@ let add_row kvs = bench_rows := Obs.Json.Obj kvs :: !bench_rows
    symmetry with the CLI's snapshots *)
 let bench_checkpoint_writes = ref 0
 
-(* experiment-specific headline keys (E20 reports its fleet counters
+(* runs behind each reported timing: an experiment that repeats its
+   measurement (min-of-samples, percentiles) sets its count; 1 means
+   every figure is a single run *)
+let bench_samples = ref 1
+
+(* experiment-specific headline keys (E21 and E22 report their health
    at the top level so check_bench_json.py can gate on them) *)
 let bench_extra_headline : (string * Obs.Json.t) list ref = ref []
 
@@ -69,6 +74,7 @@ let run_instrumented name f =
   bench_rows := [];
   bench_checkpoint_writes := 0;
   bench_extra_headline := [];
+  bench_samples := 1;
   Obs.enable ();
   Obs.reset_all ();
   (* fresh intern tables too, so an experiment's counters do not depend
@@ -110,6 +116,10 @@ let run_instrumented name f =
          ("experiment", jstr name);
          ("schema_version", jint bench_schema_version);
          ("jobs", jint (Par.jobs ()));
+         (* the host: the cores a pool may use, and the compiler *)
+         ("cores", jint (Domain.recommended_domain_count ()));
+         ("ocaml_version", jstr Sys.ocaml_version);
+         ("samples", jint !bench_samples);
          ("wall_time_s", jfloat wall);
          ( "model_check_calls",
            jint (Obs.Metric.find_counter snap "modelcheck.eval.calls") );
@@ -1061,6 +1071,11 @@ let micro () =
     Benchmark.all cfg instances
       (Test.make_grouped ~name:"core" ~fmt:"%s/%s" tests)
   in
+  (* each estimate regresses over its own samples; record the fewest *)
+  bench_samples :=
+    Hashtbl.fold
+      (fun _ (b : Benchmark.t) acc -> min acc (Array.length b.Benchmark.lr))
+      raw max_int;
   let ols =
     Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
   in
@@ -1142,6 +1157,7 @@ let overhead () =
   let phi = Fo.Parser.parse "forall x. exists y. E(x, y)" in
   let reps = 30 in
   let samples = 11 in
+  bench_samples := samples;
   let once f =
     snd
       (time (fun () ->
@@ -1219,6 +1235,7 @@ let e17 () =
     ]
   in
   let samples = 7 in
+  bench_samples := samples;
   List.iter (fun (_, mk) -> ignore (once (mk ()))) variants;
   (* interleaved min-of-samples, as in the overhead experiment *)
   let best = Array.make (List.length variants) infinity in
@@ -1413,6 +1430,7 @@ let e19 () =
   let reps = 12 in
   (* a multiple of 3: the three leg orders appear equally often *)
   let samples = 6 in
+  bench_samples := samples;
   let once f =
     snd
       (time (fun () ->
@@ -1537,174 +1555,6 @@ let e19 () =
   if was_enabled then Obs.enable () else Obs.disable ()
 
 (* ------------------------------------------------------------------ *)
-(* E20: fleet sharding - coordination tax and fault recovery           *)
-(* ------------------------------------------------------------------ *)
-
-let e20 () =
-  header "E20  fleet sharding: coordination tax, lease expiry, quarantine";
-  (* the fleet's unit of work is Erm_brute.eval_range, so the baseline
-     is the same range evaluated sequentially in-process: the gap is
-     pure coordination (lease claims, snapshot publishes, merge polls),
-     not solver work.  Workers run as domains sharing the directory
-     protocol with the coordinator, exactly as external [--worker]
-     claimants would. *)
-  let g = Graph.with_colors (Gen.cycle 24) [ ("Red", [ 0; 3; 6; 9 ]) ] in
-  let lam =
-    Sam.label_with g
-      ~target:(fun v -> Graph.has_color g "Red" v.(0))
-      (Sam.all_tuples g ~k:1)
-  in
-  let total = Graph.order g in
-  let chunk_size = 1 in
-  let run_id = "bench-e20" in
-  let temp_dir tag =
-    let path = Filename.temp_file ("folearn_bench_e20_" ^ tag) "" in
-    Sys.remove path;
-    Unix.mkdir path 0o755;
-    path
-  in
-  let rec rm_rf path =
-    match Unix.lstat path with
-    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-    | { Unix.st_kind = Unix.S_DIR; _ } ->
-        Array.iter
-          (fun e -> rm_rf (Filename.concat path e))
-          (Sys.readdir path);
-        Unix.rmdir path
-    | _ -> Unix.unlink path
-  in
-  let eval ~lo ~hi = Brute.eval_range g ~k:1 ~ell:1 ~q:2 lam ~lo ~hi in
-  let _, seq_s = time (fun () -> eval ~lo:0 ~hi:total) in
-  let seq_best = eval ~lo:0 ~hi:total in
-  let expired = ref 0 and quarantined = ref 0 and max_workers = ref 0 in
-  let fleet_leg ~tag ~workers ~chaos ~plant_dead_lease ~max_attempts =
-    let dir = temp_dir tag in
-    Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-    Fleet.Layout.ensure dir;
-    if plant_dead_lease then begin
-      (* a claimant that died before the run: its heartbeat deadline
-         is long past, so the coordinator must expire it and re-pool
-         chunk 0 under a bumped fence *)
-      let dead =
-        {
-          Fleet.Lease.chunk = 0; lo = 0; hi = chunk_size; worker = "w-dead";
-          pid = 1; fence = 0; deadline = Unix.gettimeofday () -. 60.0;
-        }
-      in
-      ignore (Fleet.Lease.claim ~path:(Fleet.Layout.lease dir 0) dead)
-    end;
-    let worker_domains =
-      List.init workers (fun i ->
-          Domain.spawn (fun () ->
-              Fleet.worker
-                {
-                  Fleet.w_dir = dir;
-                  w_id = Printf.sprintf "bw%d" i;
-                  w_run_id = run_id;
-                  w_solver = "brute";
-                  w_parent = None;
-                  w_chaos = chaos;
-                  (* in-process workers must not install a Guard
-                     budget: the slot is process-global and the bench
-                     driver already holds it *)
-                  w_make_budget = (fun () -> None);
-                  (* likewise no intern reset: the registries are
-                     process-global and shared with sibling workers *)
-                  w_reclaim = (fun () -> ());
-                }
-                ~eval))
-    in
-    let cfg =
-      {
-        Fleet.c_dir = dir;
-        c_run_id = run_id;
-        c_solver = "brute";
-        c_total = total;
-        c_chunk_size = chunk_size;
-        c_heartbeat_s = 0.2;
-        c_max_attempts = max_attempts;
-        c_sample_size = Sam.size lam;
-        c_workers = 0;
-        (* workers are domains, not children *)
-        c_spawn = (fun _ -> 0);
-        c_backoff_base_s = 0.01;
-        c_backoff_cap_s = 0.05;
-      }
-    in
-    let out, wall_s = time (fun () -> Fleet.coordinate cfg) in
-    let codes = List.map Domain.join worker_domains in
-    match out with
-    | Error m ->
-        row "%-34s coordinator failed: %s\n" tag m;
-        None
-    | Ok out ->
-        List.iter (fun c -> assert (c = 0)) codes;
-        let stat k =
-          match List.assoc_opt k out.Fleet.stats with Some v -> v | None -> 0
-        in
-        expired := !expired + stat "leases_expired";
-        quarantined := !quarantined + stat "chunks_quarantined";
-        max_workers := max !max_workers workers;
-        add_row
-          [
-            ("leg", jstr tag);
-            ("workers", jint workers);
-            ("wall_s", jfloat wall_s);
-            ("settled", jint out.Fleet.settled);
-            ("leases_expired", jint (stat "leases_expired"));
-            ("chunks_quarantined", jint (stat "chunks_quarantined"));
-            ("failures_retried", jint (stat "failures_retried"));
-            ("stale_publishes", jint (stat "stale_publishes"));
-          ];
-        row "%-34s %2d workers %10.4f s  settled %2d/%2d  ratio %6.2f\n" tag
-          workers wall_s out.Fleet.settled total (wall_s /. seq_s);
-        Some out
-  in
-  add_row [ ("leg", jstr "sequential"); ("wall_s", jfloat seq_s) ];
-  row "%-34s %2s         %10.4f s\n" "sequential eval_range" "" seq_s;
-  (* clean legs: the coordination tax at 1, 2, 4 in-process workers;
-     the merged best must equal the sequential lex-min every time *)
-  List.iter
-    (fun workers ->
-      match
-        fleet_leg
-          ~tag:(Printf.sprintf "fleet clean w%d" workers)
-          ~workers ~chaos:[] ~plant_dead_lease:false ~max_attempts:3
-      with
-      | None -> ()
-      | Some out -> assert (out.Fleet.best = seq_best))
-    [ 1; 2; 4 ];
-  (* recovery leg: a pre-seeded dead lease must be expired (fence
-     bump) without changing the merged best *)
-  (match
-     fleet_leg ~tag:"fleet dead-lease recovery" ~workers:2 ~chaos:[]
-       ~plant_dead_lease:true ~max_attempts:3
-   with
-  | None -> ()
-  | Some out ->
-      assert (out.Fleet.best = seq_best);
-      assert (List.assoc "leases_expired" out.Fleet.stats >= 1));
-  (* quarantine leg: one chunk fails deterministically on every claim;
-     after max_attempts it must land in the poison list and the rest
-     of the range must still settle *)
-  (match
-     fleet_leg ~tag:"fleet poisoned chunk" ~workers:2
-       ~chaos:[ Fleet.Poison 5 ] ~plant_dead_lease:false ~max_attempts:2
-   with
-  | None -> ()
-  | Some out ->
-      assert (List.length out.Fleet.quarantined = 1);
-      assert (out.Fleet.settled = total - chunk_size));
-  bench_extra_headline :=
-    [
-      ("workers", jint !max_workers);
-      ("leases_expired", jint !expired);
-      ("chunks_quarantined", jint !quarantined);
-    ];
-  row "acceptance: clean-leg best == sequential lex-min; dead lease \
-       expired; poisoned chunk quarantined.\n"
-
-(* ------------------------------------------------------------------ *)
 (* E21: hot-path engine - compiled eval, CSR adjacency, sharded intern *)
 (* ------------------------------------------------------------------ *)
 
@@ -1824,7 +1674,6 @@ let e21 () =
     [ 1; 2; 4 ];
   bench_extra_headline :=
     [
-      ("cores", jint cores);
       ("compile_hits", jint (Obs.Metric.value compile_hits_c));
       ( "intern_shard_merges",
         jint (Obs.Metric.value ty_merges_c + Obs.Metric.value cty_merges_c) );
@@ -1882,6 +1731,7 @@ let e22 () =
     (pct a 0.5, pct a 0.99)
   in
   let warm_n = 9 and cold_n = 7 in
+  bench_samples := min warm_n cold_n;
   ignore (run_learn ());
   (* untimed table warm-up *)
   let warm_times =
@@ -2085,8 +1935,8 @@ let experiments =
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5);
     ("e6", e6); ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10);
     ("e11", e11); ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15);
-    ("e16", e16); ("e17", e17); ("e18", e18); ("e19", e19); ("e20", e20);
-    ("e21", e21); ("e22", e22);
+    ("e16", e16); ("e17", e17); ("e18", e18); ("e19", e19); ("e21", e21);
+    ("e22", e22);
     ("micro", micro);
     ("overhead", overhead);
   ]

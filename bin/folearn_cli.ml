@@ -463,129 +463,6 @@ let install_progress ~metrics ~run_id ~solver ~sample_size ?fuel_lo ?fuel_hi
              }))
 
 (* ------------------------------------------------------------------ *)
-(* fleet: fault-tolerant multi-process ERM sharding (learn only)       *)
-(* ------------------------------------------------------------------ *)
-
-(* `learn --fleet DIR --workers N` runs the coordinator: it shards the
-   candidate space into lease-claimed chunks under DIR, keeps N worker
-   processes alive (respawning dead ones), and merges their published
-   frontiers into the deterministic (error, index) lex-min — so the
-   final output is byte-identical to a sequential run.  `--worker`
-   turns the invocation into a claimant for an externally supervised
-   fleet (same DIR, same learn flags). *)
-
-type fleet_opts = {
-  f_dir : string option;
-  f_workers : int;
-  f_worker : bool;
-  f_worker_id : string option;
-  f_heartbeat : float;
-  f_chunk : int option;
-  f_max_attempts : int;
-  f_chaos : string option;
-}
-
-let fleet_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "fleet" ] ~docv:"DIR"
-        ~doc:
-          "Shard the ERM sweep across processes coordinating through \
-           $(docv) (lease files, heartbeat expiry, fenced publishes).  \
-           The directory is the durable state: re-running the same \
-           command against it resumes where the fleet left off.")
-
-let fleet_workers_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "workers" ] ~docv:"N"
-        ~doc:
-          "Worker processes the coordinator spawns and keeps alive \
-           (default 1; 0 = externally supervised $(b,--worker) \
-           claimants only).")
-
-let fleet_worker_arg =
-  Arg.(
-    value & flag
-    & info [ "worker" ]
-        ~doc:
-          "Run as a fleet worker: claim chunks from $(b,--fleet) DIR, \
-           evaluate, publish, repeat until the coordinator writes DONE.  \
-           Prints nothing to stdout.")
-
-let fleet_worker_id_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "fleet-worker-id" ] ~docv:"ID"
-        ~doc:"Worker id recorded in leases (default: w-ext-<pid>).")
-
-let fleet_heartbeat_arg =
-  Arg.(
-    value & opt float 5.0
-    & info [ "fleet-heartbeat" ] ~docv:"SECONDS"
-        ~doc:
-          "Lease heartbeat: a worker renews its lease every third of \
-           this, and the coordinator reclaims chunks whose lease \
-           deadline passed (default 5).")
-
-let fleet_chunk_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "fleet-chunk" ] ~docv:"N"
-        ~doc:
-          "Candidates per chunk (default: candidate count / (8 x \
-           workers), at most 4096 chunks).")
-
-let fleet_max_attempts_arg =
-  Arg.(
-    value & opt int 3
-    & info [ "fleet-max-attempts" ] ~docv:"N"
-        ~doc:
-          "Quarantine a chunk after $(docv) failed attempts instead of \
-           retrying forever (default 3).")
-
-let fleet_chaos_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "fleet-chaos" ] ~docv:"SPEC"
-        ~doc:
-          "Test-only fault injection: comma-separated $(b,poison:C) \
-           (chunk C always fails deterministically) and $(b,flaky:C:N) \
-           (chunk C fails transiently on its first N claims) terms, \
-           applied by workers.")
-
-let fleet_term =
-  let mk f_dir f_workers f_worker f_worker_id f_heartbeat f_chunk
-      f_max_attempts f_chaos =
-    {
-      f_dir; f_workers; f_worker; f_worker_id; f_heartbeat; f_chunk;
-      f_max_attempts; f_chaos;
-    }
-  in
-  Term.(
-    const mk $ fleet_dir_arg $ fleet_workers_arg $ fleet_worker_arg
-    $ fleet_worker_id_arg $ fleet_heartbeat_arg $ fleet_chunk_arg
-    $ fleet_max_attempts_arg $ fleet_chaos_arg)
-
-let fleet_chaos_of = function
-  | None -> []
-  | Some spec -> (
-      match Fleet.parse_chaos spec with
-      | Ok chaos -> chaos
-      | Error m -> usage "folearn learn: --fleet-chaos: %s" m)
-
-(* fleet shards the indexable parameter sweeps; nd and local have no
-   stable candidate numbering to shard over *)
-let fleet_check_solver = function
-  | `Brute | `Counting -> ()
-  | `Nd | `Local ->
-      usage "folearn learn: --fleet supports --solver brute and counting only"
-
-(* ------------------------------------------------------------------ *)
 (* learn                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -643,258 +520,56 @@ let learn_cmd =
   let noise_arg =
     Arg.(value & opt float 0.0 & info [ "noise" ] ~doc:"Label-flip probability.")
   in
-  (* fleet worker: claim/evaluate/publish against --fleet DIR until the
-     coordinator writes DONE.  No stdout, no telemetry, no signal
-     rewiring — the coordinator owns the run's observable surface.
-     Workers rebuild the run's state from their own flags through
-     [Exec.learn_prep], which depends only on the arguments. *)
-  let run_fleet_worker fleet (p : Exec.learn_p) budget_opts =
-    let dir =
-      match fleet.f_dir with
-      | Some d -> d
-      | None -> usage "folearn learn: --worker requires --fleet DIR"
-    in
-    fleet_check_solver p.lp_solver;
-    let chaos = fleet_chaos_of fleet.f_chaos in
-    let l = Exec.learn_prep p in
-    let { Exec.lp_k = k; lp_ell = ell; lp_q = q; lp_tmax = tmax; _ } = p in
-    let g = l.g and lam = l.sample in
-    let eval =
-      match p.lp_solver with
-      | `Brute ->
-          fun ~lo ~hi -> Folearn.Erm_brute.eval_range g ~k ~ell ~q lam ~lo ~hi
-      | `Counting ->
-          fun ~lo ~hi ->
-            Folearn.Erm_counting.eval_range g ~k ~ell ~q ~tmax lam ~lo ~hi
-      | _ -> assert false
-    in
-    Fleet.worker
-      {
-        Fleet.w_dir = dir;
-        w_id =
-          (match fleet.f_worker_id with
-          | Some id -> id
-          | None -> Printf.sprintf "w-ext-%d" (Unix.getpid ()));
-        w_run_id = Lazy.force l.run_id;
-        w_solver = Exec.solver_name p.lp_solver;
-        w_parent =
-          Option.bind
-            (Sys.getenv_opt "FOLEARN_FLEET_PARENT")
-            int_of_string_opt;
-        w_chaos = chaos;
-        w_make_budget = (fun () -> budget_of budget_opts);
-        (* chunk results carry only (index, errors): no type ids
-           survive a chunk, so the worker process can drop the intern
-           registries instead of growing them for the whole drain *)
-        w_reclaim =
-          (fun () ->
-            Modelcheck.Types.reset_tables ();
-            Modelcheck.Ctypes.reset_tables ());
-      }
-      ~eval
-  in
-  (* fleet coordinator: shard, supervise, merge; the printed result is
-     byte-identical to the sequential solver's *)
-  let run_fleet_coordinator ~dir fleet ~precheck (p : Exec.learn_p)
-      budget_opts ckpt_opts pulse =
-    fleet_check_solver p.lp_solver;
-    if ckpt_opts.ck_path <> None || ckpt_opts.ck_resume <> None then
-      usage
-        "folearn learn: --fleet and --checkpoint/--resume are mutually \
-         exclusive (the fleet directory is the durable state)";
-    if fleet.f_worker_id <> None then
-      usage "folearn learn: --fleet-worker-id requires --worker";
-    if fleet.f_workers < 0 then
-      usage "folearn learn: --workers must be >= 0 (got %d)" fleet.f_workers;
-    if fleet.f_heartbeat <= 0.0 then
-      usage "folearn learn: --fleet-heartbeat must be positive";
-    if fleet.f_max_attempts < 1 then
-      usage "folearn learn: --fleet-max-attempts must be >= 1";
-    (* workers apply the chaos spec; validate it up front anyway so a
-       typo fails the run before any fork *)
-    let (_ : Fleet.chaos list) = fleet_chaos_of fleet.f_chaos in
-    let l = Exec.learn_prep p in
-    let run_id = Lazy.force l.run_id
-    and solver_name = Exec.solver_name p.lp_solver in
-    let sample_size = Folearn.Sample.size l.sample in
-    Exec.print_training Format.std_formatter l;
-    let total =
-      match Graph.Tuple.count ~n:(Graph.order l.g) ~k:p.lp_ell with
-      | Some t -> t
-      | None ->
-          usage
-            "folearn learn: --fleet: the candidate space n^ell does not fit \
-             in an int; nothing to shard"
-    in
-    (* same admission gate the sequential solvers run: a per-chunk
-       budget provably below the first-settle floor is rejected before
-       any worker forks *)
-    (match
-       Exec.sweep_admission ~out:Format.std_formatter
-         ~err:Format.err_formatter ?budget:(budget_of budget_opts) ~precheck l
-     with
-    | Some code -> exit code
-    | None -> ());
-    Guard.clear_interrupt ();
-    install_signals ();
-    let mon = Fleet.Monitor.create () in
-    let ctl =
-      if pulse.metrics_addr <> None then
-        Resil.Ctl.observer ~run_id ~solver:solver_name ()
-      else Resil.Ctl.none
-    in
-    (* /progress: the standard frontier document plus a "fleet" member
-       with per-worker liveness, lease churn and quarantine counts *)
-    if pulse.metrics_addr <> None then
-      Pulse.Server.set_progress
-        (Some
-           (fun () ->
-             let base =
-               Pulse.Progress.to_json
-                 {
-                   Pulse.Progress.run_id;
-                   solver = solver_name;
-                   frontier = Resil.Ctl.frontier ctl;
-                   total = Some total;
-                   best = Resil.Ctl.best ctl;
-                   sample_size;
-                   fuel_spent = None;
-                   elapsed_ns = None;
-                   fuel_lo = None;
-                   fuel_hi = None;
-                 }
-             in
-             match base with
-             | Obs.Json.Obj kvs ->
-                 Obs.Json.Obj
-                   (kvs @ [ ("fleet", Fleet.Monitor.to_json mon) ])
-             | j -> j));
-    let chunk_size =
-      match fleet.f_chunk with
-      | Some c when c >= 1 -> c
-      | Some c -> usage "folearn learn: --fleet-chunk must be >= 1 (got %d)" c
-      | None ->
-          let by_workers = max 1 (total / (8 * max 1 fleet.f_workers)) in
-          let min_for_cap = (total + 4095) / 4096 in
-          max by_workers min_for_cap
-    in
-    Unix.putenv "FOLEARN_FLEET_PARENT" (string_of_int (Unix.getpid ()));
-    let spawn i =
-      Unix.create_process Sys.executable_name
-        (Array.append Sys.argv
-           [| "--worker"; "--fleet-worker-id"; "w" ^ string_of_int i |])
-        Unix.stdin Unix.stdout Unix.stderr
-    in
-    let cfg =
-      {
-        Fleet.c_dir = dir;
-        c_run_id = run_id;
-        c_solver = solver_name;
-        c_total = total;
-        c_chunk_size = chunk_size;
-        c_heartbeat_s = fleet.f_heartbeat;
-        c_max_attempts = fleet.f_max_attempts;
-        c_sample_size = sample_size;
-        c_workers = fleet.f_workers;
-        c_spawn = spawn;
-        c_backoff_base_s = Fleet.default_backoff_base_s;
-        c_backoff_cap_s = Fleet.default_backoff_cap_s;
-      }
-    in
-    match Fleet.coordinate ~monitor:mon ~ctl cfg with
-    | Error msg ->
-        Format.eprintf "folearn learn: --fleet: %s@." msg;
-        2
-    | Ok out ->
-        (* the winning hypothesis is recovered by re-evaluating the
-           lex-min index with a fresh context — the same mechanism a
-           full-skip checkpoint resume uses, so the output bytes match
-           the sequential run *)
-        if out.Fleet.interrupted then begin
-          Format.eprintf
-            "folearn learn: interrupted; fleet directory %s holds the \
-             settled frontier (%d of %d candidates)@."
-            dir out.Fleet.settled total;
-          Pulse.Fdr.dump_now ~reason:"interrupted"
-        end
-        else if out.Fleet.quarantined <> [] then begin
-          Format.eprintf
-            "folearn learn: fleet quarantined %d chunk(s) after repeated \
-             failures:@."
-            (List.length out.Fleet.quarantined);
-          List.iter
-            (fun qc ->
-              Format.eprintf
-                "  chunk %d [%d,%d): %d attempts, last error: %s@."
-                qc.Fleet.q_chunk qc.Fleet.q_lo qc.Fleet.q_hi qc.Fleet.q_attempts
-                qc.Fleet.q_error)
-            out.Fleet.quarantined
-        end;
-        let interrupted = out.Fleet.interrupted in
-        let complete = (not interrupted) && out.Fleet.quarantined = [] in
-        Exec.sweep_answer ~out:Format.std_formatter ~err:Format.err_formatter l
-          ~complete ~interrupted
-          ~params_tried:(if complete then total else out.Fleet.settled)
-          (Option.map fst out.Fleet.best)
-  in
-  let run p budget_opts no_precheck jobs fleet_opts ckpt_opts pulse trace stats
-      stats_json =
+  let run p budget_opts no_precheck jobs ckpt_opts pulse trace stats stats_json
+      =
     apply_jobs jobs;
     let precheck = not no_precheck in
-    if fleet_opts.f_worker then
-      or_usage (fun () -> run_fleet_worker fleet_opts p budget_opts)
-    else
-      with_obs ~pulse ~trace ~stats ~stats_json @@ fun () ->
-      with_pulse ~cmd:"learn" pulse @@ fun () ->
-      or_usage @@ fun () ->
-      match fleet_opts.f_dir with
-      | Some dir ->
-          run_fleet_coordinator ~dir fleet_opts ~precheck p budget_opts
-            ckpt_opts pulse
-      | None ->
-          let l = Exec.learn_prep p in
-          let run_id = l.run_id and solver = Exec.solver_name p.lp_solver in
-          let budget, ckpt =
-            setup_resilience ~cmd:"learn" ~solver ~run_id
-              ~budget:(budget_for_pulse pulse budget_opts)
-              ckpt_opts
-          in
-          (* no checkpointing asked for, but a live /progress endpoint
-             wants the settled frontier: track it passively (admission
-             prechecks still see an un-checkpointed run) *)
-          let ckpt =
-            if pulse.metrics_addr <> None && not (Resil.Ctl.active ckpt) then
-              Resil.Ctl.observer ~run_id:(Lazy.force run_id) ~solver ()
-            else ckpt
-          in
-          (* /progress marries the live frontier with the static plan
-             envelope, so scrapers get fuel_spent / fuel_hi
-             percent-complete without running `folearn plan` themselves *)
-          (if pulse.metrics_addr <> None then
-             let module Plan = Analysis.Plan in
-             let module Cm = Analysis.Cost_model in
-             let plan =
-               Plan.analyze
-                 (Plan.input ~tmax:p.lp_tmax l.g ~k:p.lp_k ~ell:p.lp_ell
-                    ~q:p.lp_q l.tuples)
-                 (Exec.plan_solver p.lp_solver)
-             in
-             let env_lo (e : Cm.Env.t) = Cm.Count.to_int_opt e.Cm.Env.lo in
-             let env_hi (e : Cm.Env.t) = Cm.Count.to_int_opt e.Cm.Env.hi in
-             install_progress ~metrics:true ~run_id ~solver
-               ~sample_size:(Folearn.Sample.size l.sample)
-               ?fuel_lo:(env_lo plan.Plan.fuel_total)
-               ?fuel_hi:(env_hi plan.Plan.fuel_total)
-               ?total:(env_hi plan.Plan.hypotheses)
-               budget ckpt);
-          Exec.learn_solve ~out:Format.std_formatter
-            ~err:Format.err_formatter ?budget ~ckpt ~precheck l
+    with_obs ~pulse ~trace ~stats ~stats_json @@ fun () ->
+    with_pulse ~cmd:"learn" pulse @@ fun () ->
+    or_usage @@ fun () ->
+      let l = Exec.learn_prep p in
+      let run_id = l.run_id and solver = Exec.solver_name p.lp_solver in
+      let budget, ckpt =
+        setup_resilience ~cmd:"learn" ~solver ~run_id
+          ~budget:(budget_for_pulse pulse budget_opts)
+          ckpt_opts
+      in
+      (* no checkpointing asked for, but a live /progress endpoint
+         wants the settled frontier: track it passively (admission
+         prechecks still see an un-checkpointed run) *)
+      let ckpt =
+        if pulse.metrics_addr <> None && not (Resil.Ctl.active ckpt) then
+          Resil.Ctl.observer ~run_id:(Lazy.force run_id) ~solver ()
+        else ckpt
+      in
+      (* /progress marries the live frontier with the static plan
+         envelope, so scrapers get fuel_spent / fuel_hi
+         percent-complete without running `folearn plan` themselves *)
+      (if pulse.metrics_addr <> None then
+         let module Plan = Analysis.Plan in
+         let module Cm = Analysis.Cost_model in
+         let plan =
+           Plan.analyze
+             (Plan.input ~tmax:p.lp_tmax l.g ~k:p.lp_k ~ell:p.lp_ell
+                ~q:p.lp_q l.tuples)
+             (Exec.plan_solver p.lp_solver)
+         in
+         let env_lo (e : Cm.Env.t) = Cm.Count.to_int_opt e.Cm.Env.lo in
+         let env_hi (e : Cm.Env.t) = Cm.Count.to_int_opt e.Cm.Env.hi in
+         install_progress ~metrics:true ~run_id ~solver
+           ~sample_size:(Folearn.Sample.size l.sample)
+           ?fuel_lo:(env_lo plan.Plan.fuel_total)
+           ?fuel_hi:(env_hi plan.Plan.fuel_total)
+           ?total:(env_hi plan.Plan.hypotheses)
+           budget ckpt);
+      Exec.learn_solve ~out:Format.std_formatter
+        ~err:Format.err_formatter ?budget ~ckpt ~precheck l
   in
   let term =
     Term.(
       const run
       $ learn_p_term ~target:target_arg ~noise:noise_arg
-      $ budget_term $ no_precheck_arg $ jobs_arg $ fleet_term $ ckpt_term
+      $ budget_term $ no_precheck_arg $ jobs_arg $ ckpt_term
       $ pulse_term $ trace_arg $ stats_arg $ stats_json_arg)
   in
   Cmd.v

@@ -25,10 +25,24 @@ let of_string text =
   let fail lineno msg =
     raise (Format_error (Printf.sprintf "line %d: %s" lineno msg))
   in
+  let check_vertex n lineno v =
+    if v < 0 || v >= n then
+      fail lineno (Printf.sprintf "vertex %d out of range" v)
+  in
+  (* vertices named before the n line, with their lines, latest first:
+     checked once the order is known *)
+  let early = ref [] in
   let int_of lineno s =
     match int_of_string_opt s with
     | Some v -> v
     | None -> fail lineno (Printf.sprintf "expected an integer, got %S" s)
+  in
+  let vertex lineno s =
+    let v = int_of lineno s in
+    (match !n with
+    | Some n -> check_vertex n lineno v
+    | None -> early := (lineno, v) :: !early);
+    v
   in
   List.iteri
     (fun i line ->
@@ -47,11 +61,18 @@ let of_string text =
           match rest with
           | [ v ] ->
               if !n <> None then fail lineno "duplicate n line";
-              n := Some (int_of lineno v)
+              let v = int_of lineno v in
+              if v < 0 || v > Sys.max_array_length then
+                fail lineno (Printf.sprintf "order %d out of range" v);
+              n := Some v
           | _ -> fail lineno "n takes exactly one argument")
       | "e" :: rest -> (
           match rest with
-          | [ u; v ] -> edges := (int_of lineno u, int_of lineno v) :: !edges
+          | [ u; v ] ->
+              let u = vertex lineno u in
+              let v = vertex lineno v in
+              if u = v then fail lineno (Printf.sprintf "self-loop at %d" u);
+              edges := (u, v) :: !edges
           | _ -> fail lineno "e takes exactly two arguments")
       | "c" :: name :: members ->
           let cell =
@@ -62,17 +83,16 @@ let of_string text =
                 Hashtbl.replace colors name cell;
                 cell
           in
-          cell := List.map (int_of lineno) members @ !cell
+          cell := List.map (vertex lineno) members @ !cell
       | "c" :: [] -> fail lineno "c needs a colour name"
       | tok :: _ -> fail lineno (Printf.sprintf "unknown directive %S" tok))
     lines;
   match !n with
   | None -> raise (Format_error "missing n line")
   | Some n ->
+      List.iter (fun (lineno, v) -> check_vertex n lineno v) (List.rev !early);
       let colors = Hashtbl.fold (fun name cell acc -> (name, !cell) :: acc) colors [] in
-      (try Graph.create ~n ~edges:!edges ~colors
-       with Graph.Invalid_vertex v ->
-         raise (Format_error (Printf.sprintf "vertex %d out of range" v)))
+      Graph.create ~n ~edges:!edges ~colors
 
 let save path g =
   let oc = open_out path in

@@ -12,13 +12,17 @@
     v} *)
 
 exception Format_error of string
-(** Raised with a message naming the offending line. *)
+(** Raised with a message naming the offending line: an unknown
+    directive, a malformed integer, an order out of range, a self-loop
+    or a vertex outside [0, n). *)
 
 val to_string : Graph.t -> string
 (** Serialise (vertices implicit, edges and colours sorted). *)
 
 val of_string : string -> Graph.t
-(** Parse.  @raise Format_error on malformed input. *)
+(** Parse.  @raise Format_error on malformed input; no other
+    exception, short of [Out_of_memory] for an order too large to
+    allocate. *)
 
 val save : string -> Graph.t -> unit
 (** Write to a file. *)

@@ -45,15 +45,6 @@ let result g ~k ~q lam ~tried = function
 let finish g ~k ~q lam st =
   result g ~k ~q lam ~tried:(Sweep.tried st) (Sweep.best st)
 
-let solve_for_params g ~k ~q ~params lam =
-  check_arity ~k lam;
-  let chosen, errors = score ~q lam (Types.make_ctx g) params in
-  result g ~k ~q lam ~tried:1 (Some { Sweep.index = 0; params; chosen; errors })
-
-let eval_range g ~k ~ell ~q lam ~lo ~hi =
-  check_arity ~k lam;
-  Sweep.range (space g ~ell ~q lam) ~lo ~hi
-
 let solve_body ?pool ?ckpt g ~k ~ell ~q lam st =
   Analysis.Guard.require ~what:"Erm_brute.solve"
     (Analysis.Guard.budgets ~ell ~q ~k ());

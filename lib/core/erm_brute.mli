@@ -56,22 +56,3 @@ val solve_budgeted :
 
 val optimal_error : Graph.t -> k:int -> ell:int -> q:int -> Sample.t -> float
 (** Just [ε* = min_{h ∈ H_{k,ℓ,q}} err_Λ(h)]. *)
-
-val solve_for_params :
-  Graph.t -> k:int -> q:int -> params:Graph.Tuple.t -> Sample.t -> result
-(** The inner loop: best hypothesis for one fixed parameter tuple. *)
-
-val eval_range :
-  Graph.t ->
-  k:int ->
-  ell:int ->
-  q:int ->
-  Sample.t ->
-  lo:int ->
-  hi:int ->
-  (int * int) option
-(** One standalone slice of the candidate sweep, for an out-of-process
-    fleet worker: {!Sweep.range} over candidates [\[lo, hi)].  The
-    winning hypothesis is recovered from the returned index with
-    {!solve_for_params}, so the assembled result is bit-identical to
-    the sequential run. *)

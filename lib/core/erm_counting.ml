@@ -42,16 +42,6 @@ let result g ~k ~q ~tmax lam ~tried = function
 let finish g ~k ~q ~tmax lam st =
   result g ~k ~q ~tmax lam ~tried:(Sweep.tried st) (Sweep.best st)
 
-let solve_for_params g ~k ~q ~tmax ~params lam =
-  check_arity ~k lam;
-  let chosen, errors = score ~q ~tmax lam (C.make_ctx g) params in
-  result g ~k ~q ~tmax lam ~tried:1
-    (Some { Sweep.index = 0; params; chosen; errors })
-
-let eval_range g ~k ~ell ~q ~tmax lam ~lo ~hi =
-  check_arity ~k lam;
-  Sweep.range (space g ~ell ~q ~tmax lam) ~lo ~hi
-
 let solve_body ?pool ?ckpt g ~k ~ell ~q ~tmax lam st =
   Analysis.Guard.require ~what:"Erm_counting.solve"
     (Analysis.Guard.budgets ~ell ~q ~tmax ~k ());

@@ -41,28 +41,3 @@ val solve_budgeted :
 
 val optimal_error :
   Graph.t -> k:int -> ell:int -> q:int -> tmax:int -> Sample.t -> float
-
-val solve_for_params :
-  Graph.t ->
-  k:int ->
-  q:int ->
-  tmax:int ->
-  params:Graph.Tuple.t ->
-  Sample.t ->
-  result
-(** The inner loop: best counting hypothesis for one fixed parameter
-    tuple (fleet best-index recovery; cf.
-    {!Erm_brute.solve_for_params}). *)
-
-val eval_range :
-  Graph.t ->
-  k:int ->
-  ell:int ->
-  q:int ->
-  tmax:int ->
-  Sample.t ->
-  lo:int ->
-  hi:int ->
-  (int * int) option
-(** {!Sweep.range} over candidates [\[lo, hi)] for a fleet worker; see
-    {!Erm_brute.eval_range}. *)

@@ -113,8 +113,6 @@ let run ?pool ?(ckpt = Resil.Ctl.none) sp st =
         settle sp ctx ckpt st i
       done
 
-let range sp ~lo ~hi = Option.map key (chunk sp Resil.Ctl.none ~lo ~hi)
-
 let budgeted ?budget ~ckpt ~finish body =
   let st = create () in
   Resil.Ctl.with_attached ckpt @@ fun () ->

@@ -76,12 +76,6 @@ val run :
     and there is more than one candidate; [ckpt] (default inert)
     threads a checkpoint controller. *)
 
-val range : ('ctx, 'ty) space -> lo:int -> hi:int -> (int * int) option
-(** The [(index, errors)] lex-min over candidates [\[lo, hi)], on one
-    fresh context with the same per-candidate tick and counters as
-    {!run}: a fleet worker's slice.  The coordinator recovers the
-    winning hypothesis by re-evaluating its index, as a resume does. *)
-
 val budgeted :
   ?budget:Guard.Budget.t ->
   ckpt:Resil.Ctl.t ->

@@ -30,14 +30,6 @@ let reason_to_string = function
   | Injected_fault -> "injected_fault"
   | Interrupted -> "interrupted"
 
-(* Would an identical re-run trip the same reason again?  The fuel and
-   size caps are pure functions of the input and the declared limits;
-   the deadline depends on machine load and the interrupt on the
-   operator, and an injected fault is whatever its plan says. *)
-let reason_is_deterministic = function
-  | Out_of_fuel | Table_cap | Ball_cap | Catalogue_cap -> true
-  | Deadline | Injected_fault | Interrupted -> false
-
 let all_checkpoints =
   [ Solver_loop; Hintikka_build; Bfs_frontier; Catalogue_growth; Eval_step ]
 

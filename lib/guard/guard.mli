@@ -52,14 +52,6 @@ type reason =
 val checkpoint_to_string : checkpoint -> string
 val reason_to_string : reason -> string
 
-val reason_is_deterministic : reason -> bool
-(** Would an identical re-run trip the same reason again?  True for
-    the fuel and size caps (pure functions of the input and the
-    declared limits), false for [Deadline], [Interrupted] and
-    [Injected_fault].  The fleet coordinator uses this to mark a
-    chunk's budget exhaustion as a deterministic failure (headed for
-    quarantine) rather than a transient one (retried with backoff). *)
-
 val all_checkpoints : checkpoint list
 
 (** Resources consumed at the moment the budget was read. *)

@@ -10,8 +10,9 @@
     the global mutex.
 
     The registry grows monotonically while in use; {!reset} reclaims it
-    at a quiescent point (e.g. between fleet chunks).  The approximate
-    footprint is exported on the [<prefix>.table_bytes] gauge. *)
+    at a quiescent point (e.g. between independent runs in one
+    process).  The approximate footprint is exported on the
+    [<prefix>.table_bytes] gauge. *)
 
 val mix : int -> int -> int
 (** [mix h x] folds [x] into the running hash [h]: the step the
@@ -56,6 +57,7 @@ end) : sig
       global epoch — no cross-domain coordination needed).  All
       previously returned ids become stale.  The caller must guarantee
       quiescence: no concurrent [intern] calls and no live ids held
-      across the reset.  Fleet calls this between chunks, whose results
-      carry no type ids. *)
+      across the reset.  The bench harness calls this between
+      experiments, so each one's counters start from an empty
+      registry. *)
 end

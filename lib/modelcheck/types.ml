@@ -94,9 +94,11 @@ type ctx = {
   g : Graph.t;
   tp_memo : (int * Graph.Tuple.t, ty) Hashtbl.t;
   ltp_memo : (int * int * Graph.Tuple.t, ty) Hashtbl.t;
+  mutable rows : int;  (* [tp] memo misses so far: the table's rows *)
 }
 
-let make_ctx g = { g; tp_memo = Hashtbl.create 256; ltp_memo = Hashtbl.create 256 }
+let make_ctx g =
+  { g; tp_memo = Hashtbl.create 256; ltp_memo = Hashtbl.create 256; rows = 0 }
 
 let graph ctx = ctx.g
 
@@ -109,8 +111,10 @@ let rec tp ctx ~q u =
   | None ->
       Obs.Metric.incr tp_misses;
       (* Every memo miss is a fresh table row: the natural unit for
-         the guard's Hintikka-table budget. *)
-      Guard.note_table_row (Hashtbl.length ctx.tp_memo + 1);
+         the guard's Hintikka-table budget.  Counted at the miss, so a
+         row whose children are still being computed counts too. *)
+      ctx.rows <- ctx.rows + 1;
+      Guard.note_table_row ctx.rows;
       let sg = atomic_signature ctx.g u in
       let t =
         if q = 0 then intern (sg, None) 0

@@ -91,8 +91,9 @@ val node : ty -> atomsig * ty list option
 (** {1 Registry lifecycle}
 
     The hash-consing registry grows monotonically while in use (every
-    distinct type ever interned stays live).  Long-running processes —
-    the fleet worker in particular — reclaim it between work chunks. *)
+    distinct type ever interned stays live).  A process that runs many
+    independent workloads (the bench harness, the test suite) can
+    reclaim it between them. *)
 
 type table_stats = { live : int  (** interned types *); bytes : int }
 
@@ -104,4 +105,4 @@ val reset_tables : unit -> unit
 (** Empty the registry and invalidate all per-domain shards.  Every
     previously returned [ty] becomes stale (accessors raise).  Only
     call at a quiescent point with no live [ty] values — e.g. between
-    fleet chunks, whose results carry only error counts. *)
+    two runs whose results are already printed. *)

@@ -83,14 +83,6 @@ val register_no_retry : (exn -> bool) -> unit
     first raise instead of retrying.  Used by [Guard] for its internal
     stop signal (a budget trip is control flow, not a crash). *)
 
-val non_retryable : exn -> bool
-(** The pool's transient-vs-deterministic classification: true for the
-    programmer-error class above and everything registered via
-    {!register_no_retry}.  Exported so [folearn.fleet] applies the
-    {e same} policy across processes that {!run} applies across
-    domains — a deterministic chunk failure goes to quarantine instead
-    of burning retries. *)
-
 val map_tasks : Pool.t -> tasks:int -> (int -> 'a) -> 'a array
 (** Like {!run}, collecting results in index order. *)
 

@@ -51,7 +51,7 @@ val atomic_write : ?fsync:bool -> path:string -> string -> unit
     file. *)
 
 (** The one codec of the CRC-framed JSON formats: snapshots,
-    fleet leases, flight-recorder dumps and RPC frames.
+    flight-recorder dumps and RPC frames.
 
     {b Envelope.}  One ASCII header line, the body, and a newline:
     {v MAGIC <crc32-hex> <body-length>
@@ -59,13 +59,12 @@ val atomic_write : ?fsync:bool -> path:string -> string -> unit
 v}
     The magic names the format:
     - [FOLEARNSNAP1]: checkpoint snapshots ({!Snapshot});
-    - [FOLEARNLEASE1]: fleet chunk leases ([Fleet.Lease]);
     - [FOLEARNFDR1]: flight-recorder dumps ([Pulse.Fdr]);
     - [FOLEARNRPC1]: daemon RPC frames ([Serve.Frame]).
 
     The CRC is the standard IEEE/zlib polynomial over the body bytes
     ({!Crc32}, Python's [zlib.crc32]), so an external harness can
-    validate any of the four with one checksum routine.
+    validate any of the three with one checksum routine.
 
     {b Rules.}  {!decode} applies the same checks, in this order, to
     every format, and reports the first failure as [Error] (never an
@@ -156,8 +155,7 @@ module Snapshot : sig
       [solver] differs from the caller's yields [`Mismatch] naming the
       disagreeing field with both values — resuming it would silently
       replay-skip the wrong candidates.  Used by the CLI's [--resume]
-      and by the fleet coordinator when validating published chunk
-      results. *)
+      and by the daemon's job table. *)
 end
 
 (** A per-run checkpoint controller, threaded through the [Erm_*]

@@ -123,18 +123,6 @@ let budget_of a =
          ?max_table:a.a_max_table ?max_ball:a.a_max_ball ())
   else None
 
-(* Zero-fuel static precheck: refuse before enqueueing anything. *)
-let precheck_response ~op ~params a =
-  match Exec.precheck_rejection ~op ~params ~limits:(plan_limits a) with
-  | Error msg ->
-      Some (Proto.error ~message:msg)
-  | Ok (Some r) ->
-      Obs.Metric.incr m_rejected;
-      Some
-        (Proto.rejected ~resource:r.Analysis.Plan.resource ~message:r.message
-           ~spent:zero_spent)
-  | Ok None -> None
-
 let deadline_expired a =
   match a.a_deadline_ns with
   | Some d -> Obs.Clock.now_ns () > d
@@ -174,22 +162,15 @@ let next_seq s = Atomic.fetch_and_add s.seq 1
 
 (* -- direct calls (learn/mc/types/game on the engine) -------------- *)
 
-let enqueue_call s (req : Proto.request) a =
+(* Queue [respond] for the engine and wait for the response it builds. *)
+let on_engine s (req : Proto.request) a respond =
   let result = cell () in
   let entry =
     {
       Sched.e_seq = next_seq s;
       e_tenant = req.tenant;
       e_deadline_ns = a.a_deadline_ns;
-      e_run =
-        (fun () ->
-          if deadline_expired a then fill result (expired_response ())
-          else
-            let r =
-              Exec.run_op ?budget:(budget_of a) ~op:req.op ~params:req.params
-                ()
-            in
-            fill result (response_of_run r));
+      e_run = (fun () -> fill result (respond ()));
       e_shed =
         (fun () ->
           Obs.Metric.incr m_shed;
@@ -205,6 +186,39 @@ let enqueue_call s (req : Proto.request) a =
   | `Closed ->
       Obs.Metric.incr m_draining;
       Proto.draining ()
+
+let enqueue_call s (req : Proto.request) a =
+  on_engine s req a (fun () ->
+      if deadline_expired a then expired_response ()
+      else
+        response_of_run
+          (Exec.run_op ?budget:(budget_of a) ~op:req.op ~params:req.params ()))
+
+(* Zero-fuel static precheck: refuse before any fuel is spent.  A CLI
+   learn prints its training line before its precheck refuses, so a
+   refused learn takes the line from the engine, where the sample can
+   be labelled; the other refusals print nothing and answer at once.
+   The refusal stands even if the line cannot be rendered: [respond]
+   must fill the cell, or the connection would wait forever. *)
+let precheck_response s (req : Proto.request) a =
+  match
+    Exec.precheck_rejection ~op:req.op ~params:req.params
+      ~limits:(plan_limits a)
+  with
+  | Error msg -> Some (Proto.error ~message:msg)
+  | Ok (Some r) ->
+      Obs.Metric.incr m_rejected;
+      let refuse stdout =
+        Proto.rejected ~stdout ~resource:r.Analysis.Plan.resource
+          ~message:r.message ~spent:zero_spent
+      in
+      Some
+        (if req.op = "learn" then
+           on_engine s req a (fun () ->
+               refuse
+                 (try Exec.training_line req.params with _ -> ""))
+         else refuse "")
+  | Ok None -> None
 
 (* -- jobs (submit/poll) -------------------------------------------- *)
 
@@ -355,7 +369,7 @@ let handle_request s (req : Proto.request) =
       end
       else
         let a = admit_budget s.cfg.tenants req in
-        match precheck_response ~op:req.op ~params:req.params a with
+        match precheck_response s req a with
         | Some resp -> resp
         | None ->
             if req.op = "submit" then handle_submit s req a

@@ -5,7 +5,9 @@
       admission: tenant quota clamp, absolute-deadline stamping, and
       the zero-fuel [Analysis.Plan] precheck — an over-budget request
       is refused ([rejected], reason [would_exhaust]) before a single
-      unit of fuel is spent;
+      unit of fuel is spent (a refused [learn] still queues for the
+      engine, which labels its sample for the training line the CLI
+      prints);
     - a {e bounded queue} ({!Sched}) between admission and execution —
       a full queue sheds the earliest-deadline request ([overloaded],
       retryable);

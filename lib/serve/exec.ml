@@ -117,35 +117,31 @@ let report_exhausted ~err ~cmd ~reason ~checkpoint ~(spent : Guard.spent) =
       | Guard.Interrupted -> "interrupted"
       | r -> "guard.exhausted:" ^ Guard.reason_to_string r)
 
-(* The end of a run that stopped early: exit 3 with a best-so-far
-   answer (printed without its optimality certificate), or after an
-   interrupt even with nothing salvaged (the operator asked for the
-   stop, and the snapshot, if any, holds the progress); 4 otherwise. *)
-let salvage ~out ~err ~cmd ~interrupted best =
-  match best with
-  | Some print ->
-      Format.fprintf out
-        "best-so-far hypothesis (no optimality certificate):@.";
-      ignore (print out : int);
-      exit_degraded
-  | None ->
-      (* a verdict, a partition or a trace has no partial answer *)
-      if cmd = "learn" then
-        Format.fprintf err "folearn learn: no hypothesis salvaged@.";
-      if interrupted then exit_degraded else exit_exhausted
-
 (* The outcome -> exit code mapping of every op: [print] renders an
-   answer and returns its code (0, or 3 for a degraded answer). *)
+   answer and returns its code (0, or 3 for a degraded answer).  A run
+   that stopped early exits 3 with a best-so-far answer (printed
+   without its optimality certificate), or after an interrupt even with
+   nothing salvaged (the operator asked for the stop, and the snapshot,
+   if any, holds the progress); 4 otherwise. *)
 let conclude ~out ~err ~cmd ~ckpt outcome =
   match outcome with
   | Guard.Complete print ->
       Resil.Ctl.flush ~complete:true ckpt;
       print out
-  | Guard.Exhausted { best_so_far; reason; checkpoint; spent } ->
+  | Guard.Exhausted { best_so_far; reason; checkpoint; spent } -> (
       Resil.Ctl.flush ckpt;
       report_exhausted ~err ~cmd ~reason ~checkpoint ~spent;
-      salvage ~out ~err ~cmd ~interrupted:(reason = Guard.Interrupted)
-        best_so_far
+      match best_so_far with
+      | Some print ->
+          Format.fprintf out
+            "best-so-far hypothesis (no optimality certificate):@.";
+          ignore (print out : int);
+          exit_degraded
+      | None ->
+          (* a verdict, a partition or a trace has no partial answer *)
+          if cmd = "learn" then
+            Format.fprintf err "folearn learn: no hypothesis salvaged@.";
+          if reason = Guard.Interrupted then exit_degraded else exit_exhausted)
 
 (* ------------------------------------------------------------------ *)
 (* learn                                                               *)
@@ -382,52 +378,6 @@ let learn_solve : learn runner =
                 pp_params out d.hypothesis;
                 if d.degraded then exit_degraded else 0)
               (Folearn.Degrade.learn ?budget ~precheck g ~k ~ell ~q lam)))
-
-let sweep_admission ~out ~err ?budget ~precheck l =
-  let { lp_k = k; lp_ell = ell; lp_q = q; lp_tmax = tmax; _ } = l.lp in
-  let what, solver = plan_of l.lp.lp_solver in
-  match
-    Folearn.Admission.erm ?budget ~tmax ~enabled:precheck ~what ~solver l.g
-      ~k ~ell ~q l.sample
-  with
-  | Some (Guard.Exhausted _ as rejected) ->
-      Some
-        (conclude ~out ~err ~cmd:"learn" ~ckpt:Resil.Ctl.none
-           (Guard.outcome_map (fun _ _ -> 0) rejected))
-  | Some (Guard.Complete _) | None -> None
-
-(* candidate [i] of the sweep ([None]: the constant-false hypothesis),
-   re-evaluated with a fresh context — the mechanism a full-skip
-   checkpoint resume uses, so the report matches the sequential run *)
-let print_candidate l ~params_tried best out =
-  let { lp_k = k; lp_ell = ell; lp_q = q; lp_tmax = tmax; _ } = l.lp in
-  let g = l.g and lam = l.sample in
-  let err, hypothesis =
-    match best with
-    | None ->
-        ( Folearn.Sample.error_of (fun _ -> false) lam,
-          Folearn.Hypothesis.constantly g ~k false )
-    | Some i -> (
-        let params = Graph.Tuple.of_index ~n:(Graph.order g) ~k:ell i in
-        match l.lp.lp_solver with
-        | `Brute ->
-            let r = Folearn.Erm_brute.solve_for_params g ~k ~q ~params lam in
-            (r.err, r.hypothesis)
-        | `Counting ->
-            let r =
-              Folearn.Erm_counting.solve_for_params g ~k ~q ~tmax ~params lam
-            in
-            (r.err, r.hypothesis)
-        | `Nd | `Local -> invalid_arg "Exec.sweep_answer: not a sweep")
-  in
-  pp_sweep l ~params_tried ~err hypothesis out
-
-let sweep_answer ~out ~err l ~complete ~interrupted ~params_tried best =
-  let print = print_candidate l ~params_tried in
-  if complete then print best out
-  else
-    salvage ~out ~err ~cmd:"learn" ~interrupted
-      (Option.map (fun i -> print (Some i)) best)
 
 (* ------------------------------------------------------------------ *)
 (* mc / types / game                                                   *)
@@ -763,3 +713,6 @@ let precheck_rejection ~op ~params ~limits =
       Ok rej
   | None -> Ok None
   | exception Usage m -> Error m
+
+let training_line params =
+  Format.asprintf "%a" print_training (learn_prep (learn_params params))

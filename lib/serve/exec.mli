@@ -95,7 +95,7 @@ type learn = {
   run_id : string Lazy.t;
       (** digest of every parameter, the graph's text included:
           checkpoint identity.  Forced only by what needs it
-          (checkpoint/resume, [/progress], the fleet). *)
+          (checkpoint/resume, [/progress]). *)
   tuples : Cgraph.Graph.Tuple.t list;
   sample : Folearn.Sample.t;  (** the tuples labelled by the target *)
 }
@@ -107,35 +107,6 @@ val learn_prep : learn_p -> learn
 val learn_solve : learn runner
 (** [--solver local] under a budget with at least one limit, and no
     active checkpoint, runs the degradation chain. *)
-
-(** A brute or counting sweep sharded outside {!learn_solve} (a fleet)
-    starts with {!print_training} and {!sweep_admission}, and ends with
-    {!sweep_answer}. *)
-
-val print_training : Format.formatter -> learn -> unit
-
-val sweep_admission :
-  out:Format.formatter ->
-  err:Format.formatter ->
-  ?budget:Guard.Budget.t ->
-  precheck:bool ->
-  learn ->
-  int option
-(** [Some code], after reporting, when [budget] provably cannot settle
-    a first candidate. *)
-
-val sweep_answer :
-  out:Format.formatter ->
-  err:Format.formatter ->
-  learn ->
-  complete:bool ->
-  interrupted:bool ->
-  params_tried:int ->
-  int option ->
-  int
-(** Report the winning candidate index ([None]: none settled) as
-    {!learn_solve} would; an incomplete sweep reports it as a
-    best-so-far answer. *)
 
 (** {1 mc, types, game} *)
 
@@ -204,3 +175,10 @@ val precheck_rejection :
     provably exhaust before settling a first answer?  [Error] when the
     parameters are unusable (the request will fail as [usage] anyway).
     Ops without a planner model ([types], [game]) always admit. *)
+
+val training_line : Obs.Json.t -> string
+(** The line a [learn] of these parameters prints before it solves,
+    and so before its admission precheck can refuse it.  The daemon
+    sends it with a {!precheck_rejection} refusal, so a refused served
+    learn prints what the CLI prints.  It labels the sample, which
+    evaluates the target: call it on the engine domain.  @raise Usage *)

@@ -90,8 +90,8 @@ let response ?(stdout = "") ?(stderr = "") ?spent ?(extra = []) ~status ~code
      ]
     @ extra)
 
-let rejected ~resource ~message ~spent =
-  response ~status:"rejected" ~code:4 ~spent
+let rejected ~stdout ~resource ~message ~spent =
+  response ~stdout ~status:"rejected" ~code:4 ~spent
     ~stderr:(Printf.sprintf "folearn serve: %s\n" message)
     ~extra:
       [

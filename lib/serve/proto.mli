@@ -63,9 +63,14 @@ val response :
   Obs.Json.t
 
 val rejected :
-  resource:string -> message:string -> spent:Guard.spent -> Obs.Json.t
+  stdout:string ->
+  resource:string ->
+  message:string ->
+  spent:Guard.spent ->
+  Obs.Json.t
 (** A [rejected] response with [error.reason = "would_exhaust"] and
-    the planner's resource/message; code 4, zero spend. *)
+    the planner's resource/message; code 4, zero spend.  [stdout] is
+    what the CLI prints before refusing. *)
 
 val overloaded : message:string -> Obs.Json.t
 val draining : unit -> Obs.Json.t

@@ -14,6 +14,10 @@ HEADLINE = {
     "experiment": str,
     "schema_version": int,
     "jobs": int,
+    # the host and the sample count behind each timing
+    "cores": int,
+    "ocaml_version": str,
+    "samples": int,
     "wall_time_s": (int, float),
     "model_check_calls": int,
     "hypotheses_enumerated": int,
@@ -26,20 +30,13 @@ HEADLINE = {
 METRIC_SECTIONS = ("counters", "gauges", "histograms")
 
 # experiment-specific headline keys (spliced in by bench/main.ml's
-# bench_extra_headline): e20 reports its fleet counters at the top
-# level so this gate can require them
+# bench_extra_headline)
 EXTRA_HEADLINE = {
-    "e20": {
-        "workers": int,
-        "leases_expired": int,
-        "chunks_quarantined": int,
-    },
     # e21 reports the hot-path engine's health: how many evaluations hit
     # the compile cache, how often intern shards caught up with the
     # global table, and the erm_brute speedup at 4 jobs (gated in CI
     # only when the runner actually has >= 4 cores)
     "e21": {
-        "cores": int,
         "compile_hits": int,
         "intern_shard_merges": int,
         "speedup_at_4_jobs": (int, float),
@@ -98,6 +95,10 @@ def check(path: str) -> None:
         fail(f"{path}: negative wall_time_s")
     if doc["jobs"] < 1:
         fail(f"{path}: jobs must be >= 1")
+    if doc["cores"] < 1:
+        fail(f"{path}: cores must be >= 1")
+    if doc["samples"] < 1:
+        fail(f"{path}: samples must be >= 1")
     if doc["checkpoint_writes"] < 0:
         fail(f"{path}: negative checkpoint_writes")
     if doc["events_recorded"] < 0:

@@ -26,7 +26,6 @@ let () =
       ("resil", Test_resil.suite);
       ("framed", Test_framed.suite);
       ("pulse", Test_pulse.suite);
-      ("fleet", Test_fleet.suite);
       ("hotpath", Test_hotpath.suite);
       ("serve", Test_serve.suite);
     ]

@@ -250,6 +250,11 @@ def scenario_admission(binary, tmpdir):
             fail(f"over-budget call must exit 4, got {r.returncode}")
         if "exhaust" not in r.stderr:
             fail(f"rejection must name the exhaustion: {r.stderr!r}")
+        # and prints what the one-shot CLI prints before refusing
+        ref = run([binary, "learn"] + SHORT_LEARN + ["--fuel", "2"])
+        if ref.returncode != 4 or r.stdout != ref.stdout:
+            fail(f"refused call printed {r.stdout!r}, the CLI "
+                 f"{ref.stdout!r} (exit {ref.returncode})")
         # a tenant quota clamps an unlimited ask down to rejection
         r = call(binary, srv, "learn",
                  SHORT_LEARN + ["--tenant", "stingy"])

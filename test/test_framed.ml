@@ -1,12 +1,12 @@
-(* The framing suite of [Resil.Framed], the one codec behind the four
+(* The framing suite of [Resil.Framed], the one codec behind the three
    CRC-framed formats.  Every property runs once per magic:
 
    - round-trip: decode . encode = id;
    - every strict prefix of a frame is rejected;
    - every single flipped byte of the body or its terminator is
      rejected;
-   - a frame of any other format is rejected (a lease never decodes as
-     a snapshot);
+   - a frame of any other format is rejected (an RPC frame never
+     decodes as a snapshot);
    - the size cap: a body of exactly [max_len] bytes decodes, one more
      byte is refused;
    - malformed header lines (signs, [0x] and other prefixes, huge
@@ -18,7 +18,7 @@ module F = Resil.Framed
 
 (* the wire magics, pinned here on purpose: a change to one is a
    format change *)
-let magics = [ "FOLEARNSNAP1"; "FOLEARNLEASE1"; "FOLEARNFDR1"; "FOLEARNRPC1" ]
+let magics = [ "FOLEARNSNAP1"; "FOLEARNFDR1"; "FOLEARNRPC1" ]
 
 let json_gen =
   let open QCheck.Gen in

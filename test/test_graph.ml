@@ -485,6 +485,68 @@ let induced_preserves_edges =
              = Graph.has_color g "C" (emb.Ops.of_sub v))
            (Graph.vertices h))
 
+(* ------------------------------------------------------------------ *)
+(* Graph files at the input boundary                                   *)
+(* ------------------------------------------------------------------ *)
+
+let format_error_of text =
+  match Io.of_string text with
+  | _ -> None
+  | exception Io.Format_error m -> Some m
+
+let test_io_errors_name_the_line () =
+  List.iter
+    (fun (text, msg) ->
+      Alcotest.(check (option string)) (String.escaped text) (Some msg)
+        (format_error_of text))
+    [
+      ("n -1\n", "line 1: order -1 out of range");
+      ("n 3\ne 0 1\ne 2 2\n", "line 3: self-loop at 2");
+      ("n 2\ne 0 5\n", "line 2: vertex 5 out of range");
+      ("n 2\nc Red 1\nc Red -1\n", "line 3: vertex -1 out of range");
+      ("e 0 9\nn 4\n", "line 1: vertex 9 out of range");
+    ]
+
+(* a valid file (Io.to_string of a small coloured graph) with one to
+   three bytes replaced, inserted or deleted; half the new bytes come
+   from the format's own alphabet, so signs, digits, separators and
+   directives land where they do damage *)
+let mutated_graph_file =
+  let open QCheck.Gen in
+  let alphabet = "0123456789 -\n#nec" in
+  let byte =
+    oneof
+      [
+        map (String.get alphabet) (int_bound (String.length alphabet - 1));
+        char;
+      ]
+  in
+  let mutate s =
+    let len = String.length s in
+    let* at = int_bound len and* b = byte and* op = int_bound 2 in
+    let keep i = String.sub s 0 i and from i = String.sub s i (len - i) in
+    return
+      (match op with
+      | 0 when at < len -> keep at ^ String.make 1 b ^ from (at + 1)
+      | 1 when at < len -> keep at ^ from (at + 1)
+      | _ -> keep at ^ String.make 1 b ^ from at)
+  in
+  let* n = int_range 1 12 and* seed = int_bound 1000 in
+  let g =
+    Gen.colored ~seed ~colors:[ "Red"; "Blue" ] (Gen.gnp ~seed ~n ~p:0.3)
+  in
+  let* steps = int_range 1 3 in
+  let rec go k s = if k = 0 then return s else mutate s >>= go (k - 1) in
+  go steps (Io.to_string g)
+
+let io_mutation_property =
+  QCheck.Test.make ~count:2000
+    ~name:"mutated graph files parse or raise Format_error"
+    (QCheck.make ~print:String.escaped mutated_graph_file)
+    (fun text ->
+      match Io.of_string text with
+      | _ | (exception Io.Format_error _) -> true)
+
 let suite =
   [
     Alcotest.test_case "create basic" `Quick test_create_basic;
@@ -538,4 +600,7 @@ let suite =
     QCheck_alcotest.to_alcotest delete_edges_properties;
     QCheck_alcotest.to_alcotest induced_preserves_edges;
     Alcotest.test_case "out-of-range sources" `Quick test_out_of_range_sources;
+    Alcotest.test_case "graph file errors name their line" `Quick
+      test_io_errors_name_the_line;
+    QCheck_alcotest.to_alcotest io_mutation_property;
   ]

@@ -302,22 +302,17 @@ let fuel_trip_deterministic () =
 
 module Plan = Analysis.Plan
 
-(* one sweep solver on one instance: its plan, a budgeted run, and for
-   brute/counting the fleet pieces (slice, best-index recovery) *)
+(* one sweep solver on one instance: its plan and a budgeted run *)
 type sweep_case = {
   plan : Plan.t;
   run :
     Par.Pool.t -> Guard.Budget.t option -> (Hyp.t * float * int) Guard.outcome;
-  fleet :
-    ((lo:int -> hi:int -> (int * int) option) * (int -> Hyp.t * float)) option;
 }
 
 let sweep_case solver g ~ell ~q ~tmax lam =
-  let n = Graph.order g in
   let plan =
     Plan.analyze (Plan.input ~tmax g ~k:1 ~ell ~q (List.map fst lam)) solver
   in
-  let params i = Graph.Tuple.of_index ~n ~k:ell i in
   match solver with
   | Plan.Brute ->
       let run pool budget =
@@ -326,15 +321,7 @@ let sweep_case solver g ~ell ~q ~tmax lam =
             (r.Brute.hypothesis, r.Brute.err, r.Brute.params_tried))
           (Brute.solve_budgeted ?budget ~pool g ~k:1 ~ell ~q lam)
       in
-      let recover i =
-        let r = Brute.solve_for_params g ~k:1 ~q ~params:(params i) lam in
-        (r.Brute.hypothesis, r.Brute.err)
-      in
-      {
-        plan;
-        run;
-        fleet = Some (Brute.eval_range g ~k:1 ~ell ~q lam, recover);
-      }
+      { plan; run }
   | Plan.Counting ->
       let run pool budget =
         Guard.outcome_map
@@ -342,17 +329,7 @@ let sweep_case solver g ~ell ~q ~tmax lam =
             (r.Counting.hypothesis, r.Counting.err, r.Counting.params_tried))
           (Counting.solve_budgeted ?budget ~pool g ~k:1 ~ell ~q ~tmax lam)
       in
-      let recover i =
-        let r =
-          Counting.solve_for_params g ~k:1 ~q ~tmax ~params:(params i) lam
-        in
-        (r.Counting.hypothesis, r.Counting.err)
-      in
-      {
-        plan;
-        run;
-        fleet = Some (Counting.eval_range g ~k:1 ~ell ~q ~tmax lam, recover);
-      }
+      { plan; run }
   | _ ->
       let run pool budget =
         Guard.outcome_map
@@ -360,13 +337,13 @@ let sweep_case solver g ~ell ~q ~tmax lam =
             (r.Local.hypothesis, r.Local.err, r.Local.params_tried))
           (Local.solve_budgeted ?budget ~pool g ~k:1 ~ell ~q lam)
       in
-      { plan; run; fleet = None }
+      { plan; run }
 
-(* sequential = parallel = fleet on Complete; a salvaged answer reports
-   its true error; a budget at the planner's tight band always salvages *)
+(* sequential = parallel on Complete; a salvaged answer reports its
+   true error; a budget at the planner's tight band always salvages *)
 let sweep_prop =
   QCheck.Test.make ~count:40
-    ~name:"sweep: jobs 1 = jobs 4 = fleet; salvage sound; tight salvages"
+    ~name:"sweep: jobs 1/4 agree; salvage is sound"
     QCheck.(
       pair
         (quad (int_range 1 10) (int_range 0 2) (int_range 0 2) (int_range 0 2))
@@ -386,30 +363,6 @@ let sweep_prop =
         match with_pool ~jobs:1 (fun pool -> c.run pool None) with
         | Guard.Complete r -> project r
         | Guard.Exhausted _ -> QCheck.Test.fail_report "unbudgeted, exhausted"
-      in
-      let sig_, err, _ = reference in
-      let fleet_ok =
-        match c.fleet with
-        | None -> true
-        | Some (range, recover) -> (
-            let total = Option.get (Graph.Tuple.count ~n ~k:ell) in
-            (* slices: [0, total) split at two random points *)
-            let a = seed mod (total + 1) and b = draw mod (total + 1) in
-            let cuts = [ (0, min a b); (min a b, max a b); (max a b, total) ] in
-            let best =
-              List.fold_left
-                (fun acc (lo, hi) ->
-                  match (acc, range ~lo ~hi) with
-                  | None, x | x, None -> x
-                  | Some (bi, be), Some (i, e) ->
-                      if e < be || (e = be && i < bi) then Some (i, e) else acc)
-                None cuts
-            in
-            match best with
-            | None -> total = 0
-            | Some (i, _) ->
-                let h, e = recover i in
-                Hyp.signature h = sig_ && e = err)
       in
       let ample =
         match (Plan.suggest_fuel c.plan).Plan.ample with
@@ -432,7 +385,7 @@ let sweep_prop =
         | Guard.Complete r -> project r = reference
         | Guard.Exhausted _ -> false
       in
-      fleet_ok && parallel_ok
+      parallel_ok
       && List.for_all (fun fuel -> sound 1 fuel && sound 4 fuel) fuels)
 
 let suite =

@@ -360,6 +360,57 @@ let test_cost_saturation_and_roundtrip () =
   | Ok c' -> check "finite cost round-trips losslessly" true (small = c')
   | Error m -> Alcotest.failf "round-trip failed: %s" m
 
+(* ------------------------------------------------------------------ *)
+(* --max-table counts the rows the planner counts                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A sweep on one domain under [max_table = Some r] trips [Table_cap]
+   exactly when [r] is below the planner's exact [table_total], and
+   reports the row that crossed the cap: [spent.table_rows = r + 1].
+   The precheck is off, so every trip is a real one. *)
+let test_table_cap_rows () =
+  with_pool ~jobs:1 @@ fun pool ->
+  let g = Gen.path 6 in
+  let lam = Sam.label_with g ~target:(fun v -> v.(0) < 3) (Sam.all_tuples g ~k) in
+  let budget r = Guard.Budget.make ~max_table:r () in
+  let brute q r =
+    Guard.outcome_map ignore
+      (Folearn.Erm_brute.solve_budgeted ~precheck:false ~pool
+         ~budget:(budget r) g ~k ~ell ~q lam)
+  in
+  let counting q r =
+    Guard.outcome_map ignore
+      (Folearn.Erm_counting.solve_budgeted ~precheck:false ~pool
+         ~budget:(budget r) g ~k ~ell ~q ~tmax:2 lam)
+  in
+  List.iter
+    (fun (solver, q, run) ->
+      let plan =
+        Plan.analyze (Plan.input ~tmax:2 g ~k ~ell ~q (List.map fst lam)) solver
+      in
+      let name = Printf.sprintf "%s q=%d" (Plan.solver_name solver) q in
+      let { CM.Env.lo; hi } = plan.Plan.table_total in
+      check (name ^ ": table envelope is exact") true (lo = hi);
+      let total = Option.get (Count.to_int_opt hi) in
+      List.iter
+        (fun r ->
+          let what = Printf.sprintf "%s, max-table %d of %d" name r total in
+          match run r with
+          | Guard.Complete () -> check (what ^ ": completes") true (r >= total)
+          | Guard.Exhausted { reason; spent; _ } ->
+              check (what ^ ": trips below the total") true (r < total);
+              check (what ^ ": reason") true (reason = Guard.Table_cap);
+              check_int (what ^ ": rows at the trip") (r + 1)
+                spent.Guard.table_rows)
+        (List.sort_uniq compare
+           [ 0; 1; total / 2; max 0 (total - 1); total; total + 1 ]))
+    [
+      (Plan.Brute, 1, brute 1);
+      (Plan.Brute, 2, brute 2);
+      (Plan.Counting, 1, counting 1);
+      (Plan.Counting, 2, counting 2);
+    ]
+
 let suite =
   [
     Alcotest.test_case "matrix: brute {ample, tight, infeasible}" `Quick
@@ -385,4 +436,6 @@ let suite =
       test_model_check_precheck;
     Alcotest.test_case "cost JSON is lossless, saturation reported" `Quick
       test_cost_saturation_and_roundtrip;
+    Alcotest.test_case "max-table trips at the exact table total" `Quick
+      test_table_cap_rows;
   ]

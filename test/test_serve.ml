@@ -2,7 +2,7 @@
 
    - a QCheck FOLEARNRPC1 codec round-trip (decode . encode = id) plus
      rejection of truncated frames, CRC corruption, a bad magic and
-     frames past the size cap — mirroring the lease codec suite;
+     frames past the size cap — mirroring the framing suite;
    - socket framing over a socketpair, including the SIGPIPE/EPIPE
      regression: writing a frame into a peer-closed socket is a clean
      [Error], not a signal or an exception;
@@ -498,6 +498,37 @@ let test_precheck_rejects_tiny_fuel () =
   | Ok None -> Alcotest.fail "fuel 2 must be rejected at admission"
   | Error m -> Alcotest.failf "precheck must not fail: %s" m
 
+(* a learn the zero-fuel precheck refuses prints the CLI's stdout: the
+   training line comes before the precheck, in-process and served *)
+let test_refused_learn_prints_training () =
+  let params =
+    J.Obj
+      [
+        ("graph", J.String "path:6");
+        ("target", J.String "exists y. E(x1,y)");
+        ("solver", J.String "brute");
+        ("ell", J.Int 1);
+        ("q", J.Int 2);
+      ]
+  in
+  let r =
+    Serve.Exec.run_op ~budget:(Guard.Budget.make ~fuel:1 ()) ~op:"learn"
+      ~params ()
+  in
+  check_int "the CLI path exits 4" 4 r.Serve.Exec.code;
+  check_str "the CLI path prints the training line"
+    "training sequence: 6 examples (6 positive)\n" r.Serve.Exec.out;
+  let limits =
+    { Analysis.Plan.fuel = Some 1; timeout_s = None; max_table = None;
+      max_ball = None }
+  in
+  (match Serve.Exec.precheck_rejection ~op:"learn" ~params ~limits with
+  | Ok (Some _) -> ()
+  | Ok None -> Alcotest.fail "fuel 1 must be refused at admission"
+  | Error m -> Alcotest.failf "precheck must not fail: %s" m);
+  check_str "the daemon's refusal prints the same" r.Serve.Exec.out
+    (Serve.Exec.training_line params)
+
 let test_learn_identity_deterministic () =
   let params =
     J.Obj
@@ -598,4 +629,6 @@ let suite =
       test_learn_run_id_is_lazy;
     Alcotest.test_case "read checks the frame terminator" `Quick
       test_read_checks_terminator;
+    Alcotest.test_case "refused learn prints the training line" `Quick
+      test_refused_learn_prints_training;
   ]
