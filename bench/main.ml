@@ -70,7 +70,38 @@ let jint n = Obs.Json.Int n
 let jfloat x = Obs.Json.Float x
 let jstr s = Obs.Json.String s
 
+(* The metrics registered before the first experiment (at module
+   initialisation, and the slot counters of the default pool every
+   experiment sweeps on) are listed in every snapshot.  One registered
+   later (another pool's slot counter, a per-reason exhaustion counter)
+   is listed only by the experiment that registers it or records to it,
+   so which metrics a snapshot lists does not depend on the experiments
+   run before it in the same process.  [before] is the registry as the
+   experiment started. *)
+let static_metrics =
+  lazy
+    (ignore (Par.default ());
+     Obs.Metric.snapshot ())
+
+let own_metrics ~(before : Obs.Metric.snapshot) (snap : Obs.Metric.snapshot) =
+  let static = Lazy.force static_metrics in
+  let keep static before recorded =
+    List.filter (fun (n, v) ->
+        List.mem_assoc n static || (not (List.mem_assoc n before)) || recorded v)
+  in
+  {
+    Obs.Metric.counters =
+      keep static.counters before.counters (fun v -> v <> 0) snap.counters;
+    gauges = keep static.gauges before.gauges (fun v -> v <> 0.0) snap.gauges;
+    histograms =
+      keep static.histograms before.histograms
+        (fun h -> h.Obs.Metric.hs_count > 0)
+        snap.histograms;
+  }
+
 let run_instrumented name f =
+  ignore (Lazy.force static_metrics);
+  let before = Obs.Metric.snapshot () in
   bench_rows := [];
   bench_checkpoint_writes := 0;
   bench_extra_headline := [];
@@ -108,7 +139,7 @@ let run_instrumented name f =
   | Some msg -> Printf.eprintf "experiment %s failed: %s\n%!" name msg
   | None -> ());
   let wall = Obs.Clock.elapsed_s t0 in
-  let snap = Obs.Metric.snapshot () in
+  let snap = own_metrics ~before (Obs.Metric.snapshot ()) in
   Obs.disable ();
   let doc =
     Obs.Json.Obj

@@ -233,7 +233,8 @@ let max_table_arg =
     value
     & opt (some int) None
     & info [ "max-table" ] ~docv:"ROWS"
-        ~doc:"Cap on memoised Hintikka-type table rows.")
+        ~doc:"Cap on the type-table rows (computed type nodes) of one type \
+              context.")
 
 let max_ball_arg =
   Arg.(

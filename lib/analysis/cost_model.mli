@@ -34,8 +34,8 @@ module Count : sig
 
   val sum_powers : base:t -> upto:int -> t
   (** [sum_powers ~base ~upto = Σ_{j=0}^{upto} base^j] — the number of
-      memo rows a rank-[upto] type computation ([Modelcheck.Types.tp])
-      materialises over a [base]-element domain (Lemma 19 of the paper:
+      computed type rows a rank-[upto] type computation
+      ([Modelcheck.Types.tp]) performs over a [base]-element domain (Lemma 19 of the paper:
       model checking by recursive type computation). *)
 
   val min_cap : t -> int -> t
@@ -122,7 +122,7 @@ val gaifman_radius : int -> Count.t
     degree-bounded forms are Grohe–Ritzert, arXiv:1701.05487). *)
 
 val type_table_rows : n:int -> q:int -> Count.t
-(** [Σ_{j=0}^{q} n^j] — the exact number of memo rows (equivalently,
+(** [Σ_{j=0}^{q} n^j] — the exact number of computed type rows (equivalently,
     [Hintikka_build] guard ticks) one rank-[q] type computation over an
     [n]-element structure performs per example root (Lemma 19). *)
 

@@ -73,8 +73,8 @@ let entries_of examples =
 
 (* Erm_brute, sequential model (sound for any job count, see .mli):
    per candidate 1 Solver_loop tick + d fresh type computations of
-   T_q(n) memo rows each; all memo keys are distinct, so the totals are
-   exact multiples. *)
+   T_q(n) computed rows each (d distinct example roots; a repeated root
+   is looked up), so the totals are exact multiples. *)
 let analyze_brute ?stage_q i =
   let q = Option.value stage_q ~default:i.q in
   let n = Cgraph.Graph.order i.g in

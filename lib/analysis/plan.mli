@@ -70,13 +70,14 @@ type t = {
   stage_q : int;  (** quantifier rank of this (possibly fallback) stage *)
   fuel_first : Cost_model.Env.t;
   fuel_total : Cost_model.Env.t;
-  table_first : Cost_model.Env.t;  (** peak memo rows in one type context *)
+  table_first : Cost_model.Env.t;
+      (** peak computed type rows in one type context *)
   table_total : Cost_model.Env.t;
   ball_first : Cost_model.Env.t;  (** largest neighbourhood ball reported *)
   ball_total : Cost_model.Env.t;
   hypotheses : Cost_model.Env.t;  (** candidates enumerated (Theorem 10) *)
   type_evals : Cost_model.Env.t;
-      (** type-computation memo misses ([tp] for brute, [ltp] for
+      (** computed type rows ([tp] nodes for brute, [ltp] misses for
           local/nd) — the calibration target of bench E18 *)
   exact : bool;  (** every envelope has [lo = hi] *)
   notes : string list;
@@ -84,8 +85,8 @@ type t = {
 
 val analyze : input -> solver -> t
 (** Envelopes for one solver.  Brute and counting are {e exact}
-    (Lemma 19's recursive type computation has deterministic memo-miss
-    counts); local is exact up to the first candidate and bounded by
+    (Lemma 19's recursive type computation computes a deterministic
+    number of type rows); local is exact up to the first candidate and bounded by
     the touched neighbourhood afterwards; nd is coarse (see {!t}
     notes). *)
 

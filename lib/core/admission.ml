@@ -24,16 +24,17 @@ let reason_of (rej : Plan.rejection) =
   | _ -> Guard.Out_of_fuel
 
 (* The rejection as a Guard outcome: nothing salvaged, the tripping
-   resource as the reason, zero spend (the budget was never entered). *)
+   resource as the reason, zero spend (the budget was never entered),
+   and the planner's message for the caller to print. *)
 let reject_outcome budget (rej : Plan.rejection) =
   Obs.Metric.incr rejections;
-  Logs.info (fun m -> m "%s" rej.Plan.message);
   Guard.Exhausted
     {
       best_so_far = None;
       reason = reason_of rej;
       checkpoint = Guard.Solver_loop;
       spent = Guard.Budget.spent budget;
+      refused = Some rej.Plan.message;
     }
 
 (* [erm ?budget ~enabled ~what ~solver ...] returns [Some outcome] when

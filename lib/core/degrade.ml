@@ -120,6 +120,7 @@ let learn_chain ?budget ?radius g ~k ~ell ~q lam =
                   reason;
                   checkpoint;
                   spent;
+                  refused = None;
                 }
             else begin
               Obs.Metric.incr degradations;

@@ -31,7 +31,7 @@
       the calling domain exactly as the sequential sweep does, and only
       then fans out over [\[1, count)].  So a budget that pays for the
       first candidate on one domain salvages it at every pool size.
-    - {b One context per chunk.}  Type memo tables are not shared
+    - {b One context per chunk.}  Type contexts are not shared
       between domains: the sequential sweep uses one context, and each
       parallel chunk (and candidate 0) builds its own. *)
 

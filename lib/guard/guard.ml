@@ -326,6 +326,7 @@ type 'a outcome =
       reason : reason;
       checkpoint : checkpoint;
       spent : spent;
+      refused : string option;
     }
 
 let run ?budget ~salvage f =
@@ -373,7 +374,14 @@ let run ?budget ~salvage f =
                 ("salvaged", string_of_bool (Option.is_some best));
               ]
             "guard.exhausted";
-          Exhausted { best_so_far = best; reason; checkpoint; spent = Budget.spent b })
+          Exhausted
+            {
+              best_so_far = best;
+              reason;
+              checkpoint;
+              spent = Budget.spent b;
+              refused = None;
+            })
 
 let outcome_map f = function
   | Complete v -> Complete (f v)
@@ -385,7 +393,7 @@ let outcome_value = function
 
 let pp_outcome pp_v ppf = function
   | Complete v -> Format.fprintf ppf "@[<2>Complete@ %a@]" pp_v v
-  | Exhausted { best_so_far; reason; checkpoint; spent } ->
+  | Exhausted { best_so_far; reason; checkpoint; spent; _ } ->
       Format.fprintf ppf
         "@[<2>Exhausted@ { reason = %s;@ checkpoint = %s;@ fuel = %d;@ best = %a }@]"
         (reason_to_string reason)

@@ -210,6 +210,9 @@ type 'a outcome =
       reason : reason;
       checkpoint : checkpoint;
       spent : spent;
+      refused : string option;
+          (** the planner's reason when admission refused the run
+              before it started; [None] when the budget tripped *)
     }
 
 val run : ?budget:Budget.t -> salvage:(unit -> 'a option) -> (unit -> 'a) -> 'a outcome

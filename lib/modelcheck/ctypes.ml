@@ -53,37 +53,57 @@ let reset_tables = Reg.reset
 
 type ctx = {
   g : Graph.t;
-  memo : (int * int * Graph.Tuple.t, ty) Hashtbl.t;
+  roots : (int * int * Graph.Tuple.t, ty) Hashtbl.t;  (* as in Types *)
   lmemo : (int * int * int * Graph.Tuple.t, ty) Hashtbl.t;
+  leaves : Types.leaves Lazy.t;
 }
 
-let make_ctx g = { g; memo = Hashtbl.create 256; lmemo = Hashtbl.create 256 }
+let make_ctx g =
+  {
+    g;
+    roots = Hashtbl.create 256;
+    lmemo = Hashtbl.create 256;
+    leaves = lazy (Types.leaves g);
+  }
 
-let rec ctp ctx ~q ~tmax u =
+let leaf sg = intern (sg, None) 0
+
+let rec compute ctx ~q ~tmax u =
+  let sg = Types.atomic_signature ctx.g u in
+  if q = 0 then leaf sg
+  else begin
+    let n = Graph.order ctx.g in
+    let children =
+      if q = 1 then
+        Types.extend (Lazy.force ctx.leaves) leaf sg u (fun child ->
+            for w = 0 to n - 1 do
+              ignore (child w)
+            done)
+        |> List.map (fun (t, c) -> (t, min tmax c))
+      else begin
+        let counts : (ty, int) Hashtbl.t = Hashtbl.create 16 in
+        for w = 0 to n - 1 do
+          let child =
+            compute ctx ~q:(q - 1) ~tmax (Graph.Tuple.append u [| w |])
+          in
+          let c = Option.value (Hashtbl.find_opt counts child) ~default:0 in
+          Hashtbl.replace counts child (min tmax (c + 1))
+        done;
+        Hashtbl.fold (fun child c acc -> (child, c) :: acc) counts []
+        |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+      end
+    in
+    intern (sg, Some children) q
+  end
+
+let ctp ctx ~q ~tmax u =
   if q < 0 then invalid_arg "Ctypes.ctp: negative quantifier rank";
   if tmax < 1 then invalid_arg "Ctypes.ctp: threshold cap must be >= 1";
-  match Hashtbl.find_opt ctx.memo (q, tmax, u) with
+  match Hashtbl.find_opt ctx.roots (q, tmax, u) with
   | Some t -> t
   | None ->
-      let sg = Types.atomic_signature ctx.g u in
-      let t =
-        if q = 0 then intern (sg, None) 0
-        else begin
-          let counts : (ty, int) Hashtbl.t = Hashtbl.create 16 in
-          for w = 0 to Graph.order ctx.g - 1 do
-            let child = ctp ctx ~q:(q - 1) ~tmax (Graph.Tuple.append u [| w |]) in
-            let c = Option.value (Hashtbl.find_opt counts child) ~default:0 in
-            Hashtbl.replace counts child (min tmax (c + 1))
-          done;
-          let children =
-            Hashtbl.fold (fun child c acc -> (child, c) :: acc) counts []
-            |> List.sort (fun (a, ca) (b, cb) ->
-                   match Int.compare a b with 0 -> Int.compare ca cb | c -> c)
-          in
-          intern (sg, Some children) q
-        end
-      in
-      Hashtbl.replace ctx.memo (q, tmax, u) t;
+      let t = compute ctx ~q ~tmax u in
+      Hashtbl.replace ctx.roots (q, tmax, u) t;
       t
 
 let cltp ctx ~q ~tmax ~r u =

@@ -33,8 +33,13 @@ val make_ctx : Graph.t -> ctx
 
 val ctp : ctx -> q:int -> tmax:int -> Graph.Tuple.t -> ty
 (** [ctp ctx ~q ~tmax ū]: the counting [q]-type with thresholds up to
-    [tmax].  Memoised per context.  @raise Invalid_argument if
-    [tmax < 1]. *)
+    [tmax].  The context remembers the tuples [ctp] was asked for; the
+    nodes below them are computed afresh, with {!Types.extend} at
+    rank 1.  @raise Invalid_argument if [tmax < 1]. *)
+
+val leaf : Types.atomsig -> ty
+(** The rank-0 counting type with this atomic signature: [ctp ~q:0]
+    of any tuple that has it. *)
 
 val cltp : ctx -> q:int -> tmax:int -> r:int -> Graph.Tuple.t -> ty
 (** Local counting type: [ctp] computed in the induced [r]-neighbourhood

@@ -81,6 +81,116 @@ let atomic_signature g (u : Graph.Tuple.t) =
   }
 
 (* ------------------------------------------------------------------ *)
+(* Leaf kernel                                                         *)
+(* ------------------------------------------------------------------ *)
+
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
+module Sig_tbl = Hashtbl.Make (struct
+  type t = atomsig
+
+  let equal = ( = )
+  let hash = hash_atomsig 0
+end)
+
+(* a child of every parent with one signature: its id, and how many w
+   reached it under the parent numbered [stamp] *)
+type child = { id : int; mutable count : int; mutable stamp : int }
+
+type leaves = {
+  lg : Graph.t;
+  colour_class : int array;  (* vertex -> id of its colour set *)
+  class_bits : int;  (* bits a class id needs *)
+  bits : int array;
+      (* while a parent ū of arity k is open: bit i if u_i = w, bit
+         k + i if E(u_i, w); zero otherwise *)
+  children : child Int_tbl.t Sig_tbl.t;  (* parent signature -> key -> child *)
+  mutable parents : int;  (* parents opened so far *)
+}
+
+let leaves g =
+  let classes = Hashtbl.create 8 in
+  let colour_class =
+    Array.init (Graph.order g) (fun v ->
+        let cs = Graph.colors_of g v in
+        match Hashtbl.find_opt classes cs with
+        | Some i -> i
+        | None ->
+            let i = Hashtbl.length classes in
+            Hashtbl.add classes cs i;
+            i)
+  in
+  let rec width b =
+    if 1 lsl b >= Hashtbl.length classes then b else width (b + 1)
+  in
+  {
+    lg = g;
+    colour_class;
+    class_bits = width 0;
+    bits = Array.make (Graph.order g) 0;
+    children = Sig_tbl.create 16;
+    parents = 0;
+  }
+
+(* The signature of ū·w is fixed by ū's signature, which u_i equal w,
+   which u_i are adjacent to w, and w's colours: the key.  So [mk] runs
+   once per parent signature and key, on the first w that has them. *)
+let extend lv mk sg u visit =
+  let g = lv.lg and k = Array.length u in
+  if 2 * k + lv.class_bits >= Sys.int_size then
+    invalid_arg "Types.extend: tuple too long";
+  let by_key =
+    match Sig_tbl.find lv.children sg with
+    | t -> t
+    | exception Not_found ->
+        let t = Int_tbl.create 8 in
+        Sig_tbl.add lv.children sg t;
+        t
+  in
+  lv.parents <- lv.parents + 1;
+  let stamp = lv.parents and reached = ref [] in
+  let child w =
+    let key = lv.bits.(w) lor (lv.colour_class.(w) lsl (2 * k)) in
+    let c =
+      match Int_tbl.find by_key key with
+      | c -> c
+      | exception Not_found ->
+          let id = mk (atomic_signature g (Graph.Tuple.append u [| w |])) in
+          let c = { id; count = 0; stamp = 0 } in
+          Int_tbl.add by_key key c;
+          c
+    in
+    if c.stamp <> stamp then begin
+      c.stamp <- stamp;
+      c.count <- 0;
+      reached := c :: !reached
+    end;
+    c.count <- c.count + 1;
+    c.id
+  in
+  let mark v bit = lv.bits.(v) <- lv.bits.(v) lor bit in
+  Array.iteri
+    (fun i v ->
+      mark v (1 lsl i);
+      Graph.iter_neighbors g v (fun w -> mark w (1 lsl (k + i))))
+    u;
+  let unmark () =
+    Array.iter
+      (fun v ->
+        lv.bits.(v) <- 0;
+        Graph.iter_neighbors g v (fun w -> lv.bits.(w) <- 0))
+      u
+  in
+  (match visit child with () -> unmark () | exception e -> unmark (); raise e);
+  List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    (List.rev_map (fun c -> (c.id, c.count)) !reached)
+
+(* ------------------------------------------------------------------ *)
 (* Contexts and type computation                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -92,44 +202,70 @@ let ltp_radius_h = Obs.Metric.histogram "modelcheck.types.ltp_radius"
 
 type ctx = {
   g : Graph.t;
-  tp_memo : (int * Graph.Tuple.t, ty) Hashtbl.t;
+  roots : (int * Graph.Tuple.t, ty) Hashtbl.t;
+      (* [tp]'s own calls: a sample drawn with replacement repeats
+         tuples; the nodes below a root are reached from it alone *)
   ltp_memo : (int * int * Graph.Tuple.t, ty) Hashtbl.t;
-  mutable rows : int;  (* [tp] memo misses so far: the table's rows *)
+  leaves : leaves Lazy.t;
+  mutable rows : int;  (* nodes computed so far: the table's rows *)
 }
 
 let make_ctx g =
-  { g; tp_memo = Hashtbl.create 256; ltp_memo = Hashtbl.create 256; rows = 0 }
+  {
+    g;
+    roots = Hashtbl.create 256;
+    ltp_memo = Hashtbl.create 256;
+    leaves = lazy (leaves g);
+    rows = 0;
+  }
 
 let graph ctx = ctx.g
 
-let rec tp ctx ~q u =
+(* Every computed node is a table row: the unit of the guard's
+   Hintikka-table budget.  Counted before the node's children, so a
+   row whose children are still being computed counts too. *)
+let note_row ctx =
+  Obs.Metric.incr tp_misses;
+  ctx.rows <- ctx.rows + 1;
+  Guard.note_table_row ctx.rows
+
+let leaf sg = intern (sg, None) 0
+
+let rec compute ctx ~q u =
+  note_row ctx;
+  let sg = atomic_signature ctx.g u in
+  if q = 0 then leaf sg
+  else begin
+    let n = Graph.order ctx.g in
+    let children =
+      if q = 1 then
+        extend (Lazy.force ctx.leaves) leaf sg u (fun child ->
+            for w = 0 to n - 1 do
+              note_row ctx;
+              ignore (child w)
+            done)
+        |> List.map fst
+      else begin
+        let children = ref [] in
+        for w = 0 to n - 1 do
+          let child = compute ctx ~q:(q - 1) (Graph.Tuple.append u [| w |]) in
+          children := child :: !children
+        done;
+        List.sort_uniq Int.compare !children
+      end
+    in
+    intern (sg, Some children) q
+  end
+
+let tp ctx ~q u =
   if q < 0 then invalid_arg "Types.tp: negative quantifier rank";
-  match Hashtbl.find_opt ctx.tp_memo (q, u) with
+  match Hashtbl.find_opt ctx.roots (q, u) with
   | Some t ->
       Obs.Metric.incr tp_hits;
       t
   | None ->
-      Obs.Metric.incr tp_misses;
-      (* Every memo miss is a fresh table row: the natural unit for
-         the guard's Hintikka-table budget.  Counted at the miss, so a
-         row whose children are still being computed counts too. *)
-      ctx.rows <- ctx.rows + 1;
-      Guard.note_table_row ctx.rows;
-      let sg = atomic_signature ctx.g u in
-      let t =
-        if q = 0 then intern (sg, None) 0
-        else begin
-          let n = Graph.order ctx.g in
-          let children = ref [] in
-          for w = 0 to n - 1 do
-            let child = tp ctx ~q:(q - 1) (Graph.Tuple.append u [| w |]) in
-            children := child :: !children
-          done;
-          let children = List.sort_uniq Int.compare !children in
-          intern (sg, Some children) q
-        end
-      in
-      Hashtbl.replace ctx.tp_memo (q, u) t;
+      let t = compute ctx ~q u in
+      Hashtbl.replace ctx.roots (q, u) t;
       t
 
 let tp_graph g ~q u = tp (make_ctx g) ~q u

@@ -35,7 +35,11 @@ val arity : ty -> int
 
 (** {1 Computing types}
 
-    A context memoises type computations for one graph; reuse it across
+    A context holds one graph's type computations: the types of the
+    tuples {!tp} was asked for (a sample drawn with replacement repeats
+    tuples), the local types of {!ltp}, and the leaf kernel's state
+    ({!leaves}).  The nodes below a root are computed afresh every time, since
+    a tuple [ū·w] is only reached from [ū].  Reuse a context across
     calls for the same graph. *)
 
 type ctx
@@ -45,8 +49,10 @@ val make_ctx : Graph.t -> ctx
 val graph : ctx -> Graph.t
 
 val tp : ctx -> q:int -> Graph.Tuple.t -> ty
-(** [tp ctx ~q ū = tp_q(G, ū)].  Cost: [O(n^q)] extensions (memoised);
-    keep [q] small. *)
+(** [tp ctx ~q ū = tp_q(G, ū)].  Cost: [Σ_{j<=q} n^j] computed nodes,
+    each counted on [modelcheck.types.tp_misses] and as one table row
+    for the guard; a repeated [(q, ū)] is a hit
+    ([modelcheck.types.tp_hits]).  Keep [q] small. *)
 
 val ltp : ctx -> q:int -> r:int -> Graph.Tuple.t -> ty
 (** [ltp ctx ~q ~r ū = tp_q(N_r^G(ū), ū)]: the local [(q,r)]-type,
@@ -78,10 +84,42 @@ type atomsig = {
 
 val atomic_signature : Graph.t -> Graph.Tuple.t -> atomsig
 
+val leaf : atomsig -> ty
+(** The rank-0 type with this atomic signature: [tp ~q:0] of any tuple
+    that has it. *)
+
 val hash_atomsig : int -> atomsig -> int
 (** [hash_atomsig h sg] folds every field of [sg] into the running hash
     [h] (see {!Intern.mix}); the type registries hash their keys with
     it. *)
+
+(** {1 Leaf kernel}
+
+    Rank-1 nodes dominate the cost: each has [n] rank-0 children
+    [ū·w].  The signature of [ū·w] is fixed by the signature of [ū],
+    the positions [i] with [u_i = w], the positions with [E(u_i, w)],
+    and [w]'s colours.  So a child is a lookup under that key, and a
+    signature is built and interned once per parent signature and key. *)
+
+type leaves
+(** Per-graph state for {!extend}: colour classes, one mark word per
+    vertex, and the children found so far.  Not safe to share between
+    domains. *)
+
+val leaves : Graph.t -> leaves
+
+val extend :
+  leaves -> (atomsig -> int) -> atomsig -> Graph.Tuple.t ->
+  ((int -> int) -> unit) -> (int * int) list
+(** [extend lv mk sg ū visit], where [sg] is [atomic_signature g ū],
+    calls [visit child], where [child w] is
+    [mk (atomic_signature g (ū·w))].  [mk] is called only on the first
+    [w], over the calls with signature [sg], that has its key; so one
+    [lv] takes one [mk].  It returns the distinct ids [child] returned,
+    sorted, each with the number of calls that returned it.
+    @raise Invalid_argument if the key of [ū] does not fit in an int
+    (twice its arity plus the bits of a colour-class id reach
+    [Sys.int_size]). *)
 
 val node : ty -> atomsig * ty list option
 (** Decompose a canonical type: its atomic signature, and [None] for rank 0

@@ -128,9 +128,10 @@ let conclude ~out ~err ~cmd ~ckpt outcome =
   | Guard.Complete print ->
       Resil.Ctl.flush ~complete:true ckpt;
       print out
-  | Guard.Exhausted { best_so_far; reason; checkpoint; spent } -> (
+  | Guard.Exhausted { best_so_far; reason; checkpoint; spent; refused } -> (
       Resil.Ctl.flush ckpt;
       report_exhausted ~err ~cmd ~reason ~checkpoint ~spent;
+      Option.iter (Format.fprintf err "folearn %s: refused: %s@." cmd) refused;
       match best_so_far with
       | Some print ->
           Format.fprintf out

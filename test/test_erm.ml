@@ -40,6 +40,22 @@ let test_brute_realisable_parameterless () =
   check_err "hypothesis agrees" 0.0 (Hyp.training_error r.Brute.hypothesis lam);
   check_int "tried exactly one parameter tuple" 1 r.Brute.params_tried
 
+(* Every type node is computed once per root: a brute learn over all n
+   vertices at l = 1, q = 2 computes n^2 roots of n^2 + n + 1 nodes. *)
+let test_brute_tp_misses () =
+  let g = Gen.gnp ~seed:42 ~n:8 ~p:0.3 (* the CLI's gnp:8:0.3 *) in
+  let target = Fo.Parser.parse "exists y. E(x1, y)" in
+  let lam =
+    Sam.label_with_query g ~formula:target ~xvars:[ "x1" ] (Sam.all_tuples g ~k:1)
+  in
+  let misses = Obs.Metric.counter "modelcheck.types.tp_misses" in
+  Obs.enable ();
+  let before = Obs.Metric.value misses in
+  Fun.protect ~finally:Obs.disable (fun () ->
+      ignore (Brute.solve g ~k:1 ~ell:1 ~q:2 lam));
+  check_int "tp_misses = 8^4 + 8^3 + 8^2" (4096 + 512 + 64)
+    (Obs.Metric.value misses - before)
+
 let test_brute_needs_parameter () =
   (* target "adjacent to w" for a hidden w: not expressible without
      parameters at rank 0, perfectly expressible with ell = 1 *)
@@ -545,4 +561,6 @@ let suite =
     Alcotest.test_case "nd counting mode (FOC)" `Slow test_nd_counting_mode;
     QCheck_alcotest.to_alcotest nd_guarantee_random;
     QCheck_alcotest.to_alcotest brute_beats_any_query;
+    Alcotest.test_case "brute computes each type node once" `Quick
+      test_brute_tp_misses;
   ]

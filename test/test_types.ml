@@ -5,6 +5,7 @@
 
 open Cgraph
 module T = Modelcheck.Types
+module C = Modelcheck.Ctypes
 module Ef = Modelcheck.Ef
 module H = Modelcheck.Hintikka
 module E = Modelcheck.Eval
@@ -281,6 +282,48 @@ let test_partition_order () =
         (List.hd first_class = [| 0 |])
   | [] -> Alcotest.fail "expected classes"
 
+(* ------------------------------------------------------------------ *)
+(* Leaf kernel                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* For every parent ū and vertex w, the kernel's child is the rank-0
+   type of ū·w, in the plain and the counting registry alike, and each
+   id it returns carries the number of w that reach it. *)
+let leaf_kernel_random =
+  QCheck.Test.make ~name:"leaf kernel child = rank-0 type of u.w" ~count:40
+    QCheck.(quad (int_range 0 1000) (int_range 0 8) (int_range 0 3) (int_range 0 2))
+    (fun (seed, n, k, ncolors) ->
+      let colors = List.filteri (fun i _ -> i < ncolors) [ "Red"; "Blue" ] in
+      let g = Gen.colored ~seed ~colors (Gen.gnp ~seed:(seed + 1) ~n ~p:0.4) in
+      let cctx = C.make_ctx g in
+      let agrees lv mk direct u =
+        let ok = ref true and counts = Hashtbl.create 8 in
+        let got =
+          T.extend lv mk (T.atomic_signature g u) u (fun child ->
+              for w = 0 to n - 1 do
+                let id = child w in
+                if id <> direct (Graph.Tuple.append u [| w |]) then ok := false;
+                Hashtbl.replace counts id
+                  (1 + Option.value (Hashtbl.find_opt counts id) ~default:0)
+              done)
+        in
+        !ok
+        && got = List.sort compare (Hashtbl.fold (fun id c l -> (id, c) :: l) counts [])
+      in
+      (* one kernel per registry, each reused across all parents *)
+      let plain = T.leaves g and counting = T.leaves g in
+      List.for_all
+        (fun u ->
+          agrees plain
+            (fun sg -> (T.leaf sg :> int))
+            (fun t -> (T.tp_graph g ~q:0 t :> int))
+            u
+          && agrees counting
+               (fun sg -> (C.leaf sg :> int))
+               (fun t -> (C.ctp cctx ~q:0 ~tmax:2 t :> int))
+               u)
+        (Graph.Tuple.all ~n ~k))
+
 let suite =
   [
     Alcotest.test_case "node decomposition" `Quick test_node_decomposition;
@@ -312,4 +355,5 @@ let suite =
     QCheck_alcotest.to_alcotest types_vs_ef_random;
     QCheck_alcotest.to_alcotest fact5_random;
     QCheck_alcotest.to_alcotest hintikka_random;
+    QCheck_alcotest.to_alcotest leaf_kernel_random;
   ]
