@@ -300,8 +300,8 @@ let budget_of ({ fuel; timeout; max_table; max_ball } as b) =
       (Guard.Budget.make ?fuel ?timeout_s:timeout ?max_table ?max_ball ())
 
 (* the /progress fuel gauge needs a live budget to read spend from, so
-   --metrics-addr with no budget flag installs an unlimited one — the
-   same precedent --checkpoint set for its snapshot cadence *)
+   --metrics-addr with no budget flag makes an unlimited one, as
+   --checkpoint does *)
 let budget_for_pulse pulse opts =
   match budget_of opts with
   | Some _ as b -> b
@@ -310,10 +310,10 @@ let budget_for_pulse pulse opts =
       else Some (Guard.Budget.unlimited ())
 
 (* crash safety: --checkpoint / --resume on the long-running
-   subcommands.  Snapshot cadence rides the Guard tick hook, so an
-   uncheckpointed, unbudgeted run keeps its zero-overhead hot path;
-   --checkpoint with no budget flag installs an unlimited budget purely
-   to drive the cadence (it never trips). *)
+   subcommands.  The solvers check the snapshot cadence per candidate.
+   --checkpoint with no budget flag runs under an unlimited budget (it
+   never trips on its own): SIGINT/SIGTERM become a trip only on
+   budgeted ticks, and snapshots record the budget's spent fuel. *)
 
 let checkpoint_arg =
   Arg.(

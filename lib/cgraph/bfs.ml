@@ -34,7 +34,7 @@ let check_sources g srcs =
     (fun s -> if s < 0 || s >= n then raise (Graph.Invalid_vertex s))
     srcs
 
-let distances_multi g srcs =
+let distances_multi ?budget g srcs =
   check_sources g srcs;
   Obs.Metric.incr bfs_calls;
   let n = Graph.order g in
@@ -50,7 +50,7 @@ let distances_multi g srcs =
       end)
     srcs;
   while !head < !tail do
-    Guard.tick Guard.Bfs_frontier;
+    Guard.tick budget Guard.Bfs_frontier;
     let u = queue.(!head) in
     incr head;
     let du = dist.(u) in
@@ -64,9 +64,9 @@ let distances_multi g srcs =
   record_frontiers dist;
   dist
 
-let distances g src = distances_multi g [ src ]
+let distances ?budget g src = distances_multi ?budget g [ src ]
 
-let dist g u v =
+let dist ?budget g u v =
   (* early-exit BFS from the lower-degree endpoint: the distance is
      symmetric, and the search frontier grows with the degree of the
      start vertex, so explore outward from the sparser side *)
@@ -84,7 +84,7 @@ let dist g u v =
     let result = ref infinity in
     (try
        while !head < !tail do
-         Guard.tick Guard.Bfs_frontier;
+         Guard.tick budget Guard.Bfs_frontier;
          let x = queue.(!head) in
          incr head;
          Graph.iter_neighbors g x (fun y ->
@@ -102,10 +102,10 @@ let dist g u v =
     !result
   end
 
-let dist_tuple g a b =
+let dist_tuple ?budget g a b =
   if Array.length a = 0 || Array.length b = 0 then infinity
   else begin
-    let d = distances_multi g (Array.to_list a) in
+    let d = distances_multi ?budget g (Array.to_list a) in
     Array.fold_left (fun acc v -> min acc d.(v)) infinity b
   end
 
@@ -159,29 +159,29 @@ let visit_ball g ~r ~visit ~level srcs =
   if !tail > !level_start then level (!tail - !level_start);
   Array.sub !queue 0 !tail
 
-let ball g ~r srcs =
+let ball ?budget g ~r srcs =
   if r < 0 then invalid_arg "Bfs.ball: negative radius";
   Obs.Metric.incr bfs_calls;
   let observing = Obs.Sink.enabled () in
   let vs =
     visit_ball g ~r srcs
-      ~visit:(fun _ -> Guard.tick Guard.Bfs_frontier)
+      ~visit:(fun _ -> Guard.tick budget Guard.Bfs_frontier)
       ~level:(fun w ->
         if observing then Obs.Metric.observe frontier_h (float_of_int w))
   in
   let count = Array.length vs in
-  Guard.note_ball count;
+  Guard.note_ball budget count;
   if observing then Obs.Metric.observe ball_h (float_of_int count);
   Array.sort Int.compare vs;
   Array.to_list vs
 
-let ball_tuple g ~r t = ball g ~r (Array.to_list t)
+let ball_tuple ?budget g ~r t = ball ?budget g ~r (Array.to_list t)
 
-let eccentricity g v =
-  let d = distances g v in
+let eccentricity ?budget g v =
+  let d = distances ?budget g v in
   Array.fold_left (fun acc x -> if x < infinity then max acc x else acc) 0 d
 
-let within g ~r u v =
+let within ?budget g ~r u v =
   if u = v then r >= 0
   else begin
     Obs.Metric.incr bfs_calls;
@@ -195,7 +195,7 @@ let within g ~r u v =
     let found = ref false in
     (try
        while !head < !tail do
-         Guard.tick Guard.Bfs_frontier;
+         Guard.tick budget Guard.Bfs_frontier;
          let x = queue.(!head) in
          incr head;
          if dist_arr.(x) >= r then raise Exit;

@@ -3,30 +3,33 @@
     Distances follow Section 2 of the paper: [dist(u, v)] is the length of a
     shortest path; the distance from a vertex to a tuple (or set) is the
     minimum over its entries; the distance between two unreachable vertices
-    is {!infinity}. *)
+    is {!infinity}.
+
+    A traversal charges its [Bfs_frontier] ticks to [budget] (default:
+    none). *)
 
 val infinity : int
 (** Sentinel distance for unreachable vertices (larger than any real
     distance in any graph). *)
 
-val distances : Graph.t -> Graph.vertex -> int array
+val distances : ?budget:Guard.Budget.t -> Graph.t -> Graph.vertex -> int array
 (** [distances g src] gives the distance from [src] to every vertex
     ({!infinity} for unreachable ones). *)
 
-val distances_multi : Graph.t -> Graph.vertex list -> int array
+val distances_multi : ?budget:Guard.Budget.t -> Graph.t -> Graph.vertex list -> int array
 (** Multi-source distances: [dist(v, S)] for every [v] (all {!infinity}
     when [S] is empty).  Walks the sources' whole components: [O(n + m)]
     time and memory, one [Bfs_frontier] tick per reachable vertex.
     @raise Graph.Invalid_vertex on a source outside the graph. *)
 
-val dist : Graph.t -> Graph.vertex -> Graph.vertex -> int
+val dist : ?budget:Guard.Budget.t -> Graph.t -> Graph.vertex -> Graph.vertex -> int
 (** Pairwise distance. *)
 
-val dist_tuple : Graph.t -> Graph.Tuple.t -> Graph.Tuple.t -> int
+val dist_tuple : ?budget:Guard.Budget.t -> Graph.t -> Graph.Tuple.t -> Graph.Tuple.t -> int
 (** [dist(ū, v̄) = min over entries] (paper, Section 2).  {!infinity} if
     either tuple is empty or they lie in different components. *)
 
-val ball : Graph.t -> r:int -> Graph.vertex list -> Graph.vertex list
+val ball : ?budget:Guard.Budget.t -> Graph.t -> r:int -> Graph.vertex list -> Graph.vertex list
 (** [ball g ~r srcs] is the [r]-neighbourhood [N_r(srcs)]: all vertices at
     distance at most [r] from some source, sorted increasingly.  Includes
     the sources themselves (distance 0).
@@ -39,7 +42,7 @@ val ball : Graph.t -> r:int -> Graph.vertex list -> Graph.vertex list
     @raise Graph.Invalid_vertex on a source outside the graph.
     @raise Invalid_argument on a negative radius. *)
 
-val ball_tuple : Graph.t -> r:int -> Graph.Tuple.t -> Graph.vertex list
+val ball_tuple : ?budget:Guard.Budget.t -> Graph.t -> r:int -> Graph.Tuple.t -> Graph.vertex list
 (** [N_r(ū)] for a tuple; same cost and fuel as {!ball}. *)
 
 val visit_ball :
@@ -58,8 +61,8 @@ val visit_ball :
     @raise Graph.Invalid_vertex on a source outside the graph.
     @raise Invalid_argument on a negative radius. *)
 
-val eccentricity : Graph.t -> Graph.vertex -> int
+val eccentricity : ?budget:Guard.Budget.t -> Graph.t -> Graph.vertex -> int
 (** Largest finite distance from the vertex. *)
 
-val within : Graph.t -> r:int -> Graph.vertex -> Graph.vertex -> bool
+val within : ?budget:Guard.Budget.t -> Graph.t -> r:int -> Graph.vertex -> Graph.vertex -> bool
 (** [within g ~r u v] iff [dist(u,v) <= r]; stops the search early. *)

@@ -52,8 +52,8 @@ let is_forest g =
   let comp_count = List.length (components g) in
   Graph.size g = Graph.order g - comp_count
 
-let diameter g =
-  List.fold_left (fun acc v -> max acc (Bfs.eccentricity g v)) 0 (Graph.vertices g)
+let diameter ?budget g =
+  List.fold_left (fun acc v -> max acc (Bfs.eccentricity ?budget g v)) 0 (Graph.vertices g)
 
 let treewidth_exact ?(cap = 16) g =
   let n = Graph.order g in

@@ -17,7 +17,7 @@ val degeneracy : Graph.t -> int
 val is_forest : Graph.t -> bool
 (** True iff the graph is acyclic. *)
 
-val diameter : Graph.t -> int
+val diameter : ?budget:Guard.Budget.t -> Graph.t -> int
 (** Largest finite eccentricity (0 for the empty graph). *)
 
 val treewidth_exact : ?cap:int -> Graph.t -> int option

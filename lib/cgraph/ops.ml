@@ -51,9 +51,9 @@ let induced g s =
     of_sub = (fun i -> old_of_new.(i));
   }
 
-let neighborhood g ~r t =
+let neighborhood ?budget g ~r t =
   Obs.Metric.incr neighborhood_calls;
-  induced g (Bfs.ball_tuple g ~r t)
+  induced g (Bfs.ball_tuple ?budget g ~r t)
 
 let disjoint_union gs =
   let offsets = Array.make (List.length gs) 0 in

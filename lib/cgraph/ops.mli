@@ -21,7 +21,7 @@ val induced : Graph.t -> Graph.vertex list -> embedding
     its colour classes are.
     @raise Graph.Invalid_vertex on a member outside the graph. *)
 
-val neighborhood : Graph.t -> r:int -> Graph.Tuple.t -> embedding
+val neighborhood : ?budget:Guard.Budget.t -> Graph.t -> r:int -> Graph.Tuple.t -> embedding
 (** The induced [r]-neighbourhood graph [N_r^G(ū)] around a tuple, at the
     cost and fuel of {!Bfs.ball_tuple} plus {!induced} on the ball.
     @raise Graph.Invalid_vertex on an entry outside the graph. *)

@@ -8,8 +8,8 @@
 
     Everything in this module is deliberately {e tick-free}: unlike
     {!Bfs}, the traversals here never call [Guard.tick]/[note_ball], so
-    probing a structure for planning purposes cannot consume fuel from
-    an installed budget or trip a cap.  {!probe} runs in [O(n + m)];
+    probing a structure for planning purposes cannot consume fuel or
+    trip a cap.  {!probe} runs in [O(n + m)];
     {!ball_size} in [O(|N_r| · Δ)], independent of [n]. *)
 
 type t = {

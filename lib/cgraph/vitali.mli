@@ -11,7 +11,7 @@ type cover = {
   rounds : int;  (** the index [i], i.e. how often the radius was tripled *)
 }
 
-val cover : Graph.t -> r:int -> Graph.vertex list -> cover
+val cover : ?budget:Guard.Budget.t -> Graph.t -> r:int -> Graph.vertex list -> cover
 (** Runs the inductive construction from the proof of Lemma 3: start with
     [Z_0 = X]; while some two [R_i]-balls intersect, take an inclusion-wise
     maximal subset with pairwise disjoint balls and triple the radius.

@@ -2,15 +2,15 @@ open Cgraph
 module Types = Modelcheck.Types
 
 (* realised local (q,r)-types of (1+ell)-tuples, as canonical types *)
-let realised_types g ~ell ~q ~r =
-  let ctx = Types.make_ctx g in
+let realised_types ?budget g ~ell ~q ~r =
+  let ctx = Types.make_ctx ?budget g in
   Types.partition_by_ltp ctx ~q ~r
     (Graph.Tuple.all ~n:(Graph.order g) ~k:(1 + ell))
   |> List.map fst
 
 (* the formula "ltp(x, y1..yell) ∈ {θ}": relativised Hintikka over the
    Algorithm 2 variable convention (x, y1, ..., yell) *)
-let formula_of_types g ~ell ~q:_ ~r thetas =
+let formula_of_types ?budget g ~ell ~q:_ ~r thetas =
   let colors = Graph.color_names g in
   let vars = Modelcheck.Hintikka.variables (1 + ell) in
   let rename =
@@ -23,7 +23,7 @@ let formula_of_types g ~ell ~q:_ ~r thetas =
        (fun theta ->
          Fo.Formula.substitute rename
            (Fo.Localize.relativize ~r ~around:vars
-              (Modelcheck.Hintikka.of_type ~colors theta)))
+              (Modelcheck.Hintikka.of_type ?budget ~colors theta)))
        thetas)
 
 (* enumerate subsets in order of increasing cardinality, skipping the
@@ -53,13 +53,13 @@ let iter_subsets_smallest_first items ~limit f =
 
 (* grows the catalogue into [acc] (newest first) so a budgeted caller
    can salvage the formulas built before a trip *)
-let build g ~ell ~q ~r ~max_size acc =
-  let types = realised_types g ~ell ~q ~r in
+let build ?budget g ~ell ~q ~r ~max_size acc =
+  let types = realised_types ?budget g ~ell ~q ~r in
   let count = ref 0 in
   iter_subsets_smallest_first types ~limit:max_size (fun thetas ->
       incr count;
-      Guard.note_catalogue !count;
-      acc := formula_of_types g ~ell ~q ~r thetas :: !acc);
+      Guard.note_catalogue budget !count;
+      acc := formula_of_types ?budget g ~ell ~q ~r thetas :: !acc);
   List.rev !acc
 
 let of_local_types g ~ell ~q ~r ?(max_size = 256) () =
@@ -72,7 +72,7 @@ let of_local_types_budgeted ?budget g ~ell ~q ~r ?(max_size = 256) () =
   Guard.run ?budget
     ~salvage:(fun () ->
       match !acc with [] -> None | fs -> Some (List.rev fs))
-    (fun () -> build g ~ell ~q ~r ~max_size acc)
+    (fun () -> build ?budget g ~ell ~q ~r ~max_size acc)
 
 let positive_types_only g ~ell ~q ~r =
   List.map

@@ -17,12 +17,12 @@ let score ~q lam ctx params =
   Sweep.majority (fun v -> Types.tp ctx ~q (Graph.Tuple.append v params)) lam
 
 (* the candidates: every w̄ ∈ V(G)^ell, in [Graph.Tuple.of_index] order *)
-let space g ~ell ~q lam =
+let space ?budget g ~ell ~q lam =
   let n = Graph.order g in
   {
     Sweep.count = Graph.Tuple.count ~n ~k:ell;
     candidate = Graph.Tuple.of_index ~n ~k:ell;
-    ctx = (fun () -> Types.make_ctx g);
+    ctx = (fun () -> Types.make_ctx ?budget g);
     score = score ~q lam;
   }
 
@@ -45,20 +45,20 @@ let result g ~k ~q lam ~tried = function
 let finish g ~k ~q lam st =
   result g ~k ~q lam ~tried:(Sweep.tried st) (Sweep.best st)
 
-let solve_body ?pool ?ckpt g ~k ~ell ~q lam st =
+let solve_body ?pool ?ckpt ?budget g ~k ~ell ~q lam st =
   Analysis.Guard.require ~what:"Erm_brute.solve"
     (Analysis.Guard.budgets ~ell ~q ~k ());
   check_arity ~k lam;
-  Sweep.run ?pool ?ckpt (space g ~ell ~q lam) st;
+  Sweep.run ?pool ?ckpt ?budget (space ?budget g ~ell ~q lam) st;
   finish g ~k ~q lam st
 
-let solve ?pool g ~k ~ell ~q lam =
+let solve ?pool ?budget g ~k ~ell ~q lam =
   Obs.Span.with_ "erm_brute.solve"
     ~args:
       [ ("k", string_of_int k); ("ell", string_of_int ell);
         ("q", string_of_int q) ]
   @@ fun () ->
-  solve_body ?pool g ~k ~ell ~q lam (Sweep.create ())
+  solve_body ?pool ?budget g ~k ~ell ~q lam (Sweep.create ())
 
 let solve_budgeted ?budget ?(precheck = true) ?pool ?(ckpt = Resil.Ctl.none) g
     ~k ~ell ~q lam =
@@ -74,7 +74,7 @@ let solve_budgeted ?budget ?(precheck = true) ?pool ?(ckpt = Resil.Ctl.none) g
   with
   | Some rejected -> rejected
   | None ->
-      Sweep.budgeted ?budget ~ckpt ~finish:(finish g ~k ~q lam)
-        (solve_body ?pool ~ckpt g ~k ~ell ~q lam)
+      Sweep.budgeted ?budget ~finish:(finish g ~k ~q lam)
+        (solve_body ?pool ~ckpt ?budget g ~k ~ell ~q lam)
 
 let optimal_error g ~k ~ell ~q lam = (solve g ~k ~ell ~q lam).err

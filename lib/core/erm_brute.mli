@@ -22,11 +22,13 @@ type result = {
 }
 
 val solve :
-  ?pool:Par.Pool.t -> Graph.t -> k:int -> ell:int -> q:int -> Sample.t -> result
+  ?pool:Par.Pool.t -> ?budget:Guard.Budget.t ->
+  Graph.t -> k:int -> ell:int -> q:int -> Sample.t -> result
 (** Exact ERM.  Cost [O(n^ℓ · m)] type computations of rank [q] on
     [(k+ℓ)]-tuples.  The [n^ℓ] candidate tuples are swept by {!Sweep}:
     [pool] (default {!Par.default}) chunks the sweep, and the result is
-    bit-identical to the sequential one.
+    bit-identical to the sequential one.  The work is charged to
+    [budget]; a trip unwinds to the caller's [Guard.run].
     @raise Invalid_argument if an example has arity other than [k]. *)
 
 val solve_budgeted :

@@ -15,12 +15,12 @@ let score ~q ~tmax lam ctx params =
   Sweep.majority (fun v -> C.ctp ctx ~q ~tmax (Graph.Tuple.append v params)) lam
 
 (* the candidate space of [Erm_brute], voting on counting types *)
-let space g ~ell ~q ~tmax lam =
+let space ?budget g ~ell ~q ~tmax lam =
   let n = Graph.order g in
   {
     Sweep.count = Graph.Tuple.count ~n ~k:ell;
     candidate = Graph.Tuple.of_index ~n ~k:ell;
-    ctx = (fun () -> C.make_ctx g);
+    ctx = (fun () -> C.make_ctx ?budget g);
     score = score ~q ~tmax lam;
   }
 
@@ -42,11 +42,11 @@ let result g ~k ~q ~tmax lam ~tried = function
 let finish g ~k ~q ~tmax lam st =
   result g ~k ~q ~tmax lam ~tried:(Sweep.tried st) (Sweep.best st)
 
-let solve_body ?pool ?ckpt g ~k ~ell ~q ~tmax lam st =
+let solve_body ?pool ?ckpt ?budget g ~k ~ell ~q ~tmax lam st =
   Analysis.Guard.require ~what:"Erm_counting.solve"
     (Analysis.Guard.budgets ~ell ~q ~tmax ~k ());
   check_arity ~k lam;
-  Sweep.run ?pool ?ckpt (space g ~ell ~q ~tmax lam) st;
+  Sweep.run ?pool ?ckpt ?budget (space ?budget g ~ell ~q ~tmax lam) st;
   finish g ~k ~q ~tmax lam st
 
 let solve ?pool g ~k ~ell ~q ~tmax lam =
@@ -71,7 +71,7 @@ let solve_budgeted ?budget ?(precheck = true) ?pool ?(ckpt = Resil.Ctl.none) g
   with
   | Some rejected -> rejected
   | None ->
-      Sweep.budgeted ?budget ~ckpt ~finish:(finish g ~k ~q ~tmax lam)
-        (solve_body ?pool ~ckpt g ~k ~ell ~q ~tmax lam)
+      Sweep.budgeted ?budget ~finish:(finish g ~k ~q ~tmax lam)
+        (solve_body ?pool ~ckpt ?budget g ~k ~ell ~q ~tmax lam)
 
 let optimal_error g ~k ~ell ~q ~tmax lam = (solve g ~k ~ell ~q ~tmax lam).err

@@ -15,7 +15,7 @@ let pool_size_h = Obs.Metric.histogram "erm_local.pool_size"
    pool, shorter first; within a length the first position varies
    fastest, so position [d] of the [i]-th j-tuple is digit [d] of [i]
    base |pool| *)
-let space g ~ell ~q ~r lam pool =
+let space ?budget g ~ell ~q ~r lam pool =
   let p = Array.length pool in
   let level = Array.init (ell + 1) (fun j -> Graph.Tuple.count ~n:p ~k:j) in
   let count =
@@ -39,7 +39,7 @@ let space g ~ell ~q ~r lam pool =
   {
     Sweep.count;
     candidate = candidate 0;
-    ctx = (fun () -> Types.make_ctx g);
+    ctx = (fun () -> Types.make_ctx ?budget g);
     score =
       (fun ctx params ->
         Sweep.majority
@@ -64,7 +64,7 @@ let finish g ~k ~q ~r lam ext st =
     vertices_touched = ext.vertices_touched;
   }
 
-let solve_body ?pool:ppool ?ckpt g ~k ~ell ~q ~r lam ext st =
+let solve_body ?pool:ppool ?ckpt ?budget g ~k ~ell ~q ~r lam ext st =
   Analysis.Guard.require ~what:"Erm_local.solve"
     (Analysis.Guard.budgets ~ell ~q ~radius:r ~k ()
     @ Analysis.Guard.sample_arity ~k (List.map fst lam));
@@ -79,16 +79,16 @@ let solve_body ?pool:ppool ?ckpt g ~k ~ell ~q ~r lam ext st =
      touched = (3r+2)-neighbourhood (everything the algorithm reads) *)
   let balls =
     Par.map_tasks ppool ~tasks:2 (fun i ->
-        if i = 0 then Bfs.ball g ~r:((2 * r) + 1) entries
-        else Bfs.ball g ~r:((3 * r) + 2) entries)
+        if i = 0 then Bfs.ball ?budget g ~r:((2 * r) + 1) entries
+        else Bfs.ball ?budget g ~r:((3 * r) + 2) entries)
   in
   let pool = balls.(0) in
   ext.pool_size <- List.length pool;
   if Obs.Sink.enabled () then
     Obs.Metric.observe pool_size_h (float_of_int ext.pool_size);
   ext.vertices_touched <- List.length balls.(1);
-  Sweep.run ~pool:ppool ?ckpt
-    (space g ~ell ~q ~r lam (Array.of_list pool))
+  Sweep.run ~pool:ppool ?ckpt ?budget
+    (space ?budget g ~ell ~q ~r lam (Array.of_list pool))
     st;
   finish g ~k ~q ~r lam ext st
 
@@ -121,5 +121,5 @@ let solve_budgeted ?budget ?(precheck = true) ?pool ?radius
   | None ->
       let r = radius_for ?radius q in
       let ext = { pool_size = 0; vertices_touched = 0 } in
-      Sweep.budgeted ?budget ~ckpt ~finish:(finish g ~k ~q ~r lam ext)
-        (solve_body ?pool ~ckpt g ~k ~ell ~q ~r lam ext)
+      Sweep.budgeted ?budget ~finish:(finish g ~k ~q ~r lam ext)
+        (solve_body ?pool ~ckpt ?budget g ~k ~ell ~q ~r lam ext)

@@ -46,12 +46,12 @@ type typer = {
     Graph.t -> k:int -> ids:int list -> params:Graph.Tuple.t -> Hypothesis.t;
 }
 
-let plain_typer ~q ~r =
+let plain_typer ?budget ~q ~r () =
   let store : (int, Types.ty) Hashtbl.t = Hashtbl.create 64 in
   {
     a_typ =
       (fun g ->
-        let ctx = Types.make_ctx g in
+        let ctx = Types.make_ctx ?budget g in
         fun u ->
           let t = Types.ltp ctx ~q ~r u in
           Hashtbl.replace store (Types.hash t) t;
@@ -63,12 +63,12 @@ let plain_typer ~q ~r =
           ~params);
   }
 
-let counting_typer ~q ~r ~tmax =
+let counting_typer ?budget ~q ~r ~tmax () =
   let store : (int, Modelcheck.Ctypes.ty) Hashtbl.t = Hashtbl.create 64 in
   {
     a_typ =
       (fun g ->
-        let ctx = Modelcheck.Ctypes.make_ctx g in
+        let ctx = Modelcheck.Ctypes.make_ctx ?budget g in
         fun u ->
           let t = Modelcheck.Ctypes.cltp ctx ~q ~tmax ~r u in
           Hashtbl.replace store (Modelcheck.Ctypes.hash t) t;
@@ -198,7 +198,7 @@ let conflicts g ~q ~r lam =
    tuples whose (2r+1)-neighbourhood contains x), at most [cap] of them,
    restricted to [allowed] vertices.  Returns the centres (in selection
    order) and the attendance table. *)
-let greedy_centres g ~r ~cap ~allowed ~critical =
+let greedy_centres ?budget g ~r ~cap ~allowed ~critical =
   let attend : int list array = Array.make (Graph.order g) [] in
   (* the per-tuple balls are independent BFS sweeps — batch them on the
      default pool; the attendance table is then filled sequentially in
@@ -206,7 +206,7 @@ let greedy_centres g ~r ~cap ~allowed ~critical =
      derives from them) do not depend on the pool size *)
   let balls =
     Par.map_list (Par.default ())
-      (fun v -> Bfs.ball_tuple g ~r:((2 * r) + 1) v)
+      (fun v -> Bfs.ball_tuple ?budget g ~r:((2 * r) + 1) v)
       critical
   in
   List.iteri
@@ -226,7 +226,7 @@ let greedy_centres g ~r ~cap ~allowed ~critical =
         incr count;
         List.iter
           (fun v -> forbidden.(v) <- true)
-          (Bfs.ball g ~r:((4 * r) + 2) [ u ])
+          (Bfs.ball ?budget g ~r:((4 * r) + 2) [ u ])
       end)
     order;
   (List.rev !xs, attend)
@@ -254,7 +254,7 @@ let rec subsets_up_to cap = function
    search followed by report assembly) and [salvage] (assemble a report
    from the best leaf seen so far, or [None] if no leaf was reached) so
    [solve_budgeted] can recover a partial answer after a budget trip. *)
-let solve_inner ?(ckpt = Resil.Ctl.none) cfg g lam =
+let solve_inner ?(ckpt = Resil.Ctl.none) ?budget cfg g lam =
   if cfg.epsilon <= 0.0 then invalid_arg "Erm_nd.solve: epsilon must be > 0";
   Analysis.Guard.require ~what:"Erm_nd.solve"
     (Analysis.Guard.budgets ~ell:cfg.ell_star ~q:cfg.q_star ?tmax:cfg.counting
@@ -283,8 +283,8 @@ let solve_inner ?(ckpt = Resil.Ctl.none) cfg g lam =
   in
   let typer =
     match cfg.counting with
-    | None -> plain_typer ~q ~r
-    | Some tmax -> counting_typer ~q ~r ~tmax
+    | None -> plain_typer ?budget ~q ~r ()
+    | Some tmax -> counting_typer ?budget ~q ~r ~tmax ()
   in
   let typ_orig = typer.a_typ g in
   let branches = ref 0 in
@@ -298,7 +298,8 @@ let solve_inner ?(ckpt = Resil.Ctl.none) cfg g lam =
   let best = ref None in
   let leaf_idx = ref 0 in
   let consider_leaf answers_rev rounds_rev =
-    Guard.tick Guard.Solver_loop;
+    Guard.tick budget Guard.Solver_loop;
+    Resil.Ctl.visit ckpt;
     incr branches;
     Obs.Metric.incr hypotheses_enumerated;
     Obs.Metric.incr consistency_checks;
@@ -319,7 +320,7 @@ let solve_inner ?(ckpt = Resil.Ctl.none) cfg g lam =
   in
   let module ISet = Set.Make (Int) in
   let rec explore stage round answers_rev rounds_rev =
-    Guard.tick Guard.Solver_loop;
+    Guard.tick budget Guard.Solver_loop;
     let params_so_far =
       Array.of_list (List.concat (List.rev answers_rev))
     in
@@ -341,7 +342,7 @@ let solve_inner ?(ckpt = Resil.Ctl.none) cfg g lam =
          real (non-synthetic) vertices only. *)
       let crit_count = List.length critical in
       let xs, attend =
-        greedy_centres stage.sgraph ~r ~cap:x_cap
+        greedy_centres ?budget stage.sgraph ~r ~cap:x_cap
           ~allowed:(fun u -> stage.orig.(u) <> None)
           ~critical:(List.map (fun (v, _, _) -> v) critical)
       in
@@ -410,14 +411,15 @@ let solve_inner ?(ckpt = Resil.Ctl.none) cfg g lam =
     let sg = stage.sgraph in
     if Obs.Sink.enabled () then
       Obs.Metric.observe rounds_h (float_of_int (Graph.order sg));
-    let cover = Cgraph.Vitali.cover sg ~r:base y in
+    let cover = Cgraph.Vitali.cover ?budget sg ~r:base y in
     let z = cover.Cgraph.Vitali.centers in
     let r' = cover.Cgraph.Vitali.radius in
     (* Splitter's answers to the moves z_j with radius R' *)
     let answers_stage =
       List.map
         (fun zj ->
-          cfg.cls.Splitter.Nowhere_dense.splitter sg ~radius:(min r' big_r)
+          cfg.cls.Splitter.Nowhere_dense.splitter ?budget sg
+            ~radius:(min r' big_r)
             ~connector:zj)
         z
     in
@@ -426,14 +428,14 @@ let solve_inner ?(ckpt = Resil.Ctl.none) cfg g lam =
     in
     if answers_orig = [] then None
     else begin
-      let ball = Bfs.ball sg ~r:r' z in
+      let ball = Bfs.ball ?budget sg ~r:r' z in
       let emb = Ops.induced sg ball in
       let a0 = emb.Ops.graph in
       let map_opt v = emb.Ops.to_sub v in
       (* Step 1: distance colours D_{j,d} to the guessed centres y_j.
          One full BFS per centre — batched on the default pool. *)
       let y_dists =
-        Par.map_list (Par.default ()) (fun yj -> Bfs.distances sg yj) y
+        Par.map_list (Par.default ()) (fun yj -> Bfs.distances ?budget sg yj) y
       in
       let d_colors =
         List.concat
@@ -474,7 +476,7 @@ let solve_inner ?(ckpt = Resil.Ctl.none) cfg g lam =
       in
       (* Step 4 + example projection: figure out which isolated
          type-representatives t_{I,θ} are needed. *)
-      let dist_y = Bfs.distances_multi sg y in
+      let dist_y = Bfs.distances_multi ?budget sg y in
       let near_limit = (6 * r) + 3 in
       let fresh_tbl : (int list * int, int) Hashtbl.t = Hashtbl.create 16 in
       let fresh_specs = ref [] and fresh_count = ref 0 in
@@ -498,7 +500,7 @@ let solve_inner ?(ckpt = Resil.Ctl.none) cfg g lam =
         else begin
           (* components of H_v̄: indices within distance 2r+1 chains *)
           let dists =
-            Array.map (fun ve -> Bfs.distances sg ve) v
+            Array.map (fun ve -> Bfs.distances ?budget sg ve) v
           in
           let comp = Array.make kk (-1) in
           let next_comp = ref 0 in
@@ -634,5 +636,5 @@ let solve_budgeted ?budget ?(precheck = true) ?(ckpt = Resil.Ctl.none) cfg g
   with
   | Some rejected -> rejected
   | None ->
-      let run, salvage = solve_inner ~ckpt cfg g lam in
-      Resil.Ctl.with_attached ckpt @@ fun () -> Guard.run ?budget ~salvage run
+      let run, salvage = solve_inner ~ckpt ?budget cfg g lam in
+      Guard.run ?budget ~salvage run

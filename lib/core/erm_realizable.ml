@@ -53,7 +53,7 @@ let expanded g ~prefix ~candidate_index ~candidate lam =
   in
   Graph.with_colors g colors
 
-let consistent_extension g ~ell phi lam =
+let consistent_extension ?budget g ~ell phi lam =
   (match Sample.arity lam with
   | Some 1 | None -> ()
   | Some k ->
@@ -78,7 +78,8 @@ let consistent_extension g ~ell phi lam =
           in
           Atomic.incr mc_calls_counter;
           Obs.Metric.incr mc_calls_metric;
-          if Modelcheck.Eval.sentence g' (certificate ~ell ~i phi) then Some u
+          if Modelcheck.Eval.sentence ?budget g' (certificate ~ell ~i phi)
+          then Some u
           else try_vertex (u + 1)
         end
       in
@@ -91,7 +92,8 @@ let consistent_extension g ~ell phi lam =
     let g' = expanded g ~prefix:[] ~candidate_index:0 ~candidate:None lam in
     Atomic.incr mc_calls_counter;
     Obs.Metric.incr mc_calls_metric;
-    if Modelcheck.Eval.sentence g' (certificate ~ell:0 ~i:0 phi) then Some [||]
+    if Modelcheck.Eval.sentence ?budget g' (certificate ~ell:0 ~i:0 phi) then
+      Some [||]
     else None
   end
   else fix_prefix 1 []
@@ -106,7 +108,7 @@ let result_for g ~total phi ~index params =
     formulas_tried = index + 1;
   }
 
-let solve ?pool g ~ell ~catalogue lam =
+let solve ?pool ?budget g ~ell ~catalogue lam =
   Obs.Span.with_ "erm_realizable.solve" ~args:[ ("ell", string_of_int ell) ]
   @@ fun () ->
   Atomic.set mc_calls_counter 0;
@@ -116,10 +118,10 @@ let solve ?pool g ~ell ~catalogue lam =
     let rec go tried = function
       | [] -> None
       | phi :: rest -> (
-          Guard.tick Guard.Solver_loop;
+          Guard.tick budget Guard.Solver_loop;
           Obs.Metric.incr hypotheses_enumerated;
           Obs.Metric.incr consistency_checks;
-          match consistent_extension g ~ell phi lam with
+          match consistent_extension ?budget g ~ell phi lam with
           | Some params -> Some (result_for g ~total phi ~index:tried params)
           | None -> go (tried + 1) rest)
     in
@@ -142,10 +144,10 @@ let solve ?pool g ~ell ~catalogue lam =
         let stop = min total (start + block) in
         let hits =
           Par.map_tasks pool ~tasks:(stop - start) (fun d ->
-              Guard.tick Guard.Solver_loop;
+              Guard.tick budget Guard.Solver_loop;
               Obs.Metric.incr hypotheses_enumerated;
               Obs.Metric.incr consistency_checks;
-              consistent_extension g ~ell arr.(start + d) lam)
+              consistent_extension ?budget g ~ell arr.(start + d) lam)
         in
         let rec first d =
           if d >= Array.length hits then None
@@ -172,4 +174,4 @@ let solve_budgeted ?budget ?pool g ~ell ~catalogue lam =
      best-so-far — only "no answer yet". *)
   Guard.run ?budget
     ~salvage:(fun () -> None)
-    (fun () -> solve ?pool g ~ell ~catalogue lam)
+    (fun () -> solve ?pool ?budget g ~ell ~catalogue lam)

@@ -29,6 +29,7 @@ type result = {
 
 val solve :
   ?pool:Par.Pool.t ->
+  ?budget:Guard.Budget.t ->
   Graph.t ->
   ell:int ->
   catalogue:Fo.Formula.t list ->
@@ -38,12 +39,13 @@ val solve :
     (free variables among [x1, y1..yℓ]) admitting a consistent parameter
     setting, with the parameters found — or [None] ("reject") when no
     catalogue formula is consistent.  The returned hypothesis has training
-    error 0 whenever the promise holds for some catalogue member.
+    error 0 whenever the promise holds for some catalogue member.  The
+    scan is charged to [budget].
     @raise Invalid_argument if examples are not 1-tuples or a catalogue
     formula has stray free variables. *)
 
 val consistent_extension :
-  Graph.t -> ell:int -> Fo.Formula.t -> Sample.t -> Graph.Tuple.t option
+  ?budget:Guard.Budget.t -> Graph.t -> ell:int -> Fo.Formula.t -> Sample.t -> Graph.Tuple.t option
 (** The inner parameter search for one formula: [Some w̄] iff the prefix
     construction succeeds. *)
 

@@ -13,7 +13,7 @@ type t = {
 let classes_gauge = Obs.Metric.gauge "preindex.classes"
 let build_calls = Obs.Metric.counter "preindex.builds"
 
-let build ?pool ?(ckpt = Resil.Ctl.none) g ~q ~r =
+let build ?pool g ~q ~r =
   Obs.Span.with_ "preindex.build"
     ~args:[ ("q", string_of_int q); ("r", string_of_int r) ]
   @@ fun () ->
@@ -23,19 +23,11 @@ let build ?pool ?(ckpt = Resil.Ctl.none) g ~q ~r =
   (* phase 1: the per-vertex local types, chunked across the pool (one
      Types context per chunk — the memo tables are not shared between
      domains).  Sequential fallback keeps one shared context, which
-     memoises better.
-
-     [ckpt] only reports progress (vertex frontier) for cadence
-     snapshots: local types are cheap relative to the ERM sweeps and
-     depend on shared memo state, so a resumed build recomputes them
-     from scratch rather than replay-skipping. *)
+     memoises better. *)
   let vertex_ty =
     if Par.Pool.size pool <= 1 || n <= 1 then begin
       let ctx = Types.make_ctx g in
-      Array.init n (fun v ->
-          let ty = Types.ltp ctx ~q ~r [| v |] in
-          Resil.Ctl.chunk_done ckpt ~lo:v ~hi:(v + 1) ~best:None;
-          ty)
+      Array.init n (fun v -> Types.ltp ctx ~q ~r [| v |])
     end
     else begin
       let out = Array.make n None in
@@ -44,8 +36,7 @@ let build ?pool ?(ckpt = Resil.Ctl.none) g ~q ~r =
           let ctx = Types.make_ctx g in
           for v = lo to hi - 1 do
             out.(v) <- Some (Types.ltp ctx ~q ~r [| v |])
-          done;
-          Resil.Ctl.chunk_done ckpt ~lo ~hi ~best:None)
+          done)
         ~reduce:(fun () () -> ())
         ~init:() ();
       Array.map

@@ -15,14 +15,12 @@ open Cgraph
 
 type t
 
-val build : ?pool:Par.Pool.t -> ?ckpt:Resil.Ctl.t -> Graph.t -> q:int -> r:int -> t
+val build : ?pool:Par.Pool.t -> Graph.t -> q:int -> r:int -> t
 (** One preprocessing pass: [ltp_{q,r}(G, v)] for every vertex.
     [pool] (default {!Par.default}) computes the per-vertex local types
     in parallel chunks; dense class ids are then assigned sequentially
     in vertex order, so the resulting index is identical whatever the
-    pool size.  [ckpt] reports the settled-vertex frontier for cadence
-    snapshots (progress visibility only — a resumed build recomputes
-    the cheap per-vertex types rather than replay-skipping them). *)
+    pool size. *)
 
 val graph : t -> Graph.t
 val class_count : t -> int

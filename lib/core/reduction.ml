@@ -1,12 +1,14 @@
 open Cgraph
 
-type oracle = Graph.t -> Sample.t -> ell:int -> q:int -> eps:float -> Hypothesis.t
+type oracle =
+  ?budget:Guard.Budget.t ->
+  Graph.t -> Sample.t -> ell:int -> q:int -> eps:float -> Hypothesis.t
 
 let oracle_calls_metric = Obs.Metric.counter "reduction.oracle_calls"
 let nodes_metric = Obs.Metric.counter "reduction.recursion_nodes"
 
-let exact_oracle g lam ~ell ~q ~eps:_ =
-  (Erm_brute.solve g ~k:1 ~ell ~q lam).Erm_brute.hypothesis
+let exact_oracle ?budget g lam ~ell ~q ~eps:_ =
+  (Erm_brute.solve ?budget g ~k:1 ~ell ~q lam).Erm_brute.hypothesis
 
 type stats = {
   oracle_calls : int;
@@ -64,7 +66,8 @@ type gamma = {
   g_holds : Graph.vertex -> bool;  (** evaluation on the original graph *)
 }
 
-let gamma_general ?(counter = ref 0) ~oracle ~oracle_ell ~radius ~q g u v () =
+let gamma_general ?(counter = ref 0) ?budget ~oracle ~oracle_ell ~radius ~q g u
+    v () =
   let call_counter = counter in
   let ell = max 1 oracle_ell in
   let copies = 2 * ell in
@@ -77,7 +80,7 @@ let gamma_general ?(counter = ref 0) ~oracle ~oracle_ell ~radius ~q g u v () =
   (* quantifier-rank allowance for the localised discriminator *)
   let q_star = q + Fo.Gaifman.rank_overhead radius + 1 in
   incr call_counter;
-  let h = oracle ghat lam ~ell ~q:q_star ~eps:(1.0 /. 8.0) in
+  let h = oracle ?budget ghat lam ~ell ~q:q_star ~eps:(1.0 /. 8.0) in
   let params = Hypothesis.params h in
   let n = Graph.order g in
   let copy_of w = w / n in
@@ -113,10 +116,10 @@ let gamma_general ?(counter = ref 0) ~oracle ~oracle_ell ~radius ~q g u v () =
          the claim needs (u°, v° are far, and every vertex of the
          parameterless G is far). *)
       let dist_to_params =
-        Bfs.distances_multi ghat (Array.to_list params)
+        Bfs.distances_multi ?budget ghat (Array.to_list params)
       in
-      let ctx_hat = Modelcheck.Types.make_ctx ghat in
-      let max_r = max radius (Invariants.diameter g + 1) in
+      let ctx_hat = Modelcheck.Types.make_ctx ?budget ghat in
+      let max_r = max radius (Invariants.diameter ?budget g + 1) in
       let rec localise q_hat r' =
         let far a = dist_to_params.(a) > r' in
         let pos_types = Hashtbl.create 16 and neg_types = Hashtbl.create 16 in
@@ -160,8 +163,8 @@ let gamma_general ?(counter = ref 0) ~oracle ~oracle_ell ~radius ~q g u v () =
 (* The reduction                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let model_check ?(general_l = false) ?(oracle_ell = 1) ?locality_radius ~oracle
-    g phi =
+let model_check ?(general_l = false) ?(oracle_ell = 1) ?locality_radius
+    ?budget ~oracle g phi =
   Analysis.Guard.require ~what:"Reduction.model_check"
     (Analysis.Guard.sentence phi);
   let oracle_calls = ref 0 in
@@ -170,7 +173,7 @@ let model_check ?(general_l = false) ?(oracle_ell = 1) ?locality_radius ~oracle
   let max_colors = ref 0 in
   let fresh_counter = ref 0 in
   let rec decide g (phi : Fo.Formula.t) =
-    Guard.tick Guard.Solver_loop;
+    Guard.tick budget Guard.Solver_loop;
     incr nodes;
     match phi with
     | True -> true
@@ -207,14 +210,15 @@ let model_check ?(general_l = false) ?(oracle_ell = 1) ?locality_radius ~oracle
         | None ->
             let s =
               if general_l then
-                (gamma_general ~counter:oracle_calls ~oracle ~oracle_ell
-                   ~radius ~q g u v ())
+                (gamma_general ~counter:oracle_calls ?budget ~oracle
+                   ~oracle_ell ~radius ~q g u v ())
                   .g_sig
               else begin
                 incr oracle_calls;
                 let h =
-                  oracle g [ ([| u |], false); ([| v |], true) ] ~ell:0 ~q
-                    ~eps:0.25
+                  oracle ?budget g
+                    [ ([| u |], false); ([| v |], true) ]
+                    ~ell:0 ~q ~eps:0.25
                 in
                 Hypothesis.signature h
               end
@@ -275,4 +279,5 @@ let model_check_budgeted ?budget ?(precheck = true) ?general_l ?oracle_ell
       Guard.run ?budget
         ~salvage:(fun () -> None)
         (fun () ->
-          model_check ?general_l ?oracle_ell ?locality_radius ~oracle g phi)
+          model_check ?general_l ?oracle_ell ?locality_radius ?budget ~oracle
+            g phi)

@@ -25,9 +25,12 @@
 
 open Cgraph
 
-type oracle = Graph.t -> Sample.t -> ell:int -> q:int -> eps:float -> Hypothesis.t
+type oracle =
+  ?budget:Guard.Budget.t ->
+  Graph.t -> Sample.t -> ell:int -> q:int -> eps:float -> Hypothesis.t
 (** An [(L,Q)]-FO-ERM oracle for [k = 1]: may return a hypothesis with at
-    most [ell] parameters and rank at most the oracle's own [Q] bound. *)
+    most [ell] parameters and rank at most the oracle's own [Q] bound.
+    The reduction passes its budget, for the oracle to charge. *)
 
 val exact_oracle : oracle
 (** The exact ERM solver ({!Erm_brute}) as oracle — sound for both modes
@@ -44,6 +47,7 @@ type gamma = {
 
 val gamma_general :
   ?counter:int ref ->
+  ?budget:Guard.Budget.t ->
   oracle:oracle ->
   oracle_ell:int ->
   radius:int ->
@@ -70,6 +74,7 @@ val model_check :
   ?general_l:bool ->
   ?oracle_ell:int ->
   ?locality_radius:int ->
+  ?budget:Guard.Budget.t ->
   oracle:oracle ->
   Graph.t ->
   Fo.Formula.t ->

@@ -64,40 +64,44 @@ let evaluate sp ctx i =
   let chosen, errors = sp.score ctx params in
   { index = i; params; chosen; errors }
 
-let visit () =
-  Guard.tick Guard.Solver_loop;
+(* the cadence check runs on the first tick after the previous candidate
+   settled, before this candidate's counters move, so a snapshot's
+   counters cover exactly the candidates visited before it *)
+let visit budget ckpt =
+  Guard.tick budget Guard.Solver_loop;
+  Resil.Ctl.visit ckpt;
   Obs.Metric.incr hypotheses_enumerated;
   Obs.Metric.incr consistency_checks
 
 (* candidate [i] of the sequential sweep: tried as soon as its tick has
    passed, settled (and reported) one at a time *)
-let settle sp ctx ckpt st i =
-  visit ();
+let settle sp ctx budget ckpt st i =
+  visit budget ckpt;
   st.tried <- st.tried + 1;
   if Resil.Ctl.should_eval ckpt i then
     st.best <- lexmin st.best (evaluate sp ctx i);
   Resil.Ctl.chunk_done ckpt ~lo:i ~hi:(i + 1) ~best:(Option.map key st.best)
 
 (* the lex-min over [lo, hi) on one fresh context *)
-let chunk sp ckpt ~lo ~hi =
+let chunk sp budget ckpt ~lo ~hi =
   let ctx = sp.ctx () in
   let best = ref None in
   for i = lo to hi - 1 do
-    visit ();
+    visit budget ckpt;
     if Resil.Ctl.should_eval ckpt i then
       best := lexmin !best (evaluate sp ctx i)
   done;
   !best
 
-let run ?pool ?(ckpt = Resil.Ctl.none) sp st =
+let run ?pool ?(ckpt = Resil.Ctl.none) ?budget sp st =
   let pool = match pool with Some p -> p | None -> Par.default () in
   match sp.count with
   | Some total when Par.Pool.size pool > 1 && total > 1 ->
-      settle sp (sp.ctx ()) ckpt st 0;
+      settle sp (sp.ctx ()) budget ckpt st 0;
       Par.map_reduce_chunks pool ~n:(total - 1)
         ~map:(fun lo hi ->
           let lo = lo + 1 and hi = hi + 1 in
-          let local = chunk sp ckpt ~lo ~hi in
+          let local = chunk sp budget ckpt ~lo ~hi in
           (* merge as soon as the chunk completes, so a later budget
              trip can still salvage it *)
           Mutex.protect st.merge (fun () ->
@@ -110,12 +114,11 @@ let run ?pool ?(ckpt = Resil.Ctl.none) sp st =
   | count ->
       let ctx = sp.ctx () in
       for i = 0 to Option.value count ~default:max_int - 1 do
-        settle sp ctx ckpt st i
+        settle sp ctx budget ckpt st i
       done
 
-let budgeted ?budget ~ckpt ~finish body =
+let budgeted ?budget ~finish body =
   let st = create () in
-  Resil.Ctl.with_attached ckpt @@ fun () ->
   Guard.run ?budget
     ~salvage:(fun () -> Option.map (fun _ -> finish st) st.best)
     (fun () -> body st)

@@ -15,7 +15,8 @@
       which parallel chunks merge: every [--jobs] returns the same
       candidate.
     - {b Work per candidate.}  Every candidate, evaluated or not, pays
-      one [Guard.tick Solver_loop] and one increment of each of
+      one [Guard.tick Solver_loop] to the sweep's budget, one cadence
+      check ({!Resil.Ctl.visit}) and one increment of each of
       [erm.hypotheses_enumerated] and [erm.consistency_checks].
     - {b [tried].}  Sequentially, a candidate counts as tried once its
       tick has passed, so a budget trip mid-evaluation counts the
@@ -25,7 +26,7 @@
       replay-skipped: ticked, counted and tried, but not voted on,
       except the recorded best index, which is re-evaluated to recover
       the winning types.  Settled ranges are reported through
-      [Resil.Ctl.chunk_done] so the cadence writer can snapshot the
+      [Resil.Ctl.chunk_done] so the cadence check can snapshot the
       frontier.  The resumed result equals the uninterrupted one.
     - {b Candidate 0 first.}  The parallel sweep settles candidate 0 on
       the calling domain exactly as the sequential sweep does, and only
@@ -49,7 +50,7 @@ type ('ctx, 'ty) space = {
           which case the sweep is sequential and streams indices
           [0, 1, ...] until the budget stops it *)
   candidate : int -> Graph.Tuple.t;  (** parameter tuple of an index *)
-  ctx : unit -> 'ctx;  (** a fresh type context *)
+  ctx : unit -> 'ctx;  (** a fresh type context, charging the sweep's budget *)
   score : 'ctx -> Graph.Tuple.t -> 'ty list * int;
       (** chosen types and error count of a parameter tuple *)
 }
@@ -70,23 +71,21 @@ val tried : 'ty t -> int
 val best : 'ty t -> 'ty best option
 
 val run :
-  ?pool:Par.Pool.t -> ?ckpt:Resil.Ctl.t -> ('ctx, 'ty) space -> 'ty t -> unit
+  ?pool:Par.Pool.t -> ?ckpt:Resil.Ctl.t -> ?budget:Guard.Budget.t ->
+  ('ctx, 'ty) space -> 'ty t -> unit
 (** Sweep every candidate into the state.  [pool] (default
     {!Par.default}) chunks the sweep when it has more than one domain
     and there is more than one candidate; [ckpt] (default inert)
-    threads a checkpoint controller. *)
+    threads a checkpoint controller; [budget] is charged per
+    candidate. *)
 
 val budgeted :
-  ?budget:Guard.Budget.t ->
-  ckpt:Resil.Ctl.t ->
-  finish:('ty t -> 'a) ->
-  ('ty t -> 'a) ->
-  'a Guard.outcome
-(** [budgeted ?budget ~ckpt ~finish body] runs [body] on a fresh
-    state under [budget], with [ckpt]'s cadence hook attached.  On a
-    trip, [best_so_far] is [finish] of the state if some candidate
-    finished evaluating, and [None] otherwise: a constant fallback
-    would not be a best seen so far. *)
+  ?budget:Guard.Budget.t -> finish:('ty t -> 'a) -> ('ty t -> 'a) -> 'a Guard.outcome
+(** [budgeted ?budget ~finish body] runs [body] on a fresh state under
+    [budget]; [body] passes [budget] on to {!run}.  On a trip,
+    [best_so_far] is [finish] of the state if some candidate finished
+    evaluating, and [None] otherwise: a constant fallback would not be
+    a best seen so far.  [finish] must not charge [budget]. *)
 
 val error_rate : Sample.t -> int -> float
 (** [errors / |lam|], and [0.] on the empty sample. *)

@@ -78,11 +78,10 @@ module Faults = struct
     rate > 0.
     && float_of_int (mix seed cp n land 0xFFFFFF) /. 16777216. < rate
 
-  let any plans cp n = List.exists (fun p -> p cp n) plans
   let fires (t : t) cp n = t cp n
 end
 
-(* The live state behind an installed budget.  Counters are [Atomic]
+(* The live state behind a budget.  Counters are [Atomic]
    so one budget can govern a whole [Par] pool: fuel and per-checkpoint
    hit counts are shared fetch-and-add totals (a fault plan's n-th hit
    happens exactly once regardless of which worker lands on it), peaks
@@ -172,10 +171,6 @@ module Budget = struct
       l_max_catalogue = t.max_catalogue;
     }
 
-  let of_limits ?(faults = Faults.none) l =
-    make ?fuel:l.l_fuel ?timeout_s:l.l_timeout_s ?max_table:l.l_max_table
-      ?max_ball:l.l_max_ball ?max_catalogue:l.l_max_catalogue ~faults ()
-
   let spent t =
     {
       fuel = Atomic.get t.fuel_used;
@@ -184,8 +179,6 @@ module Budget = struct
       ball_peak = Atomic.get t.ball_peak;
       catalogue_entries = Atomic.get t.catalogue_entries;
     }
-
-  let tripped t = Atomic.get t.tripped
 
   let for_stage t =
     {
@@ -200,16 +193,16 @@ module Budget = struct
     }
 end
 
-(* The one exception of the subsystem.  It is not exported: the only
-   handler is [run], so exhaustion cannot escape to callers. *)
-exception Exhausted_internal
+(* The one exception of the subsystem, naming the budget that tripped.
+   It is not exported: the only handler is [run], which catches its own
+   budget's trips alone, so exhaustion cannot escape to callers. *)
+exception Stop of state
 
 (* The stop signal is a control-flow edge, not a worker fault: a [Par]
    chunk that unwinds on it must not be re-attempted (a retried chunk
    would immediately unwind again, and fault-plan determinism relies on
    hit counts advancing exactly once). *)
-let () =
-  Par.register_no_retry (function Exhausted_internal -> true | _ -> false)
+let () = Par.register_no_retry (function Stop _ -> true | _ -> false)
 
 (* Process-wide interrupt request (SIGINT/SIGTERM from the CLI's signal
    handler, which must stay async-signal-safe: it only sets this flag).
@@ -220,17 +213,6 @@ let interrupt_flag = Atomic.make false
 let interrupt () = Atomic.set interrupt_flag true
 let interrupt_requested () = Atomic.get interrupt_flag
 let clear_interrupt () = Atomic.set interrupt_flag false
-
-(* An optional hook run after every surviving budgeted tick — the
-   checkpoint-cadence writer of [Resil] attaches here.  Firing only on
-   the budgeted path keeps the no-budget tick at one load + branch. *)
-let tick_hook : (unit -> unit) option Atomic.t = Atomic.make None
-let set_tick_hook h = Atomic.set tick_hook h
-
-(* [Atomic] rather than a plain ref: pool workers read the installed
-   budget concurrently with the main domain (un)installing it. *)
-let current : state option Atomic.t = Atomic.make None
-let active () = Option.is_some (Atomic.get current)
 
 (* How many ticks between wall-clock reads.  A clock read is a
    syscall-order cost; 32 checkpoints of real solver work dwarf it. *)
@@ -253,7 +235,7 @@ let trip st reason cp =
           ("fuel", string_of_int (Atomic.get st.fuel_used));
         ]
       "guard.trip";
-  raise Exhausted_internal
+  raise (Stop st)
 
 (* CAS-max: lock-free peak tracking *)
 let rec store_max cell v =
@@ -274,7 +256,7 @@ let check_deadline st cp =
 let tick_st st cost cp =
   (* cooperative cancellation: once any worker trips, every other
      worker unwinds at its next checkpoint *)
-  if Option.is_some (Atomic.get st.tripped) then raise Exhausted_internal;
+  if Option.is_some (Atomic.get st.tripped) then raise (Stop st);
   if Atomic.get interrupt_flag then trip st Interrupted cp;
   let fuel = Atomic.fetch_and_add st.fuel_used cost + cost in
   let i = checkpoint_index cp in
@@ -283,14 +265,13 @@ let tick_st st cost cp =
   (match st.fuel_limit with
   | Some limit when fuel > limit -> trip st Out_of_fuel cp
   | _ -> ());
-  check_deadline st cp;
-  match Atomic.get tick_hook with None -> () | Some h -> h ()
+  check_deadline st cp
 
-let tick ?(cost = 1) cp =
-  match Atomic.get current with None -> () | Some st -> tick_st st cost cp
+let tick ?(cost = 1) budget cp =
+  match budget with None -> () | Some st -> tick_st st cost cp
 
-let note_table_row rows =
-  match Atomic.get current with
+let note_table_row budget rows =
+  match budget with
   | None -> ()
   | Some st ->
       store_max st.table_rows rows;
@@ -299,8 +280,8 @@ let note_table_row rows =
       | _ -> ());
       tick_st st 1 Hintikka_build
 
-let note_ball size =
-  match Atomic.get current with
+let note_ball budget size =
+  match budget with
   | None -> ()
   | Some st ->
       store_max st.ball_peak size;
@@ -309,8 +290,8 @@ let note_ball size =
       | _ -> ());
       tick_st st 1 Bfs_frontier
 
-let note_catalogue entries =
-  match Atomic.get current with
+let note_catalogue budget entries =
+  match budget with
   | None -> ()
   | Some st ->
       store_max st.catalogue_entries entries;
@@ -332,38 +313,14 @@ type 'a outcome =
 let run ?budget ~salvage f =
   match budget with
   | None -> Complete (f ())
-  | Some b ->
-      let prev = Atomic.get current in
-      Atomic.set current (Some b);
-      let restore () = Atomic.set current prev in
-      let result =
-        try Ok (f ())
-        with
-        | Exhausted_internal -> Error ()
-        | e ->
-            restore ();
-            raise e
-      in
-      (match result with
-      | Ok v ->
-          restore ();
-          Complete v
-      | Error () ->
-          let reason, checkpoint =
-            match Atomic.get b.tripped with
-            | Some rc -> rc
-            | None -> (Out_of_fuel, Solver_loop)
-            (* unreachable: only [trip] raises, and it records first *)
-          in
-          (* Salvage runs with no budget installed, so materialising
-             the best-so-far answer cannot itself trip. *)
-          Atomic.set current None;
-          let best =
-            match salvage () with
-            | b -> b
-            | exception _ -> None
-          in
-          restore ();
+  | Some b -> (
+      match f () with
+      | v -> Complete v
+      | exception Stop st when st == b ->
+          (* [trip] records before it raises, and a cancelled worker
+             raises only once the record is there *)
+          let reason, checkpoint = Option.get (Atomic.get b.tripped) in
+          let best = try salvage () with _ -> None in
           Obs.Metric.incr exhausted_total;
           Obs.Metric.incr (exhausted_counter reason);
           Obs.Event.record ~kind:"guard"
@@ -386,20 +343,3 @@ let run ?budget ~salvage f =
 let outcome_map f = function
   | Complete v -> Complete (f v)
   | Exhausted e -> Exhausted { e with best_so_far = Option.map f e.best_so_far }
-
-let outcome_value = function
-  | Complete v -> Some v
-  | Exhausted { best_so_far; _ } -> best_so_far
-
-let pp_outcome pp_v ppf = function
-  | Complete v -> Format.fprintf ppf "@[<2>Complete@ %a@]" pp_v v
-  | Exhausted { best_so_far; reason; checkpoint; spent; _ } ->
-      Format.fprintf ppf
-        "@[<2>Exhausted@ { reason = %s;@ checkpoint = %s;@ fuel = %d;@ best = %a }@]"
-        (reason_to_string reason)
-        (checkpoint_to_string checkpoint)
-        spent.fuel
-        (Format.pp_print_option
-           ~none:(fun ppf () -> Format.pp_print_string ppf "<none>")
-           pp_v)
-        best_so_far

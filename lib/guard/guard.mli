@@ -6,20 +6,25 @@
     [q]/[k] beyond toy scale therefore sends the enumerate-and-check
     solvers into effectively unbounded work.  This module bounds that
     work {e cooperatively}: long-running loops call {!tick} (or one of
-    the [note_*] observers) at their checkpoints, and an ambient
-    {!Budget.t} — fuel, a wall-clock deadline on the obs monotonic
-    clock, and size caps — decides when to stop them.
+    the [note_*] observers) at their checkpoints, and a {!Budget.t} —
+    fuel, a wall-clock deadline on the obs monotonic clock, and size
+    caps — decides when to stop them.
 
-    Exhaustion never escapes as an exception.  The only way to install
-    a budget is {!run}, which converts the internal stop signal into a
-    structured {!outcome}: [Complete v] when the computation finished,
-    or [Exhausted] carrying the best answer salvaged so far, the
+    There is no ambient budget.  A computation carries the
+    [Budget.t option] it charges as a value (in its type context, its
+    sweep, its evaluation counter or an entry point's [?budget]) and
+    hands it to every {!tick}; [None] charges nothing.
+
+    Exhaustion never escapes as an exception.  {!run} converts the
+    internal stop signal of its own budget into a structured
+    {!outcome}: [Complete v] when the computation finished, or
+    [Exhausted] carrying the best answer salvaged so far, the
     {!reason} and {!checkpoint} of the trip, and the resources
     {!type-spent}.
 
-    Cost discipline matches [Obs.Sink]: with no budget installed a
-    {!tick} is one load and one branch.  Deadline checks amortise the
-    clock syscall over a stride of ticks.
+    Cost discipline matches [Obs.Sink]: an unbudgeted {!tick} is one
+    branch.  Deadline checks amortise the clock syscall over a stride
+    of ticks.
 
     A deterministic fault-injection harness ({!Faults}) can force a
     trip at any checkpoint, so tests can exercise every degradation
@@ -85,9 +90,6 @@ module Faults : sig
       [rate] per hit, deterministically in [seed], the checkpoint
       class, and the hit count. *)
 
-  val any : t list -> t
-  (** Fires whenever any constituent plan fires. *)
-
   val fires : t -> checkpoint -> int -> bool
   (** [fires t cp n] — does plan [t] fire on the [n]-th hit of [cp]?
       (1-based; exposed for tests.) *)
@@ -135,14 +137,7 @@ module Budget : sig
   (** The limits this budget was created with ([l_timeout_s] is the
       original relative timeout, not the remaining time). *)
 
-  val of_limits : ?faults:Faults.t -> limits -> t
-  (** A fresh budget with the given limits; the deadline restarts from
-      now.  [limits (of_limits l) = l]. *)
-
   val spent : t -> spent
-
-  val tripped : t -> (reason * checkpoint) option
-  (** [Some _] once the budget has stopped a computation. *)
 
   val for_stage : t -> t
   (** A fresh budget for a fallback stage: same limits and fault plan,
@@ -150,27 +145,27 @@ module Budget : sig
       degradation chain shares one wall clock. *)
 end
 
-(** {1 Checkpoint API (called by instrumented code)} *)
+(** {1 Checkpoint API (called by instrumented code)}
 
-val active : unit -> bool
-(** Is a budget currently installed?  One load and one branch. *)
+    Each takes the budget of the computation it charges; with [None]
+    it is a no-op.  Charge a budget only inside its {!run}: a trip has
+    nowhere else to unwind to. *)
 
-val tick : ?cost:int -> checkpoint -> unit
-(** Pass a checkpoint, consuming [cost] fuel (default 1).  No-op when
-    no budget is installed.  When the installed budget is out of fuel,
-    past its deadline, or the fault plan fires, control unwinds to the
-    enclosing {!run} — never past it. *)
+val tick : ?cost:int -> Budget.t option -> checkpoint -> unit
+(** Pass a checkpoint, consuming [cost] fuel (default 1).  When the
+    budget is out of fuel, past its deadline, or the fault plan fires,
+    control unwinds to the {!run} of that budget — never past it. *)
 
-val note_table_row : int -> unit
+val note_table_row : Budget.t option -> int -> unit
 (** Report the current Hintikka-table row count; trips [Table_cap]
     when it exceeds the budget's [max_table].  Also a
     [Hintikka_build] tick. *)
 
-val note_ball : int -> unit
+val note_ball : Budget.t option -> int -> unit
 (** Report a neighbourhood-ball size; trips [Ball_cap] above
     [max_ball].  Also a [Bfs_frontier] tick. *)
 
-val note_catalogue : int -> unit
+val note_catalogue : Budget.t option -> int -> unit
 (** Report the catalogue size; trips [Catalogue_cap] above
     [max_catalogue].  Also a [Catalogue_growth] tick. *)
 
@@ -188,13 +183,6 @@ val interrupt : unit -> unit
 
 val interrupt_requested : unit -> bool
 val clear_interrupt : unit -> unit
-
-val set_tick_hook : (unit -> unit) option -> unit
-(** Install (or remove, with [None]) a hook run after every surviving
-    budgeted tick, on whichever domain ticked.  Used by the checkpoint
-    cadence writer ([Resil.Ctl]); the hook must be cheap, re-entrant
-    across domains, and must not raise.  Unbudgeted ticks never invoke
-    it, so the no-budget hot path is unchanged. *)
 
 (** {1 Running under a budget} *)
 
@@ -216,24 +204,19 @@ type 'a outcome =
     }
 
 val run : ?budget:Budget.t -> salvage:(unit -> 'a option) -> (unit -> 'a) -> 'a outcome
-(** [run ?budget ~salvage f] evaluates [f ()] with [budget] installed.
+(** [run ?budget ~salvage f] evaluates [f ()] and catches the trips of
+    [budget].  [f] must pass [budget] to the code it wants charged.
 
-    - With no [budget], this is transparent: [Complete (f ())].  (An
-      ambient budget installed by an enclosing [run] keeps governing.)
+    - With no [budget], this is transparent: [Complete (f ())].
     - On completion, returns [Complete v].
-    - On exhaustion, calls [salvage ()] {e with the budget
-      uninstalled} (so salvaging cannot itself trip), records an obs
-      exhaustion counter, and returns [Exhausted].
+    - When [budget] trips, calls [salvage ()], records an obs
+      exhaustion counter, and returns [Exhausted].  [budget] has
+      tripped, so any charge to it during [salvage] unwinds again and
+      the salvage yields [None]: salvage from plain state.
 
-    Budgets nest: during [f], the previous ambient budget is shadowed
-    and restored on exit.  Exceptions other than the internal stop
-    signal propagate unchanged. *)
+    Nesting: a [run] catches only its own budget's trips.  A trip of
+    an outer budget inside an inner [run ~budget:b2] passes through
+    it to the outer [run], which reports the outer reason and
+    checkpoint.  Other exceptions propagate unchanged. *)
 
 val outcome_map : ('a -> 'b) -> 'a outcome -> 'b outcome
-
-val outcome_value : 'a outcome -> 'a option
-(** [Complete v] and [Exhausted {best_so_far = Some v; _}] both yield
-    [Some v]. *)
-
-val pp_outcome :
-  (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a outcome -> unit

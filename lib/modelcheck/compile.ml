@@ -4,16 +4,25 @@ exception Unbound_variable of Fo.Formula.var
 
 (* Compiled code: a closure tree over a flat int slot array.  [env] maps
    slot index -> vertex (free variables first, then one slot per
-   quantifier nesting level); [nodes] batches quantifier-node visits in
-   a plain local ref exactly like the reference walker, so the flushed
-   counter totals come out identical.
+   quantifier nesting level); the [counter] batches quantifier-node
+   visits exactly like the reference walker, so the flushed counter
+   totals come out identical, and carries the budget each visit
+   charges.
 
    The closures are pure with respect to shared state — they read the
    (immutable) graph and mutate only the caller-provided [env] — so one
    compiled formula is safely shared across domains as long as each
    caller brings its own slot array (the counted entry points below
    allocate a fresh one per call). *)
-type code = int array -> int ref -> bool
+type counter = { mutable nodes : int; budget : Guard.Budget.t option }
+
+let counter ?budget () = { nodes = 0; budget }
+
+let[@inline] visit nd =
+  nd.nodes <- nd.nodes + 1;
+  Guard.tick nd.budget Guard.Eval_step
+
+type code = int array -> counter -> bool
 
 type t = {
   graph : Graph.t;
@@ -127,8 +136,7 @@ let lower g ~senv ~first_bound f =
         | Some (z, rest) ->
             let s, c = bind senv depth x rest in
             fun env nd ->
-              incr nd;
-              Guard.tick Guard.Eval_step;
+              visit nd;
               n > 0
               && Graph.exists_neighbor g env.(z) (fun w ->
                      env.(s) <- w;
@@ -136,8 +144,7 @@ let lower g ~senv ~first_bound f =
         | None ->
             let s, c = bind senv depth x body in
             fun env nd ->
-              incr nd;
-              Guard.tick Guard.Eval_step;
+              visit nd;
               let rec try_from v =
                 v < n
                 && ((env.(s) <- v;
@@ -150,8 +157,7 @@ let lower g ~senv ~first_bound f =
         | Some (z, rest) ->
             let s, c = bind senv depth x rest in
             fun env nd ->
-              incr nd;
-              Guard.tick Guard.Eval_step;
+              visit nd;
               n = 0
               || not
                    (Graph.exists_neighbor g env.(z) (fun w ->
@@ -160,8 +166,7 @@ let lower g ~senv ~first_bound f =
         | None ->
             let s, c = bind senv depth x body in
             fun env nd ->
-              incr nd;
-              Guard.tick Guard.Eval_step;
+              visit nd;
               let rec all_from v =
                 v >= n
                 || ((env.(s) <- v;
@@ -174,8 +179,7 @@ let lower g ~senv ~first_bound f =
         | Some (z, rest) ->
             let s, c = bind senv depth x rest in
             fun env nd ->
-              incr nd;
-              Guard.tick Guard.Eval_step;
+              visit nd;
               t <= 0
               || n > 0
                  &&
@@ -188,8 +192,7 @@ let lower g ~senv ~first_bound f =
         | None ->
             let s, c = bind senv depth x body in
             fun env nd ->
-              incr nd;
-              Guard.tick Guard.Eval_step;
+              visit nd;
               let rec count_from v found =
                 found >= t
                 || (v < n
@@ -240,25 +243,25 @@ let arity t = t.k
 let slots t = t.nslots
 let run t env nodes = t.code env nodes
 
-let flush_nodes nodes =
-  if !nodes > 0 then begin
-    Obs.Metric.add quantifier_nodes !nodes;
-    nodes := 0
+let flush nd =
+  if nd.nodes > 0 then begin
+    Obs.Metric.add quantifier_nodes nd.nodes;
+    nd.nodes <- 0
   end
 
-let holds_tuple t u =
+let holds_tuple ?budget t u =
   if Array.length u <> t.k then
     invalid_arg "Eval.holds_tuple: variable/tuple length mismatch";
   Obs.Metric.incr eval_calls;
   let env = Array.make (max t.nslots 1) 0 in
   Array.blit u 0 env 0 t.k;
-  let nodes = ref 0 in
+  let nodes = counter ?budget () in
   match t.code env nodes with
   | r ->
-      flush_nodes nodes;
+      flush nodes;
       r
   | exception e ->
-      flush_nodes nodes;
+      flush nodes;
       raise e
 
 (* ------------------------------------------------------------------ *)

@@ -67,19 +67,31 @@ val cached : Graph.t -> vars:Fo.Formula.var list -> Fo.Formula.t -> t
 
 (** {1 Running} *)
 
-val holds_tuple : t -> Graph.Tuple.t -> bool
+type counter = { mutable nodes : int; budget : Guard.Budget.t option }
+(** One evaluation's state: its quantifier-node visits so far, and the
+    budget each visit charges one [Eval_step] tick. *)
+
+val counter : ?budget:Guard.Budget.t -> unit -> counter
+
+val visit : counter -> unit
+(** Count one quantifier-node visit and charge its tick. *)
+
+val holds_tuple : ?budget:Guard.Budget.t -> t -> Graph.Tuple.t -> bool
 (** [holds_tuple c ū] binds the compiled free variables positionally to
-    [ū] and evaluates.  Counts one [modelcheck.eval.calls]; allocates a
-    fresh slot array, so it is safe to call concurrently on a shared
-    compiled value.
+    [ū] and evaluates, charging [budget].  Counts one
+    [modelcheck.eval.calls]; allocates a fresh slot array, so it is
+    safe to call concurrently on a shared compiled value.
     @raise Invalid_argument on an arity mismatch. *)
 
-val run : t -> int array -> int ref -> bool
+val run : t -> int array -> counter -> bool
 (** Low-level entry for enumerators: evaluate with a caller-owned slot
     array (length at least {!slots}; free variables already written at
-    slots [0 .. arity-1]) and a caller-owned quantifier-node batch ref.
-    Records no counters; the caller flushes the batch ref into
-    [modelcheck.eval.quantifier_nodes] itself. *)
+    slots [0 .. arity-1]) and a caller-owned counter.  Records no
+    counters; the caller flushes its node count with {!flush}. *)
+
+val flush : counter -> unit
+(** Add the counter's node visits to [modelcheck.eval.quantifier_nodes]
+    and reset them. *)
 
 (** {1 Inspection} *)
 

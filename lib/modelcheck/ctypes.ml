@@ -53,14 +53,16 @@ let reset_tables = Reg.reset
 
 type ctx = {
   g : Graph.t;
+  budget : Guard.Budget.t option;  (* charged by [cltp]'s balls *)
   roots : (int * int * Graph.Tuple.t, ty) Hashtbl.t;  (* as in Types *)
   lmemo : (int * int * int * Graph.Tuple.t, ty) Hashtbl.t;
   leaves : Types.leaves Lazy.t;
 }
 
-let make_ctx g =
+let make_ctx ?budget g =
   {
     g;
+    budget;
     roots = Hashtbl.create 256;
     lmemo = Hashtbl.create 256;
     leaves = lazy (Types.leaves g);
@@ -111,14 +113,14 @@ let cltp ctx ~q ~tmax ~r u =
   match Hashtbl.find_opt ctx.lmemo (q, tmax, r, u) with
   | Some t -> t
   | None ->
-      let emb = Ops.neighborhood ctx.g ~r u in
+      let emb = Ops.neighborhood ?budget:ctx.budget ctx.g ~r u in
       let u' =
         Array.map
           (fun v ->
             match emb.Ops.to_sub v with Some v' -> v' | None -> assert false)
           u
       in
-      let t = ctp (make_ctx emb.Ops.graph) ~q ~tmax u' in
+      let t = ctp (make_ctx ?budget:ctx.budget emb.Ops.graph) ~q ~tmax u' in
       Hashtbl.replace ctx.lmemo (q, tmax, r, u) t;
       t
 

@@ -29,7 +29,7 @@ val arity : ty -> int
 
 type ctx
 
-val make_ctx : Graph.t -> ctx
+val make_ctx : ?budget:Guard.Budget.t -> Graph.t -> ctx
 
 val ctp : ctx -> q:int -> tmax:int -> Graph.Tuple.t -> ty
 (** [ctp ctx ~q ~tmax ū]: the counting [q]-type with thresholds up to

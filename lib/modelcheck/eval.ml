@@ -29,7 +29,6 @@ module VMap = Map.Make (String)
    route through {!Compile}, which evaluates the same recursion over a
    flat int slot array with identical tick and counter behaviour. *)
 let eval_calls = Obs.Metric.counter "modelcheck.eval.calls"
-let quantifier_nodes = Obs.Metric.counter "modelcheck.eval.quantifier_nodes"
 
 let lookup env x =
   match VMap.find_opt x env with
@@ -49,24 +48,21 @@ let rec eval_n g nodes env (f : Fo.Formula.t) =
   | Implies (a, b) -> (not (eval_n g nodes env a)) || eval_n g nodes env b
   | Iff (a, b) -> eval_n g nodes env a = eval_n g nodes env b
   | Exists (x, body) ->
-      incr nodes;
-      Guard.tick Guard.Eval_step;
+      Compile.visit nodes;
       let n = Graph.order g in
       let rec try_from v =
         v < n && (eval_n g nodes (VMap.add x v env) body || try_from (v + 1))
       in
       try_from 0
   | Forall (x, body) ->
-      incr nodes;
-      Guard.tick Guard.Eval_step;
+      Compile.visit nodes;
       let n = Graph.order g in
       let rec all_from v =
         v >= n || (eval_n g nodes (VMap.add x v env) body && all_from (v + 1))
       in
       all_from 0
   | CountGe (t, x, body) ->
-      incr nodes;
-      Guard.tick Guard.Eval_step;
+      Compile.visit nodes;
       let n = Graph.order g in
       let rec count_from v found =
         found >= t
@@ -77,18 +73,12 @@ let rec eval_n g nodes env (f : Fo.Formula.t) =
       in
       count_from 0 0
 
-let flush_nodes nodes =
-  if !nodes > 0 then begin
-    Obs.Metric.add quantifier_nodes !nodes;
-    nodes := 0
-  end
-
 let eval g nodes env f =
   match eval_n g nodes env f with
-  | r -> flush_nodes nodes; r
-  | exception e -> flush_nodes nodes; raise e
+  | r -> Compile.flush nodes; r
+  | exception e -> Compile.flush nodes; raise e
 
-let holds g env f =
+let holds ?budget g env f =
   Obs.Metric.incr eval_calls;
   (* A duplicate variable would silently resolve to the last binding
      (map semantics), the opposite of the assoc-list semantics callers
@@ -101,14 +91,15 @@ let holds g env f =
         else VMap.add x v m)
       VMap.empty env
   in
-  eval g (ref 0) env f
+  eval g (Compile.counter ?budget ()) env f
 
-let sentence g f = Compile.holds_tuple (Compile.cached g ~vars:[] f) [||]
+let sentence ?budget g f =
+  Compile.holds_tuple ?budget (Compile.cached g ~vars:[] f) [||]
 
-let holds_tuple g ~vars t f =
+let holds_tuple ?budget g ~vars t f =
   if List.length vars <> Array.length t then
     invalid_arg "Eval.holds_tuple: variable/tuple length mismatch";
-  Compile.holds_tuple (Compile.cached g ~vars f) t
+  Compile.holds_tuple ?budget (Compile.cached g ~vars f) t
 
 (* Both enumerators stream the n^k assignments iteratively (same
    lexicographic order as [Graph.Tuple.all]) into the compiled code's
@@ -116,14 +107,14 @@ let holds_tuple g ~vars t f =
    no environment-map churn, and a Guard checkpoint inside the compiled
    quantifier nodes can stop the sweep early. *)
 
-let answers g ~vars f =
+let answers ?budget g ~vars f =
   let n = Graph.order g in
   let comp = Compile.compile_shadow g ~vars f in
   let k = List.length vars in
   let env = Array.make (max (Compile.slots comp) 1) 0 in
   let acc = ref [] in
   let calls = ref 0 in
-  let nodes = ref 0 in
+  let nodes = Compile.counter ?budget () in
   let rec go i =
     if i = k then begin
       incr calls;
@@ -137,21 +128,21 @@ let answers g ~vars f =
   in
   let flush () =
     Obs.Metric.add eval_calls !calls;
-    flush_nodes nodes
+    Compile.flush nodes
   in
   (match go 0 with
   | () -> flush ()
   | exception e -> flush (); raise e);
   List.rev !acc
 
-let count_answers g ~vars f =
+let count_answers ?budget g ~vars f =
   let n = Graph.order g in
   let comp = Compile.compile_shadow g ~vars f in
   let k = List.length vars in
   let env = Array.make (max (Compile.slots comp) 1) 0 in
   let count = ref 0 in
   let calls = ref 0 in
-  let nodes = ref 0 in
+  let nodes = Compile.counter ?budget () in
   let rec go i =
     if i = k then begin
       incr calls;
@@ -165,7 +156,7 @@ let count_answers g ~vars f =
   in
   let flush () =
     Obs.Metric.add eval_calls !calls;
-    flush_nodes nodes
+    Compile.flush nodes
   in
   (match go 0 with
   | () -> flush ()

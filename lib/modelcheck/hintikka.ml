@@ -33,10 +33,10 @@ let atomic_formula ~colors (sg : Types.atomsig) vars =
   done;
   Fo.Formula.and_ (List.rev !conjuncts)
 
-let of_type ~colors theta =
+let of_type ?budget ~colors theta =
   Obs.Metric.incr formulas_built;
   let rec go theta vars =
-    Guard.tick Guard.Hintikka_build;
+    Guard.tick budget Guard.Hintikka_build;
     let sg, children = Types.node theta in
     let atomic = atomic_formula ~colors sg vars in
     match children with
@@ -55,7 +55,7 @@ let of_type ~colors theta =
   go theta (variables (Types.arity theta))
 
 let of_types ~colors thetas =
-  Fo.Formula.or_ (List.map (of_type ~colors) thetas)
+  Fo.Formula.or_ (List.map (fun t -> of_type ~colors t) thetas)
 
 let of_tuple ~colors g ~q u =
   of_type ~colors (Types.tp_graph g ~q u)

@@ -15,10 +15,11 @@
 val variables : int -> Fo.Formula.var list
 (** [variables k] = the standard variable names [x1; ...; xk]. *)
 
-val of_type : colors:string list -> Types.ty -> Fo.Formula.t
+val of_type : ?budget:Guard.Budget.t -> colors:string list -> Types.ty -> Fo.Formula.t
 (** [of_type ~colors θ]: the Hintikka formula of [θ] over the standard
     variables, relative to the given colour vocabulary (needed to spell
-    out the {e negative} colour facts).
+    out the {e negative} colour facts).  One [Hintikka_build] tick
+    per type node, charged to [budget].
     @raise Invalid_argument if [θ] mentions a colour outside [colors]. *)
 
 val of_types : colors:string list -> Types.ty list -> Fo.Formula.t

@@ -202,6 +202,7 @@ let ltp_radius_h = Obs.Metric.histogram "modelcheck.types.ltp_radius"
 
 type ctx = {
   g : Graph.t;
+  budget : Guard.Budget.t option;  (* charged for every computed node *)
   roots : (int * Graph.Tuple.t, ty) Hashtbl.t;
       (* [tp]'s own calls: a sample drawn with replacement repeats
          tuples; the nodes below a root are reached from it alone *)
@@ -210,9 +211,10 @@ type ctx = {
   mutable rows : int;  (* nodes computed so far: the table's rows *)
 }
 
-let make_ctx g =
+let make_ctx ?budget g =
   {
     g;
+    budget;
     roots = Hashtbl.create 256;
     ltp_memo = Hashtbl.create 256;
     leaves = lazy (leaves g);
@@ -227,7 +229,7 @@ let graph ctx = ctx.g
 let note_row ctx =
   Obs.Metric.incr tp_misses;
   ctx.rows <- ctx.rows + 1;
-  Guard.note_table_row ctx.rows
+  Guard.note_table_row ctx.budget ctx.rows
 
 let leaf sg = intern (sg, None) 0
 
@@ -279,8 +281,8 @@ let ltp ctx ~q ~r u =
       t
   | None ->
       Obs.Metric.incr ltp_misses;
-      Guard.tick Guard.Hintikka_build;
-      let emb = Ops.neighborhood ctx.g ~r u in
+      Guard.tick ctx.budget Guard.Hintikka_build;
+      let emb = Ops.neighborhood ?budget:ctx.budget ctx.g ~r u in
       let u' =
         Array.map
           (fun v ->
@@ -289,7 +291,7 @@ let ltp ctx ~q ~r u =
             | None -> assert false (* members of ū are in their own ball *))
           u
       in
-      let t = tp (make_ctx emb.Ops.graph) ~q u' in
+      let t = tp (make_ctx ?budget:ctx.budget emb.Ops.graph) ~q u' in
       Hashtbl.replace ctx.ltp_memo (q, r, u) t;
       t
 

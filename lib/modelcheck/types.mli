@@ -40,11 +40,12 @@ val arity : ty -> int
     tuples), the local types of {!ltp}, and the leaf kernel's state
     ({!leaves}).  The nodes below a root are computed afresh every time, since
     a tuple [ū·w] is only reached from [ū].  Reuse a context across
-    calls for the same graph. *)
+    calls for the same graph.  A context charges its work to the
+    [budget] it was made with (default: none). *)
 
 type ctx
 
-val make_ctx : Graph.t -> ctx
+val make_ctx : ?budget:Guard.Budget.t -> Graph.t -> ctx
 
 val graph : ctx -> Graph.t
 

@@ -11,10 +11,10 @@
      park in a sorted pending list until the gap closes, so a resumed
      run never skips an index whose evaluation was lost with the
      crashed process.
-   - Cadence rides the [Guard] tick hook: snapshot writes only ever
-     trigger from the budgeted tick path, so the no-budget hot path
-     gains no branch at all, and a strided countdown keeps the hook
-     itself at two atomic operations per tick between cadence checks. *)
+   - Cadence is checked where a solver visits a candidate ([visit]),
+     the first point after the previous candidate settled: one test
+     of [path] when no snapshots are written, and two integer loads
+     and a clock read otherwise. *)
 
 let snapshot_writes = Obs.Metric.counter "resil.snapshot_writes"
 let snapshot_loads = Obs.Metric.counter "resil.snapshot_loads"
@@ -287,14 +287,6 @@ end
 module Ctl = struct
   let default_interval_s = 2.0
 
-  (* strided cadence: the tick hook reads the clock only every
-     [cadence_stride] surviving ticks.  The candidate cadence is two
-     integer loads and must be checked on every hook call: a solver
-     whose per-candidate work ticks rarely (e.g. counting types, which
-     bypass the memo-table ticks) may pass fewer total ticks than one
-     stride. *)
-  let cadence_stride = 64
-
   type t = {
     active : bool;
     track : bool;  (* maintain the frontier/best, even when not active *)
@@ -316,7 +308,6 @@ module Ctl = struct
     mutable last_write_frontier : int;
     mutable last_write_ns : int64;
     wm : Mutex.t;  (* serialises snapshot file writes *)
-    stride : int Atomic.t;
   }
 
   let make ~active ?(track = active) ?path ?(every = max_int)
@@ -346,7 +337,6 @@ module Ctl = struct
       last_write_frontier = 0;
       last_write_ns = Obs.Clock.now_ns ();
       wm = Mutex.create ();
-      stride = Atomic.make cadence_stride;
     }
 
   let none = make ~active:false ~run_id:"" ~solver:"" ()
@@ -458,17 +448,12 @@ module Ctl = struct
   let interval_due t =
     Int64.sub (Obs.Clock.now_ns ()) t.last_write_ns >= t.interval_ns
 
-  let tick_hook t () =
-    let due =
-      candidate_due t
-      ||
-      if Atomic.fetch_and_add t.stride (-1) <= 0 then begin
-        Atomic.set t.stride cadence_stride;
-        interval_due t
-      end
-      else false
-    in
-    if due && t.path <> None && Mutex.try_lock t.wm then
+  let visit t =
+    if
+      t.path <> None
+      && (candidate_due t || interval_due t)
+      && Mutex.try_lock t.wm
+    then
       Fun.protect
         ~finally:(fun () -> Mutex.unlock t.wm)
         (fun () -> try write_locked t ~complete:false with _ -> ())
@@ -479,12 +464,5 @@ module Ctl = struct
       Fun.protect
         ~finally:(fun () -> Mutex.unlock t.wm)
         (fun () -> write_locked t ~complete)
-    end
-
-  let with_attached t f =
-    if (not t.active) || t.path = None then f ()
-    else begin
-      Guard.set_tick_hook (Some (tick_hook t));
-      Fun.protect ~finally:(fun () -> Guard.set_tick_hook None) f
     end
 end

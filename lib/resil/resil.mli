@@ -26,9 +26,9 @@
     skipped candidate compares lex-greater-or-equal to the recorded
     best on [(error, index)].
 
-    {b Cadence.}  Snapshot writes trigger from the [Guard] tick hook,
-    i.e. only on the budgeted tick path: an unbudgeted run gains no
-    hot-path branch at all. *)
+    {b Cadence.}  A solver checks the cadence as it visits each
+    candidate ({!Ctl.visit}), with or without a budget; a candidate
+    that runs long delays the next snapshot until it settles. *)
 
 (** IEEE 802.3 / zlib CRC-32 (table-driven). *)
 module Crc32 : sig
@@ -222,8 +222,9 @@ module Ctl : sig
       CLI flushes on completion ([~complete:true]), exhaustion, and
       interrupt. *)
 
-  val with_attached : t -> (unit -> 'a) -> 'a
-  (** Install this controller's cadence hook ({!Guard.set_tick_hook})
-      around the thunk; always uninstalls.  Transparent when inert or
-      pathless. *)
+  val visit : t -> unit
+  (** Called as a solver visits a candidate, before evaluating it:
+      writes a snapshot when the cadence is due and no other domain is
+      writing one.  A no-op when inert or pathless; write errors are
+      swallowed (the next write or {!flush} retries). *)
 end

@@ -262,8 +262,8 @@ let run_job s (j : Jobs.job) =
       a_max_ball = j.j_max_ball;
     }
   in
-  (* Ctl cadence rides the Guard tick hook, so a checkpointed job
-     always runs budgeted — unlimited when the client asked nothing. *)
+  (* a checkpointed job always runs budgeted — unlimited when the
+     client asked nothing — so its snapshots record spent fuel *)
   let budget =
     match budget_of a with
     | Some b -> b

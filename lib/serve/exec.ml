@@ -453,7 +453,7 @@ let mc p =
           Guard.run ?budget
             ~salvage:(fun () -> None)
             (fun () ->
-              let verdict = Modelcheck.Eval.sentence g phi in
+              let verdict = Modelcheck.Eval.sentence ?budget g phi in
               fun out ->
                 Format.fprintf out "%b@." verdict;
                 0));
@@ -476,7 +476,7 @@ let types p =
         Guard.run ?budget
           ~salvage:(fun () -> None)
           (fun () ->
-            let ctx = Modelcheck.Types.make_ctx g in
+            let ctx = Modelcheck.Types.make_ctx ?budget g in
             let classes =
               Modelcheck.Types.partition_by_tp ctx ~q
                 (Graph.Tuple.all ~n:(Graph.order g) ~k)
@@ -510,7 +510,7 @@ let game p =
           ~salvage:(fun () -> None)
           (fun () ->
             let tr =
-              Splitter.Game.trace g ~r
+              Splitter.Game.trace ?budget g ~r
                 ~connector:(Splitter.Strategy.connector_max_ball ~r)
                 ~splitter:Splitter.Strategy.best_heuristic
             in
@@ -533,7 +533,7 @@ let game p =
 let solve : op runner =
  fun ~out ~err ?budget ~ckpt ~precheck op ->
   conclude ~out ~err ~cmd:op.name ~ckpt
-    (Resil.Ctl.with_attached ckpt (fun () -> op.compute ~budget ~precheck))
+    (op.compute ~budget ~precheck)
 
 (* ------------------------------------------------------------------ *)
 (* JSON parameter objects                                              *)

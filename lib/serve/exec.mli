@@ -157,8 +157,7 @@ val run_op :
   run
 (** Execute one op from its JSON parameters.  Must be called from at
     most one domain at a time (the engine): solvers share the default
-    [Par] pool and the ambient [Guard] budget, both of which support a
-    single driver. *)
+    [Par] pool, which supports a single driver. *)
 
 val learn_identity :
   Obs.Json.t -> (string * string, string) result

@@ -36,20 +36,24 @@ val to_original : state -> Graph.vertex -> Graph.vertex
 val is_won : state -> bool
 (** Splitter has won: the arena is empty. *)
 
-val play : ?radius':int -> state -> connector:Graph.vertex -> splitter:Graph.vertex -> state
+val play : ?radius':int -> ?budget:Guard.Budget.t -> state -> connector:Graph.vertex -> splitter:Graph.vertex -> state
 (** One round; both vertices are arena vertices, [radius'] (default: the
     game radius) is Connector's radius in the modified game.
     @raise Illegal_move if the game is over, [radius' > r], or Splitter's
     answer lies outside [N_{radius'}(connector)]. *)
 
-type connector_strategy = Graph.t -> Graph.vertex
-(** Chooses Connector's vertex in the current arena (arena ids). *)
+type connector_strategy = ?budget:Guard.Budget.t -> Graph.t -> Graph.vertex
+(** Chooses Connector's vertex in the current arena (arena ids),
+    charging its balls to [budget]. *)
 
-type splitter_strategy = Graph.t -> radius:int -> connector:Graph.vertex -> Graph.vertex
-(** Chooses Splitter's answer within [N_radius(connector)] (arena ids). *)
+type splitter_strategy =
+  ?budget:Guard.Budget.t -> Graph.t -> radius:int -> connector:Graph.vertex -> Graph.vertex
+(** Chooses Splitter's answer within [N_radius(connector)] (arena ids),
+    charging its balls to [budget]. *)
 
 val play_out :
   ?max_rounds:int ->
+  ?budget:Guard.Budget.t ->
   Graph.t ->
   r:int ->
   connector:connector_strategy ->
@@ -60,6 +64,7 @@ val play_out :
 
 val trace :
   ?max_rounds:int ->
+  ?budget:Guard.Budget.t ->
   Graph.t ->
   r:int ->
   connector:connector_strategy ->

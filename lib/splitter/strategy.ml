@@ -4,15 +4,15 @@ open Cgraph
 (* Splitter strategies                                              *)
 (* --------------------------------------------------------------- *)
 
-let center _arena ~radius:_ ~connector = connector
+let center ?budget:_ _arena ~radius:_ ~connector = connector
 
 let component_of arena v =
   List.find (fun comp -> List.mem v comp) (Invariants.components arena)
 
-let top_of_ball arena ~radius ~connector =
-  let ball = Bfs.ball arena ~r:radius [ connector ] in
+let top_of_ball ?budget arena ~radius ~connector =
+  let ball = Bfs.ball ?budget arena ~r:radius [ connector ] in
   let root = List.hd (component_of arena connector) in
-  let d = Bfs.distances arena root in
+  let d = Bfs.distances ?budget arena root in
   List.fold_left
     (fun best v -> if d.(v) < d.(best) then v else best)
     (List.hd ball) ball
@@ -21,8 +21,8 @@ let top_of_ball arena ~radius ~connector =
    removing [w] leaves the other components whole, each child subtree [c]
    of [w] with [low c >= disc w] as a component of its own, and the rest
    of [w]'s component (its parent side) as one more. *)
-let min_max_component arena ~radius ~connector =
-  let ball = Array.of_list (Bfs.ball arena ~r:radius [ connector ]) in
+let min_max_component ?budget arena ~radius ~connector =
+  let ball = Array.of_list (Bfs.ball ?budget arena ~r:radius [ connector ]) in
   let n = Array.length ball in
   let index = Hashtbl.create n in
   Array.iteri (fun i v -> Hashtbl.replace index v i) ball;
@@ -110,10 +110,11 @@ let min_max_component arena ~radius ~connector =
   done;
   ball.(!best)
 
-let best_heuristic arena ~radius ~connector =
-  let ball = Bfs.ball arena ~r:radius [ connector ] in
-  if List.length ball <= 160 then min_max_component arena ~radius ~connector
-  else top_of_ball arena ~radius ~connector
+let best_heuristic ?budget arena ~radius ~connector =
+  let ball = Bfs.ball ?budget arena ~r:radius [ connector ] in
+  if List.length ball <= 160 then
+    min_max_component ?budget arena ~radius ~connector
+  else top_of_ball ?budget arena ~radius ~connector
 
 (* --------------------------------------------------------------- *)
 (* Connector strategies                                             *)
@@ -121,13 +122,13 @@ let best_heuristic arena ~radius ~connector =
 
 let connector_random ~seed =
   let st = Random.State.make [| seed; 0xc0 |] in
-  fun arena -> Random.State.int st (Graph.order arena)
+  fun ?budget:_ arena -> Random.State.int st (Graph.order arena)
 
-let connector_max_ball ~r arena =
+let connector_max_ball ~r ?budget arena =
   let best = ref 0 and best_size = ref (-1) in
   List.iter
     (fun v ->
-      let size = List.length (Bfs.ball arena ~r [ v ]) in
+      let size = List.length (Bfs.ball ?budget arena ~r [ v ]) in
       if size > !best_size then begin
         best := v;
         best_size := size
@@ -135,11 +136,11 @@ let connector_max_ball ~r arena =
     (Graph.vertices arena);
   !best
 
-let connector_max_ecc arena =
+let connector_max_ecc ?budget arena =
   let best = ref 0 and best_ecc = ref (-1) in
   List.iter
     (fun v ->
-      let e = Bfs.eccentricity arena v in
+      let e = Bfs.eccentricity ?budget arena v in
       if e > !best_ecc then begin
         best := v;
         best_ecc := e
@@ -151,14 +152,14 @@ let connector_max_ecc arena =
 (* Game values                                                      *)
 (* --------------------------------------------------------------- *)
 
-let minimax_rounds ?(cap = 6) g ~r =
+let minimax_rounds ?(cap = 6) ?budget g ~r =
   (* Arenas are identified by their sorted original-vertex sets. *)
   let memo : (int list * int, int option) Hashtbl.t = Hashtbl.create 1024 in
-  let rec value vset budget =
+  let rec value vset rounds =
     if vset = [] then Some 0
-    else if budget = 0 then None
+    else if rounds = 0 then None
     else begin
-      match Hashtbl.find_opt memo (vset, budget) with
+      match Hashtbl.find_opt memo (vset, rounds) with
       | Some cached -> cached
       | None ->
           let emb = Ops.induced g vset in
@@ -169,7 +170,7 @@ let minimax_rounds ?(cap = 6) g ~r =
           (try
              List.iter
                (fun v ->
-                 let ball = Bfs.ball arena ~r [ v ] in
+                 let ball = Bfs.ball ?budget arena ~r [ v ] in
                  let best = ref None in
                  List.iter
                    (fun w ->
@@ -179,7 +180,7 @@ let minimax_rounds ?(cap = 6) g ~r =
                          ball
                        |> List.sort compare
                      in
-                     match value next (budget - 1) with
+                     match value next (rounds - 1) with
                      | Some sub -> (
                          match !best with
                          | Some b when b <= sub -> ()
@@ -189,27 +190,27 @@ let minimax_rounds ?(cap = 6) g ~r =
                  match !best with
                  | Some b -> worst := max !worst (1 + b)
                  | None ->
-                     (* Splitter cannot win this branch within budget *)
+                     (* Splitter cannot win this branch in [rounds] *)
                      raise Exit)
                (Graph.vertices arena)
-           with Exit -> worst := budget + 1);
-          let result = if !worst > budget then None else Some !worst in
-          Hashtbl.replace memo (vset, budget) result;
+           with Exit -> worst := rounds + 1);
+          let result = if !worst > rounds then None else Some !worst in
+          Hashtbl.replace memo (vset, rounds) result;
           result
     end
   in
   value (Graph.vertices g) cap
 
-let minimax_move ?(cap = 6) g ~r ~connector =
+let minimax_move ?(cap = 6) ?budget g ~r ~connector =
   (* value of the arena after answering with w, via minimax_rounds on the
      induced remainder; pick the answer minimising it *)
-  let ball = Bfs.ball g ~r [ connector ] in
+  let ball = Bfs.ball ?budget g ~r [ connector ] in
   let best = ref None in
   List.iter
     (fun w ->
       let rest = List.filter (fun v -> v <> w) ball in
       let emb = Ops.induced g rest in
-      match minimax_rounds ~cap:(cap - 1) emb.Ops.graph ~r with
+      match minimax_rounds ~cap:(cap - 1) ?budget emb.Ops.graph ~r with
       | Some v -> (
           match !best with
           | Some (_, bv) when bv <= v -> ()
@@ -218,10 +219,10 @@ let minimax_move ?(cap = 6) g ~r ~connector =
     ball;
   Option.map fst !best
 
-let optimal ~cap arena ~radius ~connector =
-  match minimax_move ~cap arena ~r:radius ~connector with
+let optimal ~cap ?budget arena ~radius ~connector =
+  match minimax_move ~cap ?budget arena ~r:radius ~connector with
   | Some w -> w
-  | None -> best_heuristic arena ~radius ~connector
+  | None -> best_heuristic ?budget arena ~radius ~connector
 
 let default_seeds = [ 1; 2; 3; 42 ]
 

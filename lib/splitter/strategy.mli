@@ -47,12 +47,13 @@ val connector_max_ecc : Game.connector_strategy
 
 (** {1 Game values} *)
 
-val minimax_rounds : ?cap:int -> Graph.t -> r:int -> int option
+val minimax_rounds : ?cap:int -> ?budget:Guard.Budget.t -> Graph.t -> r:int -> int option
 (** Exact optimal number of rounds Splitter needs on this graph
     ([None] if above [cap], default 6).  Exponential: order <= ~12 only. *)
 
 val minimax_move :
-  ?cap:int -> Graph.t -> r:int -> connector:Graph.vertex -> Graph.vertex option
+  ?cap:int -> ?budget:Guard.Budget.t -> Graph.t -> r:int -> connector:Graph.vertex ->
+  Graph.vertex option
 (** Splitter's {e optimal} answer to [connector] (the ball vertex
     minimising the remaining optimal round count), or [None] if no answer
     wins within [cap] (default 6) rounds.  Exponential — tiny arenas

@@ -109,8 +109,9 @@ def check(path: str) -> None:
     for i, row in enumerate(doc["rows"]):
         if not isinstance(row, dict):
             fail(f"{path}: rows[{i}] is not an object")
-    # budget accounting: a Guard.spent object for governed experiments,
-    # null for micro/overhead (which measure the budget-less fast path)
+    # budget accounting: a Guard.spent object, or null when the
+    # experiment has no experiment-wide budget (bench/main.exe writes
+    # null; budgeted runs report their spend in their own rows)
     if "budget_spent" not in doc:
         fail(f"{path}: missing key 'budget_spent'")
     spent = doc["budget_spent"]

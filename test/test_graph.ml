@@ -184,7 +184,7 @@ let test_dist_swaps_to_lower_degree () =
   let fuel_of u v =
     let budget = Guard.Budget.unlimited () in
     (match
-       Guard.run ~budget ~salvage:(fun () -> None) (fun () -> Bfs.dist g u v)
+       Guard.run ~budget ~salvage:(fun () -> None) (fun () -> Bfs.dist ~budget g u v)
      with
     | Guard.Complete d -> check_int "dist" 3 d
     | Guard.Exhausted _ -> Alcotest.fail "unlimited budget tripped");

@@ -4,6 +4,8 @@
    - the fault matrix: a deterministic injected trip at every
      checkpoint class, through a real entry point of that class, never
      escapes as an exception and labels the outcome consistently,
+   - explicit budgets: concurrent runs on two domains keep their own
+     spend, and a nested run passes an outer budget's trip through,
    - the degradation chain (local -> brute at shrinking rank),
    - saturating Ramsey arithmetic (the satellite fix), and
    - parser errors with line/column positions (the satellite fix). *)
@@ -88,10 +90,11 @@ let drive_fault cp =
       | Guard.Exhausted { reason; checkpoint; _ } -> Some (reason, checkpoint))
   | Guard.Eval_step -> (
       let phi = Fo.Parser.parse "forall x. exists y. E(x, y)" in
+      let budget = budget () in
       match
-        Guard.run ~budget:(budget ())
+        Guard.run ~budget
           ~salvage:(fun () -> None)
-          (fun () -> Modelcheck.Eval.sentence g phi)
+          (fun () -> Modelcheck.Eval.sentence ~budget g phi)
       with
       | Guard.Complete _ -> None
       | Guard.Exhausted { reason; checkpoint; _ } -> Some (reason, checkpoint))
@@ -112,17 +115,72 @@ let test_fault_matrix () =
             cp at)
     Guard.all_checkpoints
 
-let test_fault_no_leak () =
-  (* a trip mid-solve must not leave an ambient budget installed *)
-  let g = Gen.path 8 in
-  let lam = sample_on g ~k:1 4 in
-  let _ =
-    Brute.solve_budgeted
-      ~budget:
-        (Guard.Budget.make ~faults:(Guard.Faults.trip_at Solver_loop ~n:1) ())
-      g ~k:1 ~ell:0 ~q:1 lam
+(* ------------------------------------------------------------------ *)
+(* Explicit budgets                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let test_concurrent_budgets_independent () =
+  (* two runs at once, each on its own domain with its own one-domain
+     pool and budget: each budget is charged its own run's fuel, exactly
+     what the run spends alone *)
+  let g = Gen.random_tree ~seed:21 40 in
+  let lam = sample_on g ~k:1 20 in
+  let solve_fuel () =
+    let pool = Par.Pool.create ~jobs:1 in
+    Fun.protect ~finally:(fun () -> Par.Pool.shutdown pool) @@ fun () ->
+    let budget = Guard.Budget.unlimited () in
+    (match Brute.solve_budgeted ~budget ~pool g ~k:1 ~ell:1 ~q:2 lam with
+    | Guard.Complete _ -> ()
+    | Guard.Exhausted _ -> Alcotest.fail "unlimited budget tripped");
+    (Guard.Budget.spent budget).Guard.fuel
   in
-  check "no ambient budget after exhaustion" false (Guard.active ())
+  let solo = solve_fuel () in
+  let ready = Atomic.make 0 in
+  let spawn () =
+    Domain.spawn (fun () ->
+        (* start together, so the two runs overlap *)
+        Atomic.incr ready;
+        while Atomic.get ready < 2 do
+          Domain.cpu_relax ()
+        done;
+        solve_fuel ())
+  in
+  let a = spawn () and b = spawn () in
+  let fa = Domain.join a and fb = Domain.join b in
+  check "solo run spends fuel" true (solo > 0);
+  check_int "first concurrent run = solo" solo fa;
+  check_int "second concurrent run = solo" solo fb
+
+let test_nested_outer_trip () =
+  (* the outer budget trips inside an inner run: the inner run lets the
+     stop signal through and the outer run reports its own trip *)
+  let g = Gen.cycle 6 in
+  let phi = Fo.Parser.parse "forall x. exists y. E(x, y)" in
+  let outer = Guard.Budget.make ~fuel:3 () in
+  let inner = Guard.Budget.make ~fuel:1_000 () in
+  let inner_returned = ref false in
+  match
+    Guard.run ~budget:outer
+      ~salvage:(fun () -> Some "outer salvage")
+      (fun () ->
+        let _ =
+          Guard.run ~budget:inner
+            ~salvage:(fun () -> Some false)
+            (fun () ->
+              Guard.tick (Some inner) Guard.Solver_loop;
+              Modelcheck.Eval.sentence ~budget:outer g phi)
+        in
+        inner_returned := true;
+        "complete")
+  with
+  | Guard.Complete _ -> Alcotest.fail "3 fuel cannot check the sentence"
+  | Guard.Exhausted { reason = r; checkpoint = cp; best_so_far; spent; _ } ->
+      check "inner run did not return" false !inner_returned;
+      Alcotest.check reason "outer reason" Guard.Out_of_fuel r;
+      Alcotest.check checkpoint "outer checkpoint" Guard.Eval_step cp;
+      check "outer salvage" true (best_so_far = Some "outer salvage");
+      check_int "outer spend" 4 spent.Guard.fuel;
+      check_int "inner spend" 1 (Guard.Budget.spent inner).Guard.fuel
 
 let test_salvage_err_is_true_error () =
   (* the salvaged best-so-far must carry its genuine empirical error *)
@@ -296,8 +354,10 @@ let suite =
       transparency_no_budget;
     Alcotest.test_case "fault matrix covers every checkpoint class" `Quick
       test_fault_matrix;
-    Alcotest.test_case "exhaustion uninstalls the ambient budget" `Quick
-      test_fault_no_leak;
+    Alcotest.test_case "concurrent runs keep their own budgets" `Quick
+      test_concurrent_budgets_independent;
+    Alcotest.test_case "outer trip passes through an inner run" `Quick
+      test_nested_outer_trip;
     Alcotest.test_case "salvaged hypothesis carries its true error" `Quick
       test_salvage_err_is_true_error;
     Alcotest.test_case "fuel and deadline exhaustion reasons" `Quick

@@ -157,7 +157,7 @@ let observe eval =
   let budget = Guard.Budget.unlimited () in
   let before = Obs.Metric.value quantifier_nodes in
   let verdict =
-    match Guard.run ~budget ~salvage:(fun () -> None) eval with
+    match Guard.run ~budget ~salvage:(fun () -> None) (fun () -> eval budget) with
     | Guard.Complete b -> Ok b
     | Guard.Exhausted _ -> Error "exhausted"
     | exception e -> Error (Printexc.to_string e)
@@ -181,8 +181,8 @@ let guarded_compiled_agrees_with_reference =
       let comp = C.compile g ~vars:[ "x"; "y" ] f in
       List.for_all
         (fun (vx, vy) ->
-          observe (fun () -> E.holds g [ ("x", vx); ("y", vy) ] f)
-          = observe (fun () -> C.holds_tuple comp [| vx; vy |]))
+          observe (fun budget -> E.holds ~budget g [ ("x", vx); ("y", vy) ] f)
+          = observe (fun budget -> C.holds_tuple ~budget comp [| vx; vy |]))
         [ (0, 1); (1, 0); (2, 3); (0, n); (n + 1, 0); (-1, 2) ])
 
 (* One pinned case per exceptional path, so a failure names it. *)
@@ -192,8 +192,8 @@ let test_guarded_edge_cases () =
     let vars = List.map fst env and tuple = Array.of_list (List.map snd env) in
     let comp = C.compile g ~vars f in
     check name true
-      (observe (fun () -> E.holds g env f)
-      = observe (fun () -> C.holds_tuple comp tuple))
+      (observe (fun budget -> E.holds ~budget g env f)
+      = observe (fun budget -> C.holds_tuple ~budget comp tuple))
   in
   let red = Graph.with_colors (Gen.path 5) [ ("Red", [ 0; 4 ]) ] in
   let ex = F.Exists ("y", F.And [ F.edge "y" "x"; F.color "Red" "y" ]) in

@@ -708,6 +708,63 @@ let test_learner_guards () =
        false
      with Invalid_argument _ -> true)
 
+(* ------------------------------------------------------------------ *)
+(* Parser robustness                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Corpus formulas (examples/corpus) with one to four edits: a byte
+   replaced, deleted or inserted, or a token of the three grammars
+   inserted.  Every parser must answer, never raise: Fo.Parser with a
+   structured [Error], the MSO parsers with [None]. *)
+let parser_corpus =
+  [
+    "exists x. Red(x) /\\ exists y. E(x, y) /\\ Blue(y)";
+    "forall x. exists y. exists z. E(x, y) /\\ E(x, z) /\\ ~ y = z";
+    "exists x. forall y. ~ x = y -> E(x, y)";
+    "atleast 3 y. E(x1, y)";
+    "Urgent(x1) \\/ (exists z. E(x1, z) /\\ Urgent(z))";
+    "exists p. Paper(p) /\\ E(x1, p) /\\ E(x2, p) /\\ ~ x1 = x2";
+    "exists e. e < x /\\ c(e)";
+    "existsset X. forall x. (x in X <-> a(x)) /\\ succ(x, y)";
+    "forall x. a(x) \\/ b(x)";
+    "exists x. exists y. child1(x, y) /\\ b(y)";
+    "forallset S. exists x. x in S -> child2(x, x)";
+  ]
+
+let mutated_formula =
+  let open QCheck.Gen in
+  let tokens =
+    [| "("; ")"; "."; ","; "~"; "/\\"; "\\/"; "->"; "<->"; "<"; "=";
+       "exists "; "forall "; "existsset "; "forallset "; "atleast ";
+       "in"; "succ"; "child1"; "true"; "false"; "E"; "a"; "x"; "X"; "7";
+       "-1"; "99999999999999999999" |]
+  in
+  let mutate s =
+    let len = String.length s in
+    let* at = int_bound len and* op = int_bound 3 and* c = char
+    and* tok = oneofa tokens in
+    let keep i = String.sub s 0 i and from i = String.sub s i (len - i) in
+    return
+      (match op with
+      | 0 when at < len -> keep at ^ String.make 1 c ^ from (at + 1)
+      | 1 when at < len -> keep at ^ from (at + 1)
+      | 2 -> keep at ^ tok ^ from at
+      | _ -> keep at ^ String.make 1 c ^ from at)
+  in
+  let* s = oneofl parser_corpus and* steps = int_range 1 4 in
+  let rec go k s = if k = 0 then return s else mutate s >>= go (k - 1) in
+  go steps s
+
+let parsers_never_raise =
+  QCheck.Test.make ~count:3000
+    ~name:"mutated formulas: FO/MSO parsers answer, never raise"
+    (QCheck.make ~print:String.escaped mutated_formula)
+    (fun text ->
+      (match Fo.Parser.parse_result text with Ok _ | Error _ -> ());
+      ignore (P.parse_opt ~letters:[ "a"; "b"; "c" ] text);
+      ignore (Mso.Tree_parser.parse_opt ~labels:[ "a"; "b" ] text);
+      true)
+
 let suite =
   [
     Alcotest.test_case "dfa run" `Quick test_dfa_run;
@@ -749,4 +806,5 @@ let suite =
     Alcotest.test_case "learner guards" `Quick test_learner_guards;
     QCheck_alcotest.to_alcotest mso_compile_matches_eval;
     QCheck_alcotest.to_alcotest oracle_matches_naive;
+    QCheck_alcotest.to_alcotest parsers_never_raise;
   ]

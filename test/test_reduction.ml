@@ -166,7 +166,7 @@ let test_gamma_general_counts_calls () =
    reduction only needs the oracle to be correct when a consistent
    hypothesis exists (Remark 10), which the nd guarantee with
    eps = 1/4 < 1/2 delivers. *)
-let nd_oracle g lam ~ell ~q ~eps =
+let nd_oracle ?budget:_ g lam ~ell ~q ~eps =
   let cls = Splitter.Nowhere_dense.of_graph "oracle" g in
   let cfg =
     {
@@ -202,8 +202,8 @@ let test_full_stack_composition () =
 (* Remark 10: the reduction only uses oracle answers when a consistent
    hypothesis exists (the realisable case).  A sloppy oracle that returns
    garbage whenever eps* > 0 must not change any answer. *)
-let sloppy_oracle g lam ~ell ~q ~eps =
-  let exact = Red.exact_oracle g lam ~ell ~q ~eps in
+let sloppy_oracle ?budget g lam ~ell ~q ~eps =
+  let exact = Red.exact_oracle ?budget g lam ~ell ~q ~eps in
   if Folearn.Hypothesis.training_error exact lam > 0.0 then
     (* garbage: reject everything *)
     Folearn.Hypothesis.constantly g ~k:1 false

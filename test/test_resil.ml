@@ -8,8 +8,9 @@
    - the Ctl frontier: out-of-order chunks park until the gap closes,
      the recorded best is lex-min monotone, and should_eval implements
      the replay-skip contract;
-   - Guard integration: an interrupt becomes an [Interrupted] trip and
-     the tick hook fires only under a budget;
+   - Guard integration: an interrupt becomes an [Interrupted] trip;
+   - the time-driven cadence: a sweep of slow candidates snapshots a
+     settled frontier (pool sizes 1 and 4);
    - in-process resume equality: a fuel-tripped solver run, resumed
      from its flushed snapshot, reproduces the uninterrupted result
      bit-identically (pool sizes 1 and 4, every sweep solver). *)
@@ -206,13 +207,13 @@ let should_eval_contract () =
 
 let interrupt_trips () =
   Guard.clear_interrupt ();
+  let budget = Guard.Budget.unlimited () in
   let outcome =
-    Guard.run
-      ~budget:(Guard.Budget.unlimited ())
+    Guard.run ~budget
       ~salvage:(fun () -> Some 99)
       (fun () ->
         Guard.interrupt ();
-        Guard.tick Guard.Solver_loop;
+        Guard.tick (Some budget) Guard.Solver_loop;
         41)
   in
   (match outcome with
@@ -227,25 +228,50 @@ let interrupt_trips () =
   Guard.clear_interrupt ();
   check "cleared" false (Guard.interrupt_requested ())
 
-let hook_fires_only_under_budget () =
-  let calls = ref 0 in
-  Guard.set_tick_hook (Some (fun () -> incr calls));
-  Fun.protect
-    ~finally:(fun () -> Guard.set_tick_hook None)
-    (fun () ->
-      Guard.tick Guard.Solver_loop;
-      check_int "unbudgeted tick skips the hook" 0 !calls;
-      (match
-         Guard.run
-           ~budget:(Guard.Budget.unlimited ())
-           ~salvage:(fun () -> None)
-           (fun () ->
-             Guard.tick Guard.Solver_loop;
-             Guard.tick Guard.Solver_loop)
-       with
-      | Guard.Complete () -> ()
-      | Guard.Exhausted _ -> Alcotest.fail "unlimited budget tripped");
-      check_int "budgeted ticks invoke the hook" 2 !calls)
+(* ------------------------------------------------------------------ *)
+(* Time-driven cadence                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Twelve slow candidates (5 ms each), later ones better: candidate [i]
+   errs [12 - i] times.  With a 1 ms interval and no candidate cadence,
+   the cadence is due at every visit after the first, and no flush
+   follows, so the file holds the last cadence write.  Its cursor [c]
+   is a settled frontier iff every candidate below [c] was scored, so
+   its best is at least as good as candidate [c - 1]. *)
+let interval_cadence ~jobs () =
+  with_pool ~jobs @@ fun pool ->
+  let count = 12 in
+  let space =
+    {
+      Folearn.Sweep.count = Some count;
+      candidate = (fun i -> [| i |]);
+      ctx = (fun () -> ());
+      score =
+        (fun () params ->
+          Unix.sleepf 0.005;
+          ([], count - params.(0)));
+    }
+  in
+  let path = Filename.temp_file "folearn_resil" ".snap" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  Sys.remove path;
+  let ckpt =
+    Resil.Ctl.create ~path ~interval_s:0.001 ~run_id:"t" ~solver:"s" ()
+  in
+  Folearn.Sweep.run ~pool ~ckpt space (Folearn.Sweep.create ());
+  check "the interval cadence wrote" true (Resil.Ctl.writes ckpt >= 1);
+  match Snap.load path with
+  | Error _ -> Alcotest.fail "no cadence snapshot on disk"
+  | Ok s -> (
+      check "mid-run snapshot" false s.Snap.complete;
+      check "cursor past the first candidate" true
+        (s.Snap.cursor >= 1 && s.Snap.cursor <= count);
+      match s.Snap.best with
+      | None -> Alcotest.fail "a settled candidate must be recorded"
+      | Some (_, errors) ->
+          check "best covers every candidate below the cursor" true
+            (errors <= count - (s.Snap.cursor - 1)))
 
 (* ------------------------------------------------------------------ *)
 (* Resume equality, in process                                         *)
@@ -338,8 +364,10 @@ let suite =
     Alcotest.test_case "should_eval replay-skip contract" `Quick
       should_eval_contract;
     Alcotest.test_case "interrupt trips as Interrupted" `Quick interrupt_trips;
-    Alcotest.test_case "tick hook fires only under a budget" `Quick
-      hook_fires_only_under_budget;
+    Alcotest.test_case "interval cadence snapshots a settled frontier (jobs 1)"
+      `Quick (interval_cadence ~jobs:1);
+    Alcotest.test_case "interval cadence snapshots a settled frontier (jobs 4)"
+      `Quick (interval_cadence ~jobs:4);
     Alcotest.test_case "brute resume = uninterrupted (jobs 1)" `Quick
       (resume_brute ~jobs:1);
     Alcotest.test_case "brute resume = uninterrupted (jobs 4)" `Quick

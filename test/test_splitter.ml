@@ -265,20 +265,25 @@ let test_splitter_fuel () =
      budgeted nd learns and [game] runs count these ticks *)
   let fuel f =
     let budget = Guard.Budget.unlimited () in
-    (match Guard.run ~budget ~salvage:(fun () -> None) f with
+    (match Guard.run ~budget ~salvage:(fun () -> None) (fun () -> f budget) with
     | Guard.Complete _ -> ()
     | Guard.Exhausted _ -> Alcotest.fail "unlimited budget tripped");
     (Guard.Budget.spent budget).Guard.fuel
   in
   List.iter
     (fun (name, g, radius, connector) ->
-      let ball = fuel (fun () -> ignore (Bfs.ball g ~r:radius [ connector ])) in
+      let ball =
+        fuel (fun budget -> ignore (Bfs.ball ~budget g ~r:radius [ connector ]))
+      in
+      check (name ^ ": a ball charges its budget") true (ball > 0);
       check (name ^ ": ball <= 160") true
         (List.length (Bfs.ball g ~r:radius [ connector ]) <= 160);
       check_int (name ^ ": min_max_component = one ball") ball
-        (fuel (fun () -> ignore (S.min_max_component g ~radius ~connector)));
+        (fuel (fun budget ->
+             ignore (S.min_max_component ~budget g ~radius ~connector)));
       check_int (name ^ ": best_heuristic = two balls") (2 * ball)
-        (fuel (fun () -> ignore (S.best_heuristic g ~radius ~connector))))
+        (fuel (fun budget ->
+             ignore (S.best_heuristic ~budget g ~radius ~connector))))
     [
       ("tree:60 r2", Gen.random_tree ~seed:4 60, 2, 7);
       ("grid 7x7 r3", Gen.grid 7 7, 3, 24);
