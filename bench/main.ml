@@ -705,7 +705,7 @@ let e12 () =
       {
         Splitter.Nowhere_dense.name = "ablation";
         splitter;
-        s_bound = (fun _ ~r:_ -> 8);
+        s_bound = (fun ?budget:_ _ ~r:_ -> 8);
       }
     in
     let cfg =

@@ -267,19 +267,25 @@ let solve_inner ?(ckpt = Resil.Ctl.none) ?budget cfg g lam =
   let base = (k + 2) * ((2 * r) + 1) in
   let rec pow3 i = if i <= 0 then 1 else 3 * pow3 (i - 1) in
   let big_r = pow3 (ell_star - 1) * base in
+  (* An empirical [s_bound] plays Splitter games: forced first thing in
+     [run], so its balls are charged to [budget] inside the budgeted run *)
   let s =
-    match cfg.max_rounds with
-    | Some s -> s
-    | None -> min 8 (cfg.cls.Splitter.Nowhere_dense.s_bound g ~r:big_r)
+    lazy
+      (match cfg.max_rounds with
+      | Some s -> s
+      | None ->
+          min 8 (cfg.cls.Splitter.Nowhere_dense.s_bound ?budget g ~r:big_r))
   in
   let m = Sample.size lam in
   let n = Graph.order g in
   let x_cap =
-    if m = 0 then 0
-    else
-      min n
-        (int_of_float
-           (ceil (float_of_int (k * ell_star * s) /. cfg.epsilon)))
+    lazy
+      (if m = 0 then 0
+       else
+         min n
+           (int_of_float
+              (ceil
+                 (float_of_int (k * ell_star * Lazy.force s) /. cfg.epsilon))))
   in
   let typer =
     match cfg.counting with
@@ -335,14 +341,14 @@ let solve_inner ?(ckpt = Resil.Ctl.none) ?budget cfg g lam =
         m "round %d: %d conflict classes, %d critical examples, %d params"
           round n_conflicts (List.length critical)
           (Array.length params_so_far));
-    if n_conflicts = 0 || round >= s || critical = [] then
+    if n_conflicts = 0 || round >= Lazy.force s || critical = [] then
       consider_leaf answers_rev rounds_rev
     else begin
       (* Lemma 14: greedy centres over the critical tuples of this stage,
          real (non-synthetic) vertices only. *)
       let crit_count = List.length critical in
       let xs, attend =
-        greedy_centres ?budget stage.sgraph ~r ~cap:x_cap
+        greedy_centres ?budget stage.sgraph ~r ~cap:(Lazy.force x_cap)
           ~allowed:(fun u -> stage.orig.(u) <> None)
           ~critical:(List.map (fun (v, _, _) -> v) critical)
       in
@@ -599,13 +605,14 @@ let solve_inner ?(ckpt = Resil.Ctl.none) ?budget cfg g lam =
       err = (if m = 0 then 0.0 else float_of_int errs /. float_of_int m);
       rounds;
       r_used = r;
-      s_budget = s;
+      s_budget = Lazy.force s;
       ell_used = Array.length params;
       q_used = Hypothesis.quantifier_rank hypothesis;
       branches_explored = !branches;
     }
   in
   let run () =
+    ignore (Lazy.force x_cap : int);
     explore stage0 0 [] [];
     finish ()
   in

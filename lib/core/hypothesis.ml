@@ -15,8 +15,12 @@ type t = {
 let xvars k = List.init k (fun i -> Printf.sprintf "x%d" (i + 1))
 let yvars l = List.init l (fun i -> Printf.sprintf "y%d" (i + 1))
 
-(* Rename the Hintikka variables x_{k+1}..x_{k+l} to y_1..y_l so the
-   formula exposes the (x̄; ȳ) split of the paper. *)
+(* The (x̄; ȳ) split of the paper: Hintikka formulas of (k+l)-tuples are
+   built over these names directly. *)
+let xyvars ~k ~ell = xvars k @ yvars ell
+
+(* Rename the Hintikka variables x_{k+1}..x_{k+l} to y_1..y_l, for the
+   local types, whose relativisation is written over x1..x{k+l}. *)
 let to_xy ~k ~ell f =
   let assoc =
     List.init ell (fun i ->
@@ -35,7 +39,7 @@ let of_formula g ~k ~formula ~params =
   Analysis.Guard.require ~what:"Hypothesis.of_formula"
     (Analysis.Guard.budgets ~ell ~k ()
     @ Analysis.Guard.hypothesis_formula ~k ~ell formula);
-  let vars = xvars k @ yvars ell in
+  let vars = xyvars ~k ~ell in
   (* stage once: every sample tuple then runs the compiled closure tree
      instead of re-walking the AST *)
   let compiled = Modelcheck.Compile.compile g ~vars formula in
@@ -82,8 +86,8 @@ let of_types g ~k ~q ~types ~params =
           members);
     formula =
       lazy
-        (to_xy ~k ~ell
-           (Modelcheck.Hintikka.of_types ~colors:(Graph.color_names g) types));
+        (Modelcheck.Hintikka.of_types ~vars:(xyvars ~k ~ell)
+           ~colors:(Graph.color_names g) types);
     signature = lazy (type_signature "T" ~q types params);
   }
 
@@ -140,12 +144,8 @@ let of_counting_types g ~k ~q ~tmax ~types ~params =
           members);
     formula =
       lazy
-        (to_xy ~k ~ell
-           (Fo.Formula.or_
-              (List.map
-                 (Modelcheck.Ctypes.hintikka ~colors:(Graph.color_names g)
-                    ~tmax)
-                 types)));
+        (Modelcheck.Ctypes.hintikka_of_types ~vars:(xyvars ~k ~ell)
+           ~colors:(Graph.color_names g) ~tmax types);
     signature =
       lazy
         (Printf.sprintf "C%d|q=%d|t=%s|w=%s" tmax q

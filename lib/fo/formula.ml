@@ -276,53 +276,71 @@ let rec simplify f =
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* precedence levels: 0 = iff, 1 = implies, 2 = or, 3 = and, 4 = unary *)
-let rec pp_prec lvl ppf f =
-  let paren needed body =
-    if needed then Format.fprintf ppf "(%t)" body else body ppf
+(* precedence levels: 0 = iff, 1 = implies, 2 = or, 3 = and, 4 = unary.
+
+   Format lays a line out only at breaks and box boundaries, so text
+   that no break or box separates can go out as one token without
+   moving a line break.  [pre] and [post] are such text: whatever must
+   print right before and right after [f] (a [~], a parenthesis, the
+   [" /\\"] of the enclosing conjunction), glued to [f]'s first and last
+   token where no box boundary intervenes.  An atom with its [~] and
+   the connective after it is then one [pp_print_string], and so is a
+   quantifier head such as ["(exists x3."]. *)
+let rec pp_prec lvl ~pre ~post ppf f =
+  let glue parts = Format.pp_print_string ppf (String.concat "" parts) in
+  let paren needed = if needed then (pre ^ "(", ")" ^ post) else (pre, post) in
+  let quantifier head x f =
+    let pre, post = paren (lvl > 0) in
+    glue [ pre; head; x; "." ];
+    Format.pp_print_break ppf 1 0;
+    pp_prec 0 ~pre:"" ~post ppf f
   in
   match f with
-  | True -> Format.pp_print_string ppf "true"
-  | False -> Format.pp_print_string ppf "false"
-  | Atom (Eq (x, y)) -> Format.fprintf ppf "%s = %s" x y
-  | Atom (Edge (x, y)) -> Format.fprintf ppf "E(%s, %s)" x y
-  | Atom (Color (c, x)) -> Format.fprintf ppf "%s(%s)" c x
-  | Not f ->
-      Format.pp_print_string ppf "~";
-      pp_prec 4 ppf f
+  | True -> glue [ pre; "true"; post ]
+  | False -> glue [ pre; "false"; post ]
+  | Atom (Eq (x, y)) -> glue [ pre; x; " = "; y; post ]
+  | Atom (Edge (x, y)) -> glue [ pre; "E("; x; ", "; y; ")"; post ]
+  | Atom (Color (c, x)) -> glue [ pre; c; "("; x; ")"; post ]
+  | Not f -> pp_prec 4 ~pre:(pre ^ "~") ~post ppf f
   | And fs ->
-      paren (lvl > 3) (fun ppf ->
-          Format.pp_open_hvbox ppf 0;
-          Format.pp_print_list
-            ~pp_sep:(fun ppf () -> Format.fprintf ppf " /\\@ ")
-            (pp_prec 4) ppf fs;
-          Format.pp_close_box ppf ())
+      let pre, post = paren (lvl > 3) in
+      pp_junction " /\\" 4 ~pre ~post ppf fs
   | Or fs ->
-      paren (lvl > 2) (fun ppf ->
-          Format.pp_open_hvbox ppf 0;
-          Format.pp_print_list
-            ~pp_sep:(fun ppf () -> Format.fprintf ppf " \\/@ ")
-            (pp_prec 3) ppf fs;
-          Format.pp_close_box ppf ())
+      let pre, post = paren (lvl > 2) in
+      pp_junction " \\/" 3 ~pre ~post ppf fs
   | Implies (a, b) ->
-      paren (lvl > 1) (fun ppf ->
-          Format.fprintf ppf "%a -> %a" (pp_prec 2) a (pp_prec 1) b)
+      let pre, post = paren (lvl > 1) in
+      pp_prec 2 ~pre ~post:" -> " ppf a;
+      pp_prec 1 ~pre:"" ~post ppf b
   | Iff (a, b) ->
-      paren (lvl > 0) (fun ppf ->
-          Format.fprintf ppf "%a <-> %a" (pp_prec 1) a (pp_prec 1) b)
-  | Exists (x, f) ->
-      paren (lvl > 0) (fun ppf ->
-          Format.fprintf ppf "exists %s.@ %a" x (pp_prec 0) f)
-  | Forall (x, f) ->
-      paren (lvl > 0) (fun ppf ->
-          Format.fprintf ppf "forall %s.@ %a" x (pp_prec 0) f)
-  | CountGe (t, x, f) ->
-      paren (lvl > 0) (fun ppf ->
-          Format.fprintf ppf "atleast %d %s.@ %a" t x (pp_prec 0) f)
+      let pre, post = paren (lvl > 0) in
+      pp_prec 1 ~pre ~post:" <-> " ppf a;
+      pp_prec 1 ~pre:"" ~post ppf b
+  | Exists (x, f) -> quantifier "exists " x f
+  | Forall (x, f) -> quantifier "forall " x f
+  | CountGe (t, x, f) -> quantifier ("atleast " ^ string_of_int t ^ " ") x f
+
+(* [fs] in an hv box, [sep] and a break between them; the box keeps
+   [pre] and [post] outside *)
+and pp_junction sep lvl ~pre ~post ppf fs =
+  let text s = if s <> "" then Format.pp_print_string ppf s in
+  let rec items = function
+    | [] -> ()
+    | [ f ] -> pp_prec lvl ~pre:"" ~post:"" ppf f
+    | f :: rest ->
+        pp_prec lvl ~pre:"" ~post:sep ppf f;
+        Format.pp_print_break ppf 1 0;
+        items rest
+  in
+  text pre;
+  Format.pp_open_hvbox ppf 0;
+  items fs;
+  Format.pp_close_box ppf ();
+  text post
 
 let pp ppf f =
   Format.pp_open_hvbox ppf 0;
-  pp_prec 0 ppf f;
+  pp_prec 0 ~pre:"" ~post:"" ppf f;
   Format.pp_close_box ppf ()
 
 let to_string f = Format.asprintf "%a" pp f

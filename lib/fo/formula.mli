@@ -108,6 +108,13 @@ val fresh_var : avoid:var list -> string -> var
 (** {1 Printing} *)
 
 val pp : Format.formatter -> t -> unit
-(** Concrete syntax accepted by {!Parser.parse}. *)
+(** Concrete syntax accepted by {!Parser.parse}.  Junctions are hv boxes
+    with a break after each connective, quantifier bodies follow a
+    break; the layout is left to Format's.  Text that no break or box
+    boundary separates goes out as one token: an atom with its [~] and
+    the connective after it, a quantifier head with its parenthesis.
+    Format breaks lines only at breaks and boxes, so this gives the same
+    bytes as printing the pieces one by one, with fewer tokens to
+    queue. *)
 
 val to_string : t -> string

@@ -146,62 +146,54 @@ let count_types g ~q ~tmax ~k =
 (* Counting Hintikka formulas                                          *)
 (* ------------------------------------------------------------------ *)
 
-let hintikka ~colors ~tmax theta =
-  let atomic_formula sg vars =
-    (* reuse the plain-type atomic rendering through a throwaway plain
-       intern?  No — rebuild it here from the signature directly. *)
-    let var = Array.of_list vars in
-    let k = sg.Types.sig_arity in
-    let conjuncts = ref [] in
-    let push f = conjuncts := f :: !conjuncts in
-    for i = 0 to k - 1 do
-      for j = i + 1 to k - 1 do
-        let e = Fo.Formula.eq var.(i) var.(j) in
-        push (if List.mem (i, j) sg.Types.eqs then e else Fo.Formula.not_ e);
-        let a = Fo.Formula.edge var.(i) var.(j) in
-        push (if List.mem (i, j) sg.Types.edgs then a else Fo.Formula.not_ a)
-      done
-    done;
-    for i = 0 to k - 1 do
-      let held = sg.Types.cols.(i) in
-      List.iter
-        (fun c ->
-          if not (List.mem c colors) then
-            invalid_arg
-              (Printf.sprintf "Ctypes.hintikka: colour %S not in vocabulary" c))
-        held;
-      List.iter
-        (fun c ->
-          let a = Fo.Formula.color c var.(i) in
-          push (if List.mem c held then a else Fo.Formula.not_ a))
-        colors
-    done;
-    Fo.Formula.and_ (List.rev !conjuncts)
-  in
-  let rec go theta vars =
-    let sg, children = node theta in
-    let atomic = atomic_formula sg vars in
-    match children with
-    | None -> atomic
-    | Some kids ->
-        let y = Printf.sprintf "x%d" (List.length vars + 1) in
-        let vars' = vars @ [ y ] in
-        let multiplicities =
-          List.concat_map
-            (fun (kid, c) ->
-              let lower = Fo.Formula.count_ge c y (go kid vars') in
-              if c < tmax then
-                [
-                  lower;
-                  Fo.Formula.not_ (Fo.Formula.count_ge (c + 1) y (go kid vars'));
-                ]
-              else [ lower ])
-            kids
+(* As [Hintikka.of_types]: one build makes each node's formula once.  A
+   child below [c < tmax] appears three times (at least [c], not at
+   least [c + 1], and in the [forall] disjunction); all three share it. *)
+let builder ~colors ~tmax names =
+  let var = Hintikka.namer (Option.value names ~default:[]) in
+  let memo : (ty, Fo.Formula.t) Hashtbl.t = Hashtbl.create 64 in
+  let rec go theta =
+    match Hashtbl.find_opt memo theta with
+    | Some f -> f
+    | None ->
+        let sg, children = node theta in
+        let atomic = Hintikka.atomic_formula ~colors sg var in
+        let f =
+          match children with
+          | None -> atomic
+          | Some kids ->
+              let y = var sg.Types.sig_arity in
+              let multiplicities =
+                List.concat_map
+                  (fun (kid, c) ->
+                    let body = go kid in
+                    let lower = Fo.Formula.count_ge c y body in
+                    if c < tmax then
+                      [
+                        lower;
+                        Fo.Formula.not_ (Fo.Formula.count_ge (c + 1) y body);
+                      ]
+                    else [ lower ])
+                  kids
+              in
+              let exhausted =
+                Fo.Formula.forall y
+                  (Fo.Formula.or_ (List.map (fun (kid, _) -> go kid) kids))
+              in
+              Fo.Formula.and_ ((atomic :: multiplicities) @ [ exhausted ])
         in
-        let exhausted =
-          Fo.Formula.forall y
-            (Fo.Formula.or_ (List.map (fun (kid, _) -> go kid vars') kids))
-        in
-        Fo.Formula.and_ ((atomic :: multiplicities) @ [ exhausted ])
+        Hashtbl.replace memo theta f;
+        f
   in
-  go theta (Hintikka.variables (arity theta))
+  fun theta ->
+    (match names with
+    | Some vs when List.length vs <> arity theta ->
+        invalid_arg "Ctypes.hintikka: variable/arity mismatch"
+    | _ -> ());
+    go theta
+
+let hintikka ~colors ~tmax theta = builder ~colors ~tmax None theta
+
+let hintikka_of_types ?vars ~colors ~tmax thetas =
+  let build = builder ~colors ~tmax vars in
+  Fo.Formula.or_ (List.map build thetas)

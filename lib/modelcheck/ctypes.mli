@@ -59,7 +59,18 @@ val hintikka : colors:string list -> tmax:int -> ty -> Fo.Formula.t
 (** The counting Hintikka formula of a type: for every graph [H] over a
     sub-vocabulary of [colors] and tuple [v̄],
     [H |= hintikka θ (v̄)  iff  ctp(H, v̄) = θ].  Uses [atleast]
-    quantifiers; quantifier rank is exactly the rank of the type. *)
+    quantifiers; quantifier rank is exactly the rank of the type.
+    Built as {!Hintikka.of_type} is: each node's formula once, shared
+    by its occurrences.
+    @raise Invalid_argument if [θ] mentions a colour outside [colors]. *)
+
+val hintikka_of_types :
+  ?vars:Fo.Formula.var list -> colors:string list -> tmax:int -> ty list -> Fo.Formula.t
+(** Disjunction of the counting Hintikka formulas of one build (nodes
+    shared between roots are built once); [vars] names the roots' free
+    variables as in {!Hintikka.of_types}.
+    @raise Invalid_argument if a root's arity is not the length of
+    [vars]. *)
 
 (** {1 Registry lifecycle} *)
 

@@ -2,11 +2,14 @@ let variables k = List.init k (fun i -> Printf.sprintf "x%d" (i + 1))
 
 let formulas_built = Obs.Metric.counter "modelcheck.hintikka.formulas_built"
 
-let atomic_formula ~colors (sg : Types.atomsig) vars =
-  let var = Array.of_list vars in
+let namer names =
+  let names = Array.of_list names in
+  fun i ->
+    if i < Array.length names then names.(i) else Printf.sprintf "x%d" (i + 1)
+
+let atomic_formula ~colors (sg : Types.atomsig) var =
   let k = sg.Types.sig_arity in
-  if Array.length var <> k then
-    invalid_arg "Hintikka: variable/arity mismatch";
+  let var = Array.init k var in
   let conjuncts = ref [] in
   let push f = conjuncts := f :: !conjuncts in
   for i = 0 to k - 1 do
@@ -23,7 +26,7 @@ let atomic_formula ~colors (sg : Types.atomsig) vars =
       (fun c ->
         if not (List.mem c colors) then
           invalid_arg
-            (Printf.sprintf "Hintikka.of_type: colour %S not in vocabulary" c))
+            (Printf.sprintf "Hintikka: colour %S not in vocabulary" c))
       held;
     List.iter
       (fun c ->
@@ -33,29 +36,59 @@ let atomic_formula ~colors (sg : Types.atomsig) vars =
   done;
   Fo.Formula.and_ (List.rev !conjuncts)
 
-let of_type ?budget ~colors theta =
-  Obs.Metric.incr formulas_built;
-  let rec go theta vars =
-    Guard.tick budget Guard.Hintikka_build;
-    let sg, children = Types.node theta in
-    let atomic = atomic_formula ~colors sg vars in
-    match children with
-    | None -> atomic
-    | Some kids ->
-        let y = Printf.sprintf "x%d" (List.length vars + 1) in
-        let vars' = vars @ [ y ] in
-        let realised =
-          List.map (fun kid -> Fo.Formula.exists y (go kid vars')) kids
-        in
-        let exhausted =
-          Fo.Formula.forall y (Fo.Formula.or_ (List.map (fun kid -> go kid vars') kids))
-        in
-        Fo.Formula.and_ ((atomic :: realised) @ [ exhausted ])
-  in
-  go theta (variables (Types.arity theta))
+let check_arity names arity =
+  match names with
+  | Some vs when List.length vs <> arity ->
+      invalid_arg "Hintikka: variable/arity mismatch"
+  | _ -> ()
 
-let of_types ~colors thetas =
-  Fo.Formula.or_ (List.map (fun t -> of_type ~colors t) thetas)
+(* One build: each type id's formula is made once and shared by every
+   occurrence below the roots.  The formula of the plain tree (where
+   every child appears twice, under [exists] and in the [forall]
+   disjunction) has [size] nodes; a memo hit charges them all, so the
+   budget sees the same [Hintikka_build] ticks as a tree build. *)
+let builder ?budget ~colors names =
+  let var = namer (Option.value names ~default:[]) in
+  let memo : (Types.ty, Fo.Formula.t * int) Hashtbl.t = Hashtbl.create 64 in
+  let rec go theta =
+    match Hashtbl.find_opt memo theta with
+    | Some ((_, size) as hit) ->
+        if budget <> None then
+          for _ = 1 to size do
+            Guard.tick budget Guard.Hintikka_build
+          done;
+        hit
+    | None ->
+        Guard.tick budget Guard.Hintikka_build;
+        let sg, children = Types.node theta in
+        let atomic = atomic_formula ~colors sg var in
+        let built =
+          match children with
+          | None -> (atomic, 1)
+          | Some kids ->
+              let y = var sg.Types.sig_arity in
+              let realised = List.map go kids in
+              let exhausted = List.map go kids in
+              let size l = List.fold_left (fun acc (_, s) -> acc + s) 0 l in
+              ( Fo.Formula.and_
+                  ((atomic
+                   :: List.map (fun (f, _) -> Fo.Formula.exists y f) realised)
+                  @ [ Fo.Formula.forall y (Fo.Formula.or_ (List.map fst exhausted)) ]),
+                1 + size realised + size exhausted )
+        in
+        Hashtbl.replace memo theta built;
+        built
+  in
+  fun theta ->
+    check_arity names (Types.arity theta);
+    Obs.Metric.incr formulas_built;
+    fst (go theta)
+
+let of_type ?budget ~colors theta = builder ?budget ~colors None theta
+
+let of_types ?budget ?vars ~colors thetas =
+  let build = builder ?budget ~colors vars in
+  Fo.Formula.or_ (List.map build thetas)
 
 let of_tuple ~colors g ~q u =
   of_type ~colors (Types.tp_graph g ~q u)

@@ -15,16 +15,53 @@
 val variables : int -> Fo.Formula.var list
 (** [variables k] = the standard variable names [x1; ...; xk]. *)
 
+val namer : Fo.Formula.var list -> int -> Fo.Formula.var
+(** [namer names i] names position [i] (0-based) of a type's tuple: the
+    [i]-th of [names] while they last, the standard [x(i+1)] beyond.
+    Quantified positions lie past the root's arity, so with [names]
+    [x1..xk, y1..yl] they are [x(k+l+1), ...] and never clash with a
+    root name. *)
+
+val atomic_formula :
+  colors:string list -> Types.atomsig -> (int -> Fo.Formula.var) -> Fo.Formula.t
+(** [atomic_formula ~colors sg var]: the conjunction of the equality,
+    edge and colour literals of [sg] over [var 0 .. var (arity - 1)],
+    in the order the Hintikka formulas print them.  Shared with the
+    counting types ([Ctypes.hintikka]).
+    @raise Invalid_argument if [sg] holds a colour outside [colors]. *)
+
+(** {1 Hintikka formulas}
+
+    A build makes each type node's formula once: a node that occurs
+    several times below the roots (as a child under [exists] and again
+    in the [forall] disjunction, or below several roots of
+    {!of_types}) is one shared value, so the result is a DAG whose size
+    is about the number of distinct type nodes.  Walking it as a tree
+    (printing, {!Fo.Formula.size}) still costs the tree.
+
+    Quantified variables are named by {!namer}.
+
+    Fuel is charged per {e tree} node: one [Hintikka_build] tick for
+    each node of the formula a tree build would make, so a budgeted
+    build trips at the same fuel as one that builds every occurrence. *)
+
 val of_type : ?budget:Guard.Budget.t -> colors:string list -> Types.ty -> Fo.Formula.t
 (** [of_type ~colors θ]: the Hintikka formula of [θ] over the standard
     variables, relative to the given colour vocabulary (needed to spell
-    out the {e negative} colour facts).  One [Hintikka_build] tick
-    per type node, charged to [budget].
+    out the {e negative} colour facts).
     @raise Invalid_argument if [θ] mentions a colour outside [colors]. *)
 
-val of_types : colors:string list -> Types.ty list -> Fo.Formula.t
-(** Disjunction of Hintikka formulas: the formula defining "my [q]-type is
-    one of these". *)
+val of_types :
+  ?budget:Guard.Budget.t ->
+  ?vars:Fo.Formula.var list ->
+  colors:string list ->
+  Types.ty list ->
+  Fo.Formula.t
+(** Disjunction of the Hintikka formulas of one build: the formula
+    defining "my [q]-type is one of these".  [vars] names the roots'
+    free variables (default: {!variables} of each root's arity).
+    @raise Invalid_argument if a root's arity is not the length of
+    [vars]. *)
 
 val of_tuple :
   colors:string list -> Cgraph.Graph.t -> q:int -> Cgraph.Graph.Tuple.t -> Fo.Formula.t

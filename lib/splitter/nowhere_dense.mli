@@ -14,8 +14,9 @@ open Cgraph
 type t = {
   name : string;
   splitter : Game.splitter_strategy;
-  s_bound : Graph.t -> r:int -> int;
-      (** rounds budget for the (r, s)-splitter game on a member graph *)
+  s_bound : ?budget:Guard.Budget.t -> Graph.t -> r:int -> int;
+      (** rounds budget for the (r, s)-splitter game on a member graph;
+          the games an empirical bound plays are charged to [budget] *)
 }
 
 val forests : t

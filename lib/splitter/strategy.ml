@@ -226,7 +226,8 @@ let optimal ~cap ?budget arena ~radius ~connector =
 
 let default_seeds = [ 1; 2; 3; 42 ]
 
-let empirical_rounds ?(max_rounds = 64) ?(seeds = default_seeds) g ~r ~splitter =
+let empirical_rounds ?(max_rounds = 64) ?(seeds = default_seeds) ?budget g ~r
+    ~splitter =
   let adversaries =
     (fun () -> connector_max_ball ~r)
     :: (fun () -> connector_max_ecc)
@@ -237,12 +238,14 @@ let empirical_rounds ?(max_rounds = 64) ?(seeds = default_seeds) g ~r ~splitter 
       match acc with
       | None -> None
       | Some best -> (
-          match Game.play_out ~max_rounds g ~r ~connector:(make ()) ~splitter with
+          match
+            Game.play_out ~max_rounds ?budget g ~r ~connector:(make ()) ~splitter
+          with
           | Some rounds -> Some (max best rounds)
           | None -> None))
     (Some 0) adversaries
 
-let estimate_s ?(slack = 1) g ~r ~splitter =
-  match empirical_rounds g ~r ~splitter with
+let estimate_s ?(slack = 1) ?budget g ~r ~splitter =
+  match empirical_rounds ?budget g ~r ~splitter with
   | Some rounds -> max 1 (rounds + slack)
   | None -> max 1 (Graph.order g)

@@ -65,14 +65,17 @@ val optimal : cap:int -> Game.splitter_strategy
     ablation experiments. *)
 
 val empirical_rounds :
-  ?max_rounds:int -> ?seeds:int list -> Graph.t -> r:int ->
-  splitter:Game.splitter_strategy -> int option
+  ?max_rounds:int -> ?seeds:int list -> ?budget:Guard.Budget.t -> Graph.t ->
+  r:int -> splitter:Game.splitter_strategy -> int option
 (** Max number of rounds the strategy needed against the adversarial
     Connector battery ({!connector_max_ball}, {!connector_max_ecc}, and
     random Connectors for each seed); [None] if it ever failed to win
-    within [max_rounds] (default 64). *)
+    within [max_rounds] (default 64).  Every game's balls are charged
+    to [budget]. *)
 
-val estimate_s : ?slack:int -> Graph.t -> r:int -> splitter:Game.splitter_strategy -> int
+val estimate_s :
+  ?slack:int -> ?budget:Guard.Budget.t -> Graph.t -> r:int ->
+  splitter:Game.splitter_strategy -> int
 (** Round budget for the Theorem 13 learner: {!empirical_rounds} plus
     [slack] (default 1); falls back to [order g] when the strategy lost —
     Splitter trivially wins in [order g] rounds only on graphs of radius

@@ -166,6 +166,107 @@ let test_chintikka () =
     (chintikka_defines ~q:1 ~tmax:2
        (Graph.with_colors p6 [ ("Red", [ 0; 2 ]) ]))
 
+(* The counting Hintikka tree build that made every occurrence of a node
+   afresh, and the renaming of x(k+1)..x(k+l) to y1..yl that counting
+   hypotheses used to apply, kept verbatim as the reference. *)
+module Reference_chintikka = struct
+  let hintikka ~colors ~tmax theta =
+    let atomic_formula sg vars =
+      let var = Array.of_list vars in
+      let k = sg.T.sig_arity in
+      let conjuncts = ref [] in
+      let push f = conjuncts := f :: !conjuncts in
+      for i = 0 to k - 1 do
+        for j = i + 1 to k - 1 do
+          let e = Fo.Formula.eq var.(i) var.(j) in
+          push (if List.mem (i, j) sg.T.eqs then e else Fo.Formula.not_ e);
+          let a = Fo.Formula.edge var.(i) var.(j) in
+          push (if List.mem (i, j) sg.T.edgs then a else Fo.Formula.not_ a)
+        done
+      done;
+      for i = 0 to k - 1 do
+        let held = sg.T.cols.(i) in
+        List.iter
+          (fun c ->
+            if not (List.mem c colors) then
+              invalid_arg
+                (Printf.sprintf "Ctypes.hintikka: colour %S not in vocabulary" c))
+          held;
+        List.iter
+          (fun c ->
+            let a = Fo.Formula.color c var.(i) in
+            push (if List.mem c held then a else Fo.Formula.not_ a))
+          colors
+      done;
+      Fo.Formula.and_ (List.rev !conjuncts)
+    in
+    let rec go theta vars =
+      let sg, children = C.node theta in
+      let atomic = atomic_formula sg vars in
+      match children with
+      | None -> atomic
+      | Some kids ->
+          let y = Printf.sprintf "x%d" (List.length vars + 1) in
+          let vars' = vars @ [ y ] in
+          let multiplicities =
+            List.concat_map
+              (fun (kid, c) ->
+                let lower = Fo.Formula.count_ge c y (go kid vars') in
+                if c < tmax then
+                  [
+                    lower;
+                    Fo.Formula.not_ (Fo.Formula.count_ge (c + 1) y (go kid vars'));
+                  ]
+                else [ lower ])
+              kids
+          in
+          let exhausted =
+            Fo.Formula.forall y
+              (Fo.Formula.or_ (List.map (fun (kid, _) -> go kid vars') kids))
+          in
+          Fo.Formula.and_ ((atomic :: multiplicities) @ [ exhausted ])
+    in
+    go theta (Modelcheck.Hintikka.variables (C.arity theta))
+
+  let to_xy ~k ~ell f =
+    let assoc =
+      List.init ell (fun i ->
+          (Printf.sprintf "x%d" (k + i + 1), Printf.sprintf "y%d" (i + 1)))
+    in
+    Fo.Formula.substitute assoc f
+end
+
+let shared_chintikka_matches_tree_build =
+  QCheck.Test.make
+    ~name:"shared counting Hintikka build = tree build + renaming" ~count:40
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let n = 3 + Random.State.int st 3 in
+      let g =
+        Gen.colored ~seed ~colors:[ "Red"; "Blue" ]
+          (Gen.gnp ~seed:(seed + 1) ~n ~p:0.4)
+      in
+      let k = 1 + Random.State.int st 2 and ell = Random.State.int st 3 in
+      let q = Random.State.int st 3 and tmax = 1 + Random.State.int st 3 in
+      let ctx = C.make_ctx g in
+      let types =
+        List.sort_uniq C.compare
+          (List.map (C.ctp ctx ~q ~tmax) (Graph.Tuple.all ~n ~k:(k + ell)))
+        |> List.filter (fun _ -> Random.State.int st 3 > 0)
+        |> List.filteri (fun i _ -> i < 8)
+      in
+      let colors = Graph.color_names g in
+      let vars =
+        List.init k (fun i -> Printf.sprintf "x%d" (i + 1))
+        @ List.init ell (fun i -> Printf.sprintf "y%d" (i + 1))
+      in
+      Fo.Formula.equal
+        (C.hintikka_of_types ~vars ~colors ~tmax types)
+        (Reference_chintikka.to_xy ~k ~ell
+           (Fo.Formula.or_
+              (List.map (Reference_chintikka.hintikka ~colors ~tmax) types))))
+
 let test_chintikka_cross_graph () =
   (* degree profile transfers: C6 vertex formula holds in C9 (same
      counting rank-1 type: exactly 2 edge-extensions) but not at a path
@@ -298,4 +399,5 @@ let suite =
     Alcotest.test_case "counting never worse" `Quick test_counting_never_worse;
     Alcotest.test_case "counting guards" `Quick test_counting_guards;
     QCheck_alcotest.to_alcotest counting_nnf_semantics;
+    QCheck_alcotest.to_alcotest shared_chintikka_matches_tree_build;
   ]

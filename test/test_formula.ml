@@ -242,6 +242,111 @@ let parser_exact_roundtrip_counting =
       let f = Fo.Genform.formula ~config ~seed () in
       Fo.Parser.parse_opt (F.to_string f) = Some f)
 
+(* The printer before it glued atoms, connectives and quantifier heads
+   into single text tokens, kept verbatim as the reference: the layout
+   is Format's, so the new printer must give the same bytes. *)
+module Reference_pp = struct
+  open F
+
+  (* precedence levels: 0 = iff, 1 = implies, 2 = or, 3 = and, 4 = unary *)
+  let rec pp_prec lvl ppf f =
+    let paren needed body =
+      if needed then Format.fprintf ppf "(%t)" body else body ppf
+    in
+    match f with
+    | True -> Format.pp_print_string ppf "true"
+    | False -> Format.pp_print_string ppf "false"
+    | Atom (Eq (x, y)) -> Format.fprintf ppf "%s = %s" x y
+    | Atom (Edge (x, y)) -> Format.fprintf ppf "E(%s, %s)" x y
+    | Atom (Color (c, x)) -> Format.fprintf ppf "%s(%s)" c x
+    | Not f ->
+        Format.pp_print_string ppf "~";
+        pp_prec 4 ppf f
+    | And fs ->
+        paren (lvl > 3) (fun ppf ->
+            Format.pp_open_hvbox ppf 0;
+            Format.pp_print_list
+              ~pp_sep:(fun ppf () -> Format.fprintf ppf " /\\@ ")
+              (pp_prec 4) ppf fs;
+            Format.pp_close_box ppf ())
+    | Or fs ->
+        paren (lvl > 2) (fun ppf ->
+            Format.pp_open_hvbox ppf 0;
+            Format.pp_print_list
+              ~pp_sep:(fun ppf () -> Format.fprintf ppf " \\/@ ")
+              (pp_prec 3) ppf fs;
+            Format.pp_close_box ppf ())
+    | Implies (a, b) ->
+        paren (lvl > 1) (fun ppf ->
+            Format.fprintf ppf "%a -> %a" (pp_prec 2) a (pp_prec 1) b)
+    | Iff (a, b) ->
+        paren (lvl > 0) (fun ppf ->
+            Format.fprintf ppf "%a <-> %a" (pp_prec 1) a (pp_prec 1) b)
+    | Exists (x, f) ->
+        paren (lvl > 0) (fun ppf ->
+            Format.fprintf ppf "exists %s.@ %a" x (pp_prec 0) f)
+    | Forall (x, f) ->
+        paren (lvl > 0) (fun ppf ->
+            Format.fprintf ppf "forall %s.@ %a" x (pp_prec 0) f)
+    | CountGe (t, x, f) ->
+        paren (lvl > 0) (fun ppf ->
+            Format.fprintf ppf "atleast %d %s.@ %a" t x (pp_prec 0) f)
+
+  let pp ppf f =
+    Format.pp_open_hvbox ppf 0;
+    pp_prec 0 ppf f;
+    Format.pp_close_box ppf ()
+end
+
+(* Every constructor, raw (no smart-constructor normalisation: [Not
+   (Not _)], empty and singleton junctions, nested junctions of one
+   kind), with colour and variable names long enough that whole boxes
+   fit a line only sometimes. *)
+let rec gen_any_formula depth st =
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let var () = pick [ "x"; "y1"; "x12"; "a_long_variable_name" ] in
+  let colour () =
+    pick [ "Red"; "R"; "AVeryLongColourNameIndeed"; "Colour_with_38_characters_in_its_name" ]
+  in
+  let sub () = gen_any_formula (depth - 1) st in
+  if depth = 0 || Random.State.int st 4 = 0 then
+    match Random.State.int st 5 with
+    | 0 -> F.eq (var ()) (var ())
+    | 1 -> F.edge (var ()) (var ())
+    | 2 -> F.color (colour ()) (var ())
+    | 3 -> F.True
+    | _ -> F.False
+  else
+    match Random.State.int st 9 with
+    | 0 -> F.Not (sub ())
+    | 1 -> F.And (List.init (Random.State.int st 5) (fun _ -> sub ()))
+    | 2 -> F.Or (List.init (Random.State.int st 5) (fun _ -> sub ()))
+    | 3 -> F.Implies (sub (), sub ())
+    | 4 -> F.Iff (sub (), sub ())
+    | 5 -> F.Exists (var (), sub ())
+    | 6 -> F.Forall (var (), sub ())
+    | 7 -> F.CountGe (1 + Random.State.int st 12, var (), sub ())
+    | _ -> F.And [ sub (); F.Or [ sub (); sub () ]; F.Not (sub ()) ]
+
+let render ~margin pp f =
+  let b = Buffer.create 256 in
+  let ppf = Format.formatter_of_buffer b in
+  Format.pp_set_margin ppf margin;
+  (* once alone, once inside the boxes [Hypothesis.pp] puts around it *)
+  Format.fprintf ppf "%a@.@[<v>phi =@;<1 2>@[%a@]@,w = 0@]@." pp f pp f;
+  Buffer.contents b
+
+let pp_matches_reference =
+  QCheck.Test.make ~name:"pp gives the reference printer's bytes"
+    ~count:1000
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let f = gen_any_formula 6 (Random.State.make [| seed |]) in
+      List.for_all
+        (fun margin ->
+          render ~margin F.pp f = render ~margin Reference_pp.pp f)
+        [ 78; 40; 12 ])
+
 let nnf_preserves_semantics =
   QCheck.Test.make ~name:"nnf and simplify preserve semantics" ~count:120
     QCheck.(int_range 0 10000)
@@ -378,6 +483,7 @@ let suite =
     Alcotest.test_case "relativize local" `Quick test_relativize_local;
     Alcotest.test_case "gaifman radius" `Quick test_gaifman_radius;
     Alcotest.test_case "rank overhead" `Quick test_rank_overhead;
+    QCheck_alcotest.to_alcotest pp_matches_reference;
     QCheck_alcotest.to_alcotest parser_roundtrip;
     QCheck_alcotest.to_alcotest parser_exact_roundtrip;
     QCheck_alcotest.to_alcotest parser_exact_roundtrip_counting;

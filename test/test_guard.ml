@@ -219,6 +219,42 @@ let test_fuel_and_deadline () =
   | Guard.Exhausted { reason = r; _ } ->
       Alcotest.check reason "deadline" Guard.Deadline r
 
+let test_nd_s_bound_budgeted () =
+  (* an empirical s_bound plays six Splitter games before the search;
+     they belong to the budgeted run, so the budget pays for them and
+     can stop them *)
+  let g = Gen.random_tree ~seed:4 12 in
+  let lam = sample_on g ~k:1 5 in
+  let cls = Splitter.Nowhere_dense.of_graph "tree" g in
+  let cfg =
+    Folearn.Erm_nd.default_config ~radius:1 ~k:1 ~ell_star:1 ~q_star:1 cls
+  in
+  (* the games alone, at the learner's game radius (k+2)(2r+1) for
+     k = 1, r = 1, ell* = 1 *)
+  let games =
+    let b = Guard.Budget.unlimited () in
+    ignore (cls.Splitter.Nowhere_dense.s_bound ~budget:b g ~r:9 : int);
+    (Guard.Budget.spent b).Guard.fuel
+  in
+  check "the games spend fuel" true (games > 0);
+  let nd budget =
+    Folearn.Erm_nd.solve_budgeted ~budget ~precheck:false cfg g lam
+  in
+  (match
+     nd (Guard.Budget.make ~faults:(Guard.Faults.trip_at Solver_loop ~n:1) ())
+   with
+  | Guard.Complete _ -> Alcotest.fail "the fault plan must fire"
+  | Guard.Exhausted { spent; _ } ->
+      check_int "the first search tick comes after the games" (games + 1)
+        spent.Guard.fuel);
+  match nd (Guard.Budget.make ~fuel:(games / 2) ()) with
+  | Guard.Complete _ -> Alcotest.fail "half the games' fuel cannot finish"
+  | Guard.Exhausted { best_so_far; reason = r; checkpoint = cp; spent; _ } ->
+      Alcotest.check reason "fuel" Guard.Out_of_fuel r;
+      Alcotest.check checkpoint "in a game's ball" Guard.Bfs_frontier cp;
+      check "no leaf reached, nothing salvaged" true (best_so_far = None);
+      check "stopped inside the games" true (spent.Guard.fuel <= games)
+
 let test_seeded_faults_deterministic () =
   let p = Guard.Faults.seeded ~seed:7 ~rate:0.5 in
   let q = Guard.Faults.seeded ~seed:7 ~rate:0.5 in
@@ -362,6 +398,8 @@ let suite =
       test_salvage_err_is_true_error;
     Alcotest.test_case "fuel and deadline exhaustion reasons" `Quick
       test_fuel_and_deadline;
+    Alcotest.test_case "nd s_bound games run under the budget" `Quick
+      test_nd_s_bound_budgeted;
     Alcotest.test_case "seeded fault plans are deterministic" `Quick
       test_seeded_faults_deterministic;
     Alcotest.test_case "degrade without budget = Erm_local" `Quick

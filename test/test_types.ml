@@ -242,7 +242,130 @@ let test_of_types_disjunction () =
   check "covers all vertices" true
     (List.for_all
        (fun v -> E.holds_tuple p6 ~vars:[ "x1" ] [| v |] f)
-       (Graph.vertices p6))
+       (Graph.vertices p6));
+  (* the roots' variables can be named; the quantified ones stay x2.. *)
+  let named = H.of_types ~vars:[ "u" ] ~colors:[] [ t0; t2 ] in
+  check "named free variable" true (Fo.Formula.free_vars named = [ "u" ]);
+  check "same formula up to the name" true
+    (Fo.Formula.equal named (Fo.Formula.substitute [ ("x1", "u") ] f));
+  check "names must match the arity" true
+    (try
+       ignore (H.of_types ~vars:[ "u"; "v" ] ~colors:[] [ t0 ]);
+       false
+     with Invalid_argument _ -> true)
+
+(* The tree build that made every occurrence of a node afresh, followed
+   by the renaming of x(k+1)..x(k+l) to y1..yl that hypotheses used to
+   apply, kept verbatim as the reference for the shared build. *)
+module Reference_hintikka = struct
+  let atomic_formula ~colors (sg : T.atomsig) vars =
+    let var = Array.of_list vars in
+    let k = sg.T.sig_arity in
+    if Array.length var <> k then
+      invalid_arg "Hintikka: variable/arity mismatch";
+    let conjuncts = ref [] in
+    let push f = conjuncts := f :: !conjuncts in
+    for i = 0 to k - 1 do
+      for j = i + 1 to k - 1 do
+        let e = Fo.Formula.eq var.(i) var.(j) in
+        push (if List.mem (i, j) sg.T.eqs then e else Fo.Formula.not_ e);
+        let a = Fo.Formula.edge var.(i) var.(j) in
+        push (if List.mem (i, j) sg.T.edgs then a else Fo.Formula.not_ a)
+      done
+    done;
+    for i = 0 to k - 1 do
+      let held = sg.T.cols.(i) in
+      List.iter
+        (fun c ->
+          if not (List.mem c colors) then
+            invalid_arg
+              (Printf.sprintf "Hintikka.of_type: colour %S not in vocabulary" c))
+        held;
+      List.iter
+        (fun c ->
+          let a = Fo.Formula.color c var.(i) in
+          push (if List.mem c held then a else Fo.Formula.not_ a))
+        colors
+    done;
+    Fo.Formula.and_ (List.rev !conjuncts)
+
+  let of_type ?budget ~colors theta =
+    let rec go theta vars =
+      Guard.tick budget Guard.Hintikka_build;
+      let sg, children = T.node theta in
+      let atomic = atomic_formula ~colors sg vars in
+      match children with
+      | None -> atomic
+      | Some kids ->
+          let y = Printf.sprintf "x%d" (List.length vars + 1) in
+          let vars' = vars @ [ y ] in
+          let realised =
+            List.map (fun kid -> Fo.Formula.exists y (go kid vars')) kids
+          in
+          let exhausted =
+            Fo.Formula.forall y (Fo.Formula.or_ (List.map (fun kid -> go kid vars') kids))
+          in
+          Fo.Formula.and_ ((atomic :: realised) @ [ exhausted ])
+    in
+    go theta (H.variables (T.arity theta))
+
+  let to_xy ~k ~ell f =
+    let assoc =
+      List.init ell (fun i ->
+          (Printf.sprintf "x%d" (k + i + 1), Printf.sprintf "y%d" (i + 1)))
+    in
+    Fo.Formula.substitute assoc f
+
+  let of_types ?budget ~colors ~k ~ell thetas =
+    to_xy ~k ~ell
+      (Fo.Formula.or_ (List.map (fun t -> of_type ?budget ~colors t) thetas))
+end
+
+(* a random instance: a small coloured graph, k <= 2, l <= 2, q <= 2,
+   and up to 8 of the types its (k+l)-tuples realise *)
+let random_type_set seed =
+  let st = Random.State.make [| seed |] in
+  let n = 3 + Random.State.int st 3 in
+  let g =
+    Gen.colored ~seed ~colors:[ "Red"; "Blue" ]
+      (Gen.gnp ~seed:(seed + 1) ~n ~p:0.4)
+  in
+  let k = 1 + Random.State.int st 2 and ell = Random.State.int st 3 in
+  let q = Random.State.int st 3 in
+  let ctx = T.make_ctx g in
+  let types =
+    List.sort_uniq T.compare
+      (List.map (T.tp ctx ~q) (Graph.Tuple.all ~n ~k:(k + ell)))
+    |> List.filter (fun _ -> Random.State.int st 3 > 0)
+    |> List.filteri (fun i _ -> i < 8)
+  in
+  (g, k, ell, types)
+
+let xy_names ~k ~ell =
+  List.init k (fun i -> Printf.sprintf "x%d" (i + 1))
+  @ List.init ell (fun i -> Printf.sprintf "y%d" (i + 1))
+
+let shared_build_matches_tree_build =
+  QCheck.Test.make
+    ~name:"shared Hintikka build = tree build + renaming, same fuel"
+    ~count:40
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let g, k, ell, types = random_type_set seed in
+      let colors = Graph.color_names g in
+      let fuel f =
+        let b = Guard.Budget.unlimited () in
+        let formula = f b in
+        (formula, (Guard.Budget.spent b).Guard.fuel)
+      in
+      let shared, shared_fuel =
+        fuel (fun b ->
+            H.of_types ~budget:b ~vars:(xy_names ~k ~ell) ~colors types)
+      in
+      let tree, tree_fuel =
+        fuel (fun b -> Reference_hintikka.of_types ~budget:b ~colors ~k ~ell types)
+      in
+      Fo.Formula.equal shared tree && shared_fuel = tree_fuel)
 
 let test_node_decomposition () =
   (* rank-0 nodes have no children; rank-1 children are rank-0 *)
@@ -356,4 +479,5 @@ let suite =
     QCheck_alcotest.to_alcotest fact5_random;
     QCheck_alcotest.to_alcotest hintikka_random;
     QCheck_alcotest.to_alcotest leaf_kernel_random;
+    QCheck_alcotest.to_alcotest shared_build_matches_tree_build;
   ]
