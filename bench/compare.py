@@ -5,8 +5,9 @@ Usage: compare.py BASELINE CURRENT [--tol FRAC] [--time-tol FRAC]
 
 Compares the deterministic substance of a benchmark run — the headline
 work counters (model_check_calls, hypotheses_enumerated,
-checkpoint_writes, events_recorded), the metric-snapshot counters, and
-the row count — and exits non-zero on any mismatch beyond tolerance.
+checkpoint_writes, events_recorded), the metric-snapshot counters, the
+row count, and the work counts inside the rows (ROW_FIELDS) — and exits
+non-zero on any mismatch beyond tolerance.
 
 Design choices, so the gate stays useful in CI:
 - integer work counters compare EXACTLY by default (the solvers are
@@ -22,6 +23,11 @@ Design choices, so the gate stays useful in CI:
   hit/miss splits, intern shard merges, per-worker task tallies) whose
   values legitimately vary with the core count or chunking even though
   the solver output is byte-identical.
+- row fields compare exactly, row by row, for the experiments and
+  fields in ROW_FIELDS: the work each calibration row did.  Fields that
+  depend on the schedule or the clock (e21 speedups, e22 fuel_at_kill,
+  ran and shed) are not listed.  A mismatch names the row index and
+  the field.
 - the events_recorded headline depends on the core count too: Par
   clamps every pool to the host's cores, and only a pool of two or more
   domains opens a par.run span.  When both files record `cores` and
@@ -38,6 +44,18 @@ HEADLINE_COUNTERS = (
     "checkpoint_writes",
     "events_recorded",
 )
+
+# per experiment, the row fields that are a deterministic count of work
+ROW_FIELDS = {
+    "e15": ("fuel_spent",),
+    "e18": (
+        "fuel_observed",
+        "table_observed",
+        "ball_observed",
+        "hypotheses_observed",
+        "type_evals_observed",
+    ),
+}
 
 
 def load(path):
@@ -122,8 +140,22 @@ def main():
 
     # rows carry per-config results; their COUNT is deterministic even
     # when their timing fields are not
-    check("row count", len(base.get("rows", [])), len(cur.get("rows", [])),
-          None)
+    base_rows = base.get("rows", [])
+    cur_rows = cur.get("rows", [])
+    check("row count", len(base_rows), len(cur_rows), None)
+    row_fields = ROW_FIELDS.get(base.get("experiment"), ())
+    row_checks = 0
+    for i, (brow, crow) in enumerate(zip(base_rows, cur_rows)):
+        for field in row_fields:
+            if field not in brow and field not in crow:
+                continue
+            row_checks += 1
+            if field not in crow:
+                problems.append(f"row {i} {field}: missing from current run")
+            elif field not in brow:
+                problems.append(f"row {i} {field}: missing from baseline")
+            else:
+                check(f"row {i} {field}", brow[field], crow[field], None)
 
     if args.time_tol is not None:
         check("wall_time_s", base.get("wall_time_s", 0.0),
@@ -139,8 +171,9 @@ def main():
     new = sorted(set(cur_counters) - set(base_counters))
     extra = f", {len(new)} new counter(s)" if new else ""
     skipnote = f", {skipped} skipped" if skipped else ""
-    print(f"compare: {exp}: ok ({len(base_counters) - skipped} counters "
-          f"matched{skipnote}{extra})")
+    rownote = f", {row_checks} row fields" if row_checks else ""
+    print(f"compare: {exp}: ok ({len(base_counters) - skipped} counters"
+          f"{rownote} matched{skipnote}{extra})")
 
 
 if __name__ == "__main__":

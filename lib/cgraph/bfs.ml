@@ -177,6 +177,47 @@ let ball ?budget g ~r srcs =
 
 let ball_tuple ?budget g ~r t = ball ?budget g ~r (Array.to_list t)
 
+(* [ball]'s traversal from every vertex in turn, counted and charged as
+   [n] [ball] calls.  One stamp array marks a vertex seen by the current
+   source and one queue holds each traversal, level-synchronous as in
+   [visit_ball]. *)
+let ball_sizes ?budget g ~r =
+  if r < 0 then invalid_arg "Bfs.ball_sizes: negative radius";
+  let n = Graph.order g in
+  let observing = Obs.Sink.enabled () in
+  let level w = if observing then Obs.Metric.observe frontier_h (float_of_int w) in
+  let stamp = Array.make n (-1) and queue = Array.make (max n 1) 0 in
+  Array.init n (fun src ->
+      Obs.Metric.incr bfs_calls;
+      stamp.(src) <- src;
+      queue.(0) <- src;
+      let head = ref 0 and tail = ref 1 and depth = ref 0 in
+      let level_start = ref 0 and level_end = ref 1 in
+      let push v =
+        if stamp.(v) <> src then begin
+          stamp.(v) <- src;
+          queue.(!tail) <- v;
+          incr tail
+        end
+      in
+      while !head < !tail do
+        if !head = !level_end then begin
+          level (!level_end - !level_start);
+          level_start := !level_end;
+          level_end := !tail;
+          incr depth
+        end;
+        let u = queue.(!head) in
+        incr head;
+        Guard.tick budget Guard.Bfs_frontier;
+        if !depth < r then Graph.iter_neighbors g u push
+      done;
+      level (!tail - !level_start);
+      let count = !tail in
+      Guard.note_ball budget count;
+      if observing then Obs.Metric.observe ball_h (float_of_int count);
+      count)
+
 let eccentricity ?budget g v =
   let d = distances ?budget g v in
   Array.fold_left (fun acc x -> if x < infinity then max acc x else acc) 0 d

@@ -45,6 +45,14 @@ val ball : ?budget:Guard.Budget.t -> Graph.t -> r:int -> Graph.vertex list -> Gr
 val ball_tuple : ?budget:Guard.Budget.t -> Graph.t -> r:int -> Graph.Tuple.t -> Graph.vertex list
 (** [N_r(ū)] for a tuple; same cost and fuel as {!ball}. *)
 
+val ball_sizes : ?budget:Guard.Budget.t -> Graph.t -> r:int -> int array
+(** [ball_sizes g ~r] gives [|N_r(v)|] for every vertex [v].  It runs
+    {!ball}'s traversal from each vertex in turn, reusing one stamp
+    array and one queue, so it needs [O(n)] scratch in all; its time,
+    fuel, [cgraph.bfs.calls] and histograms are those of [n] calls
+    [ball g ~r [v]], [v] ascending, less the sorting.
+    @raise Invalid_argument on a negative radius. *)
+
 val visit_ball :
   Graph.t ->
   r:int ->

@@ -1,6 +1,5 @@
 let induced_calls = Obs.Metric.counter "cgraph.ops.induced_calls"
 let induced_h = Obs.Metric.histogram "cgraph.ops.induced_size"
-let neighborhood_calls = Obs.Metric.counter "cgraph.ops.neighborhood_calls"
 
 type embedding = {
   graph : Graph.t;
@@ -50,10 +49,6 @@ let induced g s =
     to_sub = (fun v -> Hashtbl.find_opt new_of_old v);
     of_sub = (fun i -> old_of_new.(i));
   }
-
-let neighborhood ?budget g ~r t =
-  Obs.Metric.incr neighborhood_calls;
-  induced g (Bfs.ball_tuple ?budget g ~r t)
 
 let disjoint_union gs =
   let offsets = Array.make (List.length gs) 0 in

@@ -21,11 +21,6 @@ val induced : Graph.t -> Graph.vertex list -> embedding
     its colour classes are.
     @raise Graph.Invalid_vertex on a member outside the graph. *)
 
-val neighborhood : ?budget:Guard.Budget.t -> Graph.t -> r:int -> Graph.Tuple.t -> embedding
-(** The induced [r]-neighbourhood graph [N_r^G(ū)] around a tuple, at the
-    cost and fuel of {!Bfs.ball_tuple} plus {!induced} on the ball.
-    @raise Graph.Invalid_vertex on an entry outside the graph. *)
-
 val disjoint_union : Graph.t list -> Graph.t * (int -> Graph.vertex -> Graph.vertex)
 (** [disjoint_union gs] is the disjoint union; the returned function maps
     (index of component, vertex in that component) to the vertex in the

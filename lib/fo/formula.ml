@@ -170,42 +170,71 @@ let fresh_var ~avoid base =
 
 let rename sigma f =
   (* capture-avoiding: when entering a binder whose variable collides with
-     the image of a free variable, refresh the bound variable first. *)
-  let rec go sigma f =
+     the image of a free variable, refresh the bound variable first.
+
+     Linear in the size of [f] (up to set operations on its variables):
+     - [go] also returns the free variables of the formula it renamed,
+       built from its children's, so each node's free set is computed
+       once.  A binder renames its body as if nothing were captured, and
+       only when the body's free set shows a capture renames it again
+       under a fresh variable;
+     - the renaming in force is [sigma] with the variables of the
+       binders entered since fixed: [shadowed] holds them, rather than
+       one closure per binder for a lookup to walk. *)
+  let ren sigma shadowed y = if VSet.mem y shadowed then y else sigma y in
+  let rec go sigma shadowed f =
+    let ren = ren sigma shadowed in
     match f with
-    | True | False -> f
-    | Atom (Eq (x, y)) -> Atom (Eq (sigma x, sigma y))
-    | Atom (Edge (x, y)) -> Atom (Edge (sigma x, sigma y))
-    | Atom (Color (c, x)) -> Atom (Color (c, sigma x))
-    | Not f -> Not (go sigma f)
-    | And fs -> And (List.map (go sigma) fs)
-    | Or fs -> Or (List.map (go sigma) fs)
-    | Implies (a, b) -> Implies (go sigma a, go sigma b)
-    | Iff (a, b) -> Iff (go sigma a, go sigma b)
+    | True | False -> (f, VSet.empty)
+    | Atom (Eq (x, y)) -> (Atom (Eq (ren x, ren y)), VSet.add x (VSet.singleton y))
+    | Atom (Edge (x, y)) ->
+        (Atom (Edge (ren x, ren y)), VSet.add x (VSet.singleton y))
+    | Atom (Color (c, x)) -> (Atom (Color (c, ren x)), VSet.singleton x)
+    | Not f ->
+        let f', fv = go sigma shadowed f in
+        (Not f', fv)
+    | And fs ->
+        let fs', fv = go_list sigma shadowed fs in
+        (And fs', fv)
+    | Or fs ->
+        let fs', fv = go_list sigma shadowed fs in
+        (Or fs', fv)
+    | Implies (a, b) ->
+        let a', fa = go sigma shadowed a in
+        let b', fb = go sigma shadowed b in
+        (Implies (a', b'), VSet.union fa fb)
+    | Iff (a, b) ->
+        let a', fa = go sigma shadowed a in
+        let b', fb = go sigma shadowed b in
+        (Iff (a', b'), VSet.union fa fb)
     | Exists (x, body) ->
-        let x', body' = refresh sigma x body in
-        Exists (x', go (under x' sigma) body')
+        let x', body', fv = bind sigma shadowed x body in
+        (Exists (x', body'), fv)
     | Forall (x, body) ->
-        let x', body' = refresh sigma x body in
-        Forall (x', go (under x' sigma) body')
+        let x', body', fv = bind sigma shadowed x body in
+        (Forall (x', body'), fv)
     | CountGe (t, x, body) ->
-        let x', body' = refresh sigma x body in
-        CountGe (t, x', go (under x' sigma) body')
-  and under x sigma y = if y = x then x else sigma y
-  and refresh sigma x body =
-    let fv = VSet.remove x (free_set body) in
-    let images = VSet.elements fv |> List.map sigma in
+        let x', body', fv = bind sigma shadowed x body in
+        (CountGe (t, x', body'), fv)
+  and go_list sigma shadowed fs =
+    let fs' = List.map (go sigma shadowed) fs in
+    ( List.map fst fs',
+      List.fold_left (fun acc (_, fv) -> VSet.union acc fv) VSet.empty fs' )
+  and bind sigma shadowed x body =
+    let body', fv_body = go sigma (VSet.add x shadowed) body in
+    let fv = VSet.remove x fv_body in
+    let images = VSet.elements fv |> List.map (ren sigma shadowed) in
     if List.mem x images then begin
       let avoid = images @ VSet.elements (all_set body) in
       let x' = fresh_var ~avoid x in
-      let body' =
-        go (fun y -> if y = x then x' else y) body
+      let refreshed, _ =
+        go (fun y -> if y = x then x' else y) VSet.empty body
       in
-      (x', body')
+      (x', fst (go sigma (VSet.add x' shadowed) refreshed), fv)
     end
-    else (x, body)
+    else (x, body', fv)
   in
-  go sigma f
+  fst (go sigma VSet.empty f)
 
 let substitute assoc f =
   rename (fun x -> match List.assoc_opt x assoc with Some y -> y | None -> x) f

@@ -84,7 +84,9 @@ val hash : t -> int
 val rename : (var -> var) -> t -> t
 (** Apply a renaming to the {e free} variables.  The renaming is applied
     capture-avoidingly: bound variables are refreshed when they collide
-    with an image of the renaming. *)
+    with an image of the renaming.  One pass over the formula, computing
+    each node's free variables once; a refreshed binder renames its body
+    twice more. *)
 
 val substitute : (var * var) list -> t -> t
 (** Parallel free-variable substitution [x := y] given as an association

@@ -56,7 +56,7 @@ type ctx = {
   budget : Guard.Budget.t option;  (* charged by [cltp]'s balls *)
   roots : (int * int * Graph.Tuple.t, ty) Hashtbl.t;  (* as in Types *)
   lmemo : (int * int * int * Graph.Tuple.t, ty) Hashtbl.t;
-  leaves : Types.leaves Lazy.t;
+  leaves : Types.leaves Lazy.t;  (* shared by [ctp] and every [cltp] miss *)
 }
 
 let make_ctx ?budget g =
@@ -70,23 +70,25 @@ let make_ctx ?budget g =
 
 let leaf sg = intern (sg, None) 0
 
-let rec compute ctx ~q ~tmax u =
+(* as [Types.compute]: the quantifiers range over [rg] *)
+let rec compute ctx rg ~q ~tmax u =
   let sg = Types.atomic_signature ctx.g u in
   if q = 0 then leaf sg
   else begin
-    let n = Graph.order ctx.g in
+    let n = Types.range_size rg in
     let children =
       if q = 1 then
-        Types.extend (Lazy.force ctx.leaves) leaf sg u (fun child ->
-            for w = 0 to n - 1 do
-              ignore (child w)
+        Types.extend rg leaf sg u (fun child ->
+            for i = 0 to n - 1 do
+              ignore (child i)
             done)
         |> List.map (fun (t, c) -> (t, min tmax c))
       else begin
         let counts : (ty, int) Hashtbl.t = Hashtbl.create 16 in
-        for w = 0 to n - 1 do
+        for i = 0 to n - 1 do
+          let w = Types.range_vertex rg i in
           let child =
-            compute ctx ~q:(q - 1) ~tmax (Graph.Tuple.append u [| w |])
+            compute ctx rg ~q:(q - 1) ~tmax (Graph.Tuple.append u [| w |])
           in
           let c = Option.value (Hashtbl.find_opt counts child) ~default:0 in
           Hashtbl.replace counts child (min tmax (c + 1))
@@ -98,29 +100,35 @@ let rec compute ctx ~q ~tmax u =
     intern (sg, Some children) q
   end
 
-let ctp ctx ~q ~tmax u =
+(* as [Types.compute_root]: no range for a rank-0 type *)
+let compute_root ctx range ~q ~tmax u =
+  if q = 0 then leaf (Types.atomic_signature ctx.g u)
+  else compute ctx (range ()) ~q ~tmax u
+
+let check_args ~q ~tmax =
   if q < 0 then invalid_arg "Ctypes.ctp: negative quantifier rank";
-  if tmax < 1 then invalid_arg "Ctypes.ctp: threshold cap must be >= 1";
+  if tmax < 1 then invalid_arg "Ctypes.ctp: threshold cap must be >= 1"
+
+let ctp ctx ~q ~tmax u =
+  check_args ~q ~tmax;
   match Hashtbl.find_opt ctx.roots (q, tmax, u) with
   | Some t -> t
   | None ->
-      let t = compute ctx ~q ~tmax u in
+      let range () = Types.whole (Lazy.force ctx.leaves) in
+      let t = compute_root ctx range ~q ~tmax u in
       Hashtbl.replace ctx.roots (q, tmax, u) t;
       t
 
+(* as [Types.ltp]: on the host graph over the ascending ball *)
 let cltp ctx ~q ~tmax ~r u =
   if r < 0 then invalid_arg "Ctypes.cltp: negative radius";
+  check_args ~q ~tmax;
   match Hashtbl.find_opt ctx.lmemo (q, tmax, r, u) with
   | Some t -> t
   | None ->
-      let emb = Ops.neighborhood ?budget:ctx.budget ctx.g ~r u in
-      let u' =
-        Array.map
-          (fun v ->
-            match emb.Ops.to_sub v with Some v' -> v' | None -> assert false)
-          u
-      in
-      let t = ctp (make_ctx ?budget:ctx.budget emb.Ops.graph) ~q ~tmax u' in
+      let ball = Array.of_list (Bfs.ball_tuple ?budget:ctx.budget ctx.g ~r u) in
+      let range () = Types.over_ball (Lazy.force ctx.leaves) ball in
+      let t = compute_root ctx range ~q ~tmax u in
       Hashtbl.replace ctx.lmemo (q, tmax, r, u) t;
       t
 

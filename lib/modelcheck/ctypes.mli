@@ -42,8 +42,13 @@ val leaf : Types.atomsig -> ty
     of any tuple that has it. *)
 
 val cltp : ctx -> q:int -> tmax:int -> r:int -> Graph.Tuple.t -> ty
-(** Local counting type: [ctp] computed in the induced [r]-neighbourhood
-    of the tuple. *)
+(** Local counting type: [ctp] of the tuple in its induced
+    [r]-neighbourhood graph, computed as {!Types.ltp} computes a local
+    type: on the host graph, with the quantifiers ranging over the
+    ascending ball, sharing the context's leaf kernel, so no graph or
+    context is built per miss.  The id and the ball's fuel are those of
+    [ctp] in a fresh context on [N_r^G(ū)].  Memoised.
+    @raise Invalid_argument if [r < 0] or [tmax < 1]. *)
 
 val partition : ctx -> q:int -> tmax:int -> Graph.Tuple.t list -> (ty * Graph.Tuple.t list) list
 (** Group tuples by counting type (first-occurrence class order). *)

@@ -104,43 +104,95 @@ type child = { id : int; mutable count : int; mutable stamp : int }
 
 type leaves = {
   lg : Graph.t;
-  colour_class : int array;  (* vertex -> id of its colour set *)
-  class_bits : int;  (* bits a class id needs *)
-  bits : int array;
-      (* while a parent ū of arity k is open: bit i if u_i = w, bit
-         k + i if E(u_i, w); zero otherwise *)
+  classes : (string list, int) Hashtbl.t;
+      (* colour set -> class id, numbered as the ranges meet them *)
+  mutable class_bits : int;  (* bits a class id needs *)
   children : child Int_tbl.t Sig_tbl.t;  (* parent signature -> key -> child *)
   mutable parents : int;  (* parents opened so far *)
+  mutable whole : range option;  (* the graph's own range, once built *)
+}
+
+(* The vertices a computation's quantifiers range over, by position:
+   the whole graph (position = vertex) or a ball, ascending.  Its
+   arrays are sized by the range. *)
+and range = {
+  kernel : leaves;
+  all : bool;
+  ball : Graph.vertex array;  (* [||] when [all] *)
+  size : int;
+  colour_class : int array;  (* position -> class id of its vertex *)
+  bits : int array;
+      (* while a parent ū of arity k is open: bit i if u_i is the
+         vertex at this position, bit k + i if it is adjacent to u_i;
+         zero otherwise *)
 }
 
 let leaves g =
-  let classes = Hashtbl.create 8 in
-  let colour_class =
-    Array.init (Graph.order g) (fun v ->
-        let cs = Graph.colors_of g v in
-        match Hashtbl.find_opt classes cs with
-        | Some i -> i
-        | None ->
-            let i = Hashtbl.length classes in
-            Hashtbl.add classes cs i;
-            i)
-  in
-  let rec width b =
-    if 1 lsl b >= Hashtbl.length classes then b else width (b + 1)
-  in
   {
     lg = g;
-    colour_class;
-    class_bits = width 0;
-    bits = Array.make (Graph.order g) 0;
+    classes = Hashtbl.create 8;
+    class_bits = 0;
     children = Sig_tbl.create 16;
     parents = 0;
+    whole = None;
   }
+
+let class_of lv v =
+  let cs = Graph.colors_of lv.lg v in
+  match Hashtbl.find_opt lv.classes cs with
+  | Some i -> i
+  | None ->
+      let i = Hashtbl.length lv.classes in
+      Hashtbl.add lv.classes cs i;
+      if 1 lsl lv.class_bits <= i then lv.class_bits <- lv.class_bits + 1;
+      i
+
+let whole lv =
+  match lv.whole with
+  | Some rg -> rg
+  | None ->
+      let n = Graph.order lv.lg in
+      let rg =
+        {
+          kernel = lv;
+          all = true;
+          ball = [||];
+          size = n;
+          colour_class = Array.init n (class_of lv);
+          bits = Array.make n 0;
+        }
+      in
+      lv.whole <- Some rg;
+      rg
+
+let over_ball lv vs =
+  let m = Array.length vs in
+  {
+    kernel = lv;
+    all = false;
+    ball = vs;
+    size = m;
+    colour_class = Array.map (class_of lv) vs;
+    bits = Array.make m 0;
+  }
+
+let range_size rg = rg.size
+let range_vertex rg i = if rg.all then i else rg.ball.(i)
+
+(* the position of [v] in a ball, or -1 outside it *)
+let position rg v =
+  let lo = ref 0 and hi = ref rg.size in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if rg.ball.(mid) < v then lo := mid + 1 else hi := mid
+  done;
+  if !lo < rg.size && rg.ball.(!lo) = v then !lo else -1
 
 (* The signature of ū·w is fixed by ū's signature, which u_i equal w,
    which u_i are adjacent to w, and w's colours: the key.  So [mk] runs
    once per parent signature and key, on the first w that has them. *)
-let extend lv mk sg u visit =
+let extend rg mk sg u visit =
+  let lv = rg.kernel in
   let g = lv.lg and k = Array.length u in
   if 2 * k + lv.class_bits >= Sys.int_size then
     invalid_arg "Types.extend: tuple too long";
@@ -154,12 +206,14 @@ let extend lv mk sg u visit =
   in
   lv.parents <- lv.parents + 1;
   let stamp = lv.parents and reached = ref [] in
-  let child w =
-    let key = lv.bits.(w) lor (lv.colour_class.(w) lsl (2 * k)) in
+  let bits = rg.bits and colour_class = rg.colour_class in
+  let child i =
+    let key = bits.(i) lor (colour_class.(i) lsl (2 * k)) in
     let c =
       match Int_tbl.find by_key key with
       | c -> c
       | exception Not_found ->
+          let w = range_vertex rg i in
           let id = mk (atomic_signature g (Graph.Tuple.append u [| w |])) in
           let c = { id; count = 0; stamp = 0 } in
           Int_tbl.add by_key key c;
@@ -173,17 +227,25 @@ let extend lv mk sg u visit =
     c.count <- c.count + 1;
     c.id
   in
-  let mark v bit = lv.bits.(v) <- lv.bits.(v) lor bit in
+  let all = rg.all in
+  let mark v bit =
+    let i = if all then v else position rg v in
+    if i >= 0 then bits.(i) <- bits.(i) lor bit
+  in
   Array.iteri
     (fun i v ->
       mark v (1 lsl i);
       Graph.iter_neighbors g v (fun w -> mark w (1 lsl (k + i))))
     u;
+  let clear v =
+    let i = if all then v else position rg v in
+    if i >= 0 then bits.(i) <- 0
+  in
   let unmark () =
     Array.iter
       (fun v ->
-        lv.bits.(v) <- 0;
-        Graph.iter_neighbors g v (fun w -> lv.bits.(w) <- 0))
+        clear v;
+        Graph.iter_neighbors g v clear)
       u
   in
   (match visit child with () -> unmark () | exception e -> unmark (); raise e);
@@ -207,8 +269,8 @@ type ctx = {
       (* [tp]'s own calls: a sample drawn with replacement repeats
          tuples; the nodes below a root are reached from it alone *)
   ltp_memo : (int * int * Graph.Tuple.t, ty) Hashtbl.t;
-  leaves : leaves Lazy.t;
-  mutable rows : int;  (* nodes computed so far: the table's rows *)
+  leaves : leaves Lazy.t;  (* shared by [tp] and every [ltp] miss *)
+  rows : int ref;  (* nodes [tp] computed so far: the table's rows *)
 }
 
 let make_ctx ?budget g =
@@ -218,7 +280,7 @@ let make_ctx ?budget g =
     roots = Hashtbl.create 256;
     ltp_memo = Hashtbl.create 256;
     leaves = lazy (leaves g);
-    rows = 0;
+    rows = ref 0;
   }
 
 let graph ctx = ctx.g
@@ -226,31 +288,35 @@ let graph ctx = ctx.g
 (* Every computed node is a table row: the unit of the guard's
    Hintikka-table budget.  Counted before the node's children, so a
    row whose children are still being computed counts too. *)
-let note_row ctx =
+let note_row ctx rows =
   Obs.Metric.incr tp_misses;
-  ctx.rows <- ctx.rows + 1;
-  Guard.note_table_row ctx.budget ctx.rows
+  incr rows;
+  Guard.note_table_row ctx.budget !rows
 
 let leaf sg = intern (sg, None) 0
 
-let rec compute ctx ~q u =
-  note_row ctx;
+(* [tp_q] of [u] with the quantifiers ranging over [rg] *)
+let rec compute ctx rg rows ~q u =
+  note_row ctx rows;
   let sg = atomic_signature ctx.g u in
   if q = 0 then leaf sg
   else begin
-    let n = Graph.order ctx.g in
+    let n = range_size rg in
     let children =
       if q = 1 then
-        extend (Lazy.force ctx.leaves) leaf sg u (fun child ->
-            for w = 0 to n - 1 do
-              note_row ctx;
-              ignore (child w)
+        extend rg leaf sg u (fun child ->
+            for i = 0 to n - 1 do
+              note_row ctx rows;
+              ignore (child i)
             done)
         |> List.map fst
       else begin
         let children = ref [] in
-        for w = 0 to n - 1 do
-          let child = compute ctx ~q:(q - 1) (Graph.Tuple.append u [| w |]) in
+        for i = 0 to n - 1 do
+          let w = range_vertex rg i in
+          let child =
+            compute ctx rg rows ~q:(q - 1) (Graph.Tuple.append u [| w |])
+          in
           children := child :: !children
         done;
         List.sort_uniq Int.compare !children
@@ -259,6 +325,14 @@ let rec compute ctx ~q u =
     intern (sg, Some children) q
   end
 
+(* A rank-0 type needs no range, so [range] is only built from rank 1 *)
+let compute_root ctx range rows ~q u =
+  if q = 0 then begin
+    note_row ctx rows;
+    leaf (atomic_signature ctx.g u)
+  end
+  else compute ctx (range ()) rows ~q u
+
 let tp ctx ~q u =
   if q < 0 then invalid_arg "Types.tp: negative quantifier rank";
   match Hashtbl.find_opt ctx.roots (q, u) with
@@ -266,14 +340,20 @@ let tp ctx ~q u =
       Obs.Metric.incr tp_hits;
       t
   | None ->
-      let t = compute ctx ~q u in
+      let range () = whole (Lazy.force ctx.leaves) in
+      let t = compute_root ctx range ctx.rows ~q u in
       Hashtbl.replace ctx.roots (q, u) t;
       t
 
 let tp_graph g ~q u = tp (make_ctx g) ~q u
 
+(* On the host graph, with the quantifiers ranging over the ball in
+   ascending order: the induced graph's own numbering, so types intern
+   in the order and with the ids [tp] on [N_r(ū)] gives them.  Its rows
+   count from 0, as in a context of its own. *)
 let ltp ctx ~q ~r u =
   if r < 0 then invalid_arg "Types.ltp: negative radius";
+  if q < 0 then invalid_arg "Types.ltp: negative quantifier rank";
   if Obs.Sink.enabled () then Obs.Metric.observe ltp_radius_h (float_of_int r);
   match Hashtbl.find_opt ctx.ltp_memo (q, r, u) with
   | Some t ->
@@ -282,16 +362,9 @@ let ltp ctx ~q ~r u =
   | None ->
       Obs.Metric.incr ltp_misses;
       Guard.tick ctx.budget Guard.Hintikka_build;
-      let emb = Ops.neighborhood ?budget:ctx.budget ctx.g ~r u in
-      let u' =
-        Array.map
-          (fun v ->
-            match emb.Ops.to_sub v with
-            | Some v' -> v'
-            | None -> assert false (* members of ū are in their own ball *))
-          u
-      in
-      let t = tp (make_ctx ?budget:ctx.budget emb.Ops.graph) ~q u' in
+      let ball = Array.of_list (Bfs.ball_tuple ?budget:ctx.budget ctx.g ~r u) in
+      let range () = over_ball (Lazy.force ctx.leaves) ball in
+      let t = compute_root ctx range (ref 0) ~q u in
       Hashtbl.replace ctx.ltp_memo (q, r, u) t;
       t
 

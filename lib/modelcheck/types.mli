@@ -38,10 +38,11 @@ val arity : ty -> int
     A context holds one graph's type computations: the types of the
     tuples {!tp} was asked for (a sample drawn with replacement repeats
     tuples), the local types of {!ltp}, and the leaf kernel's state
-    ({!leaves}).  The nodes below a root are computed afresh every time, since
-    a tuple [ū·w] is only reached from [ū].  Reuse a context across
-    calls for the same graph.  A context charges its work to the
-    [budget] it was made with (default: none). *)
+    ({!leaves}), which {!tp} and every {!ltp} miss share.  The nodes
+    below a root are computed afresh every time, since a tuple [ū·w] is
+    only reached from [ū].  Reuse a context across calls for the same
+    graph.  A context charges its work to the [budget] it was made
+    with (default: none). *)
 
 type ctx
 
@@ -57,7 +58,14 @@ val tp : ctx -> q:int -> Graph.Tuple.t -> ty
 
 val ltp : ctx -> q:int -> r:int -> Graph.Tuple.t -> ty
 (** [ltp ctx ~q ~r ū = tp_q(N_r^G(ū), ū)]: the local [(q,r)]-type,
-    computed in the induced neighbourhood graph.  Memoised. *)
+    computed on the host graph over the ball: the quantifiers range
+    over [Bfs.ball_tuple g ~r ū] in ascending order, which is the
+    induced graph's own numbering, so the id and the work are those of
+    {!tp} in a fresh context on [N_r^G(ū)].  No graph or context is
+    built; a miss allocates [O(|ball|)].  Memoised ([ltp_hits] /
+    [ltp_misses]).  A miss costs one [Hintikka_build] tick, the fuel of
+    the ball, and [Σ_{j<=q} |ball|^j] nodes counted as {!tp} counts
+    them, with the table rows of each miss counted from 0. *)
 
 val tp_graph : Graph.t -> q:int -> Graph.Tuple.t -> ty
 (** One-shot [tp] without an explicit context. *)
@@ -96,28 +104,53 @@ val hash_atomsig : int -> atomsig -> int
 
 (** {1 Leaf kernel}
 
-    Rank-1 nodes dominate the cost: each has [n] rank-0 children
-    [ū·w].  The signature of [ū·w] is fixed by the signature of [ū],
-    the positions [i] with [u_i = w], the positions with [E(u_i, w)],
-    and [w]'s colours.  So a child is a lookup under that key, and a
-    signature is built and interned once per parent signature and key. *)
+    Rank-1 nodes dominate the cost: each has one rank-0 child [ū·w]
+    per vertex [w] its quantifier ranges over.  The signature of [ū·w]
+    is fixed by the signature of [ū], the positions [i] with
+    [u_i = w], the positions with [E(u_i, w)], and [w]'s colours.  So a
+    child is a lookup under that key, and a signature is built and
+    interned once per parent signature and key. *)
 
 type leaves
-(** Per-graph state for {!extend}: colour classes, one mark word per
-    vertex, and the children found so far.  Not safe to share between
-    domains. *)
+(** Per-graph state for {!extend}: the numbering of colour classes and
+    the children found so far, shared by every {!range} made from it.
+    Building it allocates nothing sized by the graph.  Not safe to
+    share between domains. *)
 
 val leaves : Graph.t -> leaves
 
+type range
+(** The vertices one computation's quantifiers range over, numbered by
+    position: the whole graph ({!whole}, position = vertex) or a ball
+    ({!over_ball}).  A range holds the class of each of its vertices
+    and one mark word per vertex, so its state is sized by the range:
+    a ball's by the ball, never by [Graph.order]. *)
+
+val whole : leaves -> range
+(** The range of every vertex of the graph, built once per [leaves]. *)
+
+val over_ball : leaves -> Graph.vertex array -> range
+(** [over_ball lv vs] ranges over [vs], which must be ascending and
+    distinct (as {!Bfs.ball} returns a ball).  Costs [O(|vs|)] time
+    and memory. *)
+
+val range_size : range -> int
+val range_vertex : range -> int -> Graph.vertex
+(** The vertex at a position, [0 <= i < range_size]. *)
+
 val extend :
-  leaves -> (atomsig -> int) -> atomsig -> Graph.Tuple.t ->
+  range -> (atomsig -> int) -> atomsig -> Graph.Tuple.t ->
   ((int -> int) -> unit) -> (int * int) list
-(** [extend lv mk sg ū visit], where [sg] is [atomic_signature g ū],
-    calls [visit child], where [child w] is
-    [mk (atomic_signature g (ū·w))].  [mk] is called only on the first
-    [w], over the calls with signature [sg], that has its key; so one
-    [lv] takes one [mk].  It returns the distinct ids [child] returned,
-    sorted, each with the number of calls that returned it.
+(** [extend rg mk sg ū visit], where [sg] is [atomic_signature g ū],
+    calls [visit child], where [child i] is
+    [mk (atomic_signature g (ū·w))] for the vertex [w] at position [i]
+    of [rg].  An edge from [ū] to a vertex outside [rg] is not seen,
+    so over a ball that holds [ū] the children are those of the
+    induced subgraph.  [mk] is called only on the first [w], over the
+    calls on ranges of one [leaves] with signature [sg], that has its
+    key; so one [leaves] takes one [mk].  It returns the distinct ids
+    [child] returned, sorted, each with the number of calls that
+    returned it.
     @raise Invalid_argument if the key of [ū] does not fit in an int
     (twice its arity plus the bits of a colour-class id reach
     [Sys.int_size]). *)

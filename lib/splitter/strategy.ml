@@ -125,15 +125,9 @@ let connector_random ~seed =
   fun ?budget:_ arena -> Random.State.int st (Graph.order arena)
 
 let connector_max_ball ~r ?budget arena =
-  let best = ref 0 and best_size = ref (-1) in
-  List.iter
-    (fun v ->
-      let size = List.length (Bfs.ball ?budget arena ~r [ v ]) in
-      if size > !best_size then begin
-        best := v;
-        best_size := size
-      end)
-    (Graph.vertices arena);
+  let sizes = Bfs.ball_sizes ?budget arena ~r in
+  let best = ref 0 in
+  Array.iteri (fun v size -> if size > sizes.(!best) then best := v) sizes;
   !best
 
 let connector_max_ecc ?budget arena =

@@ -40,7 +40,9 @@ val connector_random : seed:int -> Game.connector_strategy
     internal state). *)
 
 val connector_max_ball : r:int -> Game.connector_strategy
-(** Pick the vertex whose [r]-ball is largest (keeps the arena big). *)
+(** Pick the vertex whose [r]-ball is largest, the first such in
+    vertex order (keeps the arena big).  One {!Cgraph.Bfs.ball_sizes}
+    sizes every ball, at the fuel of one [Bfs.ball] per vertex. *)
 
 val connector_max_ecc : Game.connector_strategy
 (** Pick a vertex of maximum eccentricity. *)

@@ -374,6 +374,43 @@ let counting_nnf_semantics =
           E.holds g [ ("x", v) ] f = E.holds g [ ("x", v) ] (F.nnf f))
         [ 0; 2; 5 ])
 
+(* [Ctypes.cltp] as it was defined before it ran on the host graph:
+   [ctp] in a fresh context on the induced neighbourhood graph *)
+let cltp_via_induced ?budget g ~q ~tmax ~r u =
+  let emb = Ops.induced g (Bfs.ball_tuple ?budget g ~r u) in
+  let u' =
+    Array.map
+      (fun v ->
+        match emb.Ops.to_sub v with Some v' -> v' | None -> assert false)
+      u
+  in
+  C.ctp (C.make_ctx ?budget emb.Ops.graph) ~q ~tmax u'
+
+let cltp_matches_induced =
+  QCheck.Test.make ~name:"cltp on the host graph = ctp on the induced ball"
+    ~count:120
+    QCheck.(pair (Test_types.local_case ~max_q:2) (int_range 1 2))
+    (fun (c, tmax) ->
+      let open Test_types in
+      let second = Array.append c.lu [| 0 |] in
+      let host budget =
+        let ctx = C.make_ctx ~budget c.lg in
+        List.map (C.cltp ctx ~q:c.lq ~tmax ~r:c.lr) [ second; c.lu ]
+      in
+      let induced budget =
+        List.map (cltp_via_induced ~budget c.lg ~q:c.lq ~tmax ~r:c.lr)
+          [ second; c.lu ]
+      in
+      let ctx = C.make_ctx c.lg in
+      List.for_all
+        (fun u ->
+          C.cltp ctx ~q:c.lq ~tmax ~r:c.lr u
+          = cltp_via_induced c.lg ~q:c.lq ~tmax ~r:c.lr u)
+        (c.lu :: List.map (fun v -> Graph.Tuple.append c.lu [| v |])
+                   (Graph.vertices c.lg))
+      && C.ctp ctx ~q:c.lq ~tmax c.lu = C.ctp (C.make_ctx c.lg) ~q:c.lq ~tmax c.lu
+      && same_under_budgets host induced)
+
 let suite =
   [
     Alcotest.test_case "count_ge constructor" `Quick test_count_ge_constructor;
@@ -400,4 +437,5 @@ let suite =
     Alcotest.test_case "counting guards" `Quick test_counting_guards;
     QCheck_alcotest.to_alcotest counting_nnf_semantics;
     QCheck_alcotest.to_alcotest shared_chintikka_matches_tree_build;
+    QCheck_alcotest.to_alcotest cltp_matches_induced;
   ]

@@ -198,6 +198,118 @@ let rec gen_formula vars depth st =
         F.Forall (v, gen_formula (v :: vars) (depth - 1) st)
   end
 
+(* [F.rename] as it was before it computed each free set once: [refresh]
+   recomputes [free_set body] at every binder it enters *)
+let rename_by_refresh sigma f =
+  let module VSet = Set.Make (String) in
+  let atom_vars = function
+    | F.Eq (x, y) | F.Edge (x, y) -> VSet.of_list [ x; y ]
+    | F.Color (_, x) -> VSet.singleton x
+  in
+  let rec free_set = function
+    | F.True | F.False -> VSet.empty
+    | F.Atom a -> atom_vars a
+    | F.Not f -> free_set f
+    | F.And fs | F.Or fs ->
+        List.fold_left (fun acc f -> VSet.union acc (free_set f)) VSet.empty fs
+    | F.Implies (a, b) | F.Iff (a, b) -> VSet.union (free_set a) (free_set b)
+    | F.Exists (x, f) | F.Forall (x, f) | F.CountGe (_, x, f) ->
+        VSet.remove x (free_set f)
+  in
+  let rec all_set = function
+    | F.True | F.False -> VSet.empty
+    | F.Atom a -> atom_vars a
+    | F.Not f -> all_set f
+    | F.And fs | F.Or fs ->
+        List.fold_left (fun acc f -> VSet.union acc (all_set f)) VSet.empty fs
+    | F.Implies (a, b) | F.Iff (a, b) -> VSet.union (all_set a) (all_set b)
+    | F.Exists (x, f) | F.Forall (x, f) | F.CountGe (_, x, f) ->
+        VSet.add x (all_set f)
+  in
+  let fresh_var ~avoid base =
+    if not (List.mem base avoid) then base
+    else begin
+      let rec go i =
+        let cand = Printf.sprintf "%s%d" base i in
+        if List.mem cand avoid then go (i + 1) else cand
+      in
+      go 0
+    end
+  in
+  let rec go sigma f =
+    match f with
+    | F.True | F.False -> f
+    | F.Atom (F.Eq (x, y)) -> F.Atom (F.Eq (sigma x, sigma y))
+    | F.Atom (F.Edge (x, y)) -> F.Atom (F.Edge (sigma x, sigma y))
+    | F.Atom (F.Color (c, x)) -> F.Atom (F.Color (c, sigma x))
+    | F.Not f -> F.Not (go sigma f)
+    | F.And fs -> F.And (List.map (go sigma) fs)
+    | F.Or fs -> F.Or (List.map (go sigma) fs)
+    | F.Implies (a, b) -> F.Implies (go sigma a, go sigma b)
+    | F.Iff (a, b) -> F.Iff (go sigma a, go sigma b)
+    | F.Exists (x, body) ->
+        let x', body' = refresh sigma x body in
+        F.Exists (x', go (under x' sigma) body')
+    | F.Forall (x, body) ->
+        let x', body' = refresh sigma x body in
+        F.Forall (x', go (under x' sigma) body')
+    | F.CountGe (t, x, body) ->
+        let x', body' = refresh sigma x body in
+        F.CountGe (t, x', go (under x' sigma) body')
+  and under x sigma y = if y = x then x else sigma y
+  and refresh sigma x body =
+    let fv = VSet.remove x (free_set body) in
+    let images = VSet.elements fv |> List.map sigma in
+    if List.mem x images then begin
+      let avoid = images @ VSet.elements (all_set body) in
+      let x' = fresh_var ~avoid x in
+      let body' =
+        go (fun y -> if y = x then x' else y) body
+      in
+      (x', body')
+    end
+    else (x, body)
+  in
+  go sigma f
+
+(* Free and bound variables come from one small pool that also holds
+   the names [fresh_var] tries first, and the renaming maps the pool
+   into itself: binders collide with images, and refreshed names with
+   names already in the body. *)
+let rename_matches_refresh =
+  let pool = [| "x"; "y"; "z"; "x0"; "y0"; "x1" |] in
+  QCheck.Test.make ~name:"rename = rename by refresh, captures included"
+    ~count:500 QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let var () = pool.(Random.State.int st (Array.length pool)) in
+      let rec gen depth =
+        if depth = 0 || Random.State.int st 4 = 0 then
+          match Random.State.int st 4 with
+          | 0 -> F.eq (var ()) (var ())
+          | 1 -> F.edge (var ()) (var ())
+          | 2 -> F.color "Red" (var ())
+          | _ -> if Random.State.bool st then F.True else F.False
+        else
+          match Random.State.int st 9 with
+          | 0 -> F.Not (gen (depth - 1))
+          | 1 -> F.And (List.init (Random.State.int st 3) (fun _ -> gen (depth - 1)))
+          | 2 -> F.Or (List.init (Random.State.int st 3) (fun _ -> gen (depth - 1)))
+          | 3 -> F.Implies (gen (depth - 1), gen (depth - 1))
+          | 4 -> F.Iff (gen (depth - 1), gen (depth - 1))
+          | 5 | 6 -> F.Exists (var (), gen (depth - 1))
+          | 7 -> F.Forall (var (), gen (depth - 1))
+          | _ -> F.CountGe (1 + Random.State.int st 3, var (), gen (depth - 1))
+      in
+      let f = gen 6 in
+      let image = Array.map (fun _ -> var ()) pool in
+      let sigma v =
+        match Array.find_index (String.equal v) pool with
+        | Some i -> image.(i)
+        | None -> v
+      in
+      F.rename sigma f = rename_by_refresh sigma f)
+
 let parser_roundtrip =
   QCheck.Test.make ~name:"pp then parse is semantically faithful" ~count:120
     QCheck.(int_range 0 10000)
@@ -411,7 +523,7 @@ let test_relativize_local () =
   in
   List.iter
     (fun v ->
-      let emb = Cgraph.Ops.neighborhood g ~r:1 [| v |] in
+      let emb = Cgraph.Ops.induced g (Cgraph.Bfs.ball_tuple g ~r:1 [| v |]) in
       let v' = Option.get (emb.Cgraph.Ops.to_sub v) in
       let expected = Modelcheck.Eval.holds emb.Cgraph.Ops.graph [ ("x", v') ] f in
       let got = Modelcheck.Eval.holds g [ ("x", v) ] loc in
@@ -432,7 +544,7 @@ let relativize_is_local =
       in
       List.for_all
         (fun v ->
-          let emb = Cgraph.Ops.neighborhood g ~r [| v |] in
+          let emb = Cgraph.Ops.induced g (Cgraph.Bfs.ball_tuple g ~r [| v |]) in
           let v' = Option.get (emb.Cgraph.Ops.to_sub v) in
           Modelcheck.Eval.holds g [ ("x", v) ] loc
           = Modelcheck.Eval.holds emb.Cgraph.Ops.graph [ ("x", v') ] loc)
@@ -485,6 +597,7 @@ let suite =
     Alcotest.test_case "rank overhead" `Quick test_rank_overhead;
     QCheck_alcotest.to_alcotest pp_matches_reference;
     QCheck_alcotest.to_alcotest parser_roundtrip;
+    QCheck_alcotest.to_alcotest rename_matches_refresh;
     QCheck_alcotest.to_alcotest parser_exact_roundtrip;
     QCheck_alcotest.to_alcotest parser_exact_roundtrip_counting;
     QCheck_alcotest.to_alcotest nnf_preserves_semantics;

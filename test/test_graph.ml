@@ -164,7 +164,7 @@ let test_out_of_range_sources () =
       raises "ball_tuple" (fun () -> Bfs.ball_tuple p5 ~r:1 [| v |]);
       raises "distances_multi" (fun () -> Bfs.distances_multi p5 [ v ]);
       raises "Stats.ball_size" (fun () -> Stats.ball_size p5 ~r:2 [ v ]);
-      raises "Ops.neighborhood" (fun () -> Ops.neighborhood p5 ~r:1 [| v |]))
+      raises "Ops.induced" (fun () -> Ops.induced p5 [ 0; v ]))
     [ 5; 99; -1 ]
 
 let test_dist_tuple () =
@@ -231,7 +231,7 @@ let test_induced_colors () =
     (Graph.color_class emb.Ops.graph "Red")
 
 let test_neighborhood () =
-  let emb = Ops.neighborhood p5 ~r:1 [| 2 |] in
+  let emb = Ops.induced p5 (Bfs.ball_tuple p5 ~r:1 [| 2 |]) in
   check_int "N_1(2) has 3 vertices" 3 (Graph.order emb.Ops.graph)
 
 let test_disjoint_union () =
@@ -429,6 +429,58 @@ let ball_matches_distances =
       let ball = Bfs.ball g ~r srcs in
       ball = expected && Stats.ball_size g ~r srcs = List.length ball)
 
+(* [Bfs.ball_sizes] is [n] [Bfs.ball] calls: the same sizes, fuel,
+   trips, [cgraph.bfs.calls] and histograms *)
+let ball_sizes_match_balls =
+  QCheck.Test.make ~name:"ball_sizes = one ball per vertex, fuel and counters"
+    ~count:60
+    QCheck.(triple (int_range 0 30) (int_range 0 4) (int_range 0 1000))
+    (fun (n, r, seed) ->
+      let g =
+        if seed mod 2 = 0 then Gen.random_bounded_degree ~seed ~n ~d:3
+        else Gen.gnp ~seed ~n ~p:0.15
+      in
+      let by_balls ?budget () =
+        Array.init n (fun v -> List.length (Bfs.ball ?budget g ~r [ v ]))
+      in
+      let by_sizes ?budget () = Bfs.ball_sizes ?budget g ~r in
+      let governed mk f =
+        let budget = mk () in
+        match Guard.run ~budget ~salvage:(fun () -> None) (fun () -> f budget) with
+        | Guard.Complete v ->
+            let s = Guard.Budget.spent budget in
+            (Some v, None, s.Guard.fuel, s.Guard.ball_peak)
+        | Guard.Exhausted { reason; spent = s; _ } ->
+            (None, Some reason, s.Guard.fuel, s.Guard.ball_peak)
+      in
+      let observed f =
+        Obs.enable ();
+        Obs.reset_all ();
+        Fun.protect ~finally:Obs.disable (fun () ->
+            ignore (f ());
+            let s = Obs.Metric.snapshot () in
+            let bfs (name, _) = String.starts_with ~prefix:"cgraph.bfs." name in
+            (List.filter bfs s.Obs.Metric.counters,
+             List.filter bfs s.Obs.Metric.histograms))
+      in
+      let agree mk =
+        governed mk (fun budget -> by_sizes ~budget ())
+        = governed mk (fun budget -> by_balls ~budget ())
+      in
+      let _, _, fuel, peak =
+        governed Guard.Budget.unlimited (fun budget -> by_balls ~budget ())
+      in
+      by_sizes () = by_balls ()
+      && observed (fun () -> by_sizes ()) = observed (fun () -> by_balls ())
+      && agree Guard.Budget.unlimited
+      && List.for_all
+           (fun cap -> agree (fun () -> Guard.Budget.make ~max_ball:cap ()))
+           (List.init (peak + 2) Fun.id)
+      && List.for_all
+           (fun cap -> agree (fun () -> Guard.Budget.make ~fuel:cap ()))
+           (List.sort_uniq compare
+              [ 0; 1; fuel / 3; fuel / 2; max 0 (fuel - 1); fuel; fuel + 1 ]))
+
 let union_properties =
   QCheck.Test.make ~name:"disjoint union: orders and degrees add" ~count:30
     QCheck.(pair (int_range 1 12) (int_range 1 12))
@@ -595,6 +647,7 @@ let suite =
     QCheck_alcotest.to_alcotest tuple_all_size;
     QCheck_alcotest.to_alcotest ball_monotone;
     QCheck_alcotest.to_alcotest ball_matches_distances;
+    QCheck_alcotest.to_alcotest ball_sizes_match_balls;
     QCheck_alcotest.to_alcotest ktree_treewidth_property;
     QCheck_alcotest.to_alcotest union_properties;
     QCheck_alcotest.to_alcotest delete_edges_properties;

@@ -291,6 +291,36 @@ let test_splitter_fuel () =
       ("path:7 r0", Gen.path 7, 0, 3);
     ]
 
+(* [S.connector_max_ball] before it sized every ball in one pass: one
+   [Bfs.ball] per vertex, the first largest wins *)
+let connector_max_ball_by_balls ~r ?budget arena =
+  let best = ref 0 and best_size = ref (-1) in
+  List.iter
+    (fun v ->
+      let size = List.length (Bfs.ball ?budget arena ~r [ v ]) in
+      if size > !best_size then begin
+        best := v;
+        best_size := size
+      end)
+    (Graph.vertices arena);
+  !best
+
+let connector_max_ball_unchanged =
+  QCheck.Test.make ~name:"connector_max_ball picks as one ball per vertex did"
+    ~count:60
+    QCheck.(triple (int_range 0 40) (int_range 0 3) (int_range 0 1000))
+    (fun (n, r, seed) ->
+      let g =
+        if seed mod 2 = 0 && n > 0 then Gen.random_tree ~seed n
+        else Gen.gnp ~seed ~n ~p:0.1
+      in
+      let run (f : G.connector_strategy) =
+        let budget = Guard.Budget.unlimited () in
+        let v = f ~budget g in
+        (v, (Guard.Budget.spent budget).Guard.fuel)
+      in
+      run (S.connector_max_ball ~r) = run (connector_max_ball_by_balls ~r))
+
 let suite =
   [
     Alcotest.test_case "start state" `Quick test_start_state;
@@ -314,4 +344,5 @@ let suite =
     Alcotest.test_case "min-max component ties" `Quick
       test_min_max_component_ties;
     Alcotest.test_case "splitter fuel = its balls" `Quick test_splitter_fuel;
+    QCheck_alcotest.to_alcotest connector_max_ball_unchanged;
   ]

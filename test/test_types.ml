@@ -434,7 +434,7 @@ let leaf_kernel_random =
         && got = List.sort compare (Hashtbl.fold (fun id c l -> (id, c) :: l) counts [])
       in
       (* one kernel per registry, each reused across all parents *)
-      let plain = T.leaves g and counting = T.leaves g in
+      let plain = T.whole (T.leaves g) and counting = T.whole (T.leaves g) in
       List.for_all
         (fun u ->
           agrees plain
@@ -446,6 +446,122 @@ let leaf_kernel_random =
                (fun t -> (C.ctp cctx ~q:0 ~tmax:2 t :> int))
                u)
         (Graph.Tuple.all ~n ~k))
+
+(* ------------------------------------------------------------------ *)
+(* Local types on the host graph                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* [Types.ltp] as it was defined before it ran on the host graph:
+   [tp] in a fresh context on the induced neighbourhood graph *)
+let ltp_via_induced ?budget g ~q ~r u =
+  Guard.tick budget Guard.Hintikka_build;
+  let emb = Ops.induced g (Bfs.ball_tuple ?budget g ~r u) in
+  let u' =
+    Array.map
+      (fun v ->
+        match emb.Ops.to_sub v with
+        | Some v' -> v'
+        | None -> assert false (* members of ū are in their own ball *))
+      u
+  in
+  T.tp (T.make_ctx ?budget emb.Ops.graph) ~q u'
+
+type local_case = {
+  lg : Graph.t;
+  lu : Graph.Tuple.t;
+  lq : int;
+  lr : int;
+  desc : string;
+}
+
+(* n <= 12, 0-3 colours drawn independently (so classes overlap),
+   k <= 3 with repeated entries, q <= [max_q], r in {0, 1, 2}.  At
+   r = 0 the neighbours of ū lie outside the ball. *)
+let local_case ~max_q =
+  let gen =
+    QCheck.Gen.map
+      (fun seed ->
+        let st = Random.State.make [| seed |] in
+        let n = 1 + Random.State.int st 12 in
+        let p = Random.State.float st 0.6 in
+        let colours =
+          List.init (Random.State.int st 4) (fun c ->
+              ( Printf.sprintf "C%d" c,
+                List.filter
+                  (fun _ -> Random.State.bool st)
+                  (List.init n Fun.id) ))
+        in
+        let lg = Graph.with_colors (Gen.gnp ~seed ~n ~p) colours in
+        let k = Random.State.int st 4 in
+        let lu = Array.init k (fun _ -> Random.State.int st n) in
+        if k >= 2 && Random.State.bool st then lu.(k - 1) <- lu.(0);
+        let lq = Random.State.int st (max_q + 1) in
+        let lr = Random.State.int st 3 in
+        let desc =
+          Printf.sprintf "seed %d: n=%d p=%.2f colours=%d u=[%s] q=%d r=%d"
+            seed n p (List.length colours)
+            (String.concat ";" (Array.to_list (Array.map string_of_int lu)))
+            lq lr
+        in
+        { lg; lu; lq; lr; desc })
+      (QCheck.Gen.int_range 0 1_000_000)
+  in
+  QCheck.make ~print:(fun c -> c.desc) gen
+
+(* The answer under a budget made by [mk], the reason of its trip, and
+   the fuel, table rows and ball peak it spent *)
+let governed mk f =
+  let budget = mk () in
+  match Guard.run ~budget ~salvage:(fun () -> None) (fun () -> f budget) with
+  | Guard.Complete v ->
+      let s = Guard.Budget.spent budget in
+      (Some v, None, s.Guard.fuel, s.Guard.table_rows, s.Guard.ball_peak)
+  | Guard.Exhausted { reason; spent = s; _ } ->
+      (None, Some reason, s.Guard.fuel, s.Guard.table_rows, s.Guard.ball_peak)
+
+(* [host] and [induced] agree under no limit and under every cap up to
+   one past what the unlimited run used: each table row, each ball
+   size, and a spread of fuel caps *)
+let same_under_budgets host induced =
+  let unlimited = governed Guard.Budget.unlimited host in
+  let _, _, fuel, rows, ball = unlimited in
+  let agree mk = governed mk host = governed mk induced in
+  unlimited = governed Guard.Budget.unlimited induced
+  && List.for_all
+       (fun cap -> agree (fun () -> Guard.Budget.make ~max_table:cap ()))
+       (List.init (rows + 2) Fun.id)
+  && List.for_all
+       (fun cap -> agree (fun () -> Guard.Budget.make ~max_ball:cap ()))
+       (List.init (ball + 2) Fun.id)
+  && List.for_all
+       (fun cap -> agree (fun () -> Guard.Budget.make ~fuel:cap ()))
+       (List.sort_uniq compare
+          [ 0; 1; fuel / 3; fuel / 2; max 0 (fuel - 1); fuel; fuel + 1 ])
+
+let ltp_matches_induced =
+  QCheck.Test.make ~name:"ltp on the host graph = tp on the induced ball"
+    ~count:120 (local_case ~max_q:2) (fun c ->
+      (* two misses in one context: each counts its rows from 0 *)
+      let second = Array.append c.lu [| 0 |] in
+      let host budget =
+        let ctx = T.make_ctx ~budget c.lg in
+        List.map (T.ltp ctx ~q:c.lq ~r:c.lr) [ second; c.lu ]
+      in
+      let induced budget =
+        List.map (ltp_via_induced ~budget c.lg ~q:c.lq ~r:c.lr) [ second; c.lu ]
+      in
+      (* one context answering every tuple shares its kernel across misses *)
+      let ctx = T.make_ctx c.lg in
+      T.ltp ctx ~q:c.lq ~r:c.lr c.lu = ltp_via_induced c.lg ~q:c.lq ~r:c.lr c.lu
+      && List.for_all
+           (fun v ->
+             let u = Graph.Tuple.append c.lu [| v |] in
+             T.ltp ctx ~q:c.lq ~r:c.lr u
+             = ltp_via_induced c.lg ~q:c.lq ~r:c.lr u)
+           (Graph.vertices c.lg)
+      (* and with [tp] over the whole graph *)
+      && T.tp ctx ~q:c.lq c.lu = T.tp (T.make_ctx c.lg) ~q:c.lq c.lu
+      && same_under_budgets host induced)
 
 let suite =
   [
@@ -479,5 +595,6 @@ let suite =
     QCheck_alcotest.to_alcotest fact5_random;
     QCheck_alcotest.to_alcotest hintikka_random;
     QCheck_alcotest.to_alcotest leaf_kernel_random;
+    QCheck_alcotest.to_alcotest ltp_matches_induced;
     QCheck_alcotest.to_alcotest shared_build_matches_tree_build;
   ]
