@@ -810,18 +810,18 @@ let e13 () =
   (* trees: the [19]-style two-pass preprocessing, then O(1) per node *)
   row "\ntrees: per-node oracle (two passes, then O(1) per query):\n";
   row "%10s %14s %18s\n" "nodes" "preproc (ms)" "classify-all (ms)";
-  let module Tf = Mso.Tree_formula in
+  let module Tf = Mso.Formula in
   let module Tl = Mso.Tree_learner in
   let tree_phi =
     Tf.And
       [
-        Tf.Label (0, "x");
+        Tf.Letter (0, "x");
         Tf.ExistsPos
           ( "p",
             Tf.And
-              [ Mso.Tree_formula.Or
+              [ Mso.Formula.Or
                   [ Tf.Child1 ("p", "x"); Tf.Child2 ("p", "x") ];
-                Tf.Label (1, "p") ] );
+                Tf.Letter (1, "p") ] );
       ]
   in
   List.iter

@@ -858,6 +858,17 @@ let graph_cmd =
 (* strings                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The MSO input boundary of [strings] and [trees]: parse, then validate
+   the variables with [Mso.Formula.free], so that a syntax error or a
+   variable used at both kinds is a usage error.  Returns the formula
+   and its free variables. *)
+let mso_formula ~cmd ~structure ~letters src =
+  try
+    let phi = Mso.Parser.parse ~structure ~letters src in
+    (phi, Mso.Formula.free phi)
+  with Mso.Parser.Parse_error m | Invalid_argument m ->
+    usage "folearn %s: %s" cmd m
+
 let strings_cmd =
   let word_arg =
     Arg.(
@@ -906,16 +917,14 @@ let strings_cmd =
   in
   let run word alphabet sentence target hyps regex =
     or_usage @@ fun () ->
+    if alphabet = "" then usage "folearn strings: --alphabet needs a letter";
     let letters = List.init (String.length alphabet) (fun i -> String.make 1 alphabet.[i]) in
     let sigma = List.length letters in
     let w =
       try Mso.Word.of_string ~alphabet word
       with Invalid_argument m -> usage "folearn strings: %s" m
     in
-    let parse src =
-      try Mso.Parser.parse ~letters src
-      with Mso.Parser.Parse_error m -> usage "folearn strings: %s" m
-    in
+    let parse = mso_formula ~cmd:"strings" ~structure:`Words ~letters in
     (match regex with
     | Some src ->
         let r =
@@ -928,17 +937,16 @@ let strings_cmd =
     | None -> ());
     (match sentence with
     | Some src ->
-        let phi = parse src in
-        if Mso.Formula.free phi <> [] then
-          usage "folearn strings: -f needs a sentence";
+        let phi, free = parse src in
+        if free <> [] then usage "folearn strings: -f needs a sentence";
         let dfa = Mso.Formula.language ~sigma phi in
         Format.printf "%b  (automaton: %d states)@."
           (Mso.Dfa.accepts dfa w) dfa.Mso.Dfa.states
     | None -> ());
     (match target with
     | Some src ->
-        let tphi = parse src in
-        (match Mso.Formula.free tphi with
+        let tphi, free = parse src in
+        (match free with
         | [ ("x", Mso.Formula.Pos) ] -> ()
         | _ -> usage "folearn strings: -t needs exactly x free");
         let scope = [ ("x", Mso.Formula.Pos) ] in
@@ -952,12 +960,12 @@ let strings_cmd =
         let catalogue =
           List.mapi
             (fun i src ->
-              let phi = parse src in
+              let phi, free = parse src in
               let yvars =
                 List.filter_map
                   (fun (v, k) ->
                     if v <> "x" && k = Mso.Formula.Pos then Some v else None)
-                  (Mso.Formula.free phi)
+                  free
               in
               {
                 Mso.Learner.name = Printf.sprintf "hyp%d: %s" (i + 1) src;
@@ -969,7 +977,11 @@ let strings_cmd =
         in
         if catalogue = [] then
           usage "folearn strings: -t needs at least one --hyp";
-        (match Mso.Learner.solve ~sigma ~word:w ~catalogue examples with
+        let solved =
+          try Mso.Learner.solve ~sigma ~word:w ~catalogue examples
+          with Invalid_argument m -> usage "folearn strings: %s" m
+        in
+        (match solved with
         | Some r ->
             Format.printf
               "learned %S, parameters [%s], training error %.3f (%d oracle \
@@ -1038,21 +1050,19 @@ let trees_cmd =
     in
     (try Mso.Tree.check_labels ~sigma tree
      with Invalid_argument m -> usage "folearn trees: %s" m);
-    let parse src =
-      try Mso.Tree_parser.parse ~labels:label_names src
-      with Mso.Tree_parser.Parse_error m -> usage "folearn trees: %s" m
+    let parse =
+      mso_formula ~cmd:"trees" ~structure:`Trees ~letters:label_names
     in
     (match formula with
     | Some src ->
-        let phi = parse src in
-        if Mso.Tree_formula.free phi <> [] then
-          usage "folearn trees: -f needs a sentence";
+        let phi, free = parse src in
+        if free <> [] then usage "folearn trees: -f needs a sentence";
         let ta = Mso.Tree_formula.compile ~sigma ~scope:[] phi in
         Format.printf "%b@." (Mso.Tree_automaton.accepts ta tree)
     | None -> ());
     (match concept with
     | Some src ->
-        let phi = parse src in
+        let phi, _ = parse src in
         let oracle =
           try Mso.Tree_learner.Node_oracle.make ~sigma phi tree
           with Invalid_argument m -> usage "folearn trees: %s" m
@@ -1259,14 +1269,11 @@ let lint_cmd =
                 if cost then ds @ [ Fo_check.cost_diagnostic ?vocab f ]
                 else ds
             | exception Fo.Parser.Parse_error m -> parse_diag m)
-        | `Mso -> (
-            match Mso.Parser.parse ~letters (String.trim src) with
-            | f -> Mso_check.check_word ?sigma ?allowed_free ?max_rank:q f
+        | (`Mso | `Trees) as lang -> (
+            let structure = if lang = `Trees then `Trees else `Words in
+            match Mso.Parser.parse ~structure ~letters (String.trim src) with
+            | f -> Mso_check.check ?sigma ?allowed_free ?max_rank:q f
             | exception Mso.Parser.Parse_error m -> parse_diag m)
-        | `Trees -> (
-            match Mso.Tree_parser.parse ~labels:letters (String.trim src) with
-            | f -> Mso_check.check_tree ?sigma ?allowed_free ?max_rank:q f
-            | exception Mso.Tree_parser.Parse_error m -> parse_diag m)
       in
       let results =
         List.map (fun input -> (input, check_one input)) inputs

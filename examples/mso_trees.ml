@@ -8,7 +8,8 @@
    Run with:  dune exec examples/mso_trees.exe *)
 
 module T = Mso.Tree
-module Tf = Mso.Tree_formula
+module Tf = Mso.Formula
+module L = Mso.Learner
 module Tl = Mso.Tree_learner
 
 let () =
@@ -20,12 +21,12 @@ let () =
   let phi =
     Tf.And
       [
-        Tf.Label (0, "x");
+        Tf.Letter (0, "x");
         Tf.ExistsPos
           ( "p",
             Tf.And
               [ Tf.Or [ Tf.Child1 ("p", "x"); Tf.Child2 ("p", "x") ];
-                Tf.Label (1, "p") ] );
+                Tf.Letter (1, "p") ] );
       ]
   in
   Format.printf
@@ -51,9 +52,9 @@ let () =
   (* learn the concept back from a handful of labelled nodes *)
   let catalogue =
     [
-      { Tl.name = "is text"; phi = Tf.Label (0, "x"); xvars = [ "x" ]; yvars = [] };
-      { Tl.name = "is section"; phi = Tf.Label (1, "x"); xvars = [ "x" ]; yvars = [] };
-      { Tl.name = "text under a section"; phi; xvars = [ "x" ]; yvars = [] };
+      { L.name = "is text"; phi = Tf.Letter (0, "x"); xvars = [ "x" ]; yvars = [] };
+      { L.name = "is section"; phi = Tf.Letter (1, "x"); xvars = [ "x" ]; yvars = [] };
+      { L.name = "text under a section"; phi; xvars = [ "x" ]; yvars = [] };
     ]
   in
   let examples =
@@ -64,5 +65,5 @@ let () =
   match Tl.solve ~sigma:2 ~tree ~catalogue examples with
   | None -> Format.printf "no hypothesis found@."
   | Some r ->
-      Format.printf "learned %S with training error %.3f@." r.Tl.entry.Tl.name
-        r.Tl.err
+      Format.printf "learned %S with training error %.3f@." r.L.entry.L.name
+        r.L.err

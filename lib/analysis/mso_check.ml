@@ -1,162 +1,44 @@
-(* Both MSO ASTs (words and binary trees) are lowered to one skeleton so
-   every rule is implemented once. *)
+(* Every rule walks the one MSO AST, words and trees alike. *)
 
-type use = UPos | USet
-
-let use_name = function UPos -> "position" | USet -> "set"
-
-type node =
-  | KConst of bool
-  | KAtom of {
-      rendered : string;
-      vars : (string * use) list;
-      letter : int option;  (* letter/label index, for unknown-letter *)
-    }
-  | KNot of node
-  | KJunct of bool * node list  (* true = conjunction *)
-  | KQuant of bool * use * string * node  (* existential?, kind, var, body *)
-
-let rec of_word (f : Mso.Formula.t) =
-  match f with
-  | Mso.Formula.MTrue -> KConst true
-  | Mso.Formula.MFalse -> KConst false
-  | Mso.Formula.Letter (a, x) ->
-      KAtom
-        {
-          rendered = Printf.sprintf "letter_%d(%s)" a x;
-          vars = [ (x, UPos) ];
-          letter = Some a;
-        }
-  | Mso.Formula.Less (x, y) ->
-      KAtom
-        {
-          rendered = Printf.sprintf "%s < %s" x y;
-          vars = [ (x, UPos); (y, UPos) ];
-          letter = None;
-        }
-  | Mso.Formula.Succ (x, y) ->
-      KAtom
-        {
-          rendered = Printf.sprintf "succ(%s, %s)" x y;
-          vars = [ (x, UPos); (y, UPos) ];
-          letter = None;
-        }
-  | Mso.Formula.EqPos (x, y) ->
-      KAtom
-        {
-          rendered = Printf.sprintf "%s = %s" x y;
-          vars = [ (x, UPos); (y, UPos) ];
-          letter = None;
-        }
-  | Mso.Formula.Mem (x, s) ->
-      KAtom
-        {
-          rendered = Printf.sprintf "%s in %s" x s;
-          vars = [ (x, UPos); (s, USet) ];
-          letter = None;
-        }
-  | Mso.Formula.Not g -> KNot (of_word g)
-  | Mso.Formula.And gs -> KJunct (true, List.map of_word gs)
-  | Mso.Formula.Or gs -> KJunct (false, List.map of_word gs)
-  | Mso.Formula.ExistsPos (x, g) -> KQuant (true, UPos, x, of_word g)
-  | Mso.Formula.ForallPos (x, g) -> KQuant (false, UPos, x, of_word g)
-  | Mso.Formula.ExistsSet (x, g) -> KQuant (true, USet, x, of_word g)
-  | Mso.Formula.ForallSet (x, g) -> KQuant (false, USet, x, of_word g)
-
-let rec of_tree (f : Mso.Tree_formula.t) =
-  match f with
-  | Mso.Tree_formula.TTrue -> KConst true
-  | Mso.Tree_formula.TFalse -> KConst false
-  | Mso.Tree_formula.Label (a, x) ->
-      KAtom
-        {
-          rendered = Printf.sprintf "label_%d(%s)" a x;
-          vars = [ (x, UPos) ];
-          letter = Some a;
-        }
-  | Mso.Tree_formula.Child1 (x, y) ->
-      KAtom
-        {
-          rendered = Printf.sprintf "child1(%s, %s)" x y;
-          vars = [ (x, UPos); (y, UPos) ];
-          letter = None;
-        }
-  | Mso.Tree_formula.Child2 (x, y) ->
-      KAtom
-        {
-          rendered = Printf.sprintf "child2(%s, %s)" x y;
-          vars = [ (x, UPos); (y, UPos) ];
-          letter = None;
-        }
-  | Mso.Tree_formula.EqPos (x, y) ->
-      KAtom
-        {
-          rendered = Printf.sprintf "%s = %s" x y;
-          vars = [ (x, UPos); (y, UPos) ];
-          letter = None;
-        }
-  | Mso.Tree_formula.Mem (x, s) ->
-      KAtom
-        {
-          rendered = Printf.sprintf "%s in %s" x s;
-          vars = [ (x, UPos); (s, USet) ];
-          letter = None;
-        }
-  | Mso.Tree_formula.Not g -> KNot (of_tree g)
-  | Mso.Tree_formula.And gs -> KJunct (true, List.map of_tree gs)
-  | Mso.Tree_formula.Or gs -> KJunct (false, List.map of_tree gs)
-  | Mso.Tree_formula.ExistsPos (x, g) -> KQuant (true, UPos, x, of_tree g)
-  | Mso.Tree_formula.ForallPos (x, g) -> KQuant (false, UPos, x, of_tree g)
-  | Mso.Tree_formula.ExistsSet (x, g) -> KQuant (true, USet, x, of_tree g)
-  | Mso.Tree_formula.ForallSet (x, g) -> KQuant (false, USet, x, of_tree g)
-
-(* ------------------------------------------------------------------ *)
-
+module F = Mso.Formula
 module VSet = Set.Make (String)
 module VMap = Map.Make (String)
+
+let kind_name = function F.Pos -> "position" | F.Set -> "set"
 
 let binder_step existential kind x =
   Printf.sprintf "%s%s %s"
     (if existential then "exists" else "forall")
-    (match kind with UPos -> "" | USet -> "set")
+    (match kind with F.Pos -> "" | F.Set -> "set")
     x
 
 let junct_step conj i =
   Printf.sprintf "%s[%d]" (if conj then "and" else "or") (i + 1)
 
 let rec rank = function
-  | KConst _ | KAtom _ -> 0
-  | KNot g -> rank g
-  | KJunct (_, gs) -> List.fold_left (fun acc g -> max acc (rank g)) 0 gs
-  | KQuant (_, _, _, g) -> 1 + rank g
+  | F.ExistsPos (_, g) | F.ForallPos (_, g) | F.ExistsSet (_, g)
+  | F.ForallSet (_, g) ->
+      1 + rank g
+  | F.Not g -> rank g
+  | F.And gs | F.Or gs -> List.fold_left (fun acc g -> max acc (rank g)) 0 gs
+  | _ -> 0
 
+(* free variable names, without the kind checks of [F.free] *)
 let rec free_set = function
-  | KConst _ -> VSet.empty
-  | KAtom { vars; _ } -> VSet.of_list (List.map fst vars)
-  | KNot g -> free_set g
-  | KJunct (_, gs) ->
+  | F.ExistsPos (x, g) | F.ForallPos (x, g) | F.ExistsSet (x, g)
+  | F.ForallSet (x, g) ->
+      VSet.remove x (free_set g)
+  | F.Not g -> free_set g
+  | F.And gs | F.Or gs ->
       List.fold_left (fun acc g -> VSet.union acc (free_set g)) VSet.empty gs
-  | KQuant (_, _, x, g) -> VSet.remove x (free_set g)
+  | atom -> VSet.of_list (List.map fst (F.uses atom))
 
-let rec equal_node a b =
-  match (a, b) with
-  | KConst x, KConst y -> x = y
-  | KAtom x, KAtom y -> x.rendered = y.rendered
-  | KNot x, KNot y -> equal_node x y
-  | KJunct (cx, xs), KJunct (cy, ys) ->
-      cx = cy
-      && List.length xs = List.length ys
-      && List.for_all2 equal_node xs ys
-  | KQuant (ex, kx, x, gx), KQuant (ey, ky, y, gy) ->
-      ex = ey && kx = ky && x = y && equal_node gx gy
-  | _ -> false
-
-let check_node ?sigma ?allowed_free ?max_rank node =
+let check ?sigma ?allowed_free ?max_rank phi =
   let diags = ref [] in
   let emit ~path ~rule msg =
     diags := Diagnostic.make ~path:(List.rev path) ~rule msg :: !diags
   in
-  let total_rank = rank node in
+  let total_rank = rank phi in
   (* kinds: the kind a variable was first seen with (bound or free),
      per scope for bound variables, global for free ones *)
   let free_kinds = ref VMap.empty in
@@ -168,7 +50,7 @@ let check_node ?sigma ?allowed_free ?max_rank node =
       emit ~path ~rule:"kind-clash"
         (Printf.sprintf
            "variable %S is used both as a %s variable and as a %s variable"
-           x (use_name k1) (use_name k2))
+           x (kind_name k1) (kind_name k2))
     end
   in
   let use path env (x, k) =
@@ -191,47 +73,17 @@ let check_node ?sigma ?allowed_free ?max_rank node =
                  (String.concat "; " allowed))
         | _ -> ())
   in
-  let rec go path env remaining node =
-    match node with
-    | KConst _ -> ()
-    | KAtom { rendered; vars; letter } ->
-        List.iter (use path env) vars;
-        (match (letter, sigma) with
-        | Some a, Some s when a < 0 || a >= s ->
-            emit ~path ~rule:"unknown-letter"
-              (Printf.sprintf
-                 "atom %s uses letter index %d outside the declared \
-                  alphabet 0..%d"
-                 rendered a (s - 1))
-        | _ -> ())
-    | KNot (KNot g) ->
-        emit ~path ~rule:"double-negation" "double negation; ~~phi is phi";
-        go ("~" :: "~" :: path) env remaining g
-    | KNot g -> go ("~" :: path) env remaining g
-    | KJunct (conj, gs) ->
-        let rec dup i seen = function
-          | [] -> ()
-          | g :: rest ->
-              if List.exists (equal_node g) seen then
-                emit
-                  ~path:(junct_step conj i :: path)
-                  ~rule:"duplicate-junct"
-                  (Printf.sprintf "%s repeats a subformula; drop the duplicate"
-                     (if conj then "conjunction" else "disjunction"))
-              else ();
-              dup (i + 1) (g :: seen) rest
+  let rec go path env remaining = function
+    | ( F.ExistsPos (x, body)
+      | F.ForallPos (x, body)
+      | F.ExistsSet (x, body)
+      | F.ForallSet (x, body) ) as q ->
+        let existential =
+          match q with F.ExistsPos _ | F.ExistsSet _ -> true | _ -> false
         in
-        dup 0 [] gs;
-        if List.exists (fun g -> g = KConst (not conj)) gs then
-          emit ~path ~rule:"constant-junct"
-            (Printf.sprintf "%s contains %s, so the whole junction is %s"
-               (if conj then "conjunction" else "disjunction")
-               (if conj then "false" else "true")
-               (if conj then "false" else "true"));
-        List.iteri
-          (fun i g -> go (junct_step conj i :: path) env remaining g)
-          gs
-    | KQuant (existential, kind, x, body) ->
+        let kind =
+          match q with F.ExistsPos _ | F.ForallPos _ -> F.Pos | _ -> F.Set
+        in
         let path = binder_step existential kind x :: path in
         (match max_rank with
         | Some _ when remaining = 0 ->
@@ -259,114 +111,48 @@ let check_node ?sigma ?allowed_free ?max_rank node =
                 (Printf.sprintf
                    "quantifier binds %s variable %S that does not occur \
                     free in its body"
-                   (use_name kind) x);
+                   (kind_name kind) x);
             go path (VMap.add x kind env) (remaining - 1) body)
+    | F.MTrue | F.MFalse -> ()
+    | F.Not (F.Not g) ->
+        emit ~path ~rule:"double-negation" "double negation; ~~phi is phi";
+        go ("~" :: "~" :: path) env remaining g
+    | F.Not g -> go ("~" :: path) env remaining g
+    | (F.And gs | F.Or gs) as junct ->
+        let conj = match junct with F.And _ -> true | _ -> false in
+        let rec dup i seen = function
+          | [] -> ()
+          | g :: rest ->
+              if List.mem g seen then
+                emit
+                  ~path:(junct_step conj i :: path)
+                  ~rule:"duplicate-junct"
+                  (Printf.sprintf "%s repeats a subformula; drop the duplicate"
+                     (if conj then "conjunction" else "disjunction"));
+              dup (i + 1) (g :: seen) rest
+        in
+        dup 0 [] gs;
+        if List.mem (if conj then F.MFalse else F.MTrue) gs then
+          emit ~path ~rule:"constant-junct"
+            (Printf.sprintf "%s contains %s, so the whole junction is %s"
+               (if conj then "conjunction" else "disjunction")
+               (if conj then "false" else "true")
+               (if conj then "false" else "true"));
+        List.iteri
+          (fun i g -> go (junct_step conj i :: path) env remaining g)
+          gs
+    | atom ->
+        List.iter (use path env) (F.uses atom);
+        (match (atom, sigma) with
+        | F.Letter (a, x), Some s when a < 0 || a >= s ->
+            emit ~path ~rule:"unknown-letter"
+              (Printf.sprintf
+                 "atom letter_%d(%s) uses letter index %d outside the \
+                  declared alphabet 0..%d"
+                 a x a (s - 1))
+        | _ -> ())
   in
   let remaining = match max_rank with Some q -> q | None -> max_int in
-  go [] VMap.empty remaining node;
+  go [] VMap.empty remaining phi;
   Diagnostic.sort (List.rev !diags)
 
-let check_word ?sigma ?allowed_free ?max_rank f =
-  check_node ?sigma ?allowed_free ?max_rank (of_word f)
-
-let check_tree ?sigma ?allowed_free ?max_rank f =
-  check_node ?sigma ?allowed_free ?max_rank (of_tree f)
-
-(* ------------------------------------------------------------------ *)
-(* Cost metadata                                                       *)
-(* ------------------------------------------------------------------ *)
-
-type cost = {
-  rank : int;
-  set_rank : int;
-  size : int;
-  states_log2 : Cost_model.Log2.t;
-}
-
-let rec set_rank = function
-  | KConst _ | KAtom _ -> 0
-  | KNot g -> set_rank g
-  | KJunct (_, gs) -> List.fold_left (fun acc g -> max acc (set_rank g)) 0 gs
-  | KQuant (_, kind, _, g) ->
-      (match kind with USet -> 1 | UPos -> 0) + set_rank g
-
-let rec skeleton_size = function
-  | KConst _ | KAtom _ -> 1
-  | KNot g -> 1 + skeleton_size g
-  | KJunct (_, gs) -> List.fold_left (fun acc g -> acc + skeleton_size g) 1 gs
-  | KQuant (_, _, _, g) -> 1 + skeleton_size g
-
-(* log2 of the automaton-state bound of the standard MSO-to-automaton
-   construction (Buchi-Elgot-Trakhtenbrot): conjunction/disjunction
-   take a product, projection (an existential quantifier) keeps the
-   NFA, and every complementation — a negation, or the inner negation
-   of a universal quantifier — determinises via the subset
-   construction, exponentiating the state count.  The resulting tower
-   in the quantifier-alternation depth is the non-elementary bound;
-   like [Cost_model.hintikka_log2] it saturates explicitly. *)
-let states_log2 ~sigma node =
-  let open Cost_model.Log2 in
-  let atom_log2 = Float.log2 (float_of_int (max 2 sigma) +. 2.0) in
-  let exp2 = function
-    | Saturated -> Saturated
-    | Finite l -> if l > 62.0 then Saturated else Finite (Float.exp2 l)
-  in
-  let add a b =
-    match (a, b) with
-    | Saturated, _ | _, Saturated -> Saturated
-    | Finite a, Finite b -> of_float (a +. b)
-  in
-  let rec go = function
-    | KConst _ -> Finite 1.0
-    | KAtom _ -> Finite atom_log2
-    | KNot g -> exp2 (go g)
-    | KJunct (_, gs) -> List.fold_left (fun acc g -> add acc (go g)) (Finite 0.0) gs
-    | KQuant (existential, _, _, g) ->
-        if existential then go g else exp2 (go g)
-  in
-  go node
-
-let cost_node ?(sigma = 2) node =
-  {
-    rank = rank node;
-    set_rank = set_rank node;
-    size = skeleton_size node;
-    states_log2 = states_log2 ~sigma node;
-  }
-
-let cost_word ?sigma f = cost_node ?sigma (of_word f)
-let cost_tree ?sigma f = cost_node ?sigma (of_tree f)
-
-let cost_json c =
-  Obs.Json.Obj
-    [
-      ("quantifier_rank", Obs.Json.Int c.rank);
-      ("set_quantifier_rank", Obs.Json.Int c.set_rank);
-      ("size", Obs.Json.Int c.size);
-      ("states_log2", Cost_model.Log2.to_json c.states_log2);
-    ]
-
-let cost_of_json j =
-  let ( let* ) = Result.bind in
-  let int_field name =
-    match Option.bind (Obs.Json.member name j) Obs.Json.to_int_opt with
-    | Some n -> Ok n
-    | None -> Error (Printf.sprintf "cost_of_json: missing int field %S" name)
-  in
-  let* rank = int_field "quantifier_rank" in
-  let* set_rank = int_field "set_quantifier_rank" in
-  let* size = int_field "size" in
-  let* states_log2 =
-    match Obs.Json.member "states_log2" j with
-    | Some v -> Cost_model.Log2.of_json v
-    | None -> Error "cost_of_json: missing field \"states_log2\""
-  in
-  Ok { rank; set_rank; size; states_log2 }
-
-let cost_diagnostic_word ?sigma f =
-  Diagnostic.make ~rule:"cost-metadata"
-    (Obs.Json.to_string (cost_json (cost_word ?sigma f)))
-
-let cost_diagnostic_tree ?sigma f =
-  Diagnostic.make ~rule:"cost-metadata"
-    (Obs.Json.to_string (cost_json (cost_tree ?sigma f)))

@@ -1,59 +1,17 @@
-(** Static analysis of MSO formulas — words ({!Mso.Formula.t}) and trees
-    ({!Mso.Tree_formula.t}) — producing the same {!Diagnostic.t}s as
-    {!Fo_check}, so the CLI and the learners report uniformly across the
-    FO and MSO pipelines.
+(** Static analysis of MSO formulas ({!Mso.Formula.t}, over words and
+    trees alike) producing the same {!Diagnostic.t}s as {!Fo_check}, so
+    the CLI and the learners report uniformly across the FO and MSO
+    pipelines.
 
-    Both ASTs are lowered to a common skeleton and share one checker.
     Rules: [kind-clash], [unknown-letter] (when [sigma] is given),
     [unbound-variable] (when [allowed_free] is given), [shadowed-binder],
     [vacuous-quantifier], [rank-over-budget] (position {e and} set
     quantifiers both count), and the simplification hints
     [double-negation], [duplicate-junct], [constant-junct]. *)
 
-val check_word :
+val check :
   ?sigma:int ->
   ?allowed_free:string list ->
   ?max_rank:int ->
   Mso.Formula.t ->
   Diagnostic.t list
-
-val check_tree :
-  ?sigma:int ->
-  ?allowed_free:string list ->
-  ?max_rank:int ->
-  Mso.Tree_formula.t ->
-  Diagnostic.t list
-
-(** {1 Cost metadata}
-
-    The MSO analogue of {!Fo_check.cost}: informational per-formula
-    bounds for the automaton pipeline.  The state bound implements the
-    Buchi-Elgot-Trakhtenbrot translation — products at junctions,
-    projection at existential quantifiers, and a subset-construction
-    exponentiation at every complementation — whose tower in the
-    alternation depth is the classic non-elementary bound.  Saturated
-    towers report {!Cost_model.Log2.Saturated} explicitly (serialised
-    as the string ["saturated"]), never a clamped finite value. *)
-
-type cost = {
-  rank : int;  (** total quantifier rank (position and set) *)
-  set_rank : int;  (** set quantifiers only *)
-  size : int;  (** skeleton node count *)
-  states_log2 : Cost_model.Log2.t;
-      (** log2 of the automaton-state bound for the given alphabet *)
-}
-
-val cost_word : ?sigma:int -> Mso.Formula.t -> cost
-(** [sigma] defaults to [2]. *)
-
-val cost_tree : ?sigma:int -> Mso.Tree_formula.t -> cost
-
-val cost_json : cost -> Obs.Json.t
-(** Lossless: [cost_of_json (cost_json c) = Ok c]. *)
-
-val cost_of_json : Obs.Json.t -> (cost, string) result
-
-val cost_diagnostic_word : ?sigma:int -> Mso.Formula.t -> Diagnostic.t
-(** A [cost-metadata] hint whose message is {!cost_json} serialised. *)
-
-val cost_diagnostic_tree : ?sigma:int -> Mso.Tree_formula.t -> Diagnostic.t

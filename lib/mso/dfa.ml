@@ -24,13 +24,13 @@ let create ~states ~alphabet ~start ~delta ~accept =
     delta;
   { states; alphabet; start; delta; accept }
 
-let step a q letter =
-  if letter < 0 || letter >= a.alphabet then
-    invalid_arg "Dfa.step: letter out of range";
-  a.delta.(q).(letter)
-
-let run a q word = Array.fold_left (fun q letter -> step a q letter) q word
-let accepts a word = a.accept.(run a a.start word)
+let accepts a word =
+  let step q letter =
+    if letter < 0 || letter >= a.alphabet then
+      invalid_arg "Dfa.accepts: letter out of range";
+    a.delta.(q).(letter)
+  in
+  a.accept.(Array.fold_left step a.start word)
 
 let complement a = { a with accept = Array.map not a.accept }
 

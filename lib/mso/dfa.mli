@@ -18,13 +18,8 @@ val create :
   delta:int array array -> accept:bool array -> t
 (** Validates shapes and ranges.  @raise Invalid_argument otherwise. *)
 
-val step : t -> int -> int -> int
-(** [step a q letter]. *)
-
-val run : t -> int -> int array -> int
-(** [run a q word]: state after reading the word from [q]. *)
-
 val accepts : t -> int array -> bool
+(** @raise Invalid_argument on a letter outside the alphabet. *)
 
 (** {1 Algebra} *)
 
@@ -33,9 +28,6 @@ val complement : t -> t
 val product : t -> t -> mode:[ `Inter | `Union ] -> t
 (** Synchronous product; alphabets must agree.
     @raise Invalid_argument otherwise. *)
-
-val reachable : t -> t
-(** Restrict to states reachable from the start (renumbered). *)
 
 val minimize : t -> t
 (** Moore minimisation of the reachable part.  The result is the unique

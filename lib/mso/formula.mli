@@ -1,14 +1,18 @@
-(** Monadic second-order logic on finite words.
+(** Monadic second-order logic on finite words and on labelled trees.
 
-    The logic of the Büchi–Elgot–Trakhtenbrot theorem: first-order
-    position variables, monadic set variables, order/successor/letter
-    atoms.  MSO sentences define exactly the regular languages, and every
-    formula [φ(x̄, X̄)] compiles to a DFA over the word alphabet extended
-    with one boolean {e track} per free variable ({!compile}).
+    The logic of the Büchi–Elgot–Trakhtenbrot and Thatcher–Wright
+    theorems: first-order position variables, monadic set variables,
+    letter atoms and the atoms of the structure the formula is read
+    over — [<] and [succ] on words, [child1] and [child2] on trees.  MSO
+    sentences define exactly the regular word (tree) languages, and every
+    formula [φ(x̄, X̄)] compiles to an automaton over the letter alphabet
+    extended with one boolean {e track} per free variable.
 
-    This is the concept language of the paper's related work [21]
-    (learning MSO-definable hypotheses on strings), reproduced here as
-    the string-side counterpart of the FO-over-graphs pipeline. *)
+    This module holds the one AST and the parts every structure shares:
+    {!free}, {!pp}, the evaluation and compilation skeletons, and their
+    word instances.  {!Tree_formula} instantiates the same skeletons for
+    trees.  It is the concept language of the paper's related work [21]
+    (strings) and [19] (trees). *)
 
 type var = string
 
@@ -16,9 +20,11 @@ type var = string
 type t =
   | MTrue
   | MFalse
-  | Letter of int * var  (** position [x] carries the letter *)
-  | Less of var * var  (** strict position order [x < y] *)
-  | Succ of var * var  (** [y = x + 1] *)
+  | Letter of int * var  (** position (node) [x] carries the letter *)
+  | Less of var * var  (** words: strict position order [x < y] *)
+  | Succ of var * var  (** words: [y = x + 1] *)
+  | Child1 of var * var  (** trees: [y] is the first child of [x] *)
+  | Child2 of var * var  (** trees: [y] is the second child of [x] *)
   | EqPos of var * var
   | Mem of var * var  (** [Mem (x, bigx)]: position [x] belongs to set [bigx] *)
   | Not of t
@@ -31,9 +37,20 @@ type t =
 
 type kind = Pos | Set
 
+val uses : t -> (var * kind) list
+(** The variables an atom mentions, with the kind it uses them at;
+    [[]] for the constants, connectives and quantifiers. *)
+
 val free : t -> (var * kind) list
-(** Free variables with their kinds, sorted by name.
-    @raise Invalid_argument if a variable is used with both kinds. *)
+(** Free variables with their kinds, sorted by name.  This is the one
+    validation of a formula: every formula it accepts compiles over a
+    scope that covers its free variables.
+    @raise Invalid_argument if a variable is used with both kinds, or a
+    bound variable is used with the other kind than its binder's. *)
+
+val foreign : structure:string -> t -> 'a
+(** @raise Invalid_argument naming an atom the given structure
+    (["words"] or ["trees"]) does not have. *)
 
 (** {1 Direct evaluation (the reference semantics)} *)
 
@@ -44,29 +61,75 @@ type assignment = {
 
 val empty_assignment : assignment
 
+val eval_skeleton :
+  size:int -> atom:((var -> int) -> t -> bool) -> assignment -> t -> bool
+(** Recursive evaluation over the positions [0..size-1]; set quantifiers
+    enumerate all [2^size] subsets.  [atom pos a] decides a [Letter],
+    [Less], [Succ], [Child1] or [Child2] atom given the position of each
+    variable.  The structures' [eval]s are instances. *)
+
 val eval : word:int array -> assignment -> t -> bool
-(** Recursive evaluation; set quantifiers enumerate all [2^n] subsets —
-    reference semantics for short words only.
-    @raise Not_found on an unbound variable. *)
+(** Evaluation on a word — reference semantics for short words only.
+    @raise Not_found on an unbound variable.
+    @raise Invalid_argument on a tree atom. *)
 
 (** {1 Compilation (Büchi–Elgot–Trakhtenbrot)} *)
 
-val compile : sigma:int -> scope:(var * kind) list -> t -> Dfa.t
-(** [compile ~sigma ~scope φ]: a minimal DFA over the alphabet
-    [sigma * 2^|scope|] (letter [a] with track bitmask [m] encoded as
-    [a + sigma * m], track [i] = [i]-th scope entry) accepting exactly
-    the {e validly annotated} words satisfying [φ] — valid meaning every
-    position-variable track carries exactly one mark.  [scope] must
-    cover the free variables of [φ].
-    @raise Invalid_argument on scope violations or letters [>= sigma]. *)
+(** What a structure supplies to the compilation skeleton: the automaton
+    algebra, which {!Dfa} and {!Tree_automaton} both provide, and the
+    machines of its atoms over the track alphabet [sigma * 2^tracks]
+    (letter [a] with track bitmask [m] encoded as [a + sigma * m]). *)
+module type STRUCTURE = sig
+  type automaton
+  type input
 
-val annotate :
-  sigma:int -> scope:(var * kind) list -> int array -> assignment -> int array
-(** Encode a word and an assignment as a word over the track alphabet. *)
+  val total_language : alphabet:int -> automaton
+  val empty_language : alphabet:int -> automaton
+  val complement : automaton -> automaton
+  val product : automaton -> automaton -> mode:[ `Inter | `Union ] -> automaton
+  val minimize : automaton -> automaton
+
+  val erase : automaton -> alphabet:int -> (int -> int list) -> automaton
+  (** Project onto the smaller alphabet (letter [b] acts as any of its
+      preimages) and determinise. *)
+
+  val singleton : sigma:int -> tracks:int -> int -> automaton
+  (** Exactly one mark on the given track. *)
+
+  val atom : sigma:int -> tracks:int -> (var -> int) -> t -> automaton
+  (** The machine of an atom, given the track of each variable: one mark
+      per position track, satisfying the atom.
+      @raise Invalid_argument on an atom of another structure. *)
+
+  val mapi_letters : (int -> int -> int) -> input -> input
+  (** Replace the letter at each position [i] by [f i letter]. *)
+
+  val accepts : automaton -> input -> bool
+end
+
+module Compile (S : STRUCTURE) : sig
+  val compile : sigma:int -> scope:(var * kind) list -> t -> S.automaton
+  (** A minimal automaton accepting exactly the {e validly annotated}
+      inputs satisfying the formula — valid meaning every
+      position-variable track carries exactly one mark.  Track [i] is
+      the [i]-th scope entry; [scope] must cover the free variables.
+      @raise Invalid_argument on a formula {!free} rejects, scope
+      violations, letters [>= sigma] or atoms of another structure. *)
+
+  val holds_compiled :
+    sigma:int -> scope:(var * kind) list -> S.automaton -> S.input ->
+    assignment -> bool
+  (** Run a compiled automaton on the input annotated with the
+      assignment.
+      @raise Invalid_argument on a letter [>= sigma]. *)
+end
+
+val compile : sigma:int -> scope:(var * kind) list -> t -> Dfa.t
+(** {!Compile.compile} on words. *)
 
 val holds_compiled :
   sigma:int -> scope:(var * kind) list -> Dfa.t -> int array -> assignment -> bool
-(** Run a compiled automaton on an annotated word. *)
+(** {!Compile.holds_compiled} on words. *)
 
 val pp : letters:string list -> Format.formatter -> t -> unit
 (** Concrete syntax accepted by {!Parser.parse} (letters resolved
@@ -76,5 +139,5 @@ val pp : letters:string list -> Format.formatter -> t -> unit
 val to_string : letters:string list -> t -> string
 
 val language : sigma:int -> t -> Dfa.t
-(** Compile a sentence ([scope = []]).
+(** Compile a sentence on words ([scope = []]).
     @raise Invalid_argument if the formula has free variables. *)

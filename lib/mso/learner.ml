@@ -30,12 +30,6 @@ let check_entry entry =
                v entry.name))
     (Formula.free entry.phi)
 
-(* marks for an (example, params) pair: track i = i-th scope entry *)
-let marks_of entry example params =
-  let kx = List.length entry.xvars in
-  List.mapi (fun i p -> (p, 1 lsl i)) (Array.to_list example)
-  @ List.mapi (fun j p -> (p, 1 lsl (kx + j))) (Array.to_list params)
-
 let rec param_tuples n = function
   | 0 -> [ [||] ]
   | j ->
@@ -44,8 +38,7 @@ let rec param_tuples n = function
           List.init n (fun p -> Array.append [| p |] rest))
         (param_tuples n (j - 1))
 
-let solve ~sigma ~word ~catalogue examples =
-  let n = Array.length word in
+let erm ~n ~catalogue ~prepare examples =
   let m = List.length examples in
   let best = ref None in
   let evals = ref 0 in
@@ -58,25 +51,20 @@ let solve ~sigma ~word ~catalogue examples =
           if Array.length v <> kx then
             invalid_arg "Learner.solve: example arity mismatch")
         examples;
-      let scope = scope_of entry in
-      let dfa = Formula.compile ~sigma ~scope entry.phi in
-      let oracle = Oracle.make ~sigma dfa word in
+      let states, holds = prepare entry in
       List.iter
         (fun params ->
           let errs =
             List.fold_left
               (fun acc (v, label) ->
                 incr evals;
-                let verdict =
-                  Oracle.eval_with_marks oracle
-                    ~marks:(marks_of entry v params)
-                in
-                if verdict <> label then acc + 1 else acc)
+                if holds v params <> label then acc + 1 else acc)
               0 examples
           in
+          (* keep the first of equally good hypotheses *)
           match !best with
           | Some (_, _, _, e) when e <= errs -> ()
-          | _ -> best := Some (entry, params, dfa.Dfa.states, errs))
+          | _ -> best := Some (entry, params, states, errs))
         (param_tuples n (List.length entry.yvars)))
     catalogue;
   match !best with
@@ -91,8 +79,22 @@ let solve ~sigma ~word ~catalogue examples =
           states;
         }
 
-let predict ~sigma ~word result v =
-  let scope = scope_of result.entry in
-  let dfa = Formula.compile ~sigma ~scope result.entry.phi in
+(* marks for an (example, params) pair: track i = i-th scope entry *)
+let marks_of entry example params =
+  let kx = List.length entry.xvars in
+  List.mapi (fun i p -> (p, 1 lsl i)) (Array.to_list example)
+  @ List.mapi (fun j p -> (p, 1 lsl (kx + j))) (Array.to_list params)
+
+let prepare ~sigma ~word entry =
+  let dfa = Formula.compile ~sigma ~scope:(scope_of entry) entry.phi in
   let oracle = Oracle.make ~sigma dfa word in
-  Oracle.eval_with_marks oracle ~marks:(marks_of result.entry v result.params)
+  ( dfa.Dfa.states,
+    fun v params ->
+      Oracle.eval_with_marks oracle ~marks:(marks_of entry v params) )
+
+let solve ~sigma ~word ~catalogue examples =
+  erm ~n:(Array.length word) ~catalogue ~prepare:(prepare ~sigma ~word)
+    examples
+
+let predict ~sigma ~word result v =
+  snd (prepare ~sigma ~word result.entry) v result.params

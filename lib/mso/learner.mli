@@ -7,7 +7,10 @@
     compiles each catalogue formula to a track automaton once, builds the
     {!Oracle} sparse table over the background word once, and then
     evaluates every (example, parameter) combination in logarithmic
-    time — the preprocessing-then-sublinear-learning regime of [21]. *)
+    time — the preprocessing-then-sublinear-learning regime of [21].
+
+    The catalogue types and the {!erm} loop are shared with
+    {!Tree_learner}. *)
 
 type entry = {
   name : string;
@@ -19,11 +22,25 @@ type entry = {
 
 type result = {
   entry : entry;
-  params : int array;  (** chosen positions [w̄] *)
+  params : int array;  (** chosen positions (nodes) [w̄] *)
   err : float;
   evaluations : int;  (** oracle evaluations performed *)
   states : int;  (** size of the compiled automaton *)
 }
+
+val erm :
+  n:int ->
+  catalogue:entry list ->
+  prepare:(entry -> int * (int array -> int array -> bool)) ->
+  (int array * bool) list ->
+  result option
+(** The ERM loop every structure shares: minimise training error over
+    every [(entry, w̄ ∈ [0..n-1]^{|yvars|})], keeping the first of
+    equally good hypotheses.  [prepare entry] compiles the entry once and
+    returns its automaton's state count and the verdict on an (example,
+    parameters) pair.
+    @raise Invalid_argument on malformed entries (wrong arities, free
+    variables outside [x̄ ∪ ȳ]). *)
 
 val solve :
   sigma:int ->
@@ -31,12 +48,9 @@ val solve :
   catalogue:entry list ->
   (int array * bool) list ->
   result option
-(** Exact ERM over the catalogue: minimise training error over every
-    [(entry, w̄ ∈ positions^{|yvars|})]; parameters beyond the word
-    length do not exist, so the empty word with parameters yields
-    [None].  Examples are tuples of positions with labels.
-    @raise Invalid_argument on malformed entries (wrong arities, free
-    variables outside [x̄ ∪ ȳ]). *)
+(** {!erm} over a word: parameters beyond the word length do not exist,
+    so the empty word with parameters yields [None].  Examples are
+    tuples of positions with labels. *)
 
 val predict : sigma:int -> word:int array -> result -> int array -> bool
 (** Classify a fresh position tuple with a solved hypothesis. *)

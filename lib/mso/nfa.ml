@@ -27,15 +27,6 @@ let create ~states ~alphabet ~starts ~delta ~accept =
     delta;
   { states; alphabet; starts; delta; accept }
 
-let of_dfa (d : Dfa.t) =
-  {
-    states = d.Dfa.states;
-    alphabet = d.Dfa.alphabet;
-    starts = [ d.Dfa.start ];
-    delta = Array.map (Array.map (fun q -> [ q ])) d.Dfa.delta;
-    accept = d.Dfa.accept;
-  }
-
 module ISet = Set.Make (Int)
 
 let step_set n set letter =
@@ -52,7 +43,7 @@ let accepts n word =
   in
   ISet.exists (fun q -> n.accept.(q)) final
 
-let project_sized (d : Dfa.t) ~alphabet preimages =
+let project (d : Dfa.t) ~alphabet preimages =
   {
     states = d.Dfa.states;
     alphabet;
@@ -64,10 +55,6 @@ let project_sized (d : Dfa.t) ~alphabet preimages =
                 (List.map (fun a -> d.Dfa.delta.(q).(a)) (preimages b))));
     accept = d.Dfa.accept;
   }
-
-let project (d : Dfa.t) preimages =
-  (* default: halve the alphabet (erasing one boolean track) *)
-  project_sized d ~alphabet:(max 1 (d.Dfa.alphabet / 2)) preimages
 
 let determinize n =
   let module SMap = Map.Make (ISet) in

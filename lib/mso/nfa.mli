@@ -15,20 +15,14 @@ val create :
   delta:int list array array -> accept:bool array -> t
 (** Validates shapes and ranges.  @raise Invalid_argument otherwise. *)
 
-val of_dfa : Dfa.t -> t
-
 val accepts : t -> int array -> bool
 
-val project : Dfa.t -> (int -> int list) -> t
-(** [project dfa preimages]: the NFA over a new alphabet whose letter [b]
-    moves along any [a ∈ preimages b] of the DFA — the homomorphic
-    preimage construction used to erase a variable track ([preimages]
-    maps a letter of the {e smaller} alphabet to the letters of the
-    larger one that project to it).  The new alphabet size is taken from
-    the largest [b] probed; pass it explicitly via {!project_sized} when
-    in doubt. *)
-
-val project_sized : Dfa.t -> alphabet:int -> (int -> int list) -> t
+val project : Dfa.t -> alphabet:int -> (int -> int list) -> t
+(** [project dfa ~alphabet preimages]: the NFA over the new alphabet
+    [0..alphabet-1] whose letter [b] moves along any [a ∈ preimages b]
+    of the DFA — the homomorphic preimage construction used to erase a
+    variable track ([preimages] maps a letter of the {e smaller}
+    alphabet to the letters of the larger one that project to it). *)
 
 val determinize : t -> Dfa.t
 (** Subset construction (on reachable subsets only). *)

@@ -51,8 +51,6 @@ let make ~sigma (dfa : Dfa.t) word =
   done;
   { dfa; sigma; word; table; levels }
 
-let word_length o = Array.length o.word
-
 (* advance state q through the zero-annotated segment [i, j) *)
 let advance o q i j =
   let q = ref q in

@@ -17,8 +17,6 @@ val make : sigma:int -> Dfa.t -> int array -> t
     [tracks >= 0]; letters of [w] must be [< sigma].
     @raise Invalid_argument otherwise. *)
 
-val word_length : t -> int
-
 val eval_with_marks : t -> marks:(int * int) list -> bool
 (** [eval_with_marks o ~marks] with [(position, trackmask)] pairs: does
     the automaton accept the word annotated with those track marks?

@@ -20,6 +20,8 @@ type token =
   | EXISTSSET
   | FORALLSET
   | SUCC
+  | CHILD1
+  | CHILD2
   | IN
   | EOF
 
@@ -43,6 +45,8 @@ let token_to_string = function
   | EXISTSSET -> "'existsset'"
   | FORALLSET -> "'forallset'"
   | SUCC -> "'succ'"
+  | CHILD1 -> "'child1'"
+  | CHILD2 -> "'child2'"
   | IN -> "'in'"
   | EOF -> "end of input"
 
@@ -52,7 +56,21 @@ let is_ident_char c =
   || (c >= '0' && c <= '9')
   || c = '_' || c = '\''
 
-let lex input =
+(* the atom keywords each structure reserves; the rest are shared *)
+let atom_keywords = function
+  | `Words -> [ ("succ", SUCC) ]
+  | `Trees -> [ ("child1", CHILD1); ("child2", CHILD2) ]
+
+let keywords structure =
+  [
+    ("true", TRUE); ("false", FALSE); ("not", NOT); ("and", AND); ("or", OR);
+    ("exists", EXISTS); ("forall", FORALL); ("existsset", EXISTSSET);
+    ("forallset", FORALLSET); ("in", IN);
+  ]
+  @ atom_keywords structure
+
+let lex structure input =
+  let keywords = keywords structure in
   let n = String.length input in
   let tokens = ref [] in
   let emit t = tokens := t :: !tokens in
@@ -73,23 +91,12 @@ let lex input =
     else if c = '-' && !i + 1 < n && input.[!i + 1] = '>' then (emit IMPLIES; i := !i + 2)
     else if c = '<' && !i + 2 < n && input.[!i + 1] = '-' && input.[!i + 2] = '>'
     then (emit IFF; i := !i + 3)
-    else if c = '<' then (emit LESS; incr i)
+    else if c = '<' && structure = `Words then (emit LESS; incr i)
     else if is_ident_char c then begin
       let start = !i in
       while !i < n && is_ident_char input.[!i] do incr i done;
-      match String.sub input start (!i - start) with
-      | "true" -> emit TRUE
-      | "false" -> emit FALSE
-      | "not" -> emit NOT
-      | "and" -> emit AND
-      | "or" -> emit OR
-      | "exists" -> emit EXISTS
-      | "forall" -> emit FORALL
-      | "existsset" -> emit EXISTSSET
-      | "forallset" -> emit FORALLSET
-      | "succ" -> emit SUCC
-      | "in" -> emit IN
-      | w -> emit (IDENT w)
+      let w = String.sub input start (!i - start) in
+      emit (Option.value (List.assoc_opt w keywords) ~default:(IDENT w))
     end
     else
       raise (Parse_error (Printf.sprintf "unexpected character %C at offset %d" c !i))
@@ -97,7 +104,8 @@ let lex input =
   emit EOF;
   List.rev !tokens
 
-type state = { mutable toks : token list; letters : string list }
+(* [noun]: what the structure calls a letter, for error messages *)
+type state = { mutable toks : token list; letters : string list; noun : string }
 
 let peek st = match st.toks with [] -> EOF | t :: _ -> t
 let advance st = match st.toks with [] -> () | _ :: rest -> st.toks <- rest
@@ -215,14 +223,17 @@ and parse_primary st =
       let f = parse_formula st in
       expect st RPAREN;
       f
-  | SUCC ->
+  | (SUCC | CHILD1 | CHILD2) as rel ->
       advance st;
       expect st LPAREN;
       let x = expect_ident st in
       expect st COMMA;
       let y = expect_ident st in
       expect st RPAREN;
-      Formula.Succ (x, y)
+      (match rel with
+      | SUCC -> Formula.Succ (x, y)
+      | CHILD1 -> Formula.Child1 (x, y)
+      | _ -> Formula.Child2 (x, y))
   | IDENT name -> (
       advance st;
       match peek st with
@@ -244,7 +255,7 @@ and parse_primary st =
           | None ->
               raise
                 (Parse_error
-                   (Printf.sprintf "%S is not a letter of the alphabet" name)))
+                   (Printf.sprintf "%S is not a %s of the alphabet" name st.noun)))
       | got ->
           raise
             (Parse_error
@@ -256,23 +267,19 @@ and parse_primary st =
            (Printf.sprintf "expected a formula but found %s"
               (token_to_string got)))
 
-let parse ~letters input =
+let parse ?(structure = `Words) ~letters input =
+  let noun = match structure with `Words -> "letter" | `Trees -> "label" in
   List.iter
     (fun l ->
-      if
-        List.mem l
-          [
-            "true"; "false"; "not"; "and"; "or"; "exists"; "forall";
-            "existsset"; "forallset"; "succ"; "in";
-          ]
-      then
+      if List.mem_assoc l (keywords structure) then
         raise
-          (Parse_error (Printf.sprintf "letter name %S collides with a keyword" l)))
+          (Parse_error
+             (Printf.sprintf "%s name %S collides with a keyword" noun l)))
     letters;
-  let st = { toks = lex input; letters } in
+  let st = { toks = lex structure input; letters; noun } in
   let f = parse_formula st in
   expect st EOF;
   f
 
-let parse_opt ~letters input =
-  try Some (parse ~letters input) with Parse_error _ -> None
+let parse_opt ?structure ~letters input =
+  try Some (parse ?structure ~letters input) with Parse_error _ -> None

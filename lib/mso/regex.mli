@@ -30,27 +30,19 @@ val plus : t -> t
 val opt : t -> t
 (** [opt r = alt r eps]. *)
 
-val any : sigma:int -> t
-(** Any single letter. *)
-
 val all : sigma:int -> t
-(** Any word: [(any)*]. *)
+(** Any word: the star of the union of all letters. *)
 
 (** {1 Semantics} *)
-
-val nullable : t -> bool
-(** Does the language contain the empty word? *)
 
 val matches : t -> int array -> bool
 (** Direct matching by derivatives (reference semantics; no compilation). *)
 
-val to_nfa : sigma:int -> t -> Nfa.t
-(** The Glushkov position automaton: one state per letter occurrence plus
-    a start state; no epsilon transitions.
-    @raise Invalid_argument on a letter [>= sigma]. *)
-
 val to_dfa : sigma:int -> t -> Dfa.t
-(** [minimize (determinize (to_nfa r))]. *)
+(** The Glushkov position automaton (one state per letter occurrence
+    plus a start state; no epsilon transitions), determinised and
+    minimised.
+    @raise Invalid_argument on a letter [>= sigma]. *)
 
 val pp : letters:string list -> Format.formatter -> t -> unit
 (** Render with the given letter names (e.g. ["ab"] split into names). *)

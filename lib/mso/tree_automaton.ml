@@ -226,11 +226,10 @@ let empty_language ~alphabet =
   { (total_language ~alphabet) with accept = [| false |] }
 
 (* ------------------------------------------------------------------ *)
-(* Nondeterministic closure                                            *)
+(* Nondeterministic closure (for track erasure)                        *)
 (* ------------------------------------------------------------------ *)
 
 type nta = {
-  n_states : int;
   n_alphabet : int;
   n_leaf : int list array;
   n_unary : int list array array;
@@ -240,7 +239,6 @@ type nta = {
 
 let project a ~alphabet preimages =
   {
-    n_states = a.states;
     n_alphabet = alphabet;
     n_leaf =
       Array.init alphabet (fun b ->
@@ -378,3 +376,5 @@ let determinize (n : nta) =
         ISet.exists (fun s -> n.n_accept.(s)) (get_set q))
   in
   create ~states ~alphabet:n.n_alphabet ~leaf ~unary ~binary ~accept
+
+let erase a ~alphabet preimages = determinize (project a ~alphabet preimages)

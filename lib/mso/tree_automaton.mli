@@ -17,11 +17,9 @@ val create :
   accept:bool array -> t
 (** Validates shapes and ranges.  @raise Invalid_argument otherwise. *)
 
-val run : t -> Tree.t -> int
-(** Bottom-up state at the root.
-    @raise Invalid_argument on an out-of-alphabet label. *)
-
 val accepts : t -> Tree.t -> bool
+(** Run bottom-up and test the state at the root.
+    @raise Invalid_argument on an out-of-alphabet label. *)
 
 val complement : t -> t
 val product : t -> t -> mode:[ `Inter | `Union ] -> t
@@ -38,20 +36,7 @@ val equal_language : t -> t -> bool
 val total_language : alphabet:int -> t
 val empty_language : alphabet:int -> t
 
-(** {1 Nondeterministic closure (for projection)} *)
-
-type nta = {
-  n_states : int;
-  n_alphabet : int;
-  n_leaf : int list array;
-  n_unary : int list array array;
-  n_binary : int list array array array;
-  n_accept : bool array;
-}
-
-val project : t -> alphabet:int -> (int -> int list) -> nta
-(** Homomorphic preimage on labels (track erasure): letter [b] of the
-    smaller alphabet may act as any [a ∈ preimages b]. *)
-
-val determinize : nta -> t
-(** Bottom-up subset construction (reachable subsets only). *)
+val erase : t -> alphabet:int -> (int -> int list) -> t
+(** Track erasure: the homomorphic preimage on labels — letter [b] of
+    the smaller alphabet may act as any [a ∈ preimages b] — followed by
+    the bottom-up subset construction (reachable subsets only). *)

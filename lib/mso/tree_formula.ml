@@ -1,125 +1,22 @@
-type var = string
-
-type t =
-  | TTrue
-  | TFalse
-  | Label of int * var
-  | Child1 of var * var
-  | Child2 of var * var
-  | EqPos of var * var
-  | Mem of var * var
-  | Not of t
-  | And of t list
-  | Or of t list
-  | ExistsPos of var * t
-  | ForallPos of var * t
-  | ExistsSet of var * t
-  | ForallSet of var * t
-
-type kind = Pos | Set
-
-module VMap = Map.Make (String)
-
-let free phi =
-  let add name kind acc =
-    match VMap.find_opt name acc with
-    | Some k when k <> kind ->
-        invalid_arg
-          (Printf.sprintf
-             "Tree_formula: variable %S used both as position and set" name)
-    | _ -> VMap.add name kind acc
-  in
-  let rec go bound acc = function
-    | TTrue | TFalse -> acc
-    | Label (_, x) -> if List.mem x bound then acc else add x Pos acc
-    | Child1 (x, y) | Child2 (x, y) | EqPos (x, y) ->
-        let acc = if List.mem x bound then acc else add x Pos acc in
-        if List.mem y bound then acc else add y Pos acc
-    | Mem (x, bigx) ->
-        let acc = if List.mem x bound then acc else add x Pos acc in
-        if List.mem bigx bound then acc else add bigx Set acc
-    | Not f -> go bound acc f
-    | And fs | Or fs -> List.fold_left (go bound) acc fs
-    | ExistsPos (x, f) | ForallPos (x, f) | ExistsSet (x, f) | ForallSet (x, f)
-      ->
-        go (x :: bound) acc f
-  in
-  VMap.bindings (go [] VMap.empty phi)
-
-(* ------------------------------------------------------------------ *)
-(* Direct evaluation                                                   *)
-(* ------------------------------------------------------------------ *)
-
-type assignment = {
-  pos : (var * int) list;
-  sets : (var * int list) list;
-}
-
-let empty_assignment = { pos = []; sets = [] }
+open Formula
 
 let eval ~tree asg phi =
   let node_labels = Tree.nodes tree in
-  let n = List.length node_labels in
   let label_of id = List.assoc id node_labels in
-  let rec go asg = function
-    | TTrue -> true
-    | TFalse -> false
-    | Label (a, x) -> label_of (List.assoc x asg.pos) = a
+  eval_skeleton ~size:(List.length node_labels) asg phi ~atom:(fun pos ->
+    function
+    | Letter (a, x) -> label_of (pos x) = a
     | Child1 (x, y) -> (
-        match Tree.children tree (List.assoc x asg.pos) with
-        | c :: _ -> c = List.assoc y asg.pos
+        match Tree.children tree (pos x) with
+        | c :: _ -> c = pos y
         | [] -> false)
     | Child2 (x, y) -> (
-        match Tree.children tree (List.assoc x asg.pos) with
-        | [ _; c ] -> c = List.assoc y asg.pos
+        match Tree.children tree (pos x) with
+        | [ _; c ] -> c = pos y
         | _ -> false)
-    | EqPos (x, y) -> List.assoc x asg.pos = List.assoc y asg.pos
-    | Mem (x, bigx) ->
-        List.mem (List.assoc x asg.pos) (List.assoc bigx asg.sets)
-    | Not f -> not (go asg f)
-    | And fs -> List.for_all (go asg) fs
-    | Or fs -> List.exists (go asg) fs
-    | ExistsPos (x, f) ->
-        List.exists
-          (fun p -> go { asg with pos = (x, p) :: asg.pos } f)
-          (List.init n Fun.id)
-    | ForallPos (x, f) ->
-        List.for_all
-          (fun p -> go { asg with pos = (x, p) :: asg.pos } f)
-          (List.init n Fun.id)
-    | ExistsSet (bigx, f) ->
-        List.exists
-          (fun s -> go { asg with sets = (bigx, s) :: asg.sets } f)
-          (subsets_of (List.init n Fun.id))
-    | ForallSet (bigx, f) ->
-        List.for_all
-          (fun s -> go { asg with sets = (bigx, s) :: asg.sets } f)
-          (subsets_of (List.init n Fun.id))
-  and subsets_of = function
-    | [] -> [ [] ]
-    | p :: rest ->
-        let s = subsets_of rest in
-        s @ List.map (fun u -> p :: u) s
-  in
-  go asg phi
-
-(* ------------------------------------------------------------------ *)
-(* Compilation                                                         *)
-(* ------------------------------------------------------------------ *)
+    | atom -> foreign ~structure:"trees" atom)
 
 module Ta = Tree_automaton
-
-let track scope name =
-  (* innermost binding wins: quantifiers append their variable at the end
-     of the scope, so a shadowed name must resolve to the LAST entry *)
-  let rec find i best = function
-    | [] -> best
-    | (v, _) :: rest -> find (i + 1) (if v = name then Some i else best) rest
-  in
-  match find 0 None scope with
-  | Some i -> i
-  | None ->
-      invalid_arg (Printf.sprintf "%s: %S is not in scope" __MODULE__ name)
 
 let bit mask i = (mask lsr i) land 1 = 1
 
@@ -160,65 +57,68 @@ let machine ~sigma ~tracks ~states ~leaf_next ~unary_next ~binary_next
   let accept = Array.init total (fun q -> q <> sink && accepting q) in
   Ta.create ~states:total ~alphabet ~leaf ~unary ~binary ~accept
 
-(* exactly one mark on track t anywhere in the tree *)
-let singleton_ta ~sigma ~tracks t =
+(* one mark on track t anywhere in the tree, at a node whose label and
+   track mask pass [ok] *)
+let one_mark ~sigma ~tracks t ok =
   machine ~sigma ~tracks ~states:2
-    ~leaf_next:(fun _ m -> if bit m t then Some 1 else Some 0)
-    ~unary_next:(fun q _ m ->
+    ~leaf_next:(fun a m ->
+      if bit m t then if ok a m then Some 1 else None else Some 0)
+    ~unary_next:(fun q a m ->
       match (q, bit m t) with
       | 0, false -> Some 0
-      | 0, true -> Some 1
+      | 0, true -> if ok a m then Some 1 else None
       | 1, false -> Some 1
       | _ -> None)
-    ~binary_next:(fun q1 q2 _ m ->
+    ~binary_next:(fun q1 q2 a m ->
       let below = q1 + q2 in
-      if bit m t then if below = 0 then Some 1 else None
+      if bit m t then if below = 0 && ok a m then Some 1 else None
       else if below <= 1 then Some below
       else None)
     ~accepting:(fun q -> q = 1)
 
-let rec compile ~sigma ~scope phi =
-  if sigma < 1 then invalid_arg "Tree_formula.compile: need sigma >= 1";
-  List.iter
-    (fun (v, k) ->
-      match List.assoc_opt v scope with
-      | Some k' when k = k' -> ()
-      | Some _ ->
-          invalid_arg
-            (Printf.sprintf "Tree_formula.compile: %S has the wrong kind" v)
-      | None ->
-          invalid_arg
-            (Printf.sprintf "Tree_formula.compile: free variable %S not in scope"
-               v))
-    (free phi);
-  let tracks = List.length scope in
-  let alphabet = sigma lsl tracks in
-  let base = function
-    | TTrue -> Ta.total_language ~alphabet
-    | TFalse -> Ta.empty_language ~alphabet
-    | Label (la, x) ->
-        if la < 0 || la >= sigma then
-          invalid_arg "Tree_formula.compile: label out of range";
-        let t = track scope x in
-        machine ~sigma ~tracks ~states:2
-          ~leaf_next:(fun a m ->
-            if bit m t then if a = la then Some 1 else None else Some 0)
-          ~unary_next:(fun q a m ->
-            match (q, bit m t) with
-            | 0, false -> Some 0
-            | 0, true -> if a = la then Some 1 else None
-            | 1, false -> Some 1
-            | _ -> None)
-          ~binary_next:(fun q1 q2 a m ->
-            let below = q1 + q2 in
-            if bit m t then
-              if below = 0 && a = la then Some 1 else None
-            else if below <= 1 then Some below
-            else None)
-          ~accepting:(fun q -> q = 1)
+(* preorder relabelling: [f id label] at every node *)
+let mapi_labels f tree =
+  let counter = ref (-1) in
+  let rec go t =
+    incr counter;
+    let id = !counter in
+    match t with
+    | Tree.Leaf a -> Tree.Leaf (f id a)
+    | Tree.Unary (a, c) ->
+        let a' = f id a in
+        Tree.Unary (a', go c)
+    | Tree.Binary (a, l, r) ->
+        let a' = f id a in
+        let l' = go l in
+        let r' = go r in
+        Tree.Binary (a', l', r')
+  in
+  go tree
+
+include Compile (struct
+  type automaton = Ta.t
+  type input = Tree.t
+
+  let total_language = Ta.total_language
+  let empty_language = Ta.empty_language
+  let complement = Ta.complement
+  let product = Ta.product
+  let minimize = Ta.minimize
+
+  let erase = Ta.erase
+
+  let singleton ~sigma ~tracks t = one_mark ~sigma ~tracks t (fun _ _ -> true)
+  let mapi_letters = mapi_labels
+  let accepts = Ta.accepts
+
+  let atom ~sigma ~tracks track = function
+    | Letter (la, x) -> one_mark ~sigma ~tracks (track x) (fun a _ -> a = la)
+    | Mem (x, bigx) ->
+        let ts = track bigx in
+        one_mark ~sigma ~tracks (track x) (fun _ m -> bit m ts)
     | (Child1 (x, y) | Child2 (x, y)) as atom ->
         let is_first = match atom with Child1 _ -> true | _ -> false in
-        let tx = track scope x and ty = track scope y in
+        let tx = track x and ty = track y in
         (* states: 0 = N, 1 = y at subtree root, 2 = OK *)
         machine ~sigma ~tracks ~states:3
           ~leaf_next:(fun _ m ->
@@ -249,7 +149,7 @@ let rec compile ~sigma ~scope phi =
                 | _ -> None))
           ~accepting:(fun q -> q = 2)
     | EqPos (x, y) ->
-        let tx = track scope x and ty = track scope y in
+        let tx = track x and ty = track y in
         machine ~sigma ~tracks ~states:2
           ~leaf_next:(fun _ m ->
             match (bit m tx, bit m ty) with
@@ -268,98 +168,5 @@ let rec compile ~sigma ~scope phi =
             | true, true -> if below = 0 then Some 1 else None
             | _ -> None)
           ~accepting:(fun q -> q = 1)
-    | Mem (x, bigx) ->
-        let tx = track scope x and ts = track scope bigx in
-        machine ~sigma ~tracks ~states:2
-          ~leaf_next:(fun _ m ->
-            if bit m tx then if bit m ts then Some 1 else None else Some 0)
-          ~unary_next:(fun q _ m ->
-            if bit m tx then
-              if q = 0 && bit m ts then Some 1 else None
-            else Some q)
-          ~binary_next:(fun q1 q2 _ m ->
-            let below = q1 + q2 in
-            if bit m tx then
-              if below = 0 && bit m ts then Some 1 else None
-            else if below <= 1 then Some below
-            else None)
-          ~accepting:(fun q -> q = 1)
-    | _ -> assert false
-  in
-  let quantify ~is_pos ~exists x kind body =
-    let scope' = scope @ [ (x, kind) ] in
-    let inner =
-      if exists then compile ~sigma ~scope:scope' body
-      else Ta.complement (compile ~sigma ~scope:scope' body)
-    in
-    let inner =
-      if is_pos then
-        Ta.minimize
-          (Ta.product inner
-             (singleton_ta ~sigma ~tracks:(tracks + 1) tracks)
-             ~mode:`Inter)
-      else Ta.minimize inner
-    in
-    let half = alphabet in
-    let nta = Ta.project inner ~alphabet:half (fun b -> [ b; b + half ]) in
-    let projected = Ta.minimize (Ta.determinize nta) in
-    if exists then projected else Ta.minimize (Ta.complement projected)
-  in
-  match phi with
-  | TTrue | TFalse | Label _ | Child1 _ | Child2 _ | EqPos _ | Mem _ ->
-      Ta.minimize (base phi)
-  | Not f -> Ta.minimize (Ta.complement (compile ~sigma ~scope f))
-  | And fs ->
-      Ta.minimize
-        (List.fold_left
-           (fun acc f -> Ta.product acc (compile ~sigma ~scope f) ~mode:`Inter)
-           (Ta.total_language ~alphabet)
-           fs)
-  | Or fs ->
-      Ta.minimize
-        (List.fold_left
-           (fun acc f -> Ta.product acc (compile ~sigma ~scope f) ~mode:`Union)
-           (Ta.empty_language ~alphabet)
-           fs)
-  | ExistsPos (x, f) -> quantify ~is_pos:true ~exists:true x Pos f
-  | ForallPos (x, f) -> quantify ~is_pos:true ~exists:false x Pos f
-  | ExistsSet (x, f) -> quantify ~is_pos:false ~exists:true x Set f
-  | ForallSet (x, f) -> quantify ~is_pos:false ~exists:false x Set f
-
-let annotate ~sigma ~scope tree asg =
-  let counter = ref (-1) in
-  let mask_at id =
-    List.fold_left
-      (fun acc (t, (v, kind)) ->
-        let marked =
-          match kind with
-          | Pos -> List.assoc v asg.pos = id
-          | Set -> List.mem id (List.assoc v asg.sets)
-        in
-        if marked then acc lor (1 lsl t) else acc)
-      0
-      (List.mapi (fun t entry -> (t, entry)) scope)
-  in
-  let rec go t =
-    incr counter;
-    let id = !counter in
-    let enc a =
-      if a < 0 || a >= sigma then
-        invalid_arg "Tree_formula.annotate: label out of range";
-      a + (sigma * mask_at id)
-    in
-    match t with
-    | Tree.Leaf a -> Tree.Leaf (enc a)
-    | Tree.Unary (a, c) ->
-        let a' = enc a in
-        Tree.Unary (a', go c)
-    | Tree.Binary (a, l, r) ->
-        let a' = enc a in
-        let l' = go l in
-        let r' = go r in
-        Tree.Binary (a', l', r')
-  in
-  go tree
-
-let holds_compiled ~sigma ~scope ta tree asg =
-  Ta.accepts ta (annotate ~sigma ~scope tree asg)
+    | atom -> foreign ~structure:"trees" atom
+end)

@@ -1,53 +1,24 @@
-(** MSO on labelled trees (arity ≤ 2), compiled to bottom-up tree
-    automata — the Thatcher–Wright counterpart of {!Formula}, and the
-    concept language of the paper's related work [19].
+(** MSO on labelled trees (arity ≤ 2): the tree instance of the
+    {!Formula} skeletons, compiled to bottom-up tree automata — the
+    Thatcher–Wright counterpart of the word instance, and the concept
+    language of the paper's related work [19].
 
+    Formulas are {!Formula.t} with the tree atoms [Child1]/[Child2]
+    ([Less] and [Succ] are word atoms and raise [Invalid_argument]).
     Positions are preorder node ids of a {!Tree.t}. *)
 
-type var = string
-
-type t =
-  | TTrue
-  | TFalse
-  | Label of int * var  (** node [x] carries the label *)
-  | Child1 of var * var  (** [y] is the first child of [x] *)
-  | Child2 of var * var  (** [y] is the second child of [x] *)
-  | EqPos of var * var
-  | Mem of var * var  (** node [x] belongs to set [X] *)
-  | Not of t
-  | And of t list
-  | Or of t list
-  | ExistsPos of var * t
-  | ForallPos of var * t
-  | ExistsSet of var * t
-  | ForallSet of var * t
-
-type kind = Pos | Set
-
-val free : t -> (var * kind) list
-(** Sorted free variables.
-    @raise Invalid_argument on a kind clash. *)
-
-type assignment = {
-  pos : (var * int) list;
-  sets : (var * int list) list;
-}
-
-val empty_assignment : assignment
-
-val eval : tree:Tree.t -> assignment -> t -> bool
+val eval : tree:Tree.t -> Formula.assignment -> Formula.t -> bool
 (** Direct reference semantics (set quantifiers enumerate all subsets:
     small trees only). *)
 
-val compile : sigma:int -> scope:(var * kind) list -> t -> Tree_automaton.t
-(** Compile to a tree automaton over the track alphabet
-    [sigma * 2^|scope|] (label [a] with mark bitmask [m] encoded as
-    [a + sigma * m]); accepts exactly the validly annotated trees
-    satisfying the formula. *)
-
-val annotate : sigma:int -> scope:(var * kind) list -> Tree.t -> assignment -> Tree.t
-(** Encode marks into the labels. *)
+val compile :
+  sigma:int -> scope:(Formula.var * Formula.kind) list -> Formula.t ->
+  Tree_automaton.t
+(** {!Formula.Compile.compile} on trees: a tree automaton over the track
+    alphabet [sigma * 2^|scope|] (label [a] with mark bitmask [m]
+    encoded as [a + sigma * m]). *)
 
 val holds_compiled :
-  sigma:int -> scope:(var * kind) list -> Tree_automaton.t -> Tree.t ->
-  assignment -> bool
+  sigma:int -> scope:(Formula.var * Formula.kind) list -> Tree_automaton.t ->
+  Tree.t -> Formula.assignment -> bool
+(** {!Formula.Compile.holds_compiled} on trees. *)

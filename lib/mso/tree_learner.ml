@@ -1,101 +1,25 @@
-type entry = {
-  name : string;
-  phi : Tree_formula.t;
-  xvars : Tree_formula.var list;
-  yvars : Tree_formula.var list;
-}
-
-type result = {
-  entry : entry;
-  params : int array;
-  err : float;
-  evaluations : int;
-}
-
-let scope_of entry =
-  List.map (fun v -> (v, Tree_formula.Pos)) (entry.xvars @ entry.yvars)
-
-let check_entry entry =
-  let scope = scope_of entry in
-  List.iter
-    (fun (v, kind) ->
-      match (List.assoc_opt v scope, kind) with
-      | Some Tree_formula.Pos, Tree_formula.Pos -> ()
-      | _ ->
-          invalid_arg
-            (Printf.sprintf
-               "Tree_learner: free variable %S of %S must be an x/y position \
-                variable"
-               v entry.name))
-    (Tree_formula.free entry.phi)
-
-let assignment_of entry example params =
-  {
-    Tree_formula.pos =
-      List.map2
-        (fun v p -> (v, p))
-        (entry.xvars @ entry.yvars)
-        (Array.to_list example @ Array.to_list params);
-    sets = [];
-  }
-
-let rec param_tuples n = function
-  | 0 -> [ [||] ]
-  | j ->
-      List.concat_map
-        (fun rest -> List.init n (fun p -> Array.append [| p |] rest))
-        (param_tuples n (j - 1))
+let prepare ~sigma ~tree (entry : Learner.entry) =
+  let scope =
+    List.map (fun v -> (v, Formula.Pos)) (entry.xvars @ entry.yvars)
+  in
+  let ta = Tree_formula.compile ~sigma ~scope entry.phi in
+  ( ta.Tree_automaton.states,
+    fun example params ->
+      Tree_formula.holds_compiled ~sigma ~scope ta tree
+        {
+          Formula.pos =
+            List.combine
+              (entry.xvars @ entry.yvars)
+              (Array.to_list example @ Array.to_list params);
+          sets = [];
+        } )
 
 let solve ~sigma ~tree ~catalogue examples =
-  let n = Tree.size tree in
-  let m = List.length examples in
-  let evals = ref 0 in
-  let best = ref None in
-  List.iter
-    (fun entry ->
-      check_entry entry;
-      let kx = List.length entry.xvars in
-      List.iter
-        (fun (v, _) ->
-          if Array.length v <> kx then
-            invalid_arg "Tree_learner.solve: example arity mismatch")
-        examples;
-      let scope = scope_of entry in
-      let ta = Tree_formula.compile ~sigma ~scope entry.phi in
-      List.iter
-        (fun params ->
-          let errs =
-            List.fold_left
-              (fun acc (v, label) ->
-                incr evals;
-                let verdict =
-                  Tree_formula.holds_compiled ~sigma ~scope ta tree
-                    (assignment_of entry v params)
-                in
-                if verdict <> label then acc + 1 else acc)
-              0 examples
-          in
-          match !best with
-          | Some (_, _, e) when e <= errs -> ()
-          | _ -> best := Some (entry, params, errs))
-        (param_tuples n (List.length entry.yvars)))
-    catalogue;
-  match !best with
-  | None -> None
-  | Some (entry, params, errs) ->
-      Some
-        {
-          entry;
-          params;
-          err = (if m = 0 then 0.0 else float_of_int errs /. float_of_int m);
-          evaluations = !evals;
-        }
+  Learner.erm ~n:(Tree.size tree) ~catalogue ~prepare:(prepare ~sigma ~tree)
+    examples
 
-let predict ~sigma ~tree result v =
-  let scope = scope_of result.entry in
-  let ta = Tree_formula.compile ~sigma ~scope result.entry.phi in
-  Tree_formula.holds_compiled ~sigma ~scope ta tree
-    (assignment_of result.entry v result.params)
+let predict ~sigma ~tree (result : Learner.result) v =
+  snd (prepare ~sigma ~tree result.entry) v result.params
 
 (* ------------------------------------------------------------------ *)
 (* Per-node preprocessing for unary concepts ([19])                    *)
@@ -110,16 +34,15 @@ module Node_oracle = struct
   }
 
   let make ~sigma phi tree =
-    (match Tree_formula.free phi with
-    | [ (_, Tree_formula.Pos) ] -> ()
-    | _ ->
-        invalid_arg
-          "Node_oracle.make: the formula must have exactly one free position \
-           variable");
     let x =
-      match Tree_formula.free phi with [ (v, _) ] -> v | _ -> assert false
+      match Formula.free phi with
+      | [ (x, Formula.Pos) ] -> x
+      | _ ->
+          invalid_arg
+            "Node_oracle.make: the formula must have exactly one free \
+             position variable"
     in
-    let ta = Tree_formula.compile ~sigma ~scope:[ (x, Tree_formula.Pos) ] phi in
+    let ta = Tree_formula.compile ~sigma ~scope:[ (x, Formula.Pos) ] phi in
     let states = ta.Ta.states in
     let n = Tree.size tree in
     (* pass 1 (bottom-up): zero-annotated state below every node *)

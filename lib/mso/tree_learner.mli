@@ -6,39 +6,27 @@
     phase of [19] for single-variable concepts: one bottom-up pass
     computing the automaton state below every node and one top-down pass
     computing the acceptance behaviour of every node's context — after
-    which classifying any node is O(1). *)
+    which classifying any node is O(1).
 
-type entry = {
-  name : string;
-  phi : Tree_formula.t;
-  xvars : Tree_formula.var list;
-  yvars : Tree_formula.var list;
-}
-
-type result = {
-  entry : entry;
-  params : int array;  (** chosen node ids *)
-  err : float;
-  evaluations : int;
-}
+    The catalogue and the ERM loop are {!Learner}'s. *)
 
 val solve :
   sigma:int ->
   tree:Tree.t ->
-  catalogue:entry list ->
+  catalogue:Learner.entry list ->
   (int array * bool) list ->
-  result option
-(** Exact ERM over catalogue × parameter node tuples (naive O(n)
+  Learner.result option
+(** {!Learner.erm} over catalogue × parameter node tuples (naive O(n)
     evaluation per combination). *)
 
-val predict : sigma:int -> tree:Tree.t -> result -> int array -> bool
+val predict : sigma:int -> tree:Tree.t -> Learner.result -> int array -> bool
 
 (** {1 The preprocessing oracle for φ(x)} *)
 
 module Node_oracle : sig
   type t
 
-  val make : sigma:int -> Tree_formula.t -> Tree.t -> t
+  val make : sigma:int -> Formula.t -> Tree.t -> t
   (** [make ~sigma phi tree] for a formula with exactly one free position
       variable.  Compiles the formula, then runs the two passes.
       @raise Invalid_argument if the formula is not unary. *)

@@ -20,6 +20,7 @@ let () =
       ("plan", Test_plan.suite);
       ("mso", Test_mso.suite);
       ("trees", Test_trees.suite);
+      ("mso core", Test_mso_core.suite);
       ("obs", Test_obs.suite);
       ("guard", Test_guard.suite);
       ("par", Test_par.suite);

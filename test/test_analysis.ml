@@ -186,34 +186,34 @@ let test_hints () =
 let test_mso_rules () =
   let open Mso.Formula in
   check_has "kind clash" "kind-clash"
-    (Mso_check.check_word (And [ Mem ("x", "X"); Less ("X", "y") ]));
+    (Mso_check.check (And [ Mem ("x", "X"); Less ("X", "y") ]));
   check_has "unknown letter" "unknown-letter"
-    (Mso_check.check_word ~sigma:2 (Letter (5, "x")));
+    (Mso_check.check ~sigma:2 (Letter (5, "x")));
   check_clean "known letter"
-    (Mso_check.check_word ~sigma:2 ~allowed_free:[ "x" ] (Letter (1, "x")));
+    (Mso_check.check ~sigma:2 ~allowed_free:[ "x" ] (Letter (1, "x")));
   check_has "mso unbound" "unbound-variable"
-    (Mso_check.check_word ~allowed_free:[ "x" ] (Less ("x", "y")));
+    (Mso_check.check ~allowed_free:[ "x" ] (Less ("x", "y")));
   check_has "mso shadowed" "shadowed-binder"
-    (Mso_check.check_word
+    (Mso_check.check
        (ExistsPos ("x", ExistsPos ("x", Less ("x", "x")))));
   check_has "mso vacuous" "vacuous-quantifier"
-    (Mso_check.check_word (ExistsSet ("X", Less ("x", "y"))));
+    (Mso_check.check (ExistsSet ("X", Less ("x", "y"))));
   check_has "mso rank budget" "rank-over-budget"
-    (Mso_check.check_word ~max_rank:1
+    (Mso_check.check ~max_rank:1
        (ExistsPos ("x", ExistsSet ("X", Mem ("x", "X")))));
   check_clean "mso sentence"
-    (Mso_check.check_word ~sigma:2 ~allowed_free:[]
+    (Mso_check.check ~sigma:2 ~allowed_free:[]
        (ExistsPos ("x", Letter (0, "x"))))
 
 let test_mso_trees () =
-  let open Mso.Tree_formula in
+  let open Mso.Formula in
   check_has "tree kind clash" "kind-clash"
-    (Mso_check.check_tree (And [ Mem ("x", "X"); Child1 ("X", "y") ]));
+    (Mso_check.check (And [ Mem ("x", "X"); Child1 ("X", "y") ]));
   check_has "tree unknown label" "unknown-letter"
-    (Mso_check.check_tree ~sigma:2 (Label (3, "x")));
+    (Mso_check.check ~sigma:2 (Letter (3, "x")));
   check_clean "tree sentence"
-    (Mso_check.check_tree ~sigma:2 ~allowed_free:[]
-       (ExistsPos ("x", Label (1, "x"))))
+    (Mso_check.check ~sigma:2 ~allowed_free:[]
+       (ExistsPos ("x", Letter (1, "x"))))
 
 (* ------------------------------------------------------------------ *)
 (* Diagnostics plumbing                                                *)

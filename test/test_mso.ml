@@ -762,7 +762,7 @@ let parsers_never_raise =
     (fun text ->
       (match Fo.Parser.parse_result text with Ok _ | Error _ -> ());
       ignore (P.parse_opt ~letters:[ "a"; "b"; "c" ] text);
-      ignore (Mso.Tree_parser.parse_opt ~labels:[ "a"; "b" ] text);
+      ignore (P.parse_opt ~structure:`Trees ~letters:[ "a"; "b" ] text);
       true)
 
 let suite =

@@ -4,7 +4,9 @@
 
 module T = Mso.Tree
 module Ta = Mso.Tree_automaton
+module F = Mso.Formula
 module Tf = Mso.Tree_formula
+module L = Mso.Learner
 module Tl = Mso.Tree_learner
 
 let check = Alcotest.(check bool)
@@ -169,18 +171,18 @@ let test_ta_minimize () =
 let tree_sentences =
   [
     ( "some node labelled 1",
-      Tf.ExistsPos ("x", Tf.Label (1, "x")),
+      F.ExistsPos ("x", F.Letter (1, "x")),
       fun t -> List.exists (fun (_, a) -> a = 1) (T.nodes t) );
     ( "all nodes labelled 1",
-      Tf.ForallPos ("x", Tf.Label (1, "x")),
+      F.ForallPos ("x", F.Letter (1, "x")),
       fun t -> List.for_all (fun (_, a) -> a = 1) (T.nodes t) );
     ( "a 0-node with a 1-first-child",
-      Tf.ExistsPos
+      F.ExistsPos
         ( "x",
-          Tf.ExistsPos
+          F.ExistsPos
             ( "y",
-              Tf.And
-                [ Tf.Child1 ("x", "y"); Tf.Label (0, "x"); Tf.Label (1, "y") ]
+              F.And
+                [ F.Child1 ("x", "y"); F.Letter (0, "x"); F.Letter (1, "y") ]
             ) ),
       fun t ->
         List.exists
@@ -191,26 +193,26 @@ let tree_sentences =
                | [] -> false)
           (T.nodes t) );
     ( "some leaf",
-      Tf.ExistsPos ("x", Tf.Not (Tf.ExistsPos ("y", Tf.Child1 ("x", "y")))),
+      F.ExistsPos ("x", F.Not (F.ExistsPos ("y", F.Child1 ("x", "y")))),
       fun _ -> true );
     ( "root is binary with equal-labelled children",
-      Tf.ExistsPos
+      F.ExistsPos
         ( "r",
-          Tf.And
+          F.And
             [
-              Tf.Not (Tf.ExistsPos ("p", Tf.Or [ Tf.Child1 ("p", "r"); Tf.Child2 ("p", "r") ]));
-              Tf.ExistsPos
+              F.Not (F.ExistsPos ("p", F.Or [ F.Child1 ("p", "r"); F.Child2 ("p", "r") ]));
+              F.ExistsPos
                 ( "l",
-                  Tf.ExistsPos
+                  F.ExistsPos
                     ( "rr",
-                      Tf.And
+                      F.And
                         [
-                          Tf.Child1 ("r", "l");
-                          Tf.Child2 ("r", "rr");
-                          Tf.Or
+                          F.Child1 ("r", "l");
+                          F.Child2 ("r", "rr");
+                          F.Or
                             [
-                              Tf.And [ Tf.Label (0, "l"); Tf.Label (0, "rr") ];
-                              Tf.And [ Tf.Label (1, "l"); Tf.Label (1, "rr") ];
+                              F.And [ F.Letter (0, "l"); F.Letter (0, "rr") ];
+                              F.And [ F.Letter (1, "l"); F.Letter (1, "rr") ];
                             ];
                         ] ) );
             ] ),
@@ -226,7 +228,7 @@ let test_tree_mso_sentences () =
       let ta = Tf.compile ~sigma:2 ~scope:[] phi in
       List.iter
         (fun t ->
-          let direct = Tf.eval ~tree:t Tf.empty_assignment phi in
+          let direct = Tf.eval ~tree:t F.empty_assignment phi in
           let via = Ta.accepts ta t in
           let expected = semantics t in
           if direct <> expected then
@@ -241,19 +243,19 @@ let test_tree_mso_sentences () =
 let test_tree_mso_free_var () =
   (* phi(x) = "x is labelled 1 and has a first child labelled 0" *)
   let phi =
-    Tf.And
+    F.And
       [
-        Tf.Label (1, "x");
-        Tf.ExistsPos ("y", Tf.And [ Tf.Child1 ("x", "y"); Tf.Label (0, "y") ]);
+        F.Letter (1, "x");
+        F.ExistsPos ("y", F.And [ F.Child1 ("x", "y"); F.Letter (0, "y") ]);
       ]
   in
-  let scope = [ ("x", Tf.Pos) ] in
+  let scope = [ ("x", F.Pos) ] in
   let ta = Tf.compile ~sigma:2 ~scope phi in
   List.iter
     (fun t ->
       List.iter
         (fun (id, _) ->
-          let asg = { Tf.pos = [ ("x", id) ]; sets = [] } in
+          let asg = { F.pos = [ ("x", id) ]; sets = [] } in
           if
             Tf.eval ~tree:t asg phi
             <> Tf.holds_compiled ~sigma:2 ~scope ta t asg
@@ -263,17 +265,17 @@ let test_tree_mso_free_var () =
 
 let test_tree_shadowing () =
   let phi =
-    Tf.And
-      [ Tf.Label (1, "x");
-        Tf.ExistsPos ("p", Tf.ForallPos ("p", Tf.Not (Tf.EqPos ("x", "p")))) ]
+    F.And
+      [ F.Letter (1, "x");
+        F.ExistsPos ("p", F.ForallPos ("p", F.Not (F.EqPos ("x", "p")))) ]
   in
-  let scope = [ ("x", Tf.Pos) ] in
+  let scope = [ ("x", F.Pos) ] in
   let ta = Tf.compile ~sigma:2 ~scope phi in
   List.iter
     (fun t ->
       List.iter
         (fun (id, _) ->
-          let asg = { Tf.pos = [ ("x", id) ]; sets = [] } in
+          let asg = { F.pos = [ ("x", id) ]; sets = [] } in
           if
             Tf.eval ~tree:t asg phi
             <> Tf.holds_compiled ~sigma:2 ~scope ta t asg
@@ -285,27 +287,27 @@ let test_tree_mso_sets () =
   (* "there is a set containing the root and closed under first children"
      - trivially true (take all nodes); and its negation false *)
   let phi =
-    Tf.ExistsSet
+    F.ExistsSet
       ( "X",
-        Tf.And
+        F.And
           [
-            Tf.ExistsPos
+            F.ExistsPos
               ( "r",
-                Tf.And
+                F.And
                   [
-                    Tf.Not
-                      (Tf.ExistsPos
-                         ("p", Tf.Or [ Tf.Child1 ("p", "r"); Tf.Child2 ("p", "r") ]));
-                    Tf.Mem ("r", "X");
+                    F.Not
+                      (F.ExistsPos
+                         ("p", F.Or [ F.Child1 ("p", "r"); F.Child2 ("p", "r") ]));
+                    F.Mem ("r", "X");
                   ] );
-            Tf.ForallPos
+            F.ForallPos
               ( "u",
-                Tf.ForallPos
+                F.ForallPos
                   ( "v",
-                    Tf.Or
+                    F.Or
                       [
-                        Tf.Not (Tf.And [ Tf.Mem ("u", "X"); Tf.Child1 ("u", "v") ]);
-                        Tf.Mem ("v", "X");
+                        F.Not (F.And [ F.Mem ("u", "X"); F.Child1 ("u", "v") ]);
+                        F.Mem ("v", "X");
                       ] ) );
           ] )
   in
@@ -313,26 +315,26 @@ let test_tree_mso_sets () =
   List.iter
     (fun t ->
       check "set sentence holds everywhere" true (Ta.accepts ta t);
-      check "direct agrees" true (Tf.eval ~tree:t Tf.empty_assignment phi))
+      check "direct agrees" true (Tf.eval ~tree:t F.empty_assignment phi))
     (all_trees_up_to 2 3)
 
 (* ------------------------------------------------------------------ *)
 (* Concrete syntax for tree formulas                                   *)
 (* ------------------------------------------------------------------ *)
 
-module Tp = Mso.Tree_parser
+module P = Mso.Parser
 
 let test_tree_formula_parser () =
   let labels = [ "a"; "b" ] in
-  check "label atom" true (Tp.parse ~labels "b(x)" = Tf.Label (1, "x"));
-  check "child1" true (Tp.parse ~labels "child1(x, y)" = Tf.Child1 ("x", "y"));
-  check "membership" true (Tp.parse ~labels "x in X" = Tf.Mem ("x", "X"));
+  check "label atom" true (P.parse ~structure:`Trees ~letters:labels "b(x)" = F.Letter (1, "x"));
+  check "child1" true (P.parse ~structure:`Trees ~letters:labels "child1(x, y)" = F.Child1 ("x", "y"));
+  check "membership" true (P.parse ~structure:`Trees ~letters:labels "x in X" = F.Mem ("x", "X"));
   check "quantifiers" true
-    (Tp.parse ~labels "exists x. forall y. x = y"
-    = Tf.ExistsPos ("x", Tf.ForallPos ("y", Tf.EqPos ("x", "y"))));
-  check "unknown label" true (Tp.parse_opt ~labels "z(x)" = None);
+    (P.parse ~structure:`Trees ~letters:labels "exists x. forall y. x = y"
+    = F.ExistsPos ("x", F.ForallPos ("y", F.EqPos ("x", "y"))));
+  check "unknown label" true (P.parse_opt ~structure:`Trees ~letters:labels "z(x)" = None);
   (* parse-compile-run round trip *)
-  let phi = Tp.parse ~labels "exists x. b(x) /\\ ~ exists y. child1(x, y)" in
+  let phi = P.parse ~structure:`Trees ~letters:labels "exists x. b(x) /\\ ~ exists y. child1(x, y)" in
   let ta = Tf.compile ~sigma:2 ~scope:[] phi in
   check "b-leaf exists in t0" true (Ta.accepts ta t0);
   check "no b-leaf in all-a tree" false
@@ -346,14 +348,14 @@ let unary_phi =
   (* x is labelled 1 and some strict ancestor is labelled 0: expressible
      via "exists p. (Child1(p,x) \/ Child2(p,x)) /\ ..."?  ancestors need
      transitive closure; keep it local instead: parent is labelled 0 *)
-  Tf.And
+  F.And
     [
-      Tf.Label (1, "x");
-      Tf.ExistsPos
+      F.Letter (1, "x");
+      F.ExistsPos
         ( "p",
-          Tf.And
-            [ Tf.Or [ Tf.Child1 ("p", "x"); Tf.Child2 ("p", "x") ];
-              Tf.Label (0, "p") ] );
+          F.And
+            [ F.Or [ F.Child1 ("p", "x"); F.Child2 ("p", "x") ];
+              F.Letter (0, "p") ] );
     ]
 
 let test_node_oracle_agrees () =
@@ -364,7 +366,7 @@ let test_node_oracle_agrees () =
       List.iter
         (fun (id, _) ->
           let direct =
-            Tf.eval ~tree:t { Tf.pos = [ ("x", id) ]; sets = [] } unary_phi
+            Tf.eval ~tree:t { F.pos = [ ("x", id) ]; sets = [] } unary_phi
           in
           if Tl.Node_oracle.holds oracle id <> direct then
             Alcotest.failf "oracle mismatch at node %d (seed %d)" id seed)
@@ -376,7 +378,7 @@ let test_node_oracle_guards () =
     (try
        ignore
          (Tl.Node_oracle.make ~sigma:2
-            (Tf.Child1 ("x", "y"))
+            (F.Child1 ("x", "y"))
             (T.Leaf 0));
        false
      with Invalid_argument _ -> true)
@@ -387,19 +389,19 @@ let test_node_oracle_guards () =
 
 let tree_catalogue =
   [
-    { Tl.name = "labelled 1"; phi = Tf.Label (1, "x"); xvars = [ "x" ]; yvars = [] };
+    { L.name = "labelled 1"; phi = F.Letter (1, "x"); xvars = [ "x" ]; yvars = [] };
     {
-      Tl.name = "child of the parameter";
-      phi = Tf.Or [ Tf.Child1 ("y1", "x"); Tf.Child2 ("y1", "x") ];
+      L.name = "child of the parameter";
+      phi = F.Or [ F.Child1 ("y1", "x"); F.Child2 ("y1", "x") ];
       xvars = [ "x" ];
       yvars = [ "y1" ];
     };
     {
-      Tl.name = "same label as the parameter";
+      L.name = "same label as the parameter";
       phi =
-        Tf.Or
-          [ Tf.And [ Tf.Label (0, "x"); Tf.Label (0, "y1") ];
-            Tf.And [ Tf.Label (1, "x"); Tf.Label (1, "y1") ] ];
+        F.Or
+          [ F.And [ F.Letter (0, "x"); F.Letter (0, "y1") ];
+            F.And [ F.Letter (1, "x"); F.Letter (1, "y1") ] ];
       xvars = [ "x" ];
       yvars = [ "y1" ];
     };
@@ -415,10 +417,10 @@ let test_tree_learner () =
   match Tl.solve ~sigma:2 ~tree:t ~catalogue:tree_catalogue examples with
   | None -> Alcotest.fail "catalogue should fit"
   | Some r ->
-      Alcotest.(check (float 1e-9)) "err 0" 0.0 r.Tl.err;
+      Alcotest.(check (float 1e-9)) "err 0" 0.0 r.L.err;
       check "found the child concept" true
-        (r.Tl.entry.Tl.name = "child of the parameter");
-      check_int "parameter is node 3" 3 r.Tl.params.(0);
+        (r.L.entry.L.name = "child of the parameter");
+      check_int "parameter is node 3" 3 r.L.params.(0);
       check "predict fresh" true
         (List.for_all
            (fun (id, _) ->
@@ -434,7 +436,7 @@ let test_tree_learner_agnostic () =
   in
   match Tl.solve ~sigma:2 ~tree:t ~catalogue:tree_catalogue examples with
   | None -> Alcotest.fail "nonempty catalogue"
-  | Some r -> check "one error in six" true (abs_float (r.Tl.err -. (1.0 /. 6.0)) < 1e-9)
+  | Some r -> check "one error in six" true (abs_float (r.L.err -. (1.0 /. 6.0)) < 1e-9)
 
 let suite =
   [
