@@ -758,7 +758,7 @@ let e13 () =
   let scope = [ ("x", M.Pos) ] in
   let dfa = M.compile ~sigma ~scope phi in
   row "concept: 'some error precedes x' (%d-state track automaton)\n"
-    dfa.Mso.Dfa.states;
+    dfa.Mso.Automaton.states;
   row "%10s %14s %16s %16s\n" "n" "preproc (ms)" "naive eval (us)"
     "oracle eval (us)";
   List.iter
@@ -824,20 +824,29 @@ let e13 () =
                 Tf.Letter (1, "p") ] );
       ]
   in
+  let classify ~shape t =
+    let n = Mso.Tree.size t in
+    let oracle, t_pre =
+      time (fun () -> Tl.Node_oracle.make ~sigma:2 tree_phi t)
+    in
+    let (), t_all =
+      time (fun () ->
+          for v = 0 to n - 1 do
+            ignore (Tl.Node_oracle.holds oracle v)
+          done)
+    in
+    row "%10d %14.2f %18.2f%s\n" n (t_pre *. 1e3) (t_all *. 1e3) shape
+  in
   List.iter
-    (fun n ->
-      let t = Mso.Tree.random ~seed:n ~sigma:2 ~size:n in
-      let oracle, t_pre =
-        time (fun () -> Tl.Node_oracle.make ~sigma:2 tree_phi t)
-      in
-      let (), t_all =
-        time (fun () ->
-            for v = 0 to n - 1 do
-              ignore (Tl.Node_oracle.holds oracle v)
-            done)
-      in
-      row "%10d %14.2f %18.2f\n" n (t_pre *. 1e3) (t_all *. 1e3))
+    (fun n -> classify ~shape:"" (Mso.Tree.random ~seed:n ~sigma:2 ~size:n))
     [ 1_000; 10_000; 100_000 ];
+  (* a left comb: every right child a leaf, so the left spine is as deep
+     as the tree is large *)
+  let comb = ref (Mso.Tree.Leaf 0) in
+  for k = 1 to 50_000 do
+    comb := Mso.Tree.Binary (k mod 2, !comb, Mso.Tree.Leaf (k / 2 mod 2))
+  done;
+  classify ~shape:"  (left comb)" !comb;
   row
     "shape check: preprocessing is near-linear, per-query evaluation is \
      logarithmic on strings and O(1) on trees (flat vs the naive O(n) run \

@@ -933,7 +933,7 @@ let strings_cmd =
         in
         let dfa = Mso.Regex.to_dfa ~sigma r in
         Format.printf "%b  (regex automaton: %d states)@."
-          (Mso.Dfa.accepts dfa w) dfa.Mso.Dfa.states
+          (Mso.Automaton.accepts_word dfa w) dfa.Mso.Automaton.states
     | None -> ());
     (match sentence with
     | Some src ->
@@ -941,7 +941,7 @@ let strings_cmd =
         if free <> [] then usage "folearn strings: -f needs a sentence";
         let dfa = Mso.Formula.language ~sigma phi in
         Format.printf "%b  (automaton: %d states)@."
-          (Mso.Dfa.accepts dfa w) dfa.Mso.Dfa.states
+          (Mso.Automaton.accepts_word dfa w) dfa.Mso.Automaton.states
     | None -> ());
     (match target with
     | Some src ->
@@ -1058,7 +1058,7 @@ let trees_cmd =
         let phi, free = parse src in
         if free <> [] then usage "folearn trees: -f needs a sentence";
         let ta = Mso.Tree_formula.compile ~sigma ~scope:[] phi in
-        Format.printf "%b@." (Mso.Tree_automaton.accepts ta tree)
+        Format.printf "%b@." (Mso.Automaton.accepts_tree ta tree)
     | None -> ());
     (match concept with
     | Some src ->

@@ -124,19 +124,12 @@ let eval ~word asg phi =
 (* ------------------------------------------------------------------ *)
 
 module type STRUCTURE = sig
-  type automaton
   type input
 
-  val total_language : alphabet:int -> automaton
-  val empty_language : alphabet:int -> automaton
-  val complement : automaton -> automaton
-  val product : automaton -> automaton -> mode:[ `Inter | `Union ] -> automaton
-  val minimize : automaton -> automaton
-  val erase : automaton -> alphabet:int -> (int -> int list) -> automaton
-  val singleton : sigma:int -> tracks:int -> int -> automaton
-  val atom : sigma:int -> tracks:int -> (var -> int) -> t -> automaton
+  val shape : Automaton.shape
+  val atom : sigma:int -> tracks:int -> (var -> int) -> t -> Automaton.t
   val mapi_letters : (int -> int -> int) -> input -> input
-  val accepts : automaton -> input -> bool
+  val accepts : Automaton.t -> input -> bool
 end
 
 (* the track of a variable: quantifiers append their variable at the end
@@ -149,7 +142,31 @@ let innermost scope name =
   in
   find 0 None scope
 
+let bit mask i = (mask lsr i) land 1 = 1
+
+let machine shape ~sigma ~tracks ~states ~next ~accepting =
+  let sink = states in
+  Automaton.tabulate shape ~states:(states + 1) ~alphabet:(sigma lsl tracks)
+    (fun below l ->
+      if below = [] && shape = Automaton.Words then 0
+      else if List.mem sink below then sink
+      else Option.value (next below (l mod sigma) (l / sigma)) ~default:sink)
+    (fun q -> q <> sink && accepting q)
+
+(* exactly one position whose track mask passes [marked], where the
+   letter and mask pass [ok]: the state counts the marks below (0 or 1) *)
+let one_mark shape ~sigma ~tracks marked ok =
+  machine shape ~sigma ~tracks ~states:2
+    ~next:(fun below a m ->
+      let marks = List.fold_left ( + ) 0 below in
+      if not (marked m) then if marks <= 1 then Some marks else None
+      else if marks = 0 && ok a m then Some 1
+      else None)
+    ~accepting:(fun q -> q = 1)
+
 module Compile (S : STRUCTURE) = struct
+  module A = Automaton
+
   let compile ~sigma ~scope phi =
     if sigma < 1 then invalid_arg "Mso.compile: need sigma >= 1";
     List.iter
@@ -168,47 +185,54 @@ module Compile (S : STRUCTURE) = struct
     let rec go scope phi =
       let tracks = List.length scope in
       let alphabet = sigma lsl tracks in
+      let track x =
+        match innermost scope x with Some (i, _) -> i | None -> assert false
+      in
+      let on x m = bit m (track x) in
+      let atom marked ok =
+        A.minimize (one_mark S.shape ~sigma ~tracks marked ok)
+      in
       let quantify ~exists x kind body =
         let inner = go (scope @ [ (x, kind) ]) body in
-        let inner = if exists then inner else S.complement inner in
+        let inner = if exists then inner else A.complement inner in
         let inner =
           match kind with
           | Pos ->
-              S.minimize
-                (S.product inner
-                   (S.singleton ~sigma ~tracks:(tracks + 1) tracks)
-                   ~mode:`Inter)
+              let single =
+                one_mark S.shape ~sigma ~tracks:(tracks + 1)
+                  (fun m -> bit m tracks) (fun _ _ -> true)
+              in
+              A.minimize (A.product inner single ~mode:`Inter)
           | Set -> inner
         in
         (* erase the top track *)
         let projected =
-          S.minimize (S.erase inner ~alphabet (fun b -> [ b; b + alphabet ]))
+          A.minimize (A.erase inner ~alphabet (fun b -> [ b; b + alphabet ]))
         in
-        if exists then projected else S.minimize (S.complement projected)
+        if exists then projected else A.minimize (A.complement projected)
       in
       match phi with
-      | MTrue -> S.minimize (S.total_language ~alphabet)
-      | MFalse -> S.minimize (S.empty_language ~alphabet)
+      | MTrue -> A.total S.shape ~alphabet
+      | MFalse -> A.empty S.shape ~alphabet
       | Letter (a, _) when a < 0 || a >= sigma ->
           invalid_arg "Mso.compile: letter out of range"
-      | Letter _ | Less _ | Succ _ | Child1 _ | Child2 _ | EqPos _ | Mem _ ->
-          let track x =
-            match innermost scope x with Some (i, _) -> i | None -> assert false
-          in
-          S.minimize (S.atom ~sigma ~tracks track phi)
-      | Not f -> S.minimize (S.complement (go scope f))
+      | Letter (a, x) -> atom (on x) (fun l _ -> l = a)
+      | Mem (x, bigx) -> atom (on x) (fun _ m -> on bigx m)
+      | EqPos (x, y) ->
+          atom (fun m -> on x m || on y m) (fun _ m -> on x m && on y m)
+      | Less _ | Succ _ | Child1 _ | Child2 _ ->
+          A.minimize (S.atom ~sigma ~tracks track phi)
+      | Not f -> A.minimize (A.complement (go scope f))
       | And fs ->
-          S.minimize
+          A.minimize
             (List.fold_left
-               (fun acc f -> S.product acc (go scope f) ~mode:`Inter)
-               (S.total_language ~alphabet)
-               fs)
+               (fun acc f -> A.product acc (go scope f) ~mode:`Inter)
+               (A.total S.shape ~alphabet) fs)
       | Or fs ->
-          S.minimize
+          A.minimize
             (List.fold_left
-               (fun acc f -> S.product acc (go scope f) ~mode:`Union)
-               (S.empty_language ~alphabet)
-               fs)
+               (fun acc f -> A.product acc (go scope f) ~mode:`Union)
+               (A.empty S.shape ~alphabet) fs)
       | ExistsPos (x, f) -> quantify ~exists:true x Pos f
       | ForallPos (x, f) -> quantify ~exists:false x Pos f
       | ExistsSet (x, f) -> quantify ~exists:true x Set f
@@ -241,113 +265,29 @@ module Compile (S : STRUCTURE) = struct
     S.accepts a (annotate ~sigma ~scope input asg)
 end
 
-let bit mask i = (mask lsr i) land 1 = 1
-
-(* Build a DFA over alphabet sigma * 2^tracks from an explicit
-   state-machine description: start state 0, [next state letter bitmask]
-   and accepting states.  [None] is a rejecting sink. *)
-let machine ~sigma ~tracks ~states ~next ~accepting =
-  let alphabet = sigma lsl tracks in
-  let total = states + 1 in
-  let sink = states in
-  let delta =
-    Array.init total (fun q ->
-        Array.init alphabet (fun l ->
-            if q = sink then sink
-            else begin
-              let a = l mod sigma and mask = l / sigma in
-              match next q a mask with Some q' -> q' | None -> sink
-            end))
-  in
-  let accept = Array.init total (fun q -> q <> sink && accepting q) in
-  Dfa.create ~states:total ~alphabet ~start:0 ~delta ~accept
-
-(* one mark on track t, at a position whose letter and track mask pass
-   [ok] *)
-let one_mark ~sigma ~tracks t ok =
-  machine ~sigma ~tracks ~states:2
-    ~next:(fun q letter mask ->
-      match (q, bit mask t) with
-      | 0, false -> Some 0
-      | 0, true -> if ok letter mask then Some 1 else None
-      | 1, false -> Some 1
-      | _ -> None)
-    ~accepting:(fun q -> q = 1)
-
-module Words = struct
-  type automaton = Dfa.t
+include Compile (struct
   type input = int array
 
-  let total_language = Dfa.total_language
-  let empty_language = Dfa.empty_language
-  let complement = Dfa.complement
-  let product = Dfa.product
-  let minimize = Dfa.minimize
-
-  let erase d ~alphabet preimages =
-    Nfa.determinize (Nfa.project d ~alphabet preimages)
-
-  let singleton ~sigma ~tracks t = one_mark ~sigma ~tracks t (fun _ _ -> true)
+  let shape = Automaton.Words
   let mapi_letters = Array.mapi
-  let accepts = Dfa.accepts
+  let accepts = Automaton.accepts_word
 
+  (* states: 0 = before x, 1 = x seen, 2 = y seen after x ([Succ]: right
+     after) *)
   let atom ~sigma ~tracks track = function
-    | Letter (a, x) -> one_mark ~sigma ~tracks (track x) (fun l _ -> l = a)
-    | Mem (x, bigx) ->
-        let ts = track bigx in
-        one_mark ~sigma ~tracks (track x) (fun _ mask -> bit mask ts)
-    | Less (x, y) ->
+    | (Less (x, y) | Succ (x, y)) as atom ->
         let tx = track x and ty = track y in
-        machine ~sigma ~tracks ~states:3
-          ~next:(fun q _ mask ->
-            let mx = bit mask tx and my = bit mask ty in
-            match q with
-            | 0 -> (
-                match (mx, my) with
-                | false, false -> Some 0
-                | true, false -> Some 1
-                | _ -> None)
-            | 1 -> (
-                match (mx, my) with
-                | false, false -> Some 1
-                | false, true -> Some 2
-                | _ -> None)
-            | 2 -> if mx || my then None else Some 2
+        let gap = match atom with Less _ -> true | _ -> false in
+        machine Automaton.Words ~sigma ~tracks ~states:3
+          ~next:(fun below _ m ->
+            match (below, bit m tx, bit m ty) with
+            | [ q ], false, false when q <> 1 || gap -> Some q
+            | [ 0 ], true, false -> Some 1
+            | [ 1 ], false, true -> Some 2
             | _ -> None)
           ~accepting:(fun q -> q = 2)
-    | Succ (x, y) ->
-        let tx = track x and ty = track y in
-        machine ~sigma ~tracks ~states:3
-          ~next:(fun q _ mask ->
-            let mx = bit mask tx and my = bit mask ty in
-            match q with
-            | 0 -> (
-                match (mx, my) with
-                | false, false -> Some 0
-                | true, false -> Some 1
-                | _ -> None)
-            | 1 -> if my && not mx then Some 2 else None
-            | 2 -> if mx || my then None else Some 2
-            | _ -> None)
-          ~accepting:(fun q -> q = 2)
-    | EqPos (x, y) ->
-        let tx = track x and ty = track y in
-        machine ~sigma ~tracks ~states:2
-          ~next:(fun q _ mask ->
-            let mx = bit mask tx and my = bit mask ty in
-            match q with
-            | 0 -> (
-                match (mx, my) with
-                | false, false -> Some 0
-                | true, true -> Some 1
-                | _ -> None)
-            | 1 -> if mx || my then None else Some 1
-            | _ -> None)
-          ~accepting:(fun q -> q = 1)
     | atom -> foreign ~structure:"words" atom
-end
-
-include Compile (Words)
+end)
 
 (* precedence: 0 = quantifiers/top, 2 = or, 3 = and, 4 = unary *)
 let pp ~letters ppf phi =

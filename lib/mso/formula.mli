@@ -75,40 +75,41 @@ val eval : word:int array -> assignment -> t -> bool
 
 (** {1 Compilation (Büchi–Elgot–Trakhtenbrot)} *)
 
-(** What a structure supplies to the compilation skeleton: the automaton
-    algebra, which {!Dfa} and {!Tree_automaton} both provide, and the
-    machines of its atoms over the track alphabet [sigma * 2^tracks]
-    (letter [a] with track bitmask [m] encoded as [a + sigma * m]). *)
+(** What a structure supplies to the compilation skeleton: its automaton
+    shape, the machines of its own atoms over the track alphabet
+    [sigma * 2^tracks] (letter [a] with track bitmask [m] encoded as
+    [a + sigma * m]), and how an input is annotated and run.  The
+    skeleton builds the shared atoms ([Letter], [Mem], [EqPos]) itself
+    and combines machines with the one {!Automaton} algebra. *)
 module type STRUCTURE = sig
-  type automaton
   type input
 
-  val total_language : alphabet:int -> automaton
-  val empty_language : alphabet:int -> automaton
-  val complement : automaton -> automaton
-  val product : automaton -> automaton -> mode:[ `Inter | `Union ] -> automaton
-  val minimize : automaton -> automaton
+  val shape : Automaton.shape
 
-  val erase : automaton -> alphabet:int -> (int -> int list) -> automaton
-  (** Project onto the smaller alphabet (letter [b] acts as any of its
-      preimages) and determinise. *)
-
-  val singleton : sigma:int -> tracks:int -> int -> automaton
-  (** Exactly one mark on the given track. *)
-
-  val atom : sigma:int -> tracks:int -> (var -> int) -> t -> automaton
-  (** The machine of an atom, given the track of each variable: one mark
-      per position track, satisfying the atom.
+  val atom : sigma:int -> tracks:int -> (var -> int) -> t -> Automaton.t
+  (** The machine of a [Less]/[Succ] (words) or [Child1]/[Child2] (trees)
+      atom, given the track of each variable: one mark per position
+      track, satisfying the atom.
       @raise Invalid_argument on an atom of another structure. *)
 
   val mapi_letters : (int -> int -> int) -> input -> input
   (** Replace the letter at each position [i] by [f i letter]. *)
 
-  val accepts : automaton -> input -> bool
+  val accepts : Automaton.t -> input -> bool
 end
 
+val machine :
+  Automaton.shape -> sigma:int -> tracks:int -> states:int ->
+  next:(int list -> int -> int -> int option) -> accepting:(int -> bool) ->
+  Automaton.t
+(** An automaton over the track alphabet from a state-machine
+    description on states [0..states-1] plus a rejecting sink:
+    [next below letter mask] is the state of a position over children in
+    states [below] ([[]] at a tree leaf), [None] the sink.  A word starts
+    in state 0. *)
+
 module Compile (S : STRUCTURE) : sig
-  val compile : sigma:int -> scope:(var * kind) list -> t -> S.automaton
+  val compile : sigma:int -> scope:(var * kind) list -> t -> Automaton.t
   (** A minimal automaton accepting exactly the {e validly annotated}
       inputs satisfying the formula — valid meaning every
       position-variable track carries exactly one mark.  Track [i] is
@@ -117,18 +118,19 @@ module Compile (S : STRUCTURE) : sig
       violations, letters [>= sigma] or atoms of another structure. *)
 
   val holds_compiled :
-    sigma:int -> scope:(var * kind) list -> S.automaton -> S.input ->
+    sigma:int -> scope:(var * kind) list -> Automaton.t -> S.input ->
     assignment -> bool
   (** Run a compiled automaton on the input annotated with the
       assignment.
       @raise Invalid_argument on a letter [>= sigma]. *)
 end
 
-val compile : sigma:int -> scope:(var * kind) list -> t -> Dfa.t
+val compile : sigma:int -> scope:(var * kind) list -> t -> Automaton.t
 (** {!Compile.compile} on words. *)
 
 val holds_compiled :
-  sigma:int -> scope:(var * kind) list -> Dfa.t -> int array -> assignment -> bool
+  sigma:int -> scope:(var * kind) list -> Automaton.t -> int array ->
+  assignment -> bool
 (** {!Compile.holds_compiled} on words. *)
 
 val pp : letters:string list -> Format.formatter -> t -> unit
@@ -138,6 +140,6 @@ val pp : letters:string list -> Format.formatter -> t -> unit
 
 val to_string : letters:string list -> t -> string
 
-val language : sigma:int -> t -> Dfa.t
+val language : sigma:int -> t -> Automaton.t
 (** Compile a sentence on words ([scope = []]).
     @raise Invalid_argument if the formula has free variables. *)

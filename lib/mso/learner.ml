@@ -88,7 +88,7 @@ let marks_of entry example params =
 let prepare ~sigma ~word entry =
   let dfa = Formula.compile ~sigma ~scope:(scope_of entry) entry.phi in
   let oracle = Oracle.make ~sigma dfa word in
-  ( dfa.Dfa.states,
+  ( dfa.Automaton.states,
     fun v params ->
       Oracle.eval_with_marks oracle ~marks:(marks_of entry v params) )
 

@@ -1,5 +1,5 @@
 type t = {
-  dfa : Dfa.t;
+  dfa : Automaton.t;
   sigma : int;
   word : int array;
   (* table.(k).(i): transition function (as a state array) of the
@@ -14,18 +14,19 @@ let compose_into dst f g states =
     dst.(q) <- g.(f.(q))
   done
 
-let make ~sigma (dfa : Dfa.t) word =
+let make ~sigma (dfa : Automaton.t) word =
   if sigma < 1 then invalid_arg "Oracle.make: need sigma >= 1";
   let rec is_power_scaled a = a = sigma || (a mod 2 = 0 && is_power_scaled (a / 2)) in
-  if not (is_power_scaled dfa.Dfa.alphabet) then
+  if not (is_power_scaled dfa.alphabet) then
     invalid_arg "Oracle.make: alphabet is not sigma * 2^tracks";
+  if Array.length dfa.binary > 0 then invalid_arg "Oracle.make: not a word automaton";
   Array.iter
     (fun a ->
       if a < 0 || a >= sigma then
         invalid_arg "Oracle.make: word letter out of base alphabet")
     word;
   let n = Array.length word in
-  let states = dfa.Dfa.states in
+  let states = dfa.states in
   let levels =
     let rec go k = if 1 lsl k >= max 1 n then k + 1 else go (k + 1) in
     go 0
@@ -35,7 +36,7 @@ let make ~sigma (dfa : Dfa.t) word =
   in
   (* level 0: single letters *)
   for i = 0 to n - 1 do
-    table.(0).(i) <- Array.init states (fun q -> dfa.Dfa.delta.(q).(word.(i)))
+    table.(0).(i) <- Array.init states (fun q -> dfa.unary.(q).(word.(i)))
   done;
   if n = 0 then table.(0).(0) <- Array.init states Fun.id;
   for k = 1 to levels - 1 do
@@ -80,17 +81,17 @@ let normalise_marks o marks =
 let eval_with_marks o ~marks =
   let marks = normalise_marks o marks in
   let n = Array.length o.word in
-  let q = ref o.dfa.Dfa.start in
+  let q = ref o.dfa.leaf.(0) in
   let pos = ref 0 in
   List.iter
     (fun (p, mask) ->
       q := advance o !q !pos p;
       let letter = o.word.(p) + (o.sigma * mask) in
-      q := o.dfa.Dfa.delta.(!q).(letter);
+      q := o.dfa.unary.(!q).(letter);
       pos := p + 1)
     marks;
   q := advance o !q !pos n;
-  o.dfa.Dfa.accept.(!q)
+  o.dfa.accept.(!q)
 
 let eval_naive o ~marks =
   let marks = normalise_marks o marks in
@@ -98,4 +99,4 @@ let eval_naive o ~marks =
   List.iter
     (fun (p, mask) -> annotated.(p) <- o.word.(p) + (o.sigma * mask))
     marks;
-  Dfa.accepts o.dfa annotated
+  Automaton.accepts_word o.dfa annotated

@@ -12,9 +12,10 @@
 
 type t
 
-val make : sigma:int -> Dfa.t -> int array -> t
+val make : sigma:int -> Automaton.t -> int array -> t
 (** [make ~sigma a w].  [a.alphabet] must be [sigma * 2^tracks] for some
-    [tracks >= 0]; letters of [w] must be [< sigma].
+    [tracks >= 0], and [a] a word automaton; letters of [w] must be
+    [< sigma].
     @raise Invalid_argument otherwise. *)
 
 val eval_with_marks : t -> marks:(int * int) list -> bool

@@ -134,11 +134,11 @@ let follow_table lin count =
   go lin;
   follow
 
-let to_nfa ~sigma r =
+let to_dfa ~sigma r =
   let rec check = function
     | Letter a ->
         if a < 0 || a >= sigma then
-          invalid_arg "Regex.to_nfa: letter out of alphabet"
+          invalid_arg "Regex.to_dfa: letter out of alphabet"
     | Seq (a, b) | Alt (a, b) ->
         check a;
         check b
@@ -154,7 +154,7 @@ let to_nfa ~sigma r =
   let lasts = last lin in
   (* state 0 = start, states 1..count = positions *)
   let states = count + 1 in
-  let delta =
+  let unary =
     Array.init states (fun q ->
         Array.init sigma (fun a ->
             let sources = if q = 0 then firsts else follow.(q) in
@@ -165,9 +165,10 @@ let to_nfa ~sigma r =
     Array.init states (fun q ->
         if q = 0 then lnullable lin else ISet.mem q lasts)
   in
-  Nfa.create ~states ~alphabet:sigma ~starts:[ 0 ] ~delta ~accept
-
-let to_dfa ~sigma r = Dfa.minimize (Nfa.determinize (to_nfa ~sigma r))
+  Automaton.minimize
+    (Automaton.determinize
+       { Automaton.states; alphabet = sigma; leaf = [| [ 0 ] |]; unary;
+         binary = [||]; accept })
 
 let pp ~letters ppf r =
   let name a =

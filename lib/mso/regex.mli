@@ -38,7 +38,7 @@ val all : sigma:int -> t
 val matches : t -> int array -> bool
 (** Direct matching by derivatives (reference semantics; no compilation). *)
 
-val to_dfa : sigma:int -> t -> Dfa.t
+val to_dfa : sigma:int -> t -> Automaton.t
 (** The Glushkov position automaton (one state per letter occurrence
     plus a start state; no epsilon transitions), determinised and
     minimised.

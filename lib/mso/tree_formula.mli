@@ -13,12 +13,12 @@ val eval : tree:Tree.t -> Formula.assignment -> Formula.t -> bool
 
 val compile :
   sigma:int -> scope:(Formula.var * Formula.kind) list -> Formula.t ->
-  Tree_automaton.t
+  Automaton.t
 (** {!Formula.Compile.compile} on trees: a tree automaton over the track
     alphabet [sigma * 2^|scope|] (label [a] with mark bitmask [m]
     encoded as [a + sigma * m]). *)
 
 val holds_compiled :
-  sigma:int -> scope:(Formula.var * Formula.kind) list -> Tree_automaton.t ->
+  sigma:int -> scope:(Formula.var * Formula.kind) list -> Automaton.t ->
   Tree.t -> Formula.assignment -> bool
 (** {!Formula.Compile.holds_compiled} on trees. *)

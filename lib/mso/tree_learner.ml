@@ -3,7 +3,7 @@ let prepare ~sigma ~tree (entry : Learner.entry) =
     List.map (fun v -> (v, Formula.Pos)) (entry.xvars @ entry.yvars)
   in
   let ta = Tree_formula.compile ~sigma ~scope entry.phi in
-  ( ta.Tree_automaton.states,
+  ( ta.Automaton.states,
     fun example params ->
       Tree_formula.holds_compiled ~sigma ~scope ta tree
         {
@@ -26,10 +26,8 @@ let predict ~sigma ~tree (result : Learner.result) v =
 (* ------------------------------------------------------------------ *)
 
 module Node_oracle = struct
-  module Ta = Tree_automaton
-
   type t = {
-    ta : Ta.t;
+    ta : Automaton.t;
     verdict : bool array;  (** per preorder node id *)
   }
 
@@ -43,26 +41,28 @@ module Node_oracle = struct
              position variable"
     in
     let ta = Tree_formula.compile ~sigma ~scope:[ (x, Formula.Pos) ] phi in
-    let states = ta.Ta.states in
+    let { Automaton.states; leaf; unary; binary; accept; _ } = ta in
     let n = Tree.size tree in
-    (* pass 1 (bottom-up): zero-annotated state below every node *)
-    let below = Array.make n 0 in
+    (* pass 1 (bottom-up): zero-annotated state below every node, and
+       the size of every subtree *)
+    let below = Array.make n 0 and size = Array.make n 1 in
     let counter = ref (-1) in
     let rec pass1 t =
       incr counter;
       let id = !counter in
       let q =
         match t with
-        | Tree.Leaf a -> ta.Ta.leaf.(a)
+        | Tree.Leaf a -> leaf.(a)
         | Tree.Unary (a, c) ->
             let qc = pass1 c in
-            ta.Ta.unary.(qc).(a)
+            unary.(qc).(a)
         | Tree.Binary (a, l, r) ->
             let ql = pass1 l in
             let qr = pass1 r in
-            ta.Ta.binary.(ql).(qr).(a)
+            binary.(ql).(qr).(a)
       in
       below.(id) <- q;
+      size.(id) <- !counter - id + 1;
       q
     in
     ignore (pass1 tree);
@@ -75,29 +75,20 @@ module Node_oracle = struct
       let id = !counter in
       let marked a = a + sigma in
       (match t with
-      | Tree.Leaf a -> verdict.(id) <- above.(ta.Ta.leaf.(marked a))
+      | Tree.Leaf a -> verdict.(id) <- above.(leaf.(marked a))
       | Tree.Unary (a, c) ->
           let qc = below.(id + 1) in
-          verdict.(id) <- above.(ta.Ta.unary.(qc).(marked a));
-          let above_c =
-            Array.init states (fun q -> above.(ta.Ta.unary.(q).(a)))
-          in
-          pass2 c above_c
+          verdict.(id) <- above.(unary.(qc).(marked a));
+          pass2 c (Array.init states (fun q -> above.(unary.(q).(a))))
       | Tree.Binary (a, l, r) ->
           let idl = id + 1 in
-          let idr = id + 1 + Tree.size l in
+          let idr = idl + size.(idl) in
           let ql = below.(idl) and qr = below.(idr) in
-          verdict.(id) <- above.(ta.Ta.binary.(ql).(qr).(marked a));
-          let above_l =
-            Array.init states (fun q -> above.(ta.Ta.binary.(q).(qr).(a)))
-          in
-          pass2 l above_l;
-          let above_r =
-            Array.init states (fun q -> above.(ta.Ta.binary.(ql).(q).(a)))
-          in
-          pass2 r above_r)
+          verdict.(id) <- above.(binary.(ql).(qr).(marked a));
+          pass2 l (Array.init states (fun q -> above.(binary.(q).(qr).(a))));
+          pass2 r (Array.init states (fun q -> above.(binary.(ql).(q).(a)))))
     in
-    pass2 tree (Array.copy ta.Ta.accept);
+    pass2 tree accept;
     { ta; verdict }
 
   let holds o v =
@@ -105,5 +96,5 @@ module Node_oracle = struct
       invalid_arg "Node_oracle.holds: node id out of range";
     o.verdict.(v)
 
-  let states o = o.ta.Ta.states
+  let states o = o.ta.Automaton.states
 end

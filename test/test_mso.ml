@@ -2,8 +2,7 @@
    Büchi-Elgot-Trakhtenbrot compilation (cross-checked against direct
    evaluation), the sparse-table oracle, and the string learner. *)
 
-module D = Mso.Dfa
-module N = Mso.Nfa
+module D = Mso.Automaton
 module M = Mso.Formula
 module O = Mso.Oracle
 module W = Mso.Word
@@ -12,15 +11,20 @@ module L = Mso.Learner
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* a DFA: one unlabelled rank-0 symbol (its start state), letters at
+   rank 1 and no rank-2 table *)
+let dfa ~states ~alphabet ~start ~delta ~accept =
+  D.create ~states ~alphabet ~leaf:[| start |] ~unary:delta ~binary:[||] ~accept
+
 (* even number of 1s over {0,1} *)
 let even_ones =
-  D.create ~states:2 ~alphabet:2 ~start:0
+  dfa ~states:2 ~alphabet:2 ~start:0
     ~delta:[| [| 0; 1 |]; [| 1; 0 |] |]
     ~accept:[| true; false |]
 
 (* contains the factor "01" *)
 let has_01 =
-  D.create ~states:3 ~alphabet:2 ~start:0
+  dfa ~states:3 ~alphabet:2 ~start:0
     ~delta:[| [| 1; 0 |]; [| 1; 2 |]; [| 2; 2 |] |]
     ~accept:[| false; false; true |]
 
@@ -39,24 +43,24 @@ let words_up_to sigma len =
 (* ------------------------------------------------------------------ *)
 
 let test_dfa_run () =
-  check "even ones accepts empty" true (D.accepts even_ones [||]);
-  check "rejects single 1" false (D.accepts even_ones [| 1 |]);
-  check "accepts 1 0 1" true (D.accepts even_ones [| 1; 0; 1 |]);
-  check "01 found" true (D.accepts has_01 [| 1; 1; 0; 1 |]);
-  check "01 not found" false (D.accepts has_01 [| 1; 1; 0 |])
+  check "even ones accepts empty" true (D.accepts_word even_ones [||]);
+  check "rejects single 1" false (D.accepts_word even_ones [| 1 |]);
+  check "accepts 1 0 1" true (D.accepts_word even_ones [| 1; 0; 1 |]);
+  check "01 found" true (D.accepts_word has_01 [| 1; 1; 0; 1 |]);
+  check "01 not found" false (D.accepts_word has_01 [| 1; 1; 0 |])
 
 let test_dfa_create_guards () =
   check "bad start" true
     (try
        ignore
-         (D.create ~states:1 ~alphabet:1 ~start:3 ~delta:[| [| 0 |] |]
+         (dfa ~states:1 ~alphabet:1 ~start:3 ~delta:[| [| 0 |] |]
             ~accept:[| true |]);
        false
      with Invalid_argument _ -> true);
   check "bad target" true
     (try
        ignore
-         (D.create ~states:1 ~alphabet:1 ~start:0 ~delta:[| [| 7 |] |]
+         (dfa ~states:1 ~alphabet:1 ~start:0 ~delta:[| [| 7 |] |]
             ~accept:[| true |]);
        false
      with Invalid_argument _ -> true)
@@ -65,13 +69,13 @@ let test_dfa_boolean_ops () =
   List.iter
     (fun w ->
       check "complement" true
-        (D.accepts (D.complement even_ones) w = not (D.accepts even_ones w));
+        (D.accepts_word (D.complement even_ones) w = not (D.accepts_word even_ones w));
       check "intersection" true
-        (D.accepts (D.product even_ones has_01 ~mode:`Inter) w
-        = (D.accepts even_ones w && D.accepts has_01 w));
+        (D.accepts_word (D.product even_ones has_01 ~mode:`Inter) w
+        = (D.accepts_word even_ones w && D.accepts_word has_01 w));
       check "union" true
-        (D.accepts (D.product even_ones has_01 ~mode:`Union) w
-        = (D.accepts even_ones w || D.accepts has_01 w)))
+        (D.accepts_word (D.product even_ones has_01 ~mode:`Union) w
+        = (D.accepts_word even_ones w || D.accepts_word has_01 w)))
     (words_up_to 2 5)
 
 let test_dfa_minimize () =
@@ -84,43 +88,49 @@ let test_dfa_minimize () =
   check_int "idempotent" 2 (D.minimize m).D.states
 
 let test_dfa_emptiness_equivalence () =
-  check "empty lang" true (D.is_empty (D.empty_language ~alphabet:2));
-  check "total not empty" false (D.is_empty (D.total_language ~alphabet:2));
+  check "empty lang" true (D.is_empty (D.empty D.Words ~alphabet:2));
+  check "total not empty" false (D.is_empty (D.total D.Words ~alphabet:2));
   check "self equivalent" true (D.equal_language has_01 has_01);
   check "different" false (D.equal_language has_01 even_ones);
   (* L \ L = empty *)
   check "L inter co-L empty" true
     (D.is_empty (D.product even_ones (D.complement even_ones) ~mode:`Inter))
 
-let test_of_predicate () =
-  let a = D.of_predicate ~alphabet:2 ~max_len:6 (fun w ->
-      Array.fold_left (+) 0 w mod 2 = 0)
-  in
-  check "matches even-ones" true (D.equal_language a even_ones);
-  check_int "minimal" 2 a.D.states
-
 let test_nfa_determinize () =
-  (* NFA for "third letter from the end is 1" over {0,1} *)
+  (* NFA for "third letter from the end is 1" over {0,1}, in the
+     nondeterministic form: a set of start states at rank 0 *)
   let n =
-    N.create ~states:4 ~alphabet:2 ~starts:[ 0 ]
-      ~delta:
+    {
+      D.states = 4;
+      alphabet = 2;
+      leaf = [| [ 0 ] |];
+      unary =
         [|
           [| [ 0 ]; [ 0; 1 ] |];
           [| [ 2 ]; [ 2 ] |];
           [| [ 3 ]; [ 3 ] |];
           [| []; [] |];
-        |]
-      ~accept:[| false; false; false; true |]
+        |];
+      binary = [||];
+      accept = [| false; false; false; true |];
+    }
   in
-  let d = D.minimize (N.determinize n) in
+  (* the NFA run on state sets *)
+  let nfa_accepts (n : int list D.ranked) w =
+    let step set l =
+      List.sort_uniq compare (List.concat_map (fun q -> n.unary.(q).(l)) set)
+    in
+    List.exists (fun q -> n.accept.(q)) (Array.fold_left step n.leaf.(0) w)
+  in
+  let d = D.minimize (D.determinize n) in
   check_int "classic 2^3 states" 8 d.D.states;
   List.iter
     (fun w ->
       let expected =
         Array.length w >= 3 && w.(Array.length w - 3) = 1
       in
-      check "agrees with NFA semantics" true (D.accepts d w = expected);
-      check "nfa accepts directly" true (N.accepts n w = expected))
+      check "agrees with NFA semantics" true (D.accepts_word d w = expected);
+      check "nfa accepts directly" true (nfa_accepts n w = expected))
     (words_up_to 2 6)
 
 (* ------------------------------------------------------------------ *)
@@ -200,7 +210,7 @@ let test_mso_compile_sentences () =
       List.iter
         (fun w ->
           let direct = M.eval ~word:w M.empty_assignment phi in
-          let via_dfa = D.accepts dfa w in
+          let via_dfa = D.accepts_word dfa w in
           let expected = semantics w in
           if direct <> expected then
             Alcotest.failf "%s: direct eval wrong on a word of length %d" name
@@ -383,7 +393,7 @@ let regex_glushkov_matches_derivatives =
       let r = gen 4 in
       let d = R.to_dfa ~sigma:2 r in
       List.for_all
-        (fun w -> D.accepts d w = R.matches r w)
+        (fun w -> D.accepts_word d w = R.matches r w)
         (words_up_to 2 5))
 
 let test_regex_parse () =
@@ -492,9 +502,9 @@ let test_parser_end_to_end () =
     P.parse ~letters "forall x. a(x) -> exists y. x < y /\\ b(y)"
   in
   let dfa = M.language ~sigma:2 phi in
-  check "abab ok" true (D.accepts dfa [| 0; 1; 0; 1 |]);
-  check "aba fails" false (D.accepts dfa [| 0; 1; 0 |]);
-  check "empty ok" true (D.accepts dfa [||])
+  check "abab ok" true (D.accepts_word dfa [| 0; 1; 0; 1 |]);
+  check "aba fails" false (D.accepts_word dfa [| 0; 1; 0 |]);
+  check "empty ok" true (D.accepts_word dfa [||])
 
 (* ------------------------------------------------------------------ *)
 (* Words                                                               *)
@@ -773,7 +783,6 @@ let suite =
     Alcotest.test_case "dfa minimize" `Quick test_dfa_minimize;
     Alcotest.test_case "dfa emptiness/equivalence" `Quick
       test_dfa_emptiness_equivalence;
-    Alcotest.test_case "dfa of_predicate" `Quick test_of_predicate;
     Alcotest.test_case "nfa determinize" `Quick test_nfa_determinize;
     Alcotest.test_case "mso sentences compile" `Quick test_mso_compile_sentences;
     Alcotest.test_case "mso shadowing" `Quick test_mso_shadowing;

@@ -3,7 +3,7 @@
    semantics), and the per-node preprocessing oracle of [19]. *)
 
 module T = Mso.Tree
-module Ta = Mso.Tree_automaton
+module Ta = Mso.Automaton
 module F = Mso.Formula
 module Tf = Mso.Tree_formula
 module L = Mso.Learner
@@ -124,12 +124,12 @@ let count_ones t =
   List.length (List.filter (fun (_, a) -> a = 1) (T.nodes t))
 
 let test_ta_run () =
-  check "t0 has 3 ones -> odd" false (Ta.accepts parity_ta t0);
-  check "leaf 0 even" true (Ta.accepts parity_ta (T.Leaf 0));
+  check "t0 has 3 ones -> odd" false (Ta.accepts_tree parity_ta t0);
+  check "leaf 0 even" true (Ta.accepts_tree parity_ta (T.Leaf 0));
   List.iter
     (fun t ->
       check "parity semantics" true
-        (Ta.accepts parity_ta t = (count_ones t mod 2 = 0)))
+        (Ta.accepts_tree parity_ta t = (count_ones t mod 2 = 0)))
     (all_trees_up_to 2 4)
 
 let test_ta_boolean () =
@@ -147,13 +147,13 @@ let test_ta_boolean () =
   List.iter
     (fun t ->
       check "complement" true
-        (Ta.accepts (Ta.complement parity_ta) t = not (Ta.accepts parity_ta t));
+        (Ta.accepts_tree (Ta.complement parity_ta) t = not (Ta.accepts_tree parity_ta t));
       check "intersection" true
-        (Ta.accepts (Ta.product parity_ta root1 ~mode:`Inter) t
-        = (Ta.accepts parity_ta t && Ta.accepts root1 t));
+        (Ta.accepts_tree (Ta.product parity_ta root1 ~mode:`Inter) t
+        = (Ta.accepts_tree parity_ta t && Ta.accepts_tree root1 t));
       check "union" true
-        (Ta.accepts (Ta.product parity_ta root1 ~mode:`Union) t
-        = (Ta.accepts parity_ta t || Ta.accepts root1 t)))
+        (Ta.accepts_tree (Ta.product parity_ta root1 ~mode:`Union) t
+        = (Ta.accepts_tree parity_ta t || Ta.accepts_tree root1 t)))
     (all_trees_up_to 2 4)
 
 let test_ta_minimize () =
@@ -229,7 +229,7 @@ let test_tree_mso_sentences () =
       List.iter
         (fun t ->
           let direct = Tf.eval ~tree:t F.empty_assignment phi in
-          let via = Ta.accepts ta t in
+          let via = Ta.accepts_tree ta t in
           let expected = semantics t in
           if direct <> expected then
             Alcotest.failf "%s: direct semantics wrong (tree %s)" name
@@ -314,7 +314,7 @@ let test_tree_mso_sets () =
   let ta = Tf.compile ~sigma:2 ~scope:[] phi in
   List.iter
     (fun t ->
-      check "set sentence holds everywhere" true (Ta.accepts ta t);
+      check "set sentence holds everywhere" true (Ta.accepts_tree ta t);
       check "direct agrees" true (Tf.eval ~tree:t F.empty_assignment phi))
     (all_trees_up_to 2 3)
 
@@ -336,9 +336,9 @@ let test_tree_formula_parser () =
   (* parse-compile-run round trip *)
   let phi = P.parse ~structure:`Trees ~letters:labels "exists x. b(x) /\\ ~ exists y. child1(x, y)" in
   let ta = Tf.compile ~sigma:2 ~scope:[] phi in
-  check "b-leaf exists in t0" true (Ta.accepts ta t0);
+  check "b-leaf exists in t0" true (Ta.accepts_tree ta t0);
   check "no b-leaf in all-a tree" false
-    (Ta.accepts ta (T.Binary (0, T.Leaf 0, T.Leaf 0)))
+    (Ta.accepts_tree ta (T.Binary (0, T.Leaf 0, T.Leaf 0)))
 
 (* ------------------------------------------------------------------ *)
 (* Node oracle ([19] preprocessing)                                    *)
@@ -372,6 +372,49 @@ let test_node_oracle_agrees () =
             Alcotest.failf "oracle mismatch at node %d (seed %d)" id seed)
         (T.nodes t))
     [ 1; 2; 3; 4; 5 ]
+
+(* a left comb with [k] binary nodes: each left child is the next comb,
+   each right child a leaf *)
+let comb k =
+  let rec go i =
+    if i = 0 then T.Leaf 0
+    else T.Binary (i mod 2, go (i - 1), T.Leaf (i / 2 mod 2))
+  in
+  go k
+
+let test_node_oracle_combs () =
+  let concepts =
+    [
+      unary_phi;
+      F.ExistsPos ("c", F.And [ F.Child2 ("x", "c"); F.Letter (1, "c") ]);
+      F.ExistsPos ("p", F.And [ F.Child1 ("p", "x"); F.Letter (0, "p") ]);
+    ]
+  in
+  let scope = [ ("x", F.Pos) ] in
+  let trees =
+    List.init 12 (fun k -> comb (3 * k))
+    @ List.map
+        (fun seed -> T.random ~seed ~sigma:2 ~size:(10 + seed))
+        [ 1; 7; 13; 29; 41 ]
+  in
+  List.iter
+    (fun phi ->
+      let ta = Tf.compile ~sigma:2 ~scope phi in
+      List.iter
+        (fun t ->
+          let oracle = Tl.Node_oracle.make ~sigma:2 phi t in
+          List.iter
+            (fun (id, _) ->
+              let asg = { F.pos = [ ("x", id) ]; sets = [] } in
+              if
+                Tl.Node_oracle.holds oracle id
+                <> Tf.holds_compiled ~sigma:2 ~scope ta t asg
+              then
+                Alcotest.failf "oracle mismatch at node %d of a %d-node tree"
+                  id (T.size t))
+            (T.nodes t))
+        trees)
+    concepts
 
 let test_node_oracle_guards () =
   check "non-unary rejected" true
@@ -455,6 +498,8 @@ let suite =
     Alcotest.test_case "tree MSO sets" `Quick test_tree_mso_sets;
     Alcotest.test_case "tree formula parser" `Quick test_tree_formula_parser;
     Alcotest.test_case "node oracle agrees" `Quick test_node_oracle_agrees;
+    Alcotest.test_case "node oracle = compiled run on combs" `Quick
+      test_node_oracle_combs;
     Alcotest.test_case "node oracle guards" `Quick test_node_oracle_guards;
     Alcotest.test_case "tree learner" `Quick test_tree_learner;
     Alcotest.test_case "tree learner agnostic" `Quick test_tree_learner_agnostic;
