@@ -824,7 +824,7 @@ let e13 () =
                 Tf.Letter (1, "p") ] );
       ]
   in
-  let classify ~shape t =
+  let classify ~note t =
     let n = Mso.Tree.size t in
     let oracle, t_pre =
       time (fun () -> Tl.Node_oracle.make ~sigma:2 tree_phi t)
@@ -835,10 +835,10 @@ let e13 () =
             ignore (Tl.Node_oracle.holds oracle v)
           done)
     in
-    row "%10d %14.2f %18.2f%s\n" n (t_pre *. 1e3) (t_all *. 1e3) shape
+    row "%10d %14.2f %18.2f%s\n" n (t_pre *. 1e3) (t_all *. 1e3) note
   in
   List.iter
-    (fun n -> classify ~shape:"" (Mso.Tree.random ~seed:n ~sigma:2 ~size:n))
+    (fun n -> classify ~note:"" (Mso.Tree.random ~seed:n ~sigma:2 ~size:n))
     [ 1_000; 10_000; 100_000 ];
   (* a left comb: every right child a leaf, so the left spine is as deep
      as the tree is large *)
@@ -846,7 +846,7 @@ let e13 () =
   for k = 1 to 50_000 do
     comb := Mso.Tree.Binary (k mod 2, !comb, Mso.Tree.Leaf (k / 2 mod 2))
   done;
-  classify ~shape:"  (left comb)" !comb;
+  classify ~note:"  (left comb)" !comb;
   row
     "shape check: preprocessing is near-linear, per-query evaluation is \
      logarithmic on strings and O(1) on trees (flat vs the naive O(n) run \
