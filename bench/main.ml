@@ -140,9 +140,6 @@ let run_instrumented name f =
            jint (Obs.Metric.find_counter snap "modelcheck.eval.calls") );
          ( "hypotheses_enumerated",
            jint (Obs.Metric.find_counter snap "erm.hypotheses_enumerated") );
-         (* no experiment-wide budget: an experiment that budgets its
-            runs reports their spend in its own rows *)
-         ("budget_spent", Obs.Json.Null);
          ("resumed", Obs.Json.Bool false);
          ("checkpoint_writes", jint !bench_checkpoint_writes);
          ("events_recorded", jint (Obs.Event.total ()));
@@ -985,19 +982,17 @@ let e15 () =
 
 let e16 () =
   header "E16  parallel ERM: speedup vs jobs (bit-identical hypotheses)";
-  (* Two workloads: brute-force ERM (candidate-parallel) and the
-     preprocessing index build (vertex-parallel).  jobs = 1 runs first
-     so the global intern tables are warm; every later level must then
-     reproduce its hypotheses and class assignments bit for bit. *)
+  (* brute-force ERM, its candidate sweep chunked across the pool.
+     jobs = 1 runs first so the global intern tables are warm; every
+     later level must then reproduce its hypothesis bit for bit. *)
   let g_erm = Gen.gnp ~seed:7 ~n:36 ~p:0.15 in
   let lam =
     Sam.label_with g_erm ~target:(fun v -> Bfs.dist g_erm v.(0) 18 <= 1)
       (Sam.all_tuples g_erm ~k:1)
   in
-  let g_idx = Gen.random_bounded_degree ~seed:9 ~n:1500 ~d:3 in
   let levels = [ 1; 2; 4 ] in
-  row "%-10s %5s %10s %9s %10s %9s %10s\n" "workload" "jobs" "time (s)"
-    "speedup" "err" "match" "classes";
+  row "%-10s %5s %10s %9s %10s %9s\n" "workload" "jobs" "time (s)"
+    "speedup" "err" "match";
   let baseline = ref None in
   List.iter
     (fun jobs ->
@@ -1005,47 +1000,33 @@ let e16 () =
       let erm, t_erm =
         time (fun () -> Brute.solve ~pool g_erm ~k:1 ~ell:1 ~q:2 lam)
       in
-      let idx, t_idx =
-        time (fun () -> Folearn.Preindex.build ~pool g_idx ~q:1 ~r:2)
-      in
       Par.Pool.shutdown pool;
-      let classes =
-        List.init (Graph.order g_idx) (Folearn.Preindex.vertex_class idx)
-      in
       let here =
-        ( Folearn.Hypothesis.signature erm.Brute.hypothesis,
-          erm.Brute.err, classes )
+        (Folearn.Hypothesis.signature erm.Brute.hypothesis, erm.Brute.err)
       in
-      let t1_erm, t1_idx, agree =
+      let t1_erm, agree =
         match !baseline with
         | None ->
-            baseline := Some (t_erm, t_idx, here);
-            (t_erm, t_idx, true)
-        | Some (a, b, first) -> (a, b, first = here)
+            baseline := Some (t_erm, here);
+            (t_erm, true)
+        | Some (a, first) -> (a, first = here)
       in
-      let emit workload t speedup =
-        add_row
-          [
-            ("workload", jstr workload);
-            ("jobs", jint jobs);
-            ("time_s", jfloat t);
-            ("speedup", jfloat speedup);
-            ("identical", Obs.Json.Bool agree);
-          ]
-      in
-      emit "erm_brute" t_erm (t1_erm /. t_erm);
-      emit "preindex" t_idx (t1_idx /. t_idx);
-      row "%-10s %5d %10.3f %9.2f %10.3f %9b %10s\n" "erm_brute" jobs t_erm
-        (t1_erm /. t_erm) erm.Brute.err agree "-";
-      row "%-10s %5d %10.3f %9.2f %10s %9b %10d\n" "preindex" jobs t_idx
-        (t1_idx /. t_idx) "-" agree
-        (Folearn.Preindex.class_count idx))
+      add_row
+        [
+          ("workload", jstr "erm_brute");
+          ("jobs", jint jobs);
+          ("time_s", jfloat t_erm);
+          ("speedup", jfloat (t1_erm /. t_erm));
+          ("identical", Obs.Json.Bool agree);
+        ];
+      row "%-10s %5d %10.3f %9.2f %10.3f %9b\n" "erm_brute" jobs t_erm
+        (t1_erm /. t_erm) erm.Brute.err agree)
     levels;
   row
-    "shape check: hypotheses, errors and class assignments are identical \
-     at every jobs level; speedup approaches the worker count on \
-     multi-core hosts and stays ~1 (never a large slowdown) when the \
-     machine has a single core.\n"
+    "shape check: hypotheses and errors are identical at every jobs \
+     level; speedup approaches the worker count on multi-core hosts and \
+     stays ~1 (never a large slowdown) when the machine has a single \
+     core.\n"
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                           *)

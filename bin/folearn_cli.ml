@@ -266,8 +266,9 @@ let jobs_arg =
     & opt (some int) None
     & info [ "j"; "jobs" ] ~docv:"N" ~env:(Cmd.Env.info "FOLEARN_JOBS")
         ~doc:
-          "Worker domains for the parallel solver paths (default 1). \
-           Results are bit-identical to a sequential run.")
+          "Worker domains for the candidate sweep of the brute, counting \
+           and local solvers (default 1); every other step runs on one \
+           domain.  Results are bit-identical to a sequential run.")
 
 let apply_jobs = function
   | None -> ()
@@ -949,13 +950,15 @@ let strings_cmd =
         (match free with
         | [ ("x", Mso.Formula.Pos) ] -> ()
         | _ -> usage "folearn strings: -t needs exactly x free");
-        let scope = [ ("x", Mso.Formula.Pos) ] in
-        let tdfa = Mso.Formula.compile ~sigma ~scope tphi in
+        (* label every position through one oracle over the word: x is
+           track 0 *)
+        let tdfa =
+          Mso.Formula.compile ~sigma ~scope:[ ("x", Mso.Formula.Pos) ] tphi
+        in
+        let oracle = Mso.Oracle.make ~sigma tdfa w in
         let examples =
           List.init (Array.length w) (fun p ->
-              ( [| p |],
-                Mso.Formula.holds_compiled ~sigma ~scope tdfa w
-                  { Mso.Formula.pos = [ ("x", p) ]; sets = [] } ))
+              ([| p |], Mso.Oracle.eval_with_marks oracle ~marks:[ (p, 1) ]))
         in
         let catalogue =
           List.mapi

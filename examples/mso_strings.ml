@@ -2,7 +2,7 @@
 
    The predecessor framework the paper builds on: the background
    structure is a string, hypotheses are MSO formulas with position
-   parameters, and a preprocessing phase (here: a sparse table of
+   parameters, and a preprocessing phase (here: a segment tree of
    composed transition functions) makes every hypothesis evaluation
    logarithmic in the string length.
 
@@ -75,7 +75,7 @@ let () =
         r.L.err r.L.states r.L.evaluations);
 
   (* the preprocessing pay-off: evaluation time per query, naive O(n)
-     run vs the O(log n) sparse-table oracle *)
+     run vs the O(log n) segment-tree oracle *)
   Format.printf
     "@.preprocessing pay-off (concept: 'some error precedes x'):@.";
   Format.printf "%10s %14s %14s@." "n" "naive (us)" "oracle (us)";
@@ -103,5 +103,5 @@ let () =
         ((t_end -. t_mid) *. 1e6 /. 200.0))
     [ 1000; 10_000; 100_000; 1_000_000 ];
   Format.printf
-    "@.naive evaluation scales linearly with the string; the sparse-table@.\
+    "@.naive evaluation scales linearly with the string; the segment-tree@.\
      oracle stays logarithmic - the preprocessing regime of [21].@."

@@ -68,26 +68,19 @@ let solve_body ?pool:ppool ?ckpt ?budget g ~k ~ell ~q ~r lam ext st =
   Analysis.Guard.require ~what:"Erm_local.solve"
     (Analysis.Guard.budgets ~ell ~q ~radius:r ~k ()
     @ Analysis.Guard.sample_arity ~k (List.map fst lam));
-  let ppool = match ppool with Some p -> p | None -> Par.default () in
   let entries =
     List.sort_uniq compare
       (List.concat_map (fun (v, _) -> Array.to_list v) lam)
   in
-  (* the two multi-source balls are independent BFS sweeps — batch them
-     on the pool (a 2-task batch; inline when jobs = 1):
-     pool    = (2r+1)-neighbourhood of the examples (candidate params)
+  (* pool    = (2r+1)-neighbourhood of the examples (candidate params)
      touched = (3r+2)-neighbourhood (everything the algorithm reads) *)
-  let balls =
-    Par.map_tasks ppool ~tasks:2 (fun i ->
-        if i = 0 then Bfs.ball ?budget g ~r:((2 * r) + 1) entries
-        else Bfs.ball ?budget g ~r:((3 * r) + 2) entries)
-  in
-  let pool = balls.(0) in
+  let pool = Bfs.ball ?budget g ~r:((2 * r) + 1) entries in
+  let touched = Bfs.ball ?budget g ~r:((3 * r) + 2) entries in
   ext.pool_size <- List.length pool;
   if Obs.Sink.enabled () then
     Obs.Metric.observe pool_size_h (float_of_int ext.pool_size);
-  ext.vertices_touched <- List.length balls.(1);
-  Sweep.run ~pool:ppool ?ckpt ?budget
+  ext.vertices_touched <- List.length touched;
+  Sweep.run ?pool:ppool ?ckpt ?budget
     (space ?budget g ~ell ~q ~r lam (Array.of_list pool))
     st;
   finish g ~k ~q ~r lam ext st

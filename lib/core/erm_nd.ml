@@ -200,18 +200,12 @@ let conflicts g ~q ~r lam =
    order) and the attendance table. *)
 let greedy_centres ?budget g ~r ~cap ~allowed ~critical =
   let attend : int list array = Array.make (Graph.order g) [] in
-  (* the per-tuple balls are independent BFS sweeps — batch them on the
-     default pool; the attendance table is then filled sequentially in
-     tuple order, so its contents (and everything greedy selection
-     derives from them) do not depend on the pool size *)
-  let balls =
-    Par.map_list (Par.default ())
-      (fun v -> Bfs.ball_tuple ?budget g ~r:((2 * r) + 1) v)
-      critical
-  in
   List.iteri
-    (fun ci ball -> List.iter (fun u -> attend.(u) <- ci :: attend.(u)) ball)
-    balls;
+    (fun ci v ->
+      List.iter
+        (fun u -> attend.(u) <- ci :: attend.(u))
+        (Bfs.ball_tuple ?budget g ~r:((2 * r) + 1) v))
+    critical;
   let order =
     List.filter (fun u -> allowed u && attend.(u) <> []) (Graph.vertices g)
     |> List.sort (fun a b ->
@@ -439,10 +433,8 @@ let solve_inner ?(ckpt = Resil.Ctl.none) ?budget cfg g lam =
       let a0 = emb.Ops.graph in
       let map_opt v = emb.Ops.to_sub v in
       (* Step 1: distance colours D_{j,d} to the guessed centres y_j.
-         One full BFS per centre — batched on the default pool. *)
-      let y_dists =
-        Par.map_list (Par.default ()) (fun yj -> Bfs.distances ?budget sg yj) y
-      in
+         One full BFS per centre. *)
+      let y_dists = List.map (fun yj -> Bfs.distances ?budget sg yj) y in
       let d_colors =
         List.concat
           (List.mapi

@@ -10,8 +10,7 @@ let s_color j = Printf.sprintf "_S%d" j
 let pos_color = "_Ppos"
 let neg_color = "_Pneg"
 
-(* Atomic: incremented from pool workers during the parallel scan *)
-let mc_calls_counter = Atomic.make 0
+let mc_calls_counter = ref 0
 let hypotheses_enumerated = Obs.Metric.counter "erm.hypotheses_enumerated"
 let consistency_checks = Obs.Metric.counter "erm.consistency_checks"
 let early_exits = Obs.Metric.counter "erm.early_exits"
@@ -76,7 +75,7 @@ let consistent_extension ?budget g ~ell phi lam =
             expanded g ~prefix:(List.rev prefix) ~candidate_index:i
               ~candidate:(Some u) lam
           in
-          Atomic.incr mc_calls_counter;
+          incr mc_calls_counter;
           Obs.Metric.incr mc_calls_metric;
           if Modelcheck.Eval.sentence ?budget g' (certificate ~ell ~i phi)
           then Some u
@@ -90,7 +89,7 @@ let consistent_extension ?budget g ~ell phi lam =
   in
   if ell = 0 then begin
     let g' = expanded g ~prefix:[] ~candidate_index:0 ~candidate:None lam in
-    Atomic.incr mc_calls_counter;
+    incr mc_calls_counter;
     Obs.Metric.incr mc_calls_metric;
     if Modelcheck.Eval.sentence ?budget g' (certificate ~ell:0 ~i:0 phi) then
       Some [||]
@@ -104,68 +103,28 @@ let result_for g ~total phi ~index params =
   let formula = Fo.Formula.substitute [ ("x", "x1") ] phi in
   {
     hypothesis = Hypothesis.of_formula g ~k:1 ~formula ~params;
-    mc_calls = Atomic.get mc_calls_counter;
+    mc_calls = !mc_calls_counter;
     formulas_tried = index + 1;
   }
 
-let solve ?pool ?budget g ~ell ~catalogue lam =
+let solve ?budget g ~ell ~catalogue lam =
   Obs.Span.with_ "erm_realizable.solve" ~args:[ ("ell", string_of_int ell) ]
   @@ fun () ->
-  Atomic.set mc_calls_counter 0;
-  let pool = match pool with Some p -> p | None -> Par.default () in
-  if Par.Pool.size pool <= 1 then begin
-    let total = List.length catalogue in
-    let rec go tried = function
-      | [] -> None
-      | phi :: rest -> (
-          Guard.tick budget Guard.Solver_loop;
-          Obs.Metric.incr hypotheses_enumerated;
-          Obs.Metric.incr consistency_checks;
-          match consistent_extension ?budget g ~ell phi lam with
-          | Some params -> Some (result_for g ~total phi ~index:tried params)
-          | None -> go (tried + 1) rest)
-    in
-    go 0 catalogue
-  end
-  else begin
-    (* Parallel scan in catalogue-order blocks: every formula of a
-       block is checked concurrently, then the lowest-indexed hit — the
-       same formula the sequential scan stops at — wins.  The scan
-       stops at the first block containing a hit, so early exit is
-       retained up to block granularity; [mc_calls] consequently counts
-       a few speculative checks past the winner (the winning hypothesis
-       itself is bit-identical to the sequential one). *)
-    let arr = Array.of_list catalogue in
-    let total = Array.length arr in
-    let block = 4 * Par.Pool.size pool in
-    let rec scan start =
-      if start >= total then None
-      else begin
-        let stop = min total (start + block) in
-        let hits =
-          Par.map_tasks pool ~tasks:(stop - start) (fun d ->
-              Guard.tick budget Guard.Solver_loop;
-              Obs.Metric.incr hypotheses_enumerated;
-              Obs.Metric.incr consistency_checks;
-              consistent_extension ?budget g ~ell arr.(start + d) lam)
-        in
-        let rec first d =
-          if d >= Array.length hits then None
-          else
-            match hits.(d) with
-            | Some params -> Some (start + d, params)
-            | None -> first (d + 1)
-        in
-        match first 0 with
-        | Some (index, params) ->
-            Some (result_for g ~total arr.(index) ~index params)
-        | None -> scan stop
-      end
-    in
-    scan 0
-  end
+  mc_calls_counter := 0;
+  let total = List.length catalogue in
+  let rec go tried = function
+    | [] -> None
+    | phi :: rest -> (
+        Guard.tick budget Guard.Solver_loop;
+        Obs.Metric.incr hypotheses_enumerated;
+        Obs.Metric.incr consistency_checks;
+        match consistent_extension ?budget g ~ell phi lam with
+        | Some params -> Some (result_for g ~total phi ~index:tried params)
+        | None -> go (tried + 1) rest)
+  in
+  go 0 catalogue
 
-let solve_budgeted ?budget ?pool g ~ell ~catalogue lam =
+let solve_budgeted ?budget g ~ell ~catalogue lam =
   Obs.Span.with_ "erm_realizable.solve_budgeted"
     ~args:[ ("ell", string_of_int ell) ]
   @@ fun () ->
@@ -174,4 +133,4 @@ let solve_budgeted ?budget ?pool g ~ell ~catalogue lam =
      best-so-far — only "no answer yet". *)
   Guard.run ?budget
     ~salvage:(fun () -> None)
-    (fun () -> solve ?pool ?budget g ~ell ~catalogue lam)
+    (fun () -> solve ?budget g ~ell ~catalogue lam)

@@ -28,7 +28,6 @@ type result = {
 }
 
 val solve :
-  ?pool:Par.Pool.t ->
   ?budget:Guard.Budget.t ->
   Graph.t ->
   ell:int ->
@@ -51,7 +50,6 @@ val consistent_extension :
 
 val solve_budgeted :
   ?budget:Guard.Budget.t ->
-  ?pool:Par.Pool.t ->
   Graph.t ->
   ell:int ->
   catalogue:Fo.Formula.t list ->

@@ -13,44 +13,19 @@ type t = {
 let classes_gauge = Obs.Metric.gauge "preindex.classes"
 let build_calls = Obs.Metric.counter "preindex.builds"
 
-let build ?pool g ~q ~r =
+let build g ~q ~r =
   Obs.Span.with_ "preindex.build"
     ~args:[ ("q", string_of_int q); ("r", string_of_int r) ]
   @@ fun () ->
   Obs.Metric.incr build_calls;
-  let pool = match pool with Some p -> p | None -> Par.default () in
-  let n = Graph.order g in
-  (* phase 1: the per-vertex local types, chunked across the pool (one
-     Types context per chunk — the memo tables are not shared between
-     domains).  Sequential fallback keeps one shared context, which
-     memoises better. *)
-  let vertex_ty =
-    if Par.Pool.size pool <= 1 || n <= 1 then begin
-      let ctx = Types.make_ctx g in
-      Array.init n (fun v -> Types.ltp ctx ~q ~r [| v |])
-    end
-    else begin
-      let out = Array.make n None in
-      Par.map_reduce_chunks pool ~n
-        ~map:(fun lo hi ->
-          let ctx = Types.make_ctx g in
-          for v = lo to hi - 1 do
-            out.(v) <- Some (Types.ltp ctx ~q ~r [| v |])
-          done)
-        ~reduce:(fun () () -> ())
-        ~init:() ();
-      Array.map
-        (function Some ty -> ty | None -> assert false)
-        out
-    end
-  in
-  (* phase 2: dense class ids, assigned sequentially in vertex order so
-     the numbering is identical whatever the pool size *)
+  (* the local type of each vertex, on one context; dense class ids in
+     vertex order *)
+  let ctx = Types.make_ctx g in
   let ids : (Types.ty, int) Hashtbl.t = Hashtbl.create 32 in
   let tys = ref [] in
   let class_of =
-    Array.init n (fun v ->
-        let ty = vertex_ty.(v) in
+    Array.init (Graph.order g) (fun v ->
+        let ty = Types.ltp ctx ~q ~r [| v |] in
         match Hashtbl.find_opt ids ty with
         | Some c -> c
         | None ->

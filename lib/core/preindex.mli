@@ -15,12 +15,9 @@ open Cgraph
 
 type t
 
-val build : ?pool:Par.Pool.t -> Graph.t -> q:int -> r:int -> t
-(** One preprocessing pass: [ltp_{q,r}(G, v)] for every vertex.
-    [pool] (default {!Par.default}) computes the per-vertex local types
-    in parallel chunks; dense class ids are then assigned sequentially
-    in vertex order, so the resulting index is identical whatever the
-    pool size. *)
+val build : Graph.t -> q:int -> r:int -> t
+(** One preprocessing pass: [ltp_{q,r}(G, v)] for every vertex, then
+    dense class ids in vertex order. *)
 
 val graph : t -> Graph.t
 val class_count : t -> int

@@ -110,7 +110,7 @@ let run ?pool ?(ckpt = Resil.Ctl.none) ?budget sp st =
               Resil.Ctl.chunk_done ckpt ~lo ~hi
                 ~best:(Option.map key st.best)))
         ~reduce:(fun () () -> ())
-        ~init:() ()
+        ~init:()
   | count ->
       let ctx = sp.ctx () in
       for i = 0 to Option.value count ~default:max_int - 1 do

@@ -198,12 +198,6 @@ end
    budget's trips alone, so exhaustion cannot escape to callers. *)
 exception Stop of state
 
-(* The stop signal is a control-flow edge, not a worker fault: a [Par]
-   chunk that unwinds on it must not be re-attempted (a retried chunk
-   would immediately unwind again, and fault-plan determinism relies on
-   hit counts advancing exactly once). *)
-let () = Par.register_no_retry (function Stop _ -> true | _ -> false)
-
 (* Process-wide interrupt request (SIGINT/SIGTERM from the CLI's signal
    handler, which must stay async-signal-safe: it only sets this flag).
    The budgeted tick path converts it into an [Interrupted] trip, so a

@@ -5,7 +5,7 @@
     hypotheses are [h_{φ,w̄}(v̄) = 1 iff word |= φ(v̄; w̄)] for MSO
     formulas [φ(x̄; ȳ)] and {e position} parameters [w̄]; the learner
     compiles each catalogue formula to a track automaton once, builds the
-    {!Oracle} sparse table over the background word once, and then
+    {!Oracle} segment tree over the background word once, and then
     evaluates every (example, parameter) combination in logarithmic
     time — the preprocessing-then-sublinear-learning regime of [21].
 

@@ -2,17 +2,12 @@ type t = {
   dfa : Automaton.t;
   sigma : int;
   word : int array;
-  (* table.(k).(i): transition function (as a state array) of the
-     zero-annotated segment [i, i + 2^k) *)
-  table : int array array array;
-  levels : int;
+  (* a bottom-up segment tree over the zero-annotated word, flattened:
+     node [v] (1 <= v < 2n) holds its transition function as the
+     [states] ints from [v * states].  Leaf [n + i] is letter [i]; inner
+     node [v] runs [2v], then [2v + 1]. *)
+  tree : int array;
 }
-
-let compose_into dst f g states =
-  (* dst = g after f: dst.(q) = g.(f.(q)) *)
-  for q = 0 to states - 1 do
-    dst.(q) <- g.(f.(q))
-  done
 
 let make ~sigma (dfa : Automaton.t) word =
   if sigma < 1 then invalid_arg "Oracle.make: need sigma >= 1";
@@ -27,44 +22,35 @@ let make ~sigma (dfa : Automaton.t) word =
     word;
   let n = Array.length word in
   let states = dfa.states in
-  let levels =
-    let rec go k = if 1 lsl k >= max 1 n then k + 1 else go (k + 1) in
-    go 0
-  in
-  let table =
-    Array.init levels (fun _ -> Array.make (max 1 n) [||])
-  in
-  (* level 0: single letters *)
+  let tree = Array.make (2 * n * states) 0 in
   for i = 0 to n - 1 do
-    table.(0).(i) <- Array.init states (fun q -> dfa.unary.(q).(word.(i)))
-  done;
-  if n = 0 then table.(0).(0) <- Array.init states Fun.id;
-  for k = 1 to levels - 1 do
-    let len = 1 lsl k in
-    for i = 0 to n - 1 do
-      if i + (len / 2) < n then begin
-        let dst = Array.make states 0 in
-        compose_into dst table.(k - 1).(i) table.(k - 1).(i + (len / 2)) states;
-        table.(k).(i) <- dst
-      end
-      else table.(k).(i) <- table.(k - 1).(i)
+    let base = (n + i) * states in
+    for q = 0 to states - 1 do
+      tree.(base + q) <- dfa.unary.(q).(word.(i))
     done
   done;
-  { dfa; sigma; word; table; levels }
-
-(* advance state q through the zero-annotated segment [i, j) *)
-let advance o q i j =
-  let q = ref q in
-  let i = ref i in
-  let k = ref (o.levels - 1) in
-  while !i < j do
-    while !k > 0 && (!i + (1 lsl !k) > j || 1 lsl !k > j - !i) do
-      decr k
-    done;
-    q := o.table.(!k).(!i).(!q);
-    i := !i + (1 lsl !k)
+  for v = n - 1 downto 1 do
+    let l = 2 * v * states and r = ((2 * v) + 1) * states in
+    for q = 0 to states - 1 do
+      tree.((v * states) + q) <- tree.(r + tree.(l + q))
+    done
   done;
-  !q
+  { dfa; sigma; word; tree }
+
+(* advance state q through the zero-annotated segment [i, j): at each
+   level, a left boundary node applies before the nodes above it and a
+   right boundary node after them *)
+let advance o q i j =
+  let step q v = o.tree.((v * o.dfa.states) + q) in
+  let rec up q l r =
+    if l >= r then q
+    else
+      let q = if l land 1 = 1 then step q l else q in
+      let q = up q ((l + 1) / 2) (r / 2) in
+      if r land 1 = 1 then step q (r - 1) else q
+  in
+  let n = Array.length o.word in
+  up q (i + n) (j + n)
 
 let normalise_marks o marks =
   let tbl = Hashtbl.create 8 in

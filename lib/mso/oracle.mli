@@ -3,9 +3,9 @@
     with a preprocessing phase that supports fast evaluation later).
 
     Given a compiled track automaton [A] (alphabet [sigma * 2^tracks])
-    and a word [w] over the {e base} alphabet, {!make} builds a sparse
-    table of composed transition functions of the zero-annotated word in
-    time/space [O(|Q| n log n)].  {!eval_with_marks} then decides whether
+    and a word [w] over the {e base} alphabet, {!make} builds a segment
+    tree of composed transition functions of the zero-annotated word in
+    time/space [O(|Q| n)].  {!eval_with_marks} then decides whether
     [A] accepts [w] annotated with any given variable marks in time
     [O((#marks + 1) * |Q| * log n)] — logarithmic in the word length,
     instead of the [O(n)] full run. *)

@@ -1,6 +1,6 @@
 (* The flight-recorder ring.  Unlike metrics and spans this is *not*
    gated on the sink: the events recorded here (budget trips, snapshot
-   writes, task retries, span boundaries) are rare, and the whole point
+   writes, span boundaries) are rare, and the whole point
    of a flight recorder is to still have the tail of the story when a
    run dies with telemetry off.  A single mutex suffices — producers
    are cold paths by construction. *)

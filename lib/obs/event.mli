@@ -1,6 +1,6 @@
 (** The flight-recorder event ring: a bounded, always-on buffer of the
-    last N structured events (budget trips, snapshot writes, task
-    retries, span boundaries).
+    last N structured events (budget trips, snapshot writes, span
+    boundaries).
 
     Unlike {!Metric} and {!Span}, recording here is {e not} gated on
     {!Sink.enabled}: producers are rare control-flow edges, and the

@@ -153,199 +153,69 @@ let default () =
       p
 
 (* ------------------------------------------------------------------ *)
-(* Combinators                                                         *)
+(* Chunked map/reduce                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* ------------------------------------------------------------------ *)
-(* Fault isolation                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* A worker exception poisons only its own task: the task is re-queued
-   and retried (bounded attempts, preferring a different slot) before
-   its failure becomes final.  Exceptions that are deterministic by
-   construction — programmer errors, and anything a subsystem registers
-   via [register_no_retry] (Guard's internal stop signal) — skip the
-   retries: re-running them is pure waste, and for Guard it would
-   perturb deterministic fault accounting. *)
-
-let max_attempts = 3
-
-let no_retry_predicates : (exn -> bool) list ref = ref []
-let register_no_retry p = no_retry_predicates := p :: !no_retry_predicates
-
-let non_retryable e =
-  (match e with
-  | Invalid_argument _ | Assert_failure _ | Match_failure _ | Not_found
-  | Out_of_memory | Stack_overflow ->
-      true
-  | _ -> false)
-  || List.exists (fun p -> p e) !no_retry_predicates
-
-let task_retries = Obs.Metric.counter "par.task_retries"
-
-let record_retry ~task ~attempt ~slot e =
-  Obs.Metric.incr task_retries;
-  Obs.Event.record ~kind:"par"
-    ~args:
-      [
-        ("task", string_of_int task);
-        ("attempt", string_of_int attempt);
-        ("slot", string_of_int slot);
-        ("exn", Printexc.to_string e);
-      ]
-    "par.retry"
-
+(* Run [f 0 .. f (tasks-1)] across the pool.  A task exception fails
+   the run: tasks not yet started are skipped, and once every started
+   task has settled the lowest-indexed failure is re-raised with its
+   backtrace.  Indices are claimed in increasing order, so every task
+   below a failing one has already started and reports its own failure
+   if it has one: the sequential run's first failure wins. *)
 let run (t : Pool.t) ~tasks f =
-  if tasks > 0 then
-    if t.Pool.size <= 1 || tasks = 1 || t.Pool.stopping then
-      (* the inline path honours the same fault-isolation contract as
-         the pooled one: a retryable exception gets [max_attempts]
-         tries before it propagates *)
-      for i = 0 to tasks - 1 do
-        let rec attempt k =
-          try f i
-          with e when k < max_attempts && not (non_retryable e) ->
-            record_retry ~task:i ~attempt:k ~slot:0 e;
-            attempt (k + 1)
-        in
-        attempt 1
-      done
-    else
-      Obs.Span.with_ "par.run"
-        ~args:
-          [ ("jobs", string_of_int t.Pool.size);
-            ("tasks", string_of_int tasks) ]
-      @@ fun () ->
-      let next = Atomic.make 0 in
-      let completed = Atomic.make 0 in
-      let failure : (int * exn * Printexc.raw_backtrace) option Atomic.t =
-        Atomic.make None
-      in
-      (* keep the lowest-indexed failure, whatever the completion order *)
-      let rec record_failure i e bt =
-        match Atomic.get failure with
-        | Some (j, _, _) when j <= i -> ()
-        | cur ->
-            if not (Atomic.compare_and_set failure cur (Some (i, e, bt))) then
-              record_failure i e bt
-      in
-      (* retry queue: tasks whose last attempt raised a retryable
-         exception, tagged with the slot that failed so another slot
-         picks them up first (best-effort: the failing slot itself
-         drains its own entries once fresh indices run out, so progress
-         never depends on a second live worker). *)
-      let retry_m = Mutex.create () in
-      let retries :
-          (int * int * int * exn * Printexc.raw_backtrace) list ref =
-        ref []
-      in
-      let push_retry entry =
-        Mutex.lock retry_m;
-        retries := entry :: !retries;
-        Mutex.unlock retry_m
-      in
-      let take_retry ~slot ~any =
-        Mutex.lock retry_m;
-        let rec pick acc = function
-          | [] -> None
-          | ((_, _, s, _, _) as r) :: rest when any || s <> slot ->
-              retries := List.rev_append acc rest;
-              Some r
-          | r :: rest -> pick (r :: acc) rest
-        in
-        let r = pick [] !retries in
-        Mutex.unlock retry_m;
-        r
-      in
-      let executed = Array.make t.Pool.size 0 in
-      (* run attempt [attempt] of task [i]; settles the task (bumps
-         [completed]) unless it was re-queued for another try *)
-      let exec ~slot i attempt last_exn =
-        let settle () = ignore (Atomic.fetch_and_add completed 1) in
-        if Atomic.get failure <> None then begin
-          (* after a final failure, drain without running: the run's
-             result is that failure anyway — but a task that already
-             raised must still be recorded, or a transient fault at a
-             low index could be masked by a final failure at a higher
-             one *)
-          (match last_exn with
-          | Some (e, bt) -> record_failure i e bt
-          | None -> ());
-          settle ()
-        end
-        else
-          match f i with
-          | () ->
-              executed.(slot) <- executed.(slot) + 1;
-              settle ()
-          | exception e ->
-              let bt = Printexc.get_raw_backtrace () in
-              executed.(slot) <- executed.(slot) + 1;
-              if attempt >= max_attempts || non_retryable e then begin
-                record_failure i e bt;
-                settle ()
-              end
-              else begin
-                record_retry ~task:i ~attempt ~slot e;
-                push_retry (i, attempt + 1, slot, e, bt)
-              end
-      in
-      let claim ~slot =
-        let continue = ref true in
-        while !continue do
-          match take_retry ~slot ~any:false with
-          | Some (i, attempt, _, e, bt) -> exec ~slot i attempt (Some (e, bt))
-          | None -> (
-              let i = Atomic.fetch_and_add next 1 in
-              if i < tasks then exec ~slot i 1 None
-              else
-                (* fresh work is gone; drain retries banned for this
-                   slot too, then exit *)
-                match take_retry ~slot ~any:true with
-                | Some (i, attempt, _, e, bt) ->
-                    exec ~slot i attempt (Some (e, bt))
-                | None -> continue := false)
-        done;
-        if executed.(slot) > 0 && Obs.Sink.enabled () then
-          Obs.Metric.add t.Pool.slot_counters.(slot) executed.(slot)
-      in
-      Pool.drive t ~tasks ~claim ~completed;
+  if t.Pool.size <= 1 || tasks = 1 || t.Pool.stopping then
+    for i = 0 to tasks - 1 do
+      f i
+    done
+  else
+    Obs.Span.with_ "par.run"
+      ~args:
+        [ ("jobs", string_of_int t.Pool.size);
+          ("tasks", string_of_int tasks) ]
+    @@ fun () ->
+    let next = Atomic.make 0 in
+    let completed = Atomic.make 0 in
+    let failure : (int * exn * Printexc.raw_backtrace) option Atomic.t =
+      Atomic.make None
+    in
+    let rec record_failure i e bt =
       match Atomic.get failure with
-      | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
-      | None -> ()
+      | Some (j, _, _) when j <= i -> ()
+      | cur ->
+          if not (Atomic.compare_and_set failure cur (Some (i, e, bt))) then
+            record_failure i e bt
+    in
+    let claim ~slot =
+      let executed = ref 0 in
+      let rec loop () =
+        let i = Atomic.fetch_and_add next 1 in
+        if i < tasks then begin
+          (if Atomic.get failure = None then begin
+             incr executed;
+             try f i
+             with e -> record_failure i e (Printexc.get_raw_backtrace ())
+           end);
+          ignore (Atomic.fetch_and_add completed 1);
+          loop ()
+        end
+      in
+      loop ();
+      if !executed > 0 && Obs.Sink.enabled () then
+        Obs.Metric.add t.Pool.slot_counters.(slot) !executed
+    in
+    Pool.drive t ~tasks ~claim ~completed;
+    match Atomic.get failure with
+    | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
+    | None -> ()
 
-let map_tasks t ~tasks f =
-  if tasks = 0 then [||]
-  else begin
-    let results = Array.make tasks None in
-    run t ~tasks (fun i -> results.(i) <- Some (f i));
-    Array.map
-      (function Some v -> v | None -> assert false (* run raised *))
-      results
-  end
-
-let map_list t f xs =
-  match xs with
-  | [] -> []
-  | [ x ] -> [ f x ]
-  | _ ->
-      let arr = Array.of_list xs in
-      Array.to_list (map_tasks t ~tasks:(Array.length arr) (fun i -> f arr.(i)))
-
-let map_reduce_chunks t ~n ?chunk ~map ~reduce ~init () =
+let map_reduce_chunks t ~n ~map ~reduce ~init =
   if n <= 0 then init
   else begin
-    let chunk =
-      match chunk with
-      | Some c when c >= 1 -> c
-      | Some _ -> invalid_arg "Par.map_reduce_chunks: chunk must be >= 1"
-      | None -> max 1 (n / (4 * Pool.size t))
-    in
+    let chunk = max 1 (n / (4 * Pool.size t)) in
     let tasks = (n + chunk - 1) / chunk in
-    let pieces =
-      map_tasks t ~tasks (fun c ->
-          let lo = c * chunk in
-          map lo (min n (lo + chunk)))
-    in
-    Array.fold_left reduce init pieces
+    let pieces = Array.make tasks None in
+    run t ~tasks (fun c ->
+        let lo = c * chunk in
+        pieces.(c) <- Some (map lo (min n (lo + chunk))));
+    Array.fold_left (fun acc p -> reduce acc (Option.get p)) init pieces
   end

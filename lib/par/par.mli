@@ -1,26 +1,18 @@
-(** Deterministic domain-parallelism for the ERM solvers.
+(** Deterministic domain-parallelism for the candidate sweep.
 
-    A fixed-size pool of OCaml 5 [Domain]s executes chunked [map]/[fold]
-    work lists.  The design invariant — relied on by every caller in
-    [lib/core] — is that the {e observable result} of a parallel run is
-    bit-identical to the sequential one:
+    A fixed-size pool of OCaml 5 [Domain]s runs one chunked map/reduce
+    ({!map_reduce_chunks}).  Its observable result is bit-identical to
+    the sequential fold: chunks are contiguous index ranges, their
+    results are reduced {b in index order}, never in completion order,
+    so a first-best tie-break ("keep the earliest candidate on equal
+    error") is preserved, and of several failing chunks the
+    lowest-indexed one's exception is re-raised.
 
-    - tasks are identified by a dense index [0 .. tasks-1];
-    - results are stored by index and reduced {b in index order}, never
-      in completion order, so the streaming enumerators' first-best
-      tie-breaking ("keep the earliest candidate on equal error") is
-      preserved;
-    - if several tasks raise, the exception of the {e lowest-indexed}
-      failing task is re-raised after all in-flight tasks have settled —
-      matching the sequential run, where the earliest failure wins.
-
-    A pool of size 1 spawns no domains and runs every combinator inline;
-    its overhead over a plain loop is a bounds check per task.
-
+    A pool of size 1 spawns no domains and runs every chunk inline.
     Workers are spawned lazily on first use and parked on a condition
-    variable between calls, so an idle pool costs nothing.  Nested
-    [run]s on one pool are not supported (the solvers never nest);
-    create a second pool if you need one inside a task. *)
+    variable between calls, so an idle pool costs nothing.  Nested calls
+    on one pool are not supported; create a second pool if you need one
+    inside a chunk. *)
 
 module Pool : sig
   type t
@@ -51,56 +43,23 @@ val default : unit -> Pool.t
 (** The process-wide default pool, sized by {!jobs}.  Shut down
     automatically at exit. *)
 
-val run : Pool.t -> tasks:int -> (int -> unit) -> unit
-(** [run pool ~tasks f] executes [f 0 .. f (tasks-1)], work-stealing
-    across the pool.  Returns when every task has settled.
-
-    {b Fault isolation.}  A worker exception poisons only its own
-    task: the task is re-queued and retried (three attempts in total),
-    preferring a slot other than the one that failed — best-effort;
-    with a single live worker the failing slot retries its own task,
-    so progress never depends on a second worker.  A task still
-    failing after its last attempt makes the run fail: remaining tasks
-    are drained without running, and the exception of the
-    {e lowest-indexed} finally-failing task is re-raised {b with the
-    worker's original backtrace}
-    ({!Printexc.raise_with_backtrace}) — matching the sequential run,
-    where the earliest failure wins.  Deterministic exceptions
-    ([Invalid_argument], [Assert_failure], [Match_failure],
-    [Not_found], [Out_of_memory], [Stack_overflow], and anything
-    registered via {!register_no_retry}) are never retried.
-
-    Retries re-run the whole task, so a task that both mutates shared
-    state and raises transiently may over-count side effects (the
-    solvers' tasks only publish results at the end, so their outputs
-    are unaffected).  A size-1 pool runs inline on the caller but
-    honours the same contract: retryable exceptions get the same
-    bounded attempts before propagating, so fault behaviour does not
-    depend on the pool size. *)
-
-val register_no_retry : (exn -> bool) -> unit
-(** Mark an exception class as not-a-fault: {!run} fails the task on
-    first raise instead of retrying.  Used by [Guard] for its internal
-    stop signal (a budget trip is control flow, not a crash). *)
-
-val map_tasks : Pool.t -> tasks:int -> (int -> 'a) -> 'a array
-(** Like {!run}, collecting results in index order. *)
-
-val map_list : Pool.t -> ('a -> 'b) -> 'a list -> 'b list
-(** [map_list pool f xs] is [List.map f xs], order preserved. *)
-
 val map_reduce_chunks :
   Pool.t ->
   n:int ->
-  ?chunk:int ->
   map:(int -> int -> 'a) ->
   reduce:('acc -> 'a -> 'acc) ->
   init:'acc ->
-  unit ->
   'acc
-(** [map_reduce_chunks pool ~n ~map ~reduce ~init ()] splits the index
-    range [0..n-1] into contiguous chunks, evaluates [map lo hi] (hi
-    exclusive) for each in parallel, then folds the chunk results with
-    [reduce] {b sequentially, in chunk order} on the calling domain.
-    [chunk] defaults to [n / (4 * size)] (at least 1): about four chunks
-    per worker for load balance. *)
+(** [map_reduce_chunks pool ~n ~map ~reduce ~init] splits the index
+    range [0..n-1] into contiguous chunks of [n / (4 * size)] indices (at
+    least 1; about four chunks per domain for load balance), evaluates
+    [map lo hi] (hi exclusive) for each in parallel, then folds the chunk
+    results with [reduce] {b sequentially, in chunk order} on the calling
+    domain.
+
+    A raising [map] fails the call at once: chunks not yet started are
+    skipped, no chunk is run twice, and the exception of the
+    {e lowest-indexed} failing chunk is re-raised with its original
+    backtrace ({!Printexc.raise_with_backtrace}) — the failure the
+    sequential run would raise first.  A pool of size 1 runs every
+    chunk inline on the caller, in order. *)

@@ -109,20 +109,6 @@ def check(path: str) -> None:
     for i, row in enumerate(doc["rows"]):
         if not isinstance(row, dict):
             fail(f"{path}: rows[{i}] is not an object")
-    # budget accounting: a Guard.spent object, or null when the
-    # experiment has no experiment-wide budget (bench/main.exe writes
-    # null; budgeted runs report their spend in their own rows)
-    if "budget_spent" not in doc:
-        fail(f"{path}: missing key 'budget_spent'")
-    spent = doc["budget_spent"]
-    if spent is not None:
-        if not isinstance(spent, dict):
-            fail(f"{path}: budget_spent must be an object or null")
-        for key in ("fuel", "table_rows", "ball_peak", "catalogue_entries"):
-            if not isinstance(spent.get(key), int):
-                fail(f"{path}: budget_spent.{key} missing or not an int")
-        if not isinstance(spent.get("elapsed_ns"), (int, float)):
-            fail(f"{path}: budget_spent.elapsed_ns missing or not a number")
     print(f"{path}: ok ({len(doc['rows'])} rows, "
           f"{len(doc['metrics']['counters'])} counters)")
 

@@ -1,12 +1,13 @@
 (* Tests for folearn.par: the fixed-size domain pool and the
-   determinism contract of the parallel solver paths.
+   determinism contract of the parallel candidate sweep.
 
-   - pool combinators: index-ordered results, chunked map/reduce equal
-     to the sequential fold, lowest-indexed failure re-raised;
-   - the headline property: every Erm_* solver and Preindex.build
-     returns bit-identical hypotheses, errors and class assignments at
-     jobs = 1, 2 and 4 (jobs = 1 runs first so the global intern
-     tables are warm — ids are process-global, see par.mli);
+   - map_reduce_chunks: index-ordered results, equal to the sequential
+     fold, lowest-indexed failure re-raised with its backtrace, a
+     raising chunk run exactly once, inline on a size-1 pool;
+   - the headline property: every sweep solver returns bit-identical
+     hypotheses, errors and counters at jobs = 1, 2 and 4 (jobs = 1
+     runs first so the global intern tables are warm — ids are
+     process-global);
    - budget trips (fault plans and fuel) are deterministic under
      parallelism: shared Atomic accounting makes every worker see the
      same trip. *)
@@ -16,8 +17,6 @@ module Sam = Folearn.Sample
 module Brute = Folearn.Erm_brute
 module Counting = Folearn.Erm_counting
 module Local = Folearn.Erm_local
-module Real = Folearn.Erm_realizable
-module Pre = Folearn.Preindex
 module Hyp = Folearn.Hypothesis
 
 let check = Alcotest.(check bool)
@@ -33,20 +32,25 @@ let sample_on g centre =
     (Sam.all_tuples g ~k:1)
 
 (* ------------------------------------------------------------------ *)
-(* Pool combinators                                                    *)
+(* map_reduce_chunks                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let map_tasks_index_order () =
-  with_pool ~jobs:4 @@ fun pool ->
-  let r = Par.map_tasks pool ~tasks:100 (fun i -> i * i) in
-  check_int "length" 100 (Array.length r);
-  Array.iteri (fun i v -> check_int "r.(i) = i*i" (i * i) v) r
+(* [f i] for every index of the chunk, in order *)
+let each f lo hi =
+  for i = lo to hi - 1 do
+    f i
+  done
 
-let map_list_matches_sequential () =
-  with_pool ~jobs:3 @@ fun pool ->
-  let xs = List.init 57 (fun i -> i - 20) in
-  let f x = (x * 31) mod 7 in
-  check "map_list" true (Par.map_list pool f xs = List.map f xs)
+let index_order () =
+  with_pool ~jobs:4 @@ fun pool ->
+  let r =
+    Par.map_reduce_chunks pool ~n:100
+      ~map:(fun lo hi -> List.init (hi - lo) (fun d -> (lo + d) * (lo + d)))
+      ~reduce:(fun acc xs -> acc @ xs)
+      ~init:[]
+  in
+  check_int "length" 100 (List.length r);
+  List.iteri (fun i v -> check_int "r.(i) = i*i" (i * i) v) r
 
 let map_reduce_matches_fold () =
   with_pool ~jobs:4 @@ fun pool ->
@@ -55,19 +59,17 @@ let map_reduce_matches_fold () =
     Par.map_reduce_chunks pool ~n
       ~map:(fun lo hi ->
         let s = ref 0 in
-        for i = lo to hi - 1 do
-          s := !s + i
-        done;
+        each (fun i -> s := !s + i) lo hi;
         !s)
-      ~reduce:( + ) ~init:0 ()
+      ~reduce:( + ) ~init:0
   in
   check_int "sum 0..n-1" (n * (n - 1) / 2) total;
   (* chunk-order reduce: a non-commutative reduction must still see
      the chunks in index order *)
   let concat =
-    Par.map_reduce_chunks pool ~n:26 ~chunk:3
+    Par.map_reduce_chunks pool ~n:26
       ~map:(fun lo hi -> String.init (hi - lo) (fun i -> Char.chr (65 + lo + i)))
-      ~reduce:( ^ ) ~init:"" ()
+      ~reduce:( ^ ) ~init:""
   in
   check "chunks reduced in index order" true
     (concat = "ABCDEFGHIJKLMNOPQRSTUVWXYZ")
@@ -75,57 +77,36 @@ let map_reduce_matches_fold () =
 let lowest_failure_wins () =
   with_pool ~jobs:4 @@ fun pool ->
   match
-    Par.run pool ~tasks:64 (fun i ->
-        if i mod 2 = 1 then failwith (string_of_int i))
+    Par.map_reduce_chunks pool ~n:64
+      ~map:(each (fun i -> if i mod 2 = 1 then failwith (string_of_int i)))
+      ~reduce:(fun () () -> ())
+      ~init:()
   with
   | () -> Alcotest.fail "expected a failure to propagate"
   | exception Failure m -> check "lowest-indexed failure re-raised" true (m = "1")
 
-(* ------------------------------------------------------------------ *)
-(* Fault isolation: bounded retries, original backtrace                *)
-(* ------------------------------------------------------------------ *)
-
-let transient_fault_retried () =
-  with_pool ~jobs:4 @@ fun pool ->
-  (* one task fails on its first attempt only: the bounded retry must
-     absorb it and the run must complete with every result intact
-     (holds at any pool size — the inline path retries too) *)
-  let first = Atomic.make true in
-  let r =
-    Par.map_tasks pool ~tasks:32 (fun i ->
-        if i = 5 && Atomic.exchange first false then failwith "transient";
-        i * 2)
-  in
-  Array.iteri (fun i v -> check_int "results intact" (i * 2) v) r
-
-let permanent_fault_bounded () =
-  with_pool ~jobs:4 @@ fun pool ->
-  let attempts = Atomic.make 0 in
-  (match
-     Par.run pool ~tasks:16 (fun i ->
-         if i = 3 then begin
-           Atomic.incr attempts;
-           failwith "permanent"
-         end)
-   with
-  | () -> Alcotest.fail "expected the permanent failure to propagate"
-  | exception Failure m -> check "original exception" true (m = "permanent"));
-  check_int "exactly max_attempts tries" 3 (Atomic.get attempts)
-
-let non_retryable_single_attempt () =
-  with_pool ~jobs:4 @@ fun pool ->
-  let attempts = Atomic.make 0 in
-  (match
-     Par.run pool ~tasks:8 (fun i ->
-         if i = 2 then begin
-           Atomic.incr attempts;
-           invalid_arg "programmer error"
-         end)
-   with
-  | () -> Alcotest.fail "expected Invalid_argument to propagate"
-  | exception Invalid_argument m ->
-      check "original exception" true (m = "programmer error"));
-  check_int "deterministic errors are not retried" 1 (Atomic.get attempts)
+let raising_task_runs_once () =
+  List.iter
+    (fun jobs ->
+      with_pool ~jobs @@ fun pool ->
+      let attempts = Atomic.make 0 in
+      (match
+         Par.map_reduce_chunks pool ~n:16
+           ~map:
+             (each (fun i ->
+                  if i = 3 then begin
+                    Atomic.incr attempts;
+                    failwith "fault"
+                  end))
+           ~reduce:(fun () () -> ())
+           ~init:()
+       with
+      | () -> Alcotest.fail "expected the failure to propagate"
+      | exception Failure m -> check "original exception" true (m = "fault"));
+      check_int
+        (Printf.sprintf "one attempt at jobs %d" jobs)
+        1 (Atomic.get attempts))
+    [ 1; 2 ]
 
 let string_contains hay needle =
   let nl = String.length needle and hl = String.length hay in
@@ -140,7 +121,10 @@ let backtrace_preserved () =
   Printexc.record_backtrace true;
   with_pool ~jobs:4 @@ fun pool ->
   match
-    Par.run pool ~tasks:8 (fun i -> if i = 4 then backtrace_probe_raiser ())
+    Par.map_reduce_chunks pool ~n:8
+      ~map:(each (fun i -> if i = 4 then backtrace_probe_raiser ()))
+      ~reduce:(fun () () -> ())
+      ~init:()
   with
   | () -> Alcotest.fail "expected the failure to propagate"
   | exception Failure _ ->
@@ -154,14 +138,16 @@ let inline_when_single () =
   with_pool ~jobs:1 @@ fun pool ->
   let self = Domain.self () in
   let r =
-    Par.map_tasks pool ~tasks:8 (fun i ->
+    Par.map_reduce_chunks pool ~n:8
+      ~map:(fun lo hi ->
         check "inline on caller domain" true (Domain.self () = self);
-        i + 1)
+        hi - lo)
+      ~reduce:( + ) ~init:0
   in
-  check_int "inline result" 8 r.(7)
+  check_int "inline result" 8 r
 
 (* ------------------------------------------------------------------ *)
-(* parallel = sequential, for every solver and the preindex           *)
+(* parallel = sequential, for every sweep solver                      *)
 (* ------------------------------------------------------------------ *)
 
 (* Each run_* projects a solver result onto a comparable value:
@@ -183,26 +169,6 @@ let run_local pool g lam =
     r.Local.params_tried + (r.Local.pool_size * 1000)
     + (r.Local.vertices_touched * 1000000) )
 
-let realizable_catalogue =
-  List.map Fo.Parser.parse
-    [ "exists z. E(x, z) /\\ E(z, y1)"; "E(x, y1)"; "x = y1" ]
-
-let run_realizable pool g lam =
-  match Real.solve ~pool g ~ell:1 ~catalogue:realizable_catalogue lam with
-  | None -> ("(reject)", 0.0, 0)
-  | Some r ->
-      (* mc_calls is jobs-dependent (the block scan may speculate past
-         the winner); the hypothesis and the winning index are not *)
-      (Hyp.signature r.Real.hypothesis, 0.0, r.Real.formulas_tried)
-
-let run_preindex pool g _lam =
-  let idx = Pre.build ~pool g ~q:1 ~r:1 in
-  let classes =
-    String.concat ","
-      (List.init (Graph.order g) (fun v -> string_of_int (Pre.vertex_class idx v)))
-  in
-  (classes, 0.0, Pre.class_count idx)
-
 let det_prop (name, runner) =
   QCheck.Test.make ~count:6
     ~name:(Printf.sprintf "%s: jobs 1/2/4 bit-identical" name)
@@ -222,13 +188,11 @@ let det_props =
       ("erm_brute", run_brute);
       ("erm_counting", run_counting);
       ("erm_local", run_local);
-      ("erm_realizable", run_realizable);
-      ("preindex", run_preindex);
     ]
 
 let nd_deterministic () =
-  (* Erm_nd parallelises its BFS-ball batches; the report must not
-     depend on the pool size (the search itself stays sequential) *)
+  (* Erm_nd runs on the calling domain: its report must not depend on
+     the default pool size *)
   let g = Gen.random_tree ~seed:17 40 in
   let lam = sample_on g 20 in
   let run jobs =
@@ -390,19 +354,14 @@ let sweep_prop =
 
 let suite =
   [
-    Alcotest.test_case "map_tasks returns index-ordered results" `Quick
-      map_tasks_index_order;
-    Alcotest.test_case "map_list = List.map" `Quick map_list_matches_sequential;
+    Alcotest.test_case "map_reduce_chunks returns index-ordered results"
+      `Quick index_order;
     Alcotest.test_case "map_reduce_chunks = sequential fold" `Quick
       map_reduce_matches_fold;
     Alcotest.test_case "lowest-indexed failure is re-raised" `Quick
       lowest_failure_wins;
-    Alcotest.test_case "transient worker fault absorbed by retry" `Quick
-      transient_fault_retried;
-    Alcotest.test_case "permanent fault propagates after bounded retries"
-      `Quick permanent_fault_bounded;
-    Alcotest.test_case "non-retryable exceptions fail fast" `Quick
-      non_retryable_single_attempt;
+    Alcotest.test_case "a raising task runs exactly once" `Quick
+      raising_task_runs_once;
     Alcotest.test_case "re-raise preserves the worker backtrace" `Quick
       backtrace_preserved;
     Alcotest.test_case "jobs=1 runs inline on the caller" `Quick

@@ -66,8 +66,13 @@ let run_sharded ~jobs ops =
       Fun.protect
         ~finally:(fun () -> Par.Pool.shutdown pool)
         (fun () ->
-          Par.run pool ~tasks (fun t ->
-              Array.iteri (fun i op -> if i mod tasks = t then apply_op op) arr));
+          Par.map_reduce_chunks pool ~n:tasks
+            ~map:(fun lo hi ->
+              for t = lo to hi - 1 do
+                Array.iteri (fun i op -> if i mod tasks = t then apply_op op) arr
+              done)
+            ~reduce:(fun () () -> ())
+            ~init:());
       merged_totals ())
 
 let prop_shard_merge =
@@ -129,7 +134,7 @@ let test_event_json_roundtrip () =
 
 let test_fdr_roundtrip () =
   Obs.Event.reset ();
-  Obs.Event.record ~kind:"par" ~args:[ ("task", "7") ] "par.retry";
+  Obs.Event.record ~kind:"guard" ~args:[ ("reason", "fuel") ] "guard.trip";
   Obs.Event.record ~kind:"resil" "resil.snapshot.save";
   let d = Pulse.Fdr.capture ~reason:"test" in
   check_int "captured both events" 2 (List.length d.Pulse.Fdr.events);
