@@ -1725,9 +1725,8 @@ let e22 () =
   (* --- A: warm-engine latency vs a cold CLI process.  The warm leg is
      the daemon's engine path (Serve.Exec.run_op in a long-lived
      process, intern tables and evaluator caches carried over); the
-     cold leg forks the real one-shot binary per request when it is
-     built, and otherwise simulates a fresh process by dropping the
-     intern tables between in-process runs. *)
+     cold leg forks the real one-shot binary per request, so the CLI
+     must be built beside this executable. *)
   let pct sorted p =
     let n = Array.length sorted in
     sorted.(min (n - 1) (int_of_float (ceil (p *. float (n - 1)))))
@@ -1747,53 +1746,46 @@ let e22 () =
         assert (r.Serve.Exec.code = 0);
         t)
   in
-  let cli =
-    let p =
-      Filename.concat
-        (Filename.dirname Sys.executable_name)
-        "../bin/folearn_cli.exe"
-    in
-    if Sys.file_exists p then Some p else None
+  let exe =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      "../bin/folearn_cli.exe"
   in
-  let cold_mode = match cli with Some _ -> "cli" | None -> "in-process" in
+  if not (Sys.file_exists exe) then
+    failwith
+      (Printf.sprintf
+         "e22: the cold leg runs the CLI, but %s does not exist; build \
+          bin/folearn_cli.exe first"
+         exe);
   let cold_times =
-    match cli with
-    | Some exe ->
-        let args =
-          [|
-            exe; "learn"; "-g"; "cycle:24"; "--color"; "Red=0,3,6,9";
-            "--target"; "exists y. (E(x1,y) & Red(y))"; "-k"; "1"; "-l";
-            "1"; "-q"; "2"; "--solver"; "brute";
-          |]
-        in
-        let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-        let times =
-          List.init cold_n (fun _ ->
-              incr requests;
-              snd
-                (time (fun () ->
-                     let pid =
-                       Unix.create_process exe args devnull devnull devnull
-                     in
-                     match snd (Unix.waitpid [] pid) with
-                     | Unix.WEXITED 0 -> ()
-                     | _ -> failwith "cold CLI run failed")))
-        in
-        Unix.close devnull;
-        times
-    | None ->
-        List.init cold_n (fun _ ->
-            T.reset_tables ();
-            Modelcheck.Ctypes.reset_tables ();
-            let r, t = time (fun () -> run_learn ()) in
-            assert (r.Serve.Exec.code = 0);
-            t)
+    let args =
+      [|
+        exe; "learn"; "-g"; "cycle:24"; "--color"; "Red=0,3,6,9"; "--target";
+        "exists y. (E(x1,y) & Red(y))"; "-k"; "1"; "-l"; "1"; "-q"; "2";
+        "--solver"; "brute";
+      |]
+    in
+    let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+    let times =
+      List.init cold_n (fun _ ->
+          incr requests;
+          snd
+            (time (fun () ->
+                 let pid =
+                   Unix.create_process exe args devnull devnull devnull
+                 in
+                 match snd (Unix.waitpid [] pid) with
+                 | Unix.WEXITED 0 -> ()
+                 | _ -> failwith "cold CLI run failed")))
+    in
+    Unix.close devnull;
+    times
   in
   let w50, w99 = samples warm_times and c50, c99 = samples cold_times in
   let warm_speedup = c50 /. w50 in
   row "%-10s %6s %12s %12s\n" "leg" "n" "p50 (s)" "p99 (s)";
   row "%-10s %6d %12.4f %12.4f\n" "warm" warm_n w50 w99;
-  row "%-10s %6d %12.4f %12.4f   (%s)\n" "cold" cold_n c50 c99 cold_mode;
+  row "%-10s %6d %12.4f %12.4f   (cli)\n" "cold" cold_n c50 c99;
   row "warm speedup (cold p50 / warm p50): %.2fx\n" warm_speedup;
   add_row
     [
@@ -1803,15 +1795,15 @@ let e22 () =
   add_row
     [
       ("leg", jstr "cold"); ("n", jint cold_n); ("p50_s", jfloat c50);
-      ("p99_s", jfloat c99); ("mode", jstr cold_mode);
+      ("p99_s", jfloat c99); ("mode", jstr "cli");
     ];
   (* --- B: admission control.  A stingy tenant's fuel quota must be
      refused by the zero-fuel planner precheck - before any enumeration
      runs - exactly as the daemon refuses it before queueing. *)
   let stingy =
     {
-      Analysis.Plan.fuel = Some 2;
-      timeout_s = None;
+      Guard.Limits.fuel = Some 2;
+      deadline_s = None;
       max_table = None;
       max_ball = None;
     }

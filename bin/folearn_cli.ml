@@ -277,34 +277,17 @@ let apply_jobs = function
       Format.eprintf "folearn: --jobs must be >= 1 (got %d)@." n;
       exit 2
 
-type budget_opts = {
-  fuel : int option;
-  timeout : float option;
-  max_table : int option;
-  max_ball : int option;
-}
-
 let budget_term =
-  let mk fuel timeout max_table max_ball =
-    { fuel; timeout; max_table; max_ball }
+  let mk fuel deadline_s max_table max_ball =
+    { Guard.Limits.fuel; deadline_s; max_table; max_ball }
   in
   Term.(const mk $ fuel_arg $ timeout_arg $ max_table_arg $ max_ball_arg)
-
-let has_limits b =
-  b.fuel <> None || b.timeout <> None || b.max_table <> None
-  || b.max_ball <> None
-
-let budget_of ({ fuel; timeout; max_table; max_ball } as b) =
-  if not (has_limits b) then None
-  else
-    Some
-      (Guard.Budget.make ?fuel ?timeout_s:timeout ?max_table ?max_ball ())
 
 (* the /progress fuel gauge needs a live budget to read spend from, so
    --metrics-addr with no budget flag makes an unlimited one, as
    --checkpoint does *)
-let budget_for_pulse pulse opts =
-  match budget_of opts with
+let budget_for_pulse pulse limits =
+  match Guard.Budget.of_limits limits with
   | Some _ as b -> b
   | None ->
       if pulse.metrics_addr = None then None
@@ -522,7 +505,7 @@ let learn_cmd =
   let noise_arg =
     Arg.(value & opt float 0.0 & info [ "noise" ] ~doc:"Label-flip probability.")
   in
-  let run p budget_opts no_precheck jobs ckpt_opts pulse trace stats stats_json
+  let run p limits no_precheck jobs ckpt_opts pulse trace stats stats_json
       =
     apply_jobs jobs;
     let precheck = not no_precheck in
@@ -533,7 +516,7 @@ let learn_cmd =
       let run_id = l.run_id and solver = Exec.solver_name p.lp_solver in
       let budget, ckpt =
         setup_resilience ~cmd:"learn" ~solver ~run_id
-          ~budget:(budget_for_pulse pulse budget_opts)
+          ~budget:(budget_for_pulse pulse limits)
           ckpt_opts
       in
       (* no checkpointing asked for, but a live /progress endpoint
@@ -623,7 +606,7 @@ let plan_cmd =
   in
   (* plan labels nothing: [p] carries no target or noise, and the
      optional --target is only validated *)
-  let run (p : Exec.learn_p) target budget format strict =
+  let run (p : Exec.learn_p) target limits format strict =
     or_usage @@ fun () ->
     let { Exec.lp_k = k; lp_ell = ell; lp_q = q; lp_tmax = tmax; _ } = p in
     let g = Exec.learn_graph ~op:"plan" p in
@@ -635,9 +618,7 @@ let plan_cmd =
     let solvers = [ Plan.Brute; Plan.Local; Plan.Nd; Plan.Counting ] in
     let plans = List.map (Plan.analyze inp) solvers in
     let chain = Plan.degrade_stages inp in
-    let { fuel; timeout; max_table; max_ball } = budget in
-    let limits = Plan.limits ?fuel ?timeout_s:timeout ?max_table ?max_ball () in
-    let has_limits = has_limits budget in
+    let has_limits = not (Guard.Limits.is_none limits) in
     let selected = Exec.plan_solver p.lp_solver in
     let selected_plan = Plan.analyze inp selected in
     (* the budgeted local path of `learn` runs the degradation chain,
@@ -692,13 +673,13 @@ let plan_cmd =
               ( "limits",
                 J.Obj
                   [
-                    ("fuel", opt_int fuel);
+                    ("fuel", opt_int limits.fuel);
                     ( "timeout_s",
-                      match timeout with
+                      match limits.deadline_s with
                       | None -> J.Null
                       | Some t -> J.Float t );
-                    ("max_table", opt_int max_table);
-                    ("max_ball", opt_int max_ball);
+                    ("max_table", opt_int limits.max_table);
+                    ("max_ball", opt_int limits.max_ball);
                   ] );
               ("solvers", J.Obj (List.map2 solver_entry solvers plans));
               ( "degrade_chain",
@@ -753,7 +734,7 @@ let plan_cmd =
 (* Serve.Exec validates and runs the op; the CLI wraps it in
    telemetry and checkpointing and hands it the process streams *)
 let exec_op_cmd ~cmd ~doc ~precheck prep =
-  let run prep budget_opts precheck jobs ckpt_opts pulse trace stats
+  let run prep limits precheck jobs ckpt_opts pulse trace stats
       stats_json =
     apply_jobs jobs;
     with_obs ~pulse ~trace ~stats ~stats_json @@ fun () ->
@@ -763,7 +744,7 @@ let exec_op_cmd ~cmd ~doc ~precheck prep =
     let run_id = lazy (Exec.run_id op) in
     let budget, ckpt =
       setup_resilience ~cmd ~solver:cmd ~run_id
-        ~budget:(budget_for_pulse pulse budget_opts)
+        ~budget:(budget_for_pulse pulse limits)
         ckpt_opts
     in
     install_progress
@@ -1609,9 +1590,6 @@ let rpc_timeout_arg =
     & info [ "rpc-timeout" ] ~docv:"SECONDS"
         ~doc:"Socket receive timeout while waiting for the response.")
 
-let budget_req_of { fuel; timeout; max_table; max_ball } =
-  { Serve.Proto.fuel; deadline_s = timeout; max_table; max_ball }
-
 let rpc_with_retries ~cmd ~connect ~retries ~backoff ~timeout_s req =
   let addr = addr_of_spec ~cmd ~flag:"--connect" connect in
   let rec attempt i sleep =
@@ -1781,7 +1759,7 @@ let call_cmd =
       {
         Serve.Proto.tenant;
         op;
-        budget = budget_req_of budget;
+        budget;
         params;
       }
     in
@@ -1806,7 +1784,7 @@ let submit_cmd =
       {
         Serve.Proto.tenant;
         op = "submit";
-        budget = budget_req_of budget;
+        budget;
         params;
       }
     in

@@ -52,11 +52,6 @@ module Count = struct
     | Finite n -> Obs.Json.Int n
     | Saturated -> Obs.Json.String "saturated"
 
-  let of_json = function
-    | Obs.Json.Int n when n >= 0 -> Ok (Finite n)
-    | Obs.Json.String "saturated" -> Ok Saturated
-    | _ -> Error "Count.of_json: expected a non-negative integer or \"saturated\""
-
   let pp ppf = function
     | Finite n -> Format.pp_print_int ppf n
     | Saturated -> Format.pp_print_string ppf "saturated"
@@ -73,12 +68,6 @@ module Log2 = struct
   let to_json = function
     | Finite f -> Obs.Json.Float f
     | Saturated -> Obs.Json.String "saturated"
-
-  let of_json = function
-    | Obs.Json.Int n -> Ok (Finite (float_of_int n))
-    | Obs.Json.Float f when Float.is_finite f -> Ok (Finite f)
-    | Obs.Json.String "saturated" -> Ok Saturated
-    | _ -> Error "Log2.of_json: expected a finite number or \"saturated\""
 
   let pp ppf = function
     | Finite f -> Format.fprintf ppf "%g" f

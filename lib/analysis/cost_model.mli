@@ -52,9 +52,6 @@ module Count : sig
   (** [Finite n] encodes as a JSON int, [Saturated] as the string
       ["saturated"]. *)
 
-  val of_json : Obs.Json.t -> (t, string) result
-  (** Inverse of {!to_json}: [of_json (to_json t) = Ok t]. *)
-
   val pp : Format.formatter -> t -> unit
 end
 
@@ -70,9 +67,6 @@ module Log2 : sig
   (** [Finite f] encodes as a JSON float, [Saturated] as the string
       ["saturated"] — losslessly, unlike a bare non-finite float (which
       [Obs.Json] must encode as [null]). *)
-
-  val of_json : Obs.Json.t -> (t, string) result
-  (** Inverse of {!to_json}: [of_json (to_json t) = Ok t]. *)
 
   val pp : Format.formatter -> t -> unit
 end

@@ -570,42 +570,11 @@ let cost_json c =
         match c.locality_radius with
         | Some r -> Obs.Json.Int r
         | None -> Obs.Json.Null );
-      (* saturated bounds encode as the string "saturated", so the
-         round-trip through [Obs.Json] is lossless *)
+      (* saturated bounds encode as the string "saturated", not as a
+         bare non-finite float (which [Obs.Json] writes as null) *)
       ("hintikka_log2", Cost_model.Log2.to_json c.hintikka_log2);
       ("ramsey_r233_log2", Cost_model.Log2.to_json c.ramsey_r233_log2);
     ]
-
-let cost_of_json j =
-  let ( let* ) = Result.bind in
-  let field name =
-    match Obs.Json.member name j with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "cost_of_json: missing field %S" name)
-  in
-  let int_field name =
-    let* v = field name in
-    match Obs.Json.to_int_opt v with
-    | Some n -> Ok n
-    | None -> Error (Printf.sprintf "cost_of_json: field %S is not an int" name)
-  in
-  let* rank = int_field "quantifier_rank" in
-  let* free_count = int_field "free_variables" in
-  let* size = int_field "size" in
-  let* locality_radius =
-    let* v = field "locality_radius" in
-    match v with
-    | Obs.Json.Null -> Ok None
-    | v -> (
-        match Obs.Json.to_int_opt v with
-        | Some r -> Ok (Some r)
-        | None -> Error "cost_of_json: field \"locality_radius\" is not an int")
-  in
-  let* hintikka_log2 = Result.bind (field "hintikka_log2") Cost_model.Log2.of_json in
-  let* ramsey_r233_log2 =
-    Result.bind (field "ramsey_r233_log2") Cost_model.Log2.of_json
-  in
-  Ok { rank; free_count; size; locality_radius; hintikka_log2; ramsey_r233_log2 }
 
 let cost_diagnostic ?vocab phi =
   Diagnostic.make ~rule:"cost-metadata"

@@ -72,11 +72,7 @@ val cost : ?vocab:Vocab.t -> Fo.Formula.t -> cost
     atoms appearing in the formula. *)
 
 val cost_json : cost -> Obs.Json.t
-(** Lossless: saturated bounds encode as the string ["saturated"], so
-    [cost_of_json (cost_json c) = Ok c] for every [c]. *)
-
-val cost_of_json : Obs.Json.t -> (cost, string) result
-(** Inverse of {!cost_json}. *)
+(** Saturated bounds encode as the string ["saturated"]. *)
 
 val cost_diagnostic : ?vocab:Vocab.t -> Fo.Formula.t -> Diagnostic.t
 (** A [cost-metadata] hint whose message is {!cost_json} serialised. *)

@@ -299,17 +299,8 @@ let degrade_stages i =
 (* Limits and exit-code prediction                                     *)
 (* ------------------------------------------------------------------ *)
 
-type limits = {
-  fuel : int option;
-  timeout_s : float option;
-  max_table : int option;
-  max_ball : int option;
-}
-
-let no_limits = { fuel = None; timeout_s = None; max_table = None; max_ball = None }
-
 let limits ?fuel ?timeout_s ?max_table ?max_ball () =
-  { fuel; timeout_s; max_table; max_ball }
+  { Guard.Limits.fuel; deadline_s = timeout_s; max_table; max_ball }
 
 type verdict = Complete | Degraded | Exhausted_nothing
 
@@ -332,29 +323,29 @@ let fits limit hi =
 let below limit lo =
   match limit with None -> false | Some l -> C.exceeds_int lo l
 
-let complete_certain p l =
-  l.timeout_s = None
+let complete_certain p (l : Guard.Limits.t) =
+  l.deadline_s = None
   && fits l.fuel p.fuel_total.Env.hi
   && fits l.max_table p.table_total.Env.hi
   && fits l.max_ball p.ball_total.Env.hi
 
-let reject_certain p l =
+let reject_certain p (l : Guard.Limits.t) =
   below l.fuel p.fuel_first.Env.lo
   || below l.max_table p.table_first.Env.lo
   || below l.max_ball p.ball_first.Env.lo
 
-let settles_certain p l =
-  l.timeout_s = None
+let settles_certain p (l : Guard.Limits.t) =
+  l.deadline_s = None
   && fits l.fuel p.fuel_first.Env.hi
   && fits l.max_table p.table_first.Env.hi
   && fits l.max_ball p.ball_first.Env.hi
 
-let trips_certain p l =
+let trips_certain p (l : Guard.Limits.t) =
   below l.fuel p.fuel_total.Env.lo
   || below l.max_table p.table_total.Env.lo
   || below l.max_ball p.ball_total.Env.lo
 
-let predict p l =
+let predict p (l : Guard.Limits.t) =
   if complete_certain p l then
     {
       verdict = Complete;
@@ -381,7 +372,7 @@ let predict p l =
          before the sweep completes";
     }
   else if
-    l.timeout_s = None
+    l.deadline_s = None
     && fits l.fuel p.fuel_total.Env.lo
     && fits l.max_table p.table_total.Env.lo
     && fits l.max_ball p.ball_total.Env.lo
@@ -595,7 +586,7 @@ let rejection what resource required limit =
     diagnostic = Diagnostic.make ~rule:"budget-infeasible" message;
   }
 
-let precheck ~what p l =
+let precheck ~what p (l : Guard.Limits.t) =
   if below l.fuel p.fuel_first.Env.lo then
     Some (rejection what "fuel" p.fuel_first.Env.lo (Option.get l.fuel))
   else if below l.max_table p.table_first.Env.lo then
@@ -642,7 +633,7 @@ let model_check_floor ~n (phi : Fo.Formula.t) =
   in
   mt phi
 
-let precheck_model_check ~what ~n phi l =
+let precheck_model_check ~what ~n phi (l : Guard.Limits.t) =
   let floor = model_check_floor ~n phi in
   match l.fuel with
   | Some f when f < floor ->

@@ -97,20 +97,10 @@ val degrade_stages : input -> t list
 
 (** {1 Exit-code prediction} *)
 
-(** Declarative resource limits, mirroring [Guard.Budget.limits]
-    without depending on the live budget. *)
-type limits = {
-  fuel : int option;
-  timeout_s : float option;
-  max_table : int option;
-  max_ball : int option;
-}
-
-val no_limits : limits
-
 val limits :
   ?fuel:int -> ?timeout_s:float -> ?max_table:int -> ?max_ball:int -> unit ->
-  limits
+  Guard.Limits.t
+(** A {!Guard.Limits.t}, [timeout_s] being its [deadline_s]. *)
 
 type verdict =
   | Complete  (** exit 0: finished with the min-error certificate *)
@@ -122,15 +112,15 @@ val verdict_name : verdict -> string
 
 type prediction = { verdict : verdict; certain : bool; reason : string }
 
-val predict : t -> limits -> prediction
+val predict : t -> Guard.Limits.t -> prediction
 (** [certain = true] only when the verdict is forced by the sound side
     of the envelopes: completion needs the limits to cover every [hi];
     exit 4 needs some limit below a [first.lo]; exit 3 needs the first
     settle provably affordable and completion provably not.  A
-    wall-clock [timeout_s] disables the 0/3 certainties (deadlines are
+    wall-clock [deadline_s] disables the 0/3 certainties (deadlines are
     not statically predictable). *)
 
-val predict_chain : t list -> limits -> prediction
+val predict_chain : t list -> Guard.Limits.t -> prediction
 (** Prediction for a {!degrade_stages} sequence under [Degrade.learn]
     semantics: completion of the head stage is exit 0; any later
     completion or any salvage is exit 3; exit 4 only when every stage
@@ -173,12 +163,12 @@ type rejection = {
   diagnostic : Diagnostic.t;  (** rule [budget-infeasible] *)
 }
 
-val precheck : what:string -> t -> limits -> rejection option
+val precheck : what:string -> t -> Guard.Limits.t -> rejection option
 (** [Some _] only when the run is {e provably} doomed to exit 4: a
     limit strictly below the sound first-settle floor.  Never fires on
     deadlines, and never on merely-unlikely budgets. *)
 
-val precheck_chain : what:string -> t list -> limits -> rejection option
+val precheck_chain : what:string -> t list -> Guard.Limits.t -> rejection option
 (** Rejects a degradation chain only when {e every} stage is provably
     doomed. *)
 
@@ -189,7 +179,7 @@ val model_check_floor : n:int -> Fo.Formula.t -> int
     the Lemma 7 reduction.  Exposed for the property tests. *)
 
 val precheck_model_check :
-  what:string -> n:int -> Fo.Formula.t -> limits -> rejection option
+  what:string -> n:int -> Fo.Formula.t -> Guard.Limits.t -> rejection option
 (** Model checking salvages nothing, so any provable trip
     ([fuel < {!model_check_floor}]) is a provable exit 4. *)
 

@@ -2,7 +2,7 @@
 
     The ERM solvers, {!Hypothesis.of_formula}, the sample labellers and
     the Theorem 1 reduction all consume formulas and parameter budgets;
-    [Guard] lets them reject ill-formed inputs {e at the boundary} with
+    [Precondition] lets them reject ill-formed inputs {e at the boundary} with
     the structured diagnostics of this library (rendered into the
     [Invalid_argument] payload) instead of failing deep inside type
     computation with a bare stack trace. *)

@@ -1,21 +1,47 @@
-(* Static admission control: before a budgeted solver burns any fuel,
-   ask the planner (Analysis.Plan) whether the declared limits are
-   provably below the sound first-settle floor.  If so, the run is
-   doomed to exit 4 — return the structured exhaustion immediately
-   instead of spending the whole budget discovering it. *)
+(* Static admission control: before a budgeted run burns any fuel, ask
+   the planner (Analysis.Plan) whether the declared limits are provably
+   below the sound first-settle floor.  If so, the run is doomed to exit
+   4 — refuse it at once instead of spending the whole budget
+   discovering it.  This is the one admission rule: the solvers'
+   in-process precheck and the daemon's ([Serve.Exec.precheck_rejection])
+   both call [rejection]. *)
 
 module Plan = Analysis.Plan
 
+(* what a run asks the planner to judge *)
+type query =
+  | Solve of Plan.solver * Plan.input  (* one solver run *)
+  | Degrade of Plan.input
+      (* [Degrade.learn]: local at rank q, then brute at lower ranks *)
+  | Model_check of Cgraph.Graph.t * Fo.Formula.t  (* [Reduction.model_check] *)
+
 let rejections = Obs.Metric.counter "plan.precheck_rejections"
 
-let limits_of_budget b =
-  let l = Guard.Budget.limits b in
-  {
-    Plan.fuel = l.Guard.Budget.l_fuel;
-    timeout_s = l.Guard.Budget.l_timeout_s;
-    max_table = l.Guard.Budget.l_max_table;
-    max_ball = l.Guard.Budget.l_max_ball;
-  }
+(* [Some] when [limits] provably strand the run before a first answer
+   settles; a degradation chain only when every stage is doomed.  The
+   rejection names the entry point that would have run, and is
+   counted. *)
+let rejection limits query =
+  let rej =
+    match query with
+    | Solve (solver, i) ->
+        let what =
+          match solver with
+          | Plan.Brute -> "Erm_brute"
+          | Plan.Counting -> "Erm_counting"
+          | Plan.Nd -> "Erm_nd"
+          | Plan.Local -> "Erm_local"
+        in
+        Plan.precheck ~what (Plan.analyze i solver) limits
+    | Degrade i ->
+        Plan.precheck_chain ~what:"Degrade.learn" (Plan.degrade_stages i)
+          limits
+    | Model_check (g, phi) ->
+        Plan.precheck_model_check ~what:"Reduction.model_check"
+          ~n:(Cgraph.Graph.order g) phi limits
+  in
+  if Option.is_some rej then Obs.Metric.incr rejections;
+  rej
 
 let reason_of (rej : Plan.rejection) =
   match rej.Plan.resource with
@@ -23,48 +49,24 @@ let reason_of (rej : Plan.rejection) =
   | "max-ball" -> Guard.Ball_cap
   | _ -> Guard.Out_of_fuel
 
-(* The rejection as a Guard outcome: nothing salvaged, the tripping
-   resource as the reason, zero spend (the budget was never entered),
-   and the planner's message for the caller to print. *)
-let reject_outcome budget (rej : Plan.rejection) =
-  Obs.Metric.incr rejections;
-  Guard.Exhausted
-    {
-      best_so_far = None;
-      reason = reason_of rej;
-      checkpoint = Guard.Solver_loop;
-      spent = Guard.Budget.spent budget;
-      refused = Some rej.Plan.message;
-    }
-
-(* [erm ?budget ~enabled ~what ~solver ...] returns [Some outcome] when
-   the run must be rejected, [None] when it may proceed.  Checkpointed
-   runs (an active [ckpt]) are never prechecked: a resumed run must
-   replay the recorded trip bit-identically, not shortcut it. *)
-let erm ?budget ?radius ?tmax ~enabled ~what ~solver g ~k ~ell ~q lam =
+(* The solvers' precheck: [Some outcome] when the run must be refused,
+   [None] when it may proceed.  The refusal is a Guard outcome: nothing
+   salvaged, the tripping resource as the reason, zero spend (the
+   budget was never entered), and the planner's message for the caller
+   to print.  Callers disable it for checkpointed runs: a resumed run
+   must replay the recorded trip bit-identically, not shortcut it. *)
+let precheck ?budget ~enabled query =
   match budget with
   | Some b when enabled ->
-      let i = Plan.input ?radius ?tmax g ~k ~ell ~q (List.map fst lam) in
-      let plan = Plan.analyze i solver in
-      Option.map (reject_outcome b)
-        (Plan.precheck ~what plan (limits_of_budget b))
-  | _ -> None
-
-(* Chain variant for [Degrade.learn]: reject only when every stage is
-   provably doomed. *)
-let degrade ?budget ?radius ~enabled ~what g ~k ~ell ~q lam =
-  match budget with
-  | Some b when enabled ->
-      let i = Plan.input ?radius g ~k ~ell ~q (List.map fst lam) in
-      Option.map (reject_outcome b)
-        (Plan.precheck_chain ~what (Plan.degrade_stages i)
-           (limits_of_budget b))
-  | _ -> None
-
-let model_check ?budget ~enabled ~what g phi =
-  match budget with
-  | Some b when enabled ->
-      Option.map (reject_outcome b)
-        (Plan.precheck_model_check ~what ~n:(Cgraph.Graph.order g) phi
-           (limits_of_budget b))
+      Option.map
+        (fun (rej : Plan.rejection) ->
+          Guard.Exhausted
+            {
+              best_so_far = None;
+              reason = reason_of rej;
+              checkpoint = Guard.Solver_loop;
+              spent = Guard.Budget.spent b;
+              refused = Some rej.Plan.message;
+            })
+        (rejection (Guard.Budget.limits b) (Lazy.force query))
   | _ -> None

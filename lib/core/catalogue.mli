@@ -33,7 +33,7 @@ val of_local_types_budgeted :
   Graph.t -> ell:int -> q:int -> r:int -> ?max_size:int -> unit ->
   Fo.Formula.t list Guard.outcome
 (** {!of_local_types} under a resource budget (checkpoint class
-    [Catalogue_growth], cap [max_catalogue]).  On exhaustion,
+    [Catalogue_growth]).  On exhaustion,
     [best_so_far] holds the formulas built before the trip — a valid,
     smaller catalogue (smallest-first order means the low-complexity
     hypotheses survive). *)

@@ -151,8 +151,10 @@ let learn_chain ?budget ?radius g ~k ~ell ~q lam =
 
 let learn ?budget ?(precheck = true) ?radius g ~k ~ell ~q lam =
   match
-    Admission.degrade ?budget ?radius ~enabled:precheck ~what:"Degrade.learn" g
-      ~k ~ell ~q lam
+    Admission.precheck ?budget ~enabled:precheck
+      (lazy
+        (Admission.Degrade
+           (Analysis.Plan.input ?radius g ~k ~ell ~q (List.map fst lam))))
   with
   | Some rejected -> rejected
   | None -> learn_chain ?budget ?radius g ~k ~ell ~q lam

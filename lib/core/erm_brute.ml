@@ -8,8 +8,8 @@ type result = {
 }
 
 let check_arity ~k lam =
-  Analysis.Guard.require ~what:"Erm_brute"
-    (Analysis.Guard.sample_arity ~k (List.map fst lam))
+  Analysis.Precondition.require ~what:"Erm_brute"
+    (Analysis.Precondition.sample_arity ~k (List.map fst lam))
 
 (* Best type-set for fixed parameters: majority vote per q-type class of
    v̄·w̄.  Returns (positive type list, number of errors). *)
@@ -46,8 +46,8 @@ let finish g ~k ~q lam st =
   result g ~k ~q lam ~tried:(Sweep.tried st) (Sweep.best st)
 
 let solve_body ?pool ?ckpt ?budget g ~k ~ell ~q lam st =
-  Analysis.Guard.require ~what:"Erm_brute.solve"
-    (Analysis.Guard.budgets ~ell ~q ~k ());
+  Analysis.Precondition.require ~what:"Erm_brute.solve"
+    (Analysis.Precondition.budgets ~ell ~q ~k ());
   check_arity ~k lam;
   Sweep.run ?pool ?ckpt ?budget (space ?budget g ~ell ~q lam) st;
   finish g ~k ~q lam st
@@ -68,9 +68,12 @@ let solve_budgeted ?budget ?(precheck = true) ?pool ?(ckpt = Resil.Ctl.none) g
         ("q", string_of_int q) ]
   @@ fun () ->
   match
-    Admission.erm ?budget
+    Admission.precheck ?budget
       ~enabled:(precheck && not (Resil.Ctl.active ckpt))
-      ~what:"Erm_brute" ~solver:Analysis.Plan.Brute g ~k ~ell ~q lam
+      (lazy
+        (Admission.Solve
+           (Analysis.Plan.Brute,
+            Analysis.Plan.input g ~k ~ell ~q (List.map fst lam))))
   with
   | Some rejected -> rejected
   | None ->

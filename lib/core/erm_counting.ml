@@ -8,8 +8,8 @@ type result = {
 }
 
 let check_arity ~k lam =
-  Analysis.Guard.require ~what:"Erm_counting"
-    (Analysis.Guard.sample_arity ~k (List.map fst lam))
+  Analysis.Precondition.require ~what:"Erm_counting"
+    (Analysis.Precondition.sample_arity ~k (List.map fst lam))
 
 let score ~q ~tmax lam ctx params =
   Sweep.majority (fun v -> C.ctp ctx ~q ~tmax (Graph.Tuple.append v params)) lam
@@ -43,8 +43,8 @@ let finish g ~k ~q ~tmax lam st =
   result g ~k ~q ~tmax lam ~tried:(Sweep.tried st) (Sweep.best st)
 
 let solve_body ?pool ?ckpt ?budget g ~k ~ell ~q ~tmax lam st =
-  Analysis.Guard.require ~what:"Erm_counting.solve"
-    (Analysis.Guard.budgets ~ell ~q ~tmax ~k ());
+  Analysis.Precondition.require ~what:"Erm_counting.solve"
+    (Analysis.Precondition.budgets ~ell ~q ~tmax ~k ());
   check_arity ~k lam;
   Sweep.run ?pool ?ckpt ?budget (space ?budget g ~ell ~q ~tmax lam) st;
   finish g ~k ~q ~tmax lam st
@@ -65,9 +65,12 @@ let solve_budgeted ?budget ?(precheck = true) ?pool ?(ckpt = Resil.Ctl.none) g
         ("q", string_of_int q); ("tmax", string_of_int tmax) ]
   @@ fun () ->
   match
-    Admission.erm ?budget ~tmax
+    Admission.precheck ?budget
       ~enabled:(precheck && not (Resil.Ctl.active ckpt))
-      ~what:"Erm_counting" ~solver:Analysis.Plan.Counting g ~k ~ell ~q lam
+      (lazy
+        (Admission.Solve
+           (Analysis.Plan.Counting,
+            Analysis.Plan.input ~tmax g ~k ~ell ~q (List.map fst lam))))
   with
   | Some rejected -> rejected
   | None ->

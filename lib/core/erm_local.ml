@@ -65,9 +65,9 @@ let finish g ~k ~q ~r lam ext st =
   }
 
 let solve_body ?pool:ppool ?ckpt ?budget g ~k ~ell ~q ~r lam ext st =
-  Analysis.Guard.require ~what:"Erm_local.solve"
-    (Analysis.Guard.budgets ~ell ~q ~radius:r ~k ()
-    @ Analysis.Guard.sample_arity ~k (List.map fst lam));
+  Analysis.Precondition.require ~what:"Erm_local.solve"
+    (Analysis.Precondition.budgets ~ell ~q ~radius:r ~k ()
+    @ Analysis.Precondition.sample_arity ~k (List.map fst lam));
   let entries =
     List.sort_uniq compare
       (List.concat_map (fun (v, _) -> Array.to_list v) lam)
@@ -106,9 +106,12 @@ let solve_budgeted ?budget ?(precheck = true) ?pool ?radius
         ("q", string_of_int q) ]
   @@ fun () ->
   match
-    Admission.erm ?budget ?radius
+    Admission.precheck ?budget
       ~enabled:(precheck && not (Resil.Ctl.active ckpt))
-      ~what:"Erm_local" ~solver:Analysis.Plan.Local g ~k ~ell ~q lam
+      (lazy
+        (Admission.Solve
+           (Analysis.Plan.Local,
+            Analysis.Plan.input ?radius g ~k ~ell ~q (List.map fst lam))))
   with
   | Some rejected -> rejected
   | None ->

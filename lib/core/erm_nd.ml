@@ -250,10 +250,10 @@ let rec subsets_up_to cap = function
    [solve_budgeted] can recover a partial answer after a budget trip. *)
 let solve_inner ?(ckpt = Resil.Ctl.none) ?budget cfg g lam =
   if cfg.epsilon <= 0.0 then invalid_arg "Erm_nd.solve: epsilon must be > 0";
-  Analysis.Guard.require ~what:"Erm_nd.solve"
-    (Analysis.Guard.budgets ~ell:cfg.ell_star ~q:cfg.q_star ?tmax:cfg.counting
-       ?radius:cfg.radius ~k:cfg.k ()
-    @ Analysis.Guard.sample_arity ~k:cfg.k (List.map fst lam));
+  Analysis.Precondition.require ~what:"Erm_nd.solve"
+    (Analysis.Precondition.budgets ~ell:cfg.ell_star ~q:cfg.q_star
+       ?tmax:cfg.counting ?radius:cfg.radius ~k:cfg.k ()
+    @ Analysis.Precondition.sample_arity ~k:cfg.k (List.map fst lam));
   let k = cfg.k and ell_star = max 1 cfg.ell_star and q = cfg.q_star in
   let r =
     match cfg.radius with Some r -> r | None -> Fo.Gaifman.radius cfg.q_star
@@ -628,10 +628,13 @@ let solve_budgeted ?budget ?(precheck = true) ?(ckpt = Resil.Ctl.none) cfg g
         ("q", string_of_int cfg.q_star) ]
   @@ fun () ->
   match
-    Admission.erm ?budget ?radius:cfg.radius
+    Admission.precheck ?budget
       ~enabled:(precheck && not (Resil.Ctl.active ckpt))
-      ~what:"Erm_nd" ~solver:Analysis.Plan.Nd g ~k:cfg.k ~ell:cfg.ell_star
-      ~q:cfg.q_star lam
+      (lazy
+        (Admission.Solve
+           (Analysis.Plan.Nd,
+            Analysis.Plan.input ?radius:cfg.radius g ~k:cfg.k
+              ~ell:cfg.ell_star ~q:cfg.q_star (List.map fst lam))))
   with
   | Some rejected -> rejected
   | None ->

@@ -36,9 +36,9 @@ let check_tuple g v =
 let of_formula g ~k ~formula ~params =
   check_tuple g params;
   let ell = Array.length params in
-  Analysis.Guard.require ~what:"Hypothesis.of_formula"
-    (Analysis.Guard.budgets ~ell ~k ()
-    @ Analysis.Guard.hypothesis_formula ~k ~ell formula);
+  Analysis.Precondition.require ~what:"Hypothesis.of_formula"
+    (Analysis.Precondition.budgets ~ell ~k ()
+    @ Analysis.Precondition.hypothesis_formula ~k ~ell formula);
   let vars = xyvars ~k ~ell in
   (* stage once: every sample tuple then runs the compiled closure tree
      instead of re-walking the AST *)

@@ -165,8 +165,8 @@ let gamma_general ?(counter = ref 0) ?budget ~oracle ~oracle_ell ~radius ~q g u
 
 let model_check ?(general_l = false) ?(oracle_ell = 1) ?locality_radius
     ?budget ~oracle g phi =
-  Analysis.Guard.require ~what:"Reduction.model_check"
-    (Analysis.Guard.sentence phi);
+  Analysis.Precondition.require ~what:"Reduction.model_check"
+    (Analysis.Precondition.sentence phi);
   let oracle_calls = ref 0 in
   let nodes = ref 0 in
   let rep_sets = ref [] in
@@ -268,8 +268,8 @@ let model_check ?(general_l = false) ?(oracle_ell = 1) ?locality_radius
 let model_check_budgeted ?budget ?(precheck = true) ?general_l ?oracle_ell
     ?locality_radius ~oracle g phi =
   match
-    Admission.model_check ?budget ~enabled:precheck
-      ~what:"Reduction.model_check" g phi
+    Admission.precheck ?budget ~enabled:precheck
+      (lazy (Admission.Model_check (g, phi)))
   with
   | Some rejected -> rejected
   | None ->

@@ -41,7 +41,7 @@ let label_with_query g ~formula ~xvars ?(yvars = []) ?(params = [||]) tuples =
   if List.length yvars <> Array.length params then
     invalid_arg "Sample.label_with_query: parameter arity mismatch";
   let vars = xvars @ yvars in
-  Analysis.Guard.require ~what:"Sample.label_with_query"
+  Analysis.Precondition.require ~what:"Sample.label_with_query"
     (Analysis.Fo_check.check ~allowed_free:vars formula);
   let compiled = Modelcheck.Compile.compile g ~vars formula in
   List.map

@@ -10,7 +10,6 @@ type reason =
   | Deadline
   | Table_cap
   | Ball_cap
-  | Catalogue_cap
   | Injected_fault
   | Interrupted
 
@@ -26,7 +25,6 @@ let reason_to_string = function
   | Deadline -> "deadline"
   | Table_cap -> "table_cap"
   | Ball_cap -> "ball_cap"
-  | Catalogue_cap -> "catalogue_cap"
   | Injected_fault -> "injected_fault"
   | Interrupted -> "interrupted"
 
@@ -81,6 +79,53 @@ module Faults = struct
   let fires (t : t) cp n = t cp n
 end
 
+module Limits = struct
+  type t = {
+    fuel : int option;
+    deadline_s : float option;
+    max_table : int option;
+    max_ball : int option;
+  }
+
+  let none =
+    { fuel = None; deadline_s = None; max_table = None; max_ball = None }
+
+  let is_none l = l = none
+
+  let min_opt a b =
+    match (a, b) with
+    | None, x | x, None -> x
+    | Some a, Some b -> Some (min a b)
+
+  let meet a b =
+    {
+      fuel = min_opt a.fuel b.fuel;
+      deadline_s = min_opt a.deadline_s b.deadline_s;
+      max_table = min_opt a.max_table b.max_table;
+      max_ball = min_opt a.max_ball b.max_ball;
+    }
+
+  let to_fields l =
+    let opt f = function None -> Obs.Json.Null | Some v -> f v in
+    let int = opt (fun n -> Obs.Json.Int n) in
+    [
+      ("fuel", int l.fuel);
+      ("deadline_s", opt (fun s -> Obs.Json.Float s) l.deadline_s);
+      ("max_table", int l.max_table);
+      ("max_ball", int l.max_ball);
+    ]
+
+  let of_json j =
+    let get conv name = Option.bind (Obs.Json.member name j) conv in
+    let int = get Obs.Json.to_int_opt in
+    {
+      fuel = int "fuel";
+      deadline_s = get Obs.Json.to_float_opt "deadline_s";
+      max_table = int "max_table";
+      max_ball = int "max_ball";
+    }
+end
+
 (* The live state behind a budget.  Counters are [Atomic]
    so one budget can govern a whole [Par] pool: fuel and per-checkpoint
    hit counts are shared fetch-and-add totals (a fault plan's n-th hit
@@ -89,12 +134,8 @@ end
    tripping worker records (reason, checkpoint); every other worker
    observes it at its next tick and unwinds cooperatively. *)
 type state = {
-  fuel_limit : int option;
-  timeout_s : float option;  (* as given to [make]; [deadline_ns] is derived *)
+  limits : Limits.t;  (* [deadline_s] as given, or derived from [deadline_ns] *)
   deadline_ns : int64 option;  (* absolute, on the obs monotonic clock *)
-  max_table : int option;
-  max_ball : int option;
-  max_catalogue : int option;
   faults : Faults.t;
   born_ns : int64;
   fuel_used : int Atomic.t;
@@ -109,7 +150,7 @@ type state = {
 module Budget = struct
   type t = state
 
-  let make ?fuel ?timeout_s ?deadline_ns ?max_table ?max_ball ?max_catalogue
+  let make ?fuel ?timeout_s ?deadline_ns ?max_table ?max_ball
       ?(faults = Faults.none) () =
     let born_ns = Obs.Clock.now_ns () in
     let relative_ns =
@@ -128,19 +169,15 @@ module Budget = struct
     in
     (* [limits] must keep reflecting the wall-clock cap so static
        admission ([Analysis.Plan]) can reason about it *)
-    let timeout_s =
+    let deadline_s =
       match (timeout_s, deadline_ns) with
       | Some _, _ | _, None -> timeout_s
       | None, Some d ->
           Some (Int64.to_float (Int64.sub d born_ns) /. 1e9)
     in
     {
-      fuel_limit = fuel;
-      timeout_s;
+      limits = { fuel; deadline_s; max_table; max_ball };
       deadline_ns;
-      max_table;
-      max_ball;
-      max_catalogue;
       faults;
       born_ns;
       fuel_used = Atomic.make 0;
@@ -152,24 +189,15 @@ module Budget = struct
       hits = Array.init 5 (fun _ -> Atomic.make 0);
     }
 
+  let of_limits ?deadline_ns (l : Limits.t) =
+    if Limits.is_none l then None
+    else
+      Some
+        (make ?fuel:l.fuel ?timeout_s:l.deadline_s ?deadline_ns
+           ?max_table:l.max_table ?max_ball:l.max_ball ())
+
   let unlimited () = make ()
-
-  type limits = {
-    l_fuel : int option;
-    l_timeout_s : float option;
-    l_max_table : int option;
-    l_max_ball : int option;
-    l_max_catalogue : int option;
-  }
-
-  let limits t =
-    {
-      l_fuel = t.fuel_limit;
-      l_timeout_s = t.timeout_s;
-      l_max_table = t.max_table;
-      l_max_ball = t.max_ball;
-      l_max_catalogue = t.max_catalogue;
-    }
+  let limits t = t.limits
 
   let spent t =
     {
@@ -256,7 +284,7 @@ let tick_st st cost cp =
   let i = checkpoint_index cp in
   let hit = Atomic.fetch_and_add st.hits.(i) 1 + 1 in
   if Faults.fires st.faults cp hit then trip st Injected_fault cp;
-  (match st.fuel_limit with
+  (match st.limits.fuel with
   | Some limit when fuel > limit -> trip st Out_of_fuel cp
   | _ -> ());
   check_deadline st cp
@@ -269,7 +297,7 @@ let note_table_row budget rows =
   | None -> ()
   | Some st ->
       store_max st.table_rows rows;
-      (match st.max_table with
+      (match st.limits.max_table with
       | Some cap when rows > cap -> trip st Table_cap Hintikka_build
       | _ -> ());
       tick_st st 1 Hintikka_build
@@ -279,7 +307,7 @@ let note_ball budget size =
   | None -> ()
   | Some st ->
       store_max st.ball_peak size;
-      (match st.max_ball with
+      (match st.limits.max_ball with
       | Some cap when size > cap -> trip st Ball_cap Bfs_frontier
       | _ -> ());
       tick_st st 1 Bfs_frontier
@@ -289,9 +317,6 @@ let note_catalogue budget entries =
   | None -> ()
   | Some st ->
       store_max st.catalogue_entries entries;
-      (match st.max_catalogue with
-      | Some cap when entries > cap -> trip st Catalogue_cap Catalogue_growth
-      | _ -> ());
       tick_st st 1 Catalogue_growth
 
 type 'a outcome =

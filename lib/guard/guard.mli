@@ -50,7 +50,6 @@ type reason =
   | Deadline  (** the wall-clock deadline passed *)
   | Table_cap  (** too many Hintikka-table rows *)
   | Ball_cap  (** a neighbourhood ball grew past the cap *)
-  | Catalogue_cap  (** the catalogue grew past the cap *)
   | Injected_fault  (** a {!Faults} plan fired *)
   | Interrupted  (** {!interrupt} was requested (SIGINT/SIGTERM) *)
 
@@ -95,6 +94,36 @@ module Faults : sig
       (1-based; exposed for tests.) *)
 end
 
+(** {1 Limits} *)
+
+(** The four resource limits a run can be capped by, without the live
+    counters: the one record the CLI flags, the RPC request, a tenant
+    quota, a job and the static planner ([Analysis.Plan]) all use.
+    [None] is unlimited. *)
+module Limits : sig
+  type t = {
+    fuel : int option;  (** checkpoint ticks *)
+    deadline_s : float option;  (** wall-clock seconds, relative *)
+    max_table : int option;  (** Hintikka-table rows *)
+    max_ball : int option;  (** neighbourhood-ball vertices *)
+  }
+
+  val none : t
+  val is_none : t -> bool
+
+  val meet : t -> t -> t
+  (** Componentwise minimum: the tighter of two limits, [None] being
+      unlimited (a tenant quota clamps a client's asks this way). *)
+
+  val to_fields : t -> (string * Obs.Json.t) list
+  (** The members [fuel], [deadline_s], [max_table] and [max_ball], in
+      that order, [null] when unlimited. *)
+
+  val of_json : Obs.Json.t -> t
+  (** Read those members of an object; absent or [null] is unlimited.
+      [of_json (Obj (to_fields l)) = l]. *)
+end
+
 (** {1 Budgets} *)
 
 module Budget : sig
@@ -106,7 +135,6 @@ module Budget : sig
     ?deadline_ns:int64 ->
     ?max_table:int ->
     ?max_ball:int ->
-    ?max_catalogue:int ->
     ?faults:Faults.t ->
     unit ->
     t
@@ -116,25 +144,18 @@ module Budget : sig
       on that clock (a server stamps it at admission so queue wait
       counts against the request); when both are given the earlier one
       governs, and {!limits} reports the resulting wall-clock cap as
-      [l_timeout_s]. *)
+      [deadline_s]. *)
+
+  val of_limits : ?deadline_ns:int64 -> Limits.t -> t option
+  (** [None] when [l] sets no limit, else a budget with [l]'s caps and
+      its [deadline_s] from now — or from an earlier [deadline_ns]
+      stamp, which then governs. *)
 
   val unlimited : unit -> t
   (** No limits — useful to account {!type-spent} without bounding. *)
 
-  (** The declarative part of a budget: its limits, without the live
-      counters.  This is what a static planner ([Analysis.Plan]) reasons
-      about — it cannot depend on a running budget, only on the caps the
-      user asked for. *)
-  type limits = {
-    l_fuel : int option;
-    l_timeout_s : float option;
-    l_max_table : int option;
-    l_max_ball : int option;
-    l_max_catalogue : int option;
-  }
-
-  val limits : t -> limits
-  (** The limits this budget was created with ([l_timeout_s] is the
+  val limits : t -> Limits.t
+  (** The limits this budget was created with ([deadline_s] is the
       original relative timeout, not the remaining time). *)
 
   val spent : t -> spent
@@ -166,8 +187,8 @@ val note_ball : Budget.t option -> int -> unit
     [max_ball].  Also a [Bfs_frontier] tick. *)
 
 val note_catalogue : Budget.t option -> int -> unit
-(** Report the catalogue size; trips [Catalogue_cap] above
-    [max_catalogue].  Also a [Catalogue_growth] tick. *)
+(** Report the catalogue size (its peak is {!type-spent}'s
+    [catalogue_entries]).  A [Catalogue_growth] tick. *)
 
 (** {1 Interrupts}
 

@@ -45,3 +45,31 @@ let sockaddr = function
           | { Unix.h_addr_list = [||]; _ } | (exception Not_found) ->
               Error (Printf.sprintf "unknown host %S" host)
           | h -> Ok (Unix.ADDR_INET (h.Unix.h_addr_list.(0), port))))
+
+let listen addr =
+  match sockaddr addr with
+  | Error e -> Error e
+  | Ok sa -> (
+      let domain =
+        match sa with
+        | Unix.ADDR_UNIX _ -> Unix.PF_UNIX
+        | Unix.ADDR_INET _ -> Unix.PF_INET
+      in
+      match Unix.socket domain Unix.SOCK_STREAM 0 with
+      | exception Unix.Unix_error (err, fn, _) ->
+          Error (Printf.sprintf "%s: %s" fn (Unix.error_message err))
+      | fd -> (
+          try
+            (match sa with
+            | Unix.ADDR_UNIX p -> ( try Unix.unlink p with _ -> ())
+            | Unix.ADDR_INET _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true);
+            Unix.bind fd sa;
+            Unix.listen fd 64;
+            match (addr, Unix.getsockname fd) with
+            | Tcp (h, _), Unix.ADDR_INET (_, port) -> Ok (fd, Tcp (h, port))
+            | a, _ -> Ok (fd, a)
+          with Unix.Unix_error (err, fn, _) ->
+            (try Unix.close fd with _ -> ());
+            Error
+              (Printf.sprintf "%s %s: %s" fn (to_string addr)
+                 (Unix.error_message err))))

@@ -14,3 +14,9 @@ val to_string : t -> string
 val sockaddr : t -> (Unix.sockaddr, string) result
 (** Resolve to a bindable/connectable [Unix.sockaddr]; resolves TCP
     host names via [gethostbyname]. *)
+
+val listen : t -> (Unix.file_descr * t, string) result
+(** Bind a listening stream socket (backlog 64) on the address,
+    unlinking a stale Unix socket file first, with [SO_REUSEADDR] on
+    TCP.  Returns the socket and the bound address: the kernel's port
+    when asked for port 0, otherwise the address as given. *)

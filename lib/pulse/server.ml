@@ -158,46 +158,25 @@ let start addr =
      turns the condition into EPIPE, which [write_all] absorbs *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  match Addr.sockaddr addr with
+  match Addr.listen addr with
   | Error e -> Error e
-  | Ok sa -> (
-      let dom_kind =
-        match sa with
-        | Unix.ADDR_UNIX _ -> Unix.PF_UNIX
-        | Unix.ADDR_INET _ -> Unix.PF_INET
+  | Ok (fd, bound) ->
+      let t =
+        {
+          fd;
+          bound;
+          stopping = Atomic.make false;
+          dom = None;
+          unix_path = (match addr with Addr.Unix_sock p -> Some p | _ -> None);
+        }
       in
-      let fd = Unix.socket dom_kind Unix.SOCK_STREAM 0 in
-      try
-        (match sa with
-        | Unix.ADDR_INET _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true
-        | Unix.ADDR_UNIX p -> ( try Unix.unlink p with _ -> ()));
-        Unix.bind fd sa;
-        Unix.listen fd 16;
-        let bound =
-          (* report the kernel-chosen port when asked to bind port 0 *)
-          match (addr, Unix.getsockname fd) with
-          | Addr.Tcp (h, _), Unix.ADDR_INET (_, port) -> Addr.Tcp (h, port)
-          | a, _ -> a
-        in
-        let t =
-          {
-            fd;
-            bound;
-            stopping = Atomic.make false;
-            dom = None;
-            unix_path =
-              (match addr with Addr.Unix_sock p -> Some p | _ -> None);
-          }
-        in
-        t.dom <- Some (Domain.spawn (fun () -> accept_loop fd t.stopping));
-        Ok t
-      with
-      | Unix.Unix_error (err, fn, _) ->
+      match Domain.spawn (fun () -> accept_loop fd t.stopping) with
+      | d ->
+          t.dom <- Some d;
+          Ok t
+      | exception e ->
           (try Unix.close fd with _ -> ());
-          Error (Printf.sprintf "%s: %s" fn (Unix.error_message err))
-      | e ->
-          (try Unix.close fd with _ -> ());
-          Error (Printexc.to_string e))
+          Error (Printexc.to_string e)
 
 let bound_addr t = t.bound
 

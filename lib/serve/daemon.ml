@@ -80,51 +80,24 @@ let zero_spent =
     catalogue_entries = 0;
   }
 
-(* The clamped budget with its deadline stamped absolute at admission
-   time, so queue wait counts against the request. *)
-type admitted = {
-  a_fuel : int option;
-  a_deadline_ns : int64 option;
-  a_deadline_s : float option;  (* as clamped, for the planner *)
-  a_max_table : int option;
-  a_max_ball : int option;
-}
+(* The clamped limits, with the deadline stamped absolute at admission
+   time so queue wait counts against the request. *)
+type admitted = { limits : Guard.Limits.t; deadline_ns : int64 option }
 
 let admit_budget tenants (req : Proto.request) =
-  let quota = Tenant.quota_for tenants req.tenant in
-  let b = Tenant.clamp quota req.budget in
+  let limits =
+    Guard.Limits.meet (Tenant.quota_for tenants req.tenant) req.budget
+  in
   {
-    a_fuel = b.fuel;
-    a_deadline_ns =
+    limits;
+    deadline_ns =
       Option.map
         (fun s -> Int64.add (Obs.Clock.now_ns ()) (Int64.of_float (s *. 1e9)))
-        b.deadline_s;
-    a_deadline_s = b.deadline_s;
-    a_max_table = b.max_table;
-    a_max_ball = b.max_ball;
+        limits.deadline_s;
   }
-
-let plan_limits a =
-  {
-    Analysis.Plan.fuel = a.a_fuel;
-    timeout_s = a.a_deadline_s;
-    max_table = a.a_max_table;
-    max_ball = a.a_max_ball;
-  }
-
-let has_asks a =
-  a.a_fuel <> None || a.a_deadline_ns <> None || a.a_max_table <> None
-  || a.a_max_ball <> None
-
-let budget_of a =
-  if has_asks a then
-    Some
-      (Guard.Budget.make ?fuel:a.a_fuel ?deadline_ns:a.a_deadline_ns
-         ?max_table:a.a_max_table ?max_ball:a.a_max_ball ())
-  else None
 
 let deadline_expired a =
-  match a.a_deadline_ns with
+  match a.deadline_ns with
   | Some d -> Obs.Clock.now_ns () > d
   | None -> false
 
@@ -169,7 +142,7 @@ let on_engine s (req : Proto.request) a respond =
     {
       Sched.e_seq = next_seq s;
       e_tenant = req.tenant;
-      e_deadline_ns = a.a_deadline_ns;
+      e_deadline_ns = a.deadline_ns;
       e_run = (fun () -> fill result (respond ()));
       e_shed =
         (fun () ->
@@ -191,8 +164,13 @@ let enqueue_call s (req : Proto.request) a =
   on_engine s req a (fun () ->
       if deadline_expired a then expired_response ()
       else
+        (* admission has already run the precheck *)
+        let budget =
+          Guard.Budget.of_limits ?deadline_ns:a.deadline_ns a.limits
+        in
         response_of_run
-          (Exec.run_op ?budget:(budget_of a) ~op:req.op ~params:req.params ()))
+          (Exec.run_op ?budget ~precheck:false ~op:req.op ~params:req.params
+             ()))
 
 (* Zero-fuel static precheck: refuse before any fuel is spent.  A CLI
    learn prints its training line before its precheck refuses, so a
@@ -202,8 +180,7 @@ let enqueue_call s (req : Proto.request) a =
    must fill the cell, or the connection would wait forever. *)
 let precheck_response s (req : Proto.request) a =
   match
-    Exec.precheck_rejection ~op:req.op ~params:req.params
-      ~limits:(plan_limits a)
+    Exec.precheck_rejection ~op:req.op ~params:req.params ~limits:a.limits
   with
   | Error msg -> Some (Proto.error ~message:msg)
   | Ok (Some r) ->
@@ -253,19 +230,10 @@ let job_extra (j : Jobs.job) =
 
 let run_job s (j : Jobs.job) =
   Jobs.mark_running s.jobs j.j_id;
-  let a =
-    {
-      a_fuel = j.j_fuel;
-      a_deadline_ns = None;  (* jobs outlive request deadlines by design *)
-      a_deadline_s = None;
-      a_max_table = j.j_max_table;
-      a_max_ball = j.j_max_ball;
-    }
-  in
   (* a checkpointed job always runs budgeted — unlimited when the
      client asked nothing — so its snapshots record spent fuel *)
   let budget =
-    match budget_of a with
+    match Guard.Budget.of_limits j.j_limits with
     | Some b -> b
     | None -> Guard.Budget.unlimited ()
   in
@@ -275,7 +243,9 @@ let run_job s (j : Jobs.job) =
       ~path:(Jobs.snap_path s.jobs j.j_id)
       ~interval_s:0.5 ~budget ?resume ~run_id:j.j_id ~solver:j.j_solver ()
   in
-  let r = Exec.run_op ~budget ~ckpt ~op:"learn" ~params:j.j_params () in
+  let r =
+    Exec.run_op ~budget ~ckpt ~precheck:false ~op:"learn" ~params:j.j_params ()
+  in
   count_outcome r.code;
   let spent =
     match r.spent with None -> J.Null | Some sp -> Guard.spent_to_json sp
@@ -303,8 +273,7 @@ let handle_submit s (req : Proto.request) a =
   | Ok (run_id, solver) -> (
       match
         Jobs.submit s.jobs ~id:run_id ~tenant:req.tenant ~solver
-          ~params:req.params ~fuel:a.a_fuel ~max_table:a.a_max_table
-          ~max_ball:a.a_max_ball
+          ~params:req.params ~limits:a.limits
       with
       | `Existing j ->
           Proto.response ~status:"accepted" ~code:0 ~extra:(job_extra j) ()
@@ -411,38 +380,6 @@ let handle_conn s fd =
       in
       loop ())
 
-(* -- listener ------------------------------------------------------ *)
-
-let bind_listener addr =
-  match Pulse.Addr.sockaddr addr with
-  | Error e -> Error e
-  | Ok sa -> (
-      let dom_kind =
-        match sa with
-        | Unix.ADDR_UNIX _ -> Unix.PF_UNIX
-        | Unix.ADDR_INET _ -> Unix.PF_INET
-      in
-      let fd = Unix.socket dom_kind Unix.SOCK_STREAM 0 in
-      (match sa with
-      | Unix.ADDR_UNIX path -> ( try Unix.unlink path with _ -> ())
-      | Unix.ADDR_INET _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true);
-      match Unix.bind fd sa with
-      | exception Unix.Unix_error (err, _, _) ->
-          (try Unix.close fd with _ -> ());
-          Error
-            (Printf.sprintf "bind %s: %s"
-               (Pulse.Addr.to_string addr)
-               (Unix.error_message err))
-      | () ->
-          Unix.listen fd 64;
-          let bound =
-            match Unix.getsockname fd with
-            | Unix.ADDR_INET (host, port) ->
-                Pulse.Addr.Tcp (Unix.string_of_inet_addr host, port)
-            | Unix.ADDR_UNIX path -> Pulse.Addr.Unix_sock path
-          in
-          Ok (fd, bound))
-
 let accept_loop s listener =
   let rec loop () =
     if Atomic.get drain_requested then ()
@@ -509,7 +446,7 @@ let run cfg =
             Printf.eprintf "folearn serve: metrics exporter: %s\n%!" e;
             None)
   in
-  match bind_listener cfg.listen with
+  match Pulse.Addr.listen cfg.listen with
   | Error e ->
       Option.iter Pulse.Server.stop pulse;
       Error e

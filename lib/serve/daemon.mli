@@ -2,12 +2,13 @@
 
     One process, three tiers:
     - {e connection threads} (capped) frame-decode requests and run
-      admission: tenant quota clamp, absolute-deadline stamping, and
-      the zero-fuel [Analysis.Plan] precheck — an over-budget request
-      is refused ([rejected], reason [would_exhaust]) before a single
-      unit of fuel is spent (a refused [learn] still queues for the
-      engine, which labels its sample for the training line the CLI
-      prints);
+      admission: tenant quota clamp ({!Guard.Limits.meet}),
+      absolute-deadline stamping, and the zero-fuel precheck
+      ([Folearn.Admission]) — an over-budget request is refused
+      ([rejected], reason [would_exhaust]) before a single unit of fuel
+      is spent (a refused [learn] still queues for the engine, which
+      labels its sample for the training line the CLI prints); the
+      engine runs an admitted request without prechecking it again;
     - a {e bounded queue} ({!Sched}) between admission and execution —
       a full queue sheds the earliest-deadline request ([overloaded],
       retryable);

@@ -155,14 +155,13 @@ let solvers =
 
 let solver_name (s : solver) = fst (List.find (fun (_, s') -> s' = s) solvers)
 
-(* the planner's model of each solver, and the name its rejections cite *)
-let plan_of = function
-  | `Brute -> ("Erm_brute", Analysis.Plan.Brute)
-  | `Nd -> ("Erm_nd", Analysis.Plan.Nd)
-  | `Counting -> ("Erm_counting", Analysis.Plan.Counting)
-  | `Local -> ("Degrade", Analysis.Plan.Local)
+(* the planner's model of each solver *)
+let plan_solver = function
+  | `Brute -> Analysis.Plan.Brute
+  | `Nd -> Analysis.Plan.Nd
+  | `Counting -> Analysis.Plan.Counting
+  | `Local -> Analysis.Plan.Local
 
-let plan_solver s = snd (plan_of s)
 let default_k = 1
 let default_ell = 0
 let default_q = 1
@@ -288,14 +287,6 @@ let pp_local l (r : Folearn.Erm_local.result) out =
   pp_params out r.hypothesis;
   0
 
-(* a budget without a single limit is the one --metrics-addr installs to
-   feed /progress: there is nothing to degrade under *)
-let unlimited b =
-  match Guard.Budget.limits b with
-  | { l_fuel = None; l_timeout_s = None; l_max_table = None; l_max_ball = None;
-      l_max_catalogue = None } -> true
-  | _ -> false
-
 type 'a runner =
   out:Format.formatter ->
   err:Format.formatter ->
@@ -346,11 +337,15 @@ let learn_solve : learn runner =
         | None ->
             Guard.Complete
               (pp_local l (Folearn.Erm_local.solve g ~k ~ell ~q lam))
-        | Some b when Resil.Ctl.active ckpt || unlimited b ->
+        | Some b
+          when Resil.Ctl.active ckpt
+               || Guard.Limits.is_none (Guard.Budget.limits b) ->
             (* a checkpointed local run must resume bit-identically, so
                it bypasses the degradation chain (whose stage hand-offs
                have no stable candidate numbering) and runs the local
-               solver directly under the budget *)
+               solver directly under the budget; a budget without a
+               single limit (the one --metrics-addr installs to feed
+               /progress) has nothing to degrade under *)
             Guard.outcome_map (pp_local l)
               (Folearn.Erm_local.solve_budgeted ?budget ~precheck ~ckpt g ~k
                  ~ell ~q lam)
@@ -681,38 +676,35 @@ let run_op ?budget ?(ckpt = Resil.Ctl.none) ?(precheck = true) ~op ~params ()
     spent = Option.map Guard.Budget.spent budget;
   }
 
-let precheck_rejection ~op ~params ~limits =
+(* The admission query of a learn: what [learn_solve] hands its solver.
+   Theorem 13 runs at [ell_star = max 1 ell]; a budgeted local run is the
+   degradation chain, unless it is checkpointed (a submitted job), which
+   runs the local solver alone. *)
+let learn_query ~checkpointed p g =
   let module Plan = Analysis.Plan in
+  let input ~ell =
+    Plan.input ~tmax:p.lp_tmax g ~k:p.lp_k ~ell ~q:p.lp_q (learn_tuples p g)
+  in
+  match p.lp_solver with
+  | `Local when not checkpointed ->
+      Folearn.Admission.Degrade (input ~ell:p.lp_ell)
+  | `Nd -> Solve (Plan.Nd, input ~ell:(max 1 p.lp_ell))
+  | s -> Solve (plan_solver s, input ~ell:p.lp_ell)
+
+let precheck_rejection ~op ~params ~limits =
   match
     match op with
     | "learn" | "submit" ->
         let p, g, _ = learn_checked params in
-        let inp =
-          Plan.input ~tmax:p.lp_tmax g ~k:p.lp_k ~ell:p.lp_ell ~q:p.lp_q
-            (learn_tuples p g)
-        in
-        let what, ps = plan_of p.lp_solver in
-        if ps = Plan.Local then
-          (* the budgeted local path runs the degradation chain, so
-             admission must reject only when every stage is doomed —
-             same rule as [Folearn.Admission.degrade] *)
-          Plan.precheck_chain ~what (Plan.degrade_stages inp) limits
-        else Plan.precheck ~what (Plan.analyze inp ps) limits
-    | "mc" ->
-        if p_bool ~default:false "via_erm" params then
-          let p = mc_params params in
-          let g = apply_colors ~op:"mc" p.mp_graph p.mp_colors in
-          let phi = parse_formula ~op:"mc" ~flag:"--formula" p.mp_formula in
-          Plan.precheck_model_check ~what:"Reduction" ~n:(Graph.order g) phi
-            limits
-        else None
+        Some (learn_query ~checkpointed:(op = "submit") p g)
+    | "mc" when p_bool ~default:false "via_erm" params ->
+        let p = mc_params params in
+        let g = apply_colors ~op:"mc" p.mp_graph p.mp_colors in
+        let phi = parse_formula ~op:"mc" ~flag:"--formula" p.mp_formula in
+        Some (Folearn.Admission.Model_check (g, phi))
     | _ -> None
   with
-  | Some _ as rej ->
-      (* same ledger the in-process admission layer keeps *)
-      Obs.Metric.incr (Obs.Metric.counter "plan.precheck_rejections");
-      Ok rej
-  | None -> Ok None
+  | query -> Ok (Option.bind query (Folearn.Admission.rejection limits))
   | exception Usage m -> Error m
 
 let training_line params =

@@ -168,10 +168,15 @@ val learn_identity :
 val precheck_rejection :
   op:string ->
   params:Obs.Json.t ->
-  limits:Analysis.Plan.limits ->
+  limits:Guard.Limits.t ->
   (Analysis.Plan.rejection option, string) result
 (** Zero-fuel static admission: would this op, under these limits,
-    provably exhaust before settling a first answer?  [Error] when the
+    provably exhaust before settling a first answer?  The rule is
+    [Folearn.Admission.rejection], the one the solvers apply in
+    process, on the query {!learn_solve} would hand its solver, so the
+    refusal and its message are the CLI's; a [submit] is judged as the
+    checkpointed job it becomes, which runs [--solver local] without
+    the degradation chain.  [Error] when the
     parameters are unusable (the request will fail as [usage] anyway).
     Ops without a planner model ([types], [game]) always admit. *)
 

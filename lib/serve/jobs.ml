@@ -7,9 +7,7 @@ type job = {
   j_tenant : string;
   j_solver : string;
   j_params : J.t;
-  j_fuel : int option;
-  j_max_table : int option;
-  j_max_ball : int option;
+  j_limits : Guard.Limits.t;
   j_status : status;
   j_code : int;
   j_stdout : string;
@@ -37,22 +35,24 @@ let status_of_string = function
   | _ -> Queued
 
 let json_of_job j =
-  let opt_int = function Some n -> J.Int n | None -> J.Null in
   let base =
     [
       ("id", J.String j.j_id);
       ("tenant", J.String j.j_tenant);
       ("solver", J.String j.j_solver);
       ("params", j.j_params);
-      ("fuel", opt_int j.j_fuel);
-      ("max_table", opt_int j.j_max_table);
-      ("max_ball", opt_int j.j_max_ball);
-      ("status", J.String (status_string j.j_status));
-      ("code", J.Int j.j_code);
-      ("stdout", J.String j.j_stdout);
-      ("stderr", J.String j.j_stderr);
-      ("spent", j.j_spent);
     ]
+    (* a job has no deadline, so it has no deadline_s member *)
+    @ List.filter
+        (fun (k, _) -> k <> "deadline_s")
+        (Guard.Limits.to_fields j.j_limits)
+    @ [
+        ("status", J.String (status_string j.j_status));
+        ("code", J.Int j.j_code);
+        ("stdout", J.String j.j_stdout);
+        ("stderr", J.String j.j_stderr);
+        ("spent", j.j_spent);
+      ]
   in
   let mm =
     match j.j_mismatch with
@@ -94,9 +94,7 @@ let job_of_json j =
           j_tenant = Option.value (str "tenant") ~default:"anon";
           j_solver = Option.value (str "solver") ~default:"brute";
           j_params = Option.value (J.member "params" j) ~default:(J.Obj []);
-          j_fuel = int "fuel";
-          j_max_table = int "max_table";
-          j_max_ball = int "max_ball";
+          j_limits = Guard.Limits.of_json j;
           j_status =
             status_of_string (Option.value (str "status") ~default:"queued");
           j_code = Option.value (int "code") ~default:0;
@@ -154,7 +152,7 @@ let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
-let submit t ~id ~tenant ~solver ~params ~fuel ~max_table ~max_ball =
+let submit t ~id ~tenant ~solver ~params ~limits =
   locked t (fun () ->
       match Hashtbl.find_opt t.tbl id with
       | Some j -> `Existing j
@@ -165,9 +163,7 @@ let submit t ~id ~tenant ~solver ~params ~fuel ~max_table ~max_ball =
               j_tenant = tenant;
               j_solver = solver;
               j_params = params;
-              j_fuel = fuel;
-              j_max_table = max_table;
-              j_max_ball = max_ball;
+              j_limits = { limits with Guard.Limits.deadline_s = None };
               j_status = Queued;
               j_code = 0;
               j_stdout = "";

@@ -21,9 +21,9 @@ type job = {
   j_tenant : string;
   j_solver : string;
   j_params : Obs.Json.t;
-  j_fuel : int option;
-  j_max_table : int option;
-  j_max_ball : int option;
+  j_limits : Guard.Limits.t;
+      (** the clamped asks, without a deadline: jobs outlive request
+          deadlines by design *)
   j_status : status;
   j_code : int;  (** meaningful when [Done] *)
   j_stdout : string;
@@ -45,10 +45,9 @@ val submit :
   tenant:string ->
   solver:string ->
   params:Obs.Json.t ->
-  fuel:int option ->
-  max_table:int option ->
-  max_ball:int option ->
+  limits:Guard.Limits.t ->
   [ `New of job | `Existing of job ]
+(** A new job keeps [limits] without their [deadline_s]. *)
 
 val get : t -> string -> job option
 val pending : t -> job list

@@ -2,37 +2,24 @@ module J = Obs.Json
 
 let schema_version = 1
 
-type budget_req = {
-  fuel : int option;
-  deadline_s : float option;
-  max_table : int option;
-  max_ball : int option;
-}
-
-let no_budget = { fuel = None; deadline_s = None; max_table = None; max_ball = None }
+let no_budget = Guard.Limits.none
 
 type request = {
   tenant : string;
   op : string;
-  budget : budget_req;
+  budget : Guard.Limits.t;
   params : J.t;
 }
 
-let opt_int = function None -> J.Null | Some v -> J.Int v
-let opt_float = function None -> J.Null | Some v -> J.Float v
-
 let request_to_json r =
   J.Obj
-    [
-      ("schema_version", J.Int schema_version);
-      ("op", J.String r.op);
-      ("tenant", J.String r.tenant);
-      ("fuel", opt_int r.budget.fuel);
-      ("deadline_s", opt_float r.budget.deadline_s);
-      ("max_table", opt_int r.budget.max_table);
-      ("max_ball", opt_int r.budget.max_ball);
-      ("params", r.params);
-    ]
+    ([
+       ("schema_version", J.Int schema_version);
+       ("op", J.String r.op);
+       ("tenant", J.String r.tenant);
+     ]
+    @ Guard.Limits.to_fields r.budget
+    @ [ ("params", r.params) ])
 
 let request_of_json j =
   let mem name = J.member name j in
@@ -48,16 +35,8 @@ let request_of_json j =
             Option.value ~default:"anon"
               (Option.bind (mem "tenant") J.to_string_opt)
           in
-          let budget =
-            {
-              fuel = Option.bind (mem "fuel") J.to_int_opt;
-              deadline_s = Option.bind (mem "deadline_s") J.to_float_opt;
-              max_table = Option.bind (mem "max_table") J.to_int_opt;
-              max_ball = Option.bind (mem "max_ball") J.to_int_opt;
-            }
-          in
           let params = Option.value ~default:(J.Obj []) (mem "params") in
-          Ok { tenant; op; budget; params })
+          Ok { tenant; op; budget = Guard.Limits.of_json j; params })
 
 (* -- statuses ------------------------------------------------------ *)
 

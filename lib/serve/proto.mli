@@ -9,20 +9,14 @@
 
 val schema_version : int
 
-(** The client's resource asks, before tenant clamping. *)
-type budget_req = {
-  fuel : int option;
-  deadline_s : float option;  (** relative; stamped absolute at admission *)
-  max_table : int option;
-  max_ball : int option;
-}
-
-val no_budget : budget_req
+val no_budget : Guard.Limits.t
 
 type request = {
   tenant : string;  (** "anon" when omitted *)
   op : string;  (** learn | mc | types | game | submit | poll | ping *)
-  budget : budget_req;
+  budget : Guard.Limits.t;
+      (** the client's asks, before tenant clamping; [deadline_s] is
+          stamped absolute at admission *)
   params : Obs.Json.t;  (** op-specific object, see {!Exec} *)
 }
 

@@ -1,14 +1,4 @@
-type quota = {
-  t_fuel : int option;
-  t_deadline_s : float option;
-  t_max_table : int option;
-  t_max_ball : int option;
-}
-
-let unrestricted =
-  { t_fuel = None; t_deadline_s = None; t_max_table = None; t_max_ball = None }
-
-type t = (string * quota) list
+type t = (string * Guard.Limits.t) list
 
 let parse spec =
   match String.index_opt spec ':' with
@@ -21,7 +11,7 @@ let parse spec =
         let parts =
           if rest = "" then [] else String.split_on_char ',' rest
         in
-        let rec go q = function
+        let rec go (q : Guard.Limits.t) = function
           | [] -> Ok (name, q)
           | part :: tl -> (
               match String.index_opt part '=' with
@@ -38,38 +28,25 @@ let parse spec =
                   match key with
                   | "fuel" ->
                       let* n = int_v () in
-                      go { q with t_fuel = Some n } tl
+                      go { q with fuel = Some n } tl
                   | "deadline" -> (
                       match float_of_string_opt v with
                       | Some s when s >= 0.0 ->
-                          go { q with t_deadline_s = Some s } tl
+                          go { q with deadline_s = Some s } tl
                       | _ -> Error (Printf.sprintf "bad quota value %S" part))
                   | "table" ->
                       let* n = int_v () in
-                      go { q with t_max_table = Some n } tl
+                      go { q with max_table = Some n } tl
                   | "ball" ->
                       let* n = int_v () in
-                      go { q with t_max_ball = Some n } tl
+                      go { q with max_ball = Some n } tl
                   | _ -> Error (Printf.sprintf "unknown quota key %S" key)))
         in
-        go unrestricted parts)
+        go Guard.Limits.none parts)
 
 let make entries = entries
 
 let quota_for t name =
   match List.assoc_opt name t with
   | Some q -> q
-  | None -> Option.value ~default:unrestricted (List.assoc_opt "*" t)
-
-let min_opt a b =
-  match (a, b) with
-  | None, x | x, None -> x
-  | Some a, Some b -> Some (min a b)
-
-let clamp q (b : Proto.budget_req) =
-  {
-    Proto.fuel = min_opt b.Proto.fuel q.t_fuel;
-    deadline_s = min_opt b.Proto.deadline_s q.t_deadline_s;
-    max_table = min_opt b.Proto.max_table q.t_max_table;
-    max_ball = min_opt b.Proto.max_ball q.t_max_ball;
-  }
+  | None -> Option.value ~default:Guard.Limits.none (List.assoc_opt "*" t)

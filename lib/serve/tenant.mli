@@ -8,24 +8,14 @@
     allowed — and the clamped budget is what admission prechecks and
     [Guard] enforce.  The name [*] declares a default quota applied to
     tenants with no entry of their own; with no [*] entry, unlisted
-    tenants are unrestricted. *)
-
-type quota = {
-  t_fuel : int option;
-  t_deadline_s : float option;  (** wall-clock allowance per request *)
-  t_max_table : int option;
-  t_max_ball : int option;
-}
-
-val unrestricted : quota
+    tenants are unrestricted.  A quota is a {!Guard.Limits.t}, and the
+    clamp is {!Guard.Limits.meet}. *)
 
 type t
 
-val parse : string -> (string * quota, string) result
-(** Parse one [--tenant] flag value. *)
+val parse : string -> (string * Guard.Limits.t, string) result
+(** Parse one [--tenant] flag value; [deadline] is the wall-clock
+    allowance per request. *)
 
-val make : (string * quota) list -> t
-val quota_for : t -> string -> quota
-
-val clamp : quota -> Proto.budget_req -> Proto.budget_req
-(** Component-wise minimum of the client's asks and the quota. *)
+val make : (string * Guard.Limits.t) list -> t
+val quota_for : t -> string -> Guard.Limits.t

@@ -102,11 +102,12 @@ let test_free_over_budget () =
     (Fo_check.check ~budget:(Fo_check.budget ~max_free:2 ()) f)
 
 let test_invalid_parameter () =
-  check_has "k = 0" "invalid-parameter" (Guard.budgets ~k:0 ());
-  check_has "ell < 0" "invalid-parameter" (Guard.budgets ~k:1 ~ell:(-1) ());
+  check_has "k = 0" "invalid-parameter" (Precondition.budgets ~k:0 ());
+  check_has "ell < 0" "invalid-parameter"
+    (Precondition.budgets ~k:1 ~ell:(-1) ());
   Alcotest.(check (list string))
     "legal budgets" []
-    (rules (Guard.budgets ~k:2 ~ell:1 ~q:3 ~tmax:2 ~radius:0 ()))
+    (rules (Precondition.budgets ~k:2 ~ell:1 ~q:3 ~tmax:2 ~radius:0 ()))
 
 (* ------------------------------------------------------------------ *)
 (* Locality                                                            *)
@@ -244,13 +245,13 @@ let test_diagnostic_plumbing () =
 
 let test_guard_require () =
   (try
-     Guard.require ~what:"test" (Guard.budgets ~k:0 ());
+     Precondition.require ~what:"test" (Precondition.budgets ~k:0 ());
      Alcotest.fail "expected Invalid_argument"
    with Invalid_argument m ->
      Alcotest.(check bool) "message names the rule" true
        (String.length m > 0));
   (* warnings alone do not trip the guard *)
-  Guard.require ~what:"test"
+  Precondition.require ~what:"test"
     (Fo_check.check (F.Exists ("z", F.edge "x" "y")))
 
 (* The library entry points reject bad inputs with rendered

@@ -7,8 +7,10 @@
    - explicit budgets: concurrent runs on two domains keep their own
      spend, and a nested run passes an outer budget's trip through,
    - the degradation chain (local -> brute at shrinking rank),
-   - saturating Ramsey arithmetic (the satellite fix), and
-   - parser errors with line/column positions (the satellite fix). *)
+   - saturating Ramsey arithmetic (the satellite fix),
+   - parser errors with line/column positions (the satellite fix), and
+   - the limits record: [meet] is the old tenant clamp, the JSON codec
+     round-trips, and a budget made from limits reports them back. *)
 
 open Cgraph
 module Sam = Folearn.Sample
@@ -382,6 +384,69 @@ let test_parser_error_message_has_position () =
       (String.length m >= 16 && String.sub m 0 16 = "line 1, column 8")
 
 (* ------------------------------------------------------------------ *)
+(* The limits record                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let limits_arb =
+  let open QCheck in
+  let count = Gen.opt (Gen.int_range 0 1_000_000) in
+  let secs =
+    Gen.opt (Gen.map (fun n -> float_of_int n /. 64.) (Gen.int_range 0 6400))
+  in
+  make
+    ~print:(fun l ->
+      Obs.Json.to_string (Obs.Json.Obj (Guard.Limits.to_fields l)))
+    (Gen.map
+       (fun (fuel, deadline_s, max_table, max_ball) ->
+         { Guard.Limits.fuel; deadline_s; max_table; max_ball })
+       (Gen.quad count secs count count))
+
+(* the per-field clamp of the served path before the limits record *)
+let old_clamp_opt a b =
+  match (a, b) with
+  | None, x | x, None -> x
+  | Some a, Some b -> Some (min a b)
+
+let meet_is_old_clamp =
+  QCheck.Test.make ~count:500 ~name:"Limits.meet = the componentwise clamp"
+    QCheck.(pair limits_arb limits_arb)
+    (fun (ask, quota) ->
+      let m = Guard.Limits.meet quota ask in
+      m.Guard.Limits.fuel = old_clamp_opt ask.fuel quota.fuel
+      && m.deadline_s = old_clamp_opt ask.deadline_s quota.deadline_s
+      && m.max_table = old_clamp_opt ask.max_table quota.max_table
+      && m.max_ball = old_clamp_opt ask.max_ball quota.max_ball
+      && m = Guard.Limits.meet ask quota
+      && Guard.Limits.meet ask Guard.Limits.none = ask)
+
+let limits_codec_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"Limits JSON codec round-trips"
+    limits_arb (fun l ->
+      let j = Obs.Json.Obj (Guard.Limits.to_fields l) in
+      Guard.Limits.of_json j = l
+      && Result.map Guard.Limits.of_json
+           (Obs.Json.of_string (Obs.Json.to_string j))
+         = Ok l)
+
+let test_limits_keys_and_budget () =
+  let l =
+    { Guard.Limits.fuel = Some 5; deadline_s = None; max_table = Some 7;
+      max_ball = None }
+  in
+  Alcotest.(check (list string))
+    "the RPC keys, in order"
+    [ "fuel"; "deadline_s"; "max_table"; "max_ball" ]
+    (List.map fst (Guard.Limits.to_fields l));
+  check "absent members are unlimited" true
+    (Guard.Limits.of_json (Obs.Json.Obj []) = Guard.Limits.none);
+  check "no limits, no budget" true
+    (Guard.Budget.of_limits Guard.Limits.none = None);
+  match Guard.Budget.of_limits l with
+  | Some b ->
+      check "a budget reports its limits" true (Guard.Budget.limits b = l)
+  | None -> Alcotest.fail "limits must make a budget"
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   [
@@ -415,4 +480,8 @@ let suite =
       test_parser_positions;
     Alcotest.test_case "Parse_error message embeds the position" `Quick
       test_parser_error_message_has_position;
+    QCheck_alcotest.to_alcotest meet_is_old_clamp;
+    QCheck_alcotest.to_alcotest limits_codec_roundtrip;
+    Alcotest.test_case "limits keys and the budget they make" `Quick
+      test_limits_keys_and_budget;
   ]

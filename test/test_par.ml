@@ -190,28 +190,6 @@ let det_props =
       ("erm_local", run_local);
     ]
 
-let nd_deterministic () =
-  (* Erm_nd runs on the calling domain: its report must not depend on
-     the default pool size *)
-  let g = Gen.random_tree ~seed:17 40 in
-  let lam = sample_on g 20 in
-  let run jobs =
-    Par.set_jobs jobs;
-    let cls = Splitter.Nowhere_dense.forests in
-    let cfg =
-      Folearn.Erm_nd.default_config ~radius:1 ~k:1 ~ell_star:1 ~q_star:1 cls
-    in
-    let rep = Folearn.Erm_nd.solve cfg g lam in
-    ( Hyp.signature rep.Folearn.Erm_nd.hypothesis,
-      rep.Folearn.Erm_nd.err,
-      rep.Folearn.Erm_nd.branches_explored,
-      List.length rep.Folearn.Erm_nd.rounds )
-  in
-  let seq = run 1 in
-  let par = run 4 in
-  Par.set_jobs 1;
-  check "nd report identical at jobs 4" true (seq = par)
-
 (* ------------------------------------------------------------------ *)
 (* Deterministic budget trips under parallelism                        *)
 (* ------------------------------------------------------------------ *)
@@ -369,8 +347,6 @@ let suite =
   ]
   @ List.map (fun p -> QCheck_alcotest.to_alcotest p) det_props
   @ [
-      Alcotest.test_case "erm_nd report independent of jobs" `Quick
-        nd_deterministic;
       Alcotest.test_case "fault plans trip deterministically under jobs 4"
         `Quick fault_trip_deterministic;
       Alcotest.test_case "fuel cap trips under jobs 4" `Quick

@@ -275,7 +275,7 @@ let test_precheck_rejection_is_structured () =
 let test_precheck_never_fires_unlimited () =
   let p = Plan.analyze inp12 Plan.Brute in
   check "no limits, no rejection" true
-    (Plan.precheck ~what:"test" p Plan.no_limits = None);
+    (Plan.precheck ~what:"test" p Guard.Limits.none = None);
   (* deadlines alone are never grounds for rejection *)
   check "timeout alone never rejects" true
     (Plan.precheck ~what:"test" p (Plan.limits ~timeout_s:1e-9 ()) = None)
@@ -330,7 +330,7 @@ let test_model_check_precheck () =
   | Guard.Exhausted _ -> Alcotest.fail "generous fuel must complete"
 
 (* ------------------------------------------------------------------ *)
-(* Lossless cost JSON (pinned satellite regression)                    *)
+(* Saturated cost bounds in the JSON (pinned satellite regression)    *)
 (* ------------------------------------------------------------------ *)
 
 let deep_formula n =
@@ -340,7 +340,7 @@ let deep_formula n =
   in
   Fo.Parser.parse (build 1)
 
-let test_cost_saturation_and_roundtrip () =
+let test_cost_saturation () =
   let c = Analysis.Fo_check.cost (deep_formula 25) in
   (* rank 25 overflows the towers: the bounds must REPORT saturation,
      never a clamped finite value *)
@@ -348,17 +348,15 @@ let test_cost_saturation_and_roundtrip () =
     (c.Analysis.Fo_check.hintikka_log2 = CM.Log2.Saturated);
   check "ramsey saturates" true
     (c.Analysis.Fo_check.ramsey_r233_log2 = CM.Log2.Saturated);
-  (match Analysis.Fo_check.cost_of_json (Analysis.Fo_check.cost_json c) with
-  | Ok c' -> check "saturated cost round-trips losslessly" true (c = c')
-  | Error m -> Alcotest.failf "round-trip failed: %s" m);
+  (* and the JSON says so, where a bare infinite float would be null *)
+  check "saturation is named in the JSON" true
+    (Obs.Json.member "hintikka_log2" (Analysis.Fo_check.cost_json c)
+    = Some (Obs.Json.String "saturated"));
   let small = Analysis.Fo_check.cost (Fo.Parser.parse "exists y. E(x1, y)") in
   check "small rank stays finite" true
     (match small.Analysis.Fo_check.hintikka_log2 with
     | CM.Log2.Finite _ -> true
-    | CM.Log2.Saturated -> false);
-  match Analysis.Fo_check.cost_of_json (Analysis.Fo_check.cost_json small) with
-  | Ok c' -> check "finite cost round-trips losslessly" true (small = c')
-  | Error m -> Alcotest.failf "round-trip failed: %s" m
+    | CM.Log2.Saturated -> false)
 
 (* ------------------------------------------------------------------ *)
 (* --max-table counts the rows the planner counts                      *)
@@ -434,8 +432,8 @@ let suite =
     QCheck_alcotest.to_alcotest floor_sound_prop;
     Alcotest.test_case "model_check admission uses the structural floor" `Quick
       test_model_check_precheck;
-    Alcotest.test_case "cost JSON is lossless, saturation reported" `Quick
-      test_cost_saturation_and_roundtrip;
+    Alcotest.test_case "cost JSON reports saturation" `Quick
+      test_cost_saturation;
     Alcotest.test_case "max-table trips at the exact table total" `Quick
       test_table_cap_rows;
   ]

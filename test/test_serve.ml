@@ -193,7 +193,7 @@ let test_request_roundtrip () =
       op = "learn";
       budget =
         {
-          Serve.Proto.fuel = Some 100;
+          Guard.Limits.fuel = Some 100;
           deadline_s = Some 1.5;
           max_table = None;
           max_ball = Some 32;
@@ -231,34 +231,36 @@ let test_tenant_parse_and_clamp () =
     | Error m -> Alcotest.failf "quota must parse: %s" m
   in
   check_str "tenant name" "alice" name;
-  check "fuel quota" true (q.Serve.Tenant.t_fuel = Some 100);
-  check "deadline quota" true (q.Serve.Tenant.t_deadline_s = Some 2.5);
+  check "fuel quota" true (q.Guard.Limits.fuel = Some 100);
+  check "deadline quota" true (q.Guard.Limits.deadline_s = Some 2.5);
   (match Serve.Tenant.parse "bob:fuel=-1" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "negative quota must not parse");
   let tenants = Serve.Tenant.make [ (name, q); ("*", q) ] in
   let ask =
     {
-      Serve.Proto.fuel = Some 1_000_000;
+      Guard.Limits.fuel = Some 1_000_000;
       deadline_s = Some 0.5;
       max_table = Some 3;
       max_ball = None;
     }
   in
-  let clamped = Serve.Tenant.clamp (Serve.Tenant.quota_for tenants "alice") ask in
-  check "fuel clamped to quota" true (clamped.Serve.Proto.fuel = Some 100);
+  let clamped =
+    Guard.Limits.meet (Serve.Tenant.quota_for tenants "alice") ask
+  in
+  check "fuel clamped to quota" true (clamped.Guard.Limits.fuel = Some 100);
   check "smaller deadline kept" true
-    (clamped.Serve.Proto.deadline_s = Some 0.5);
-  check "smaller table kept" true (clamped.Serve.Proto.max_table = Some 3);
-  check "ball quota applies" true (clamped.Serve.Proto.max_ball = Some 5);
+    (clamped.Guard.Limits.deadline_s = Some 0.5);
+  check "smaller table kept" true (clamped.Guard.Limits.max_table = Some 3);
+  check "ball quota applies" true (clamped.Guard.Limits.max_ball = Some 5);
   (* the * wildcard catches unlisted tenants *)
-  let wild = Serve.Tenant.clamp (Serve.Tenant.quota_for tenants "mallory") ask in
-  check "wildcard clamps too" true (wild.Serve.Proto.fuel = Some 100);
+  let wild = Guard.Limits.meet (Serve.Tenant.quota_for tenants "mallory") ask in
+  check "wildcard clamps too" true (wild.Guard.Limits.fuel = Some 100);
   (* and with no wildcard, unlisted tenants are unrestricted *)
   let open_t = Serve.Tenant.make [ (name, q) ] in
-  let free = Serve.Tenant.clamp (Serve.Tenant.quota_for open_t "mallory") ask in
+  let free = Guard.Limits.meet (Serve.Tenant.quota_for open_t "mallory") ask in
   check "no wildcard: client asks pass" true
-    (free.Serve.Proto.fuel = Some 1_000_000)
+    (free.Guard.Limits.fuel = Some 1_000_000)
 
 (* ------------------------------------------------------------------ *)
 (* Bounded queue                                                       *)
@@ -315,7 +317,7 @@ let test_sched_close_drains () =
 let submit_job jobs ~id =
   Serve.Jobs.submit jobs ~id ~tenant:"t" ~solver:"brute"
     ~params:(J.Obj [ ("graph", J.String "path:4") ])
-    ~fuel:None ~max_table:None ~max_ball:None
+    ~limits:Guard.Limits.none
 
 let test_jobs_persist_and_resume () =
   with_dir (fun dir ->
@@ -338,6 +340,46 @@ let test_jobs_persist_and_resume () =
           check "done survives reload" true (j.Serve.Jobs.j_status = Done);
           check_str "stdout survives reload" "out" j.Serve.Jobs.j_stdout
       | None -> Alcotest.fail "job lost across reload")
+
+(* a jobs.json as the table wrote it before the limits record: it loads
+   with its limits, and is written back with the same members *)
+let parent_job_keys =
+  [ "id"; "tenant"; "solver"; "params"; "fuel"; "max_table"; "max_ball";
+    "status"; "code"; "stdout"; "stderr"; "spent" ]
+
+let test_jobs_parent_format_loads () =
+  with_dir (fun dir ->
+      let path = Filename.concat dir "jobs.json" in
+      let oc = open_out_bin path in
+      output_string oc
+        "{\"schema_version\":1,\"jobs\":[{\"id\":\"ddd\",\"tenant\":\"t\",\
+         \"solver\":\"brute\",\"params\":{\"graph\":\"path:4\"},\
+         \"fuel\":100,\"max_table\":null,\"max_ball\":7,\
+         \"status\":\"queued\",\"code\":0,\"stdout\":\"\",\"stderr\":\"\",\
+         \"spent\":null}]}\n";
+      close_out oc;
+      let jobs = Serve.Jobs.load ~dir in
+      (match Serve.Jobs.pending jobs with
+      | [ j ] ->
+          check "the job keeps its limits" true
+            (j.Serve.Jobs.j_limits
+            = { Guard.Limits.fuel = Some 100; deadline_s = None;
+                max_table = None; max_ball = Some 7 })
+      | _ -> Alcotest.fail "the queued job must load as pending");
+      Serve.Jobs.mark_running jobs "ddd";
+      let ic = open_in_bin path in
+      let doc = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      match
+        Option.bind
+          (Result.to_option (J.of_string doc))
+          (fun d -> Option.bind (J.member "jobs" d) J.to_list_opt)
+      with
+      | Some [ J.Obj kvs ] ->
+          Alcotest.(check (list string))
+            "written back with the same members" parent_job_keys
+            (List.map fst kvs)
+      | _ -> Alcotest.fail "jobs.json must hold the one job")
 
 let test_jobs_snapshot_mismatch () =
   with_dir (fun dir ->
@@ -410,7 +452,7 @@ let test_params_validated () =
       ([ ("graph", J.String "path:5"); ("target", J.String "x1=x1") ] @ extra)
   in
   let limits =
-    { Analysis.Plan.fuel = None; timeout_s = None; max_table = None;
+    { Guard.Limits.fuel = None; deadline_s = None; max_table = None;
       max_ball = None }
   in
   List.iter
@@ -486,8 +528,8 @@ let test_precheck_rejects_tiny_fuel () =
   in
   let limits =
     {
-      Analysis.Plan.fuel = Some 2;
-      timeout_s = None;
+      Guard.Limits.fuel = Some 2;
+      deadline_s = None;
       max_table = None;
       max_ball = None;
     }
@@ -519,7 +561,7 @@ let test_refused_learn_prints_training () =
   check_str "the CLI path prints the training line"
     "training sequence: 6 examples (6 positive)\n" r.Serve.Exec.out;
   let limits =
-    { Analysis.Plan.fuel = Some 1; timeout_s = None; max_table = None;
+    { Guard.Limits.fuel = Some 1; deadline_s = None; max_table = None;
       max_ball = None }
   in
   (match Serve.Exec.precheck_rejection ~op:"learn" ~params ~limits with
@@ -528,6 +570,121 @@ let test_refused_learn_prints_training () =
   | Error m -> Alcotest.failf "precheck must not fail: %s" m);
   check_str "the daemon's refusal prints the same" r.Serve.Exec.out
     (Serve.Exec.training_line params)
+
+(* One admission rule: the daemon's precheck and the in-process one
+   refuse the same limits with the same message, for every op the
+   planner models — the budgeted local learn through its degradation
+   chain, nd at its ell_star = max 1 ell. *)
+let test_admission_agreement () =
+  let learn solver ~ell ~q =
+    J.Obj
+      [
+        ("graph", J.String "path:6");
+        ("target", J.String "exists y. E(x1,y)");
+        ("solver", J.String solver);
+        ("ell", J.Int ell);
+        ("q", J.Int q);
+      ]
+  in
+  let ops =
+    [
+      ("learn", learn "brute" ~ell:1 ~q:2);
+      ("learn", learn "counting" ~ell:1 ~q:2);
+      ("learn", learn "nd" ~ell:0 ~q:1);
+      ("learn", learn "local" ~ell:1 ~q:1);
+      ( "mc",
+        J.Obj
+          [
+            ("graph", J.String "path:5");
+            ("formula", J.String "exists x. exists y. E(x,y)");
+            ("via_erm", J.Bool true);
+          ] );
+    ]
+  in
+  let limits =
+    List.map
+      (fun (fuel, max_table, max_ball) ->
+        { Guard.Limits.fuel; deadline_s = None; max_table; max_ball })
+      [
+        (Some 0, None, None); (Some 1, None, None); (Some 2, None, None);
+        (Some 40, None, None);
+        (None, Some 1, None); (None, None, Some 1);
+        (Some 1_000_000, Some 1_000_000, Some 1_000_000);
+      ]
+  in
+  let marker = "refused: " in
+  let refusal_in err =
+    List.find_map
+      (fun line ->
+        let n = String.length line and m = String.length marker in
+        let rec find i =
+          if i + m > n then None
+          else if String.sub line i m = marker then
+            Some (String.sub line (i + m) (n - i - m))
+          else find (i + 1)
+        in
+        find 0)
+      (String.split_on_char '\n' err)
+  in
+  List.iter
+    (fun (op, params) ->
+      let refusals =
+        List.map
+          (fun l ->
+            let served =
+              match Serve.Exec.precheck_rejection ~op ~params ~limits:l with
+              | Ok r -> Option.map (fun r -> r.Analysis.Plan.message) r
+              | Error m -> Alcotest.failf "precheck must not fail: %s" m
+            in
+            let r =
+              Serve.Exec.run_op ?budget:(Guard.Budget.of_limits l)
+                ~precheck:true ~op ~params ()
+            in
+            let what = Obs.Json.to_string params in
+            Alcotest.(check (option string))
+              ("same refusal for " ^ what) served (refusal_in r.Serve.Exec.err);
+            if served <> None then check_int ("refused exits 4: " ^ what) 4
+                r.Serve.Exec.code;
+            served)
+          limits
+      in
+      check ("fuel 0 is refused: " ^ Obs.Json.to_string params) true
+        (List.hd refusals <> None))
+    ops
+
+(* a submitted job runs checkpointed, so a local learn runs without the
+   degradation chain: admission judges the job, not the chain a plain
+   learn would walk *)
+let test_submit_local_admission () =
+  let params =
+    J.Obj
+      [
+        ("graph", J.String "path:8");
+        ("target", J.String "exists y. E(x1,y)");
+        ("solver", J.String "local");
+        ("ell", J.Int 1);
+        ("q", J.Int 1);
+      ]
+  in
+  let limits = { Guard.Limits.none with fuel = Some 100 } in
+  let refused op =
+    match Serve.Exec.precheck_rejection ~op ~params ~limits with
+    | Ok r -> r <> None
+    | Error m -> Alcotest.failf "precheck must not fail: %s" m
+  in
+  check "the chain settles a fallback: learn admitted" false (refused "learn");
+  check "the local solver alone cannot: submit refused" true
+    (refused "submit");
+  (* and the job the refusal spares would exhaust with nothing *)
+  with_dir (fun dir ->
+      let budget = Guard.Budget.make ~fuel:100 () in
+      let ckpt =
+        Resil.Ctl.create
+          ~path:(Filename.concat dir "job.snap")
+          ~budget ~run_id:"submit-local" ~solver:"local" ()
+      in
+      let r = Serve.Exec.run_op ~budget ~ckpt ~op:"learn" ~params () in
+      check_int "the job exhausts" 4 r.Serve.Exec.code)
 
 let test_learn_identity_deterministic () =
   let params =
@@ -612,6 +769,8 @@ let suite =
     Alcotest.test_case "closed queue drains" `Quick test_sched_close_drains;
     Alcotest.test_case "jobs persist across reload" `Quick
       test_jobs_persist_and_resume;
+    Alcotest.test_case "jobs.json of the old format loads" `Quick
+      test_jobs_parent_format_loads;
     Alcotest.test_case "job snapshot mismatch is structured" `Quick
       test_jobs_snapshot_mismatch;
     Alcotest.test_case "warm repeat op is byte-identical" `Quick
@@ -623,6 +782,10 @@ let suite =
       test_local_rule_reads_the_budget;
     Alcotest.test_case "admission precheck rejects tiny fuel" `Quick
       test_precheck_rejects_tiny_fuel;
+    Alcotest.test_case "one admission rule, served and in-process" `Quick
+      test_admission_agreement;
+    Alcotest.test_case "submit judges the checkpointed job" `Quick
+      test_submit_local_admission;
     Alcotest.test_case "learn identity is deterministic" `Quick
       test_learn_identity_deterministic;
     Alcotest.test_case "learn run id is computed lazily" `Quick
