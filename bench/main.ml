@@ -1276,7 +1276,7 @@ let e17 () =
   row
     "shape check: the default cadence (time-driven, 2 s) adds only a \
      clock read per candidate on a short run; candidate cadences pay \
-     one fsync'd snapshot per [every] settled candidates.\n"
+     one durable snapshot write per [every] settled candidates.\n"
 
 (* ------------------------------------------------------------------ *)
 (* E18: static plan calibration (focost)                               *)

@@ -628,11 +628,13 @@ let plan_cmd =
       if chain_mode then Plan.predict_chain chain limits
       else Plan.predict selected_plan limits
     in
+    (* the admission rule and query of the run itself, so a refusal
+       reads as `learn`'s would *)
     let rejection =
       if not has_limits then None
-      else if chain_mode then
-        Plan.precheck_chain ~what:"plan" chain limits
-      else Plan.precheck ~what:"plan" selected_plan limits
+      else
+        Folearn.Admission.rejection limits
+          (Exec.learn_query ~checkpointed:false p g)
     in
     let module J = Obs.Json in
     (match format with
@@ -657,7 +659,6 @@ let plan_cmd =
                 ("prediction", Plan.prediction_to_json (Plan.predict p limits));
               ] )
         in
-        let opt_int = function None -> J.Null | Some v -> J.Int v in
         let doc =
           J.Obj
             [
@@ -670,17 +671,7 @@ let plan_cmd =
                     ("examples", J.Int (List.length tuples));
                     ("solver", J.String (Plan.solver_name selected));
                   ] );
-              ( "limits",
-                J.Obj
-                  [
-                    ("fuel", opt_int limits.fuel);
-                    ( "timeout_s",
-                      match limits.deadline_s with
-                      | None -> J.Null
-                      | Some t -> J.Float t );
-                    ("max_table", opt_int limits.max_table);
-                    ("max_ball", opt_int limits.max_ball);
-                  ] );
+              ("limits", J.Obj (Guard.Limits.to_fields limits));
               ("solvers", J.Obj (List.map2 solver_entry solvers plans));
               ( "degrade_chain",
                 J.Obj

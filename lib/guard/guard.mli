@@ -23,8 +23,21 @@
     {!type-spent}.
 
     Cost discipline matches [Obs.Sink]: an unbudgeted {!tick} is one
-    branch.  Deadline checks amortise the clock syscall over a stride
-    of ticks.
+    branch.  A budgeted one is a domain-local decrement: each domain
+    draws fuel from the budget's shared total in slabs of at most 32
+    ticks, and only the tick that finds its slab empty does the shared
+    work — the atomics, the trip cell, the interrupt flag, the fuel
+    limit, the fault plan and the deadline clock.  So a deadline, an
+    interrupt or another worker's trip stops a domain within 32 ticks.
+    A slab never holds more than the fuel left, so on one domain a
+    fuel trip lands on the first tick past the limit, and a domain
+    never trips on fuel that another still holds.  {!Budget.spent}
+    does not count drawn but unspent slabs, so the reported fuel is
+    the ticks taken (exact once the charging domains are joined).
+    Under a fault plan every tick takes the shared path and counts its
+    per-class hit there, so a plan fires on the same hit as on one
+    shared counter.  [max_table] is checked against the row count the
+    caller reports, with no shared write per row.
 
     A deterministic fault-injection harness ({!Faults}) can force a
     trip at any checkpoint, so tests can exercise every degradation
@@ -194,13 +207,14 @@ val note_catalogue : Budget.t option -> int -> unit
 
     A POSIX signal handler may only do async-signal-safe work, so the
     CLI's SIGINT/SIGTERM handler just calls {!interrupt}.  The next
-    budgeted {!tick} on any domain converts the flag into an
-    [Interrupted] trip: the run unwinds to {!run} cooperatively, the
-    salvage hook recovers the best-so-far answer, and the caller can
-    flush a final checkpoint before exiting. *)
+    budgeted {!tick} that refills its slab, on any domain, converts the
+    flag into an [Interrupted] trip: the run unwinds to {!run}
+    cooperatively, the salvage hook recovers the best-so-far answer,
+    and the caller can flush a final checkpoint before exiting. *)
 
 val interrupt : unit -> unit
-(** Request a cooperative stop (async-signal-safe: one atomic store). *)
+(** Request a cooperative stop (async-signal-safe: one atomic store).
+    Every domain charging a budget trips within 32 ticks. *)
 
 val interrupt_requested : unit -> bool
 val clear_interrupt : unit -> unit

@@ -1,10 +1,14 @@
 (* Crash-safe checkpoint/resume for in-flight learning runs.  See the
    .mli for the contract; implementation notes:
 
-   - A snapshot file is a [Framed] envelope with magic "FOLEARNSNAP1".
-   - Durability is temp file + fsync + atomic rename (+ best-effort
-     directory fsync): a reader sees either the previous snapshot or
-     the new one, never a torn write.
+   - A snapshot file is two fixed 4 KiB slots, each a zero-padded
+     [Framed] envelope with magic "FOLEARNSNAP2".  Write number [w]
+     goes to slot [w mod 2] as one [O_DSYNC] write of the whole slot,
+     so it can tear only the slot it overwrites; the other slot keeps
+     the previous snapshot.  A load takes the valid slot with the
+     higher [writes].
+   - A controller that did not resume empties the file on its first
+     write, so no slot of an earlier run outlives it.
    - [Ctl] keeps the settled-candidate frontier as the largest [n] such
      that every index [< n] has been reported by [chunk_done].  Chunks
      complete out of order under [Par]; intervals beyond the frontier
@@ -150,7 +154,8 @@ end
 
 module Snapshot = struct
   let schema_version = 1
-  let magic = "FOLEARNSNAP1"
+  let magic = "FOLEARNSNAP2"
+  let slot_size = 4096
 
   type t = {
     run_id : string;
@@ -239,11 +244,30 @@ module Snapshot = struct
   let encode s = Framed.encode ~magic (to_json s)
   let decode data = Result.bind (Framed.decode ~magic data) of_json
 
-  let save ~path s =
+  (* One data-integrity write of the slot of [s]; [fresh] first
+     empties the file. *)
+  let store ~fresh ~path s =
     Obs.Span.with_ "resil.snapshot.save"
       ~args:[ ("cursor", string_of_int s.cursor) ]
     @@ fun () ->
-    atomic_write ~path (encode s);
+    let frame = encode s in
+    let len = String.length frame in
+    if len > slot_size then
+      invalid_arg
+        (Printf.sprintf
+           "Resil.Snapshot.save: a %d-byte frame exceeds its %d-byte slot" len
+           slot_size);
+    let fd =
+      Unix.openfile path
+        (Unix.O_WRONLY :: Unix.O_CREAT :: Unix.O_DSYNC
+        :: (if fresh then [ Unix.O_TRUNC ] else []))
+        0o644
+    in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        ignore (Unix.lseek fd (s.writes land 1 * slot_size) Unix.SEEK_SET);
+        write_all fd (frame ^ String.make (slot_size - len) '\000'));
     Obs.Metric.incr snapshot_writes;
     Obs.Event.record ~kind:"resil"
       ~args:
@@ -255,11 +279,34 @@ module Snapshot = struct
         ]
       "resil.snapshot.save"
 
+  let save ~path s = store ~fresh:false ~path s
+
+  (* The valid slot with the higher [writes].  A file whose two slots
+     are blank (empty or zero bytes: a fresh run's first write had not
+     landed) holds no snapshot.  When neither slot is valid, the error
+     is the first slot's, unless that one is blank (a fresh run's first
+     write goes to the second). *)
   let load path =
     Obs.Span.with_ "resil.snapshot.load" @@ fun () ->
-    let r = Framed.load ~magic of_json path in
-    if Result.is_ok r then Obs.Metric.incr snapshot_loads;
-    r
+    match In_channel.with_open_bin path In_channel.input_all with
+    | exception Sys_error _ -> Error `Not_found
+    | data -> (
+        let slot i =
+          let lo = min (String.length data) (i * slot_size) in
+          String.sub data lo (min slot_size (String.length data - lo))
+        in
+        let blank i = String.for_all (( = ) '\000') (slot i) in
+        match (decode (slot 0), decode (slot 1)) with
+        | Ok a, Ok b ->
+            Obs.Metric.incr snapshot_loads;
+            Ok (if b.writes > a.writes then b else a)
+        | Ok s, Error _ | Error _, Ok s ->
+            Obs.Metric.incr snapshot_loads;
+            Ok s
+        | Error e0, Error e1 ->
+            if not (blank 0) then Error (`Corrupt e0)
+            else if not (blank 1) then Error (`Corrupt e1)
+            else Error `Not_found)
 
   type mismatch = { field : string; expected : string; found : string }
 
@@ -300,6 +347,7 @@ module Ctl = struct
     resume_cursor : int;
     resume_best : (int * int) option;
     resumed : bool;
+    mutable fresh : bool;  (* the next write empties the file first *)
     m : Mutex.t;  (* frontier / pending / best / writes *)
     mutable frontier : int;
     mutable pending : (int * int) list;  (* sorted disjoint [lo, hi) *)
@@ -329,6 +377,7 @@ module Ctl = struct
         (match resume with Some (s : Snapshot.t) -> s.cursor | None -> 0);
       resume_best = (match resume with Some s -> s.best | None -> None);
       resumed = Option.is_some resume;
+      fresh = Option.is_none resume;
       m = Mutex.create ();
       frontier = 0;
       pending = [];
@@ -371,12 +420,13 @@ module Ctl = struct
 
   (* lex-min on (errors, index): monotone under re-reporting, so a
      stale caller view can never regress the recorded best *)
-  let merge_best t = function
-    | None -> ()
-    | Some (i, e) -> (
-        match t.best with
-        | Some (bi, be) when be < e || (be = e && bi <= i) -> ()
-        | _ -> t.best <- Some (i, e))
+  let lex_min a b =
+    match (a, b) with
+    | None, x | x, None -> x
+    | Some (ai, ae), Some (bi, be) ->
+        if be < ae || (be = ae && bi <= ai) then b else a
+
+  let merge_best t best = t.best <- lex_min t.best best
 
   let rec absorb t =
     match t.pending with
@@ -410,8 +460,11 @@ module Ctl = struct
       {
         Snapshot.run_id = t.run_id;
         solver = t.solver;
-        cursor = t.frontier;
-        best = t.best;
+        (* while a resumed run replays the candidates below its resume
+           cursor, the snapshot it resumed from still covers them: a
+           snapshot never moves back behind it *)
+        cursor = max t.frontier t.resume_cursor;
+        best = lex_min t.best t.resume_best;
         complete;
         writes = t.writes;
         spent_fuel =
@@ -440,7 +493,8 @@ module Ctl = struct
         Mutex.lock t.m;
         let snap = assemble t ~complete in
         Mutex.unlock t.m;
-        Snapshot.save ~path snap
+        Snapshot.store ~fresh:t.fresh ~path snap;
+        t.fresh <- false
 
   let candidate_due t =
     t.every < max_int && t.frontier - t.last_write_frontier >= t.every

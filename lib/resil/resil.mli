@@ -7,11 +7,21 @@
     configurable cadence, and a resumed run replays deterministically
     to an output bit-identical to the uninterrupted one.
 
-    {b Snapshot format.}  A {!Framed} envelope with magic
-    [FOLEARNSNAP1].  Writes are atomic: temp file, [fsync], [rename],
-    best-effort directory [fsync] — a reader sees the previous
-    snapshot or the new one, never a torn file.  Loads validate the
-    envelope, then the schema version.
+    {b Snapshot file.}  Two fixed slots of 4 KiB, each holding one
+    {!Framed} envelope with magic [FOLEARNSNAP2], zero-padded to the
+    slot.  The generation is the snapshot's [writes] count, which
+    carries across resumes: write number [w] overwrites slot
+    [w mod 2] in place, as one full, block-aligned write through an
+    [O_DSYNC] descriptor — one data-integrity write, with no temp
+    file, no [rename] and no directory sync.  A crash can tear only
+    the slot being written; the other keeps the previous snapshot.  A
+    load decodes both slots and takes the valid one with the higher
+    [writes]; a torn slot fails its CRC and is skipped.  A resumed run
+    writes first to the slot that does not hold the snapshot it
+    resumed from; a run that did not resume empties the file on its
+    first write, so a slot of an earlier run never wins a later load.
+    A file of the retired single-frame format ([FOLEARNSNAP1]) fails
+    both slots' magic and is refused.
 
     {b Resume model.}  The snapshot stores the {e settled frontier}: a
     cursor [n] such that every candidate index [< n] was fully
@@ -48,7 +58,8 @@ val atomic_write : ?fsync:bool -> path:string -> string -> unit
 (** [atomic_write ~path data] writes [data] to [path] via a temp file
     in the same directory, [fsync] (default [true]), and an atomic
     [rename].  Concurrent readers of [path] never observe a partial
-    file. *)
+    file.  For whole-file documents (the daemon's job table, telemetry,
+    flight-recorder dumps); snapshots use their two slots instead. *)
 
 (** The one codec of the CRC-framed JSON formats: snapshots,
     flight-recorder dumps and RPC frames.
@@ -58,7 +69,8 @@ val atomic_write : ?fsync:bool -> path:string -> string -> unit
 <body JSON>
 v}
     The magic names the format:
-    - [FOLEARNSNAP1]: checkpoint snapshots ({!Snapshot});
+    - [FOLEARNSNAP2]: checkpoint snapshots ({!Snapshot}), one per
+      slot;
     - [FOLEARNFDR1]: flight-recorder dumps ([Pulse.Fdr]);
     - [FOLEARNRPC1]: daemon RPC frames ([Serve.Frame]).
 
@@ -133,12 +145,19 @@ module Snapshot : sig
       shape or schema version yields [Error]. *)
 
   val save : path:string -> t -> unit
-  (** Atomic durable write ({!atomic_write}); records an obs span
-      ["resil.snapshot.save"] and bumps ["resil.snapshot_writes"]. *)
+  (** Write [s] durably into slot [s.writes mod 2] of the file at
+      [path], creating it if need be, and leave the other slot as it
+      is; records an obs span ["resil.snapshot.save"] and bumps
+      ["resil.snapshot_writes"].  The frame is bounded (fixed fields,
+      a digest run id, two counters).
+      @raise Invalid_argument when the frame exceeds its 4 KiB slot.
+      [Unix_error]s propagate. *)
 
   val load : string -> (t, [ `Not_found | `Corrupt of string ]) result
-  (** [`Not_found] when the file does not exist (a fresh run);
-      [`Corrupt] carries the decode error. *)
+  (** The valid slot with the higher [writes].  [`Not_found] when the
+      file does not exist or both its slots are blank (a fresh run);
+      [`Corrupt] carries the decode error of the first slot, or of
+      the second when the first is blank. *)
 
   type mismatch = { field : string; expected : string; found : string }
   (** Which identity field of a loaded snapshot disagreed with the
@@ -179,12 +198,15 @@ module Ctl : sig
     unit ->
     t
   (** An active controller.  [path] is where snapshots go (omitted =
-      track the frontier but never write).  Cadence: a snapshot is due
+      track the frontier but never write).  Unless [resume] is given,
+      the first write starts the file afresh.  Cadence: a snapshot is due
       every [every] settled candidates (default: candidate cadence
       off) {e or} every [interval_s] seconds (default 2.0), whichever
       fires first.  [budget] supplies the [spent] fields.  [resume]
       seeds the skip cursor and best from a loaded snapshot; the
-      [writes] count carries over. *)
+      [writes] count carries over, and no snapshot written while the
+      run replays the candidates below the cursor falls behind the one
+      it resumed from. *)
 
   val observer : run_id:string -> solver:string -> unit -> t
   (** A passive frontier tracker: {!chunk_done} maintains the settled

@@ -84,6 +84,13 @@ val learn_graph : op:string -> learn_p -> Cgraph.Graph.t
 val learn_tuples : learn_p -> Cgraph.Graph.t -> Cgraph.Graph.Tuple.t list
 (** All tuples when [m = 0], else [m] drawn with [seed]. *)
 
+val learn_query :
+  checkpointed:bool -> learn_p -> Cgraph.Graph.t -> Folearn.Admission.query
+(** The admission query a learn of these parameters on the coloured
+    graph makes: [Degrade] for [--solver local] (a budgeted local run is
+    the degradation chain) unless it is [checkpointed], else [Solve] of
+    its solver, Theorem 13 at [ell_star = max 1 ell]. *)
+
 val check_target :
   op:string -> Cgraph.Graph.t -> k:int -> string -> Fo.Formula.t
 (** Parse a target and check it is a query over [x1..xk] in the graph's

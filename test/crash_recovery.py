@@ -7,10 +7,16 @@ For each ERM solver, the harness:
      records its stdout and exit code;
   2. repeatedly starts the same command with `--checkpoint SNAP
      --resume SNAP`, SIGKILLs it at a seeded-random point, validates
-     the surviving snapshot (magic, CRC and decimal length fields,
-     body terminator, zlib CRC), and resumes;
+     the surviving snapshot file, and resumes;
   3. asserts that the run that finally completes produced stdout
      byte-identical to the reference and the same exit code.
+
+A snapshot file is two 4 KiB slots, each a zero-padded frame (magic,
+CRC and decimal length fields, body, terminator; the body's zlib CRC)
+or blank.  Write number w overwrites slot w mod 2 in place, so a kill
+can tear only the slot being written: after every kill at least one
+slot must hold a valid frame (once a first snapshot was written), and
+the newest valid frame's cursor must never move backward.
 
 `--sigint` instead starts one long checkpointed run, delivers SIGINT,
 and asserts graceful shutdown: exit code 3, an "interrupted" report on
@@ -30,7 +36,8 @@ import tempfile
 import time
 import zlib
 
-MAGIC = b"FOLEARNSNAP1"
+MAGIC = b"FOLEARNSNAP2"
+SLOT = 4096
 
 # Workloads sized so a reference run takes roughly 0.3-1.5 s: long
 # enough that SIGKILL usually lands mid-enumeration, short enough for
@@ -68,32 +75,42 @@ def fail(msg):
     sys.exit(1)
 
 
-def load_snapshot(path):
-    """Validate the snapshot framing (the rules of lib/resil's Framed
-    codec) and return the decoded body."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if not raw:
-        fail(f"{path}: zero-length snapshot")
+def decode_slot(raw):
+    """Check one slot against the rules of lib/resil's Framed codec:
+    the decoded body, or the reason the slot holds no valid frame."""
     header, _, body = raw.partition(b"\n")
     fields = header.split(b" ")
     if len(fields) != 3 or fields[0] != MAGIC:
-        fail(f"{path}: bad header {header!r}")
+        return None, f"bad header {header[:40]!r}"
     crc_hex, length_s = fields[1], fields[2]
     hex_digits = b"0123456789abcdefABCDEF"
     if len(crc_hex) != 8 or not all(c in hex_digits for c in crc_hex):
-        fail(f"{path}: bad CRC field {crc_hex!r}")
+        return None, f"bad CRC field {crc_hex!r}"
     if not (1 <= len(length_s) <= 18 and length_s.isdigit()):
-        fail(f"{path}: bad length field {length_s!r}")
+        return None, f"bad length field {length_s!r}"
     length = int(length_s)
     if len(body) < length + 1:
-        fail(f"{path}: truncated body ({len(body)} < {length + 1})")
+        return None, f"truncated body ({len(body)} < {length + 1})"
     if body[length:length + 1] != b"\n":
-        fail(f"{path}: missing terminator after the body")
+        return None, "missing terminator after the body"
     body = body[:length]
     if zlib.crc32(body) & 0xFFFFFFFF != int(crc_hex, 16):
-        fail(f"{path}: CRC mismatch")
-    return json.loads(body)
+        return None, "CRC mismatch"
+    return json.loads(body), None
+
+
+def load_snapshot(path):
+    """The newest valid slot's body (the higher "writes"); fail when
+    neither slot holds a valid frame."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if len(raw) > 2 * SLOT:
+        fail(f"{path}: {len(raw)} bytes, more than two slots")
+    slots = [decode_slot(raw[i * SLOT:(i + 1) * SLOT]) for i in (0, 1)]
+    valid = [body for body, _ in slots if body is not None]
+    if not valid:
+        fail(f"{path}: no valid slot ({'; '.join(e for _, e in slots)})")
+    return max(valid, key=lambda body: body["writes"])
 
 
 def run_to_completion(cmd, timeout=120):
@@ -128,6 +145,7 @@ def kill_resume_cycle(name, base_cmd, jobs, rng, tmpdir):
         "--checkpoint", snap, "--checkpoint-every", "1", "--resume", snap,
     ]
     kills = 0
+    newest = None  # cursor of the newest snapshot seen after a kill
     for cycle in range(MAX_CYCLES):
         # the last permitted cycle runs to completion unconditionally
         last = cycle == MAX_CYCLES - 1
@@ -141,8 +159,19 @@ def kill_resume_cycle(name, base_cmd, jobs, rng, tmpdir):
             proc.kill()  # SIGKILL: no handler runs, no final flush
             proc.communicate()
             kills += 1
-            if os.path.exists(snap):
-                load_snapshot(snap)  # must never be torn
+            # a kill before the first write may leave no file, or the
+            # empty file of a fresh run's first open; after that a slot
+            # always survives
+            if newest is not None or (
+                os.path.exists(snap) and os.path.getsize(snap) > 0
+            ):
+                cursor = load_snapshot(snap)["cursor"]
+                if newest is not None and cursor < newest:
+                    fail(
+                        f"{name}: newest cursor moved back from {newest} "
+                        f"to {cursor} after a kill"
+                    )
+                newest = cursor
             continue
         if proc.returncode != ref_code:
             fail(

@@ -5,7 +5,8 @@
      checkpoint class, through a real entry point of that class, never
      escapes as an exception and labels the outcome consistently,
    - explicit budgets: concurrent runs on two domains keep their own
-     spend, and a nested run passes an outer budget's trip through,
+     spend, a nested run passes an outer budget's trip through, and on
+     one domain fuel trips on exactly the tick past the limit,
    - the degradation chain (local -> brute at shrinking rank),
    - saturating Ramsey arithmetic (the satellite fix),
    - parser errors with line/column positions (the satellite fix), and
@@ -183,6 +184,54 @@ let test_nested_outer_trip () =
       check "outer salvage" true (best_so_far = Some "outer salvage");
       check_int "outer spend" 4 spent.Guard.fuel;
       check_int "inner spend" 1 (Guard.Budget.spent inner).Guard.fuel
+
+(* Fuel is charged per tick, whatever the slab a domain holds: on one
+   domain a run whose ticks total [f] completes under [fuel = f] and
+   trips [Out_of_fuel] under [fuel = f - 1] on its [f]-th tick, which
+   the spend reports.  The precheck is off, so every trip is a real
+   one. *)
+let test_fuel_exact_total () =
+  let pool = Par.Pool.create ~jobs:1 in
+  Fun.protect ~finally:(fun () -> Par.Pool.shutdown pool) @@ fun () ->
+  let g = Gen.path 6 in
+  let lam =
+    Sam.label_with g ~target:(fun v -> v.(0) < 3) (Sam.all_tuples g ~k:1)
+  in
+  let brute q budget =
+    Guard.outcome_map ignore
+      (Brute.solve_budgeted ~precheck:false ~pool ~budget g ~k:1 ~ell:1 ~q
+         lam)
+  in
+  let counting q budget =
+    Guard.outcome_map ignore
+      (Folearn.Erm_counting.solve_budgeted ~precheck:false ~pool ~budget g
+         ~k:1 ~ell:1 ~q ~tmax:2 lam)
+  in
+  List.iter
+    (fun (name, run) ->
+      let total =
+        let b = Guard.Budget.unlimited () in
+        (match run b with
+        | Guard.Complete () -> ()
+        | Guard.Exhausted _ -> Alcotest.failf "%s: unlimited tripped" name);
+        (Guard.Budget.spent b).Guard.fuel
+      in
+      check (name ^ ": spends fuel") true (total > 1);
+      let limited f = Guard.Budget.make ~fuel:f () in
+      (match run (limited total) with
+      | Guard.Complete () -> ()
+      | Guard.Exhausted _ -> Alcotest.failf "%s: fuel %d must do" name total);
+      match run (limited (total - 1)) with
+      | Guard.Complete () -> Alcotest.failf "%s: fuel %d must trip" name (total - 1)
+      | Guard.Exhausted { reason = r; spent; _ } ->
+          Alcotest.check reason (name ^ ": reason") Guard.Out_of_fuel r;
+          check_int (name ^ ": fuel at the trip") total spent.Guard.fuel)
+    [
+      ("brute q=1", brute 1);
+      ("brute q=2", brute 2);
+      ("counting q=1", counting 1);
+      ("counting q=2", counting 2);
+    ]
 
 let test_salvage_err_is_true_error () =
   (* the salvaged best-so-far must carry its genuine empirical error *)
@@ -459,6 +508,8 @@ let suite =
       test_concurrent_budgets_independent;
     Alcotest.test_case "outer trip passes through an inner run" `Quick
       test_nested_outer_trip;
+    Alcotest.test_case "fuel trips at the exact fuel total" `Quick
+      test_fuel_exact_total;
     Alcotest.test_case "salvaged hypothesis carries its true error" `Quick
       test_salvage_err_is_true_error;
     Alcotest.test_case "fuel and deadline exhaustion reasons" `Quick

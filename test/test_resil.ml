@@ -3,8 +3,11 @@
    - CRC-32 against the published zlib check value;
    - a QCheck codec round-trip (decode . encode = id) plus rejection
      of corrupted bytes, truncation and a bad magic;
-   - atomic save/load through a temp file, [`Not_found] on a missing
-     path;
+   - save/load through a temp file, [`Not_found] on a missing path;
+   - the two-slot file: a torn or zeroed slot loads the previous
+     snapshot, a fresh controller never leaves an earlier run's slot
+     to win a load, and a file of the retired single-frame format
+     ([FOLEARNSNAP1]) is refused;
    - the Ctl frontier: out-of-order chunks park until the gap closes,
      the recorded best is lex-min monotone, and should_eval implements
      the replay-skip contract;
@@ -166,6 +169,115 @@ let load_for_mismatch () =
   match Snap.load_for ~run_id:"cafe01" ~solver:"brute" path with
   | Error `Not_found -> ()
   | _ -> Alcotest.fail "missing file stays `Not_found through load_for"
+
+(* ------------------------------------------------------------------ *)
+(* The two-slot file                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let slot_size = 4096
+let snap_at ~writes = { sample_snapshot with cursor = 10 * writes; writes }
+
+let load_both path =
+  ( Snap.load path,
+    Snap.load_for ~run_id:sample_snapshot.run_id ~solver:"brute" path )
+
+(* Write number [w] overwrites slot [w mod 2] in place.  A crash during
+   write 3 leaves slot 1 torn (the file cut at several byte offsets
+   into the new frame, or the new frame's first bytes over the old
+   ones) or zeroed; every such file loads write 2. *)
+let torn_slot_loads_previous () =
+  let path = Filename.temp_file "folearn_resil" ".snap" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Snap.save ~path (snap_at ~writes:1);
+  Snap.save ~path (snap_at ~writes:2);
+  let before = In_channel.with_open_bin path In_channel.input_all in
+  check_int "two slots" (2 * slot_size) (String.length before);
+  let frame3 = Snap.encode (snap_at ~writes:3) in
+  let expect_previous what data =
+    Out_channel.with_open_bin path (fun oc -> output_string oc data);
+    match load_both path with
+    | Ok a, Ok b ->
+        check (what ^ ": load") true (a = snap_at ~writes:2);
+        check (what ^ ": load_for") true (b = snap_at ~writes:2)
+    | _ -> Alcotest.failf "%s: the previous snapshot must load" what
+  in
+  List.iter
+    (fun k ->
+      expect_previous
+        (Printf.sprintf "cut %d bytes into the new frame" k)
+        (String.sub before 0 slot_size ^ String.sub frame3 0 k);
+      (* with the whole body written the frame may be complete: the
+         old slot can hold a '\n' where the new terminator goes *)
+      if k < String.length frame3 - 1 then
+        expect_previous
+          (Printf.sprintf "new frame's first %d bytes over the old" k)
+          (String.sub before 0 slot_size
+          ^ String.sub frame3 0 k
+          ^ String.sub before (slot_size + k) (slot_size - k)))
+    (List.sort_uniq compare
+       [ 0; 1; 12; 13; String.index frame3 '\n' + 1; String.length frame3 / 2;
+         String.length frame3 - 1 ]);
+  expect_previous "zeroed slot"
+    (String.sub before 0 slot_size ^ String.make slot_size '\000');
+  (* the complete write wins over the older slot *)
+  Snap.save ~path (snap_at ~writes:3);
+  match Snap.load path with
+  | Ok s -> check "newest slot wins" true (s = snap_at ~writes:3)
+  | Error _ -> Alcotest.fail "two valid slots must load"
+
+(* A fresh controller starts a new file on its first write: a stale
+   two-slot file of the same run, with more writes than the new run
+   will ever make, never wins a load afterwards. *)
+let fresh_run_ignores_stale_slots () =
+  let path = Filename.temp_file "folearn_resil" ".snap" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Snap.save ~path (snap_at ~writes:100);
+  Snap.save ~path (snap_at ~writes:101);
+  let ckpt = Resil.Ctl.create ~path ~run_id:"cafe01" ~solver:"brute" () in
+  Resil.Ctl.chunk_done ckpt ~lo:0 ~hi:3 ~best:(Some (1, 0));
+  let fresh_loads what =
+    match load_both path with
+    | Ok a, Ok b ->
+        check (what ^ ": load") true (a.Snap.writes < 100 && a.Snap.cursor = 3);
+        check (what ^ ": load_for") true (a = b)
+    | _ -> Alcotest.failf "%s: the fresh snapshot must load" what
+  in
+  Resil.Ctl.flush ckpt;
+  fresh_loads "first write";
+  Resil.Ctl.flush ckpt;
+  fresh_loads "second write"
+
+(* The retired single-frame format is refused, naming its magic; a
+   file whose slots are both blank holds no snapshot. *)
+let old_format_refused () =
+  let path = Filename.temp_file "folearn_resil" ".snap" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let body = {|{"schema_version":1,"run_id":"cafe01","solver":"brute"}|} in
+  Out_channel.with_open_bin path (fun oc ->
+      Printf.fprintf oc "FOLEARNSNAP1 %s %d\n%s\n"
+        (Resil.Crc32.to_hex (Resil.Crc32.string body))
+        (String.length body) body);
+  (match Snap.load path with
+  | Error (`Corrupt msg) ->
+      check "names the old magic" true (astr_contains msg "FOLEARNSNAP1")
+  | Ok _ | Error `Not_found -> Alcotest.fail "FOLEARNSNAP1 must be refused");
+  List.iter
+    (fun (what, data) ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc data);
+      match Snap.load path with
+      | Error `Not_found -> ()
+      | Ok _ | Error (`Corrupt _) -> Alcotest.failf "%s must be `Not_found" what)
+    [ ("an empty file", ""); ("two zeroed slots", String.make (2 * slot_size) '\000') ]
+
+(* The frame is bounded by its slot. *)
+let oversized_frame_refused () =
+  let path = Filename.temp_file "folearn_resil" ".snap" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  match
+    Snap.save ~path { sample_snapshot with run_id = String.make slot_size 'x' }
+  with
+  | () -> Alcotest.fail "a frame larger than its slot must be refused"
+  | exception Invalid_argument _ -> ()
 
 let atomic_write_replaces () =
   let path = Filename.temp_file "folearn_resil" ".txt" in
@@ -359,6 +471,14 @@ let suite =
       load_for_mismatch;
     Alcotest.test_case "atomic_write replaces whole files" `Quick
       atomic_write_replaces;
+    Alcotest.test_case "torn or zeroed slot loads the previous snapshot"
+      `Quick torn_slot_loads_previous;
+    Alcotest.test_case "fresh run never resumes a stale slot" `Quick
+      fresh_run_ignores_stale_slots;
+    Alcotest.test_case "FOLEARNSNAP1 file refused, blank file is none" `Quick
+      old_format_refused;
+    Alcotest.test_case "frame larger than its slot is refused" `Quick
+      oversized_frame_refused;
     Alcotest.test_case "frontier absorbs out-of-order chunks" `Quick
       frontier_out_of_order;
     Alcotest.test_case "should_eval replay-skip contract" `Quick
