@@ -111,7 +111,6 @@ let run_instrumented name f =
   (* fresh intern tables too, so an experiment's counters do not depend
      on the experiments run before it in the same process *)
   Modelcheck.Types.reset_tables ();
-  Modelcheck.Ctypes.reset_tables ();
   let t0 = Obs.Clock.now_ns () in
   (* one broken experiment must not cost the others their telemetry *)
   let error =
@@ -559,8 +558,7 @@ let e10 () =
       in
       let plain q = (Brute.solve g ~k:1 ~ell:0 ~q lam).Brute.err in
       let counting tmax =
-        (Folearn.Erm_counting.solve g ~k:1 ~ell:0 ~q:1 ~tmax lam)
-          .Folearn.Erm_counting.err
+        (Brute.solve ~tmax g ~k:1 ~ell:0 ~q:1 lam).Brute.err
       in
       row "%-14s %6d | %10.3f %10.3f | %10.3f %10.3f\n" "degree>=3" n_actual
         (plain 1) (plain 2) (counting 2) (counting 3))
@@ -571,9 +569,9 @@ let e10 () =
     (fun (cname, g) ->
       row "%-10s %6d %8d %8d %8d %8d\n" cname (Graph.order g)
         (T.count_types g ~q:1 ~k:1)
-        (Modelcheck.Ctypes.count_types g ~q:1 ~tmax:2 ~k:1)
-        (Modelcheck.Ctypes.count_types g ~q:1 ~tmax:3 ~k:1)
-        (Modelcheck.Ctypes.count_types g ~q:1 ~tmax:4 ~k:1))
+        (T.count_types ~cap:2 g ~q:1 ~k:1)
+        (T.count_types ~cap:3 g ~q:1 ~k:1)
+        (T.count_types ~cap:4 g ~q:1 ~k:1))
     [
       ("path", Gen.path 14);
       ("star", Gen.star 14);
@@ -1332,9 +1330,7 @@ let e18 () =
       | `Brute ->
           ignore (Brute.solve_budgeted ~budget g ~k ~ell ~q lam)
       | `Counting ->
-          ignore
-            (Folearn.Erm_counting.solve_budgeted ~budget g ~k ~ell ~q ~tmax:2
-               lam)
+          ignore (Brute.solve_budgeted ~budget ~tmax:2 g ~k ~ell ~q lam)
       | `Local ->
           ignore (Folearn.Erm_local.solve_budgeted ~budget g ~k ~ell ~q lam)
       | `Nd ->
@@ -1572,7 +1568,6 @@ let e21 () =
   let cores = Domain.recommended_domain_count () in
   let compile_hits_c = Obs.Metric.counter "modelcheck.compile.cache_hits" in
   let ty_merges_c = Obs.Metric.counter "modelcheck.types.shard_merges" in
-  let cty_merges_c = Obs.Metric.counter "modelcheck.ctypes.shard_merges" in
   (* --- A: all four solvers once, sequentially.  The signature rows
      record the exact hypotheses; the deterministic work counters land
      in the metric snapshot for bench/compare.py. *)
@@ -1597,9 +1592,8 @@ let e21 () =
   (match Real.solve g ~ell:1 ~catalogue:[ target ] lam with
   | Some r -> emit "realizable" 0.0 r.Real.hypothesis
   | None -> row "%-12s (reject)\n" "realizable");
-  let counting = Folearn.Erm_counting.solve g ~k:1 ~ell:1 ~q:1 ~tmax:2 lam in
-  emit "counting" counting.Folearn.Erm_counting.err
-    counting.Folearn.Erm_counting.hypothesis;
+  let counting = Brute.solve ~tmax:2 g ~k:1 ~ell:1 ~q:1 lam in
+  emit "counting" counting.Brute.err counting.Brute.hypothesis;
   let nd_cfg =
     Nd.default_config ~epsilon:0.125 ~radius:1 ~branch_width:8 ~k:1
       ~ell_star:1 ~q_star:1
@@ -1682,8 +1676,7 @@ let e21 () =
   bench_extra_headline :=
     [
       ("compile_hits", jint (Obs.Metric.value compile_hits_c));
-      ( "intern_shard_merges",
-        jint (Obs.Metric.value ty_merges_c + Obs.Metric.value cty_merges_c) );
+      ("intern_shard_merges", jint (Obs.Metric.value ty_merges_c));
       ("speedup_at_4_jobs", jfloat !speedup4);
       ("identical", Obs.Json.Bool !all_identical);
     ];

@@ -17,7 +17,6 @@
 open Cgraph
 module Sam = Folearn.Sample
 module Brute = Folearn.Erm_brute
-module Cnt = Folearn.Erm_counting
 module Hyp = Folearn.Hypothesis
 
 let () =
@@ -42,20 +41,20 @@ let () =
         r.Brute.err)
     [ 0; 1; 2 ];
 
-  (* counting at rank 1 with growing threshold caps *)
+  (* counting at rank 1 with growing threshold caps (t<=1 is plain FO) *)
   List.iter
     (fun tmax ->
-      let r = Cnt.solve g ~k:1 ~ell:0 ~q:1 ~tmax lam in
+      let r = Brute.solve ~tmax g ~k:1 ~ell:0 ~q:1 lam in
       Format.printf "%-28s %12.3f@."
         (Printf.sprintf "counting FO, rank 1, t<=%d" tmax)
-        r.Cnt.err)
+        r.Brute.err)
     [ 1; 2; 3 ];
 
   (* show the witness formula the exact counting learner produces *)
-  let r = Cnt.solve g ~k:1 ~ell:0 ~q:1 ~tmax:3 lam in
-  Format.printf "@.Learned counting hypothesis (err %.3f):@.%a@." r.Cnt.err
+  let r = Brute.solve ~tmax:3 g ~k:1 ~ell:0 ~q:1 lam in
+  Format.printf "@.Learned counting hypothesis (err %.3f):@.%a@." r.Brute.err
     Fo.Formula.pp
-    (Hyp.formula r.Cnt.hypothesis);
+    (Hyp.formula r.Brute.hypothesis);
 
   (* the concise equivalent a human would write *)
   let concise = Fo.Parser.parse "atleast 3 y. E(x1, y)" in

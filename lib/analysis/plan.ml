@@ -74,7 +74,9 @@ let entries_of examples =
 (* Erm_brute, sequential model (sound for any job count, see .mli):
    per candidate 1 Solver_loop tick + d fresh type computations of
    T_q(n) computed rows each (d distinct example roots; a repeated root
-   is looked up), so the totals are exact multiples. *)
+   is looked up), so the totals are exact multiples.  The counting
+   solver runs the same sweep at a multiplicity cap, whose types cost
+   the rows of the plain ones, so it has this model too. *)
 let analyze_brute ?stage_q i =
   let q = Option.value stage_q ~default:i.q in
   let n = Cgraph.Graph.order i.g in
@@ -114,27 +116,6 @@ let analyze_brute ?stage_q i =
            per-context table peaks only shrink";
         ];
     }
-
-(* Erm_counting: one Solver_loop tick per candidate, counting-type
-   evaluation is guard-free. *)
-let analyze_counting i =
-  let n = Cgraph.Graph.order i.g in
-  let c = Cost_model.candidate_count ~n ~ell:i.ell in
-  let none = Env.exact C.zero in
-  {
-    solver = Counting;
-    stage_q = i.q;
-    fuel_first = Env.exact (if c = C.zero then C.zero else C.one);
-    fuel_total = Env.exact c;
-    table_first = none;
-    table_total = none;
-    ball_first = none;
-    ball_total = none;
-    hypotheses = Env.exact c;
-    type_evals = none;
-    exact = true;
-    notes = [ "counting-type evaluation (Ctypes.ctp) performs no guard ticks" ];
-  }
 
 let saturated_plan solver stage_q ~notes =
   let sat = Env.exact C.saturated in
@@ -284,7 +265,7 @@ let analyze i = function
   | Brute -> analyze_brute i
   | Local -> analyze_local i
   | Nd -> analyze_nd i
-  | Counting -> analyze_counting i
+  | Counting -> { (analyze_brute i) with solver = Counting }
 
 (* the stage sequence [Degrade.learn] runs for a budgeted local solve:
    local at rank q, then brute at ranks q-1, ..., 0, each stage with a

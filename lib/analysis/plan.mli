@@ -48,7 +48,9 @@ type input = {
       (** locality radius override; default is Gaifman's
           [(7^q - 1)/2] for {!Local} and [1] for {!Nd}, matching the
           CLI defaults *)
-  tmax : int;  (** counting-threshold cap of the counting solver *)
+  tmax : int;
+      (** counting-threshold cap of the counting solver (its cost does
+          not depend on it) *)
 }
 
 val input :
@@ -86,7 +88,8 @@ type t = {
 val analyze : input -> solver -> t
 (** Envelopes for one solver.  Brute and counting are {e exact}
     (Lemma 19's recursive type computation computes a deterministic
-    number of type rows); local is exact up to the first candidate and bounded by
+    number of type rows) and equal: a counting type costs the rows of
+    the plain one at any cap; local is exact up to the first candidate and bounded by
     the touched neighbourhood afterwards; nd is coarse (see {!t}
     notes). *)
 

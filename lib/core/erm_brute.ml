@@ -17,19 +17,20 @@ let score ~q lam ctx params =
   Sweep.majority (fun v -> Types.tp ctx ~q (Graph.Tuple.append v params)) lam
 
 (* the candidates: every w̄ ∈ V(G)^ell, in [Graph.Tuple.of_index] order *)
-let space ?budget g ~ell ~q lam =
+let space ?budget ?tmax g ~ell ~q lam =
   let n = Graph.order g in
   {
     Sweep.count = Graph.Tuple.count ~n ~k:ell;
     candidate = Graph.Tuple.of_index ~n ~k:ell;
-    ctx = (fun () -> Types.make_ctx ?budget g);
+    ctx = (fun () -> Types.make_ctx ?budget ?cap:tmax g);
     score = score ~q lam;
   }
 
-let result g ~k ~q lam ~tried = function
+let result ?tmax g ~k ~q lam ~tried = function
   | Some { Sweep.params; chosen; errors; _ } ->
       {
-        hypothesis = Hypothesis.of_types g ~k ~q ~types:chosen ~params;
+        hypothesis =
+          Hypothesis.of_types ?cap:tmax g ~k ~q ~types:chosen ~params;
         err = Sweep.error_rate lam errors;
         params_tried = tried;
       }
@@ -42,42 +43,41 @@ let result g ~k ~q lam ~tried = function
         params_tried = tried;
       }
 
-let finish g ~k ~q lam st =
-  result g ~k ~q lam ~tried:(Sweep.tried st) (Sweep.best st)
+let finish ?tmax g ~k ~q lam st =
+  result ?tmax g ~k ~q lam ~tried:(Sweep.tried st) (Sweep.best st)
 
-let solve_body ?pool ?ckpt ?budget g ~k ~ell ~q lam st =
+let solve_body ?pool ?ckpt ?budget ?tmax g ~k ~ell ~q lam st =
   Analysis.Precondition.require ~what:"Erm_brute.solve"
-    (Analysis.Precondition.budgets ~ell ~q ~k ());
+    (Analysis.Precondition.budgets ~ell ~q ?tmax ~k ());
   check_arity ~k lam;
-  Sweep.run ?pool ?ckpt ?budget (space ?budget g ~ell ~q lam) st;
-  finish g ~k ~q lam st
+  Sweep.run ?pool ?ckpt ?budget (space ?budget ?tmax g ~ell ~q lam) st;
+  finish ?tmax g ~k ~q lam st
 
-let solve ?pool ?budget g ~k ~ell ~q lam =
-  Obs.Span.with_ "erm_brute.solve"
-    ~args:
-      [ ("k", string_of_int k); ("ell", string_of_int ell);
-        ("q", string_of_int q) ]
+let span_args ?tmax ~k ~ell ~q () =
+  [ ("k", string_of_int k); ("ell", string_of_int ell); ("q", string_of_int q) ]
+  @ Option.fold tmax ~none:[] ~some:(fun t -> [ ("tmax", string_of_int t) ])
+
+let solve ?pool ?budget ?tmax g ~k ~ell ~q lam =
+  Obs.Span.with_ "erm_brute.solve" ~args:(span_args ?tmax ~k ~ell ~q ())
   @@ fun () ->
-  solve_body ?pool ?budget g ~k ~ell ~q lam (Sweep.create ())
+  solve_body ?pool ?budget ?tmax g ~k ~ell ~q lam (Sweep.create ())
 
-let solve_budgeted ?budget ?(precheck = true) ?pool ?(ckpt = Resil.Ctl.none) g
-    ~k ~ell ~q lam =
+let solve_budgeted ?budget ?(precheck = true) ?pool ?(ckpt = Resil.Ctl.none)
+    ?tmax g ~k ~ell ~q lam =
   Obs.Span.with_ "erm_brute.solve_budgeted"
-    ~args:
-      [ ("k", string_of_int k); ("ell", string_of_int ell);
-        ("q", string_of_int q) ]
+    ~args:(span_args ?tmax ~k ~ell ~q ())
   @@ fun () ->
+  let solver =
+    if tmax = None then Analysis.Plan.Brute else Analysis.Plan.Counting
+  in
   match
     Admission.precheck ?budget
       ~enabled:(precheck && not (Resil.Ctl.active ckpt))
       (lazy
         (Admission.Solve
-           (Analysis.Plan.Brute,
-            Analysis.Plan.input g ~k ~ell ~q (List.map fst lam))))
+           (solver, Analysis.Plan.input ?tmax g ~k ~ell ~q (List.map fst lam))))
   with
   | Some rejected -> rejected
   | None ->
-      Sweep.budgeted ?budget ~finish:(finish g ~k ~q lam)
-        (solve_body ?pool ~ckpt ?budget g ~k ~ell ~q lam)
-
-let optimal_error g ~k ~ell ~q lam = (solve g ~k ~ell ~q lam).err
+      Sweep.budgeted ?budget ~finish:(finish ?tmax g ~k ~q lam)
+        (solve_body ?pool ~ckpt ?budget ?tmax g ~k ~ell ~q lam)

@@ -11,7 +11,16 @@
     (Hintikka disjunction) of quantifier rank [q].
 
     The result is an {e exact} minimiser: [err_Λ = ε*], not just
-    [ε* + ε]. *)
+    [ε* + ε].
+
+    With [tmax] the class is FOC's [H^C_{k,ℓ,q,tmax}(G)]: formulas of
+    first-order logic with counting quantifiers [∃^{>=t}], [t <= tmax]
+    (the extension the paper's conclusion proposes).  The sweep is the
+    same, voting on the counting types at cap [tmax] ({!Modelcheck.Types.make_ctx}),
+    and the witness is a counting Hintikka disjunction.  Counting
+    strictly adds power at fixed rank: "degree at least 3" needs rank 3
+    in plain FO but is [∃^{>=3} y. E(x, y)], rank 1, in FOC.  Since
+    [∃^{>=1}] is [∃], [~tmax:1] is the plain class. *)
 
 open Cgraph
 
@@ -22,20 +31,22 @@ type result = {
 }
 
 val solve :
-  ?pool:Par.Pool.t -> ?budget:Guard.Budget.t ->
+  ?pool:Par.Pool.t -> ?budget:Guard.Budget.t -> ?tmax:int ->
   Graph.t -> k:int -> ell:int -> q:int -> Sample.t -> result
 (** Exact ERM.  Cost [O(n^ℓ · m)] type computations of rank [q] on
     [(k+ℓ)]-tuples.  The [n^ℓ] candidate tuples are swept by {!Sweep}:
     [pool] (default {!Par.default}) chunks the sweep, and the result is
     bit-identical to the sequential one.  The work is charged to
     [budget]; a trip unwinds to the caller's [Guard.run].
-    @raise Invalid_argument if an example has arity other than [k]. *)
+    @raise Invalid_argument if an example has arity other than [k], or
+    if [tmax < 1]. *)
 
 val solve_budgeted :
   ?budget:Guard.Budget.t ->
   ?precheck:bool ->
   ?pool:Par.Pool.t ->
   ?ckpt:Resil.Ctl.t ->
+  ?tmax:int ->
   Graph.t -> k:int -> ell:int -> q:int -> Sample.t -> result Guard.outcome
 (** {!solve} under a resource budget.  [Complete r] is exactly the
     unbudgeted result; on exhaustion, [best_so_far] is the best
@@ -54,7 +65,6 @@ val solve_budgeted :
     returns [Exhausted] immediately — same constructor an actual run
     would produce, but with zero fuel burnt.  Checkpoint-resumed runs
     skip the precheck so resume replays bit-identically.  Pass [false]
-    (the CLI's [--no-precheck]) to always burn real fuel. *)
-
-val optimal_error : Graph.t -> k:int -> ell:int -> q:int -> Sample.t -> float
-(** Just [ε* = min_{h ∈ H_{k,ℓ,q}} err_Λ(h)]. *)
+    (the CLI's [--no-precheck]) to always burn real fuel.  With [tmax]
+    the run is judged as [Plan.Counting], whose model is brute's: a
+    counting type costs the rows of the plain one. *)

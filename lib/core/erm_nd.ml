@@ -35,50 +35,12 @@ let default_config ?(epsilon = 0.1) ?radius ?(branch_width = 8) ?counting ~k
     counting;
   }
 
-(* The learner is generic in the local-type machinery: plain FO local
-   types, or counting local types (the FOC variant suggested by the
-   paper's conclusion).  A typer computes canonical local-type ids
-   (per-graph cached) and builds the final hypothesis from chosen ids;
-   the id -> type mapping is remembered inside the typer. *)
-type typer = {
-  a_typ : Graph.t -> Graph.Tuple.t -> int;
-  a_hyp :
-    Graph.t -> k:int -> ids:int list -> params:Graph.Tuple.t -> Hypothesis.t;
-}
-
-let plain_typer ?budget ~q ~r () =
-  let store : (int, Types.ty) Hashtbl.t = Hashtbl.create 64 in
-  {
-    a_typ =
-      (fun g ->
-        let ctx = Types.make_ctx ?budget g in
-        fun u ->
-          let t = Types.ltp ctx ~q ~r u in
-          Hashtbl.replace store (Types.hash t) t;
-          Types.hash t);
-    a_hyp =
-      (fun g ~k ~ids ~params ->
-        Hypothesis.of_local_types g ~k ~q ~r
-          ~types:(List.map (Hashtbl.find store) ids)
-          ~params);
-  }
-
-let counting_typer ?budget ~q ~r ~tmax () =
-  let store : (int, Modelcheck.Ctypes.ty) Hashtbl.t = Hashtbl.create 64 in
-  {
-    a_typ =
-      (fun g ->
-        let ctx = Modelcheck.Ctypes.make_ctx ?budget g in
-        fun u ->
-          let t = Modelcheck.Ctypes.cltp ctx ~q ~tmax ~r u in
-          Hashtbl.replace store (Modelcheck.Ctypes.hash t) t;
-          Modelcheck.Ctypes.hash t);
-    a_hyp =
-      (fun g ~k ~ids ~params ->
-        Hypothesis.of_counting_local_types g ~k ~q ~tmax ~r
-          ~types:(List.map (Hashtbl.find store) ids)
-          ~params);
-  }
+(* The local types of a graph's tuples, in a context of their own: plain
+   FO local types, or with [cap] (the [counting] of the config) the
+   counting local types of the FOC variant suggested by the paper's
+   conclusion. *)
+let local_types ?budget ?cap ~q ~r g =
+  Types.ltp (Types.make_ctx ?budget ?cap g) ~q ~r
 
 type round_info = {
   round : int;
@@ -281,12 +243,8 @@ let solve_inner ?(ckpt = Resil.Ctl.none) ?budget cfg g lam =
               (ceil
                  (float_of_int (k * ell_star * Lazy.force s) /. cfg.epsilon))))
   in
-  let typer =
-    match cfg.counting with
-    | None -> plain_typer ?budget ~q ~r ()
-    | Some tmax -> counting_typer ?budget ~q ~r ~tmax ()
-  in
-  let typ_orig = typer.a_typ g in
+  let local_types = local_types ?budget ?cap:cfg.counting ~q ~r in
+  let typ_orig = local_types g in
   let branches = ref 0 in
   let node_budget = ref 1024 in
   (* best = (errs, params, rounds, leaf index).  The tree walk itself
@@ -490,7 +448,7 @@ let solve_inner ?(ckpt = Resil.Ctl.none) ?budget cfg g lam =
             fresh_specs := (id, colour) :: !fresh_specs;
             id
       in
-      let typ_stage = typer.a_typ sg in
+      let typ_stage = local_types sg in
       let project (v, label, idx) =
         let kk = Array.length v in
         let near v_entry = dist_y.(v_entry) <= near_limit in
@@ -532,7 +490,7 @@ let solve_inner ?(ckpt = Resil.Ctl.none) ?budget cfg g lam =
                 members
             else begin
               let sub = Array.of_list (List.map (fun a -> v.(a)) members) in
-              let theta_id = typ_stage sub in
+              let theta_id = Types.hash (typ_stage sub) in
               let key = (members, theta_id) in
               let colour =
                 Printf.sprintf "_A%d_%s_t%d" round
@@ -591,7 +549,10 @@ let solve_inner ?(ckpt = Resil.Ctl.none) ?budget cfg g lam =
     in
     let chosen, errs' = majority_local typ_orig ~params lam in
     assert (errs' = errs);
-    let hypothesis = typer.a_hyp g ~k ~ids:chosen ~params in
+    let hypothesis =
+      Hypothesis.of_local_types ?cap:cfg.counting g ~k ~q ~r ~types:chosen
+        ~params
+    in
     {
       hypothesis;
       err = (if m = 0 then 0.0 else float_of_int errs /. float_of_int m);

@@ -61,142 +61,63 @@ let of_formula g ~k ~formula ~params =
 
 module TySet = Set.Make (Int)
 
-let type_signature tag ~q types params =
-  Printf.sprintf "%s|q=%d|t=%s|w=%s" tag q
-    (String.concat ","
-       (List.map (fun t -> string_of_int (Types.hash t)) types))
-    (String.concat "," (Array.to_list (Array.map string_of_int params)))
-
-let of_types g ~k ~q ~types ~params =
+(* "the type [typ] gives v̄·w̄ is one of [types]": [tag] names the kind
+   of type in the signature, and [formula ~ell types] is the witness *)
+let of_type_set g ~k ~q ~qrank ~tag ~typ ~formula ~types ~params =
   check_tuple g params;
   let ell = Array.length params in
-  let ctx = Types.make_ctx g in
   let members = TySet.of_list (List.map Types.hash types) in
   let types = List.sort_uniq Types.compare types in
   {
     graph = g;
     k;
     ell;
-    qrank = q;
+    qrank;
     params;
     predictor =
       (fun v ->
-        TySet.mem
-          (Types.hash (Types.tp ctx ~q (Graph.Tuple.append v params)))
-          members);
-    formula =
-      lazy
-        (Modelcheck.Hintikka.of_types ~vars:(xyvars ~k ~ell)
-           ~colors:(Graph.color_names g) types);
-    signature = lazy (type_signature "T" ~q types params);
-  }
-
-let of_local_types g ~k ~q ~r ~types ~params =
-  check_tuple g params;
-  let ell = Array.length params in
-  let ctx = Types.make_ctx g in
-  let members = TySet.of_list (List.map Types.hash types) in
-  let types = List.sort_uniq Types.compare types in
-  {
-    graph = g;
-    k;
-    ell;
-    qrank = q + Fo.Gaifman.rank_overhead r + 1;
-    params;
-    predictor =
-      (fun v ->
-        TySet.mem
-          (Types.hash (Types.ltp ctx ~q ~r (Graph.Tuple.append v params)))
-          members);
-    formula =
-      lazy
-        (let colors = Graph.color_names g in
-         Fo.Formula.or_
-           (List.map
-              (fun ty ->
-                to_xy ~k ~ell
-                  (Fo.Localize.relativize ~r
-                     ~around:(Modelcheck.Hintikka.variables (k + ell))
-                     (Modelcheck.Hintikka.of_type ~colors ty)))
-              types));
-    signature = lazy (type_signature (Printf.sprintf "L%d" r) ~q types params);
-  }
-
-let of_counting_types g ~k ~q ~tmax ~types ~params =
-  check_tuple g params;
-  let ell = Array.length params in
-  let ctx = Modelcheck.Ctypes.make_ctx g in
-  let members =
-    TySet.of_list (List.map Modelcheck.Ctypes.hash types)
-  in
-  let types = List.sort_uniq Modelcheck.Ctypes.compare types in
-  {
-    graph = g;
-    k;
-    ell;
-    qrank = q;
-    params;
-    predictor =
-      (fun v ->
-        TySet.mem
-          (Modelcheck.Ctypes.hash
-             (Modelcheck.Ctypes.ctp ctx ~q ~tmax (Graph.Tuple.append v params)))
-          members);
-    formula =
-      lazy
-        (Modelcheck.Ctypes.hintikka_of_types ~vars:(xyvars ~k ~ell)
-           ~colors:(Graph.color_names g) ~tmax types);
+        TySet.mem (Types.hash (typ (Graph.Tuple.append v params))) members);
+    formula = lazy (formula ~ell types);
     signature =
       lazy
-        (Printf.sprintf "C%d|q=%d|t=%s|w=%s" tmax q
+        (Printf.sprintf "%s|q=%d|t=%s|w=%s" tag q
            (String.concat ","
-              (List.map
-                 (fun t -> string_of_int (Modelcheck.Ctypes.hash t))
-                 types))
+              (List.map (fun t -> string_of_int (Types.hash t)) types))
            (String.concat ","
               (Array.to_list (Array.map string_of_int params))));
   }
 
-let of_counting_local_types g ~k ~q ~tmax ~r ~types ~params =
-  check_tuple g params;
-  let ell = Array.length params in
-  let ctx = Modelcheck.Ctypes.make_ctx g in
-  let members = TySet.of_list (List.map Modelcheck.Ctypes.hash types) in
-  let types = List.sort_uniq Modelcheck.Ctypes.compare types in
-  {
-    graph = g;
-    k;
-    ell;
-    qrank = q + Fo.Gaifman.rank_overhead r + 1;
-    params;
-    predictor =
-      (fun v ->
-        TySet.mem
-          (Modelcheck.Ctypes.hash
-             (Modelcheck.Ctypes.cltp ctx ~q ~tmax ~r
-                (Graph.Tuple.append v params)))
-          members);
-    formula =
-      lazy
-        (let colors = Graph.color_names g in
-         Fo.Formula.or_
-           (List.map
-              (fun ty ->
-                to_xy ~k ~ell
-                  (Fo.Localize.relativize ~r
-                     ~around:(Modelcheck.Hintikka.variables (k + ell))
-                     (Modelcheck.Ctypes.hintikka ~colors ~tmax ty)))
-              types));
-    signature =
-      lazy
-        (Printf.sprintf "CL%d_%d|q=%d|t=%s|w=%s" tmax r q
-           (String.concat ","
-              (List.map
-                 (fun t -> string_of_int (Modelcheck.Ctypes.hash t))
-                 types))
-           (String.concat ","
-              (Array.to_list (Array.map string_of_int params))));
-  }
+(* A cap-1 hypothesis is the plain one, so it carries the plain tag;
+   above cap 1 the tag names the cap *)
+let of_types ?(cap = 1) g ~k ~q ~types ~params =
+  let ctx = Types.make_ctx ~cap g in
+  of_type_set g ~k ~q ~qrank:q
+    ~tag:(if cap = 1 then "T" else Printf.sprintf "C%d" cap)
+    ~typ:(Types.tp ctx ~q)
+    ~formula:(fun ~ell types ->
+      Modelcheck.Hintikka.of_types ~vars:(xyvars ~k ~ell)
+        ~colors:(Graph.color_names g) types)
+    ~types ~params
+
+let of_local_types ?(cap = 1) g ~k ~q ~r ~types ~params =
+  let ctx = Types.make_ctx ~cap g in
+  of_type_set g ~k ~q
+    ~qrank:(q + Fo.Gaifman.rank_overhead r + 1)
+    ~tag:
+      (if cap = 1 then Printf.sprintf "L%d" r
+       else Printf.sprintf "CL%d_%d" cap r)
+    ~typ:(Types.ltp ctx ~q ~r)
+    ~formula:(fun ~ell types ->
+      let colors = Graph.color_names g in
+      Fo.Formula.or_
+        (List.map
+           (fun ty ->
+             to_xy ~k ~ell
+               (Fo.Localize.relativize ~r
+                  ~around:(Modelcheck.Hintikka.variables (k + ell))
+                  (Modelcheck.Hintikka.of_type ~colors ty)))
+           types))
+    ~types ~params
 
 let constantly g ~k b =
   {

@@ -30,40 +30,26 @@ val of_formula :
     @raise Invalid_argument otherwise. *)
 
 val of_types :
+  ?cap:int ->
   Graph.t -> k:int -> q:int -> types:Modelcheck.Types.ty list -> params:Graph.Tuple.t -> t
-(** Semantic hypothesis "[tp_q(G, v̄·w̄)] is one of [types]".  The witness
-    formula has quantifier rank exactly [q] (for [q >= 1]). *)
+(** Semantic hypothesis "[tp_q(G, v̄·w̄)] is one of [types]", the types
+    computed at multiplicity [cap] (default 1; above 1 the counting
+    types of FOC, see {!Modelcheck.Types}).  The witness formula has
+    quantifier rank exactly [q] (for [q >= 1]); above cap 1 it uses
+    [atleast] quantifiers. *)
 
 val of_local_types :
+  ?cap:int ->
   Graph.t ->
   k:int -> q:int -> r:int ->
   types:Modelcheck.Types.ty list ->
   params:Graph.Tuple.t ->
   t
-(** Semantic hypothesis "[ltp_{q,r}(G, v̄·w̄)] is one of [types]" — the
-    shape produced by the Theorem 13 learner.  The witness formula is the
-    [r]-relativised Hintikka disjunction, of quantifier rank
-    [q + O(log r)] (the paper's [Q] relaxation). *)
-
-val of_counting_types :
-  Graph.t ->
-  k:int -> q:int -> tmax:int ->
-  types:Modelcheck.Ctypes.ty list ->
-  params:Graph.Tuple.t ->
-  t
-(** Semantic FOC hypothesis "the counting type [ctp_q^tmax(G, v̄·w̄)] is
-    one of [types]" (the counting extension from the paper's conclusion).
-    The witness formula uses [atleast] quantifiers. *)
-
-val of_counting_local_types :
-  Graph.t ->
-  k:int -> q:int -> tmax:int -> r:int ->
-  types:Modelcheck.Ctypes.ty list ->
-  params:Graph.Tuple.t ->
-  t
-(** Local counting-type hypothesis
-    "[cltp_q^tmax(G, v̄·w̄)] at radius [r] is one of [types]" — produced
-    by the Theorem 13 learner in counting mode. *)
+(** Semantic hypothesis "[ltp_{q,r}(G, v̄·w̄)] is one of [types]", at
+    multiplicity [cap] as {!of_types} — the shape produced by the
+    Theorem 13 learner.  The witness formula is the [r]-relativised
+    Hintikka disjunction, of quantifier rank [q + O(log r)] (the
+    paper's [Q] relaxation). *)
 
 val constantly : Graph.t -> k:int -> bool -> t
 (** The constant hypothesis (formula [true] or [false], no parameters). *)

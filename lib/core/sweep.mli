@@ -1,5 +1,5 @@
 (** The candidate sweep shared by the exact ERM solvers
-    ({!Erm_brute}, {!Erm_counting}, {!Erm_local}).
+    ({!Erm_brute}, plain and counting, and {!Erm_local}).
 
     Proposition 11's ERM is one loop: for each parameter tuple [w̄],
     take a majority vote per type class of [v̄·w̄] and keep the tuple

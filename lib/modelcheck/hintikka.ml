@@ -2,6 +2,8 @@ let variables k = List.init k (fun i -> Printf.sprintf "x%d" (i + 1))
 
 let formulas_built = Obs.Metric.counter "modelcheck.hintikka.formulas_built"
 
+(* position i of a type's tuple: the i-th of [names] while they last,
+   the standard x(i+1) beyond *)
 let namer names =
   let names = Array.of_list names in
   fun i ->
@@ -43,10 +45,12 @@ let check_arity names arity =
   | _ -> ()
 
 (* One build: each type id's formula is made once and shared by every
-   occurrence below the roots.  The formula of the plain tree (where
-   every child appears twice, under [exists] and in the [forall]
-   disjunction) has [size] nodes; a memo hit charges them all, so the
-   budget sees the same [Hintikka_build] ticks as a tree build. *)
+   occurrence below the roots.  Each child occurs once under its
+   quantifier ([exists], or at cap [c] above 1 [atleast m] and, when
+   [m < c], [~(atleast m+1)]) and once in the [forall] disjunction.  The
+   formula of the plain tree, which makes every occurrence afresh, has
+   [size] nodes; a memo hit charges them all, so the budget sees the
+   same [Hintikka_build] ticks as a tree build. *)
 let builder ?budget ~colors names =
   let var = namer (Option.value names ~default:[]) in
   let memo : (Types.ty, Fo.Formula.t * int) Hashtbl.t = Hashtbl.create 64 in
@@ -60,21 +64,37 @@ let builder ?budget ~colors names =
         hit
     | None ->
         Guard.tick budget Guard.Hintikka_build;
-        let sg, children = Types.node theta in
+        let sg, _ = Types.node theta in
         let atomic = atomic_formula ~colors sg var in
         let built =
-          match children with
-          | None -> (atomic, 1)
-          | Some kids ->
+          match Types.counted theta with
+          | _, None -> (atomic, 1)
+          | cap, Some kids ->
               let y = var sg.Types.sig_arity in
-              let realised = List.map go kids in
-              let exhausted = List.map go kids in
+              let under quantify kid =
+                let f, size = go kid in
+                (quantify f, size)
+              in
+              let quantified =
+                List.concat_map
+                  (fun (kid, m) ->
+                    if cap = 1 then [ under (Fo.Formula.exists y) kid ]
+                    else
+                      let lower = under (Fo.Formula.count_ge m y) kid in
+                      if m < cap then
+                        let not_more f =
+                          Fo.Formula.not_ (Fo.Formula.count_ge (m + 1) y f)
+                        in
+                        [ lower; under not_more kid ]
+                      else [ lower ])
+                  kids
+              in
+              let exhausted = List.map (fun (kid, _) -> go kid) kids in
               let size l = List.fold_left (fun acc (_, s) -> acc + s) 0 l in
               ( Fo.Formula.and_
-                  ((atomic
-                   :: List.map (fun (f, _) -> Fo.Formula.exists y f) realised)
+                  ((atomic :: List.map fst quantified)
                   @ [ Fo.Formula.forall y (Fo.Formula.or_ (List.map fst exhausted)) ]),
-                1 + size realised + size exhausted )
+                1 + size quantified + size exhausted )
         in
         Hashtbl.replace memo theta built;
         built

@@ -10,25 +10,16 @@
     This realises the paper's "types as finite sets of formulas in normal
     form": every quantifier-rank-[q] definable property is a finite union
     of [q]-types (Corollary 6-style), and the union of Hintikka formulas is
-    the witness formula our ERM solvers output. *)
+    the witness formula our ERM solvers output.
+
+    A counting type ({!Types.make_ctx} with [cap > 1]) has the counting
+    Hintikka formula: each child's [∃] becomes [atleast m] for its
+    capped multiplicity [m], with [~(atleast m+1)] when [m] is below
+    the cap.  The equivalence above then holds for the counting types
+    at that cap. *)
 
 val variables : int -> Fo.Formula.var list
 (** [variables k] = the standard variable names [x1; ...; xk]. *)
-
-val namer : Fo.Formula.var list -> int -> Fo.Formula.var
-(** [namer names i] names position [i] (0-based) of a type's tuple: the
-    [i]-th of [names] while they last, the standard [x(i+1)] beyond.
-    Quantified positions lie past the root's arity, so with [names]
-    [x1..xk, y1..yl] they are [x(k+l+1), ...] and never clash with a
-    root name. *)
-
-val atomic_formula :
-  colors:string list -> Types.atomsig -> (int -> Fo.Formula.var) -> Fo.Formula.t
-(** [atomic_formula ~colors sg var]: the conjunction of the equality,
-    edge and colour literals of [sg] over [var 0 .. var (arity - 1)],
-    in the order the Hintikka formulas print them.  Shared with the
-    counting types ([Ctypes.hintikka]).
-    @raise Invalid_argument if [sg] holds a colour outside [colors]. *)
 
 (** {1 Hintikka formulas}
 
@@ -39,7 +30,10 @@ val atomic_formula :
     is about the number of distinct type nodes.  Walking it as a tree
     (printing, {!Fo.Formula.size}) still costs the tree.
 
-    Quantified variables are named by {!namer}.
+    Position [i] of a type's tuple is named by the [i]-th root variable
+    while they last, and [x(i+1)] beyond: with root variables
+    [x1..xk, y1..yl] the quantified ones are [x(k+l+1), ...] and never
+    clash with a root name.
 
     Fuel is charged per {e tree} node: one [Hintikka_build] tick for
     each node of the formula a tree build would make, so a budgeted

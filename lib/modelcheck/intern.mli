@@ -1,4 +1,4 @@
-(** Sharded hash-consing registry (shared by {!Types} and {!Ctypes}).
+(** Sharded hash-consing registry (the type registry of {!Types}).
 
     One global table remains the single authority for id allocation —
     ids are dense, stable, and identical to a sequential run — but each
@@ -16,7 +16,7 @@
 
 val mix : int -> int -> int
 (** [mix h x] folds [x] into the running hash [h]: the step the
-    registries' key hashes are built from.  Non-negative. *)
+    registry's key hashes are built from.  Non-negative. *)
 
 module Make (C : sig
   type key

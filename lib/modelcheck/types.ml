@@ -31,17 +31,34 @@ let hash_atomsig h sg =
         (Intern.mix h (-1)) cs)
     h sg.cols
 
-(* children sorted & deduplicated; None = rank 0 *)
+(* The part of a key below the atomic signature.  At cap 1 it is the
+   plain type: [Leaf] at rank 0, else the sorted distinct children.
+   Above cap 1 every key, a leaf's too, carries the cap, so counting
+   keys never equal plain ones and intern in the order a registry of
+   their own would give them. *)
+type shape =
+  | Leaf
+  | Set of ty list
+  | Capped_leaf of int
+  | Capped of int * (ty * int) list
+      (* each distinct child, sorted, with its count capped at the cap *)
+
 module Reg = Intern.Make (struct
-  type key = atomsig * ty list option
+  type key = atomsig * shape
 
-  let dummy = ({ sig_arity = 0; eqs = []; edgs = []; cols = [||] }, None)
+  let dummy = ({ sig_arity = 0; eqs = []; edgs = []; cols = [||] }, Leaf)
 
-  let hash (sg, children) =
+  let hash (sg, shape) =
     let h = hash_atomsig 0 sg in
-    match children with
-    | None -> h
-    | Some l -> List.fold_left Intern.mix (Intern.mix h (-1)) l
+    match shape with
+    | Leaf -> h
+    | Set l -> List.fold_left Intern.mix (Intern.mix h (-1)) l
+    | Capped_leaf cap -> Intern.mix (Intern.mix h (-2)) cap
+    | Capped (cap, l) ->
+        List.fold_left
+          (fun h (t, c) -> Intern.mix (Intern.mix h t) c)
+          (Intern.mix (Intern.mix h (-3)) cap)
+          l
 
   let prefix = "modelcheck.types"
 end)
@@ -53,7 +70,18 @@ let arity (t : ty) =
   let sg, _ = Reg.key t in
   sg.sig_arity
 
-let node (t : ty) = Reg.key t
+let node (t : ty) =
+  match Reg.key t with
+  | sg, (Leaf | Capped_leaf _) -> (sg, None)
+  | sg, Set l -> (sg, Some l)
+  | sg, Capped (_, l) -> (sg, Some (List.map fst l))
+
+let counted (t : ty) =
+  match snd (Reg.key t) with
+  | Leaf -> (1, None)
+  | Set l -> (1, Some (List.map (fun t -> (t, 1)) l))
+  | Capped_leaf cap -> (cap, None)
+  | Capped (cap, l) -> (cap, Some l)
 
 type table_stats = Reg.stats = { live : int; bytes : int }
 
@@ -176,7 +204,6 @@ let over_ball lv vs =
     bits = Array.make m 0;
   }
 
-let range_size rg = rg.size
 let range_vertex rg i = if rg.all then i else rg.ball.(i)
 
 (* the position of [v] in a ball, or -1 outside it *)
@@ -265,6 +292,8 @@ let ltp_radius_h = Obs.Metric.histogram "modelcheck.types.ltp_radius"
 type ctx = {
   g : Graph.t;
   budget : Guard.Budget.t option;  (* charged for every computed node *)
+  cap : int;  (* multiplicity cap: 1 for plain types *)
+  leaf : atomsig -> ty;  (* the rank-0 type at [cap] *)
   roots : (int * Graph.Tuple.t, ty) Hashtbl.t;
       (* [tp]'s own calls: a sample drawn with replacement repeats
          tuples; the nodes below a root are reached from it alone *)
@@ -273,17 +302,21 @@ type ctx = {
   rows : int ref;  (* nodes [tp] computed so far: the table's rows *)
 }
 
-let make_ctx ?budget g =
+let leaf ?(cap = 1) sg =
+  intern (sg, if cap = 1 then Leaf else Capped_leaf cap) 0
+
+let make_ctx ?budget ?(cap = 1) g =
+  if cap < 1 then invalid_arg "Types.make_ctx: multiplicity cap must be >= 1";
   {
     g;
     budget;
+    cap;
+    leaf = leaf ~cap;
     roots = Hashtbl.create 256;
     ltp_memo = Hashtbl.create 256;
     leaves = lazy (leaves g);
     rows = ref 0;
   }
-
-let graph ctx = ctx.g
 
 (* Every computed node is a table row: the unit of the guard's
    Hintikka-table budget.  Counted before the node's children, so a
@@ -293,23 +326,36 @@ let note_row ctx rows =
   incr rows;
   Guard.note_table_row ctx.budget !rows
 
-let leaf sg = intern (sg, None) 0
+(* the shape of a node whose distinct children, sorted, were reached
+   [c] times each *)
+let capped cap kids =
+  if cap = 1 then Set (List.map fst kids)
+  else Capped (cap, List.map (fun (t, c) -> (t, min cap c)) kids)
+
+(* a sorted list as (element, run length) pairs *)
+let runs sorted =
+  List.fold_right
+    (fun t acc ->
+      match acc with
+      | (t', c) :: rest when t' = t -> (t, c + 1) :: rest
+      | _ -> (t, 1) :: acc)
+    sorted []
 
 (* [tp_q] of [u] with the quantifiers ranging over [rg] *)
 let rec compute ctx rg rows ~q u =
   note_row ctx rows;
   let sg = atomic_signature ctx.g u in
-  if q = 0 then leaf sg
+  if q = 0 then ctx.leaf sg
   else begin
-    let n = range_size rg in
-    let children =
+    let n = rg.size in
+    let shape =
       if q = 1 then
-        extend rg leaf sg u (fun child ->
-            for i = 0 to n - 1 do
-              note_row ctx rows;
-              ignore (child i)
-            done)
-        |> List.map fst
+        capped ctx.cap
+          (extend rg ctx.leaf sg u (fun child ->
+               for i = 0 to n - 1 do
+                 note_row ctx rows;
+                 ignore (child i)
+               done))
       else begin
         let children = ref [] in
         for i = 0 to n - 1 do
@@ -319,17 +365,18 @@ let rec compute ctx rg rows ~q u =
           in
           children := child :: !children
         done;
-        List.sort_uniq Int.compare !children
+        if ctx.cap = 1 then Set (List.sort_uniq Int.compare !children)
+        else capped ctx.cap (runs (List.sort Int.compare !children))
       end
     in
-    intern (sg, Some children) q
+    intern (sg, shape) q
   end
 
 (* A rank-0 type needs no range, so [range] is only built from rank 1 *)
 let compute_root ctx range rows ~q u =
   if q = 0 then begin
     note_row ctx rows;
-    leaf (atomic_signature ctx.g u)
+    ctx.leaf (atomic_signature ctx.g u)
   end
   else compute ctx (range ()) rows ~q u
 
@@ -389,6 +436,6 @@ let partition_by_tp ctx ~q tuples = partition_by (fun u -> tp ctx ~q u) tuples
 let partition_by_ltp ctx ~q ~r tuples =
   partition_by (fun u -> ltp ctx ~q ~r u) tuples
 
-let count_types g ~q ~k =
-  let ctx = make_ctx g in
+let count_types ?cap g ~q ~k =
+  let ctx = make_ctx ?cap g in
   partition_by_tp ctx ~q (Graph.Tuple.all ~n:(Graph.order g) ~k) |> List.length

@@ -1,11 +1,24 @@
 (** Canonical first-order types [tp_q(G, ū)] and local types
-    [ltp_{q,r}(G, ū)] (paper, Section 2).
+    [ltp_{q,r}(G, ū)] (paper, Section 2), and their counting
+    refinement for FOC, first-order logic with counting quantifiers
+    [∃^{>=t} x. φ] (the extension the paper's conclusion proposes).
 
     A [q]-type is represented canonically and hash-consed: the type of a
     tuple is its atomic signature together with the {e set} of
     [(q-1)]-types of its one-point extensions,
 
     {v tp_q(G, ū)  ~  (atp(G, ū), { tp_{q-1}(G, ūw) | w ∈ V(G) }) v}
+
+    A counting type at multiplicity cap [c] records, for each child,
+    {e how many} extensions realise it, capped at [c]:
+
+    {v ctp_q^c(G, ū) ~ (atp(G, ū), { θ ↦ min(c, #w with ctp(ūw) = θ) }) v}
+
+    Two tuples get the same counting type iff they satisfy the same FOC
+    formulas of rank [q] whose thresholds are at most [c].  Since
+    [∃^{>=1}] is [∃], the types at cap 1 are the plain types: one
+    engine computes both, and the cap is a property of the context
+    ({!make_ctx}).
 
     Two tuples (possibly in different graphs over comparable vocabularies)
     get the same id iff they are [q]-equivalent — cross-checked against the
@@ -42,13 +55,14 @@ val arity : ty -> int
     below a root are computed afresh every time, since a tuple [ū·w] is
     only reached from [ū].  Reuse a context across calls for the same
     graph.  A context charges its work to the [budget] it was made
-    with (default: none). *)
+    with (default: none), and computes the types at its multiplicity
+    [cap] (default 1: the plain types).  Every type of one context has
+    its cap; a type above cap 1 never equals a plain one. *)
 
 type ctx
 
-val make_ctx : ?budget:Guard.Budget.t -> Graph.t -> ctx
-
-val graph : ctx -> Graph.t
+val make_ctx : ?budget:Guard.Budget.t -> ?cap:int -> Graph.t -> ctx
+(** @raise Invalid_argument if [cap < 1]. *)
 
 val tp : ctx -> q:int -> Graph.Tuple.t -> ty
 (** [tp ctx ~q ū = tp_q(G, ū)].  Cost: [Σ_{j<=q} n^j] computed nodes,
@@ -77,9 +91,9 @@ val partition_by_ltp :
   ctx -> q:int -> r:int -> Graph.Tuple.t list -> (ty * Graph.Tuple.t list) list
 (** Group tuples by their local [(q,r)]-type. *)
 
-val count_types : Graph.t -> q:int -> k:int -> int
-(** Number of distinct [q]-types of [k]-tuples realised in the graph
-    (experiment E8 statistic). *)
+val count_types : ?cap:int -> Graph.t -> q:int -> k:int -> int
+(** Number of distinct [q]-types at [cap] (default 1) of [k]-tuples
+    realised in the graph (experiment E8 statistic). *)
 
 (** {1 Structure access (for Hintikka formulas)} *)
 
@@ -93,14 +107,9 @@ type atomsig = {
 
 val atomic_signature : Graph.t -> Graph.Tuple.t -> atomsig
 
-val leaf : atomsig -> ty
-(** The rank-0 type with this atomic signature: [tp ~q:0] of any tuple
-    that has it. *)
-
-val hash_atomsig : int -> atomsig -> int
-(** [hash_atomsig h sg] folds every field of [sg] into the running hash
-    [h] (see {!Intern.mix}); the type registries hash their keys with
-    it. *)
+val leaf : ?cap:int -> atomsig -> ty
+(** The rank-0 type with this atomic signature at [cap] (default 1):
+    [tp ~q:0] of any tuple that has it, in a context of that cap. *)
 
 (** {1 Leaf kernel}
 
@@ -122,21 +131,12 @@ val leaves : Graph.t -> leaves
 type range
 (** The vertices one computation's quantifiers range over, numbered by
     position: the whole graph ({!whole}, position = vertex) or a ball
-    ({!over_ball}).  A range holds the class of each of its vertices
-    and one mark word per vertex, so its state is sized by the range:
-    a ball's by the ball, never by [Graph.order]. *)
+    ({!ltp}'s, in ascending order).  A range holds the class of each of
+    its vertices and one mark word per vertex, so its state is sized by
+    the range: a ball's by the ball, never by [Graph.order]. *)
 
 val whole : leaves -> range
 (** The range of every vertex of the graph, built once per [leaves]. *)
-
-val over_ball : leaves -> Graph.vertex array -> range
-(** [over_ball lv vs] ranges over [vs], which must be ascending and
-    distinct (as {!Bfs.ball} returns a ball).  Costs [O(|vs|)] time
-    and memory. *)
-
-val range_size : range -> int
-val range_vertex : range -> int -> Graph.vertex
-(** The vertex at a position, [0 <= i < range_size]. *)
 
 val extend :
   range -> (atomsig -> int) -> atomsig -> Graph.Tuple.t ->
@@ -144,11 +144,11 @@ val extend :
 (** [extend rg mk sg ū visit], where [sg] is [atomic_signature g ū],
     calls [visit child], where [child i] is
     [mk (atomic_signature g (ū·w))] for the vertex [w] at position [i]
-    of [rg].  An edge from [ū] to a vertex outside [rg] is not seen,
-    so over a ball that holds [ū] the children are those of the
-    induced subgraph.  [mk] is called only on the first [w], over the
-    calls on ranges of one [leaves] with signature [sg], that has its
-    key; so one [leaves] takes one [mk].  It returns the distinct ids
+    of [rg] ([0 <= i <] its size).  An edge from [ū] to a vertex outside
+    [rg] is not seen, so over a ball that holds [ū] the children are
+    those of the induced subgraph.  [mk] is called only on the first
+    [w], over the calls on ranges of one [leaves] with signature [sg],
+    that has its key; so one [leaves] takes one [mk].  It returns the distinct ids
     [child] returned, sorted, each with the number of calls that
     returned it.
     @raise Invalid_argument if the key of [ū] does not fit in an int
@@ -159,6 +159,12 @@ val node : ty -> atomsig * ty list option
 (** Decompose a canonical type: its atomic signature, and [None] for rank 0
     or [Some children] (sorted, distinct [(q-1)]-types of the one-point
     extensions) for rank [>= 1]. *)
+
+val counted : ty -> int * (ty * int) list option
+(** [counted θ = (c, children)]: the cap [θ] was computed at, and
+    [None] at rank 0 or the children of {!node}, each with the number
+    of one-point extensions that realise it, capped at [c] (so [1] at
+    cap 1). *)
 
 (** {1 Registry lifecycle}
 

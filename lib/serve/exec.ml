@@ -303,18 +303,13 @@ let learn_solve : learn runner =
   print_training out l;
   conclude ~out ~err ~cmd:"learn" ~ckpt
     (match l.lp.lp_solver with
-    | `Brute ->
+    | (`Brute | `Counting) as solver ->
+        let tmax = if solver = `Counting then Some tmax else None in
         Guard.outcome_map
           (fun (r : Folearn.Erm_brute.result) ->
             pp_sweep l ~params_tried:r.params_tried ~err:r.err r.hypothesis)
-          (Folearn.Erm_brute.solve_budgeted ?budget ~precheck ~ckpt g ~k ~ell
-             ~q lam)
-    | `Counting ->
-        Guard.outcome_map
-          (fun (r : Folearn.Erm_counting.result) ->
-            pp_sweep l ~params_tried:r.params_tried ~err:r.err r.hypothesis)
-          (Folearn.Erm_counting.solve_budgeted ?budget ~precheck ~ckpt g ~k
-             ~ell ~q ~tmax lam)
+          (Folearn.Erm_brute.solve_budgeted ?budget ~precheck ~ckpt ?tmax g ~k
+             ~ell ~q lam)
     | `Nd ->
         let cls = Splitter.Nowhere_dense.of_graph "cli" g in
         let cfg =

@@ -375,8 +375,10 @@ let counting_nnf_semantics =
         [ 0; 2; 5 ])
 
 (* [Ctypes.cltp] as it was defined before it ran on the host graph:
-   [ctp] in a fresh context on the induced neighbourhood graph *)
+   [ctp] in a fresh context on the induced neighbourhood graph, with
+   the one [Hintikka_build] tick a local-type miss costs *)
 let cltp_via_induced ?budget g ~q ~tmax ~r u =
+  Guard.tick budget Guard.Hintikka_build;
   let emb = Ops.induced g (Bfs.ball_tuple ?budget g ~r u) in
   let u' =
     Array.map

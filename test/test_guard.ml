@@ -68,8 +68,9 @@ let transparency_no_budget () =
 (* ------------------------------------------------------------------ *)
 
 (* Each driver routes through a real entry point whose loops tick the
-   targeted class.  Returns the (reason, checkpoint) of the trip. *)
-let drive_fault cp =
+   targeted class.  Returns the (reason, checkpoint) of the trip; with
+   [counting], the brute sweep runs over counting types. *)
+let drive_fault ?(counting = false) cp =
   let budget () =
     Guard.Budget.make ~faults:(Guard.Faults.trip_at cp ~n:1) ()
   in
@@ -77,7 +78,10 @@ let drive_fault cp =
   let lam = sample_on g ~k:1 6 in
   match cp with
   | Guard.Solver_loop | Guard.Hintikka_build -> (
-      match Brute.solve_budgeted ~budget:(budget ()) g ~k:1 ~ell:1 ~q:1 lam with
+      let tmax = if counting then Some 2 else None in
+      match
+        Brute.solve_budgeted ~budget:(budget ()) ?tmax g ~k:1 ~ell:1 ~q:1 lam
+      with
       | Guard.Complete _ -> None
       | Guard.Exhausted { reason; checkpoint; _ } -> Some (reason, checkpoint))
   | Guard.Bfs_frontier -> (
@@ -104,19 +108,17 @@ let drive_fault cp =
 
 let test_fault_matrix () =
   List.iter
-    (fun cp ->
-      match drive_fault cp with
-      | None ->
-          Alcotest.failf "fault at %s never fired"
-            (Guard.checkpoint_to_string cp)
+    (fun (counting, cp) ->
+      let name =
+        Guard.checkpoint_to_string cp ^ if counting then " (counting)" else ""
+      in
+      match drive_fault ~counting cp with
+      | None -> Alcotest.failf "fault at %s never fired" name
       | Some (r, at) ->
-          Alcotest.check reason
-            (Guard.checkpoint_to_string cp ^ " reason")
-            Guard.Injected_fault r;
-          Alcotest.check checkpoint
-            (Guard.checkpoint_to_string cp ^ " checkpoint")
-            cp at)
-    Guard.all_checkpoints
+          Alcotest.check reason (name ^ " reason") Guard.Injected_fault r;
+          Alcotest.check checkpoint (name ^ " checkpoint") cp at)
+    ((true, Guard.Hintikka_build)
+    :: List.map (fun cp -> (false, cp)) Guard.all_checkpoints)
 
 (* ------------------------------------------------------------------ *)
 (* Explicit budgets                                                    *)

@@ -412,16 +412,16 @@ let test_intern_cross_domain_merge () =
   check "merge was lock-free replay, not re-allocation" true
     (Obs.Metric.value merges > before)
 
-let test_ctypes_reset () =
-  Modelcheck.Ctypes.reset_tables ();
-  let before = (Modelcheck.Ctypes.table_stats ()).Modelcheck.Ctypes.live in
-  check_int "ctypes registry empty after reset" 0 before;
-  ignore (Modelcheck.Ctypes.count_types p4 ~q:1 ~tmax:2 ~k:1);
-  check "ctypes registry grows" true
-    ((Modelcheck.Ctypes.table_stats ()).Modelcheck.Ctypes.live > 0);
-  Modelcheck.Ctypes.reset_tables ();
-  check_int "ctypes reset empties" 0
-    (Modelcheck.Ctypes.table_stats ()).Modelcheck.Ctypes.live
+(* The one registry also holds the counting types: a cap-2 count
+   fills it, and a reset empties it. *)
+let test_counting_reset () =
+  T.reset_tables ();
+  check_int "registry empty after reset" 0 (T.table_stats ()).T.live;
+  ignore (T.count_types ~cap:2 p4 ~q:1 ~k:1);
+  check "registry grows with counting types" true
+    ((T.table_stats ()).T.live > 0);
+  T.reset_tables ();
+  check_int "reset empties" 0 (T.table_stats ()).T.live
 
 (* Keys that differ only past the polymorphic hash's horizon still get
    distinct dense ids, and the same ids when interned again. *)
@@ -469,7 +469,7 @@ let suite =
       test_intern_reset_lifecycle;
     Alcotest.test_case "intern cross-domain merge" `Quick
       test_intern_cross_domain_merge;
-    Alcotest.test_case "ctypes registry lifecycle" `Quick test_ctypes_reset;
+    Alcotest.test_case "counting registry lifecycle" `Quick test_counting_reset;
     QCheck_alcotest.to_alcotest guarded_compiled_agrees_with_reference;
     Alcotest.test_case "guarded quantifier edge cases" `Quick
       test_guarded_edge_cases;

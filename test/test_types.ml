@@ -5,7 +5,6 @@
 
 open Cgraph
 module T = Modelcheck.Types
-module C = Modelcheck.Ctypes
 module Ef = Modelcheck.Ef
 module H = Modelcheck.Hintikka
 module E = Modelcheck.Eval
@@ -410,7 +409,7 @@ let test_partition_order () =
 (* ------------------------------------------------------------------ *)
 
 (* For every parent ū and vertex w, the kernel's child is the rank-0
-   type of ū·w, in the plain and the counting registry alike, and each
+   type of ū·w, at cap 1 and at a counting cap alike, and each
    id it returns carries the number of w that reach it. *)
 let leaf_kernel_random =
   QCheck.Test.make ~name:"leaf kernel child = rank-0 type of u.w" ~count:40
@@ -418,7 +417,7 @@ let leaf_kernel_random =
     (fun (seed, n, k, ncolors) ->
       let colors = List.filteri (fun i _ -> i < ncolors) [ "Red"; "Blue" ] in
       let g = Gen.colored ~seed ~colors (Gen.gnp ~seed:(seed + 1) ~n ~p:0.4) in
-      let cctx = C.make_ctx g in
+      let cctx = T.make_ctx ~cap:2 g in
       let agrees lv mk direct u =
         let ok = ref true and counts = Hashtbl.create 8 in
         let got =
@@ -433,7 +432,7 @@ let leaf_kernel_random =
         !ok
         && got = List.sort compare (Hashtbl.fold (fun id c l -> (id, c) :: l) counts [])
       in
-      (* one kernel per registry, each reused across all parents *)
+      (* one kernel per cap, each reused across all parents *)
       let plain = T.whole (T.leaves g) and counting = T.whole (T.leaves g) in
       List.for_all
         (fun u ->
@@ -442,8 +441,8 @@ let leaf_kernel_random =
             (fun t -> (T.tp_graph g ~q:0 t :> int))
             u
           && agrees counting
-               (fun sg -> (C.leaf sg :> int))
-               (fun t -> (C.ctp cctx ~q:0 ~tmax:2 t :> int))
+               (fun sg -> (T.leaf ~cap:2 sg :> int))
+               (fun t -> (T.tp cctx ~q:0 t :> int))
                u)
         (Graph.Tuple.all ~n ~k))
 
