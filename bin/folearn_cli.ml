@@ -225,8 +225,12 @@ let timeout_arg =
     value
     & opt (some float) None
     & info [ "timeout" ] ~docv:"SECONDS"
-        ~doc:"Wall-clock deadline for the whole command, in seconds \
-              (fractions allowed).")
+        ~doc:"Wall-clock deadline on the computation, in seconds \
+              (fractions allowed): the guarded loops stop at their first \
+              checkpoint past it.  The clock starts once the inputs are \
+              loaded (for a served request, when the server admits it). \
+              Printing the answer, a salvaged one included, is not \
+              bounded.")
 
 let max_table_arg =
   Arg.(

@@ -184,6 +184,17 @@ let quantifier_rank h = h.qrank
 let training_error h lam = Sample.error_of h.predictor lam
 let signature h = Lazy.force h.signature
 
+(* The layout of [@[<v>phi(..) =@;<1 2>@[%a@]@,w = %a@]] over
+   [Fo.Formula.pp], the formula written by [Fo.Formula.output]: the
+   vbox's breaks go out as Format would make them.  Format keeps the
+   max indent at 2 or more, so the formula's line starts at column 2. *)
 let pp ppf h =
-  Format.fprintf ppf "@[<v>phi(x1..x%d; y1..y%d) =@;<1 2>@[%a@]@,w = %a@]" h.k
-    h.ell Fo.Formula.pp (formula h) Graph.Tuple.pp h.params
+  Format.pp_print_flush ppf ();
+  let o = Format.pp_get_formatter_out_functions ppf () in
+  let say s = o.out_string s 0 (String.length s) in
+  say (Printf.sprintf "phi(x1..x%d; y1..y%d) =" h.k h.ell);
+  o.out_newline ();
+  o.out_indent 2;
+  Fo.Formula.output ~col:2 ppf (formula h);
+  o.out_newline ();
+  say (Format.asprintf "w = %a" Graph.Tuple.pp h.params)

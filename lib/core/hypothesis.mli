@@ -93,4 +93,8 @@ val signature : t -> string
     in the hardness reduction. *)
 
 val pp : Format.formatter -> t -> unit
-(** Prints the witness formula and the parameters. *)
+(** Prints the witness formula and the parameters: the block
+    [phi(x1..xk; y1..yl) =], the formula on the lines below it indented
+    by 2, then [w = (..)].  The formula goes out through
+    {!Fo.Formula.output}, so [pp] first flushes the formatter: call it
+    at the start of a line with no box open, as in ["%a@."]. *)

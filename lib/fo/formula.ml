@@ -373,3 +373,211 @@ let pp ppf f =
   Format.pp_close_box ppf ()
 
 let to_string f = Format.asprintf "%a" pp f
+
+(* [output] writes the layout Format gives [pp]'s token stream, without
+   the queue.  For hv boxes at offset 0 and [break 1 0], Format's rules
+   come down to these:
+   - A box is flat iff it fits the space left where it opens.  Format
+     forces a box broken once the text queued since the box began
+     reaches the space left (it checks as each text token is queued);
+     a box that closes first is flat iff its size, breaks counted as
+     one column, is at most the space left.  So a box exactly as wide
+     as the space left breaks.
+   - A box that would open past the max indent first breaks the line of
+     the enclosing box, if that box is broken and the column is past
+     the one where it opened.  Format judges the force above at the
+     column before that break: a box with text that would open past
+     the margin breaks even when the new line has room for it.
+   - A break of a broken box starts a line at the column where the box
+     opened, clamped at the max indent.
+   A fit decision measures the box flat and stops at the space left, so
+   it costs at most the margin; a flat box is then written in a second
+   flat pass. *)
+
+exception Overflow
+
+type layout = {
+  out : string -> int -> int -> unit;
+  chunk : Bytes.t;
+  mutable len : int;  (* bytes of [chunk] not yet handed to [out] *)
+  margin : int;
+  max_indent : int;
+  mutable col : int;
+  mutable measuring : bool;  (* counting [width] instead of writing *)
+  mutable limit : int;  (* text reaching it forces the box broken *)
+  mutable room : int;  (* the space left the box's size must fit *)
+  mutable width : int;
+}
+
+(* the box a break belongs to *)
+type box = Flat | Broken of { opened : int; indent : int }
+
+(* at most 1 KiB per [out] call: the copies stay in the minor heap and
+   the answer is never held whole *)
+let chunk_size = 1024
+
+let flush_chunk l =
+  if l.len > 0 then begin
+    l.out (Bytes.sub_string l.chunk 0 l.len) 0 l.len;
+    l.len <- 0
+  end
+
+let rec write l s pos n =
+  let room = chunk_size - l.len in
+  if n <= room then begin
+    Bytes.blit_string s pos l.chunk l.len n;
+    l.len <- l.len + n
+  end
+  else begin
+    Bytes.blit_string s pos l.chunk l.len room;
+    l.len <- chunk_size;
+    flush_chunk l;
+    write l s (pos + room) (n - room)
+  end
+
+let text l s =
+  let n = String.length s in
+  if l.measuring then begin
+    l.width <- l.width + n;
+    if l.width >= l.limit then raise_notrace Overflow
+  end
+  else begin
+    write l s 0 n;
+    l.col <- l.col + n
+  end
+
+let paren l needed s = if needed then text l s
+
+let blanks = String.make 80 ' '
+
+let newline l indent =
+  write l "\n" 0 1;
+  let rec pad n =
+    if n > 0 then begin
+      let k = Int.min n (String.length blanks) in
+      write l blanks 0 k;
+      pad (n - k)
+    end
+  in
+  pad indent;
+  l.col <- indent
+
+let break l = function
+  | Broken { indent; _ } -> newline l indent
+  | Flat when l.measuring ->
+      l.width <- l.width + 1;
+      if l.width > l.room then raise_notrace Overflow
+  | Flat ->
+      write l " " 0 1;
+      l.col <- l.col + 1
+
+(* [content box] lays out a box's content with [box] for its breaks *)
+let open_box l enclosing content =
+  match enclosing with
+  | Flat -> content Flat
+  | Broken { opened; indent } ->
+      l.limit <- l.margin - l.col;
+      if l.col > l.max_indent && l.col > opened then newline l indent;
+      l.room <- l.margin - l.col;
+      l.measuring <- true;
+      l.width <- 0;
+      let fits =
+        match content Flat with
+        | () -> l.width <= l.room
+        | exception Overflow -> false
+      in
+      l.measuring <- false;
+      if fits then content Flat
+      else
+        content (Broken { opened = l.col; indent = Int.min l.max_indent l.col })
+
+(* [pp_prec] with [pre] and [post] written in place *)
+let rec lay l box lvl f =
+  let quantifier head x f =
+    paren l (lvl > 0) "(";
+    text l head;
+    text l x;
+    text l ".";
+    break l box;
+    lay l box 0 f;
+    paren l (lvl > 0) ")"
+  in
+  match f with
+  | True -> text l "true"
+  | False -> text l "false"
+  | Atom (Eq (x, y)) ->
+      text l x;
+      text l " = ";
+      text l y
+  | Atom (Edge (x, y)) ->
+      text l "E(";
+      text l x;
+      text l ", ";
+      text l y;
+      text l ")"
+  | Atom (Color (c, x)) ->
+      text l c;
+      text l "(";
+      text l x;
+      text l ")"
+  | Not f ->
+      text l "~";
+      lay l box 4 f
+  | And fs ->
+      paren l (lvl > 3) "(";
+      lay_junction l box " /\\" 4 fs;
+      paren l (lvl > 3) ")"
+  | Or fs ->
+      paren l (lvl > 2) "(";
+      lay_junction l box " \\/" 3 fs;
+      paren l (lvl > 2) ")"
+  | Implies (a, b) ->
+      paren l (lvl > 1) "(";
+      lay l box 2 a;
+      text l " -> ";
+      lay l box 1 b;
+      paren l (lvl > 1) ")"
+  | Iff (a, b) ->
+      paren l (lvl > 0) "(";
+      lay l box 1 a;
+      text l " <-> ";
+      lay l box 1 b;
+      paren l (lvl > 0) ")"
+  | Exists (x, f) -> quantifier "exists " x f
+  | Forall (x, f) -> quantifier "forall " x f
+  | CountGe (t, x, f) ->
+      quantifier ("atleast " ^ string_of_int t ^ " ") x f
+
+and lay_junction l box sep lvl fs =
+  open_box l box (fun inner ->
+      let rec items = function
+        | [] -> ()
+        | [ f ] -> lay l inner lvl f
+        | f :: rest ->
+            lay l inner lvl f;
+            text l sep;
+            break l inner;
+            items rest
+      in
+      items fs)
+
+let output ~col ppf f =
+  Format.pp_print_flush ppf ();
+  let l =
+    {
+      out = (Format.pp_get_formatter_out_functions ppf ()).out_string;
+      chunk = Bytes.create chunk_size;
+      len = 0;
+      margin = Format.pp_get_margin ppf ();
+      max_indent = Format.pp_get_max_indent ppf ();
+      col;
+      measuring = false;
+      limit = 0;
+      room = 0;
+      width = 0;
+    }
+  in
+  (* [pp]'s own box, opened where its enclosing box opened: no max
+     indent break before it *)
+  open_box l (Broken { opened = col; indent = col }) (fun box -> lay l box 0 f);
+  flush_chunk l

@@ -117,6 +117,28 @@ val pp : Format.formatter -> t -> unit
     the connective after it, a quantifier head with its parenthesis.
     Format breaks lines only at breaks and boxes, so this gives the same
     bytes as printing the pieces one by one, with fewer tokens to
-    queue. *)
+    queue.
+
+    [pp] stays the printer for formulas inside other layouts: a
+    printer cannot ask Format for its column, so only Format can lay
+    out a formula that follows text it has queued.  Large answers that
+    start a line go through {!output}. *)
+
+val output : col:int -> Format.formatter -> t -> unit
+(** [output ~col ppf f] writes [f] to [ppf] laid out byte for byte as
+    Format lays out [pp ppf f] in a box that opens at column [col]
+    without a line break before it, as in
+    [Format.fprintf ppf "@[<h>%s@[%a@]@]" pad pp f] for [col] spaces
+    [pad], with [ppf]'s margin and max indent.  It does so without
+    Format: one walk over [f] that measures each box against the space
+    left, at most a margin's worth per box.  Up to the max indent, the
+    [@[<h>] makes no difference.
+
+    It first flushes [ppf] ({!Format.pp_print_flush}, which closes any
+    open box), so the caller must have queued exactly [col] columns of
+    the current line and no box.  The text, newlines and indentation
+    included, then goes to [ppf]'s [out_string] in chunks of at most
+    1 KiB.  Format counts the line from column 0 afterwards, so what
+    follows on the same line must not rely on its layout. *)
 
 val to_string : t -> string

@@ -481,7 +481,7 @@ let types p =
                     Modelcheck.Types.pp ty (List.length members)
                     Graph.Tuple.pp (List.hd members);
                   if p.tp_hintikka then
-                    Format.fprintf out "  %a@." Fo.Formula.pp
+                    Format.fprintf out "  %a@." (Fo.Formula.output ~col:2)
                       (Modelcheck.Hintikka.of_type
                          ~colors:(Graph.color_names g) ty))
                 classes;

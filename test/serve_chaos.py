@@ -44,10 +44,11 @@ SHORT_LEARN = [
     "--target", "exists y. (E(x1,y) & Red(y))",
     "-k", "1", "-l", "1", "-q", "2", "--solver", "brute",
 ]
-# ~3 s: long enough that SIGKILL lands mid-enumeration after the
-# first 0.5 s-cadence snapshot
+# ~2.5 s on a 2-vCPU host: long enough that SIGKILL lands
+# mid-enumeration after the first 0.5 s-cadence snapshot, and that the
+# request is still on the engine when drain sends SIGTERM at 0.8 s
 LONG_LEARN = [
-    "-g", "cycle:36", "--color", "Red=0,3,6,9",
+    "-g", "cycle:80", "--color", "Red=0,3,6,9",
     "--target", "exists y. (E(x1,y) & Red(y))",
     "-k", "1", "-l", "1", "-q", "2", "--solver", "brute",
 ]

@@ -459,6 +459,36 @@ let pp_matches_reference =
           render ~margin F.pp f = render ~margin Reference_pp.pp f)
         [ 78; 40; 12 ])
 
+(* [output ~col] against the box it stands for: at column 0, at the
+   column 2 that [Hypothesis.pp] writes at, and past the max indent
+   (6 at margin 12), where only the enclosing hbox keeps Format from
+   breaking the line before the box *)
+let output_matches_pp =
+  QCheck.Test.make ~name:"output gives pp's bytes" ~count:1000
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let f = gen_any_formula 6 (Random.State.make [| seed |]) in
+      let render ~margin print =
+        let b = Buffer.create 256 in
+        let ppf = Format.formatter_of_buffer b in
+        Format.pp_set_margin ppf margin;
+        print ppf;
+        Buffer.contents b
+      in
+      List.for_all
+        (fun margin ->
+          List.for_all
+            (fun col ->
+              let pad = String.make col ' ' in
+              render ~margin (fun ppf ->
+                  Format.fprintf ppf "head@.@[<h>%s@[%a@]@]@.tail@." pad
+                    F.pp f)
+              = render ~margin (fun ppf ->
+                    Format.fprintf ppf "head@.%s%a@.tail@." pad
+                      (F.output ~col) f))
+            [ 0; 2; 9 ])
+        [ 78; 40; 12 ])
+
 let nnf_preserves_semantics =
   QCheck.Test.make ~name:"nnf and simplify preserve semantics" ~count:120
     QCheck.(int_range 0 10000)
@@ -596,6 +626,7 @@ let suite =
     Alcotest.test_case "gaifman radius" `Quick test_gaifman_radius;
     Alcotest.test_case "rank overhead" `Quick test_rank_overhead;
     QCheck_alcotest.to_alcotest pp_matches_reference;
+    QCheck_alcotest.to_alcotest output_matches_pp;
     QCheck_alcotest.to_alcotest parser_roundtrip;
     QCheck_alcotest.to_alcotest rename_matches_refresh;
     QCheck_alcotest.to_alcotest parser_exact_roundtrip;

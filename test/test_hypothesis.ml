@@ -266,6 +266,83 @@ let test_signatures () =
   let h3 = Hyp.of_types g ~k:1 ~q:1 ~types:[] ~params:[||] in
   check "different signatures" true (Hyp.signature h1 <> Hyp.signature h3)
 
+(* ------------------------------------------------------------------ *)
+(* Printing                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* [Hyp.pp] as a Format layout over [F.pp]: the reference for the
+   layout [Hyp.pp] writes itself *)
+let reference_pp ppf h =
+  Format.fprintf ppf "@[<v>phi(x1..x%d; y1..y%d) =@;<1 2>@[%a@]@,w = %a@]"
+    (Hyp.k h) (Hyp.ell h) F.pp (Hyp.formula h) Graph.Tuple.pp (Hyp.params h)
+
+let render ~margin pp h =
+  let b = Buffer.create 4096 in
+  let ppf = Format.formatter_of_buffer b in
+  Format.pp_set_margin ppf margin;
+  Format.fprintf ppf "training error: 0.0000@.%a@.after@." pp h;
+  Buffer.contents b
+
+(* brute and counting learns of random labels on small random graphs,
+   every k, l, q <= 2 *)
+let test_pp_matches_reference () =
+  List.iter
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let n = 3 + Random.State.int st 3 in
+      let g =
+        Gen.colored ~seed ~colors:[ "Red" ] (Gen.gnp ~seed ~n ~p:0.4)
+      in
+      List.iter
+        (fun (k, ell, q) ->
+          let lam =
+            Sam.label_with g
+              ~target:(fun _ -> Random.State.bool st)
+              (Sam.all_tuples g ~k)
+          in
+          let learned =
+            [
+              (Folearn.Erm_brute.solve g ~k ~ell ~q lam).hypothesis;
+              (Folearn.Erm_counting.solve g ~k ~ell ~q ~tmax:2 lam).hypothesis;
+            ]
+          in
+          List.iter
+            (fun h ->
+              List.iter
+                (fun margin ->
+                  Alcotest.(check string)
+                    (Printf.sprintf "seed %d k=%d l=%d q=%d margin %d" seed k
+                       ell q margin)
+                    (render ~margin reference_pp h)
+                    (render ~margin Hyp.pp h))
+                [ 78; 40; 12 ])
+            learned)
+        [ (1, 0, 1); (1, 1, 2); (2, 1, 1); (1, 2, 1); (2, 0, 2) ])
+    [ 1; 2; 3 ]
+
+(* the answer streams out: no [out_string] call longer than 1 KiB *)
+let test_pp_chunks () =
+  let g = Gen.colored ~seed:5 ~colors:[ "Red" ] (Gen.gnp ~seed:5 ~n:8 ~p:0.4) in
+  let st = Random.State.make [| 5 |] in
+  let lam =
+    Sam.label_with g ~target:(fun _ -> Random.State.bool st)
+      (Sam.all_tuples g ~k:1)
+  in
+  let h = (Folearn.Erm_brute.solve g ~k:1 ~ell:1 ~q:2 lam).hypothesis in
+  let b = Buffer.create 4096 and longest = ref 0 in
+  let ppf =
+    Format.make_formatter
+      (fun s pos len ->
+        longest := max !longest len;
+        Buffer.add_substring b s pos len)
+      ignore
+  in
+  Format.fprintf ppf "%a@." Hyp.pp h;
+  let text = Buffer.contents b in
+  check "several KiB" true (String.length text > 8192);
+  check "bytes" true (text = Format.asprintf "%a@." reference_pp h);
+  check "chunks of at most 1 KiB" true (!longest <= 1024)
+
 let suite =
   [
     Alcotest.test_case "sample basics" `Quick test_sample_basics;
@@ -289,4 +366,6 @@ let suite =
     Alcotest.test_case "cross validate" `Quick test_cross_validate;
     Alcotest.test_case "hypothesis combinators" `Quick test_combinators;
     Alcotest.test_case "signatures" `Quick test_signatures;
+    Alcotest.test_case "pp = reference layout" `Quick test_pp_matches_reference;
+    Alcotest.test_case "pp chunks" `Quick test_pp_chunks;
   ]
