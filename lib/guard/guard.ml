@@ -405,6 +405,36 @@ let note_table_row budget rows =
       if rows > m.rows then m.rows <- rows;
       charge st m 1 Hintikka_build
 
+(* The rows a slab pays for are taken at once: nothing between two
+   refills reads [rows] or the meter, so only the refills and the trip
+   need to see the row they land on.  Under a fault plan every slab is
+   empty, so every row refills. *)
+let note_table_rows budget rows count =
+  match budget with
+  | None -> rows := !rows + count
+  | Some st ->
+      let stop = !rows + count in
+      let last =
+        match st.limits.max_table with
+        | Some cap when cap < stop -> max !rows cap
+        | _ -> stop
+      in
+      if !rows < last then begin
+        let m = meter st in
+        while !rows < last do
+          let paid = min m.left (last - !rows) in
+          if paid > 0 then m.left <- m.left - paid;
+          rows := !rows + max paid 1;
+          if !rows > m.rows then m.rows <- !rows;
+          if paid = 0 then refill st m 1 Hintikka_build
+        done
+      end;
+      if stop > last then begin
+        incr rows;
+        store_max st.table_rows !rows;
+        trip st Table_cap Hintikka_build
+      end
+
 let note_ball budget size =
   match budget with
   | None -> ()

@@ -195,6 +195,12 @@ val note_table_row : Budget.t option -> int -> unit
     when it exceeds the budget's [max_table].  Also a
     [Hintikka_build] tick. *)
 
+val note_table_rows : Budget.t option -> int ref -> int -> unit
+(** [note_table_rows b rows c] is [c] times
+    [incr rows; note_table_row b !rows], with the same fuel, row peak,
+    trip and trip row ([!rows] when it unwinds), but it spends whole
+    slabs at once: its cost is the refills, not the rows. *)
+
 val note_ball : Budget.t option -> int -> unit
 (** Report a neighbourhood-ball size; trips [Ball_cap] above
     [max_ball].  Also a [Bfs_frontier] tick. *)

@@ -126,9 +126,15 @@ module Sig_tbl = Hashtbl.Make (struct
   let hash = hash_atomsig 0
 end)
 
-(* a child of every parent with one signature: its id, and how many w
-   reached it under the parent numbered [stamp] *)
-type child = { id : int; mutable count : int; mutable stamp : int }
+(* A child of every parent with one signature, under its key: its leaf,
+   how many w reached it under the parent numbered [stamp], and, once a
+   rank-2 parent needed them, its own signature and children table. *)
+type child = {
+  mutable id : int;  (* the leaf of ū·w; -1 until [extend] reaches it *)
+  mutable count : int;
+  mutable stamp : int;
+  mutable below : (atomsig * child Int_tbl.t) option;
+}
 
 type leaves = {
   lg : Graph.t;
@@ -153,6 +159,21 @@ and range = {
       (* while a parent ū of arity k is open: bit i if u_i is the
          vertex at this position, bit k + i if it is adjacent to u_i;
          zero otherwise *)
+  mutable scratch : scratch option;  (* made by the first rank-2 parent *)
+}
+
+(* The keys of a rank-2 parent's children over a range, numbered
+   densely: the range's colour classes first (the key of a position ū
+   does not mark), then the keys of the marked positions. *)
+and scratch = {
+  local : int array;  (* position -> dense id of its class *)
+  class_id : int array;  (* dense id of a class -> its class id *)
+  class_size : int array;  (* dense id of a class -> its positions *)
+  dense : int array;  (* position -> dense id of its key: [local] unmarked *)
+  marked : int array;  (* the positions ū marks, while it is open *)
+  keys : int array;  (* dense id -> key *)
+  ids : int Int_tbl.t;  (* key of a marked position -> dense id *)
+  counts : int array;  (* 3 × dense id + variant -> positions *)
 }
 
 let leaves g =
@@ -188,6 +209,7 @@ let whole lv =
           size = n;
           colour_class = Array.init n (class_of lv);
           bits = Array.make n 0;
+          scratch = None;
         }
       in
       lv.whole <- Some rg;
@@ -202,6 +224,7 @@ let over_ball lv vs =
     size = m;
     colour_class = Array.map (class_of lv) vs;
     bits = Array.make m 0;
+    scratch = None;
   }
 
 let range_vertex rg i = if rg.all then i else rg.ball.(i)
@@ -215,6 +238,22 @@ let position rg v =
   done;
   if !lo < rg.size && rg.ball.(!lo) = v then !lo else -1
 
+let children_of lv sg =
+  match Sig_tbl.find lv.children sg with
+  | t -> t
+  | exception Not_found ->
+      let t = Int_tbl.create 8 in
+      Sig_tbl.add lv.children sg t;
+      t
+
+let child_at by_key key =
+  match Int_tbl.find by_key key with
+  | c -> c
+  | exception Not_found ->
+      let c = { id = -1; count = 0; stamp = 0; below = None } in
+      Int_tbl.add by_key key c;
+      c
+
 (* The signature of ū·w is fixed by ū's signature, which u_i equal w,
    which u_i are adjacent to w, and w's colours: the key.  So [mk] runs
    once per parent signature and key, on the first w that has them. *)
@@ -223,29 +262,15 @@ let extend rg mk sg u visit =
   let g = lv.lg and k = Array.length u in
   if 2 * k + lv.class_bits >= Sys.int_size then
     invalid_arg "Types.extend: tuple too long";
-  let by_key =
-    match Sig_tbl.find lv.children sg with
-    | t -> t
-    | exception Not_found ->
-        let t = Int_tbl.create 8 in
-        Sig_tbl.add lv.children sg t;
-        t
-  in
+  let by_key = children_of lv sg in
   lv.parents <- lv.parents + 1;
   let stamp = lv.parents and reached = ref [] in
   let bits = rg.bits and colour_class = rg.colour_class in
   let child i =
     let key = bits.(i) lor (colour_class.(i) lsl (2 * k)) in
-    let c =
-      match Int_tbl.find by_key key with
-      | c -> c
-      | exception Not_found ->
-          let w = range_vertex rg i in
-          let id = mk (atomic_signature g (Graph.Tuple.append u [| w |])) in
-          let c = { id; count = 0; stamp = 0 } in
-          Int_tbl.add by_key key c;
-          c
-    in
+    let c = child_at by_key key in
+    if c.id < 0 then
+      c.id <- mk (atomic_signature g (Graph.Tuple.append u [| range_vertex rg i |]));
     if c.stamp <> stamp then begin
       c.stamp <- stamp;
       c.count <- 0;
@@ -278,6 +303,181 @@ let extend rg mk sg u visit =
   (match visit child with () -> unmark () | exception e -> unmark (); raise e);
   List.sort (fun (a, _) (b, _) -> Int.compare a b)
     (List.rev_map (fun c -> (c.id, c.count)) !reached)
+
+(* made once per range, sized by it *)
+let scratch rg =
+  match rg.scratch with
+  | Some sc -> sc
+  | None ->
+      let local_of = Int_tbl.create 8 and ids = ref [] in
+      let local =
+        Array.map
+          (fun c ->
+            match Int_tbl.find local_of c with
+            | l -> l
+            | exception Not_found ->
+                let l = Int_tbl.length local_of in
+                Int_tbl.add local_of c l;
+                ids := c :: !ids;
+                l)
+          rg.colour_class
+      in
+      let class_id = Array.of_list (List.rev !ids) in
+      let classes = Array.length class_id in
+      let class_size = Array.make classes 0 in
+      Array.iter (fun l -> class_size.(l) <- class_size.(l) + 1) local;
+      let sc =
+        {
+          local;
+          class_id;
+          class_size;
+          dense = Array.copy local;
+          marked = Array.make rg.size 0;
+          keys = Array.make (classes + rg.size) 0;
+          ids = Int_tbl.create 16;
+          counts = Array.make (3 * (classes + rg.size)) 0;
+        }
+      in
+      rg.scratch <- Some sc;
+      sc
+
+(* The rank-1 children ū·w of a rank-2 parent ū.  Opening ū marks its
+   positions once, in the key layout of its children (arity k + 1), and
+   counts the positions of each distinct key.  The child at x differs
+   from ū only on N[x]: x takes its key's eq-variant (bit k) and each
+   neighbour of x in the range its key's adj-variant (bit 2k + 1).  So
+   the child's leaves are read off the counts in O(deg x + distinct
+   keys), and the moves are undone.  [each i kids] is called for each
+   position i in order, with [Some (signature, leaves)], the leaves
+   sorted with their counts, or with [None] when a leaf has no id yet:
+   [mk] must then run in position order, as in [extend]. *)
+let siblings rg sg u each =
+  let lv = rg.kernel in
+  let g = lv.lg and k = Array.length u in
+  if 2 * (k + 1) + lv.class_bits >= Sys.int_size then
+    for i = 0 to rg.size - 1 do
+      each i None
+    done
+  else begin
+    let sc = scratch rg in
+    let bits = rg.bits and dense = sc.dense and keys = sc.keys in
+    let counts = sc.counts and shift = 2 * (k + 1) in
+    let all = rg.all in
+    let pos v = if all then v else position rg v in
+    let mark v bit =
+      let i = pos v in
+      if i >= 0 then bits.(i) <- bits.(i) lor bit
+    in
+    Array.iteri
+      (fun i v ->
+        mark v (1 lsl i);
+        Graph.iter_neighbors g v (fun w -> mark w (1 lsl (k + 1 + i))))
+      u;
+    let classes = Array.length sc.class_id in
+    for c = 0 to classes - 1 do
+      keys.(c) <- sc.class_id.(c) lsl shift;
+      counts.(3 * c) <- sc.class_size.(c);
+      counts.((3 * c) + 1) <- 0;
+      counts.((3 * c) + 2) <- 0
+    done;
+    Int_tbl.clear sc.ids;
+    let nd = ref classes and nmarked = ref 0 in
+    (* number each marked key once, clearing its bits *)
+    let number v =
+      let i = pos v in
+      if i >= 0 && bits.(i) <> 0 then begin
+        let key = bits.(i) lor (rg.colour_class.(i) lsl shift) in
+        bits.(i) <- 0;
+        let d =
+          match Int_tbl.find sc.ids key with
+          | d -> d
+          | exception Not_found ->
+              let d = !nd in
+              incr nd;
+              Int_tbl.add sc.ids key d;
+              keys.(d) <- key;
+              counts.(3 * d) <- 0;
+              counts.((3 * d) + 1) <- 0;
+              counts.((3 * d) + 2) <- 0;
+              d
+        in
+        counts.(3 * dense.(i)) <- counts.(3 * dense.(i)) - 1;
+        counts.(3 * d) <- counts.(3 * d) + 1;
+        dense.(i) <- d;
+        sc.marked.(!nmarked) <- i;
+        incr nmarked
+      end
+    in
+    Array.iter
+      (fun v ->
+        number v;
+        Graph.iter_neighbors g v number)
+      u;
+    let by_key = children_of lv sg and nd = !nd in
+    let low = (1 lsl k) - 1 in
+    let variant = [| 0; 1 lsl k; 1 lsl ((2 * k) + 1) |] in
+    let move d from_ into =
+      counts.((3 * d) + from_) <- counts.((3 * d) + from_) - 1;
+      counts.((3 * d) + into) <- counts.((3 * d) + into) + 1
+    in
+    let child i =
+      let x = range_vertex rg i and d = dense.(i) in
+      (* ū·x's key under ū, in the layout [extend] gives ū's children *)
+      let key = keys.(d) in
+      let pkey =
+        key land low
+        lor (((key lsr (k + 1)) land low) lsl k)
+        lor ((key lsr shift) lsl (2 * k))
+      in
+      let entry = child_at by_key pkey in
+      let csig, below =
+        match entry.below with
+        | Some b -> b
+        | None ->
+            let csig = atomic_signature g (Graph.Tuple.append u [| x |]) in
+            let b = (csig, children_of lv csig) in
+            entry.below <- Some b;
+            b
+      in
+      let shift_nbrs from_ into =
+        Graph.iter_neighbors g x (fun y ->
+            let j = pos y in
+            if j >= 0 then move dense.(j) from_ into)
+      in
+      move d 0 1;
+      shift_nbrs 0 2;
+      let kids = ref [] and known = ref true in
+      for e = 0 to nd - 1 do
+        for v = 0 to 2 do
+          let c = counts.((3 * e) + v) in
+          if c > 0 then
+            match Int_tbl.find below (keys.(e) lor variant.(v)) with
+            | { id; _ } when id >= 0 -> kids := (id, c) :: !kids
+            | _ | (exception Not_found) -> known := false
+        done
+      done;
+      move d 1 0;
+      shift_nbrs 2 0;
+      if !known then
+        Some (csig, List.sort (fun (a, _) (b, _) -> Int.compare a b) !kids)
+      else None
+    in
+    let close () =
+      for j = 0 to !nmarked - 1 do
+        let i = sc.marked.(j) in
+        dense.(i) <- sc.local.(i)
+      done
+    in
+    match
+      for i = 0 to rg.size - 1 do
+        each i (child i)
+      done
+    with
+    | () -> close ()
+    | exception e ->
+        close ();
+        raise e
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Contexts and type computation                                       *)
@@ -326,6 +526,15 @@ let note_row ctx rows =
   incr rows;
   Guard.note_table_row ctx.budget !rows
 
+(* [c] rows at once, as [c] calls of [note_row] count them *)
+let note_rows ctx rows c =
+  let from = !rows in
+  match Guard.note_table_rows ctx.budget rows c with
+  | () -> Obs.Metric.add tp_misses c
+  | exception e ->
+      Obs.Metric.add tp_misses (!rows - from);
+      raise e
+
 (* the shape of a node whose distinct children, sorted, were reached
    [c] times each *)
 let capped cap kids =
@@ -358,13 +567,26 @@ let rec compute ctx rg rows ~q u =
                done))
       else begin
         let children = ref [] in
-        for i = 0 to n - 1 do
-          let w = range_vertex rg i in
-          let child =
-            compute ctx rg rows ~q:(q - 1) (Graph.Tuple.append u [| w |])
-          in
-          children := child :: !children
-        done;
+        let child i =
+          compute ctx rg rows ~q:(q - 1)
+            (Graph.Tuple.append u [| range_vertex rg i |])
+        in
+        if q = 2 then
+          (* a known child charges its node and its n leaves, as the
+             position-order path would, and interns nothing else *)
+          siblings rg sg u (fun i kids ->
+              let t =
+                match kids with
+                | Some (csig, kids) ->
+                    note_rows ctx rows (1 + n);
+                    intern (csig, capped ctx.cap kids) 1
+                | None -> child i
+              in
+              children := t :: !children)
+        else
+          for i = 0 to n - 1 do
+            children := child i :: !children
+          done;
         if ctx.cap = 1 then Set (List.sort_uniq Int.compare !children)
         else capped ctx.cap (runs (List.sort Int.compare !children))
       end

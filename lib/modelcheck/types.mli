@@ -65,10 +65,14 @@ val make_ctx : ?budget:Guard.Budget.t -> ?cap:int -> Graph.t -> ctx
 (** @raise Invalid_argument if [cap < 1]. *)
 
 val tp : ctx -> q:int -> Graph.Tuple.t -> ty
-(** [tp ctx ~q ū = tp_q(G, ū)].  Cost: [Σ_{j<=q} n^j] computed nodes,
+(** [tp ctx ~q ū = tp_q(G, ū)].  Rows: [Σ_{j<=q} n^j] computed nodes,
     each counted on [modelcheck.types.tp_misses] and as one table row
     for the guard; a repeated [(q, ū)] is a hit
-    ([modelcheck.types.tp_hits]).  Keep [q] small. *)
+    ([modelcheck.types.tp_hits]).  Time: a rank-1 child [ū·x] of a
+    rank-2 node costs [O(deg x + distinct keys)] once its leaves are
+    known, not [O(n)] (see the leaf kernel below), so at [q = 2] a
+    root's [1 + n + n^2] rows take [O(n · (Δ + keys))] time.  Keep [q]
+    small. *)
 
 val ltp : ctx -> q:int -> r:int -> Graph.Tuple.t -> ty
 (** [ltp ctx ~q ~r ū = tp_q(N_r^G(ū), ū)]: the local [(q,r)]-type,
@@ -118,7 +122,21 @@ val leaf : ?cap:int -> atomsig -> ty
     is fixed by the signature of [ū], the positions [i] with
     [u_i = w], the positions with [E(u_i, w)], and [w]'s colours.  So a
     child is a lookup under that key, and a signature is built and
-    interned once per parent signature and key. *)
+    interned once per parent signature and key.
+
+    A rank-1 node [ū·x] below a rank-2 node [ū] is not scanned.  [ū] is
+    opened once: its marks over the range, in the key layout of its
+    children, numbered densely and counted.  The keys of [ū·x] differ
+    from those of [ū] only on [N\[x\]]: [x] gains the bit for
+    [u_{k+1} = w] and each neighbour of [x] in the range the bit for
+    [E(u_{k+1}, w)], so each of [ū]'s keys has three variants.  The
+    leaves of [ū·x] are read off the counts after those moves, which
+    are then undone: [O(deg x + distinct keys)].  Its signature and
+    leaf table are looked up once per parent signature and key of [x].
+    A child with a key whose leaf is not yet interned is computed by
+    the position-order scan instead, so leaves intern in the same order
+    and with the same ids, and every child charges the same [1 + n]
+    rows ({!Guard.note_table_rows}). *)
 
 type leaves
 (** Per-graph state for {!extend}: the numbering of colour classes and
@@ -132,8 +150,9 @@ type range
 (** The vertices one computation's quantifiers range over, numbered by
     position: the whole graph ({!whole}, position = vertex) or a ball
     ({!ltp}'s, in ascending order).  A range holds the class of each of
-    its vertices and one mark word per vertex, so its state is sized by
-    the range: a ball's by the ball, never by [Graph.order]. *)
+    its vertices, one mark word per vertex and, from its first rank-2
+    node on, the counts that node opens, so its state is sized by the
+    range: a ball's by the ball, never by [Graph.order]. *)
 
 val whole : leaves -> range
 (** The range of every vertex of the graph, built once per [leaves]. *)

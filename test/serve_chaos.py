@@ -38,9 +38,17 @@ import zlib
 MAGIC = b"FOLEARNRPC1"
 EXIT_RETRY = 75
 
-# ~0.5 s of engine time: slow enough to stack up in a tiny queue
+# a q = 2 brute learn whose hypothesis is ~0.5 MB (about 0.04 s on a
+# 2-vCPU host): the request the identity and admission legs pin
 SHORT_LEARN = [
     "-g", "cycle:24", "--color", "Red=0,3,6,9",
+    "--target", "exists y. (E(x1,y) & Red(y))",
+    "-k", "1", "-l", "1", "-q", "2", "--solver", "brute",
+]
+# ~0.5 s of engine time on a 2-vCPU host: slow enough that a stampede
+# stacks up in a queue of one
+OVERLOAD_LEARN = [
+    "-g", "cycle:72", "--color", "Red=0,3,6,9",
     "--target", "exists y. (E(x1,y) & Red(y))",
     "-k", "1", "-l", "1", "-q", "2", "--solver", "brute",
 ]
@@ -48,7 +56,7 @@ SHORT_LEARN = [
 # mid-enumeration after the first 0.5 s-cadence snapshot, and that the
 # request is still on the engine when drain sends SIGTERM at 0.8 s
 LONG_LEARN = [
-    "-g", "cycle:80", "--color", "Red=0,3,6,9",
+    "-g", "cycle:128", "--color", "Red=0,3,6,9",
     "--target", "exists y. (E(x1,y) & Red(y))",
     "-k", "1", "-l", "1", "-q", "2", "--solver", "brute",
 ]
@@ -293,7 +301,7 @@ def scenario_overload(binary, tmpdir):
         procs = [
             subprocess.Popen(
                 [binary, "call", "learn", "--connect", f"unix:{srv.sock}",
-                 "--retries", "0"] + SHORT_LEARN,
+                 "--retries", "0"] + OVERLOAD_LEARN,
                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             )
             for _ in range(6)
@@ -311,7 +319,7 @@ def scenario_overload(binary, tmpdir):
         if shed < 1:
             fail("shed/overloaded counters must tick under saturation")
         # a retrying client eventually gets through
-        r = call(binary, srv, "learn", SHORT_LEARN, retries=5)
+        r = call(binary, srv, "learn", OVERLOAD_LEARN, retries=5)
         if r.returncode != 0:
             fail(f"retries must eventually land: {r.returncode} {r.stderr}")
     finally:

@@ -11,7 +11,9 @@
    - saturating Ramsey arithmetic (the satellite fix),
    - parser errors with line/column positions (the satellite fix), and
    - the limits record: [meet] is the old tenant clamp, the JSON codec
-     round-trips, and a budget made from limits reports them back. *)
+     round-trips, and a budget made from limits reports them back, and
+   - the bulk row charge: the fuel, row peak, trip and trip row of as
+     many single row charges, under fuel, max-table and fault plans. *)
 
 open Cgraph
 module Sam = Folearn.Sample
@@ -498,6 +500,81 @@ let test_limits_keys_and_budget () =
   | None -> Alcotest.fail "limits must make a budget"
 
 (* ------------------------------------------------------------------ *)
+(* The bulk row charge                                                 *)
+(* ------------------------------------------------------------------ *)
+
+type rows_case = {
+  fuel : int option;
+  max_table : int option;
+  plan : int option;  (* fault on this Hintikka_build hit *)
+  pre : int list;  (* tick costs spent first: the slab's state *)
+  from : int;
+  count : int;
+}
+
+let rows_case_arb =
+  let open QCheck in
+  make
+    ~print:(fun c ->
+      let opt = function None -> "-" | Some n -> string_of_int n in
+      Printf.sprintf "fuel=%s max_table=%s plan=%s pre=[%s] from=%d count=%d"
+        (opt c.fuel) (opt c.max_table) (opt c.plan)
+        (String.concat ";" (List.map string_of_int c.pre))
+        c.from c.count)
+    Gen.(
+      map
+        (fun ((fuel, max_table, plan), (pre, from, count)) ->
+          { fuel; max_table; plan; pre; from; count })
+        (pair
+           (triple (opt (int_range 0 300)) (opt (int_range 0 200))
+              (opt (int_range 1 120)))
+           (triple (list_size (int_range 0 6) (int_range 1 40))
+              (int_range 0 80)
+              (frequency [ (1, return 0); (4, int_range 1 150) ]))))
+
+(* the fuel, row peak, trip and final row of charging [c.count] rows
+   from [c.from] with [charge], after the ticks of [c.pre] *)
+let rows_outcome c charge =
+  let faults =
+    match c.plan with
+    | None -> None
+    | Some n -> Some (Guard.Faults.trip_at Guard.Hintikka_build ~n)
+  in
+  let budget =
+    Guard.Budget.make ?fuel:c.fuel ?max_table:c.max_table ?faults ()
+  in
+  let rows = ref c.from in
+  let outcome =
+    Guard.run ~budget ~salvage:(fun () -> None) (fun () ->
+        List.iter (fun cost -> Guard.tick ~cost (Some budget) Guard.Solver_loop) c.pre;
+        charge (Some budget) rows c.count)
+  in
+  let s = Guard.Budget.spent budget in
+  let trip =
+    match outcome with
+    | Guard.Complete () -> None
+    | Guard.Exhausted e -> Some (e.reason, e.checkpoint)
+  in
+  (s.Guard.fuel, s.Guard.table_rows, trip, !rows)
+
+let bulk_rows_match_single =
+  QCheck.Test.make ~count:2000
+    ~name:"note_table_rows = that many note_table_row calls" rows_case_arb
+    (fun c ->
+      let one_by_one b rows count =
+        for _ = 1 to count do
+          incr rows;
+          Guard.note_table_row b !rows
+        done
+      in
+      rows_outcome c Guard.note_table_rows = rows_outcome c one_by_one)
+
+let test_bulk_rows_unbudgeted () =
+  let rows = ref 5 in
+  Guard.note_table_rows None rows 7;
+  check_int "rows advance" 12 !rows
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   [
@@ -537,4 +614,7 @@ let suite =
     QCheck_alcotest.to_alcotest limits_codec_roundtrip;
     Alcotest.test_case "limits keys and the budget they make" `Quick
       test_limits_keys_and_budget;
+    QCheck_alcotest.to_alcotest bulk_rows_match_single;
+    Alcotest.test_case "bulk rows without a budget" `Quick
+      test_bulk_rows_unbudgeted;
   ]

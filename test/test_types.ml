@@ -446,6 +446,74 @@ let leaf_kernel_random =
                u)
         (Graph.Tuple.all ~n ~k))
 
+(* A rank-2 node's children come from its open parent by a delta on
+   N[x]; the reference computes each ū·w as a rank-1 root in a second
+   context, by the position-order kernel.  [children t] must be the
+   sorted, distinct reference types, with their multiplicities capped at
+   the context's cap, as [node] and [counted] give them. *)
+let children_are_roots ~cap t reference =
+  let refs = List.sort T.compare reference in
+  let runs =
+    List.fold_right
+      (fun t acc ->
+        match acc with
+        | (t', c) :: rest when T.equal t t' -> (t, c + 1) :: rest
+        | _ -> (t, 1) :: acc)
+      refs []
+  in
+  let capped = List.map (fun (t, c) -> (t, min cap c)) runs in
+  snd (T.node t) = Some (List.map fst capped)
+  && T.counted t = (cap, Some capped)
+
+(* n <= 8, up to 2 colours, k in {1, 2}, caps 1 and 2 *)
+let rank1_case =
+  QCheck.(
+    make
+      ~print:(fun (seed, n, k, cap) ->
+        Printf.sprintf "seed %d: n=%d k=%d cap=%d" seed n k cap)
+      Gen.(quad (int_range 0 100_000) (int_range 1 8) (int_range 1 2) (int_range 1 2)))
+
+let rank1_graph seed n =
+  let st = Random.State.make [| seed |] in
+  let colors =
+    List.filteri (fun i _ -> i < Random.State.int st 3) [ "Red"; "Blue" ]
+  in
+  Gen.colored ~seed ~colors
+    (Gen.gnp ~seed:(seed + 1) ~n ~p:(Random.State.float st 0.7))
+
+let rank1_children_tp =
+  QCheck.Test.make ~name:"tp ~q:2 children = rank-1 roots (node, counted)"
+    ~count:150 rank1_case (fun (seed, n, k, cap) ->
+      let g = rank1_graph seed n in
+      (* one context over every parent, so its kernel warms up *)
+      let ctx = T.make_ctx ~cap g and roots = T.make_ctx ~cap g in
+      List.for_all
+        (fun u ->
+          children_are_roots ~cap (T.tp ctx ~q:2 u)
+            (List.map
+               (fun w -> T.tp roots ~q:1 (Graph.Tuple.append u [| w |]))
+               (Graph.vertices g)))
+        (Graph.Tuple.all ~n ~k))
+
+let rank1_children_ltp =
+  QCheck.Test.make ~name:"ltp ~q:2 children = rank-1 roots on the ball"
+    ~count:150
+    QCheck.(pair rank1_case (int_range 0 2))
+    (fun ((seed, n, k, cap), r) ->
+      let g = rank1_graph seed n in
+      let ctx = T.make_ctx ~cap g in
+      List.for_all
+        (fun u ->
+          let emb = Ops.induced g (Bfs.ball_tuple g ~r u) in
+          let sub v = Option.get (emb.Ops.to_sub v) in
+          let roots = T.make_ctx ~cap emb.Ops.graph in
+          let u' = Array.map sub u in
+          children_are_roots ~cap (T.ltp ctx ~q:2 ~r u)
+            (List.map
+               (fun w -> T.tp roots ~q:1 (Graph.Tuple.append u' [| w |]))
+               (Graph.vertices emb.Ops.graph)))
+        (Graph.Tuple.all ~n ~k))
+
 (* ------------------------------------------------------------------ *)
 (* Local types on the host graph                                       *)
 (* ------------------------------------------------------------------ *)
@@ -594,6 +662,8 @@ let suite =
     QCheck_alcotest.to_alcotest fact5_random;
     QCheck_alcotest.to_alcotest hintikka_random;
     QCheck_alcotest.to_alcotest leaf_kernel_random;
+    QCheck_alcotest.to_alcotest rank1_children_tp;
+    QCheck_alcotest.to_alcotest rank1_children_ltp;
     QCheck_alcotest.to_alcotest ltp_matches_induced;
     QCheck_alcotest.to_alcotest shared_build_matches_tree_build;
   ]
