@@ -392,9 +392,38 @@ let to_string f = Format.asprintf "%a" pp f
      opened, clamped at the max indent.
    A fit decision measures the box flat and stops at the space left, so
    it costs at most the margin; a flat box is then written in a second
-   flat pass. *)
+   flat pass.
+
+   Outside a measurement, what an [And]/[Or] node writes depends only
+   on the node, its precedence level, the column where it opens and the
+   box around it; margin and max indent are fixed for the call.  A Hintikka formula is a DAG whose nodes recur
+   at the same column many times over, so [output] memoises a node's
+   layout under exactly these four.  The first sight of a key is only
+   recorded.  The second captures the layout as a rope: the text
+   fragments written between shared nodes, interned, and the memo
+   entries of the shared nodes inside it.  Later sights replay the rope
+   through the same chunks. *)
 
 exception Overflow
+
+(* the box a break belongs to *)
+type box = Flat | Broken of { opened : int; indent : int }
+
+(* a captured layout: text and the layouts of the repeated nodes in it *)
+type piece = Text of string | Node of piece array
+
+type key = { node : t; lvl : int; at : int; box : box }
+
+module Memo = Hashtbl.Make (struct
+  type nonrec t = key
+
+  let equal a b = a.node == b.node && a.lvl = b.lvl && a.at = b.at && a.box = b.box
+
+  (* bounded: equal-looking nodes only share a chain *)
+  let hash k = Hashtbl.hash (Hashtbl.hash k.node, k.lvl, k.at, k.box)
+end)
+
+type sight = Seen | Laid of { node : piece; stop : int (* column after it *) }
 
 type layout = {
   out : string -> int -> int -> unit;
@@ -407,10 +436,12 @@ type layout = {
   mutable limit : int;  (* text reaching it forces the box broken *)
   mutable room : int;  (* the space left the box's size must fit *)
   mutable width : int;
+  memo : sight Memo.t;
+  fragments : (string, piece) Hashtbl.t;  (* interned [Text] pieces *)
+  mutable depth : int;  (* nodes being captured *)
+  mutable parts : piece list;  (* the innermost one's pieces, reversed *)
+  pending : Buffer.t;  (* its text since its last piece *)
 }
-
-(* the box a break belongs to *)
-type box = Flat | Broken of { opened : int; indent : int }
 
 (* at most 1 KiB per [out] call: the copies stay in the minor heap and
    the answer is never held whole *)
@@ -422,7 +453,7 @@ let flush_chunk l =
     l.len <- 0
   end
 
-let rec write l s pos n =
+let rec emit l s pos n =
   let room = chunk_size - l.len in
   if n <= room then begin
     Bytes.blit_string s pos l.chunk l.len n;
@@ -432,8 +463,62 @@ let rec write l s pos n =
     Bytes.blit_string s pos l.chunk l.len room;
     l.len <- chunk_size;
     flush_chunk l;
-    write l s (pos + room) (n - room)
+    emit l s (pos + room) (n - room)
   end
+
+let write l s pos n =
+  emit l s pos n;
+  if l.depth > 0 then Buffer.add_substring l.pending s pos n
+
+let push l p = if l.depth > 0 then l.parts <- p :: l.parts
+
+(* end the pending text of the node being captured *)
+let cut l =
+  if Buffer.length l.pending > 0 then begin
+    let s = Buffer.contents l.pending in
+    Buffer.clear l.pending;
+    push l
+      (match Hashtbl.find_opt l.fragments s with
+      | Some p -> p
+      | None ->
+          let p = Text s in
+          Hashtbl.add l.fragments s p;
+          p)
+  end
+
+let rec replay l = function
+  | Text s -> emit l s 0 (String.length s)
+  | Node pieces ->
+      for i = 0 to Array.length pieces - 1 do
+        replay l pieces.(i)
+      done
+
+(* [lay_node ()] writes [f] at [lvl] in [box]; the memo stands in for it *)
+let memoised l box lvl f lay_node =
+  if l.measuring then lay_node ()
+  else
+    let key = { node = f; lvl; at = l.col; box } in
+    match Memo.find_opt l.memo key with
+    | None ->
+        Memo.add l.memo key Seen;
+        lay_node ()
+    | Some Seen ->
+        cut l;
+        let outer = l.parts in
+        l.parts <- [];
+        l.depth <- l.depth + 1;
+        lay_node ();
+        cut l;
+        let node = Node (Array.of_list (List.rev l.parts)) in
+        l.depth <- l.depth - 1;
+        l.parts <- outer;
+        Memo.replace l.memo key (Laid { node; stop = l.col });
+        push l node
+    | Some (Laid { node; stop }) ->
+        cut l;
+        push l node;
+        replay l node;
+        l.col <- stop
 
 let text l s =
   let n = String.length s in
@@ -524,13 +609,15 @@ let rec lay l box lvl f =
       text l "~";
       lay l box 4 f
   | And fs ->
-      paren l (lvl > 3) "(";
-      lay_junction l box " /\\" 4 fs;
-      paren l (lvl > 3) ")"
+      memoised l box lvl f (fun () ->
+          paren l (lvl > 3) "(";
+          lay_junction l box " /\\" 4 fs;
+          paren l (lvl > 3) ")")
   | Or fs ->
-      paren l (lvl > 2) "(";
-      lay_junction l box " \\/" 3 fs;
-      paren l (lvl > 2) ")"
+      memoised l box lvl f (fun () ->
+          paren l (lvl > 2) "(";
+          lay_junction l box " \\/" 3 fs;
+          paren l (lvl > 2) ")")
   | Implies (a, b) ->
       paren l (lvl > 1) "(";
       lay l box 2 a;
@@ -575,6 +662,11 @@ let output ~col ppf f =
       limit = 0;
       room = 0;
       width = 0;
+      memo = Memo.create 256;
+      fragments = Hashtbl.create 256;
+      depth = 0;
+      parts = [];
+      pending = Buffer.create 256;
     }
   in
   (* [pp]'s own box, opened where its enclosing box opened: no max

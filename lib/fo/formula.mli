@@ -134,6 +134,17 @@ val output : col:int -> Format.formatter -> t -> unit
     left, at most a margin's worth per box.  Up to the max indent, the
     [@[<h>] makes no difference.
 
+    The walk memoises layouts for the length of the call.  Outside a
+    measurement, what an [And] or [Or] node writes depends only on the
+    node (compared with [==]), its precedence level, the column where
+    it opens and the box around it, and those four are the key.  A
+    key's first sight is only recorded.  The second keeps the layout
+    as a rope: interned text fragments and the entries of the repeated
+    nodes inside it.  Every later sight replays the rope.  So a DAG
+    such as a Hintikka formula costs the bytes written plus its
+    distinct layouts, not its tree, and the memo holds the distinct
+    fragments of its repeated nodes, not their text.
+
     It first flushes [ppf] ({!Format.pp_print_flush}, which closes any
     open box), so the caller must have queued exactly [col] columns of
     the current line and no box.  The text, newlines and indentation

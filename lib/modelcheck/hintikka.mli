@@ -27,8 +27,10 @@ val variables : int -> Fo.Formula.var list
     several times below the roots (as a child under [exists] and again
     in the [forall] disjunction, or below several roots of
     {!of_types}) is one shared value, so the result is a DAG whose size
-    is about the number of distinct type nodes.  Walking it as a tree
-    (printing, {!Fo.Formula.size}) still costs the tree.
+    is about the number of distinct type nodes.  {!Fo.Formula.output}
+    lays out a shared node once for each column and box it opens in and
+    replays it after that, so writing the formula costs its bytes;
+    {!Fo.Formula.size} still walks the tree.
 
     Position [i] of a type's tuple is named by the [i]-th root variable
     while they last, and [x(i+1)] beyond: with root variables

@@ -463,31 +463,83 @@ let pp_matches_reference =
    column 2 that [Hypothesis.pp] writes at, and past the max indent
    (6 at margin 12), where only the enclosing hbox keeps Format from
    breaking the line before the box *)
+let output_agrees f =
+  let render ~margin print =
+    let b = Buffer.create 4096 in
+    let ppf = Format.formatter_of_buffer b in
+    Format.pp_set_margin ppf margin;
+    print ppf;
+    Buffer.contents b
+  in
+  List.for_all
+    (fun margin ->
+      List.for_all
+        (fun col ->
+          let pad = String.make col ' ' in
+          render ~margin (fun ppf ->
+              Format.fprintf ppf "head@.@[<h>%s@[%a@]@]@.tail@." pad F.pp f)
+          = render ~margin (fun ppf ->
+                Format.fprintf ppf "head@.%s%a@.tail@." pad (F.output ~col) f))
+        [ 0; 2; 9 ])
+    [ 78; 40; 12 ]
+
 let output_matches_pp =
   QCheck.Test.make ~name:"output gives pp's bytes" ~count:1000
     QCheck.(int_range 0 1_000_000)
-    (fun seed ->
-      let f = gen_any_formula 6 (Random.State.make [| seed |]) in
-      let render ~margin print =
-        let b = Buffer.create 256 in
-        let ppf = Format.formatter_of_buffer b in
-        Format.pp_set_margin ppf margin;
-        print ppf;
-        Buffer.contents b
+    (fun seed -> output_agrees (gen_any_formula 6 (Random.State.make [| seed |])))
+
+(* A DAG like a Hintikka formula's: each node is built over a pool of
+   earlier nodes, physically shared, so one junction recurs at several
+   depths, columns and enclosing boxes.  A node joins the pool only
+   while the tree it stands for stays small enough for [pp]. *)
+let gen_shared_formula st =
+  let pool = Array.make 24 F.True and sizes = Array.make 24 1 in
+  let count = ref 0 in
+  let add f size =
+    pool.(!count) <- f;
+    sizes.(!count) <- size;
+    incr count
+  in
+  for _ = 1 to 5 do
+    let f = gen_any_formula 2 st in
+    add f (F.size f)
+  done;
+  while !count < Array.length pool do
+    let pick () =
+      (* the recent nodes more often, so sharing nests *)
+      let i =
+        if Random.State.bool st then !count - 1 - Random.State.int st (min 4 !count)
+        else Random.State.int st !count
       in
-      List.for_all
-        (fun margin ->
-          List.for_all
-            (fun col ->
-              let pad = String.make col ' ' in
-              render ~margin (fun ppf ->
-                  Format.fprintf ppf "head@.@[<h>%s@[%a@]@]@.tail@." pad
-                    F.pp f)
-              = render ~margin (fun ppf ->
-                    Format.fprintf ppf "head@.%s%a@.tail@." pad
-                      (F.output ~col) f))
-            [ 0; 2; 9 ])
-        [ 78; 40; 12 ])
+      (pool.(i), sizes.(i))
+    in
+    let junction make =
+      let ps = List.init (1 + Random.State.int st 4) (fun _ -> pick ()) in
+      (make (List.map fst ps), List.fold_left (fun s (_, k) -> s + k) 1 ps)
+    in
+    let var = if Random.State.bool st then "x" else "a_long_variable_name" in
+    let (a, sa), (b, sb), (c, sc) = (pick (), pick (), pick ()) in
+    let f, size =
+      match Random.State.int st 7 with
+      | 0 | 1 -> junction (fun fs -> F.And fs)
+      | 2 | 3 -> junction (fun fs -> F.Or fs)
+      | 4 ->
+          ( F.And [ a; F.Exists (var, b); F.Forall (var, F.Or [ b; c ]) ],
+            4 + sa + (2 * sb) + sc )
+      | 5 -> (F.Not a, 1 + sa)
+      | _ -> (F.Implies (a, F.CountGe (2, var, b)), 2 + sa + sb)
+    in
+    if size <= 1500 then add f size else add a sa
+  done;
+  F.Or [ pool.(23); pool.(22); F.Not pool.(21); pool.(23) ]
+
+(* [output] with its layout memo on shared DAGs: a memoised layout
+   replayed at another column, in another box, or taken while measuring
+   gives other bytes *)
+let output_matches_pp_shared =
+  QCheck.Test.make ~name:"output gives pp's bytes on shared DAGs" ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed -> output_agrees (gen_shared_formula (Random.State.make [| seed |])))
 
 let nnf_preserves_semantics =
   QCheck.Test.make ~name:"nnf and simplify preserve semantics" ~count:120
@@ -627,6 +679,7 @@ let suite =
     Alcotest.test_case "rank overhead" `Quick test_rank_overhead;
     QCheck_alcotest.to_alcotest pp_matches_reference;
     QCheck_alcotest.to_alcotest output_matches_pp;
+    QCheck_alcotest.to_alcotest output_matches_pp_shared;
     QCheck_alcotest.to_alcotest parser_roundtrip;
     QCheck_alcotest.to_alcotest rename_matches_refresh;
     QCheck_alcotest.to_alcotest parser_exact_roundtrip;

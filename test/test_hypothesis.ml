@@ -320,6 +320,37 @@ let test_pp_matches_reference () =
         [ (1, 0, 1); (1, 1, 2); (2, 1, 1); (1, 2, 1); (2, 0, 2) ])
     [ 1; 2; 3 ]
 
+(* Hintikka DAGs at q = 2, plain and counting: a type node's formula
+   is one value wherever it recurs, so [Fo.Formula.output] replays its
+   layout; the bytes must stay Format's *)
+let pp_shared_hintikka =
+  QCheck.Test.make ~name:"pp = reference layout on q = 2 Hintikka DAGs"
+    ~count:30
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let n = 3 + Random.State.int st 3 in
+      let g =
+        Gen.colored ~seed ~colors:[ "Red" ] (Gen.gnp ~seed:(seed + 1) ~n ~p:0.4)
+      in
+      let k = 1 + Random.State.int st 2 in
+      let ell = if k = 1 then Random.State.int st 2 else 0 in
+      let params = Array.init ell (fun i -> i) in
+      List.for_all
+        (fun cap ->
+          let ctx = T.make_ctx ~cap g in
+          let types =
+            List.sort_uniq T.compare
+              (List.map (T.tp ctx ~q:2) (Graph.Tuple.all ~n ~k:(k + ell)))
+            |> List.filter (fun _ -> Random.State.int st 3 > 0)
+          in
+          let h = Hyp.of_types ~cap g ~k ~q:2 ~types ~params in
+          List.for_all
+            (fun margin ->
+              render ~margin reference_pp h = render ~margin Hyp.pp h)
+            [ 78; 40; 12 ])
+        [ 1; 2 ])
+
 (* the answer streams out: no [out_string] call longer than 1 KiB *)
 let test_pp_chunks () =
   let g = Gen.colored ~seed:5 ~colors:[ "Red" ] (Gen.gnp ~seed:5 ~n:8 ~p:0.4) in
@@ -368,4 +399,5 @@ let suite =
     Alcotest.test_case "signatures" `Quick test_signatures;
     Alcotest.test_case "pp = reference layout" `Quick test_pp_matches_reference;
     Alcotest.test_case "pp chunks" `Quick test_pp_chunks;
+    QCheck_alcotest.to_alcotest pp_shared_hintikka;
   ]
