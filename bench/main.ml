@@ -239,10 +239,24 @@ let e2 () =
 (* E3: Proposition 11 - brute-force ERM scaling in n^ell               *)
 (* ------------------------------------------------------------------ *)
 
+(* the least-squares slope of log y against log x *)
+let log_log_slope pts =
+  let pts = List.map (fun (x, y) -> (log x, log y)) pts in
+  let k = float_of_int (List.length pts) in
+  let sx = List.fold_left (fun a (x, _) -> a +. x) 0.0 pts
+  and sy = List.fold_left (fun a (_, y) -> a +. y) 0.0 pts in
+  let mx = sx /. k and my = sy /. k in
+  let num = List.fold_left (fun a (x, y) -> a +. ((x -. mx) *. (y -. my))) 0.0 pts
+  and den = List.fold_left (fun a (x, _) -> a +. ((x -. mx) *. (x -. mx))) 0.0 pts in
+  num /. den
+
+let tp_misses_c = Obs.Metric.counter "modelcheck.types.tp_misses"
+
 let e3 () =
   header "E3  Prop 11: exact ERM, cost n^ell (q = 1, k = 1)";
-  row "%-6s %6s %6s %12s %12s %8s\n" "class" "n" "ell" "params" "time (s)"
-    "err";
+  row "%-6s %6s %6s %12s %12s %12s %8s\n" "class" "n" "ell" "params"
+    "tp rows" "time (s)" "err";
+  let rows_at_ell1 = ref [] in
   List.iter
     (fun n ->
       let g =
@@ -256,23 +270,44 @@ let e3 () =
       List.iter
         (fun ell ->
           if ell = 0 || (ell = 1 && n <= 40) || (ell = 2 && n <= 12) then begin
+            let before = Obs.Metric.value tp_misses_c in
             let r, t = time (fun () -> Brute.solve g ~k:1 ~ell ~q:1 lam) in
+            let tp_rows = Obs.Metric.value tp_misses_c - before in
+            if ell = 1 then rows_at_ell1 := (n, tp_rows) :: !rows_at_ell1;
             add_row
               [
                 ("n", jint n);
                 ("ell", jint ell);
                 ("params_tried", jint r.Brute.params_tried);
+                ("tp_rows", jint tp_rows);
                 ("time_s", jfloat t);
                 ("err", jfloat r.Brute.err);
               ];
-            row "%-6s %6d %6d %12d %12.4f %8.3f\n" "tree" n ell
-              r.Brute.params_tried t r.Brute.err
+            row "%-6s %6d %6d %12d %12d %12.4f %8.3f\n" "tree" n ell
+              r.Brute.params_tried tp_rows t r.Brute.err
           end)
         [ 0; 1; 2 ])
     [ 8; 12; 16; 24; 40 ];
+  (* Prop 11 at q = 1, m = n: n^ell candidates, m roots each, and a
+     root's node and n leaves, so n^(ell+1) (n + 1) rows, slope ~ ell + 2 *)
+  let slope =
+    log_log_slope
+      (List.map
+         (fun (n, r) -> (float_of_int n, float_of_int r))
+         !rows_at_ell1)
+  in
+  row "tp-row exponent over n at ell = 1: %.3f (Prop 11: 3 +/- 0.25)\n" slope;
+  bench_extra_headline := [ ("tp_row_exponent_ell1", jfloat slope) ];
+  if Float.abs (slope -. 3.0) > 0.25 then
+    shape_fail
+      (Printf.sprintf "E3: tp rows grow as n^%.3f at ell = 1, outside 3 +/- 0.25"
+         slope);
   row
-    "shape check: time multiplies by ~n when ell increases by 1; ell = 1 \
-     reaches err 0 (the target uses one constant).\n"
+    "shape check: tp rows are n^ell * m * (n + 1); their exponent over n \
+     at ell = 1 must stay within 3 +/- 0.25 (Prop 11's n^(ell+2) at \
+     m = n).  Time no longer follows the rows: a root costs O(deg v + \
+     distinct keys).  ell = 1 reaches err 0 (the target uses one \
+     constant).\n"
 
 (* ------------------------------------------------------------------ *)
 (* E4: Proposition 12 - the realisable k = 1 learner                   *)

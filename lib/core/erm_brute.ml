@@ -14,7 +14,7 @@ let check_arity ~k lam =
 (* Best type-set for fixed parameters: majority vote per q-type class of
    v̄·w̄.  Returns (positive type list, number of errors). *)
 let score ~q lam ctx params =
-  Sweep.majority (fun v -> Types.tp ctx ~q (Graph.Tuple.append v params)) lam
+  Types.with_candidate ctx ~q params (fun tp -> Sweep.majority tp lam)
 
 (* the candidates: every w̄ ∈ V(G)^ell, in [Graph.Tuple.of_index] order *)
 let space ?budget ?tmax g ~ell ~q lam =

@@ -7,19 +7,20 @@ module Types = Modelcheck.Types
 let dichotomies_for ctx ~q ~params s =
   let classes : (Types.ty, int) Hashtbl.t = Hashtbl.create 16 in
   let class_masks = ref [] in
-  List.iteri
-    (fun pos v ->
-      let t = Types.tp ctx ~q (Graph.Tuple.append v params) in
-      match Hashtbl.find_opt classes t with
-      | Some idx ->
-          class_masks :=
-            List.mapi
-              (fun i m -> if i = idx then m lor (1 lsl pos) else m)
-              !class_masks
-      | None ->
-          Hashtbl.replace classes t (List.length !class_masks);
-          class_masks := !class_masks @ [ 1 lsl pos ])
-    s;
+  Types.with_candidate ctx ~q params (fun tp ->
+      List.iteri
+        (fun pos v ->
+          let t = tp v in
+          match Hashtbl.find_opt classes t with
+          | Some idx ->
+              class_masks :=
+                List.mapi
+                  (fun i m -> if i = idx then m lor (1 lsl pos) else m)
+                  !class_masks
+          | None ->
+              Hashtbl.replace classes t (List.length !class_masks);
+              class_masks := !class_masks @ [ 1 lsl pos ])
+        s);
   (* all unions of a subset of class masks *)
   let masks = Array.of_list !class_masks in
   let c = Array.length masks in

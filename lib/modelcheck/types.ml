@@ -127,14 +127,16 @@ module Sig_tbl = Hashtbl.Make (struct
 end)
 
 (* A child of every parent with one signature, under its key: its leaf,
-   how many w reached it under the parent numbered [stamp], and, once a
-   rank-2 parent needed them, its own signature and children table. *)
+   and how many w reached it under the parent numbered [stamp]. *)
 type child = {
   mutable id : int;  (* the leaf of ū·w; -1 until [extend] reaches it *)
   mutable count : int;
   mutable stamp : int;
-  mutable below : (atomsig * child Int_tbl.t) option;
 }
+
+(* an opened parent's rank-1 node with one key of x: its signature and
+   leaf table *)
+type below = atomsig * child Int_tbl.t
 
 type leaves = {
   lg : Graph.t;
@@ -142,6 +144,9 @@ type leaves = {
       (* colour set -> class id, numbered as the ranges meet them *)
   mutable class_bits : int;  (* bits a class id needs *)
   children : child Int_tbl.t Sig_tbl.t;  (* parent signature -> key -> child *)
+  opened : below Int_tbl.t array Sig_tbl.t;
+      (* parent signature -> hole -> key of x -> the child with x at the
+         hole *)
   mutable parents : int;  (* parents opened so far *)
   mutable whole : range option;  (* the graph's own range, once built *)
 }
@@ -156,13 +161,15 @@ and range = {
   size : int;
   colour_class : int array;  (* position -> class id of its vertex *)
   bits : int array;
-      (* while a parent ū of arity k is open: bit i if u_i is the
-         vertex at this position, bit k + i if it is adjacent to u_i;
-         zero otherwise *)
-  mutable scratch : scratch option;  (* made by the first rank-2 parent *)
+      (* while a parent's marks are laid, by [extend] or [with_open]: a
+         bit for each entry of the parent that is the vertex at this
+         position, and one for each entry adjacent to it, in the key
+         layout of its one-point extensions; zero otherwise *)
+  mutable scratch : scratch option;
+      (* made by the first opened parent, taken while one is open *)
 }
 
-(* The keys of a rank-2 parent's children over a range, numbered
+(* The keys of an opened parent's children over a range, numbered
    densely: the range's colour classes first (the key of a position ū
    does not mark), then the keys of the marked positions. *)
 and scratch = {
@@ -182,6 +189,7 @@ let leaves g =
     classes = Hashtbl.create 8;
     class_bits = 0;
     children = Sig_tbl.create 16;
+    opened = Sig_tbl.create 16;
     parents = 0;
     whole = None;
   }
@@ -250,7 +258,7 @@ let child_at by_key key =
   match Int_tbl.find by_key key with
   | c -> c
   | exception Not_found ->
-      let c = { id = -1; count = 0; stamp = 0; below = None } in
+      let c = { id = -1; count = 0; stamp = 0 } in
       Int_tbl.add by_key key c;
       c
 
@@ -304,10 +312,13 @@ let extend rg mk sg u visit =
   List.sort (fun (a, _) (b, _) -> Int.compare a b)
     (List.rev_map (fun c -> (c.id, c.count)) !reached)
 
-(* made once per range, sized by it *)
-let scratch rg =
+(* made once per range, sized by it, and taken while a parent is open:
+   a parent opened inside another gets one of its own *)
+let take_scratch rg =
   match rg.scratch with
-  | Some sc -> sc
+  | Some sc ->
+      rg.scratch <- None;
+      sc
   | None ->
       let local_of = Int_tbl.create 8 and ids = ref [] in
       let local =
@@ -326,40 +337,56 @@ let scratch rg =
       let classes = Array.length class_id in
       let class_size = Array.make classes 0 in
       Array.iter (fun l -> class_size.(l) <- class_size.(l) + 1) local;
-      let sc =
-        {
-          local;
-          class_id;
-          class_size;
-          dense = Array.copy local;
-          marked = Array.make rg.size 0;
-          keys = Array.make (classes + rg.size) 0;
-          ids = Int_tbl.create 16;
-          counts = Array.make (3 * (classes + rg.size)) 0;
-        }
-      in
-      rg.scratch <- Some sc;
-      sc
+      let dense_ids = classes + rg.size in
+      {
+        local;
+        class_id;
+        class_size;
+        dense = Array.copy local;
+        marked = Array.make rg.size 0;
+        keys = Array.make dense_ids 0;
+        ids = Int_tbl.create 16;
+        counts = Array.make (3 * dense_ids) 0;
+      }
 
-(* The rank-1 children ū·w of a rank-2 parent ū.  Opening ū marks its
-   positions once, in the key layout of its children (arity k + 1), and
-   counts the positions of each distinct key.  The child at x differs
-   from ū only on N[x]: x takes its key's eq-variant (bit k) and each
-   neighbour of x in the range its key's adj-variant (bit 2k + 1).  So
-   the child's leaves are read off the counts in O(deg x + distinct
-   keys), and the moves are undone.  [each i kids] is called for each
-   position i in order, with [Some (signature, leaves)], the leaves
-   sorted with their counts, or with [None] when a leaf has no id yet:
-   [mk] must then run in position order, as in [extend]. *)
-let siblings rg sg u each =
+(* ū with [x] inserted at position [hole] *)
+let insert u hole x =
+  Array.init
+    (Array.length u + 1)
+    (fun p -> if p < hole then u.(p) else if p = hole then x else u.(p - 1))
+
+let opened_at lv sg hole =
+  let by_hole =
+    match Sig_tbl.find lv.opened sg with
+    | t -> t
+    | exception Not_found ->
+        let t = Array.init (sg.sig_arity + 1) (fun _ -> Int_tbl.create 8) in
+        Sig_tbl.add lv.opened sg t;
+        t
+  in
+  by_hole.(hole)
+
+(* The rank-1 nodes ū[x] that put a vertex x of the range at position
+   [hole] of ū (0 <= hole <= k): the children ū·x of a rank-2 node at
+   [hole = k], the roots x·w̄ of a sweep candidate at [hole = 0].
+   Opening ū marks its positions once, in the key layout of the nodes
+   (arity k + 1, ū's entries around the hole), and counts the positions
+   of each distinct key.  The node at x differs from ū only on N[x]: x
+   takes its key's eq-variant (the hole's bit) and each neighbour of x
+   in the range its key's adj-variant (the hole's bit + k + 1).  So its
+   leaves are read off the counts in O(deg x + distinct keys), and the
+   moves are undone.  [f derive] runs with ū open: [derive i] is
+   [Some (signature, leaves)] for the vertex at position i, the leaves
+   sorted with their counts, or [None] when a leaf has no id yet, or
+   when the key does not fit in an int; such a node is left to
+   [extend].  A node's signature and leaf table are built once per
+   parent signature, hole and key of x, and looked up under them. *)
+let with_open rg sg u ~hole f =
   let lv = rg.kernel in
   let g = lv.lg and k = Array.length u in
-  if 2 * (k + 1) + lv.class_bits >= Sys.int_size then
-    for i = 0 to rg.size - 1 do
-      each i None
-    done
+  if 2 * (k + 1) + lv.class_bits >= Sys.int_size then f (fun _ -> None)
   else begin
-    let sc = scratch rg in
+    let sc = take_scratch rg in
     let bits = rg.bits and dense = sc.dense and keys = sc.keys in
     let counts = sc.counts and shift = 2 * (k + 1) in
     let all = rg.all in
@@ -369,9 +396,10 @@ let siblings rg sg u each =
       if i >= 0 then bits.(i) <- bits.(i) lor bit
     in
     Array.iteri
-      (fun i v ->
-        mark v (1 lsl i);
-        Graph.iter_neighbors g v (fun w -> mark w (1 lsl (k + 1 + i))))
+      (fun j v ->
+        let p = if j < hole then j else j + 1 in
+        mark v (1 lsl p);
+        Graph.iter_neighbors g v (fun w -> mark w (1 lsl (k + 1 + p))))
       u;
     let classes = Array.length sc.class_id in
     for c = 0 to classes - 1 do
@@ -413,32 +441,24 @@ let siblings rg sg u each =
         number v;
         Graph.iter_neighbors g v number)
       u;
-    let by_key = children_of lv sg and nd = !nd in
-    let low = (1 lsl k) - 1 in
-    let variant = [| 0; 1 lsl k; 1 lsl ((2 * k) + 1) |] in
+    let by_key = opened_at lv sg hole and nd = !nd in
+    let variant = [| 0; 1 lsl hole; 1 lsl (k + 1 + hole) |] in
+    let node_at d x =
+      match Int_tbl.find by_key keys.(d) with
+      | b -> b
+      | exception Not_found ->
+          let csig = atomic_signature g (insert u hole x) in
+          let b = (csig, children_of lv csig) in
+          Int_tbl.add by_key keys.(d) b;
+          b
+    in
     let move d from_ into =
       counts.((3 * d) + from_) <- counts.((3 * d) + from_) - 1;
       counts.((3 * d) + into) <- counts.((3 * d) + into) + 1
     in
-    let child i =
+    let derive i =
       let x = range_vertex rg i and d = dense.(i) in
-      (* ū·x's key under ū, in the layout [extend] gives ū's children *)
-      let key = keys.(d) in
-      let pkey =
-        key land low
-        lor (((key lsr (k + 1)) land low) lsl k)
-        lor ((key lsr shift) lsl (2 * k))
-      in
-      let entry = child_at by_key pkey in
-      let csig, below =
-        match entry.below with
-        | Some b -> b
-        | None ->
-            let csig = atomic_signature g (Graph.Tuple.append u [| x |]) in
-            let b = (csig, children_of lv csig) in
-            entry.below <- Some b;
-            b
-      in
+      let csig, leaves = node_at d x in
       let shift_nbrs from_ into =
         Graph.iter_neighbors g x (fun y ->
             let j = pos y in
@@ -451,7 +471,7 @@ let siblings rg sg u each =
         for v = 0 to 2 do
           let c = counts.((3 * e) + v) in
           if c > 0 then
-            match Int_tbl.find below (keys.(e) lor variant.(v)) with
+            match Int_tbl.find leaves (keys.(e) lor variant.(v)) with
             | { id; _ } when id >= 0 -> kids := (id, c) :: !kids
             | _ | (exception Not_found) -> known := false
         done
@@ -466,14 +486,13 @@ let siblings rg sg u each =
       for j = 0 to !nmarked - 1 do
         let i = sc.marked.(j) in
         dense.(i) <- sc.local.(i)
-      done
+      done;
+      rg.scratch <- Some sc
     in
-    match
-      for i = 0 to rg.size - 1 do
-        each i (child i)
-      done
-    with
-    | () -> close ()
+    match f derive with
+    | r ->
+        close ();
+        r
     | exception e ->
         close ();
         raise e
@@ -550,6 +569,12 @@ let runs sorted =
       | _ -> (t, 1) :: acc)
     sorted []
 
+(* A rank-1 node derived by [with_open] charges its node and its n
+   leaves, as the position-order path would, and interns nothing else *)
+let derived ctx rows ~n csig kids =
+  note_rows ctx rows (1 + n);
+  intern (csig, capped ctx.cap kids) 1
+
 (* [tp_q] of [u] with the quantifiers ranging over [rg] *)
 let rec compute ctx rg rows ~q u =
   note_row ctx rows;
@@ -572,17 +597,15 @@ let rec compute ctx rg rows ~q u =
             (Graph.Tuple.append u [| range_vertex rg i |])
         in
         if q = 2 then
-          (* a known child charges its node and its n leaves, as the
-             position-order path would, and interns nothing else *)
-          siblings rg sg u (fun i kids ->
-              let t =
-                match kids with
-                | Some (csig, kids) ->
-                    note_rows ctx rows (1 + n);
-                    intern (csig, capped ctx.cap kids) 1
-                | None -> child i
-              in
-              children := t :: !children)
+          with_open rg sg u ~hole:(Array.length u) (fun derive ->
+              for i = 0 to n - 1 do
+                let t =
+                  match derive i with
+                  | Some (csig, kids) -> derived ctx rows ~n csig kids
+                  | None -> child i
+                in
+                children := t :: !children
+              done)
         else
           for i = 0 to n - 1 do
             children := child i :: !children
@@ -615,6 +638,49 @@ let tp ctx ~q u =
       t
 
 let tp_graph g ~q u = tp (make_ctx g) ~q u
+
+(* At q = 1 the roots v·w̄ are the rank-1 nodes that put v at position
+   0 of w̄: [with_open]'s hole at the front.  A root it cannot derive is
+   computed as [tp] computes it, and every root of another rank or of an
+   example of arity other than 1 is [tp]'s.  The roots of one open are
+   memoised by their vertex for that open only: a sweep opens each
+   candidate once, and keeping its m roots for the context's lifetime
+   cost more than deriving them. *)
+let with_candidate ctx ~q w f =
+  let plain v = tp ctx ~q (Graph.Tuple.append v w) in
+  if q <> 1 then f plain
+  else begin
+    let rg = whole (Lazy.force ctx.leaves) in
+    let root derive v =
+      (* a root [tp] memoised is a hit; without one, skip the hash *)
+      let memo =
+        if Hashtbl.length ctx.roots = 0 then None
+        else Hashtbl.find_opt ctx.roots (q, Graph.Tuple.append v w)
+      in
+      match memo with
+      | Some t ->
+          Obs.Metric.incr tp_hits;
+          t
+      | None -> (
+          match derive v.(0) with
+          | Some (csig, kids) -> derived ctx ctx.rows ~n:rg.size csig kids
+          | None -> compute ctx rg ctx.rows ~q (Graph.Tuple.append v w))
+    in
+    let seen = Int_tbl.create 16 in
+    with_open rg (atomic_signature ctx.g w) w ~hole:0 (fun derive ->
+        f (fun v ->
+            if Array.length v <> 1 || v.(0) < 0 || v.(0) >= rg.size then
+              plain v
+            else
+              match Int_tbl.find seen v.(0) with
+              | t ->
+                  Obs.Metric.incr tp_hits;
+                  t
+              | exception Not_found ->
+                  let t = root derive v in
+                  Int_tbl.add seen v.(0) t;
+                  t))
+  end
 
 (* On the host graph, with the quantifiers ranging over the ball in
    ascending order: the induced graph's own numbering, so types intern

@@ -74,6 +74,19 @@ val tp : ctx -> q:int -> Graph.Tuple.t -> ty
     root's [1 + n + n^2] rows take [O(n · (Δ + keys))] time.  Keep [q]
     small. *)
 
+val with_candidate :
+  ctx -> q:int -> Graph.Tuple.t -> ((Graph.Tuple.t -> ty) -> 'a) -> 'a
+(** [with_candidate ctx ~q w̄ f] is [f tp], where [tp v̄] is
+    [tp ctx ~q (v̄·w̄)]: the same id, interned in the same order, with
+    the same hit or miss, rows and trip points.  For an ERM sweep, which
+    types every example under one candidate [w̄] at a time.  At [q = 1]
+    it opens [w̄] once for [f]'s whole call, and a root [v·w̄] of an
+    example of arity 1 whose leaves are all interned costs
+    [O(deg v + distinct keys)], not [O(n)] (see the leaf kernel below);
+    such roots are memoised for this call only: a root {!tp} memoised
+    is a hit, but one computed here is not added to {!tp}'s memo.
+    Every other root is {!tp}'s. *)
+
 val ltp : ctx -> q:int -> r:int -> Graph.Tuple.t -> ty
 (** [ltp ctx ~q ~r ū = tp_q(N_r^G(ū), ū)]: the local [(q,r)]-type,
     computed on the host graph over the ball: the quantifiers range
@@ -124,19 +137,26 @@ val leaf : ?cap:int -> atomsig -> ty
     child is a lookup under that key, and a signature is built and
     interned once per parent signature and key.
 
-    A rank-1 node [ū·x] below a rank-2 node [ū] is not scanned.  [ū] is
-    opened once: its marks over the range, in the key layout of its
-    children, numbered densely and counted.  The keys of [ū·x] differ
-    from those of [ū] only on [N\[x\]]: [x] gains the bit for
-    [u_{k+1} = w] and each neighbour of [x] in the range the bit for
-    [E(u_{k+1}, w)], so each of [ū]'s keys has three variants.  The
-    leaves of [ū·x] are read off the counts after those moves, which
-    are then undone: [O(deg x + distinct keys)].  Its signature and
-    leaf table are looked up once per parent signature and key of [x].
-    A child with a key whose leaf is not yet interned is computed by
-    the position-order scan instead, so leaves intern in the same order
-    and with the same ids, and every child charges the same [1 + n]
-    rows ({!Guard.note_table_rows}). *)
+    A rank-1 node that puts a vertex [x] at a fixed position (the
+    hole) of a tuple [ū] is not scanned: the children [ū·x] of a rank-2
+    node [ū] (the hole at the end), and the roots [x·w̄] of a sweep
+    candidate [w̄] ({!with_candidate}, the hole at the front).  [ū] is
+    opened once: its marks over the range, in the key layout of the
+    nodes (arity [k + 1], [ū]'s entries around the hole), numbered
+    densely and counted.  The keys of the node at [x] differ from those
+    of [ū] only on [N\[x\]]: [x] gains the bit for "the hole equals
+    [w]" and each neighbour of [x] in the range the bit for "the hole
+    is adjacent to [w]", so each of [ū]'s keys has three variants.  The
+    leaves of the node are read off the counts after those moves, which
+    are then undone: [O(deg x + distinct keys)].  One kernel serves
+    both holes.  A node's signature and leaf table are built once per
+    parent signature, hole and key of [x], and looked up under them.
+    What falls back to the position-order scan, so that leaves
+    intern in the same order and with the same ids: a node with a key
+    whose leaf is not yet interned, a parent whose key does not fit in
+    an int, and, for {!with_candidate}, any [q <> 1] and examples of
+    arity other than 1.  Every derived node charges the same [1 + n]
+    rows as the scan, at once ({!Guard.note_table_rows}). *)
 
 type leaves
 (** Per-graph state for {!extend}: the numbering of colour classes and

@@ -32,6 +32,11 @@ METRIC_SECTIONS = ("counters", "gauges", "histograms")
 # experiment-specific headline keys (spliced in by bench/main.ml's
 # bench_extra_headline)
 EXTRA_HEADLINE = {
+    # e3 reports the exponent of its tp rows over n at ell = 1, the
+    # shape it gates on (Prop 11: ell + 2 = 3)
+    "e3": {
+        "tp_row_exponent_ell1": (int, float),
+    },
     # e21 reports the hot-path engine's health: how many evaluations hit
     # the compile cache, how often intern shards caught up with the
     # global table, and the erm_brute speedup at 4 jobs (gated in CI

@@ -630,6 +630,141 @@ let ltp_matches_induced =
       && T.tp ctx ~q:c.lq c.lu = T.tp (T.make_ctx c.lg) ~q:c.lq c.lu
       && same_under_budgets host induced)
 
+(* ------------------------------------------------------------------ *)
+(* Opened candidates                                                   *)
+(* ------------------------------------------------------------------ *)
+
+type sweep_case = {
+  sg : Graph.t;
+  cands : Graph.Tuple.t list;  (* distinct, each of length ell *)
+  sample : Graph.Tuple.t list;  (* arity k, drawn with repeats *)
+  sq : int;
+  scap : int;
+  warm : bool;  (* [tp] is asked for the first root before the sweep *)
+  sdesc : string;
+}
+
+(* n in 3..10 (3..6 at q = 2) with at least three colour classes
+   (vertices 0, 1 and 2 differ), ell in 0..3, q in 0..2, k in {1, 2},
+   caps 1-3, up to six candidates and up to nine examples *)
+let sweep_case =
+  let gen =
+    QCheck.Gen.map
+      (fun seed ->
+        let st = Random.State.make [| seed |] in
+        let sq = Random.State.int st 3 in
+        let n = 3 + Random.State.int st (if sq = 2 then 4 else 8) in
+        let p = Random.State.float st 0.6 in
+        let colours =
+          List.init 3 (fun c ->
+              ( Printf.sprintf "C%d" c,
+                List.filter
+                  (fun v ->
+                    if v < 3 then v = c + 1 else Random.State.bool st)
+                  (List.init n Fun.id) ))
+        in
+        let sg = Graph.with_colors (Gen.gnp ~seed ~n ~p) colours in
+        let tuple k = Array.init k (fun _ -> Random.State.int st n) in
+        let ell = Random.State.int st 4 and k = 1 + Random.State.int st 2 in
+        let cands =
+          List.sort_uniq Graph.Tuple.compare
+            (List.init (1 + Random.State.int st 6) (fun _ -> tuple ell))
+        in
+        let sample = List.init (1 + Random.State.int st 8) (fun _ -> tuple k) in
+        let sample =
+          (* a repeat, which is a hit *)
+          match sample with v :: _ -> sample @ [ v ] | [] -> sample
+        in
+        let scap = 1 + Random.State.int st 3 and warm = Random.State.bool st in
+        let tuples ts =
+          String.concat " "
+            (List.map
+               (fun t ->
+                 "["
+                 ^ String.concat ";" (Array.to_list (Array.map string_of_int t))
+                 ^ "]")
+               ts)
+        in
+        let sdesc =
+          Printf.sprintf
+            "seed %d: n=%d p=%.2f q=%d cap=%d warm=%b cands=%s sample=%s" seed
+            n p sq scap warm (tuples cands) (tuples sample)
+        in
+        { sg; cands; sample; sq; scap; warm; sdesc })
+      (QCheck.Gen.int_range 0 1_000_000)
+  in
+  QCheck.make ~print:(fun c -> c.sdesc) gen
+
+(* The roots v̄·w̄ of every candidate w̄ and example v̄, in sweep order:
+   through [with_candidate], or through [tp] one tuple at a time.  Each
+   root comes with its decomposition, as ints, so two legs compare
+   across a registry reset. *)
+let candidate_roots ~opened ?budget c =
+  let ctx = T.make_ctx ?budget ~cap:c.scap c.sg in
+  let shown (t : T.ty) =
+    let cap, kids = T.counted t in
+    let kid (k, n) = ((k : T.ty :> int), n) in
+    ((t :> int), cap, Option.map (List.map kid) kids)
+  in
+  (* a root [tp] memoised is a hit for [with_candidate] too *)
+  (match (c.warm, c.cands, c.sample) with
+  | true, w :: _, v :: _ -> ignore (T.tp ctx ~q:c.sq (Graph.Tuple.append v w))
+  | _ -> ());
+  List.map
+    (fun w ->
+      if opened then
+        T.with_candidate ctx ~q:c.sq w (fun tp ->
+            List.map (fun v -> shown (tp v)) c.sample)
+      else
+        List.map
+          (fun v -> shown (T.tp ctx ~q:c.sq (Graph.Tuple.append v w)))
+          c.sample)
+    c.cands
+
+let tp_hits_c = Obs.Metric.counter "modelcheck.types.tp_hits"
+let tp_misses_c = Obs.Metric.counter "modelcheck.types.tp_misses"
+
+(* one leg from an empty registry: its roots, the registry's size after
+   it, its hits and misses, and the rows its context counted *)
+let from_empty ~opened c =
+  T.reset_tables ();
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable (fun () ->
+      let h0 = Obs.Metric.value tp_hits_c
+      and m0 = Obs.Metric.value tp_misses_c in
+      let budget = Guard.Budget.unlimited () in
+      let roots = candidate_roots ~opened ~budget c in
+      ( roots,
+        (T.table_stats ()).T.live,
+        Obs.Metric.value tp_hits_c - h0,
+        Obs.Metric.value tp_misses_c - m0,
+        (Guard.Budget.spent budget).Guard.table_rows ))
+
+let opened_roots_match_tp =
+  QCheck.Test.make ~name:"with_candidate roots = tp roots (ids, order, rows)"
+    ~count:150 sweep_case (fun c ->
+      from_empty ~opened:true c = from_empty ~opened:false c)
+
+(* the same trip, fuel and table row under every fuel limit and table
+   cap up to one past the whole cost, so also inside a root *)
+let opened_roots_same_trips =
+  QCheck.Test.make ~name:"with_candidate trips = tp trips (every limit)"
+    ~count:60 sweep_case (fun c ->
+      (* the first three candidates and four examples and a repeat:
+         every limit runs both legs again *)
+      let first n l = List.filteri (fun i _ -> i < n) l in
+      let sample = first 4 c.sample @ [ List.hd c.sample ] in
+      let c = { c with cands = first 3 c.cands; sample } in
+      let leg opened budget = candidate_roots ~opened ~budget c in
+      let _, _, fuel, rows, _ = governed Guard.Budget.unlimited (leg false) in
+      let agree mk = governed mk (leg true) = governed mk (leg false) in
+      List.for_all
+        (fun cap -> agree (fun () -> Guard.Budget.make ~fuel:cap ()))
+        (List.init (fuel + 2) Fun.id)
+      && List.for_all
+           (fun cap -> agree (fun () -> Guard.Budget.make ~max_table:cap ()))
+           (List.init (rows + 2) Fun.id))
+
 let suite =
   [
     Alcotest.test_case "node decomposition" `Quick test_node_decomposition;
@@ -666,4 +801,6 @@ let suite =
     QCheck_alcotest.to_alcotest rank1_children_ltp;
     QCheck_alcotest.to_alcotest ltp_matches_induced;
     QCheck_alcotest.to_alcotest shared_build_matches_tree_build;
+    QCheck_alcotest.to_alcotest opened_roots_match_tp;
+    QCheck_alcotest.to_alcotest opened_roots_same_trips;
   ]
