@@ -15,6 +15,11 @@
      submit  enqueue a learn as a resumable server-side job
      poll    fetch a submitted job's result or status
 
+   The op commands (learn, mc, types, game) declare their parameter
+   flags once, in one term per op.  `call OP` takes exactly OP's
+   parameter flags and `submit` takes learn's; Serve.Exec decodes them
+   for every caller.
+
    Graph specifications (the --graph argument):
      path:N          cycle:N        clique:N      star:N
      grid:WxH        tree:N[:SEED]  deg:N:D[:SEED]
@@ -25,33 +30,13 @@ open Cmdliner
 open Cgraph
 module Exec = Serve.Exec
 
-(* ------------------------------------------------------------------ *)
-(* Graph specification parsing                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* the spec DSL (parse_graph_spec) lives in Serve.Exec with the op
-   bodies that the CLI and the resident service both run, so the two
-   accept exactly the same strings *)
-let graph_conv =
-  let parser s =
-    try Exec.parse_graph_spec s with _ -> Error (`Msg "bad graph spec")
-  in
-  let printer ppf _ = Format.fprintf ppf "<graph>" in
-  Arg.conv (parser, printer)
-
-let color_conv =
-  let parser s =
-    try Exec.parse_color s with _ -> Error (`Msg "bad colour spec")
-  in
-  let printer ppf (name, _) = Format.fprintf ppf "%s=..." name in
-  Arg.conv (parser, printer)
-
-(* Formulas are taken as plain strings and parsed by Serve.Exec:
-   cmdliner reserves its own exit code (124) for [Arg.conv] failures,
-   and a malformed formula must be a usage error (2) with the parser's
-   line/column diagnostics on stderr.  Exec raises [Usage] for it, and
-   for out-of-range parameters and bad colours; [exit] (rather than a
-   return) skips the --stats/--trace epilogue, as any usage error does. *)
+(* Graph specs, colours, solver names and formulas are taken as plain
+   strings and parsed by Serve.Exec: cmdliner reserves its own exit code
+   (124) for [Arg.conv] failures, and a malformed parameter must be a
+   usage error (2) with Exec's diagnostics on stderr.  Exec raises
+   [Usage] for them, and for out-of-range parameters; [exit] (rather
+   than a return) skips the --stats/--trace epilogue, as any usage error
+   does. *)
 let or_usage f =
   try f ()
   with Exec.Usage m ->
@@ -61,20 +46,126 @@ let or_usage f =
 (* the CLI's own usage errors inside [or_usage] take the same route *)
 let usage fmt = Format.kasprintf (fun m -> raise (Exec.Usage m)) fmt
 
-(* common args *)
+(* ------------------------------------------------------------------ *)
+(* Op parameters                                                       *)
+(* ------------------------------------------------------------------ *)
 
-let graph_arg =
-  Arg.(
-    required
-    & opt (some graph_conv) None
-    & info [ "g"; "graph" ] ~docv:"SPEC"
-        ~doc:"Background graph, e.g. path:10, tree:30:7, grid:4x5, gnp:20:0.3.")
+(* An op's parameter flags, declared once: a term that yields the op's
+   JSON parameter object, with a member for each flag given.  A local
+   run decodes it with Serve.Exec, and `call` and `submit` send it to
+   the server, which decodes it the same way.  The defaults --help
+   states are Exec's. *)
 
-let colors_arg =
-  Arg.(
-    value & opt_all color_conv []
-    & info [ "c"; "color" ] ~docv:"NAME=V,V"
-        ~doc:"Add a colour class (repeatable), e.g. --color Red=0,3,6.")
+module J = Obs.Json
+
+type member = (string * J.t) option Term.t
+
+let opt_param ~op key names cv to_json ~docv ~doc : member =
+  let absent =
+    List.assoc_opt key (Exec.defaults op)
+    |> Option.map (function J.String s -> s | v -> J.to_string v)
+  in
+  Term.(
+    const (Option.map (fun v -> (key, to_json v)))
+    $ Arg.(value & opt (some cv) None & info names ?absent ~docv ~doc))
+
+let int_param ~op key names ~doc =
+  opt_param ~op key names Arg.int (fun n -> J.Int n) ~docv:"N" ~doc
+
+let req_param key names ~docv ~doc : member =
+  Term.(
+    const (fun s -> Some (key, J.String s))
+    $ Arg.(required & opt (some string) None & info names ~docv ~doc))
+
+let flag_param key names ~doc : member =
+  Term.(
+    const (fun b -> if b then Some (key, J.Bool true) else None)
+    $ Arg.(value & flag & info names ~doc))
+
+let params (members : member list) =
+  List.fold_right
+    (fun m acc -> Term.(const (fun m l -> Option.to_list m @ l) $ m $ acc))
+    members (Term.const [])
+  |> Term.(app (const (fun l -> J.Obj l)))
+
+let graph_param =
+  req_param "graph" [ "g"; "graph" ] ~docv:"SPEC"
+    ~doc:"Background graph, e.g. path:10, tree:30:7, grid:4x5, gnp:20:0.3."
+
+let colors_param : member =
+  Term.(
+    const (function
+      | [] -> None
+      | cs -> Some ("colors", J.List (List.map (fun c -> J.String c) cs)))
+    $ Arg.(
+        value & opt_all string []
+        & info [ "c"; "color" ] ~docv:"NAME=V,V"
+            ~doc:"Add a colour class (repeatable), e.g. --color Red=0,3,6."))
+
+(* the learning-problem flags, shared by learn, plan and submit; plan
+   brings its own --target and no --noise *)
+let learn_flags ~target ~noise =
+  let int = int_param ~op:"learn" in
+  params
+    [
+      graph_param; colors_param; target;
+      int "k" [ "k" ] ~doc:"Arity of examples.";
+      int "ell" [ "l"; "ell" ] ~doc:"Parameter budget.";
+      int "q" [ "q" ] ~doc:"Quantifier-rank budget.";
+      opt_param ~op:"learn" "solver" [ "solver" ] Arg.string
+        (fun s -> J.String s)
+        ~docv:"NAME"
+        ~doc:
+          "ERM solver: $(b,brute) (Prop 11, exact), $(b,nd) (Theorem 13, \
+           nowhere dense), $(b,counting) (FOC extension), or $(b,local) \
+           (sublinear local access).  With budget flags, $(b,local) runs \
+           through the degradation chain.  $(b,plan) analyzes all four \
+           and predicts the selected one.";
+      int "tmax" [ "tmax" ]
+        ~doc:"Counting-threshold cap for $(b,--solver counting).";
+      noise;
+      int "m" [ "m" ] ~doc:"Sample size (0 = label every tuple of the graph).";
+      int "seed" [ "seed" ] ~doc:"Random seed.";
+    ]
+
+let learn_term =
+  learn_flags
+    ~target:
+      (req_param "target" [ "t"; "target" ] ~docv:"FORMULA"
+         ~doc:
+           "Hidden target query over x1..xk (used only to label the \
+            training data).")
+    ~noise:
+      (opt_param ~op:"learn" "noise" [ "noise" ] Arg.float
+         (fun p -> J.Float p)
+         ~docv:"P" ~doc:"Label-flip probability.")
+
+let mc_term =
+  params
+    [
+      graph_param; colors_param;
+      req_param "formula" [ "f"; "formula" ] ~docv:"SENTENCE"
+        ~doc:"Sentence to check.";
+      flag_param "via_erm" [ "via-erm" ]
+        ~doc:"Decide through the Theorem 1 reduction (ERM-oracle calls).";
+    ]
+
+let types_term =
+  params
+    [
+      graph_param; colors_param;
+      int_param ~op:"types" "q" [ "q" ] ~doc:"Quantifier rank.";
+      int_param ~op:"types" "k" [ "k" ] ~doc:"Tuple arity.";
+      flag_param "hintikka" [ "hintikka" ]
+        ~doc:"Also print one Hintikka formula per class.";
+    ]
+
+let game_term =
+  params
+    [
+      graph_param; colors_param;
+      int_param ~op:"game" "r" [ "r" ] ~doc:"Game radius.";
+    ]
 
 (* observability: --trace / --stats / --stats-json on the compute-heavy
    subcommands.  The sink stays disabled unless one of them is given, so
@@ -455,67 +546,15 @@ let install_progress ~metrics ~run_id ~solver ~sample_size ?fuel_lo ?fuel_hi
 (* learn                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* the learning-problem flags, shared by learn and plan; defaults are
-   Serve.Exec's, which served requests fall back to as well *)
-let learn_p_term ~target ~noise =
-  let int_arg names default doc =
-    Arg.(value & opt int default & info names ~doc)
-  in
-  let k = int_arg [ "k" ] Exec.default_k "Arity of examples." in
-  let ell = int_arg [ "l"; "ell" ] Exec.default_ell "Parameter budget." in
-  let q = int_arg [ "q" ] Exec.default_q "Quantifier-rank budget." in
-  let tmax =
-    int_arg [ "tmax" ] Exec.default_tmax
-      "Counting-threshold cap for $(b,--solver counting)."
-  in
-  let m =
-    int_arg [ "m" ] Exec.default_m
-      "Sample size (0 = label every tuple of the graph)."
-  in
-  let seed = int_arg [ "seed" ] Exec.default_seed "Random seed." in
-  let solver =
-    Arg.(
-      value
-      & opt (enum Exec.solvers) Exec.default_solver
-      & info [ "solver" ]
-          ~doc:
-            "ERM solver: $(b,brute) (Prop 11, exact), $(b,nd) (Theorem 13, \
-             nowhere dense), $(b,counting) (FOC extension), or $(b,local) \
-             (sublinear local access).  With budget flags, $(b,local) runs \
-             through the degradation chain.  $(b,plan) analyzes all four \
-             and predicts the selected one.")
-  in
-  let mk lp_graph lp_colors lp_target lp_k lp_ell lp_q lp_solver lp_tmax
-      lp_noise lp_m lp_seed =
-    {
-      Exec.lp_graph; lp_colors; lp_target; lp_k; lp_ell; lp_q; lp_solver;
-      lp_tmax; lp_noise; lp_m; lp_seed;
-    }
-  in
-  Term.(
-    const mk $ graph_arg $ colors_arg $ target $ k $ ell $ q $ solver $ tmax
-    $ noise $ m $ seed)
-
 let learn_cmd =
-  let target_arg =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "t"; "target" ] ~docv:"FORMULA"
-          ~doc:
-            "Hidden target query over x1..xk (used only to label the \
-             training data).")
-  in
-  let noise_arg =
-    Arg.(value & opt float 0.0 & info [ "noise" ] ~doc:"Label-flip probability.")
-  in
-  let run p limits no_precheck jobs ckpt_opts pulse trace stats stats_json
+  let run j limits no_precheck jobs ckpt_opts pulse trace stats stats_json
       =
     apply_jobs jobs;
     let precheck = not no_precheck in
     with_obs ~pulse ~trace ~stats ~stats_json @@ fun () ->
     with_pulse ~cmd:"learn" pulse @@ fun () ->
     or_usage @@ fun () ->
+      let p = Exec.learn_params ~op:"learn" j in
       let l = Exec.learn_prep p in
       let run_id = l.run_id and solver = Exec.solver_name p.lp_solver in
       let budget, ckpt =
@@ -556,10 +595,8 @@ let learn_cmd =
   in
   let term =
     Term.(
-      const run
-      $ learn_p_term ~target:target_arg ~noise:noise_arg
-      $ budget_term $ no_precheck_arg $ jobs_arg $ ckpt_term
-      $ pulse_term $ trace_arg $ stats_arg $ stats_json_arg)
+      const run $ learn_term $ budget_term $ no_precheck_arg $ jobs_arg
+      $ ckpt_term $ pulse_term $ trace_arg $ stats_arg $ stats_json_arg)
   in
   Cmd.v
     (Cmd.info "learn" ~doc:"Learn a first-order query from labelled examples.")
@@ -580,15 +617,14 @@ let learn_cmd =
 
 let plan_cmd =
   let module Plan = Analysis.Plan in
-  let target_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "t"; "target" ] ~docv:"FORMULA"
-          ~doc:
-            "Target query over x1..xk.  Validated like $(b,learn) does; \
-             the cost plan itself depends only on the example tuples, \
-             never on the labels.")
+  let target =
+    opt_param ~op:"plan" "target" [ "t"; "target" ] Arg.string
+      (fun s -> J.String s)
+      ~docv:"FORMULA"
+      ~doc:
+        "Target query over x1..xk.  Validated like $(b,learn) does; the \
+         cost plan itself depends only on the example tuples, never on \
+         the labels."
   in
   let format_arg =
     Arg.(
@@ -608,15 +644,15 @@ let plan_cmd =
              the selected solver (the admission precheck would reject \
              the run).")
   in
-  (* plan labels nothing: [p] carries no target or noise, and the
-     optional --target is only validated *)
-  let run (p : Exec.learn_p) target limits format strict =
+  (* plan labels nothing: the optional --target is only validated *)
+  let run j limits format strict =
     or_usage @@ fun () ->
+    let p = Exec.learn_params ~op:"plan" j in
     let { Exec.lp_k = k; lp_ell = ell; lp_q = q; lp_tmax = tmax; _ } = p in
     let g = Exec.learn_graph ~op:"plan" p in
     Option.iter
       (fun t -> ignore (Exec.check_target ~op:"plan" g ~k t : Fo.Formula.t))
-      target;
+      p.lp_target;
     let tuples = Exec.learn_tuples p g in
     let inp = Plan.input ~tmax g ~k ~ell ~q tuples in
     let solvers = [ Plan.Brute; Plan.Local; Plan.Nd; Plan.Counting ] in
@@ -644,7 +680,7 @@ let plan_cmd =
     (match format with
     | `Sarif ->
         let artifact =
-          match target with Some _ -> "--target" | None -> "<plan>"
+          match p.lp_target with Some _ -> "--target" | None -> "<plan>"
         in
         let diags =
           match rejection with
@@ -719,8 +755,8 @@ let plan_cmd =
           solver of a $(b,learn) run without executing it.")
     Term.(
       const run
-      $ learn_p_term ~target:(const "") ~noise:(const 0.0)
-      $ target_arg $ budget_term $ format_arg $ strict_arg)
+      $ learn_flags ~target ~noise:(const None)
+      $ budget_term $ format_arg $ strict_arg)
 
 (* ------------------------------------------------------------------ *)
 (* mc / types / game                                                   *)
@@ -728,14 +764,13 @@ let plan_cmd =
 
 (* Serve.Exec validates and runs the op; the CLI wraps it in
    telemetry and checkpointing and hands it the process streams *)
-let exec_op_cmd ~cmd ~doc ~precheck prep =
-  let run prep limits precheck jobs ckpt_opts pulse trace stats
-      stats_json =
+let exec_op_cmd ~cmd ~doc ~precheck params =
+  let run j limits precheck jobs ckpt_opts pulse trace stats stats_json =
     apply_jobs jobs;
     with_obs ~pulse ~trace ~stats ~stats_json @@ fun () ->
     with_pulse ~cmd pulse @@ fun () ->
     or_usage @@ fun () ->
-    let op = prep () in
+    let op = Exec.of_params ~op:cmd j in
     let run_id = lazy (Exec.run_id op) in
     let budget, ckpt =
       setup_resilience ~cmd ~solver:cmd ~run_id
@@ -750,54 +785,22 @@ let exec_op_cmd ~cmd ~doc ~precheck prep =
   in
   Cmd.v (Cmd.info cmd ~doc)
     Term.(
-      const run $ prep $ budget_term $ precheck $ jobs_arg $ ckpt_term
+      const run $ params $ budget_term $ precheck $ jobs_arg $ ckpt_term
       $ pulse_term $ trace_arg $ stats_arg $ stats_json_arg)
 
 let mc_cmd =
-  let formula_arg =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "f"; "formula" ] ~docv:"SENTENCE" ~doc:"Sentence to check.")
-  in
-  let via_erm_arg =
-    Arg.(
-      value & flag
-      & info [ "via-erm" ]
-          ~doc:"Decide through the Theorem 1 reduction (ERM-oracle calls).")
-  in
-  let prep mp_graph mp_colors mp_formula mp_via_erm () =
-    Exec.mc { Exec.mp_graph; mp_colors; mp_formula; mp_via_erm }
-  in
   exec_op_cmd ~cmd:"mc"
     ~doc:"First-order model checking (direct or via Theorem 1)."
     ~precheck:Term.(const not $ no_precheck_arg)
-    Term.(const prep $ graph_arg $ colors_arg $ formula_arg $ via_erm_arg)
+    mc_term
 
 let types_cmd =
-  let q_arg = Arg.(value & opt int 1 & info [ "q" ] ~doc:"Quantifier rank.") in
-  let k_arg = Arg.(value & opt int 1 & info [ "k" ] ~doc:"Tuple arity.") in
-  let hintikka_arg =
-    Arg.(
-      value & flag
-      & info [ "hintikka" ] ~doc:"Also print one Hintikka formula per class.")
-  in
-  let prep tp_graph tp_colors tp_q tp_k tp_hintikka () =
-    Exec.types
-      { Exec.tp_graph; tp_colors; tp_q; tp_k; tp_hintikka }
-  in
   exec_op_cmd ~cmd:"types" ~doc:"Print the q-type partition of the graph."
-    ~precheck:(Term.const true)
-    Term.(const prep $ graph_arg $ colors_arg $ q_arg $ k_arg $ hintikka_arg)
+    ~precheck:(Term.const true) types_term
 
 let game_cmd =
-  let r_arg = Arg.(value & opt int 2 & info [ "r" ] ~doc:"Game radius.") in
-  let prep gp_graph gp_colors gp_r () =
-    Exec.game { Exec.gp_graph; gp_colors; gp_r }
-  in
   exec_op_cmd ~cmd:"game" ~doc:"Play out the (r, s)-splitter game."
-    ~precheck:(Term.const true)
-    Term.(const prep $ graph_arg $ colors_arg $ r_arg)
+    ~precheck:(Term.const true) game_term
 
 (* ------------------------------------------------------------------ *)
 (* graph                                                               *)
@@ -814,9 +817,9 @@ let graph_cmd =
   let dot_arg =
     Arg.(value & flag & info [ "dot" ] ~doc:"Emit GraphViz instead.")
   in
-  let run g colors out dot =
+  let run j out dot =
     or_usage @@ fun () ->
-    let g = Exec.apply_colors ~op:"graph" g colors in
+    let g = Exec.coloured_graph ~op:"graph" j in
     let text = if dot then Graph.to_dot g else Io.to_string g in
     (match out with
     | Some path ->
@@ -828,7 +831,8 @@ let graph_cmd =
   Cmd.v
     (Cmd.info "graph"
        ~doc:"Generate a graph from a spec and print or save it.")
-    Term.(const run $ graph_arg $ colors_arg $ out_arg $ dot_arg)
+    Term.(
+      const run $ params [ graph_param; colors_param ] $ out_arg $ dot_arg)
 
 
 (* ------------------------------------------------------------------ *)
@@ -1611,6 +1615,17 @@ let rpc_with_retries ~cmd ~connect ~retries ~backoff ~timeout_s req =
   in
   attempt 0 backoff
 
+(* the connection flags of call, submit and poll: a term yielding the
+   request function they share *)
+let rpc_term ~cmd =
+  let mk connect tenant retries backoff timeout_s ~op ~budget params =
+    rpc_with_retries ~cmd ~connect ~retries ~backoff ~timeout_s
+      { Serve.Proto.tenant; op; budget; params }
+  in
+  Term.(
+    const mk $ connect_arg $ rpc_tenant_arg $ retries_arg $ backoff_arg
+    $ rpc_timeout_arg)
+
 (* replay the remote run locally: its stdout to stdout, stderr to
    stderr, its status code as the exit code *)
 let render_response resp =
@@ -1620,181 +1635,41 @@ let render_response resp =
   flush stderr;
   Serve.Proto.resp_code resp
 
-(* op parameter flags, shared by call and submit; only flags the user
-   actually gave are sent, so server-side defaults match the CLI's *)
-
-let p_graph_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "g"; "graph" ] ~docv:"SPEC"
-        ~doc:"Background graph spec (same DSL as the local commands).")
-
-let p_colors_arg =
-  Arg.(
-    value & opt_all string []
-    & info [ "c"; "color" ] ~docv:"NAME=V,V"
-        ~doc:"Add a colour class (repeatable).")
-
-let p_target_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "target" ] ~docv:"FORMULA" ~doc:"Target formula (learn).")
-
-let p_formula_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "formula" ] ~docv:"FORMULA" ~doc:"Formula to check (mc).")
-
-let p_k_arg =
-  Arg.(value & opt (some int) None & info [ "k" ] ~docv:"N" ~doc:"Arity.")
-
-let p_ell_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "l"; "ell" ] ~docv:"N" ~doc:"Quantifier budget (learn).")
-
-let p_q_arg =
-  Arg.(
-    value & opt (some int) None & info [ "q" ] ~docv:"N" ~doc:"Quantifier rank.")
-
-let p_solver_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "solver" ] ~docv:"NAME" ~doc:"brute, nd, counting or local.")
-
-let p_tmax_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "tmax" ] ~docv:"N" ~doc:"Counting-solver threshold cap.")
-
-let p_noise_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "noise" ] ~docv:"P" ~doc:"Label-flip probability (learn).")
-
-let p_m_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "m" ] ~docv:"N" ~doc:"Sample size; 0 = all tuples (learn).")
-
-let p_seed_arg =
-  Arg.(
-    value & opt (some int) None & info [ "seed" ] ~docv:"N" ~doc:"Sample seed.")
-
-let p_via_erm_arg =
-  Arg.(
-    value & flag & info [ "via-erm" ] ~doc:"Model-check through the ERM \
-                                            reduction (mc).")
-
-let p_hintikka_arg =
-  Arg.(
-    value & flag & info [ "hintikka" ] ~doc:"Print Hintikka formulas (types).")
-
-let p_r_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "r" ] ~docv:"N" ~doc:"Splitter-game radius (game).")
-
-let params_json ~graph ~colors ~target ~formula ~k ~ell ~q ~solver ~tmax
-    ~noise ~m ~seed ~via_erm ~hintikka ~r =
-  let add name v acc =
-    match v with Some x -> (name, x) :: acc | None -> acc
-  in
-  let open Obs.Json in
-  []
-  |> add "graph" (Option.map (fun s -> String s) graph)
-  |> (fun acc ->
-       if colors = [] then acc
-       else ("colors", List (List.map (fun s -> String s) colors)) :: acc)
-  |> add "target" (Option.map (fun s -> String s) target)
-  |> add "formula" (Option.map (fun s -> String s) formula)
-  |> add "k" (Option.map (fun n -> Int n) k)
-  |> add "ell" (Option.map (fun n -> Int n) ell)
-  |> add "q" (Option.map (fun n -> Int n) q)
-  |> add "solver" (Option.map (fun s -> String s) solver)
-  |> add "tmax" (Option.map (fun n -> Int n) tmax)
-  |> add "noise" (Option.map (fun f -> Float f) noise)
-  |> add "m" (Option.map (fun n -> Int n) m)
-  |> add "seed" (Option.map (fun n -> Int n) seed)
-  |> (fun acc -> if via_erm then ("via_erm", Bool true) :: acc else acc)
-  |> (fun acc -> if hintikka then ("hintikka", Bool true) :: acc else acc)
-  |> add "r" (Option.map (fun n -> Int n) r)
-  |> List.rev
-  |> fun l -> Obj l
-
-let params_term =
-  let mk graph colors target formula k ell q solver tmax noise m seed via_erm
-      hintikka r =
-    params_json ~graph ~colors ~target ~formula ~k ~ell ~q ~solver ~tmax
-      ~noise ~m ~seed ~via_erm ~hintikka ~r
-  in
-  Term.(
-    const mk $ p_graph_arg $ p_colors_arg $ p_target_arg $ p_formula_arg
-    $ p_k_arg $ p_ell_arg $ p_q_arg $ p_solver_arg $ p_tmax_arg $ p_noise_arg
-    $ p_m_arg $ p_seed_arg $ p_via_erm_arg $ p_hintikka_arg $ p_r_arg)
-
+(* `call OP` takes OP's parameter term, so it accepts exactly the flags
+   of the local OP (run control aside) *)
 let call_cmd =
-  let op_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"OP" ~doc:"learn, mc, types, game or ping.")
-  in
-  let run op connect tenant retries backoff timeout_s budget params =
-    let req =
-      {
-        Serve.Proto.tenant;
-        op;
-        budget;
-        params;
-      }
+  let call op ~doc ?(budget = budget_term) params =
+    let run rpc budget params =
+      match rpc ~op ~budget params with
+      | None -> 1
+      | Some resp -> render_response resp
     in
-    match
-      rpc_with_retries ~cmd:"call" ~connect ~retries ~backoff ~timeout_s req
-    with
-    | None -> 1
-    | Some resp -> render_response resp
+    Cmd.v (Cmd.info op ~doc)
+      Term.(const run $ rpc_term ~cmd:"call" $ budget $ params)
   in
-  Cmd.v
+  Cmd.group
     (Cmd.info "call"
        ~doc:
          "Run one op on a resident $(b,folearn serve) and replay its \
           stdout/stderr/exit code locally.")
-    Term.(
-      const run $ op_arg $ connect_arg $ rpc_tenant_arg $ retries_arg
-      $ backoff_arg $ rpc_timeout_arg $ budget_term $ params_term)
+    [
+      call "learn" ~doc:"Serve a $(b,learn)." learn_term;
+      call "mc" ~doc:"Serve an $(b,mc)." mc_term;
+      call "types" ~doc:"Serve a $(b,types)." types_term;
+      call "game" ~doc:"Serve a $(b,game)." game_term;
+      call "ping" ~doc:"Check that the server answers."
+        ~budget:(Term.const Serve.Proto.no_budget)
+        (Term.const (J.Obj []));
+    ]
 
 let submit_cmd =
-  let run connect tenant retries backoff timeout_s budget params =
-    let req =
-      {
-        Serve.Proto.tenant;
-        op = "submit";
-        budget;
-        params;
-      }
-    in
-    match
-      rpc_with_retries ~cmd:"submit" ~connect ~retries ~backoff ~timeout_s req
-    with
+  let run rpc budget params =
+    match rpc ~op:"submit" ~budget params with
     | None -> 1
     | Some resp ->
         prerr_string (Serve.Proto.resp_stderr resp);
-        (match
-           Option.bind
-             (Obs.Json.member "job" resp)
-             (Obs.Json.member "id")
-         with
-        | Some (Obs.Json.String id) ->
+        (match Option.bind (J.member "job" resp) (J.member "id") with
+        | Some (J.String id) ->
             let status = Serve.Proto.resp_status resp in
             Printf.printf "folearn submit: job %s %s\n" id status
         | _ -> ());
@@ -1806,10 +1681,9 @@ let submit_cmd =
     (Cmd.info "submit"
        ~doc:
          "Submit a learn as a resumable server-side job; poll it with \
-          $(b,folearn poll).  Submitting identical work is idempotent.")
-    Term.(
-      const run $ connect_arg $ rpc_tenant_arg $ retries_arg $ backoff_arg
-      $ rpc_timeout_arg $ budget_term $ params_term)
+          $(b,folearn poll).  Submitting identical work is idempotent.  \
+          Takes the parameter flags of $(b,learn).")
+    Term.(const run $ rpc_term ~cmd:"submit" $ budget_term $ learn_term)
 
 let poll_cmd =
   let id_arg =
@@ -1827,15 +1701,7 @@ let poll_cmd =
             "Keep polling until the job settles or $(docv) elapse \
              (0 = ask once).")
   in
-  let run id connect tenant retries backoff timeout_s wait =
-    let req =
-      {
-        Serve.Proto.tenant;
-        op = "poll";
-        budget = Serve.Proto.no_budget;
-        params = Obs.Json.Obj [ ("id", Obs.Json.String id) ];
-      }
-    in
+  let run id rpc wait =
     let pending resp =
       match Serve.Proto.resp_status resp with
       | "queued" | "running" -> true
@@ -1844,7 +1710,8 @@ let poll_cmd =
     let deadline = Unix.gettimeofday () +. wait in
     let rec ask () =
       match
-        rpc_with_retries ~cmd:"poll" ~connect ~retries ~backoff ~timeout_s req
+        rpc ~op:"poll" ~budget:Serve.Proto.no_budget
+          (J.Obj [ ("id", J.String id) ])
       with
       | None -> None
       | Some resp ->
@@ -1870,9 +1737,7 @@ let poll_cmd =
          "Fetch a submitted job's result (or best-so-far status).  A \
           stale or foreign job id yields a structured \
           $(b,job_mismatch).")
-    Term.(
-      const run $ id_arg $ connect_arg $ rpc_tenant_arg $ retries_arg
-      $ backoff_arg $ rpc_timeout_arg $ wait_arg)
+    Term.(const run $ id_arg $ rpc_term ~cmd:"poll" $ wait_arg)
 
 (* ------------------------------------------------------------------ *)
 

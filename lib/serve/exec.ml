@@ -72,8 +72,6 @@ let usage fmt = Format.kasprintf (fun m -> raise (Usage m)) fmt
 let exit_degraded = 3
 let exit_exhausted = 4
 
-type colors = (string * int list) list
-
 (* a member outside the vertex range is the caller's mistake, so it is
    a usage error rather than [Graph.Invalid_vertex] escaping the op *)
 let apply_colors ~op g colors =
@@ -145,6 +143,67 @@ let conclude ~out ~err ~cmd ~ckpt outcome =
           if reason = Guard.Interrupted then exit_degraded else exit_exhausted)
 
 (* ------------------------------------------------------------------ *)
+(* JSON parameter objects                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The optional members of each op's parameter object and their
+   defaults.  The decoders below fall back to them, and the CLI states
+   them in --help. *)
+let defaults = function
+  | "learn" ->
+      [
+        ("k", J.Int 1); ("ell", J.Int 0); ("q", J.Int 1);
+        ("solver", J.String "brute"); ("tmax", J.Int 2);
+        ("noise", J.Float 0.0); ("m", J.Int 0); ("seed", J.Int 1);
+      ]
+  | "types" -> [ ("q", J.Int 1); ("k", J.Int 1) ]
+  | "game" -> [ ("r", J.Int 2) ]
+  | _ -> []
+
+let p_str name j = Option.bind (J.member name j) J.to_string_opt
+
+let p_req_str ~op name j =
+  match p_str name j with
+  | Some s -> s
+  | None -> usage "folearn %s: missing required parameter %S" op name
+
+(* member [name] of [j], or else its default in [d] *)
+let p_num conv d name j =
+  match Option.bind (J.member name j) conv with
+  | Some v -> v
+  | None -> Option.get (Option.bind (List.assoc_opt name d) conv)
+
+let p_int = p_num J.to_int_opt
+
+let p_bool name j =
+  match J.member name j with Some (J.Bool b) -> b | _ -> false
+
+let p_colors ~op j =
+  match J.member "colors" j with
+  | None | Some J.Null -> []
+  | Some (J.List l) ->
+      List.map
+        (fun c ->
+          match J.to_string_opt c with
+          | None -> usage "folearn %s: --color: a colour must be a string" op
+          | Some s -> (
+              match parse_color s with
+              | Ok kv -> kv
+              | Error (`Msg m) ->
+                  usage "folearn %s: --color: %s (got %S)" op m s))
+        l
+  | Some _ -> usage "folearn %s: \"colors\" must be a list of strings" op
+
+let p_graph ~op j =
+  let spec = p_req_str ~op "graph" j in
+  match parse_graph_spec spec with
+  | Ok g -> g
+  | Error (`Msg m) -> usage "folearn %s: --graph: %s" op m
+  | exception _ -> usage "folearn %s: --graph: bad graph spec %S" op spec
+
+let coloured_graph ~op j = apply_colors ~op (p_graph ~op j) (p_colors ~op j)
+
+(* ------------------------------------------------------------------ *)
 (* learn                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -162,18 +221,10 @@ let plan_solver = function
   | `Counting -> Analysis.Plan.Counting
   | `Local -> Analysis.Plan.Local
 
-let default_k = 1
-let default_ell = 0
-let default_q = 1
-let default_solver : solver = `Brute
-let default_tmax = 2
-let default_m = 0
-let default_seed = 1
-
 type learn_p = {
   lp_graph : Graph.t;
-  lp_colors : colors;
-  lp_target : string;
+  lp_colors : (string * int list) list;
+  lp_target : string option;
   lp_k : int;
   lp_ell : int;
   lp_q : int;
@@ -183,6 +234,30 @@ type learn_p = {
   lp_m : int;
   lp_seed : int;
 }
+
+let learn_params ~op j =
+  let d = defaults "learn" in
+  let lp_graph = p_graph ~op j in
+  let lp_colors = p_colors ~op j in
+  let lp_solver =
+    let s = p_num J.to_string_opt d "solver" j in
+    match List.assoc_opt s solvers with
+    | Some s -> s
+    | None ->
+        usage "folearn %s: --solver: unknown solver %S (brute, nd, counting \
+               or local)" op s
+  in
+  {
+    lp_graph; lp_colors; lp_solver;
+    lp_target = p_str "target" j;
+    lp_k = p_int d "k" j;
+    lp_ell = p_int d "ell" j;
+    lp_q = p_int d "q" j;
+    lp_tmax = p_int d "tmax" j;
+    lp_noise = p_num J.to_float_opt d "noise" j;
+    lp_m = p_int d "m" j;
+    lp_seed = p_int d "seed" j;
+  }
 
 let learn_graph ~op p =
   let at_least flag lo v =
@@ -219,6 +294,12 @@ let check_target ~op g ~k s =
         (Analysis.Diagnostic.render_list errs));
   target
 
+(* [plan] may omit the target; a learn needs it *)
+let learn_target ~op p =
+  match p.lp_target with
+  | Some s -> s
+  | None -> usage "folearn %s: missing required parameter \"target\"" op
+
 let learn_run_id p g target =
   run_id_of
     [
@@ -241,7 +322,9 @@ type learn = {
 let learn_prep p =
   let module Sam = Folearn.Sample in
   let g = learn_graph ~op:"learn" p in
-  let target = check_target ~op:"learn" g ~k:p.lp_k p.lp_target in
+  let target =
+    check_target ~op:"learn" g ~k:p.lp_k (learn_target ~op:"learn" p)
+  in
   let tuples = learn_tuples p g in
   let sample =
     Sam.label_with_query g ~formula:target
@@ -374,23 +457,6 @@ let learn_solve : learn runner =
 (* mc / types / game                                                   *)
 (* ------------------------------------------------------------------ *)
 
-type mc_p = {
-  mp_graph : Graph.t;
-  mp_colors : colors;
-  mp_formula : string;
-  mp_via_erm : bool;
-}
-
-type types_p = {
-  tp_graph : Graph.t;
-  tp_colors : colors;
-  tp_q : int;
-  tp_k : int;
-  tp_hintikka : bool;
-}
-
-type game_p = { gp_graph : Graph.t; gp_colors : colors; gp_r : int }
-
 type op = {
   name : string;
   op_run_id : string Lazy.t;
@@ -402,15 +468,23 @@ type op = {
 
 let run_id op = Lazy.force op.op_run_id
 
-let mc p =
-  let phi = parse_formula ~op:"mc" ~flag:"--formula" p.mp_formula in
+(* the coloured graph and the sentence of an mc *)
+let mc_input j =
+  let g = coloured_graph ~op:"mc" j in
+  let phi =
+    parse_formula ~op:"mc" ~flag:"--formula" (p_req_str ~op:"mc" "formula" j)
+  in
   (match Fo.Formula.free_vars phi with
   | [] -> ()
   | fv ->
       usage "folearn mc: --formula must be a sentence; free variable%s: %s"
         (if List.length fv > 1 then "s" else "")
         (String.concat ", " fv));
-  let g = apply_colors ~op:"mc" p.mp_graph p.mp_colors in
+  (g, phi)
+
+let mc j =
+  let g, phi = mc_input j in
+  let via_erm = p_bool "via_erm" j in
   {
     name = "mc";
     (* mc has no candidate enumeration to replay-skip: checkpoints
@@ -422,11 +496,11 @@ let mc p =
            [
              "mc"; Io.to_string g;
              Format.asprintf "%a" Fo.Formula.pp phi;
-             string_of_bool p.mp_via_erm;
+             string_of_bool via_erm;
            ]);
     compute =
       (fun ~budget ~precheck ->
-        if p.mp_via_erm then
+        if via_erm then
           Guard.outcome_map
             (fun (verdict, (stats : Folearn.Reduction.stats)) out ->
               Format.fprintf out "%b@." verdict;
@@ -449,9 +523,10 @@ let mc p =
                 0));
   }
 
-let types p =
-  let g = apply_colors ~op:"types" p.tp_graph p.tp_colors in
-  let q = p.tp_q and k = p.tp_k in
+let types j =
+  let g = coloured_graph ~op:"types" j in
+  let int = p_int (defaults "types") in
+  let q = int "q" j and k = int "k" j and hintikka = p_bool "hintikka" j in
   {
     name = "types";
     op_run_id =
@@ -459,7 +534,7 @@ let types p =
         (run_id_of
            [
              "types"; Io.to_string g; string_of_int q; string_of_int k;
-             string_of_bool p.tp_hintikka;
+             string_of_bool hintikka;
            ]);
     compute =
       (fun ~budget ~precheck:_ ->
@@ -480,7 +555,7 @@ let types p =
                   Format.fprintf out "class %d (%a): %d tuples, e.g. %a@." i
                     Modelcheck.Types.pp ty (List.length members)
                     Graph.Tuple.pp (List.hd members);
-                  if p.tp_hintikka then
+                  if hintikka then
                     Format.fprintf out "  %a@." (Fo.Formula.output ~col:2)
                       (Modelcheck.Hintikka.of_type
                          ~colors:(Graph.color_names g) ty))
@@ -488,9 +563,9 @@ let types p =
               0));
   }
 
-let game p =
-  let g = apply_colors ~op:"game" p.gp_graph p.gp_colors in
-  let r = p.gp_r in
+let game j =
+  let g = coloured_graph ~op:"game" j in
+  let r = p_int (defaults "game") "r" j in
   {
     name = "game";
     op_run_id = lazy (run_id_of [ "game"; Io.to_string g; string_of_int r ]);
@@ -520,103 +595,25 @@ let game p =
               0));
   }
 
+let of_params ~op j =
+  match op with
+  | "mc" -> mc j
+  | "types" -> types j
+  | "game" -> game j
+  | _ -> usage "folearn serve: unknown op %S" op
+
 let solve : op runner =
  fun ~out ~err ?budget ~ckpt ~precheck op ->
   conclude ~out ~err ~cmd:op.name ~ckpt
     (op.compute ~budget ~precheck)
 
-(* ------------------------------------------------------------------ *)
-(* JSON parameter objects                                              *)
-(* ------------------------------------------------------------------ *)
-
-let p_str name j = Option.bind (J.member name j) J.to_string_opt
-
-let p_req_str ~op name j =
-  match p_str name j with
-  | Some s -> s
-  | None -> usage "folearn %s: missing required parameter %S" op name
-
-let p_num conv ~default name j =
-  Option.value ~default (Option.bind (J.member name j) conv)
-
-let p_int = p_num J.to_int_opt
-
-let p_bool ~default name j =
-  match J.member name j with Some (J.Bool b) -> b | _ -> default
-
-let p_colors ~op j =
-  match J.member "colors" j with
-  | None | Some J.Null -> []
-  | Some (J.List l) ->
-      List.map
-        (fun c ->
-          match Option.bind (J.to_string_opt c) (fun s ->
-                    Result.to_option (parse_color s)) with
-          | Some kv -> kv
-          | None -> usage "folearn %s: bad colour spec" op)
-        l
-  | Some _ -> usage "folearn %s: \"colors\" must be a list of strings" op
-
-let p_graph ~op j =
-  let spec = p_req_str ~op "graph" j in
-  match parse_graph_spec spec with
-  | Ok g -> g
-  | Error (`Msg m) -> usage "folearn %s: --graph: %s" op m
-  | exception _ -> usage "folearn %s: bad graph spec %S" op spec
-
-let learn_params j =
-  let solver =
-    match p_str "solver" j with
-    | None -> default_solver
-    | Some s -> (
-        match List.assoc_opt s solvers with
-        | Some s -> s
-        | None -> usage "folearn learn: unknown solver %S" s)
-  in
-  {
-    lp_graph = p_graph ~op:"learn" j;
-    lp_colors = p_colors ~op:"learn" j;
-    lp_target = p_req_str ~op:"learn" "target" j;
-    lp_k = p_int ~default:default_k "k" j;
-    lp_ell = p_int ~default:default_ell "ell" j;
-    lp_q = p_int ~default:default_q "q" j;
-    lp_solver = solver;
-    lp_tmax = p_int ~default:default_tmax "tmax" j;
-    lp_noise = p_num J.to_float_opt ~default:0.0 "noise" j;
-    lp_m = p_int ~default:default_m "m" j;
-    lp_seed = p_int ~default:default_seed "seed" j;
-  }
-
-let mc_params j =
-  {
-    mp_graph = p_graph ~op:"mc" j;
-    mp_colors = p_colors ~op:"mc" j;
-    mp_formula = p_req_str ~op:"mc" "formula" j;
-    mp_via_erm = p_bool ~default:false "via_erm" j;
-  }
-
-let types_params j =
-  {
-    tp_graph = p_graph ~op:"types" j;
-    tp_colors = p_colors ~op:"types" j;
-    tp_q = p_int ~default:1 "q" j;
-    tp_k = p_int ~default:1 "k" j;
-    tp_hintikka = p_bool ~default:false "hintikka" j;
-  }
-
-let game_params j =
-  {
-    gp_graph = p_graph ~op:"game" j;
-    gp_colors = p_colors ~op:"game" j;
-    gp_r = p_int ~default:2 "r" j;
-  }
-
 (* the learn parameters, validated, with the coloured graph and parsed
    target: everything the run identity digests, without labelling *)
 let learn_checked j =
-  let p = learn_params j in
+  let p = learn_params ~op:"learn" j in
   let g = learn_graph ~op:"learn" p in
-  (p, g, parse_formula ~op:"learn" ~flag:"--target" p.lp_target)
+  let target = learn_target ~op:"learn" p in
+  (p, g, parse_formula ~op:"learn" ~flag:"--target" target)
 
 let learn_identity j =
   match
@@ -642,17 +639,13 @@ let run_op ?budget ?(ckpt = Resil.Ctl.none) ?(precheck = true) ~op ~params ()
   let ob = Buffer.create 512 and eb = Buffer.create 256 in
   let out = Format.formatter_of_buffer ob in
   let err = Format.formatter_of_buffer eb in
-  let solve_op o = solve ~out ~err ?budget ~ckpt ~precheck o in
   let code =
     try
       match op with
       | "learn" ->
           learn_solve ~out ~err ?budget ~ckpt ~precheck
-            (learn_prep (learn_params params))
-      | "mc" -> solve_op (mc (mc_params params))
-      | "types" -> solve_op (types (types_params params))
-      | "game" -> solve_op (game (game_params params))
-      | _ -> usage "folearn serve: unknown op %S" op
+            (learn_prep (learn_params ~op params))
+      | _ -> solve ~out ~err ?budget ~ckpt ~precheck (of_params ~op params)
     with
     | Usage msg ->
         Format.fprintf err "%s@." msg;
@@ -692,10 +685,8 @@ let precheck_rejection ~op ~params ~limits =
     | "learn" | "submit" ->
         let p, g, _ = learn_checked params in
         Some (learn_query ~checkpointed:(op = "submit") p g)
-    | "mc" when p_bool ~default:false "via_erm" params ->
-        let p = mc_params params in
-        let g = apply_colors ~op:"mc" p.mp_graph p.mp_colors in
-        let phi = parse_formula ~op:"mc" ~flag:"--formula" p.mp_formula in
+    | "mc" when p_bool "via_erm" params ->
+        let g, phi = mc_input params in
         Some (Folearn.Admission.Model_check (g, phi))
     | _ -> None
   with
@@ -703,4 +694,5 @@ let precheck_rejection ~op ~params ~limits =
   | exception Usage m -> Error m
 
 let training_line params =
-  Format.asprintf "%a" print_training (learn_prep (learn_params params))
+  Format.asprintf "%a" print_training
+    (learn_prep (learn_params ~op:"learn" params))

@@ -7,9 +7,10 @@
     3 degraded, 4 exhausted) therefore exist once, and a served op's
     stdout is byte-identical to the matching [folearn_cli] invocation.
 
-    Each op has a typed parameter record, filled from cmdliner by the
-    CLI and from a JSON object by {!run_op} (members optional unless
-    noted):
+    Each op takes one JSON parameter object, and this module alone
+    decodes it: the CLI builds it from the op's flags (for a local run,
+    for [call] and for [submit]), the daemon receives it in a request.
+    Its members (optional unless noted; {!defaults} gives the defaults):
     - [learn]: [graph] (spec string, required), [colors] (list of
       [NAME=v,v] strings), [target] (required), [k], [ell], [q],
       [solver] (brute|nd|counting|local), [tmax], [noise], [m], [seed]
@@ -20,19 +21,19 @@
 
 val parse_graph_spec : string -> (Cgraph.Graph.t, [ `Msg of string ]) result
 (** The graph-spec DSL ([path:N], [grid:WxH], [gnp:N:P:SEED],
-    [file:PATH], ...); shared so server and CLI accept exactly the
-    same specs. *)
-
-val parse_color : string -> (string * int list, [ `Msg of string ]) result
+    [file:PATH], ...) of the [graph] member. *)
 
 exception Usage of string
 (** A usage error (exit code 2) with its [folearn <op>: ...] message:
-    a bad formula, an out-of-range parameter, a bad colour. *)
+    a bad graph spec, colour, solver or formula, an out-of-range
+    parameter. *)
 
-type colors = (string * int list) list
+val defaults : string -> (string * Obs.Json.t) list
+(** The optional members of an op's parameter object with their
+    defaults ([[]] for an op without any). *)
 
-val apply_colors : op:string -> Cgraph.Graph.t -> colors -> Cgraph.Graph.t
-(** @raise Usage when a member is outside the graph. *)
+val coloured_graph : op:string -> Obs.Json.t -> Cgraph.Graph.t
+(** The [graph] member with the [colors] applied.  @raise Usage *)
 
 type 'a runner =
   out:Format.formatter ->
@@ -49,24 +50,13 @@ type 'a runner =
 
 type solver = [ `Brute | `Nd | `Counting | `Local ]
 
-val solvers : (string * solver) list
 val solver_name : solver -> string
 val plan_solver : solver -> Analysis.Plan.solver
 
-(** Parameter defaults, shared by the CLI flags and the JSON members. *)
-
-val default_k : int
-val default_ell : int
-val default_q : int
-val default_solver : solver
-val default_tmax : int
-val default_m : int
-val default_seed : int
-
 type learn_p = {
   lp_graph : Cgraph.Graph.t;  (** before [lp_colors] are applied *)
-  lp_colors : colors;
-  lp_target : string;
+  lp_colors : (string * int list) list;
+  lp_target : string option;  (** required by a learn, not by [plan] *)
   lp_k : int;
   lp_ell : int;
   lp_q : int;
@@ -76,6 +66,10 @@ type learn_p = {
   lp_m : int;
   lp_seed : int;
 }
+
+val learn_params : op:string -> Obs.Json.t -> learn_p
+(** Decode a learn parameter object; [op] names the command in usage
+    messages.  @raise Usage *)
 
 val learn_graph : op:string -> learn_p -> Cgraph.Graph.t
 (** The learn-params layer: check [k, ell, q, m >= 0], [tmax >= 1] and
@@ -117,30 +111,11 @@ val learn_solve : learn runner
 
 (** {1 mc, types, game} *)
 
-type mc_p = {
-  mp_graph : Cgraph.Graph.t;
-  mp_colors : colors;
-  mp_formula : string;
-  mp_via_erm : bool;
-}
-
-type types_p = {
-  tp_graph : Cgraph.Graph.t;
-  tp_colors : colors;
-  tp_q : int;
-  tp_k : int;
-  tp_hintikka : bool;
-}
-
-type game_p = { gp_graph : Cgraph.Graph.t; gp_colors : colors; gp_r : int }
-
 type op
 (** A validated [mc], [types] or [game] run. *)
 
-val mc : mc_p -> op
-val types : types_p -> op
-val game : game_p -> op
-(** @raise Usage *)
+val of_params : op:string -> Obs.Json.t -> op
+(** Decode and validate the parameter object of op [op].  @raise Usage *)
 
 val run_id : op -> string
 val solve : op runner

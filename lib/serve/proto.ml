@@ -104,7 +104,7 @@ let draining () =
     ()
 
 let error ~message =
-  response ~status:"error" ~code:2
+  response ~status:"error" ~code:2 ~stderr:(message ^ "\n")
     ~extra:[ ("error", J.Obj [ ("reason", J.String "error");
                                ("message", J.String message) ]) ]
     ()

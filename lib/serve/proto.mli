@@ -69,6 +69,8 @@ val rejected :
 val overloaded : message:string -> Obs.Json.t
 val draining : unit -> Obs.Json.t
 val error : message:string -> Obs.Json.t
+(** An [error] response, code 2, whose [stderr] is [message] and a
+    newline: a client replays it as the CLI prints a usage error. *)
 
 val job_mismatch :
   field:string -> expected:string -> found:string -> Obs.Json.t

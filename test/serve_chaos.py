@@ -5,7 +5,8 @@ Scenarios (all run by default):
 
   identity     a learn/mc/game through the server is byte-identical to
                the one-shot CLI, at --jobs 1 and --jobs 4, including a
-               salvaged (exit 3) and an exhausted (exit 4) learn
+               salvaged (exit 3) and an exhausted (exit 4) learn and
+               usage errors (exit 2, the CLI's message on stderr)
   admission    an over-budget request is refused `rejected` with
                reason would_exhaust before any fuel burns, visible in
                the live /metrics counters
@@ -26,6 +27,7 @@ Run from the repo root:
 import argparse
 import json
 import os
+import re
 import shlex
 import signal
 import socket
@@ -62,13 +64,14 @@ LONG_LEARN = [
 ]
 
 
-# golden rows of test/corpus/ops replayed through the server, with
-# whether the row spends a fuel budget: at more than one domain a fuel
-# budget settles a schedule-dependent number of candidates, so those
-# rows are compared on the one-domain server only.  The counting row
-# runs after the brute learns above, in the same daemon: counting and
-# plain types share one registry, and its output must not depend on
-# the ids the brute requests interned first.
+# golden rows of test/corpus/ops replayed verbatim through the server,
+# with whether the row spends a fuel budget: at more than one domain a
+# fuel budget settles a schedule-dependent number of candidates, so
+# those rows are compared on the one-domain server only.  The counting
+# row runs after the brute learns above, in the same daemon: counting
+# and plain types share one registry, and its output must not depend on
+# the ids the brute requests interned first.  The usage rows must also
+# print the CLI's message on stderr.
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           "corpus", "ops")
 IDENTITY_ROWS = [
@@ -76,12 +79,14 @@ IDENTITY_ROWS = [
     ("learn_fuel_salvaged", True),
     ("learn_ball_cap_exhausted", False),
     ("learn_counting", False),
+    ("usage_bad_formula", False),
+    ("usage_learn_ell_negative", False),
+    ("usage_mc_not_sentence", False),
 ]
 
 
 def golden_row(name):
-    """(op, args, pinned exit code) of a golden row, with --jobs dropped
-    and the short flags `call` lacks spelled long."""
+    """(op, args, pinned exit code) of a golden row, with --jobs dropped."""
     with open(os.path.join(GOLDEN_DIR, name + ".expected")) as f:
         argv = shlex.split(f.readline()[len("$ "):])
         code = int(f.readline().split()[1])
@@ -91,8 +96,17 @@ def golden_row(name):
         if a == "--jobs":
             next(rest)
         else:
-            args.append({"-t": "--target", "-f": "--formula"}.get(a, a))
+            args.append(a)
     return argv[0], args, code
+
+
+_TIMING = re.compile(r"[0-9]+\.[0-9]+ s[,)]")
+
+
+def untimed(stderr):
+    """stderr without the lines that carry a timing field, as the ops
+    golden matrix pins it."""
+    return [line for line in stderr.splitlines() if not _TIMING.search(line)]
 
 
 def fail(msg):
@@ -246,11 +260,16 @@ def scenario_identity(binary, tmpdir):
                    got_row.returncode != ref_row.returncode:
                     fail(f"served {name} diverged at jobs {jobs}: exit "
                          f"{got_row.returncode} vs {ref_row.returncode}")
+                if name.startswith("usage_") and \
+                   untimed(got_row.stderr) != untimed(ref_row.stderr):
+                    fail(f"served {name} stderr differs from the CLI at "
+                         f"jobs {jobs}: {got_row.stderr!r} vs "
+                         f"{ref_row.stderr!r}")
         finally:
             if srv.sigterm_wait() != 0:
                 fail(f"identity server did not drain cleanly (jobs {jobs})")
-    print("ok identity: served learn/mc/game and exit-3/exit-4 learns "
-          "byte-identical at jobs 1 and 4")
+    print("ok identity: served learn/mc/game, exit-3/exit-4 learns and "
+          "usage errors byte-identical at jobs 1 and 4")
 
 
 def scenario_admission(binary, tmpdir):

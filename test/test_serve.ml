@@ -220,6 +220,15 @@ let test_status_taxonomy () =
   check_str "mismatch status" "job_mismatch" (Serve.Proto.resp_status r);
   check_int "mismatch is a usage error" 2 (Serve.Proto.resp_code r)
 
+(* a served usage error replays as the CLI prints it: the message,
+   newline-terminated, on stderr *)
+let test_error_carries_message () =
+  let msg = "folearn learn: --target: line 1, column 17: bad" in
+  let r = Serve.Proto.error ~message:msg in
+  check_str "stderr is the message" (msg ^ "\n") (Serve.Proto.resp_stderr r);
+  check_int "an error is a usage error" 2 (Serve.Proto.resp_code r);
+  check_str "stdout stays empty" "" (Serve.Proto.resp_stdout r)
+
 (* ------------------------------------------------------------------ *)
 (* Tenant quotas                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -711,29 +720,6 @@ let test_learn_run_id_is_lazy () =
   (* a learn that neither checkpoints nor serves /progress never digests
      the graph; forced, the identity is the one the daemon keys jobs on *)
   let module E = Serve.Exec in
-  let p =
-    {
-      E.lp_graph = Cgraph.Gen.path 6;
-      lp_colors = [];
-      lp_target = "E(x1,x2)";
-      lp_k = 2;
-      lp_ell = E.default_ell;
-      lp_q = E.default_q;
-      lp_solver = E.default_solver;
-      lp_tmax = E.default_tmax;
-      lp_noise = 0.0;
-      lp_m = E.default_m;
-      lp_seed = E.default_seed;
-    }
-  in
-  let l = E.learn_prep p in
-  let code =
-    E.learn_solve ~out:Format.str_formatter ~err:Format.str_formatter
-      ~ckpt:Resil.Ctl.none ~precheck:true l
-  in
-  ignore (Format.flush_str_formatter ());
-  check_int "learn completes" 0 code;
-  check "run id unforced after a plain learn" false (Lazy.is_val l.E.run_id);
   let params =
     J.Obj
       [
@@ -742,6 +728,14 @@ let test_learn_run_id_is_lazy () =
         ("k", J.Int 2);
       ]
   in
+  let l = E.learn_prep (E.learn_params ~op:"learn" params) in
+  let code =
+    E.learn_solve ~out:Format.str_formatter ~err:Format.str_formatter
+      ~ckpt:Resil.Ctl.none ~precheck:true l
+  in
+  ignore (Format.flush_str_formatter ());
+  check_int "learn completes" 0 code;
+  check "run id unforced after a plain learn" false (Lazy.is_val l.E.run_id);
   match E.learn_identity params with
   | Ok (id, _) -> check_str "forced id = job id" id (Lazy.force l.E.run_id)
   | Error m -> Alcotest.failf "identity must compute: %s" m
@@ -762,6 +756,8 @@ let suite =
       test_mid_frame_disconnect_is_error;
     Alcotest.test_case "request round-trip" `Quick test_request_roundtrip;
     Alcotest.test_case "status taxonomy" `Quick test_status_taxonomy;
+    Alcotest.test_case "error responses carry the message on stderr" `Quick
+      test_error_carries_message;
     Alcotest.test_case "tenant parse and clamp" `Quick
       test_tenant_parse_and_clamp;
     Alcotest.test_case "queue FIFO and deadline shedding" `Quick
