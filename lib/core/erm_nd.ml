@@ -449,6 +449,13 @@ let solve_inner ?(ckpt = Resil.Ctl.none) ?budget cfg g lam =
             id
       in
       let typ_stage = local_types sg in
+      (* θ numbered by its first occurrence in the round, not by its id *)
+      let thetas = Hashtbl.create 16 in
+      let theta_number t =
+        if not (Hashtbl.mem thetas t) then
+          Hashtbl.add thetas t (Hashtbl.length thetas);
+        Hashtbl.find thetas t
+      in
       let project (v, label, idx) =
         let kk = Array.length v in
         let near v_entry = dist_y.(v_entry) <= near_limit in
@@ -490,12 +497,12 @@ let solve_inner ?(ckpt = Resil.Ctl.none) ?budget cfg g lam =
                 members
             else begin
               let sub = Array.of_list (List.map (fun a -> v.(a)) members) in
-              let theta_id = Types.hash (typ_stage sub) in
-              let key = (members, theta_id) in
+              let theta = theta_number (typ_stage sub) in
+              let key = (members, theta) in
               let colour =
                 Printf.sprintf "_A%d_%s_t%d" round
                   (String.concat "." (List.map string_of_int members))
-                  theta_id
+                  theta
               in
               let t_vertex = get_fresh key colour in
               List.iter (fun a -> v'.(a) <- t_vertex) members

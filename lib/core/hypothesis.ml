@@ -67,7 +67,9 @@ let of_type_set g ~k ~q ~qrank ~tag ~typ ~formula ~types ~params =
   check_tuple g params;
   let ell = Array.length params in
   let members = TySet.of_list (List.map Types.hash types) in
-  let types = List.sort_uniq Types.compare types in
+  (* the ids identify the set; the formula orders it structurally *)
+  let by_id a b = Int.compare (Types.hash a) (Types.hash b) in
+  let types = List.sort_uniq by_id types in
   {
     graph = g;
     k;
@@ -116,7 +118,7 @@ let of_local_types ?(cap = 1) g ~k ~q ~r ~types ~params =
                (Fo.Localize.relativize ~r
                   ~around:(Modelcheck.Hintikka.variables (k + ell))
                   (Modelcheck.Hintikka.of_type ~colors ty)))
-           types))
+           (List.sort (Types.order ()) types)))
     ~types ~params
 
 let constantly g ~k b =

@@ -36,7 +36,9 @@ val of_types :
     computed at multiplicity [cap] (default 1; above 1 the counting
     types of FOC, see {!Modelcheck.Types}).  The witness formula has
     quantifier rank exactly [q] (for [q >= 1]); above cap 1 it uses
-    [atleast] quantifiers. *)
+    [atleast] quantifiers.  Its disjuncts, one Hintikka formula per
+    type, go in the structural order ({!Modelcheck.Types.compare}), as
+    do those of {!of_local_types}. *)
 
 val of_local_types :
   ?cap:int ->

@@ -45,13 +45,14 @@ let check_arity names arity =
   | _ -> ()
 
 (* One build: each type id's formula is made once and shared by every
-   occurrence below the roots.  Each child occurs once under its
-   quantifier ([exists], or at cap [c] above 1 [atleast m] and, when
+   occurrence below the roots.  A type's children go in the structural
+   order [order], one memo for the build.  Each child occurs once under
+   its quantifier ([exists], or at cap [c] above 1 [atleast m] and, when
    [m < c], [~(atleast m+1)]) and once in the [forall] disjunction.  The
    formula of the plain tree, which makes every occurrence afresh, has
    [size] nodes; a memo hit charges them all, so the budget sees the
    same [Hintikka_build] ticks as a tree build. *)
-let builder ?budget ~colors names =
+let builder ?budget ~colors ~order names =
   let var = namer (Option.value names ~default:[]) in
   let memo : (Types.ty, Fo.Formula.t * int) Hashtbl.t = Hashtbl.create 64 in
   let rec go theta =
@@ -70,6 +71,7 @@ let builder ?budget ~colors names =
           match Types.counted theta with
           | _, None -> (atomic, 1)
           | cap, Some kids ->
+              let kids = List.sort (fun (a, _) (b, _) -> order a b) kids in
               let y = var sg.Types.sig_arity in
               let under quantify kid =
                 let f, size = go kid in
@@ -104,11 +106,13 @@ let builder ?budget ~colors names =
     Obs.Metric.incr formulas_built;
     fst (go theta)
 
-let of_type ?budget ~colors theta = builder ?budget ~colors None theta
+let of_type ?budget ~colors theta =
+  builder ?budget ~colors ~order:(Types.order ()) None theta
 
 let of_types ?budget ?vars ~colors thetas =
-  let build = builder ?budget ~colors vars in
-  Fo.Formula.or_ (List.map build thetas)
+  let order = Types.order () in
+  let build = builder ?budget ~colors ~order vars in
+  Fo.Formula.or_ (List.map build (List.sort order thetas))
 
 let of_tuple ~colors g ~q u =
   of_type ~colors (Types.tp_graph g ~q u)

@@ -32,6 +32,11 @@ val variables : int -> Fo.Formula.var list
     replays it after that, so writing the formula costs its bytes;
     {!Fo.Formula.size} still walks the tree.
 
+    A type's conjuncts are its atomic facts, its children's quantified
+    formulas, then their [forall] disjunction, the children in the
+    structural order ({!Types.compare}), as are the roots of
+    {!of_types}: the bytes do not depend on intern order.
+
     Position [i] of a type's tuple is named by the [i]-th root variable
     while they last, and [x(i+1)] beyond: with root variables
     [x1..xk, y1..yl] the quantified ones are [x(k+l+1), ...] and never
@@ -53,8 +58,9 @@ val of_types :
   colors:string list ->
   Types.ty list ->
   Fo.Formula.t
-(** Disjunction of the Hintikka formulas of one build: the formula
-    defining "my [q]-type is one of these".  [vars] names the roots'
+(** Disjunction of the Hintikka formulas of one build, in the
+    structural order of the roots: the formula defining "my [q]-type is
+    one of these".  [vars] names the roots'
     free variables (default: {!variables} of each root's arity).
     @raise Invalid_argument if a root's arity is not the length of
     [vars]. *)

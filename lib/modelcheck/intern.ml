@@ -7,9 +7,10 @@
    already seen.
 
    The sharded design keeps the global table as the single authority
-   for id {e allocation} (ids must stay dense, stable and identical to
-   the sequential run — they are embedded in hypothesis signature
-   strings), but gives every domain a private read shard:
+   for id {e allocation} (ids stay dense and stable for the registry's
+   life; which key gets which id depends on the order domains meet
+   them, and no output depends on it), but gives every domain a private
+   read shard:
 
    - Hit path: a domain-local hashtable lookup.  No lock, no atomics.
    - Local miss, globally known: the shard catches up by replaying the

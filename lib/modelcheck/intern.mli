@@ -1,7 +1,8 @@
 (** Sharded hash-consing registry (the type registry of {!Types}).
 
     One global table remains the single authority for id allocation —
-    ids are dense, stable, and identical to a sequential run — but each
+    ids are dense and stable, and only the hash-consing key: which key
+    gets which id follows the order keys are first met — but each
     domain keeps a private read shard ([Domain.DLS]), so the hot path
     (re-interning an already-known key) is a lock-free local hashtable
     hit.  A shard that falls behind catches up by replaying the

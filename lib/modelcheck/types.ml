@@ -3,7 +3,6 @@ open Cgraph
 type ty = int
 
 let equal (a : ty) (b : ty) = a = b
-let compare (a : ty) (b : ty) = Int.compare a b
 let hash (a : ty) = a
 let pp ppf (a : ty) = Format.fprintf ppf "#%d" a
 
@@ -32,16 +31,16 @@ let hash_atomsig h sg =
     h sg.cols
 
 (* The part of a key below the atomic signature.  At cap 1 it is the
-   plain type: [Leaf] at rank 0, else the sorted distinct children.
-   Above cap 1 every key, a leaf's too, carries the cap, so counting
-   keys never equal plain ones and intern in the order a registry of
-   their own would give them. *)
+   plain type: [Leaf] at rank 0, else the distinct children, sorted by
+   id.  Above cap 1 every key, a leaf's too, carries the cap, so
+   counting keys never equal plain ones. *)
 type shape =
   | Leaf
   | Set of ty list
   | Capped_leaf of int
   | Capped of int * (ty * int) list
-      (* each distinct child, sorted, with its count capped at the cap *)
+      (* each distinct child, sorted by id, with its count capped at the
+         cap *)
 
 module Reg = Intern.Make (struct
   type key = atomsig * shape
@@ -66,15 +65,7 @@ end)
 let intern = Reg.intern
 let rank = Reg.rank
 
-let arity (t : ty) =
-  let sg, _ = Reg.key t in
-  sg.sig_arity
-
-let node (t : ty) =
-  match Reg.key t with
-  | sg, (Leaf | Capped_leaf _) -> (sg, None)
-  | sg, Set l -> (sg, Some l)
-  | sg, Capped (_, l) -> (sg, Some (List.map fst l))
+let arity (t : ty) = (fst (Reg.key t)).sig_arity
 
 let counted (t : ty) =
   match snd (Reg.key t) with
@@ -83,10 +74,52 @@ let counted (t : ty) =
   | Capped_leaf cap -> (cap, None)
   | Capped (cap, l) -> (cap, Some l)
 
+let node t = (fst (Reg.key t), Option.map (List.map fst) (snd (counted t)))
+
 type table_stats = Reg.stats = { live : int; bytes : int }
 
 let table_stats = Reg.stats
 let reset_tables = Reg.reset
+
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
+(* ------------------------------------------------------------------ *)
+(* The structural order                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Distinct ids are distinct types, so two types differ in their
+   signature, their cap, their having children, or a first child in the
+   structural order.  [o] memoises each type's sorted children. *)
+let rec compare_in o a b =
+  if a = b then 0
+  else
+    match Stdlib.compare (fst (Reg.key a)) (fst (Reg.key b)) with
+    | 0 -> (
+        match (counted a, counted b) with
+        | (ca, Some _), (cb, Some _) when ca = cb ->
+            List.compare
+              (fun (x, m) (y, n) ->
+                match compare_in o x y with 0 -> Int.compare m n | c -> c)
+              (children_in o a) (children_in o b)
+        | (ca, ka), (cb, kb) -> Stdlib.compare (ca, ka <> None) (cb, kb <> None))
+    | c -> c
+
+and children_in o t =
+  match Int_tbl.find o t with
+  | l -> l
+  | exception Not_found ->
+      let kids = Option.value (snd (counted t)) ~default:[] in
+      let l = List.sort (fun (x, _) (y, _) -> compare_in o x y) kids in
+      Int_tbl.add o t l;
+      l
+
+let order () = compare_in (Int_tbl.create 64)
+let compare a b = order () a b
 
 (* ------------------------------------------------------------------ *)
 (* Atomic signatures                                                   *)
@@ -112,13 +145,6 @@ let atomic_signature g (u : Graph.Tuple.t) =
 (* Leaf kernel                                                         *)
 (* ------------------------------------------------------------------ *)
 
-module Int_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash x = x land max_int
-end)
-
 module Sig_tbl = Hashtbl.Make (struct
   type t = atomsig
 
@@ -126,28 +152,17 @@ module Sig_tbl = Hashtbl.Make (struct
   let hash = hash_atomsig 0
 end)
 
-(* A child of every parent with one signature, under its key: its leaf,
-   and how many w reached it under the parent numbered [stamp]. *)
-type child = {
-  mutable id : int;  (* the leaf of ū·w; -1 until [extend] reaches it *)
-  mutable count : int;
-  mutable stamp : int;
-}
-
-(* an opened parent's rank-1 node with one key of x: its signature and
-   leaf table *)
-type below = atomsig * child Int_tbl.t
-
-type leaves = {
+(* One context's kernel state, shared by every range made from it *)
+type kernel = {
   lg : Graph.t;
+  mk : atomsig -> ty;  (* the context's leaf: the rank-0 type at its cap *)
   classes : (string list, int) Hashtbl.t;
       (* colour set -> class id, numbered as the ranges meet them *)
+  colours : string list Int_tbl.t;  (* class id -> colour set *)
   mutable class_bits : int;  (* bits a class id needs *)
-  children : child Int_tbl.t Sig_tbl.t;  (* parent signature -> key -> child *)
-  opened : below Int_tbl.t array Sig_tbl.t;
-      (* parent signature -> hole -> key of x -> the child with x at the
-         hole *)
-  mutable parents : int;  (* parents opened so far *)
+  opened : (atomsig * ty Int_tbl.t) Int_tbl.t array Sig_tbl.t;
+      (* parent signature -> hole -> key of x -> the signature and leaf
+         table of the node with x at the hole *)
   mutable whole : range option;  (* the graph's own range, once built *)
 }
 
@@ -155,23 +170,22 @@ type leaves = {
    the whole graph (position = vertex) or a ball, ascending.  Its
    arrays are sized by the range. *)
 and range = {
-  kernel : leaves;
+  kernel : kernel;
   all : bool;
   ball : Graph.vertex array;  (* [||] when [all] *)
   size : int;
   colour_class : int array;  (* position -> class id of its vertex *)
   bits : int array;
-      (* while a parent's marks are laid, by [extend] or [with_open]: a
-         bit for each entry of the parent that is the vertex at this
-         position, and one for each entry adjacent to it, in the key
-         layout of its one-point extensions; zero otherwise *)
-  mutable scratch : scratch option;
-      (* made by the first opened parent, taken while one is open *)
+      (* while a parent is opened: a bit for each entry of the parent
+         that is the vertex at this position, and one for each entry
+         adjacent to it, in the key layout of its nodes; zero otherwise *)
+  mutable spare : scratch list;
+      (* made on demand, one per parent open at once *)
 }
 
-(* The keys of an opened parent's children over a range, numbered
-   densely: the range's colour classes first (the key of a position ū
-   does not mark), then the keys of the marked positions. *)
+(* The keys of an opened parent's nodes over a range, numbered densely:
+   the range's colour classes first (the key of a position ū does not
+   mark), then the keys of the marked positions. *)
 and scratch = {
   local : int array;  (* position -> dense id of its class *)
   class_id : int array;  (* dense id of a class -> its class id *)
@@ -183,158 +197,108 @@ and scratch = {
   counts : int array;  (* 3 × dense id + variant -> positions *)
 }
 
-let leaves g =
+let kernel g mk =
   {
     lg = g;
+    mk;
     classes = Hashtbl.create 8;
+    colours = Int_tbl.create 8;
     class_bits = 0;
-    children = Sig_tbl.create 16;
     opened = Sig_tbl.create 16;
-    parents = 0;
     whole = None;
   }
 
-let class_of lv v =
-  let cs = Graph.colors_of lv.lg v in
-  match Hashtbl.find_opt lv.classes cs with
+let class_of kn v =
+  let cs = Graph.colors_of kn.lg v in
+  match Hashtbl.find_opt kn.classes cs with
   | Some i -> i
   | None ->
-      let i = Hashtbl.length lv.classes in
-      Hashtbl.add lv.classes cs i;
-      if 1 lsl lv.class_bits <= i then lv.class_bits <- lv.class_bits + 1;
+      let i = Hashtbl.length kn.classes in
+      Hashtbl.add kn.classes cs i;
+      Int_tbl.add kn.colours i cs;
+      if 1 lsl kn.class_bits <= i then kn.class_bits <- kn.class_bits + 1;
       i
 
-let whole lv =
-  match lv.whole with
+let range kn ~all ball size colour_class =
+  { kernel = kn; all; ball; size; colour_class; bits = Array.make size 0;
+    spare = [] }
+
+let whole kn =
+  match kn.whole with
   | Some rg -> rg
   | None ->
-      let n = Graph.order lv.lg in
-      let rg =
-        {
-          kernel = lv;
-          all = true;
-          ball = [||];
-          size = n;
-          colour_class = Array.init n (class_of lv);
-          bits = Array.make n 0;
-          scratch = None;
-        }
-      in
-      lv.whole <- Some rg;
+      let n = Graph.order kn.lg in
+      let rg = range kn ~all:true [||] n (Array.init n (class_of kn)) in
+      kn.whole <- Some rg;
       rg
 
-let over_ball lv vs =
-  let m = Array.length vs in
-  {
-    kernel = lv;
-    all = false;
-    ball = vs;
-    size = m;
-    colour_class = Array.map (class_of lv) vs;
-    bits = Array.make m 0;
-    scratch = None;
-  }
+let over_ball kn vs =
+  range kn ~all:false vs (Array.length vs) (Array.map (class_of kn) vs)
 
 let range_vertex rg i = if rg.all then i else rg.ball.(i)
 
-(* the position of [v] in a ball, or -1 outside it *)
+(* the position of [v] in a range, or -1 outside a ball *)
 let position rg v =
-  let lo = ref 0 and hi = ref rg.size in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    if rg.ball.(mid) < v then lo := mid + 1 else hi := mid
-  done;
-  if !lo < rg.size && rg.ball.(!lo) = v then !lo else -1
+  if rg.all then v
+  else begin
+    let lo = ref 0 and hi = ref rg.size in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if rg.ball.(mid) < v then lo := mid + 1 else hi := mid
+    done;
+    if !lo < rg.size && rg.ball.(!lo) = v then !lo else -1
+  end
 
-let children_of lv sg =
-  match Sig_tbl.find lv.children sg with
+(* The leaf ū·w of a rank-1 node ū with signature [sg], from the key
+   of w alone: [sg] with w's equalities and edges to the entries of ū
+   (the key's low bits, in [atomic_signature]'s order) and w's colours
+   (its class).  Interned on the key's first sight. *)
+let leaf_at kn sg leaves key =
+  match Int_tbl.find leaves key with
   | t -> t
   | exception Not_found ->
-      let t = Int_tbl.create 8 in
-      Sig_tbl.add lv.children sg t;
+      let k = sg.sig_arity in
+      let set low =
+        List.filter_map
+          (fun i -> if key land (1 lsl (low + i)) <> 0 then Some (i, k) else None)
+          (List.init k Fun.id)
+      in
+      let colours = Int_tbl.find kn.colours (key lsr (2 * k)) in
+      let t =
+        kn.mk
+          { sig_arity = k + 1; eqs = sg.eqs @ set 0; edgs = sg.edgs @ set k;
+            cols = Array.append sg.cols [| colours |] }
+      in
+      Int_tbl.add leaves key t;
       t
 
-let child_at by_key key =
-  match Int_tbl.find by_key key with
-  | c -> c
-  | exception Not_found ->
-      let c = { id = -1; count = 0; stamp = 0 } in
-      Int_tbl.add by_key key c;
-      c
-
-(* The signature of ū·w is fixed by ū's signature, which u_i equal w,
-   which u_i are adjacent to w, and w's colours: the key.  So [mk] runs
-   once per parent signature and key, on the first w that has them. *)
-let extend rg mk sg u visit =
-  let lv = rg.kernel in
-  let g = lv.lg and k = Array.length u in
-  if 2 * k + lv.class_bits >= Sys.int_size then
-    invalid_arg "Types.extend: tuple too long";
-  let by_key = children_of lv sg in
-  lv.parents <- lv.parents + 1;
-  let stamp = lv.parents and reached = ref [] in
-  let bits = rg.bits and colour_class = rg.colour_class in
-  let child i =
-    let key = bits.(i) lor (colour_class.(i) lsl (2 * k)) in
-    let c = child_at by_key key in
-    if c.id < 0 then
-      c.id <- mk (atomic_signature g (Graph.Tuple.append u [| range_vertex rg i |]));
-    if c.stamp <> stamp then begin
-      c.stamp <- stamp;
-      c.count <- 0;
-      reached := c :: !reached
-    end;
-    c.count <- c.count + 1;
-    c.id
-  in
-  let all = rg.all in
-  let mark v bit =
-    let i = if all then v else position rg v in
-    if i >= 0 then bits.(i) <- bits.(i) lor bit
-  in
-  Array.iteri
-    (fun i v ->
-      mark v (1 lsl i);
-      Graph.iter_neighbors g v (fun w -> mark w (1 lsl (k + i))))
-    u;
-  let clear v =
-    let i = if all then v else position rg v in
-    if i >= 0 then bits.(i) <- 0
-  in
-  let unmark () =
-    Array.iter
-      (fun v ->
-        clear v;
-        Graph.iter_neighbors g v clear)
-      u
-  in
-  (match visit child with () -> unmark () | exception e -> unmark (); raise e);
-  List.sort (fun (a, _) (b, _) -> Int.compare a b)
-    (List.rev_map (fun c -> (c.id, c.count)) !reached)
+let by_id kids = List.sort (fun (a, _) (b, _) -> Int.compare a b) kids
 
 (* made once per range, sized by it, and taken while a parent is open:
    a parent opened inside another gets one of its own *)
 let take_scratch rg =
-  match rg.scratch with
-  | Some sc ->
-      rg.scratch <- None;
+  match rg.spare with
+  | sc :: rest ->
+      rg.spare <- rest;
       sc
-  | None ->
-      let local_of = Int_tbl.create 8 and ids = ref [] in
+  | [] ->
+      (* class ids are dense over the kernel: number the range's densely *)
+      let known = Hashtbl.length rg.kernel.classes in
+      let local_of = Array.make known (-1) and ids = Array.make known 0 in
+      let classes = ref 0 in
       let local =
         Array.map
           (fun c ->
-            match Int_tbl.find local_of c with
-            | l -> l
-            | exception Not_found ->
-                let l = Int_tbl.length local_of in
-                Int_tbl.add local_of c l;
-                ids := c :: !ids;
-                l)
+            if local_of.(c) < 0 then begin
+              local_of.(c) <- !classes;
+              ids.(!classes) <- c;
+              incr classes
+            end;
+            local_of.(c))
           rg.colour_class
       in
-      let class_id = Array.of_list (List.rev !ids) in
-      let classes = Array.length class_id in
+      let classes = !classes in
+      let class_id = Array.sub ids 0 classes in
       let class_size = Array.make classes 0 in
       Array.iter (fun l -> class_size.(l) <- class_size.(l) + 1) local;
       let dense_ids = classes + rg.size in
@@ -349,48 +313,42 @@ let take_scratch rg =
         counts = Array.make (3 * dense_ids) 0;
       }
 
-(* ū with [x] inserted at position [hole] *)
-let insert u hole x =
-  Array.init
-    (Array.length u + 1)
-    (fun p -> if p < hole then u.(p) else if p = hole then x else u.(p - 1))
-
-let opened_at lv sg hole =
+let opened_at kn sg hole =
   let by_hole =
-    match Sig_tbl.find lv.opened sg with
+    match Sig_tbl.find kn.opened sg with
     | t -> t
     | exception Not_found ->
         let t = Array.init (sg.sig_arity + 1) (fun _ -> Int_tbl.create 8) in
-        Sig_tbl.add lv.opened sg t;
+        Sig_tbl.add kn.opened sg t;
         t
   in
   by_hole.(hole)
 
 (* The rank-1 nodes ū[x] that put a vertex x of the range at position
-   [hole] of ū (0 <= hole <= k): the children ū·x of a rank-2 node at
-   [hole = k], the roots x·w̄ of a sweep candidate at [hole = 0].
-   Opening ū marks its positions once, in the key layout of the nodes
-   (arity k + 1, ū's entries around the hole), and counts the positions
-   of each distinct key.  The node at x differs from ū only on N[x]: x
-   takes its key's eq-variant (the hole's bit) and each neighbour of x
-   in the range its key's adj-variant (the hole's bit + k + 1).  So its
-   leaves are read off the counts in O(deg x + distinct keys), and the
-   moves are undone.  [f derive] runs with ū open: [derive i] is
-   [Some (signature, leaves)] for the vertex at position i, the leaves
-   sorted with their counts, or [None] when a leaf has no id yet, or
-   when the key does not fit in an int; such a node is left to
-   [extend].  A node's signature and leaf table are built once per
-   parent signature, hole and key of x, and looked up under them. *)
+   [hole] of ū (0 <= hole <= k).  Opening ū marks its positions once, in
+   the key layout of the nodes (arity k + 1, ū's entries around the
+   hole), and counts the positions of each distinct key.  The node at x
+   differs from ū only on N[x]: x takes its key's eq-variant (the
+   hole's bit) and each neighbour of x in the range its key's
+   adj-variant (the hole's bit + k + 1).  So its leaves are read off
+   the counts in O(deg x + distinct keys), and the moves are undone.
+   [f derive] runs with ū open: [derive i] is the signature and the
+   leaves of the node at the vertex at position i, the leaves sorted by
+   id with their counts; it raises when the nodes' keys do not fit in an
+   int.  A node's signature and leaf table are built
+   once per parent signature, hole and key of x, and looked up under
+   them. *)
 let with_open rg sg u ~hole f =
-  let lv = rg.kernel in
-  let g = lv.lg and k = Array.length u in
-  if 2 * (k + 1) + lv.class_bits >= Sys.int_size then f (fun _ -> None)
+  let kn = rg.kernel in
+  let g = kn.lg and k = Array.length u in
+  if 2 * (k + 1) + kn.class_bits >= Sys.int_size then
+    (* the message this refusal has always carried *)
+    f (fun _ -> invalid_arg "Types.extend: tuple too long")
   else begin
     let sc = take_scratch rg in
     let bits = rg.bits and dense = sc.dense and keys = sc.keys in
     let counts = sc.counts and shift = 2 * (k + 1) in
-    let all = rg.all in
-    let pos v = if all then v else position rg v in
+    let pos = position rg in
     let mark v bit =
       let i = pos v in
       if i >= 0 then bits.(i) <- bits.(i) lor bit
@@ -404,9 +362,8 @@ let with_open rg sg u ~hole f =
     let classes = Array.length sc.class_id in
     for c = 0 to classes - 1 do
       keys.(c) <- sc.class_id.(c) lsl shift;
-      counts.(3 * c) <- sc.class_size.(c);
-      counts.((3 * c) + 1) <- 0;
-      counts.((3 * c) + 2) <- 0
+      Array.fill counts (3 * c) 3 0;
+      counts.(3 * c) <- sc.class_size.(c)
     done;
     Int_tbl.clear sc.ids;
     let nd = ref classes and nmarked = ref 0 in
@@ -424,9 +381,7 @@ let with_open rg sg u ~hole f =
               incr nd;
               Int_tbl.add sc.ids key d;
               keys.(d) <- key;
-              counts.(3 * d) <- 0;
-              counts.((3 * d) + 1) <- 0;
-              counts.((3 * d) + 2) <- 0;
+              Array.fill counts (3 * d) 3 0;
               d
         in
         counts.(3 * dense.(i)) <- counts.(3 * dense.(i)) - 1;
@@ -441,14 +396,14 @@ let with_open rg sg u ~hole f =
         number v;
         Graph.iter_neighbors g v number)
       u;
-    let by_key = opened_at lv sg hole and nd = !nd in
+    let by_key = opened_at kn sg hole and nd = !nd in
     let variant = [| 0; 1 lsl hole; 1 lsl (k + 1 + hole) |] in
     let node_at d x =
       match Int_tbl.find by_key keys.(d) with
       | b -> b
       | exception Not_found ->
-          let csig = atomic_signature g (insert u hole x) in
-          let b = (csig, children_of lv csig) in
+          let at p = if p < hole then u.(p) else if p = hole then x else u.(p - 1) in
+          let b = (atomic_signature g (Array.init (k + 1) at), Int_tbl.create 8) in
           Int_tbl.add by_key keys.(d) b;
           b
     in
@@ -466,28 +421,24 @@ let with_open rg sg u ~hole f =
       in
       move d 0 1;
       shift_nbrs 0 2;
-      let kids = ref [] and known = ref true in
+      let kids = ref [] in
       for e = 0 to nd - 1 do
         for v = 0 to 2 do
           let c = counts.((3 * e) + v) in
           if c > 0 then
-            match Int_tbl.find leaves (keys.(e) lor variant.(v)) with
-            | { id; _ } when id >= 0 -> kids := (id, c) :: !kids
-            | _ | (exception Not_found) -> known := false
+            kids := (leaf_at kn csig leaves (keys.(e) lor variant.(v)), c) :: !kids
         done
       done;
       move d 1 0;
       shift_nbrs 2 0;
-      if !known then
-        Some (csig, List.sort (fun (a, _) (b, _) -> Int.compare a b) !kids)
-      else None
+      (csig, by_id !kids)
     in
     let close () =
       for j = 0 to !nmarked - 1 do
         let i = sc.marked.(j) in
         dense.(i) <- sc.local.(i)
       done;
-      rg.scratch <- Some sc
+      rg.spare <- sc :: rg.spare
     in
     match f derive with
     | r ->
@@ -497,6 +448,23 @@ let with_open rg sg u ~hole f =
         close ();
         raise e
   end
+
+(* The leaves of a rank-1 node ū with signature [sg] that is no child
+   of an open parent: ū minus its last entry opened and derived at that
+   entry, or for the empty tuple one leaf per colour class *)
+let rank1_leaves rg sg u =
+  let k = Array.length u in
+  if k = 0 then begin
+    let sc = take_scratch rg and leaves = Int_tbl.create 8 in
+    rg.spare <- sc :: rg.spare;
+    by_id
+      (List.init (Array.length sc.class_id) (fun c ->
+           (leaf_at rg.kernel sg leaves sc.class_id.(c), sc.class_size.(c))))
+  end
+  else
+    let parent = Array.sub u 0 (k - 1) in
+    with_open rg (atomic_signature rg.kernel.lg parent) parent ~hole:(k - 1)
+      (fun derive -> snd (derive (position rg u.(k - 1))))
 
 (* ------------------------------------------------------------------ *)
 (* Contexts and type computation                                       *)
@@ -512,12 +480,8 @@ type ctx = {
   g : Graph.t;
   budget : Guard.Budget.t option;  (* charged for every computed node *)
   cap : int;  (* multiplicity cap: 1 for plain types *)
-  leaf : atomsig -> ty;  (* the rank-0 type at [cap] *)
-  roots : (int * Graph.Tuple.t, ty) Hashtbl.t;
-      (* [tp]'s own calls: a sample drawn with replacement repeats
-         tuples; the nodes below a root are reached from it alone *)
   ltp_memo : (int * int * Graph.Tuple.t, ty) Hashtbl.t;
-  leaves : leaves Lazy.t;  (* shared by [tp] and every [ltp] miss *)
+  kernel : kernel Lazy.t;  (* shared by [tp] and every [ltp] miss *)
   rows : int ref;  (* nodes [tp] computed so far: the table's rows *)
 }
 
@@ -530,10 +494,8 @@ let make_ctx ?budget ?(cap = 1) g =
     g;
     budget;
     cap;
-    leaf = leaf ~cap;
-    roots = Hashtbl.create 256;
     ltp_memo = Hashtbl.create 256;
-    leaves = lazy (leaves g);
+    kernel = lazy (kernel g (leaf ~cap));
     rows = ref 0;
   }
 
@@ -554,8 +516,8 @@ let note_rows ctx rows c =
       Obs.Metric.add tp_misses (!rows - from);
       raise e
 
-(* the shape of a node whose distinct children, sorted, were reached
-   [c] times each *)
+(* the shape of a node whose distinct children, sorted by id, were
+   reached [c] times each *)
 let capped cap kids =
   if cap = 1 then Set (List.map fst kids)
   else Capped (cap, List.map (fun (t, c) -> (t, min cap c)) kids)
@@ -569,9 +531,8 @@ let runs sorted =
       | _ -> (t, 1) :: acc)
     sorted []
 
-(* A rank-1 node derived by [with_open] charges its node and its n
-   leaves, as the position-order path would, and interns nothing else *)
-let derived ctx rows ~n csig kids =
+(* A rank-1 child of an open parent charges its node and its n leaves *)
+let derived ctx rows ~n (csig, kids) =
   note_rows ctx rows (1 + n);
   intern (csig, capped ctx.cap kids) 1
 
@@ -579,39 +540,30 @@ let derived ctx rows ~n csig kids =
 let rec compute ctx rg rows ~q u =
   note_row ctx rows;
   let sg = atomic_signature ctx.g u in
-  if q = 0 then ctx.leaf sg
+  if q = 0 then leaf ~cap:ctx.cap sg
   else begin
     let n = rg.size in
     let shape =
-      if q = 1 then
-        capped ctx.cap
-          (extend rg ctx.leaf sg u (fun child ->
-               for i = 0 to n - 1 do
-                 note_row ctx rows;
-                 ignore (child i)
-               done))
+      if q = 1 then begin
+        let kids = rank1_leaves rg sg u in
+        note_rows ctx rows n;
+        capped ctx.cap kids
+      end
       else begin
         let children = ref [] in
-        let child i =
-          compute ctx rg rows ~q:(q - 1)
-            (Graph.Tuple.append u [| range_vertex rg i |])
-        in
         if q = 2 then
           with_open rg sg u ~hole:(Array.length u) (fun derive ->
               for i = 0 to n - 1 do
-                let t =
-                  match derive i with
-                  | Some (csig, kids) -> derived ctx rows ~n csig kids
-                  | None -> child i
-                in
-                children := t :: !children
+                children := derived ctx rows ~n (derive i) :: !children
               done)
         else
           for i = 0 to n - 1 do
-            children := child i :: !children
+            children :=
+              compute ctx rg rows ~q:(q - 1)
+                (Graph.Tuple.append u [| range_vertex rg i |])
+              :: !children
           done;
-        if ctx.cap = 1 then Set (List.sort_uniq Int.compare !children)
-        else capped ctx.cap (runs (List.sort Int.compare !children))
+        capped ctx.cap (runs (List.sort Int.compare !children))
       end
     in
     intern (sg, shape) q
@@ -621,71 +573,47 @@ let rec compute ctx rg rows ~q u =
 let compute_root ctx range rows ~q u =
   if q = 0 then begin
     note_row ctx rows;
-    ctx.leaf (atomic_signature ctx.g u)
+    leaf ~cap:ctx.cap (atomic_signature ctx.g u)
   end
   else compute ctx (range ()) rows ~q u
 
+let whole_of ctx () = whole (Lazy.force ctx.kernel)
+
 let tp ctx ~q u =
   if q < 0 then invalid_arg "Types.tp: negative quantifier rank";
-  match Hashtbl.find_opt ctx.roots (q, u) with
-  | Some t ->
-      Obs.Metric.incr tp_hits;
-      t
-  | None ->
-      let range () = whole (Lazy.force ctx.leaves) in
-      let t = compute_root ctx range ctx.rows ~q u in
-      Hashtbl.replace ctx.roots (q, u) t;
-      t
+  compute_root ctx (whole_of ctx) ctx.rows ~q u
 
 let tp_graph g ~q u = tp (make_ctx g) ~q u
 
-(* At q = 1 the roots v·w̄ are the rank-1 nodes that put v at position
-   0 of w̄: [with_open]'s hole at the front.  A root it cannot derive is
-   computed as [tp] computes it, and every root of another rank or of an
-   example of arity other than 1 is [tp]'s.  The roots of one open are
-   memoised by their vertex for that open only: a sweep opens each
-   candidate once, and keeping its m roots for the context's lifetime
-   cost more than deriving them. *)
+module Tuple_tbl = Hashtbl.Make (Graph.Tuple)
+
+(* The roots of one candidate are memoised for that candidate only: a
+   sweep opens each candidate once.  At q = 1 the roots v·w̄ of
+   examples of arity 1 are the rank-1 nodes that put v at position 0 of
+   w̄: [with_open]'s hole at the front. *)
 let with_candidate ctx ~q w f =
+  let seen = Tuple_tbl.create 16 in
+  let memo root v =
+    match Tuple_tbl.find_opt seen v with
+    | Some t -> Obs.Metric.incr tp_hits; t
+    | None -> let t = root v in Tuple_tbl.add seen v t; t
+  in
   let plain v = tp ctx ~q (Graph.Tuple.append v w) in
-  if q <> 1 then f plain
+  if q <> 1 then f (memo plain)
   else begin
-    let rg = whole (Lazy.force ctx.leaves) in
-    let root derive v =
-      (* a root [tp] memoised is a hit; without one, skip the hash *)
-      let memo =
-        if Hashtbl.length ctx.roots = 0 then None
-        else Hashtbl.find_opt ctx.roots (q, Graph.Tuple.append v w)
-      in
-      match memo with
-      | Some t ->
-          Obs.Metric.incr tp_hits;
-          t
-      | None -> (
-          match derive v.(0) with
-          | Some (csig, kids) -> derived ctx ctx.rows ~n:rg.size csig kids
-          | None -> compute ctx rg ctx.rows ~q (Graph.Tuple.append v w))
-    in
-    let seen = Int_tbl.create 16 in
+    let rg = whole_of ctx () in
     with_open rg (atomic_signature ctx.g w) w ~hole:0 (fun derive ->
-        f (fun v ->
-            if Array.length v <> 1 || v.(0) < 0 || v.(0) >= rg.size then
-              plain v
-            else
-              match Int_tbl.find seen v.(0) with
-              | t ->
-                  Obs.Metric.incr tp_hits;
-                  t
-              | exception Not_found ->
-                  let t = root derive v in
-                  Int_tbl.add seen v.(0) t;
-                  t))
+        f
+          (memo (fun v ->
+               if Array.length v <> 1 || v.(0) < 0 || v.(0) >= rg.size then
+                 plain v
+               else derived ctx ctx.rows ~n:rg.size (derive v.(0)))))
   end
 
 (* On the host graph, with the quantifiers ranging over the ball in
-   ascending order: the induced graph's own numbering, so types intern
-   in the order and with the ids [tp] on [N_r(ū)] gives them.  Its rows
-   count from 0, as in a context of its own. *)
+   ascending order: the induced graph's own numbering, so the type and
+   the work are those of [tp] on [N_r(ū)].  Its rows count from 0, as
+   in a context of its own. *)
 let ltp ctx ~q ~r u =
   if r < 0 then invalid_arg "Types.ltp: negative radius";
   if q < 0 then invalid_arg "Types.ltp: negative quantifier rank";
@@ -698,7 +626,7 @@ let ltp ctx ~q ~r u =
       Obs.Metric.incr ltp_misses;
       Guard.tick ctx.budget Guard.Hintikka_build;
       let ball = Array.of_list (Bfs.ball_tuple ?budget:ctx.budget ctx.g ~r u) in
-      let range () = over_ball (Lazy.force ctx.leaves) ball in
+      let range () = over_ball (Lazy.force ctx.kernel) ball in
       let t = compute_root ctx range (ref 0) ~q u in
       Hashtbl.replace ctx.ltp_memo (q, r, u) t;
       t

@@ -24,7 +24,8 @@
     get the same id iff they are [q]-equivalent — cross-checked against the
     independent EF-game implementation in the tests.  Canonical ids make
     types usable as hash keys, which is what the ERM algorithms need, and
-    make them comparable across the projected graphs of Lemma 16.
+    make them comparable across the projected graphs of Lemma 16.  An
+    id is only that key: output orders types by {!compare}.
 
     Vocabulary convention: the atomic signature records the {e positive}
     colour facts only, so two graphs are compared as structures over the
@@ -36,9 +37,22 @@ type ty = private int
 (** Canonical type id.  Equal ids = equal types (within one process). *)
 
 val equal : ty -> ty -> bool
-val compare : ty -> ty -> int
 val hash : ty -> int
+
 val pp : Format.formatter -> ty -> unit
+(** [#id], the registry id, which depends on intern order: for
+    debugging. *)
+
+val compare : ty -> ty -> int
+(** The structural order: the atomic signature, then the cap, then the
+    children with their counts, compared recursively (a leaf first).
+    It never reads an id, so it does not depend on what was interned
+    before; printed conjuncts, disjuncts and [types] numbers follow it.
+    Each call sorts afresh the children it compares. *)
+
+val order : unit -> ty -> ty -> int
+(** {!compare} with a memo of the sorted children, for one output call
+    (a sort, a Hintikka build); nothing is stored in the registry. *)
 
 val rank : ty -> int
 (** The quantifier rank [q] this type was computed at. *)
@@ -48,16 +62,16 @@ val arity : ty -> int
 
 (** {1 Computing types}
 
-    A context holds one graph's type computations: the types of the
-    tuples {!tp} was asked for (a sample drawn with replacement repeats
-    tuples), the local types of {!ltp}, and the leaf kernel's state
-    ({!leaves}), which {!tp} and every {!ltp} miss share.  The nodes
-    below a root are computed afresh every time, since a tuple [ū·w] is
-    only reached from [ū].  Reuse a context across calls for the same
-    graph.  A context charges its work to the [budget] it was made
-    with (default: none), and computes the types at its multiplicity
-    [cap] (default 1: the plain types).  Every type of one context has
-    its cap; a type above cap 1 never equals a plain one. *)
+    A context holds one graph's type computations: the local types of
+    {!ltp}, memoised, and the leaf kernel's state (see below), which
+    {!tp} and every {!ltp} miss share.  {!tp} keeps no memo: the nodes
+    below a root are only reached from it, and a caller that repeats
+    tuples (a sweep over a sample drawn with replacement) memoises them
+    per candidate ({!with_candidate}).  Reuse a context across calls for
+    the same graph.  A context charges its work to the [budget] it was
+    made with (default: none), and computes the types at its
+    multiplicity [cap] (default 1: the plain types).  Every type of one
+    context has its cap; a type above cap 1 never equals a plain one. *)
 
 type ctx
 
@@ -67,25 +81,23 @@ val make_ctx : ?budget:Guard.Budget.t -> ?cap:int -> Graph.t -> ctx
 val tp : ctx -> q:int -> Graph.Tuple.t -> ty
 (** [tp ctx ~q ū = tp_q(G, ū)].  Rows: [Σ_{j<=q} n^j] computed nodes,
     each counted on [modelcheck.types.tp_misses] and as one table row
-    for the guard; a repeated [(q, ū)] is a hit
-    ([modelcheck.types.tp_hits]).  Time: a rank-1 child [ū·x] of a
-    rank-2 node costs [O(deg x + distinct keys)] once its leaves are
-    known, not [O(n)] (see the leaf kernel below), so at [q = 2] a
-    root's [1 + n + n^2] rows take [O(n · (Δ + keys))] time.  Keep [q]
-    small. *)
+    for the guard.  Time: every rank-1 node costs
+    [O(deg + distinct keys)], not [O(n)] (see the leaf kernel below),
+    so at [q = 2] a root's [1 + n + n^2] rows take [O(n · (Δ + keys))]
+    time.  Keep [q] small.
+    @raise Invalid_argument if [q < 0], or if [q >= 1] and the key of a
+    rank-1 node does not fit in an int (twice its arity plus the bits
+    of a colour-class id reach [Sys.int_size]). *)
 
 val with_candidate :
   ctx -> q:int -> Graph.Tuple.t -> ((Graph.Tuple.t -> ty) -> 'a) -> 'a
 (** [with_candidate ctx ~q w̄ f] is [f tp], where [tp v̄] is
-    [tp ctx ~q (v̄·w̄)]: the same id, interned in the same order, with
-    the same hit or miss, rows and trip points.  For an ERM sweep, which
-    types every example under one candidate [w̄] at a time.  At [q = 1]
-    it opens [w̄] once for [f]'s whole call, and a root [v·w̄] of an
-    example of arity 1 whose leaves are all interned costs
-    [O(deg v + distinct keys)], not [O(n)] (see the leaf kernel below);
-    such roots are memoised for this call only: a root {!tp} memoised
-    is a hit, but one computed here is not added to {!tp}'s memo.
-    Every other root is {!tp}'s. *)
+    [tp ctx ~q (v̄·w̄)] with the same rows and trip points, memoised for
+    this call: a repeated [v̄] is a hit ([modelcheck.types.tp_hits]).
+    For an ERM sweep, which types every example under one candidate
+    [w̄] at a time.  At [q = 1] it opens [w̄] once for [f]'s whole call,
+    and the root [v·w̄] of an example of arity 1 is derived from it in
+    [O(deg v + distinct keys)] (see the leaf kernel below). *)
 
 val ltp : ctx -> q:int -> r:int -> Graph.Tuple.t -> ty
 (** [ltp ctx ~q ~r ū = tp_q(N_r^G(ū), ū)]: the local [(q,r)]-type,
@@ -130,74 +142,23 @@ val leaf : ?cap:int -> atomsig -> ty
 
 (** {1 Leaf kernel}
 
-    Rank-1 nodes dominate the cost: each has one rank-0 child [ū·w]
-    per vertex [w] its quantifier ranges over.  The signature of [ū·w]
-    is fixed by the signature of [ū], the positions [i] with
-    [u_i = w], the positions with [E(u_i, w)], and [w]'s colours.  So a
-    child is a lookup under that key, and a signature is built and
-    interned once per parent signature and key.
-
-    A rank-1 node that puts a vertex [x] at a fixed position (the
-    hole) of a tuple [ū] is not scanned: the children [ū·x] of a rank-2
-    node [ū] (the hole at the end), and the roots [x·w̄] of a sweep
-    candidate [w̄] ({!with_candidate}, the hole at the front).  [ū] is
-    opened once: its marks over the range, in the key layout of the
-    nodes (arity [k + 1], [ū]'s entries around the hole), numbered
-    densely and counted.  The keys of the node at [x] differ from those
-    of [ū] only on [N\[x\]]: [x] gains the bit for "the hole equals
-    [w]" and each neighbour of [x] in the range the bit for "the hole
-    is adjacent to [w]", so each of [ū]'s keys has three variants.  The
-    leaves of the node are read off the counts after those moves, which
-    are then undone: [O(deg x + distinct keys)].  One kernel serves
-    both holes.  A node's signature and leaf table are built once per
-    parent signature, hole and key of [x], and looked up under them.
-    What falls back to the position-order scan, so that leaves
-    intern in the same order and with the same ids: a node with a key
-    whose leaf is not yet interned, a parent whose key does not fit in
-    an int, and, for {!with_candidate}, any [q <> 1] and examples of
-    arity other than 1.  Every derived node charges the same [1 + n]
-    rows as the scan, at once ({!Guard.note_table_rows}). *)
-
-type leaves
-(** Per-graph state for {!extend}: the numbering of colour classes and
-    the children found so far, shared by every {!range} made from it.
-    Building it allocates nothing sized by the graph.  Not safe to
-    share between domains. *)
-
-val leaves : Graph.t -> leaves
-
-type range
-(** The vertices one computation's quantifiers range over, numbered by
-    position: the whole graph ({!whole}, position = vertex) or a ball
-    ({!ltp}'s, in ascending order).  A range holds the class of each of
-    its vertices, one mark word per vertex and, from its first rank-2
-    node on, the counts that node opens, so its state is sized by the
-    range: a ball's by the ball, never by [Graph.order]. *)
-
-val whole : leaves -> range
-(** The range of every vertex of the graph, built once per [leaves]. *)
-
-val extend :
-  range -> (atomsig -> int) -> atomsig -> Graph.Tuple.t ->
-  ((int -> int) -> unit) -> (int * int) list
-(** [extend rg mk sg ū visit], where [sg] is [atomic_signature g ū],
-    calls [visit child], where [child i] is
-    [mk (atomic_signature g (ū·w))] for the vertex [w] at position [i]
-    of [rg] ([0 <= i <] its size).  An edge from [ū] to a vertex outside
-    [rg] is not seen, so over a ball that holds [ū] the children are
-    those of the induced subgraph.  [mk] is called only on the first
-    [w], over the calls on ranges of one [leaves] with signature [sg],
-    that has its key; so one [leaves] takes one [mk].  It returns the distinct ids
-    [child] returned, sorted, each with the number of calls that
-    returned it.
-    @raise Invalid_argument if the key of [ū] does not fit in an int
-    (twice its arity plus the bits of a colour-class id reach
-    [Sys.int_size]). *)
+    No rank-1 node is scanned.  Each puts a vertex [x] at a fixed
+    position (the hole) of a tuple [ū] opened once: the children [ū·x]
+    of a rank-2 node (the hole at the end), the roots [x·w̄] of a sweep
+    candidate ({!with_candidate}, the hole at the front), and any other
+    rank-1 node [ū·x] (the roots of {!tp} and {!ltp}: [ū] opened with the
+    hole at the end).  Its leaves differ from [ū]'s marks only on
+    [N\[x\]], so they are read off counts in [O(deg x + distinct keys)],
+    each interned from its key (the parent's signature, which entries
+    equal or neighbour [w], and [w]'s colour class).  The empty tuple's
+    leaves are the colour classes.  Every node charges the [1 + n] rows
+    of itself and its leaves ({!Guard.note_table_rows}). *)
 
 val node : ty -> atomsig * ty list option
 (** Decompose a canonical type: its atomic signature, and [None] for rank 0
-    or [Some children] (sorted, distinct [(q-1)]-types of the one-point
-    extensions) for rank [>= 1]. *)
+    or [Some children] (the distinct [(q-1)]-types of the one-point
+    extensions, in id order; sort them with {!compare} for the
+    structural order) for rank [>= 1]. *)
 
 val counted : ty -> int * (ty * int) list option
 (** [counted θ = (c, children)]: the cap [θ] was computed at, and

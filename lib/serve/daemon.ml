@@ -160,17 +160,14 @@ let on_engine s (req : Proto.request) a respond =
       Obs.Metric.incr m_draining;
       Proto.draining ()
 
-let enqueue_call s (req : Proto.request) a =
+let enqueue_call s (req : Proto.request) a (e : Exec.admitted) =
   on_engine s req a (fun () ->
       if deadline_expired a then expired_response ()
       else
-        (* admission has already run the precheck *)
         let budget =
           Guard.Budget.of_limits ?deadline_ns:a.deadline_ns a.limits
         in
-        response_of_run
-          (Exec.run_op ?budget ~precheck:false ~op:req.op ~params:req.params
-             ()))
+        response_of_run (e.run ?budget ()))
 
 (* Zero-fuel static precheck: refuse before any fuel is spent.  A CLI
    learn prints its training line before its precheck refuses, so a
@@ -178,24 +175,16 @@ let enqueue_call s (req : Proto.request) a =
    be labelled; the other refusals print nothing and answer at once.
    The refusal stands even if the line cannot be rendered: [respond]
    must fill the cell, or the connection would wait forever. *)
-let precheck_response s (req : Proto.request) a =
-  match
-    Exec.precheck_rejection ~op:req.op ~params:req.params ~limits:a.limits
-  with
-  | Error msg -> Some (Proto.error ~message:msg)
-  | Ok (Some r) ->
-      Obs.Metric.incr m_rejected;
-      let refuse stdout =
-        Proto.rejected ~stdout ~resource:r.Analysis.Plan.resource
-          ~message:r.message ~spent:zero_spent
-      in
-      Some
-        (if req.op = "learn" then
-           on_engine s req a (fun () ->
-               refuse
-                 (try Exec.training_line req.params with _ -> ""))
-         else refuse "")
-  | Ok None -> None
+let refusal_response s (req : Proto.request) a (e : Exec.admitted) r =
+  Obs.Metric.incr m_rejected;
+  let refuse stdout =
+    Proto.rejected ~stdout ~resource:r.Analysis.Plan.resource
+      ~message:r.message ~spent:zero_spent
+  in
+  if req.op = "learn" then
+    on_engine s req a (fun () ->
+        refuse (try e.training_line () with _ -> ""))
+  else refuse ""
 
 (* -- jobs (submit/poll) -------------------------------------------- *)
 
@@ -228,7 +217,8 @@ let job_extra (j : Jobs.job) =
   ]
   @ job_snapshot_extra j
 
-let run_job s (j : Jobs.job) =
+(* [admitted] is the submitted request, while this process holds it *)
+let run_job ?(admitted : Exec.admitted option) s (j : Jobs.job) =
   Jobs.mark_running s.jobs j.j_id;
   (* a checkpointed job always runs budgeted — unlimited when the
      client asked nothing — so its snapshots record spent fuel *)
@@ -244,7 +234,11 @@ let run_job s (j : Jobs.job) =
       ~interval_s:0.5 ~budget ?resume ~run_id:j.j_id ~solver:j.j_solver ()
   in
   let r =
-    Exec.run_op ~budget ~ckpt ~precheck:false ~op:"learn" ~params:j.j_params ()
+    match admitted with
+    | Some e -> e.run ~budget ~ckpt ()
+    | None ->
+        Exec.run_op ~budget ~ckpt ~precheck:false ~op:"learn"
+          ~params:j.j_params ()
   in
   count_outcome r.code;
   let spent =
@@ -252,13 +246,13 @@ let run_job s (j : Jobs.job) =
   in
   Jobs.mark_done s.jobs j.j_id ~code:r.code ~stdout:r.out ~stderr:r.err ~spent
 
-let enqueue_job s (j : Jobs.job) =
+let enqueue_job ?admitted s (j : Jobs.job) =
   let entry =
     {
       Sched.e_seq = next_seq s;
       e_tenant = j.j_tenant;
       e_deadline_ns = None;
-      e_run = (fun () -> run_job s j);
+      e_run = (fun () -> run_job ?admitted s j);
       e_shed =
         (fun () ->
           Obs.Metric.incr m_shed;
@@ -267,8 +261,8 @@ let enqueue_job s (j : Jobs.job) =
   in
   Sched.push s.queue entry
 
-let handle_submit s (req : Proto.request) a =
-  match Exec.learn_identity req.params with
+let handle_submit s (req : Proto.request) a (e : Exec.admitted) =
+  match e.identity () with
   | Error msg -> Proto.error ~message:msg
   | Ok (run_id, solver) -> (
       match
@@ -279,7 +273,7 @@ let handle_submit s (req : Proto.request) a =
           Proto.response ~status:"accepted" ~code:0 ~extra:(job_extra j) ()
       | `New j -> (
           Obs.Metric.incr m_jobs_submitted;
-          match enqueue_job s j with
+          match enqueue_job ~admitted:e s j with
           | `Queued ->
               Proto.response ~status:"accepted" ~code:0 ~extra:(job_extra j) ()
           | `Shed_incoming ->
@@ -338,11 +332,14 @@ let handle_request s (req : Proto.request) =
       end
       else
         let a = admit_budget s.cfg.tenants req in
-        match precheck_response s req a with
-        | Some resp -> resp
-        | None ->
-            if req.op = "submit" then handle_submit s req a
-            else enqueue_call s req a)
+        match Exec.admit ~op:req.op ~params:req.params ~limits:a.limits with
+        | Error msg -> Proto.error ~message:msg
+        | Ok e -> (
+            match e.rejection with
+            | Some r -> refusal_response s req a e r
+            | None ->
+                if req.op = "submit" then handle_submit s req a e
+                else enqueue_call s req a e))
   | op -> Proto.error ~message:(Printf.sprintf "unknown op %S" op)
 
 (* -- connection loop ----------------------------------------------- *)

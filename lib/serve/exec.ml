@@ -160,23 +160,38 @@ let defaults = function
   | "game" -> [ ("r", J.Int 2) ]
   | _ -> []
 
-let p_str name j = Option.bind (J.member name j) J.to_string_opt
+(* Member [name] of [j] read by [conv]: [None] when absent or null, a
+   usage error naming it when it has another JSON type ([kind] says
+   which it must have) *)
+let p_member ~op ~kind conv name j =
+  match J.member name j with
+  | None | Some J.Null -> None
+  | Some v -> (
+      match conv v with
+      | Some x -> Some x
+      | None ->
+          usage "folearn %s: parameter %S must be %s (got %s)" op name kind
+            (J.to_string v))
+
+let p_str ~op = p_member ~op ~kind:"a string" J.to_string_opt
 
 let p_req_str ~op name j =
-  match p_str name j with
+  match p_str ~op name j with
   | Some s -> s
   | None -> usage "folearn %s: missing required parameter %S" op name
 
 (* member [name] of [j], or else its default in [d] *)
-let p_num conv d name j =
-  match Option.bind (J.member name j) conv with
+let p_num ~op ~kind conv d name j =
+  match p_member ~op ~kind conv name j with
   | Some v -> v
   | None -> Option.get (Option.bind (List.assoc_opt name d) conv)
 
-let p_int = p_num J.to_int_opt
+let p_int ~op = p_num ~op ~kind:"an integer" J.to_int_opt
 
-let p_bool name j =
-  match J.member name j with Some (J.Bool b) -> b | _ -> false
+let p_bool ~op name j =
+  p_member ~op ~kind:"a boolean" (function J.Bool b -> Some b | _ -> None)
+    name j
+  = Some true
 
 let p_colors ~op j =
   match J.member "colors" j with
@@ -237,10 +252,11 @@ type learn_p = {
 
 let learn_params ~op j =
   let d = defaults "learn" in
+  let int = p_int ~op d in
   let lp_graph = p_graph ~op j in
   let lp_colors = p_colors ~op j in
   let lp_solver =
-    let s = p_num J.to_string_opt d "solver" j in
+    let s = p_num ~op ~kind:"a string" J.to_string_opt d "solver" j in
     match List.assoc_opt s solvers with
     | Some s -> s
     | None ->
@@ -249,14 +265,14 @@ let learn_params ~op j =
   in
   {
     lp_graph; lp_colors; lp_solver;
-    lp_target = p_str "target" j;
-    lp_k = p_int d "k" j;
-    lp_ell = p_int d "ell" j;
-    lp_q = p_int d "q" j;
-    lp_tmax = p_int d "tmax" j;
-    lp_noise = p_num J.to_float_opt d "noise" j;
-    lp_m = p_int d "m" j;
-    lp_seed = p_int d "seed" j;
+    lp_target = p_str ~op "target" j;
+    lp_k = int "k" j;
+    lp_ell = int "ell" j;
+    lp_q = int "q" j;
+    lp_tmax = int "tmax" j;
+    lp_noise = p_num ~op ~kind:"a number" J.to_float_opt d "noise" j;
+    lp_m = int "m" j;
+    lp_seed = int "seed" j;
   }
 
 let learn_graph ~op p =
@@ -459,6 +475,7 @@ let learn_solve : learn runner =
 
 type op = {
   name : string;
+  query : Folearn.Admission.query option;  (* what admission checks *)
   op_run_id : string Lazy.t;
   compute :
     budget:Guard.Budget.t option ->
@@ -484,9 +501,10 @@ let mc_input j =
 
 let mc j =
   let g, phi = mc_input j in
-  let via_erm = p_bool "via_erm" j in
+  let via_erm = p_bool ~op:"mc" "via_erm" j in
   {
     name = "mc";
+    query = (if via_erm then Some (Folearn.Admission.Model_check (g, phi)) else None);
     (* mc has no candidate enumeration to replay-skip: checkpoints
        record run identity and spend only, and a resumed run re-checks
        from scratch *)
@@ -525,10 +543,12 @@ let mc j =
 
 let types j =
   let g = coloured_graph ~op:"types" j in
-  let int = p_int (defaults "types") in
-  let q = int "q" j and k = int "k" j and hintikka = p_bool "hintikka" j in
+  let int = p_int ~op:"types" (defaults "types") in
+  let q = int "q" j and k = int "k" j in
+  let hintikka = p_bool ~op:"types" "hintikka" j in
   {
     name = "types";
+    query = None;
     op_run_id =
       lazy
         (run_id_of
@@ -546,14 +566,20 @@ let types j =
               Modelcheck.Types.partition_by_tp ctx ~q
                 (Graph.Tuple.all ~n:(Graph.order g) ~k)
             in
+            (* a class is numbered by its type's place in the
+               structural order among the classes *)
+            let number = Hashtbl.create 16 in
+            List.iteri
+              (fun i ty -> Hashtbl.replace number ty i)
+              (List.sort (Modelcheck.Types.order ()) (List.map fst classes));
             fun out ->
               Format.fprintf out
                 "%d distinct tp_%d classes of %d-tuples on %d vertices@."
                 (List.length classes) q k (Graph.order g);
               List.iteri
                 (fun i (ty, members) ->
-                  Format.fprintf out "class %d (%a): %d tuples, e.g. %a@." i
-                    Modelcheck.Types.pp ty (List.length members)
+                  Format.fprintf out "class %d (#%d): %d tuples, e.g. %a@." i
+                    (Hashtbl.find number ty) (List.length members)
                     Graph.Tuple.pp (List.hd members);
                   if hintikka then
                     Format.fprintf out "  %a@." (Fo.Formula.output ~col:2)
@@ -565,9 +591,10 @@ let types j =
 
 let game j =
   let g = coloured_graph ~op:"game" j in
-  let r = p_int (defaults "game") "r" j in
+  let r = p_int ~op:"game" (defaults "game") "r" j in
   {
     name = "game";
+    query = None;
     op_run_id = lazy (run_id_of [ "game"; Io.to_string g; string_of_int r ]);
     compute =
       (fun ~budget ~precheck:_ ->
@@ -607,22 +634,6 @@ let solve : op runner =
   conclude ~out ~err ~cmd:op.name ~ckpt
     (op.compute ~budget ~precheck)
 
-(* the learn parameters, validated, with the coloured graph and parsed
-   target: everything the run identity digests, without labelling *)
-let learn_checked j =
-  let p = learn_params ~op:"learn" j in
-  let g = learn_graph ~op:"learn" p in
-  let target = learn_target ~op:"learn" p in
-  (p, g, parse_formula ~op:"learn" ~flag:"--target" target)
-
-let learn_identity j =
-  match
-    let p, g, target = learn_checked j in
-    (learn_run_id p g target, solver_name p.lp_solver)
-  with
-  | v -> Ok v
-  | exception Usage m -> Error m
-
 (* ------------------------------------------------------------------ *)
 (* entry points                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -634,18 +645,24 @@ type run = {
   spent : Guard.spent option;
 }
 
-let run_op ?budget ?(ckpt = Resil.Ctl.none) ?(precheck = true) ~op ~params ()
-    =
+(* A request's parameter object decoded, which loads its graph: a
+   [learn] (and a [submit], the learn it becomes) or another op *)
+type decoded = Learn of learn_p | Op of op
+
+let decode ~op params =
+  match op with
+  | "learn" | "submit" -> Learn (learn_params ~op:"learn" params)
+  | _ -> Op (of_params ~op params)
+
+let run_decoded ?budget ?(ckpt = Resil.Ctl.none) ~precheck ~op decoded =
   let ob = Buffer.create 512 and eb = Buffer.create 256 in
   let out = Format.formatter_of_buffer ob in
   let err = Format.formatter_of_buffer eb in
   let code =
     try
-      match op with
-      | "learn" ->
-          learn_solve ~out ~err ?budget ~ckpt ~precheck
-            (learn_prep (learn_params ~op params))
-      | _ -> solve ~out ~err ?budget ~ckpt ~precheck (of_params ~op params)
+      match Lazy.force decoded with
+      | Learn p -> learn_solve ~out ~err ?budget ~ckpt ~precheck (learn_prep p)
+      | Op o -> solve ~out ~err ?budget ~ckpt ~precheck o
     with
     | Usage msg ->
         Format.fprintf err "%s@." msg;
@@ -664,6 +681,9 @@ let run_op ?budget ?(ckpt = Resil.Ctl.none) ?(precheck = true) ~op ~params ()
     spent = Option.map Guard.Budget.spent budget;
   }
 
+let run_op ?budget ?ckpt ?(precheck = true) ~op ~params () =
+  run_decoded ?budget ?ckpt ~precheck ~op (lazy (decode ~op params))
+
 (* The admission query of a learn: what [learn_solve] hands its solver.
    Theorem 13 runs at [ell_star = max 1 ell]; a budgeted local run is the
    degradation chain, unless it is checkpointed (a submitted job), which
@@ -679,20 +699,68 @@ let learn_query ~checkpointed p g =
   | `Nd -> Solve (Plan.Nd, input ~ell:(max 1 p.lp_ell))
   | s -> Solve (plan_solver s, input ~ell:p.lp_ell)
 
-let precheck_rejection ~op ~params ~limits =
-  match
-    match op with
-    | "learn" | "submit" ->
-        let p, g, _ = learn_checked params in
-        Some (learn_query ~checkpointed:(op = "submit") p g)
-    | "mc" when p_bool "via_erm" params ->
-        let g, phi = mc_input params in
-        Some (Folearn.Admission.Model_check (g, phi))
-    | _ -> None
-  with
-  | query -> Ok (Option.bind query (Folearn.Admission.rejection limits))
-  | exception Usage m -> Error m
+let learn_of decoded =
+  match Lazy.force decoded with
+  | Learn p -> p
+  | Op o -> invalid_arg ("Exec: not a learn: " ^ o.name)
 
-let training_line params =
-  Format.asprintf "%a" print_training
-    (learn_prep (learn_params ~op:"learn" params))
+(* a learn's parameters validated, with the coloured graph and the
+   parsed target: everything the run identity digests, without
+   labelling *)
+let learn_checked decoded =
+  let p = learn_of decoded in
+  let g = learn_graph ~op:"learn" p in
+  (p, g, parse_formula ~op:"learn" ~flag:"--target" (learn_target ~op:"learn" p))
+
+let usage_result f = match f () with v -> Ok v | exception Usage m -> Error m
+
+(* Only a learn, a submit and an [mc --via-erm] are decoded to be
+   judged: another op's parameter errors are its run's to report *)
+let rejection ~op ~params ~limits decoded =
+  usage_result (fun () ->
+      Option.bind
+        (match op with
+        | "learn" | "submit" ->
+            let p, g, _ = learn_checked decoded in
+            Some (learn_query ~checkpointed:(op = "submit") p g)
+        | "mc" when p_bool ~op "via_erm" params -> (
+            match Lazy.force decoded with Op o -> o.query | Learn _ -> None)
+        | _ -> None)
+        (Folearn.Admission.rejection limits))
+
+let identity decoded =
+  usage_result (fun () ->
+      let p, g, target = learn_checked decoded in
+      (learn_run_id p g target, solver_name p.lp_solver))
+
+let training decoded =
+  Format.asprintf "%a" print_training (learn_prep (learn_of decoded))
+
+let precheck_rejection ~op ~params ~limits =
+  rejection ~op ~params ~limits (lazy (decode ~op params))
+
+let learn_identity j = identity (lazy (decode ~op:"learn" j))
+let training_line j = training (lazy (decode ~op:"learn" j))
+
+type admitted = {
+  rejection : Analysis.Plan.rejection option;
+  training_line : unit -> string;
+  identity : unit -> (string * string, string) result;
+  run : ?budget:Guard.Budget.t -> ?ckpt:Resil.Ctl.t -> unit -> run;
+}
+
+let admit ~op ~params ~limits =
+  let decoded = lazy (decode ~op params) in
+  (* a submit runs as the learn it becomes *)
+  let run_as = if op = "submit" then "learn" else op in
+  Result.map
+    (fun rejection ->
+      {
+        rejection;
+        training_line = (fun () -> training decoded);
+        identity = (fun () -> identity decoded);
+        run =
+          (fun ?budget ?ckpt () ->
+            run_decoded ?budget ?ckpt ~precheck:false ~op:run_as decoded);
+      })
+    (rejection ~op ~params ~limits decoded)

@@ -17,7 +17,10 @@
     - [mc]: [graph] (required), [colors], [formula] (required),
       [via_erm] (bool)
     - [types]: [graph] (required), [colors], [q], [k], [hintikka]
-    - [game]: [graph] (required), [colors], [r] *)
+    - [game]: [graph] (required), [colors], [r]
+
+    An absent or null member takes its default; a member of another
+    JSON type than its own is a usage error that names it. *)
 
 val parse_graph_spec : string -> (Cgraph.Graph.t, [ `Msg of string ]) result
 (** The graph-spec DSL ([path:N], [grid:WxH], [gnp:N:P:SEED],
@@ -168,3 +171,20 @@ val training_line : Obs.Json.t -> string
     sends it with a {!precheck_rejection} refusal, so a refused served
     learn prints what the CLI prints.  It labels the sample, which
     evaluates the target: call it on the engine domain.  @raise Usage *)
+
+type admitted = {
+  rejection : Analysis.Plan.rejection option;  (** {!precheck_rejection}'s *)
+  training_line : unit -> string;  (** {!training_line} *)
+  identity : unit -> (string * string, string) result;  (** {!learn_identity} *)
+  run : ?budget:Guard.Budget.t -> ?ckpt:Resil.Ctl.t -> unit -> run;
+      (** {!run_op} without the precheck *)
+}
+
+val admit :
+  op:string -> params:Obs.Json.t -> limits:Guard.Limits.t ->
+  (admitted, string) result
+(** The daemon's admission: {!precheck_rejection}, and what it does with
+    the request next, all on one decoding, so its graph is loaded once.
+    Only a [learn], a [submit] and an [mc --via-erm] are decoded here;
+    another op's [run] decodes it and reports its errors as {!run_op}
+    does.  Call [run] and [training_line] on the engine domain. *)

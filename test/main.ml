@@ -29,4 +29,5 @@ let () =
       ("pulse", Test_pulse.suite);
       ("hotpath", Test_hotpath.suite);
       ("serve", Test_serve.suite);
+      ("canonical", Test_canonical.suite);
     ]

@@ -208,6 +208,7 @@ module Reference_chintikka = struct
       | Some kids ->
           let y = Printf.sprintf "x%d" (List.length vars + 1) in
           let vars' = vars @ [ y ] in
+          let kids = List.sort (fun (a, _) (b, _) -> C.compare a b) kids in
           let multiplicities =
             List.concat_map
               (fun (kid, c) ->

@@ -740,6 +740,60 @@ let test_learn_run_id_is_lazy () =
   | Ok (id, _) -> check_str "forced id = job id" id (Lazy.force l.E.run_id)
   | Error m -> Alcotest.failf "identity must compute: %s" m
 
+(* a member of the wrong JSON type is a usage error naming it, never
+   its default: a string "2" does not run at q = 1 *)
+let test_member_types_checked () =
+  let usage op params member =
+    let r = Serve.Exec.run_op ~op ~params:(J.Obj params) () in
+    check_int (Printf.sprintf "%s %s exits 2" op member) 2 r.Serve.Exec.code;
+    check
+      (Printf.sprintf "%s names %s" op member)
+      true
+      (contains r.Serve.Exec.err (Printf.sprintf "parameter %S must be" member))
+  in
+  let graph = ("graph", J.String "path:6") in
+  usage "learn"
+    [ graph; ("target", J.String "exists y. E(x1,y)"); ("q", J.String "2") ]
+    "q";
+  usage "learn"
+    [ graph; ("target", J.String "exists y. E(x1,y)"); ("noise", J.Bool true) ]
+    "noise";
+  usage "mc"
+    [ graph; ("formula", J.String "exists x. x = x");
+      ("via_erm", J.String "true") ]
+    "via_erm";
+  usage "types" [ ("graph", J.Int 3) ] "graph";
+  usage "types" [ graph; ("hintikka", J.Int 1) ] "hintikka"
+
+(* The daemon admits a served learn with [Exec.admit] and then runs it:
+   the graph is loaded once, by admission, so the run still answers
+   once the graph's file is gone, with the bytes of a run that loads
+   it *)
+let test_served_learn_loads_once () =
+  with_dir (fun dir ->
+      let file = Filename.concat dir "g.txt" in
+      Cgraph.Io.save file (Cgraph.Gen.path 6);
+      let params =
+        J.Obj
+          [
+            ("graph", J.String ("file:" ^ file));
+            ("colors", J.List [ J.String "Red=0,3" ]);
+            ("target", J.String "exists y. (E(x1,y) & Red(y))");
+            ("ell", J.Int 1);
+          ]
+      in
+      let plain = Serve.Exec.run_op ~precheck:false ~op:"learn" ~params () in
+      match
+        Serve.Exec.admit ~op:"learn" ~params ~limits:Guard.Limits.none
+      with
+      | Error m -> Alcotest.failf "admission must decode the learn: %s" m
+      | Ok e ->
+          Sys.remove file;
+          let served = e.Serve.Exec.run () in
+          check_int "the served learn completes" 0 served.Serve.Exec.code;
+          check_str "with the bytes of a learn that loads its graph"
+            plain.Serve.Exec.out served.Serve.Exec.out)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_frame_roundtrip;
@@ -790,4 +844,8 @@ let suite =
       test_read_checks_terminator;
     Alcotest.test_case "refused learn prints the training line" `Quick
       test_refused_learn_prints_training;
+    Alcotest.test_case "members of the wrong type are usage errors" `Quick
+      test_member_types_checked;
+    Alcotest.test_case "a served learn loads its graph once" `Quick
+      test_served_learn_loads_once;
   ]

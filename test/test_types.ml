@@ -298,6 +298,7 @@ module Reference_hintikka = struct
       | Some kids ->
           let y = Printf.sprintf "x%d" (List.length vars + 1) in
           let vars' = vars @ [ y ] in
+          let kids = List.sort T.compare kids in
           let realised =
             List.map (fun kid -> Fo.Formula.exists y (go kid vars')) kids
           in
@@ -317,7 +318,8 @@ module Reference_hintikka = struct
 
   let of_types ?budget ~colors ~k ~ell thetas =
     to_xy ~k ~ell
-      (Fo.Formula.or_ (List.map (fun t -> of_type ?budget ~colors t) thetas))
+      (Fo.Formula.or_
+         (List.map (fun t -> of_type ?budget ~colors t) (List.sort T.compare thetas)))
 end
 
 (* a random instance: a small coloured graph, k <= 2, l <= 2, q <= 2,
@@ -408,62 +410,98 @@ let test_partition_order () =
 (* Leaf kernel                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* For every parent ū and vertex w, the kernel's child is the rank-0
-   type of ū·w, at cap 1 and at a counting cap alike, and each
-   id it returns carries the number of w that reach it. *)
+(* a type as its whole tree, children sorted: equal across registries
+   and intern orders *)
+type tree = Tree of T.atomsig * int * (tree * int) list option
+
+let rec tree t =
+  let cap, kids = T.counted t in
+  Tree
+    ( fst (T.node t),
+      cap,
+      Option.map
+        (fun l -> List.sort compare (List.map (fun (c, m) -> (tree c, m)) l))
+        kids )
+
+(* The position-order scan, kept as the kernel's oracle: the rank-1
+   node of ū over the vertices [range] is its signature, its cap and,
+   for each w of the range in turn, the leaf of ū·w, counted and
+   capped. *)
+let scan g ~cap range u =
+  let counts = Hashtbl.create 8 in
+  List.iter
+    (fun w ->
+      let t = T.leaf ~cap (T.atomic_signature g (Graph.Tuple.append u [| w |])) in
+      Hashtbl.replace counts t
+        (1 + Option.value (Hashtbl.find_opt counts t) ~default:0))
+    range;
+  let leaves = Hashtbl.fold (fun t c l -> (tree t, min cap c) :: l) counts [] in
+  Tree (T.atomic_signature g u, cap, Some (List.sort compare leaves))
+
+(* For every tuple ū, the rank-1 type the kernel derives is the scan's,
+   at cap 1 and at a counting cap alike: the empty tuple's from the
+   colour classes, every other from ū minus its last entry *)
 let leaf_kernel_random =
   QCheck.Test.make ~name:"leaf kernel child = rank-0 type of u.w" ~count:40
     QCheck.(quad (int_range 0 1000) (int_range 0 8) (int_range 0 3) (int_range 0 2))
     (fun (seed, n, k, ncolors) ->
       let colors = List.filteri (fun i _ -> i < ncolors) [ "Red"; "Blue" ] in
       let g = Gen.colored ~seed ~colors (Gen.gnp ~seed:(seed + 1) ~n ~p:0.4) in
-      let cctx = T.make_ctx ~cap:2 g in
-      let agrees lv mk direct u =
-        let ok = ref true and counts = Hashtbl.create 8 in
-        let got =
-          T.extend lv mk (T.atomic_signature g u) u (fun child ->
-              for w = 0 to n - 1 do
-                let id = child w in
-                if id <> direct (Graph.Tuple.append u [| w |]) then ok := false;
-                Hashtbl.replace counts id
-                  (1 + Option.value (Hashtbl.find_opt counts id) ~default:0)
-              done)
-        in
-        !ok
-        && got = List.sort compare (Hashtbl.fold (fun id c l -> (id, c) :: l) counts [])
-      in
-      (* one kernel per cap, each reused across all parents *)
-      let plain = T.whole (T.leaves g) and counting = T.whole (T.leaves g) in
+      (* one context per cap, each reused across all tuples *)
+      let plain = T.make_ctx g and counting = T.make_ctx ~cap:2 g in
       List.for_all
         (fun u ->
-          agrees plain
-            (fun sg -> (T.leaf sg :> int))
-            (fun t -> (T.tp_graph g ~q:0 t :> int))
-            u
-          && agrees counting
-               (fun sg -> (T.leaf ~cap:2 sg :> int))
-               (fun t -> (T.tp cctx ~q:0 t :> int))
-               u)
+          tree (T.tp plain ~q:1 u) = scan g ~cap:1 (Graph.vertices g) u
+          && tree (T.tp counting ~q:1 u) = scan g ~cap:2 (Graph.vertices g) u)
         (Graph.Tuple.all ~n ~k))
 
 (* A rank-2 node's children come from its open parent by a delta on
-   N[x]; the reference computes each ū·w as a rank-1 root in a second
-   context, by the position-order kernel.  [children t] must be the
-   sorted, distinct reference types, with their multiplicities capped at
+   N[x]; the reference scans each ū·w over [range].  [children t] must
+   be the distinct scanned nodes, with their multiplicities capped at
    the context's cap, as [node] and [counted] give them. *)
-let children_are_roots ~cap t reference =
-  let refs = List.sort T.compare reference in
+let children_are_roots ~cap g range t u =
+  let refs =
+    List.sort compare
+      (List.map (fun w -> scan g ~cap range (Graph.Tuple.append u [| w |])) range)
+  in
   let runs =
     List.fold_right
-      (fun t acc ->
+      (fun s acc ->
         match acc with
-        | (t', c) :: rest when T.equal t t' -> (t, c + 1) :: rest
-        | _ -> (t, 1) :: acc)
+        | (s', c) :: rest when s = s' -> (s, c + 1) :: rest
+        | _ -> (s, 1) :: acc)
       refs []
   in
-  let capped = List.map (fun (t, c) -> (t, min cap c)) runs in
-  snd (T.node t) = Some (List.map fst capped)
-  && T.counted t = (cap, Some capped)
+  let cap', kids = T.counted t in
+  let kids = Option.value kids ~default:[] in
+  snd (T.node t) = Some (List.map fst kids)
+  && cap' = cap
+  && List.sort compare (List.map (fun (c, m) -> (tree c, m)) kids)
+     = List.map (fun (s, c) -> (s, min cap c)) runs
+
+(* A rank-1 node whose key does not fit in an int (twice its arity
+   plus the bits of a colour-class id reach [Sys.int_size]) is refused
+   with one message, as a root and as a child, through [tp] and through
+   [with_candidate]; one entry fewer computes. *)
+let test_wide_key_raises () =
+  (* two colour classes: a class id takes one bit *)
+  let g = Graph.with_colors (Gen.path 3) [ ("Red", [ 0 ]) ] in
+  let ctx = T.make_ctx g in
+  let tuple k = Array.init k (fun i -> i mod 3) in
+  let arity = (Sys.int_size - 1) / 2 in
+  let raises what f =
+    Alcotest.check_raises what
+      (Invalid_argument "Types.extend: tuple too long")
+      (fun () -> ignore (f ()))
+  in
+  raises "rank-1 root" (fun () -> T.tp ctx ~q:1 (tuple arity));
+  raises "rank-1 children" (fun () -> T.tp ctx ~q:2 (tuple (arity - 1)));
+  raises "opened candidate, q = 1" (fun () ->
+      T.with_candidate ctx ~q:1 (tuple (arity - 1)) (fun tp -> tp [| 0 |]));
+  raises "candidate, q = 2" (fun () ->
+      T.with_candidate ctx ~q:2 (tuple (arity - 2)) (fun tp -> tp [| 0 |]));
+  check_int "one entry fewer fits" 1
+    (T.rank (T.tp ctx ~q:1 (tuple (arity - 1))))
 
 (* n <= 8, up to 2 colours, k in {1, 2}, caps 1 and 2 *)
 let rank1_case =
@@ -486,13 +524,9 @@ let rank1_children_tp =
     ~count:150 rank1_case (fun (seed, n, k, cap) ->
       let g = rank1_graph seed n in
       (* one context over every parent, so its kernel warms up *)
-      let ctx = T.make_ctx ~cap g and roots = T.make_ctx ~cap g in
+      let ctx = T.make_ctx ~cap g in
       List.for_all
-        (fun u ->
-          children_are_roots ~cap (T.tp ctx ~q:2 u)
-            (List.map
-               (fun w -> T.tp roots ~q:1 (Graph.Tuple.append u [| w |]))
-               (Graph.vertices g)))
+        (fun u -> children_are_roots ~cap g (Graph.vertices g) (T.tp ctx ~q:2 u) u)
         (Graph.Tuple.all ~n ~k))
 
 let rank1_children_ltp =
@@ -504,14 +538,8 @@ let rank1_children_ltp =
       let ctx = T.make_ctx ~cap g in
       List.for_all
         (fun u ->
-          let emb = Ops.induced g (Bfs.ball_tuple g ~r u) in
-          let sub v = Option.get (emb.Ops.to_sub v) in
-          let roots = T.make_ctx ~cap emb.Ops.graph in
-          let u' = Array.map sub u in
-          children_are_roots ~cap (T.ltp ctx ~q:2 ~r u)
-            (List.map
-               (fun w -> T.tp roots ~q:1 (Graph.Tuple.append u' [| w |]))
-               (Graph.vertices emb.Ops.graph)))
+          children_are_roots ~cap g (Bfs.ball_tuple g ~r u)
+            (T.ltp ctx ~q:2 ~r u) u)
         (Graph.Tuple.all ~n ~k))
 
 (* ------------------------------------------------------------------ *)
@@ -695,31 +723,38 @@ let sweep_case =
   in
   QCheck.make ~print:(fun c -> c.sdesc) gen
 
-(* The roots v̄·w̄ of every candidate w̄ and example v̄, in sweep order:
-   through [with_candidate], or through [tp] one tuple at a time.  Each
-   root comes with its decomposition, as ints, so two legs compare
-   across a registry reset. *)
+(* The roots v̄·w̄ of every candidate w̄ and example v̄, in sweep order,
+   as trees: through [with_candidate], or through [tp] one tuple at a
+   time, memoised per candidate here, with the hits that memo counted. *)
 let candidate_roots ~opened ?budget c =
   let ctx = T.make_ctx ?budget ~cap:c.scap c.sg in
-  let shown (t : T.ty) =
-    let cap, kids = T.counted t in
-    let kid (k, n) = ((k : T.ty :> int), n) in
-    ((t :> int), cap, Option.map (List.map kid) kids)
-  in
-  (* a root [tp] memoised is a hit for [with_candidate] too *)
+  (* a [tp] call before the sweep shares nothing with it *)
   (match (c.warm, c.cands, c.sample) with
   | true, w :: _, v :: _ -> ignore (T.tp ctx ~q:c.sq (Graph.Tuple.append v w))
   | _ -> ());
-  List.map
-    (fun w ->
-      if opened then
-        T.with_candidate ctx ~q:c.sq w (fun tp ->
-            List.map (fun v -> shown (tp v)) c.sample)
-      else
-        List.map
-          (fun v -> shown (T.tp ctx ~q:c.sq (Graph.Tuple.append v w)))
-          c.sample)
-    c.cands
+  let hits = ref 0 in
+  let roots =
+    List.map
+      (fun w ->
+        if opened then
+          T.with_candidate ctx ~q:c.sq w (fun tp ->
+              List.map (fun v -> tree (tp v)) c.sample)
+        else
+          let seen = Hashtbl.create 8 in
+          List.map
+            (fun v ->
+              match Hashtbl.find_opt seen v with
+              | Some t ->
+                  incr hits;
+                  tree t
+              | None ->
+                  let t = T.tp ctx ~q:c.sq (Graph.Tuple.append v w) in
+                  Hashtbl.add seen v t;
+                  tree t)
+            c.sample)
+      c.cands
+  in
+  (roots, !hits)
 
 let tp_hits_c = Obs.Metric.counter "modelcheck.types.tp_hits"
 let tp_misses_c = Obs.Metric.counter "modelcheck.types.tp_misses"
@@ -733,15 +768,15 @@ let from_empty ~opened c =
       let h0 = Obs.Metric.value tp_hits_c
       and m0 = Obs.Metric.value tp_misses_c in
       let budget = Guard.Budget.unlimited () in
-      let roots = candidate_roots ~opened ~budget c in
+      let roots, hits = candidate_roots ~opened ~budget c in
       ( roots,
         (T.table_stats ()).T.live,
-        Obs.Metric.value tp_hits_c - h0,
+        Obs.Metric.value tp_hits_c - h0 + hits,
         Obs.Metric.value tp_misses_c - m0,
         (Guard.Budget.spent budget).Guard.table_rows ))
 
 let opened_roots_match_tp =
-  QCheck.Test.make ~name:"with_candidate roots = tp roots (ids, order, rows)"
+  QCheck.Test.make ~name:"with_candidate roots = tp roots (trees, rows)"
     ~count:150 sweep_case (fun c ->
       from_empty ~opened:true c = from_empty ~opened:false c)
 
@@ -755,7 +790,7 @@ let opened_roots_same_trips =
       let first n l = List.filteri (fun i _ -> i < n) l in
       let sample = first 4 c.sample @ [ List.hd c.sample ] in
       let c = { c with cands = first 3 c.cands; sample } in
-      let leg opened budget = candidate_roots ~opened ~budget c in
+      let leg opened budget = fst (candidate_roots ~opened ~budget c) in
       let _, _, fuel, rows, _ = governed Guard.Budget.unlimited (leg false) in
       let agree mk = governed mk (leg true) = governed mk (leg false) in
       List.for_all
@@ -803,4 +838,6 @@ let suite =
     QCheck_alcotest.to_alcotest shared_build_matches_tree_build;
     QCheck_alcotest.to_alcotest opened_roots_match_tp;
     QCheck_alcotest.to_alcotest opened_roots_same_trips;
+    Alcotest.test_case "a key wider than an int is refused" `Quick
+      test_wide_key_raises;
   ]
