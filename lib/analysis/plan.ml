@@ -131,13 +131,18 @@ let saturated_plan solver stage_q ~notes =
 (* Erm_local, sequential model, in ball sizes: a [Bfs.ball] of radius
    [r] spends [|N_r| + 1] fuel (one tick per ball vertex, one for
    [note_ball]), whatever the order of the graph.  Building the pool
-   takes two balls, [|N_{2r+1}| + |N_{3r+2}| + 2]; a local-type miss on
-   a root is its ball, its [Hintikka_build] tick and its type table,
-   [|N_r(root)| + 2 + rows].  The first candidate (empty parameter
-   tuple, enumerated first) is costed exactly from per-root ball
-   probes; later candidates' balls lie inside the touched
-   neighbourhood [N_{3r+2}], which bounds them above, with a trivial
-   lower bound. *)
+   takes two balls, [|N_{2r+1}| + |N_{3r+2}| + 2].  Then each distinct
+   root is typed once, before the sweep: a local-type miss, its ball,
+   its [Hintikka_build] tick and its type table,
+   [|N_r(root)| + 2 + rows], and when some candidate is not empty its
+   (2r+1)-ball for the far test.  Both are costed exactly from per-root
+   ball probes.  The first candidate (empty parameter tuple,
+   enumerated first) reads those types: one tick.  A later candidate
+   costs its tick, the miss of its own type (once some example is
+   far) and a miss per near example; far examples compose for free.
+   Every such ball lies inside the touched neighbourhood [N_{3r+2}],
+   which bounds them above; below, a candidate spends at least one
+   miss when there is an example (its own type, or a near pair). *)
 let analyze_local i =
   let g = i.g in
   let q = i.q in
@@ -160,38 +165,43 @@ let analyze_local i =
       let touched = Cgraph.Stats.ball_size g ~r:((3 * r) + 2) entries in
       let poolbuild = ci (pool + touched + 2) in
       let c_loc = Cost_model.local_candidate_count ~pool ~ell:i.ell in
-      let miss_of root =
+      let typed_root root =
         let b_i = Cgraph.Stats.ball_size g ~r (Array.to_list root) in
         let rows = Cost_model.type_table_rows ~n:b_i ~q in
-        (ci (b_i + 2) ++ rows, rows)
+        let far =
+          if i.ell > 0 then
+            1 + Cgraph.Stats.ball_size g ~r:((2 * r) + 1) (Array.to_list root)
+          else 0
+        in
+        (ci (b_i + 2 + far) ++ rows, rows)
       in
-      let first_misses = List.map miss_of roots in
-      let first_cand =
-        List.fold_left (fun acc (m, _) -> acc ++ m) C.one first_misses
+      let typed = List.map typed_root roots in
+      let examples =
+        List.fold_left (fun acc (m, _) -> acc ++ m) C.zero typed
       in
+      let first = poolbuild ++ examples ++ C.one in
       let table_first =
-        List.fold_left (fun acc (_, rows) -> cmax acc rows) C.zero first_misses
+        List.fold_left (fun acc (_, rows) -> cmax acc rows) C.zero typed
       in
       let tq_touched = Cost_model.type_table_rows ~n:touched ~q in
       let miss_hi = ci (touched + 2) ++ tq_touched in
-      let per_cand_hi = C.one ++ (ci d ** miss_hi) in
-      let per_cand_lo = ci (1 + (d * (q + 4))) in
+      let per_cand_hi = C.one ++ (ci (d + 1) ** miss_hi) in
+      let per_cand_lo = ci (if d = 0 then 1 else q + 5) in
       let rest = pred c_loc in
-      (* the first candidate's local type tables are built from scratch
-         (one fresh table per root, exactly [rows] misses each); later
-         candidates re-enter the memo, so they contribute between 0 and
-         a full touched-neighbourhood table per root *)
+      (* the examples' tables are built from scratch (one fresh table per
+         root, exactly [rows] nodes each, and one miss); a later candidate
+         adds between 0 and a touched-neighbourhood table and a miss for
+         its own type and for each root *)
       let evals_first =
-        List.fold_left (fun acc (_, rows) -> acc ++ rows) C.zero first_misses
+        List.fold_left (fun acc (_, rows) -> acc ++ rows) C.zero typed
       in
       {
         solver = Local;
         stage_q = q;
-        fuel_first = Env.exact (poolbuild ++ first_cand);
+        fuel_first = Env.exact first;
         fuel_total =
-          Env.make
-            ~lo:(poolbuild ++ first_cand ++ (rest ** per_cand_lo))
-            ~hi:(poolbuild ++ first_cand ++ (rest ** per_cand_hi));
+          Env.make ~lo:(first ++ (rest ** per_cand_lo))
+            ~hi:(first ++ (rest ** per_cand_hi));
         table_first = Env.exact table_first;
         table_total = Env.make ~lo:table_first ~hi:tq_touched;
         ball_first = Env.exact (ci touched);
@@ -199,14 +209,16 @@ let analyze_local i =
         hypotheses = Env.exact c_loc;
         type_evals =
           Env.make ~lo:evals_first
-            ~hi:(evals_first ++ (rest ** ci d ** tq_touched));
+            ~hi:
+              (evals_first ++ ci d
+              ++ (rest ** ci (d + 1) ** (tq_touched ++ C.one)));
         exact = false;
         notes =
           [
             Printf.sprintf
               "radius %d: pool |N_%d| = %d, touched |N_%d| = %d of %d \
-               vertices; first candidate costed exactly, later candidates \
-               bounded by the touched neighbourhood"
+               vertices; examples and first candidate costed exactly, \
+               later candidates bounded by the touched neighbourhood"
               r ((2 * r) + 1) pool ((3 * r) + 2) touched
               (Cgraph.Graph.order g);
           ];
@@ -225,7 +237,10 @@ let analyze_nd i =
   let lo_first = ci (2 + (d * (q + 4))) in
   let tqn = Cost_model.type_table_rows ~n ~q in
   let miss_hi = ci (n + 2) ++ tqn in
-  let leaf_hi = C.one ++ (ci d ** miss_hi) in
+  (* the examples, typed once: a miss and a (2r+1)-ball each *)
+  let examples_hi = ci d ** (miss_hi ++ ci (n + 1)) in
+  (* a vote: the parameters' own type and a miss per near example *)
+  let leaf_hi = C.one ++ (ci (d + 1) ** miss_hi) in
   let np2 = ci (n + 2) in
   let round_hi = ci 2 ** np2 ** np2 in
   let games_hi = ci 512 ** round_hi in
@@ -240,7 +255,9 @@ let analyze_nd i =
     (ci 2 ** nsg2 ** nsg2) ++ (ci (i.k + 6) ** ci (m + 1) ** nsg2)
   in
   let node_hi = ci 2 ++ (ci 2 ** leaf_hi) ++ step_hi in
-  let total_hi = ci 16 ++ (ci 2 ** (games_hi ++ (ci 1025 ** node_hi))) in
+  let total_hi =
+    ci 16 ++ examples_hi ++ (ci 2 ** (games_hi ++ (ci 1025 ** node_hi)))
+  in
   {
     solver = Nd;
     stage_q = q;

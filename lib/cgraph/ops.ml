@@ -89,45 +89,6 @@ let copies g c =
   if c < 1 then invalid_arg "Ops.copies: need at least one copy";
   disjoint_union (List.init c (fun _ -> g))
 
-let delete_edges_at g vs =
-  let doomed = Array.make (Graph.order g) false in
-  List.iter
-    (fun v ->
-      if v < 0 || v >= Graph.order g then raise (Graph.Invalid_vertex v);
-      doomed.(v) <- true)
-    vs;
-  let edges =
-    List.filter (fun (u, v) -> not (doomed.(u) || doomed.(v))) (Graph.edges g)
-  in
-  let colors =
-    List.map (fun c -> (c, Graph.color_class g c)) (Graph.color_names g)
-  in
-  Graph.create ~n:(Graph.order g) ~edges ~colors
-
-let add_isolated g colour_sets =
-  let n = Graph.order g in
-  let fresh = List.mapi (fun i _ -> n + i) colour_sets in
-  let color_tbl : (string, Graph.vertex list ref) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun c -> Hashtbl.replace color_tbl c (ref (Graph.color_class g c)))
-    (Graph.color_names g);
-  List.iteri
-    (fun i cs ->
-      List.iter
-        (fun c ->
-          match Hashtbl.find_opt color_tbl c with
-          | Some r -> r := (n + i) :: !r
-          | None -> Hashtbl.replace color_tbl c (ref [ n + i ]))
-        cs)
-    colour_sets;
-  let colors =
-    Hashtbl.fold (fun c members acc -> (c, !members) :: acc) color_tbl []
-  in
-  let graph =
-    Graph.create ~n:(n + List.length colour_sets) ~edges:(Graph.edges g) ~colors
-  in
-  (graph, fresh)
-
 let subgraph_of h g =
   Graph.order h <= Graph.order g
   && List.for_all (fun (u, v) -> Graph.mem_edge g u v) (Graph.edges h)

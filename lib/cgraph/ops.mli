@@ -2,8 +2,8 @@
 
     These are the structure-building operations used throughout the paper:
     induced subgraphs [G\[S\]], the neighbourhood graphs [N_r^G(ū)]
-    (Section 2), disjoint unions (hardness proof, Lemma 7), and the edge
-    deletions / isolated-vertex additions of the Lemma 16 projection. *)
+    (Section 2) and disjoint unions (hardness proof, Lemma 7).  The
+    Lemma 16 projection builds its stage graphs itself ([Erm_nd]). *)
 
 type embedding = {
   graph : Graph.t;  (** the derived graph *)
@@ -30,16 +30,6 @@ val disjoint_union : Graph.t list -> Graph.t * (int -> Graph.vertex -> Graph.ver
 val copies : Graph.t -> int -> Graph.t * (int -> Graph.vertex -> Graph.vertex)
 (** [copies g c] is the disjoint union of [c] copies of [g];
     the map sends (copy index, original vertex) to the union vertex. *)
-
-val delete_edges_at : Graph.t -> Graph.vertex list -> Graph.t
-(** Remove every edge incident to one of the listed vertices (Step 3 of the
-    Lemma 16 construction); vertices and colours are kept. *)
-
-val add_isolated : Graph.t -> (string list) list -> Graph.t * Graph.vertex list
-(** [add_isolated g colour_sets] appends one fresh isolated vertex per list
-    element, carrying exactly the given colours (creating colour classes as
-    needed); returns the new graph and the fresh vertex ids (the
-    type-representative vertices [t_{I,θ}] of Lemma 16). *)
 
 val subgraph_of : Graph.t -> Graph.t -> bool
 (** [subgraph_of h g]: is [h] a subgraph of [g] under the identity map

@@ -15,7 +15,7 @@ let pool_size_h = Obs.Metric.histogram "erm_local.pool_size"
    pool, shorter first; within a length the first position varies
    fastest, so position [d] of the [i]-th j-tuple is digit [d] of [i]
    base |pool| *)
-let space ?budget g ~ell ~q ~r lam pool =
+let space ?budget g ~ell ~q ~r lam examples pool =
   let p = Array.length pool in
   let level = Array.init (ell + 1) (fun j -> Graph.Tuple.count ~n:p ~k:j) in
   let count =
@@ -42,9 +42,8 @@ let space ?budget g ~ell ~q ~r lam pool =
     ctx = (fun () -> Types.make_ctx ?budget g);
     score =
       (fun ctx params ->
-        Sweep.majority
-          (fun v -> Types.ltp ctx ~q ~r (Graph.Tuple.append v params))
-          lam);
+        Types.with_local_candidate ctx ~examples ~q ~r params (fun ltp ->
+            Sweep.majority ltp lam));
   }
 
 (* what the pool construction measured, for the result *)
@@ -80,8 +79,15 @@ let solve_body ?pool:ppool ?ckpt ?budget g ~k ~ell ~q ~r lam ext st =
   if Obs.Sink.enabled () then
     Obs.Metric.observe pool_size_h (float_of_int ext.pool_size);
   ext.vertices_touched <- List.length touched;
+  (* typed once, outside the sweep, so that its fuel does not depend on
+     how the sweep is chunked; the balls for the far test only when some
+     candidate is not empty *)
+  let examples =
+    Types.local_examples (Types.make_ctx ?budget g) ~q ~r ~far:(ell > 0)
+      (List.map fst lam)
+  in
   Sweep.run ?pool:ppool ?ckpt ?budget
-    (space ?budget g ~ell ~q ~r lam (Array.of_list pool))
+    (space ?budget g ~ell ~q ~r lam examples (Array.of_list pool))
     st;
   finish g ~k ~q ~r lam ext st
 

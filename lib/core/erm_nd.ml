@@ -77,41 +77,20 @@ type stage = {
   sexamples : (Graph.Tuple.t * bool * int) list;
 }
 
-(* Majority vote per local-type class: the exact optimum over type-set
-   hypotheses for fixed parameters.  Returns (positive types, #errors). *)
-let majority_local typ ~params lam =
-  let votes = Hashtbl.create 64 in
-  List.iter
-    (fun (v, label) ->
-      let t = typ (Graph.Tuple.append v params) in
-      let pos, neg =
-        match Hashtbl.find_opt votes t with
-        | Some cell -> cell
-        | None ->
-            let cell = (ref 0, ref 0) in
-            Hashtbl.replace votes t cell;
-            cell
-      in
-      if label then incr pos else incr neg)
-    lam;
-  Hashtbl.fold
-    (fun t (pos, neg) (chosen, errs) ->
-      if !pos > !neg then (t :: chosen, errs + !neg) else (chosen, errs + !pos))
-    votes ([], 0)
-
 (* Conflict analysis against the ORIGINAL graph: an example is critical
-   iff its class under ltp_{q,r}(G, v̄·w̄) — with w̄ the parameters chosen
-   so far — still contains both labels.  This is the paper's resolution
-   criterion ("to resolve a conflict we need parameters w̄ such that
-   ltp(G, v̄⁺w̄) ≠ ltp(G, v̄⁻w̄)"); checking it on the original graph
-   rather than on the projected stage keeps the round loop honest: the
-   fresh colours of the Lemma 16 projection refine stage-local types
-   beyond what the final hypothesis can express. *)
-let conflict_analysis typ ~params lam =
+   iff its class under [typ v̄ = ltp_{q,r}(G, v̄·w̄)] — with w̄ the
+   parameters chosen so far — still contains both labels.  This is the
+   paper's resolution criterion ("to resolve a conflict we need
+   parameters w̄ such that ltp(G, v̄⁺w̄) ≠ ltp(G, v̄⁻w̄)"); checking it on
+   the original graph rather than on the projected stage keeps the
+   round loop honest: the fresh colours of the Lemma 16 projection
+   refine stage-local types beyond what the final hypothesis can
+   express. *)
+let conflict_analysis typ lam =
   let classes = Hashtbl.create 64 in
   List.iteri
     (fun idx (v, b) ->
-      let t = typ (Graph.Tuple.append v params) in
+      let t = typ v in
       match Hashtbl.find_opt classes t with
       | Some cell -> cell := (b, idx) :: !cell
       | None -> Hashtbl.replace classes t (ref [ (b, idx) ]))
@@ -244,7 +223,20 @@ let solve_inner ?(ckpt = Resil.Ctl.none) ?budget cfg g lam =
                  (float_of_int (k * ell_star * Lazy.force s) /. cfg.epsilon))))
   in
   let local_types = local_types ?budget ?cap:cfg.counting ~q ~r in
-  let typ_orig = local_types g in
+  (* the examples are typed once, at the first conflict analysis; the
+     majority vote per local-type class is the exact optimum over
+     type-set hypotheses for fixed parameters *)
+  let ctx_orig = Types.make_ctx ?budget ?cap:cfg.counting g in
+  let examples =
+    lazy (Types.local_examples ctx_orig ~q ~r (List.map fst lam))
+  in
+  let with_params params f =
+    Types.with_local_candidate ctx_orig ~examples:(Lazy.force examples) ~q
+      ~r params f
+  in
+  let majority params =
+    with_params params (fun typ -> Sweep.majority typ lam)
+  in
   let branches = ref 0 in
   let node_budget = ref 1024 in
   (* best = (errs, params, rounds, leaf index).  The tree walk itself
@@ -267,7 +259,7 @@ let solve_inner ?(ckpt = Resil.Ctl.none) ?budget cfg g lam =
       let params =
         Array.of_list (List.concat (List.rev answers_rev))
       in
-      let _, errs = majority_local typ_orig ~params lam in
+      let _, errs = majority params in
       (match !best with
       | Some (best_errs, _, _, _) when best_errs <= errs -> ()
       | _ -> best := Some (errs, params, List.rev rounds_rev, i))
@@ -283,7 +275,7 @@ let solve_inner ?(ckpt = Resil.Ctl.none) ?budget cfg g lam =
       Array.of_list (List.concat (List.rev answers_rev))
     in
     let n_conflicts, critical_idx =
-      conflict_analysis typ_orig ~params:params_so_far lam
+      with_params params_so_far (fun typ -> conflict_analysis typ lam)
     in
     let crit_set = ISet.of_list critical_idx in
     let critical =
@@ -386,10 +378,13 @@ let solve_inner ?(ckpt = Resil.Ctl.none) ?budget cfg g lam =
     in
     if answers_orig = [] then None
     else begin
-      let ball = Bfs.ball ?budget sg ~r:r' z in
-      let emb = Ops.induced sg ball in
-      let a0 = emb.Ops.graph in
-      let map_opt v = emb.Ops.to_sub v in
+      (* G^{i+1} numbers the ball ascending, then the carried vertices,
+         then the fresh ones *)
+      let ball = Array.of_list (Bfs.ball ?budget sg ~r:r' z) in
+      let nball = Array.length ball in
+      let index = Hashtbl.create (2 * nball) in
+      Array.iteri (fun i v -> Hashtbl.replace index v i) ball;
+      let map_opt v = Hashtbl.find_opt index v in
       (* Step 1: distance colours D_{j,d} to the guessed centres y_j.
          One full BFS per centre. *)
       let y_dists = List.map (fun yj -> Bfs.distances ?budget sg yj) y in
@@ -402,7 +397,7 @@ let solve_inner ?(ckpt = Resil.Ctl.none) ?budget cfg g lam =
                      List.filter_map
                        (fun v ->
                          if dist.(v) = d then map_opt v else None)
-                       ball )))
+                       (Array.to_list ball) )))
              y_dists)
       in
       (* Steps 2-3: neighbourhood colours C_j, deletion markers B_j, and
@@ -422,13 +417,10 @@ let solve_inner ?(ckpt = Resil.Ctl.none) ?budget cfg g lam =
               List.filter_map map_opt [ wj ] ))
           answers_stage
       in
-      let a1 = Graph.with_colors a0 (d_colors @ c_colors @ b_colors) in
-      let a2 =
-        Ops.delete_edges_at a1 (List.filter_map map_opt answers_stage)
-      in
       (* Carry over the synthetic isolated vertices of previous rounds. *)
       let carried =
-        List.filter (fun v -> stage.orig.(v) = None) (Graph.vertices sg)
+        Array.of_list
+          (List.filter (fun v -> stage.orig.(v) = None) (Graph.vertices sg))
       in
       (* Step 4 + example projection: figure out which isolated
          type-representatives t_{I,θ} are needed. *)
@@ -436,8 +428,7 @@ let solve_inner ?(ckpt = Resil.Ctl.none) ?budget cfg g lam =
       let near_limit = (6 * r) + 3 in
       let fresh_tbl : (int list * int, int) Hashtbl.t = Hashtbl.create 16 in
       let fresh_specs = ref [] and fresh_count = ref 0 in
-      let carried_offset = Graph.order a2 in
-      let fresh_offset = carried_offset + List.length carried in
+      let fresh_offset = nball + Array.length carried in
       let get_fresh key colour =
         match Hashtbl.find_opt fresh_tbl key with
         | Some id -> id
@@ -461,10 +452,9 @@ let solve_inner ?(ckpt = Resil.Ctl.none) ?budget cfg g lam =
         let near v_entry = dist_y.(v_entry) <= near_limit in
         if not (Array.exists near v) then None
         else begin
-          (* components of H_v̄: indices within distance 2r+1 chains *)
-          let dists =
-            Array.map (fun ve -> Bfs.distances ?budget sg ve) v
-          in
+          (* components of H_v̄: indices within distance 2r+1 chains,
+             each pair tested by a search that stops at that depth (none
+             at k = 1) *)
           let comp = Array.make kk (-1) in
           let next_comp = ref 0 in
           for a = 0 to kk - 1 do
@@ -474,7 +464,10 @@ let solve_inner ?(ckpt = Resil.Ctl.none) ?budget cfg g lam =
               let rec flood a =
                 comp.(a) <- c;
                 for b = 0 to kk - 1 do
-                  if comp.(b) < 0 && dists.(a).(v.(b)) <= (2 * r) + 1 then
+                  if
+                    comp.(b) < 0
+                    && Bfs.within ?budget sg ~r:((2 * r) + 1) v.(a) v.(b)
+                  then
                     flood b
                 done
               in
@@ -512,20 +505,45 @@ let solve_inner ?(ckpt = Resil.Ctl.none) ?budget cfg g lam =
         end
       in
       let projected = List.filter_map project critical in
-      (* Assemble G^{i+1} = A2 ⊎ carried ⊎ fresh. *)
-      let carried_colour_sets =
-        List.map (fun v -> Graph.colors_of sg v) carried
-      in
-      let fresh_colour_sets =
-        List.rev_map (fun (_, colour) -> [ colour ]) !fresh_specs
-      in
-      let g1, _ = Ops.add_isolated a2 carried_colour_sets in
-      let g2, _ = Ops.add_isolated g1 fresh_colour_sets in
-      let order2 = Graph.order g2 in
-      let orig' = Array.make order2 None in
-      for v = 0 to Graph.order a2 - 1 do
-        orig'.(v) <- stage.orig.(emb.Ops.of_sub v)
+      (* Assemble G^{i+1} = A ⊎ carried ⊎ fresh in one go: A is the
+         ball's induced graph with the colours D, C and B and without the
+         edges at Splitter's answers; the carried vertices keep their
+         colours, and each fresh vertex has a colour of its own. *)
+      let cut = Array.make nball false in
+      List.iter
+        (fun w -> Option.iter (fun i -> cut.(i) <- true) (map_opt w))
+        answers_stage;
+      let edges = ref [] in
+      for i = nball - 1 downto 0 do
+        if not cut.(i) then
+          Graph.iter_neighbors sg ball.(i) (fun w ->
+              match map_opt w with
+              | Some j when i < j && not cut.(j) -> edges := (i, j) :: !edges
+              | _ -> ())
       done;
+      let old_colours =
+        List.map
+          (fun c ->
+            let has = Graph.color_test sg c in
+            let members = ref [] in
+            Array.iteri
+              (fun j v -> if has v then members := (nball + j) :: !members)
+              carried;
+            Array.iteri
+              (fun i v -> if has v then members := i :: !members)
+              ball;
+            (c, !members))
+          (Graph.color_names sg)
+      in
+      let fresh_colours =
+        List.map (fun (id, colour) -> (colour, [ id ])) !fresh_specs
+      in
+      let g2 =
+        Graph.create ~n:(fresh_offset + !fresh_count) ~edges:!edges
+          ~colors:(old_colours @ d_colors @ c_colors @ b_colors @ fresh_colours)
+      in
+      let orig' = Array.make (Graph.order g2) None in
+      Array.iteri (fun i v -> orig'.(i) <- stage.orig.(v)) ball;
       (* carried and fresh vertices stay None *)
       let info =
         {
@@ -554,7 +572,7 @@ let solve_inner ?(ckpt = Resil.Ctl.none) ?budget cfg g lam =
       | Some (errs, params, rounds, _) -> (errs, params, rounds)
       | None -> (Sample.errors_of (fun _ -> false) lam, [||], [])
     in
-    let chosen, errs' = majority_local typ_orig ~params lam in
+    let chosen, errs' = majority params in
     assert (errs' = errs);
     let hypothesis =
       Hypothesis.of_local_types ?cap:cfg.counting g ~k ~q ~r ~types:chosen

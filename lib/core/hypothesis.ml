@@ -61,12 +61,14 @@ let of_formula g ~k ~formula ~params =
 
 module TySet = Set.Make (Int)
 
-(* "the type [typ] gives v̄·w̄ is one of [types]": [tag] names the kind
-   of type in the signature, and [formula ~ell types] is the witness *)
+(* "the type [typ w̄] gives v̄ (the type of v̄·w̄) is one of [types]":
+   [tag] names the kind of type in the signature, and
+   [formula ~ell types] is the witness *)
 let of_type_set g ~k ~q ~qrank ~tag ~typ ~formula ~types ~params =
   check_tuple g params;
   let ell = Array.length params in
   let members = TySet.of_list (List.map Types.hash types) in
+  let typ = typ params in
   (* the ids identify the set; the formula orders it structurally *)
   let by_id a b = Int.compare (Types.hash a) (Types.hash b) in
   let types = List.sort_uniq by_id types in
@@ -76,9 +78,7 @@ let of_type_set g ~k ~q ~qrank ~tag ~typ ~formula ~types ~params =
     ell;
     qrank;
     params;
-    predictor =
-      (fun v ->
-        TySet.mem (Types.hash (typ (Graph.Tuple.append v params))) members);
+    predictor = (fun v -> TySet.mem (Types.hash (typ v)) members);
     formula = lazy (formula ~ell types);
     signature =
       lazy
@@ -95,7 +95,7 @@ let of_types ?(cap = 1) g ~k ~q ~types ~params =
   let ctx = Types.make_ctx ~cap g in
   of_type_set g ~k ~q ~qrank:q
     ~tag:(if cap = 1 then "T" else Printf.sprintf "C%d" cap)
-    ~typ:(Types.tp ctx ~q)
+    ~typ:(fun w v -> Types.tp ctx ~q (Graph.Tuple.append v w))
     ~formula:(fun ~ell types ->
       Modelcheck.Hintikka.of_types ~vars:(xyvars ~k ~ell)
         ~colors:(Graph.color_names g) types)
@@ -108,7 +108,7 @@ let of_local_types ?(cap = 1) g ~k ~q ~r ~types ~params =
     ~tag:
       (if cap = 1 then Printf.sprintf "L%d" r
        else Printf.sprintf "CL%d_%d" cap r)
-    ~typ:(Types.ltp ctx ~q ~r)
+    ~typ:(fun w -> Types.with_local_candidate ctx ~q ~r w Fun.id)
     ~formula:(fun ~ell types ->
       let colors = Graph.color_names g in
       Fo.Formula.or_

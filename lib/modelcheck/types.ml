@@ -474,13 +474,26 @@ let tp_hits = Obs.Metric.counter "modelcheck.types.tp_hits"
 let tp_misses = Obs.Metric.counter "modelcheck.types.tp_misses"
 let ltp_hits = Obs.Metric.counter "modelcheck.types.ltp_hits"
 let ltp_misses = Obs.Metric.counter "modelcheck.types.ltp_misses"
+let ltp_composed = Obs.Metric.counter "modelcheck.types.ltp_composed"
 let ltp_radius_h = Obs.Metric.histogram "modelcheck.types.ltp_radius"
+
+module Triple_tbl = Hashtbl.Make (struct
+  type t = int * int * int
+
+  let equal (a, b, c) (a', b', c') = a = a' && b = b' && c = c'
+  let hash (a, b, c) = Intern.mix (Intern.mix a b) c
+end)
 
 type ctx = {
   g : Graph.t;
   budget : Guard.Budget.t option;  (* charged for every computed node *)
   cap : int;  (* multiplicity cap: 1 for plain types *)
   ltp_memo : (int * int * Graph.Tuple.t, ty) Hashtbl.t;
+  candidates : (int * int * Graph.Tuple.t, ty) Hashtbl.t;
+      (* the local types of [with_local_candidate]'s candidates, apart
+         from [ltp_memo]: a candidate is never a hit on a pair's key *)
+  truncated : ty Int_tbl.t;  (* a type -> the type one rank below *)
+  composed : ty Triple_tbl.t;  (* (type of a, type of b, layout) -> type *)
   kernel : kernel Lazy.t;  (* shared by [tp] and every [ltp] miss *)
   rows : int ref;  (* nodes [tp] computed so far: the table's rows *)
 }
@@ -495,6 +508,9 @@ let make_ctx ?budget ?(cap = 1) g =
     budget;
     cap;
     ltp_memo = Hashtbl.create 256;
+    candidates = Hashtbl.create 16;
+    truncated = Int_tbl.create 16;
+    composed = Triple_tbl.create 16;
     kernel = lazy (kernel g (leaf ~cap));
     rows = ref 0;
   }
@@ -614,11 +630,11 @@ let with_candidate ctx ~q w f =
    ascending order: the induced graph's own numbering, so the type and
    the work are those of [tp] on [N_r(ū)].  Its rows count from 0, as
    in a context of its own. *)
-let ltp ctx ~q ~r u =
+let ltp_in memo ctx ~q ~r u =
   if r < 0 then invalid_arg "Types.ltp: negative radius";
   if q < 0 then invalid_arg "Types.ltp: negative quantifier rank";
   if Obs.Sink.enabled () then Obs.Metric.observe ltp_radius_h (float_of_int r);
-  match Hashtbl.find_opt ctx.ltp_memo (q, r, u) with
+  match Hashtbl.find_opt memo (q, r, u) with
   | Some t ->
       Obs.Metric.incr ltp_hits;
       t
@@ -628,8 +644,189 @@ let ltp ctx ~q ~r u =
       let ball = Array.of_list (Bfs.ball_tuple ?budget:ctx.budget ctx.g ~r u) in
       let range () = over_ball (Lazy.force ctx.kernel) ball in
       let t = compute_root ctx range (ref 0) ~q u in
-      Hashtbl.replace ctx.ltp_memo (q, r, u) t;
+      Hashtbl.replace memo (q, r, u) t;
       t
+
+let ltp ctx = ltp_in ctx.ltp_memo ctx
+
+(* ------------------------------------------------------------------ *)
+(* Far pairs by composition                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* When dist(v̄, w̄) > 2r+1 the balls N_r(v̄) and N_r(w̄) are disjoint and
+   no edge joins them, so N_r(v̄·w̄) is their disjoint union and the type
+   of v̄·w̄ over it is a function of the types of its parts (Feferman-
+   Vaught).  A layout deals the positions of a tuple between the parts:
+   bit i set when position i is the next entry of the second part. *)
+
+(* distinct ids sorted, with the counts of equal ids summed *)
+let summed kids =
+  List.fold_right
+    (fun (t, c) acc ->
+      match acc with
+      | (t', c') :: rest when t' = t -> (t, c + c') :: rest
+      | _ -> (t, c) :: acc)
+    (by_id kids) []
+
+(* The signature of the tuple that [layout] deals from two tuples far
+   apart: each part's equalities and edges at its positions, none
+   between the parts, in [atomic_signature]'s order (by the larger
+   position, then the smaller) *)
+let merged_signature layout sa sb =
+  let k = sa.sig_arity + sb.sig_arity in
+  let pa = Array.make sa.sig_arity 0 and pb = Array.make sb.sig_arity 0 in
+  let cols = Array.make k [] and na = ref 0 and nb = ref 0 in
+  for i = 0 to k - 1 do
+    if layout land (1 lsl i) = 0 then begin
+      pa.(!na) <- i;
+      cols.(i) <- sa.cols.(!na);
+      incr na
+    end
+    else begin
+      pb.(!nb) <- i;
+      cols.(i) <- sb.cols.(!nb);
+      incr nb
+    end
+  done;
+  let pairs la lb =
+    let at p = List.map (fun (i, j) -> (p.(i), p.(j))) in
+    List.sort
+      (fun (i, j) (i', j') ->
+        match Int.compare j j' with 0 -> Int.compare i i' | c -> c)
+      (at pa la @ at pb lb)
+  in
+  { sig_arity = k; eqs = pairs sa.eqs sb.eqs; edgs = pairs sa.edgs sb.edgs;
+    cols }
+
+(* [tp_{q-1}] of a tuple from its [tp_q], q >= 1: the same signature, and
+   each child one rank lower, counts summed and capped again *)
+let rec truncate ctx t =
+  match Int_tbl.find ctx.truncated t with
+  | t' -> t'
+  | exception Not_found ->
+      let sg = fst (Reg.key t) in
+      let t' =
+        match counted t with
+        | cap, Some kids when rank t >= 2 ->
+            let kids = List.map (fun (x, c) -> (truncate ctx x, c)) kids in
+            intern (sg, capped cap (summed kids)) (rank t - 1)
+        | cap, _ -> leaf ~cap sg
+      in
+      Int_tbl.add ctx.truncated t t';
+      t'
+
+(* The type of the tuple [layout] deals from a and b, both of one rank.
+   A child of the union extends it by a vertex of one part: a child of
+   that part's type, with the other part's type one rank lower. *)
+let rec compose ctx a b layout =
+  let key = (a, b, layout) in
+  match Triple_tbl.find ctx.composed key with
+  | t -> t
+  | exception Not_found ->
+      let sg = merged_signature layout (fst (Reg.key a)) (fst (Reg.key b)) in
+      let t =
+        match (counted a, counted b) with
+        | (cap, Some ka), (_, Some kb) ->
+            let ta = truncate ctx a and tb = truncate ctx b in
+            let second = layout lor (1 lsl sg.sig_arity) in
+            let kids =
+              List.map (fun (x, c) -> (compose ctx x tb layout, c)) ka
+              @ List.map (fun (y, c) -> (compose ctx ta y second, c)) kb
+            in
+            intern (sg, capped cap (summed kids)) (rank a)
+        | (cap, _), _ -> leaf ~cap sg
+      in
+      Triple_tbl.add ctx.composed key t;
+      t
+
+type examples = {
+  eq : int;
+  er : int;
+  ecap : int;
+  typed : (ty * Graph.vertex array) Tuple_tbl.t;
+      (* tuple -> its local type and its (2r+1)-ball, sorted ([||] when
+         built without the balls) *)
+}
+
+let local_examples ctx ~q ~r ?(far = true) tuples =
+  let typed = Tuple_tbl.create 64 in
+  List.iter
+    (fun v ->
+      if not (Tuple_tbl.mem typed v) then begin
+        let t = ltp ctx ~q ~r v in
+        let ball =
+          if far then
+            Array.of_list
+              (Bfs.ball_tuple ?budget:ctx.budget ctx.g ~r:((2 * r) + 1) v)
+          else [||]
+        in
+        Tuple_tbl.add typed v (t, ball)
+      end)
+    tuples;
+  { eq = q; er = r; ecap = ctx.cap; typed }
+
+(* some entry of [xs] from [i] on is in the ascending array [a] *)
+let rec meets a xs i =
+  i < Array.length xs
+  && begin
+       let v = xs.(i) and lo = ref 0 and hi = ref (Array.length a) in
+       while !lo < !hi do
+         let mid = (!lo + !hi) lsr 1 in
+         if a.(mid) < v then lo := mid + 1 else hi := mid
+       done;
+       (!lo < Array.length a && a.(!lo) = v) || meets a xs (i + 1)
+     end
+
+(* A far pair composes its parts: the example's type from [examples] (or
+   [ltp]), the candidate's computed once per context.  The far test
+   looks the candidate's entries up in the example's (2r+1)-ball, or an
+   example's entries up in the candidate's, built on the first example
+   [examples] does not hold. *)
+let with_local_candidate ctx ?examples ~q ~r w f =
+  let typed =
+    match examples with
+    | Some e when e.eq <> q || e.er <> r || e.ecap <> ctx.cap ->
+        invalid_arg
+          "Types.with_local_candidate: examples of another q, r or cap"
+    | Some e -> e.typed
+    | None -> Tuple_tbl.create 1
+  in
+  if Array.length w = 0 then
+    f (fun v ->
+        match Tuple_tbl.find typed v with
+        | t, _ -> t
+        | exception Not_found -> ltp ctx ~q ~r v)
+  else begin
+    let tw = lazy (ltp_in ctx.candidates ctx ~q ~r w) in
+    let around_w =
+      lazy
+        (Array.of_list
+           (Bfs.ball_tuple ?budget:ctx.budget ctx.g ~r:((2 * r) + 1) w))
+    in
+    (* the layout is a function of tv's arity: memoised by tv alone *)
+    let by_type = Int_tbl.create 16 in
+    let composed tv =
+      Obs.Metric.incr ltp_composed;
+      match Int_tbl.find by_type tv with
+      | t -> t
+      | exception Not_found ->
+          let t =
+            compose ctx tv (Lazy.force tw)
+              (((1 lsl Array.length w) - 1) lsl arity tv)
+          in
+          Int_tbl.add by_type tv t;
+          t
+    in
+    f (fun v ->
+        match Tuple_tbl.find typed v with
+        | tv, ball ->
+            if Array.length ball > 0 && not (meets ball w 0) then composed tv
+            else ltp ctx ~q ~r (Graph.Tuple.append v w)
+        | exception Not_found ->
+            if Array.length v > 0 && not (meets (Lazy.force around_w) v 0)
+            then composed (ltp ctx ~q ~r v)
+            else ltp ctx ~q ~r (Graph.Tuple.append v w))
+  end
 
 let partition_by keyf tuples =
   let tbl : (ty, Graph.Tuple.t list ref) Hashtbl.t = Hashtbl.create 64 in

@@ -110,6 +110,59 @@ val ltp : ctx -> q:int -> r:int -> Graph.Tuple.t -> ty
     the ball, and [Σ_{j<=q} |ball|^j] nodes counted as {!tp} counts
     them, with the table rows of each miss counted from 0. *)
 
+(** {1 Local types of far pairs}
+
+    When [dist(v̄, w̄) > 2r+1] the balls [N_r(v̄)] and [N_r(w̄)] are
+    disjoint and no edge joins them, so [ltp(v̄·w̄)] is a function of
+    [ltp(v̄)] and [ltp(w̄)] (Fact 5, Cor 6, Feferman–Vaught).  It is
+    composed on the type trees: a child of the union extends one part,
+    so it is a child of that part's type composed with the other part's
+    type one rank lower, the counts of equal children summed and capped
+    again.  So it holds at every rank and cap, and the composed id is
+    the id {!ltp} computes. *)
+
+type examples
+(** The example side of an ERM solve, typed once: each tuple's local
+    type and its sorted [(2r+1)]-ball. *)
+
+val local_examples :
+  ctx -> q:int -> r:int -> ?far:bool -> Graph.Tuple.t list -> examples
+(** [local_examples ctx ~q ~r tuples] types each distinct tuple by
+    {!ltp} and, unless [far] is [false] (default [true]), builds its
+    [(2r+1)]-ball, charged as {!Bfs.ball_tuple} charges it.  Build it
+    once per solve, before the sweep, so that its work does not depend
+    on how the sweep is split.  Without the balls, no pair with one of
+    these tuples is composed: pass [~far:false] when every candidate is
+    empty. *)
+
+val with_local_candidate :
+  ctx ->
+  ?examples:examples ->
+  q:int ->
+  r:int ->
+  Graph.Tuple.t ->
+  ((Graph.Tuple.t -> ty) -> 'a) ->
+  'a
+(** [with_local_candidate ctx ?examples ~q ~r w̄ f] is [f ltp_w], where
+    [ltp_w v̄ = ltp ctx ~q ~r (v̄·w̄)] with the same id.
+    - An empty [w̄] answers [ltp v̄]: from [examples] when it holds [v̄],
+      at no cost.
+    - A far [v̄] (no entry of [w̄] in [v̄]'s [(2r+1)]-ball, or with [v̄]
+      not in [examples], no entry of [v̄] in [w̄]'s ball, built once per
+      call) is composed from [ltp v̄] and [ltp w̄].  [ltp w̄] is computed
+      on the first far [v̄], once per context, and costs what an {!ltp}
+      miss costs; it is memoised apart from {!ltp}'s tuples, so a
+      candidate is never a hit on some pair's key.  A composition
+      charges nothing.  It is memoised per pair of type ids and layout
+      in the context, so a repeated pair is a lookup; a new one visits
+      each pair of nodes of the two type DAGs at most once (at [q = 1],
+      their children: linear).  Each composed [v̄] is counted on
+      [modelcheck.types.ltp_composed].
+    - A near [v̄] is {!ltp} of [v̄·w̄].
+    Nothing is released when [f] returns: [f] may return [ltp_w] itself.
+    @raise Invalid_argument if [examples] were typed at another [q], [r]
+    or cap than [ctx]'s. *)
+
 val tp_graph : Graph.t -> q:int -> Graph.Tuple.t -> ty
 (** One-shot [tp] without an explicit context. *)
 

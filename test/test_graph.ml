@@ -247,19 +247,6 @@ let test_copies_merge_colors () =
     (Graph.has_color g "Red" (inj 0 0) && Graph.has_color g "Red" (inj 1 0));
   check_int "order" 6 (Graph.order g)
 
-let test_delete_edges_at () =
-  let g = Ops.delete_edges_at c6 [ 0 ] in
-  check_int "two edges gone" 4 (Graph.size g);
-  check_int "vertex kept" 6 (Graph.order g);
-  check "isolated now" true (Graph.degree g 0 = 0)
-
-let test_add_isolated () =
-  let g, fresh = Ops.add_isolated p5 [ [ "T1" ]; [ "T2"; "T1" ] ] in
-  check_int "two fresh" 2 (List.length fresh);
-  check_int "order grows" 7 (Graph.order g);
-  check "fresh coloured" true (Graph.has_color g "T2" (List.nth fresh 1));
-  check "fresh isolated" true (Graph.degree g (List.hd fresh) = 0)
-
 let test_subgraph_of () =
   check "larger graph is not a subgraph" true
     (Ops.subgraph_of (Gen.path 7) c6 = false);
@@ -497,21 +484,6 @@ let union_properties =
            (fun v -> Graph.degree u (inj 1 v) = Graph.degree g2 v)
            (Graph.vertices g2))
 
-let delete_edges_properties =
-  QCheck.Test.make ~name:"delete_edges_at isolates exactly the targets"
-    ~count:30
-    QCheck.(int_range 2 15)
-    (fun n ->
-      let g = Gen.gnp ~seed:n ~n ~p:0.5 in
-      let victims = [ 0; n / 2 ] in
-      let g' = Ops.delete_edges_at g victims in
-      List.for_all (fun v -> Graph.degree g' v = 0) victims
-      && List.for_all
-           (fun (u, v) ->
-             Graph.mem_edge g u v
-             || not (Graph.mem_edge g' u v))
-           (Graph.edges g'))
-
 let induced_preserves_edges =
   QCheck.Test.make ~name:"induced subgraph preserves edges and colours"
     ~count:40
@@ -627,8 +599,6 @@ let suite =
     Alcotest.test_case "neighborhood" `Quick test_neighborhood;
     Alcotest.test_case "disjoint union" `Quick test_disjoint_union;
     Alcotest.test_case "copies merge colors" `Quick test_copies_merge_colors;
-    Alcotest.test_case "delete edges at" `Quick test_delete_edges_at;
-    Alcotest.test_case "add isolated" `Quick test_add_isolated;
     Alcotest.test_case "subgraph_of" `Quick test_subgraph_of;
     Alcotest.test_case "generators" `Quick test_generators;
     Alcotest.test_case "ktree" `Quick test_ktree;
@@ -640,6 +610,9 @@ let suite =
     Alcotest.test_case "diameter" `Quick test_diameter;
     Alcotest.test_case "treewidth exact" `Quick test_treewidth_exact;
     Alcotest.test_case "treedepth bound" `Quick test_treedepth_bound;
+    Alcotest.test_case "out-of-range sources" `Quick test_out_of_range_sources;
+    Alcotest.test_case "graph file errors name their line" `Quick
+      test_io_errors_name_the_line;
     Alcotest.test_case "vitali basic" `Quick test_vitali_basic;
     Alcotest.test_case "vitali singleton" `Quick test_vitali_singleton;
     Alcotest.test_case "vitali collapse" `Quick test_vitali_collapse;
@@ -650,10 +623,6 @@ let suite =
     QCheck_alcotest.to_alcotest ball_sizes_match_balls;
     QCheck_alcotest.to_alcotest ktree_treewidth_property;
     QCheck_alcotest.to_alcotest union_properties;
-    QCheck_alcotest.to_alcotest delete_edges_properties;
     QCheck_alcotest.to_alcotest induced_preserves_edges;
-    Alcotest.test_case "out-of-range sources" `Quick test_out_of_range_sources;
-    Alcotest.test_case "graph file errors name their line" `Quick
-      test_io_errors_name_the_line;
     QCheck_alcotest.to_alcotest io_mutation_property;
   ]

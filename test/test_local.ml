@@ -84,6 +84,45 @@ let test_fuel_independent_of_n () =
   Alcotest.(check int) "n = 10000 spends what n = 100 does" f100
     (fuel_for 10_000)
 
+let composed_c = Obs.Metric.counter "modelcheck.types.ltp_composed"
+
+let test_far_pairs_composed () =
+  (* every vertex of path:30 an example, one parameter, radius 1: a pair
+     is far when its vertices are more than 3 apart, which 702 of the
+     30 x 30 (example, one-vertex candidate) pairs are.  Each is
+     composed once, and the fuel does not depend on the number of
+     domains. *)
+  let g = Gen.path 30 in
+  let lam =
+    Sam.label_with g ~target:(fun v -> abs (v.(0) - 12) <= 1)
+      (Sam.all_tuples g ~k:1)
+  in
+  let run jobs =
+    let pool = Par.Pool.create ~jobs in
+    Obs.enable ();
+    let before = Obs.Metric.value composed_c in
+    let budget = Guard.Budget.unlimited () in
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.disable ();
+        Par.Pool.shutdown pool)
+      (fun () ->
+        match
+          L.solve_budgeted ~budget ~pool ~radius:1 g ~k:1 ~ell:1 ~q:1 lam
+        with
+        | Guard.Complete r ->
+            ( Obs.Metric.value composed_c - before,
+              (Guard.Budget.spent budget).Guard.fuel,
+              r.L.err )
+        | Guard.Exhausted _ ->
+            Alcotest.fail "an unlimited budget must complete")
+  in
+  let composed, fuel, err = run 1 in
+  Alcotest.(check int) "far pairs composed" 702 composed;
+  check_err "exact" 0.0 err;
+  Alcotest.(check (triple int int (float 1e-9)))
+    "jobs 4 composes and spends what jobs 1 does" (composed, fuel, err) (run 4)
+
 let test_realisable_parameterised () =
   let g = Gen.caterpillar ~seed:4 ~spine:12 ~legs:2 in
   let w = 6 in
@@ -236,6 +275,7 @@ let suite =
     Alcotest.test_case "matches global optimum" `Quick test_matches_global_optimum;
     Alcotest.test_case "sublinear access" `Quick test_sublinear_access;
     Alcotest.test_case "fuel independent of n" `Quick test_fuel_independent_of_n;
+    Alcotest.test_case "far pairs composed" `Quick test_far_pairs_composed;
     Alcotest.test_case "realisable parameterised" `Quick
       test_realisable_parameterised;
     Alcotest.test_case "pool sizing" `Quick test_pool_contains_examples_neighbourhood;

@@ -659,6 +659,89 @@ let ltp_matches_induced =
       && same_under_budgets host induced)
 
 (* ------------------------------------------------------------------ *)
+(* Far pairs by composition                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* [local_case]'s graph with a path of 2r+2 fresh vertices hung off
+   vertex 0, so that the path's last two vertices lie at distance
+   exactly 2r+1 and 2r+2 from it; caps 1-2.  The tuples have arity 1-2
+   over vertex 0, the last vertex of the [local_case] graph and those
+   two.  Every pair of them is typed through [with_local_candidate],
+   with and without the examples typed beforehand, and must get its
+   direct [ltp]: composed when far, and equal ids are the same node tree
+   (hash-consing). *)
+let composed_matches_direct =
+  QCheck.Test.make ~name:"a far pair's composed local type = its ltp"
+    ~count:50
+    (QCheck.pair (local_case ~max_q:2) (QCheck.int_range 1 2))
+    (fun (c, cap) ->
+      let n = Graph.order c.lg and q = c.lq and r = c.lr in
+      let tail = (2 * r) + 2 in
+      let g =
+        Graph.create ~n:(n + tail)
+          ~edges:
+            (Graph.edges c.lg
+            @ List.init tail (fun i ->
+                  ((if i = 0 then 0 else n + i - 1), n + i)))
+          ~colors:
+            (List.map
+               (fun col -> (col, Graph.color_class c.lg col))
+               (Graph.color_names c.lg))
+      in
+      let picks =
+        List.sort_uniq compare [ 0; n - 1; n + tail - 2; n + tail - 1 ]
+      in
+      let tuples =
+        List.map (fun v -> [| v |]) picks
+        @ List.concat_map (fun a -> List.map (fun b -> [| a; b |]) picks) picks
+      in
+      let far v w = Bfs.dist_tuple g v w > (2 * r) + 1 in
+      let direct = T.make_ctx ~cap g in
+      let agree w ltp_w =
+        List.for_all
+          (fun v ->
+            T.equal (ltp_w v) (T.ltp direct ~q ~r (Graph.Tuple.append v w)))
+          tuples
+      in
+      let ctx = T.make_ctx ~cap g in
+      let examples = T.local_examples ctx ~q ~r tuples in
+      List.exists (fun w -> far [| 0 |] w) tuples
+      && List.for_all
+           (fun w ->
+             T.with_local_candidate ctx ~examples ~q ~r w (agree w)
+             && T.with_local_candidate (T.make_ctx ~cap g) ~q ~r w (agree w))
+           tuples)
+
+(* A component at distance > 2r+1 from every example changes neither
+   the local learner's answer nor what it touches *)
+let far_component_changes_nothing =
+  QCheck.Test.make ~name:"Erm_local: a far component changes nothing"
+    ~count:10
+    QCheck.(int_range 0 300)
+    (fun seed ->
+      let g = Gen.colored ~seed ~colors:[ "Red" ] (Gen.random_tree ~seed 16) in
+      let lam =
+        Folearn.Sample.flip_noise ~seed ~p:0.15
+          (Folearn.Sample.label_with g
+             ~target:(fun v -> Graph.has_color g "Red" v.(0))
+             (Folearn.Sample.random_tuples ~seed:(seed + 1) g ~k:1 ~m:8))
+      in
+      let other =
+        Gen.colored ~seed:(seed + 7) ~colors:[ "Red" ]
+          (Gen.random_tree ~seed:(seed + 7) 12)
+      in
+      let answer g =
+        let r = Folearn.Erm_local.solve ~radius:1 g ~k:1 ~ell:1 ~q:1 lam in
+        Folearn.Erm_local.
+          ( Format.asprintf "%a" Folearn.Hypothesis.pp r.hypothesis,
+            r.err,
+            r.pool_size,
+            r.params_tried,
+            r.vertices_touched )
+      in
+      answer g = answer (fst (Ops.disjoint_union [ g; other ])))
+
+(* ------------------------------------------------------------------ *)
 (* Opened candidates                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -835,6 +918,8 @@ let suite =
     QCheck_alcotest.to_alcotest rank1_children_tp;
     QCheck_alcotest.to_alcotest rank1_children_ltp;
     QCheck_alcotest.to_alcotest ltp_matches_induced;
+    QCheck_alcotest.to_alcotest composed_matches_direct;
+    QCheck_alcotest.to_alcotest far_component_changes_nothing;
     QCheck_alcotest.to_alcotest shared_build_matches_tree_build;
     QCheck_alcotest.to_alcotest opened_roots_match_tp;
     QCheck_alcotest.to_alcotest opened_roots_same_trips;
