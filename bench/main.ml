@@ -336,22 +336,35 @@ let e4 () =
       in
       match pre with
       | Some r ->
+          let pre_err = Folearn.Hypothesis.training_error r.Real.hypothesis lam in
           add_row
             [
               ("n", jint n);
               ("mc_calls", jint r.Real.mc_calls);
+              ("prefix_err", jfloat pre_err);
               ("prefix_time_s", jfloat t_pre);
               ("brute_tried", jint brute.Brute.params_tried);
+              ("brute_err", jfloat brute.Brute.err);
               ("brute_time_s", jfloat t_brute);
             ];
           row "%-6s %6d %10d %12.4f | %12d %12.4f\n" "path" n r.Real.mc_calls
-            t_pre brute.Brute.params_tried t_brute
-      | None -> row "%-6s %6d %10s %12s | (reject)\n" "path" n "-" "-")
+            t_pre brute.Brute.params_tried t_brute;
+          if pre_err <> 0.0 || brute.Brute.err <> 0.0 then
+            shape_fail
+              (Printf.sprintf "E4: n = %d: errors %g (prefix), %g (brute), not 0"
+                 n pre_err brute.Brute.err);
+          if r.Real.mc_calls > n then
+            shape_fail
+              (Printf.sprintf "E4: n = %d: %d MC calls, more than n" n
+                 r.Real.mc_calls)
+      | None ->
+          row "%-6s %6d %10s %12s | (reject)\n" "path" n "-" "-";
+          shape_fail (Printf.sprintf "E4: n = %d: the prefix search rejected" n))
     [ 8; 12; 16; 24 ];
   row
     "shape check: both reach err 0; the prefix search performs <= ell*n MC \
-     calls (each itself poly), the brute force tries n^ell parameter \
-     tuples.\n"
+     calls (each itself poly), so at most n at ell = 1; the brute force \
+     tries n^ell parameter tuples.\n"
 
 (* ------------------------------------------------------------------ *)
 (* E5: Theorem 13 - the nowhere dense learner                          *)
@@ -435,21 +448,37 @@ let e6 () =
   List.iter
     (fun noise ->
       let d = Pac.uniform_noisy g ~k:1 ~target ~noise in
-      List.iter
-        (fun m ->
-          let runs =
-            List.init 5 (fun s -> Pac.run ~solver d ~seed:(97 * s) ~m)
-          in
-          let avg f = List.fold_left (fun a o -> a +. f o) 0.0 runs /. 5.0 in
-          row "%-8.2f %6d %12.3f %12.3f %10.3f\n" noise m
-            (avg (fun o -> o.Pac.training_error))
-            (avg (fun o -> o.Pac.generalisation_error))
-            (avg (fun o -> o.Pac.gap)))
-        [ 10; 40; 160; 640 ])
+      let gap_at m =
+        let runs =
+          List.init 5 (fun s -> Pac.run ~solver d ~seed:(97 * s) ~m)
+        in
+        let avg f = List.fold_left (fun a o -> a +. f o) 0.0 runs /. 5.0 in
+        let train = avg (fun o -> o.Pac.training_error)
+        and risk = avg (fun o -> o.Pac.generalisation_error)
+        and gap = avg (fun o -> o.Pac.gap) in
+        add_row
+          [
+            ("noise", jfloat noise);
+            ("m", jint m);
+            ("train_err", jfloat train);
+            ("risk", jfloat risk);
+            ("gap", jfloat gap);
+          ];
+        row "%-8.2f %6d %12.3f %12.3f %10.3f\n" noise m train risk gap;
+        gap
+      in
+      let gaps = List.map gap_at [ 10; 40; 160; 640 ] in
+      let first = List.hd gaps and last = List.nth gaps 3 in
+      if not (last < first) then
+        shape_fail
+          (Printf.sprintf
+             "E6: noise %.2f: gap %.3f at m = 640 is not below %.3f at m = 10"
+             noise last first))
     [ 0.0; 0.15 ];
   row
-    "shape check: gap shrinks ~1/sqrt(m); with noise, risk approaches the \
-     Bayes risk (= the noise rate) rather than 0.\n"
+    "shape check: gap shrinks ~1/sqrt(m), and falls from m = 10 to m = 640 \
+     at each noise level; with noise, risk approaches the Bayes risk (= \
+     the noise rate) rather than 0.\n"
 
 (* ------------------------------------------------------------------ *)
 (* E7: the splitter game characterisation (Fact 4)                     *)
@@ -500,12 +529,28 @@ let e8 () =
     (fun (cname, g) ->
       List.iter
         (fun q ->
-          let r = Fo.Gaifman.radius q in
-          let v = Modelcheck.Locality.violations g ~q ~r ~k:1 in
-          let min_r = Modelcheck.Locality.minimal_radius g ~q ~k:1 ~max_r:6 in
+          let r = Fo.Gaifman.radius q and max_r = 6 in
+          let v = Oracle.Locality.violations g ~q ~r ~k:1 in
+          let min_r = Oracle.Locality.minimal_radius g ~q ~k:1 ~max_r in
+          add_row
+            [
+              ("class", jstr cname);
+              ("n", jint (Graph.order g));
+              ("q", jint q);
+              ("violations_at_rq", jint (List.length v));
+              ( "min_radius",
+                match min_r with Some r -> jint r | None -> Obs.Json.Null );
+            ];
           row "%-12s %6d %4d %16d %12s\n" cname (Graph.order g) q
             (List.length v)
-            (match min_r with Some r -> string_of_int r | None -> ">6"))
+            (match min_r with Some r -> string_of_int r | None -> ">6");
+          List.iter
+            (fun r' ->
+              if not (Oracle.Locality.fact5_holds g ~q ~r:r' ~k:1) then
+                shape_fail
+                  (Printf.sprintf "E8: %s: Fact 5 fails at q = %d, r = %d >= r(q)"
+                     cname q r'))
+            (List.init (max 0 (max_r + 1 - r)) (fun i -> r + i)))
         [ 0; 1 ])
     [
       ("col-path", Graph.with_colors (Gen.path 14) [ ("Red", [ 0; 6; 7 ]) ]);
@@ -530,9 +575,10 @@ let e8 () =
       ("gnp.4", Gen.gnp ~seed:2 ~n:14 ~p:0.4);
     ];
   row
-    "shape check: zero Fact 5 violations at the Gaifman radius; the \
-     realised minimal radius is usually much smaller (the bound is \
-     worst-case); type counts grow with q and with structural richness.\n"
+    "shape check: zero Fact 5 violations at every radius from the Gaifman \
+     radius r(q) up to 6; the realised minimal radius is usually much \
+     smaller (the bound is worst-case); type counts grow with q and with \
+     structural richness.\n"
 
 (* ------------------------------------------------------------------ *)
 (* E9: VC dimension / hypothesis-class size (Section 3, Adler-Adler)   *)
@@ -546,13 +592,28 @@ let e9 () =
   row "%-10s %6s %18s %18s\n" "class" "n" "VC(H_{1,0,3}) = #tp" "VC lb, ell=1 q=1";
   List.iter
     (fun (cname, make_g) ->
-      List.iter
-        (fun n ->
-          let g = make_g n in
-          let classes = T.count_types g ~q:3 ~k:1 in
-          let lb = Vc.lower_bound ~seed:5 g ~k:1 ~ell:1 ~q:1 ~max_d:6 in
-          row "%-10s %6d %18d %17d+\n" cname (Graph.order g) classes lb)
-        [ 8; 12; 16; 20 ])
+      let vc_at n =
+        let g = make_g n in
+        let classes = T.count_types g ~q:3 ~k:1 in
+        let lb = Vc.lower_bound ~seed:5 g ~k:1 ~ell:1 ~q:1 ~max_d:6 in
+        add_row
+          [
+            ("class", jstr cname);
+            ("n", jint (Graph.order g));
+            ("vc_ell0_q3", jint classes);
+            ("vc_lb_ell1_q1", jint lb);
+          ];
+        row "%-10s %6d %18d %17d+\n" cname (Graph.order g) classes lb;
+        if cname = "gnp.5" && classes <> n then
+          shape_fail
+            (Printf.sprintf "E9: gnp.5 at n = %d has VC %d, not n" n classes);
+        classes
+      in
+      let vcs = List.map vc_at [ 8; 12; 16; 20 ] in
+      if cname = "path" && List.nth vcs 2 <> List.nth vcs 3 then
+        shape_fail
+          (Printf.sprintf "E9: path VC %d at n = 16 but %d at n = 20"
+             (List.nth vcs 2) (List.nth vcs 3)))
     [
       ("path", Gen.path);
       ("tree", fun n -> Gen.random_tree ~seed:n n);
@@ -565,15 +626,24 @@ let e9 () =
       let g = Gen.colored ~seed:n ~colors:[ "Red" ] (Gen.random_tree ~seed:n n) in
       List.iter
         (fun ell ->
-          row "%-10s %6d %6d %16.1f\n" "col-tree" n ell
-            (Pac.log2_hypothesis_count g ~k:1 ~ell ~q:1))
+          let log2_h = Pac.log2_hypothesis_count g ~k:1 ~ell ~q:1 in
+          add_row
+            [
+              ("class", jstr "col-tree");
+              ("n", jint n);
+              ("ell", jint ell);
+              ("log2_h", jfloat log2_h);
+            ];
+          row "%-10s %6d %6d %16.1f\n" "col-tree" n ell log2_h)
         [ 0; 1; 2 ])
     [ 12; 24 ];
   row
     "shape check: on paths (nowhere dense) the rank-3 type count - and \
      hence VC(H_{1,0,3}) - saturates at a constant (8), while on dense \
      G(n,1/2) every vertex gets its own type: VC grows linearly in n, the \
-     Adler-Adler dichotomy.  |H| carries the n^ell factor of Section 3.\n"
+     Adler-Adler dichotomy: the path VC must be equal at n = 16 and 20, \
+     and gnp.5's must be n.  |H| carries the n^ell factor of Section \
+     3.\n"
 
 (* ------------------------------------------------------------------ *)
 (* E10: the counting extension (paper's conclusion / FOC)              *)
@@ -902,17 +972,20 @@ let e14 () =
       let idx, t_build =
         time (fun () -> Folearn.Preindex.build g ~q:1 ~r:1)
       in
-      let (), t_tasks =
+      let indexed, t_tasks =
         time (fun () ->
-            List.iter (fun lam -> ignore (Folearn.Preindex.erm idx lam)) tasks)
+            List.map (fun lam -> (Folearn.Preindex.erm idx lam).err) tasks)
       in
-      let (), t_noindex =
+      let direct, t_noindex =
         time (fun () ->
-            List.iter
+            List.map
               (fun lam ->
-                ignore (Folearn.Erm_local.solve ~radius:1 g ~k:1 ~ell:0 ~q:1 lam))
+                (Folearn.Erm_local.solve ~radius:1 g ~k:1 ~ell:0 ~q:1 lam).err)
               tasks)
       in
+      if indexed <> direct then
+        shape_fail
+          (Printf.sprintf "E14: n = %d: indexed errors differ from Erm_local's" n);
       add_row
         [
           ("n", jint n);
@@ -926,9 +999,10 @@ let e14 () =
         (t_noindex *. 1e3 /. 20.0))
     [ 100; 400; 1600 ];
   row
-    "shape check: after the one-off build, each task costs O(m) (flat in \
-     n); the per-task baseline redoes neighbourhood work every time - the \
-     preprocessing regime the conclusion asks about, on graphs.\n"
+    "shape check: the indexed answers have Erm_local's errors; after the \
+     one-off build, each task costs O(m) (flat in n); the per-task \
+     baseline redoes neighbourhood work every time - the preprocessing \
+     regime the conclusion asks about, on graphs.\n"
 
 (* ------------------------------------------------------------------ *)
 (* E15: graceful degradation under a shrinking fuel budget             *)

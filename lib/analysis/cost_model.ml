@@ -78,11 +78,9 @@ module Env = struct
   type t = { lo : Count.t; hi : Count.t }
 
   let exact c = { lo = c; hi = c }
-  let of_ints lo hi = { lo = Count.of_int lo; hi = Count.of_int hi }
   let make ~lo ~hi = { lo; hi }
   let add a b = { lo = Count.add a.lo b.lo; hi = Count.add a.hi b.hi }
   let mul a b = { lo = Count.mul a.lo b.lo; hi = Count.mul a.hi b.hi }
-  let widen_lo t = { t with lo = Count.zero }
 
   let to_json t =
     Obs.Json.Obj [ ("lo", Count.to_json t.lo); ("hi", Count.to_json t.hi) ]
@@ -147,17 +145,3 @@ let catalogue_cardinality ~types ~max_size =
       else Count.of_int ((1 lsl types) - 1)
     in
     Count.min_cap all max_size
-
-let ball_bound_degree ~d ~r =
-  if d < 0 || r < 0 then invalid_arg "Cost_model.ball_bound_degree: negative"
-  else if r = 0 then Count.one
-  else if d <= 1 then Count.of_int (1 + d)
-  else if d = 2 then Count.of_int (min max_int (2 * r) + 1)
-  else
-    (* 1 + d * ((d-1)^r - 1) / (d - 2), the Moore bound *)
-    let dm1 = Count.of_int (d - 1) in
-    match Count.pow dm1 r with
-    | Count.Saturated -> Count.Saturated
-    | Count.Finite p ->
-        Count.add Count.one
-          (Count.mul (Count.of_int d) (Count.Finite ((p - 1) / (d - 2))))

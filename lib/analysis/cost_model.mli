@@ -32,15 +32,6 @@ module Count : sig
   val pow : t -> int -> t
   (** @raise Invalid_argument on a negative exponent. *)
 
-  val sum_powers : base:t -> upto:int -> t
-  (** [sum_powers ~base ~upto = Σ_{j=0}^{upto} base^j] — the number of
-      computed type rows a rank-[upto] type computation
-      ([Modelcheck.Types.tp]) performs over a [base]-element domain (Lemma 19 of the paper:
-      model checking by recursive type computation). *)
-
-  val min_cap : t -> int -> t
-  (** [min_cap t cap = min t cap]; caps even [Saturated]. *)
-
   val to_int_opt : t -> int option
   val leq : t -> t -> bool
 
@@ -80,15 +71,9 @@ module Env : sig
   type t = { lo : Count.t; hi : Count.t }
 
   val exact : Count.t -> t
-  val of_ints : int -> int -> t
   val make : lo:Count.t -> hi:Count.t -> t
   val add : t -> t -> t
   val mul : t -> t -> t
-
-  val widen_lo : t -> t
-  (** Forget the lower bound (sets it to [0]) — used where a phase's
-      cost has a sound upper bound but no useful lower bound, e.g. the
-      splitter-game probes of [Erm_nd]. *)
 
   val to_json : t -> Obs.Json.t
   val pp : Format.formatter -> t -> unit
@@ -136,8 +121,3 @@ val catalogue_cardinality : types:int -> max_size:int -> Count.t
     local types (nonempty subsets, smallest first, capped at
     [max_size]).  The QCheck property [plan-catalogue-exact] pins this
     against the real enumeration. *)
-
-val ball_bound_degree : d:int -> r:int -> Count.t
-(** [1 + d Σ_{i<r} (d-1)^i] — the Moore bound on an [r]-ball in a
-    graph of maximum degree [d] (the bounded-degree ball bound of
-    Grohe–Ritzert arXiv:1701.05487, Section 3). *)

@@ -85,7 +85,6 @@
 type severity = Error | Warning | Hint
 
 val severity_to_string : severity -> string
-val pp_severity : Format.formatter -> severity -> unit
 
 type t = {
   rule : string;  (** stable rule id, kebab-case (see the catalogue) *)

@@ -111,7 +111,6 @@ type verdict =
   | Exhausted_nothing  (** exit 4: tripped before anything settled *)
 
 val exit_code : verdict -> int
-val verdict_name : verdict -> string
 
 type prediction = { verdict : verdict; certain : bool; reason : string }
 

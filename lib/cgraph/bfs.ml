@@ -66,42 +66,6 @@ let distances_multi ?budget g srcs =
 
 let distances ?budget g src = distances_multi ?budget g [ src ]
 
-let dist ?budget g u v =
-  (* early-exit BFS from the lower-degree endpoint: the distance is
-     symmetric, and the search frontier grows with the degree of the
-     start vertex, so explore outward from the sparser side *)
-  if u = v then 0
-  else begin
-    Obs.Metric.incr bfs_calls;
-    let u, v = if Graph.degree g u <= Graph.degree g v then (u, v) else (v, u) in
-    let n = Graph.order g in
-    let dist_arr = Array.make n infinity in
-    let queue = Array.make (max n 1) 0 in
-    let head = ref 0 and tail = ref 0 in
-    dist_arr.(u) <- 0;
-    queue.(!tail) <- u;
-    incr tail;
-    let result = ref infinity in
-    (try
-       while !head < !tail do
-         Guard.tick budget Guard.Bfs_frontier;
-         let x = queue.(!head) in
-         incr head;
-         Graph.iter_neighbors g x (fun y ->
-             if dist_arr.(y) = infinity then begin
-               dist_arr.(y) <- dist_arr.(x) + 1;
-               if y = v then begin
-                 result := dist_arr.(y);
-                 raise Exit
-               end;
-               queue.(!tail) <- y;
-               incr tail
-             end)
-       done
-     with Exit -> ());
-    !result
-  end
-
 let dist_tuple ?budget g a b =
   if Array.length a = 0 || Array.length b = 0 then infinity
   else begin
@@ -222,35 +186,57 @@ let eccentricity ?budget g v =
   let d = distances ?budget g v in
   Array.fold_left (fun acc x -> if x < infinity then max acc x else acc) 0 d
 
-let within ?budget g ~r u v =
-  if u = v then r >= 0
+(* Early-exit search from [u] for [v], expanding only vertices at depth
+   below [limit]: [dist(u, v)] when it is at most [limit], else
+   {!infinity}.  One [Bfs_frontier] tick per dequeued vertex, the one
+   at depth [limit] that stops the search included; [v] is found when
+   discovered, so it is never dequeued.  The membership set, mapping a
+   vertex to its depth, and the queue grow with the explored ball as in
+   [visit_ball]: nothing is sized by [Graph.order g]. *)
+let search ?budget g ~limit u v =
+  if u = v then 0
   else begin
     Obs.Metric.incr bfs_calls;
-    let n = Graph.order g in
-    let dist_arr = Array.make n infinity in
-    let queue = Array.make (max n 1) 0 in
+    let depth = Seen.create 16 in
+    let queue = ref (Array.make 16 0) in
     let head = ref 0 and tail = ref 0 in
-    dist_arr.(u) <- 0;
-    queue.(!tail) <- u;
-    incr tail;
-    let found = ref false in
+    let push x d =
+      Seen.add depth x d;
+      if !tail = Array.length !queue then begin
+        let bigger = Array.make (2 * !tail) 0 in
+        Array.blit !queue 0 bigger 0 !tail;
+        queue := bigger
+      end;
+      !queue.(!tail) <- x;
+      incr tail
+    in
+    push u 0;
+    let result = ref infinity in
     (try
        while !head < !tail do
          Guard.tick budget Guard.Bfs_frontier;
-         let x = queue.(!head) in
+         let x = !queue.(!head) in
          incr head;
-         if dist_arr.(x) >= r then raise Exit;
+         let dx = Seen.find depth x in
+         if dx >= limit then raise Exit;
          Graph.iter_neighbors g x (fun y ->
-             if dist_arr.(y) = infinity then begin
-               dist_arr.(y) <- dist_arr.(x) + 1;
+             if not (Seen.mem depth y) then begin
                if y = v then begin
-                 found := true;
+                 result := dx + 1;
                  raise Exit
                end;
-               queue.(!tail) <- y;
-               incr tail
+               push y (dx + 1)
              end)
        done
      with Exit -> ());
-    !found
+    !result
   end
+
+(* the search frontier grows with the degree of the start vertex, and
+   the distance is symmetric: explore outward from the sparser side *)
+let dist ?budget g u v =
+  let u, v = if Graph.degree g u <= Graph.degree g v then (u, v) else (v, u) in
+  search ?budget g ~limit:infinity u v
+
+let within ?budget g ~r u v =
+  if u = v then r >= 0 else search ?budget g ~limit:r u v < infinity

@@ -23,7 +23,9 @@ val distances_multi : ?budget:Guard.Budget.t -> Graph.t -> Graph.vertex list -> 
     @raise Graph.Invalid_vertex on a source outside the graph. *)
 
 val dist : ?budget:Guard.Budget.t -> Graph.t -> Graph.vertex -> Graph.vertex -> int
-(** Pairwise distance. *)
+(** Pairwise distance, by a search from the lower-degree endpoint that
+    stops when it finds the other: one [Bfs_frontier] tick per dequeued
+    vertex, memory sized by the explored ball. *)
 
 val dist_tuple : ?budget:Guard.Budget.t -> Graph.t -> Graph.Tuple.t -> Graph.Tuple.t -> int
 (** [dist(ū, v̄) = min over entries] (paper, Section 2).  {!infinity} if
@@ -73,4 +75,5 @@ val eccentricity : ?budget:Guard.Budget.t -> Graph.t -> Graph.vertex -> int
 (** Largest finite distance from the vertex. *)
 
 val within : ?budget:Guard.Budget.t -> Graph.t -> r:int -> Graph.vertex -> Graph.vertex -> bool
-(** [within g ~r u v] iff [dist(u,v) <= r]; stops the search early. *)
+(** [within g ~r u v] iff [dist(u,v) <= r]: {!dist}'s search from [u],
+    cut at the first vertex of depth [r] (which is ticked). *)

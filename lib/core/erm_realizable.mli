@@ -43,11 +43,6 @@ val solve :
     @raise Invalid_argument if examples are not 1-tuples or a catalogue
     formula has stray free variables. *)
 
-val consistent_extension :
-  ?budget:Guard.Budget.t -> Graph.t -> ell:int -> Fo.Formula.t -> Sample.t -> Graph.Tuple.t option
-(** The inner parameter search for one formula: [Some w̄] iff the prefix
-    construction succeeds. *)
-
 val solve_budgeted :
   ?budget:Guard.Budget.t ->
   Graph.t ->

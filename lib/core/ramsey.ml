@@ -6,12 +6,6 @@
 
 type bound = Finite of int | Saturated
 
-let bound_to_string = function
-  | Finite v -> string_of_int v
-  | Saturated -> "saturated"
-
-let pp_bound ppf b = Format.pp_print_string ppf (bound_to_string b)
-
 (* both operands must be >= 0 *)
 let ( +! ) a b =
   match (a, b) with

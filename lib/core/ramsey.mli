@@ -11,14 +11,8 @@
     silently wrapped (possibly positive!) native int. *)
 type bound = Finite of int | Saturated
 
-val bound_to_string : bound -> string
-val pp_bound : Format.formatter -> bound -> unit
-
 val factorial_sat : int -> bound
 (** @raise Invalid_argument on negative input. *)
-
-val binomial_sat : int -> int -> bound
-(** [binomial_sat n k], [Finite 0] outside range. *)
 
 val triangle_bound_sat : colors:int -> bound
 (** Saturating {!triangle_bound}.

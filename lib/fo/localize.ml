@@ -26,8 +26,6 @@ let dist_le ~d x y =
   in
   go d x y
 
-let dist_gt ~d x y = Formula.not_ (dist_le ~d x y)
-
 let ball_membership ~r centers y =
   Formula.or_ (List.map (fun x -> dist_le ~d:r y x) centers)
 

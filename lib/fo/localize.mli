@@ -10,9 +10,6 @@ val dist_le : d:int -> Formula.var -> Formula.var -> Formula.t
     [ceil(log2 d)] for [d >= 1] (0 for [d <= 1]), by recursive doubling:
     [dist(x,y) <= 2d  iff  exists z. dist(x,z) <= d /\ dist(z,y) <= d]. *)
 
-val dist_gt : d:int -> Formula.var -> Formula.var -> Formula.t
-(** Negation of {!dist_le}. *)
-
 val relativize : r:int -> around:Formula.var list -> Formula.t -> Formula.t
 (** [relativize ~r ~around phi] restricts every quantifier in [phi] to the
     union of the [r]-balls around the given variables: existential bodies

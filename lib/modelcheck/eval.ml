@@ -101,24 +101,23 @@ let holds_tuple ?budget g ~vars t f =
     invalid_arg "Eval.holds_tuple: variable/tuple length mismatch";
   Compile.holds_tuple ?budget (Compile.cached g ~vars f) t
 
-(* Both enumerators stream the n^k assignments iteratively (same
+(* One enumerator streams the n^k assignments iteratively (same
    lexicographic order as [Graph.Tuple.all]) into the compiled code's
-   slot array: live memory is O(slots + answers), not O(n^k), there is
-   no environment-map churn, and a Guard checkpoint inside the compiled
-   quantifier nodes can stop the sweep early. *)
-
-let answers ?budget g ~vars f =
+   slot array and hands each satisfying one to [yield]: live memory is
+   O(slots + answers), not O(n^k), there is no environment-map churn,
+   and a Guard checkpoint inside the compiled quantifier nodes can stop
+   the sweep early. *)
+let iter_answers ?budget g ~vars f yield =
   let n = Graph.order g in
   let comp = Compile.compile_shadow g ~vars f in
   let k = List.length vars in
   let env = Array.make (max (Compile.slots comp) 1) 0 in
-  let acc = ref [] in
   let calls = ref 0 in
   let nodes = Compile.counter ?budget () in
   let rec go i =
     if i = k then begin
       incr calls;
-      if Compile.run comp env nodes then acc := Array.sub env 0 k :: !acc
+      if Compile.run comp env nodes then yield env
     end
     else
       for v = 0 to n - 1 do
@@ -130,35 +129,17 @@ let answers ?budget g ~vars f =
     Obs.Metric.add eval_calls !calls;
     Compile.flush nodes
   in
-  (match go 0 with
+  match go 0 with
   | () -> flush ()
-  | exception e -> flush (); raise e);
+  | exception e -> flush (); raise e
+
+let answers ?budget g ~vars f =
+  let k = List.length vars in
+  let acc = ref [] in
+  iter_answers ?budget g ~vars f (fun env -> acc := Array.sub env 0 k :: !acc);
   List.rev !acc
 
 let count_answers ?budget g ~vars f =
-  let n = Graph.order g in
-  let comp = Compile.compile_shadow g ~vars f in
-  let k = List.length vars in
-  let env = Array.make (max (Compile.slots comp) 1) 0 in
   let count = ref 0 in
-  let calls = ref 0 in
-  let nodes = Compile.counter ?budget () in
-  let rec go i =
-    if i = k then begin
-      incr calls;
-      if Compile.run comp env nodes then incr count
-    end
-    else
-      for v = 0 to n - 1 do
-        env.(i) <- v;
-        go (i + 1)
-      done
-  in
-  let flush () =
-    Obs.Metric.add eval_calls !calls;
-    Compile.flush nodes
-  in
-  (match go 0 with
-  | () -> flush ()
-  | exception e -> flush (); raise e);
+  iter_answers ?budget g ~vars f (fun _ -> incr count);
   !count

@@ -18,4 +18,3 @@ let now_ns () =
   fix ()
 
 let elapsed_s t0 = Int64.to_float (Int64.sub (now_ns ()) t0) /. 1e9
-let cpu_ns () = Int64.of_float (Sys.time () *. 1e9)

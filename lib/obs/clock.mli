@@ -16,8 +16,3 @@ val now_ns : unit -> int64
 val elapsed_s : int64 -> float
 (** [elapsed_s t0] is the time in seconds since the instant [t0] (a
     previous [now_ns] result). *)
-
-val cpu_ns : unit -> int64
-(** Processor time consumed by the process ({!Sys.time}), in
-    nanoseconds.  Monotonic by construction; useful to separate compute
-    from waiting. *)

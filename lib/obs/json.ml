@@ -290,7 +290,6 @@ let field kind conv ?(prefix = "") name j =
       Error (Printf.sprintf "%smissing or non-%s field %S" prefix kind name)
 
 let int_field ?prefix name j = field "int" to_int_opt ?prefix name j
-let float_field ?prefix name j = field "float" to_float_opt ?prefix name j
 let string_field ?prefix name j = field "string" to_string_opt ?prefix name j
 
 let bool_field ?prefix name j =

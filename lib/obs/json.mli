@@ -47,6 +47,5 @@ val to_list_opt : t -> t list option
     \"NAME\""] with [prefix] (default empty) in front. *)
 
 val int_field : ?prefix:string -> string -> t -> (int, string) result
-val float_field : ?prefix:string -> string -> t -> (float, string) result
 val string_field : ?prefix:string -> string -> t -> (string, string) result
 val bool_field : ?prefix:string -> string -> t -> (bool, string) result

@@ -51,7 +51,6 @@ val prewarm : unit -> unit
 (** {1 Reading} *)
 
 val value : counter -> int
-val gauge_value : gauge -> float
 
 (** {1 Snapshots} *)
 

@@ -2,8 +2,3 @@ let flag = Atomic.make false
 let enabled () = Atomic.get flag
 let enable () = Atomic.set flag true
 let disable () = Atomic.set flag false
-
-let with_enabled f =
-  let before = Atomic.get flag in
-  Atomic.set flag true;
-  Fun.protect ~finally:(fun () -> Atomic.set flag before) f

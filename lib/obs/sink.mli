@@ -13,7 +13,3 @@ val enabled : unit -> bool
 
 val enable : unit -> unit
 val disable : unit -> unit
-
-val with_enabled : (unit -> 'a) -> 'a
-(** Run the thunk with instrumentation on, restoring the previous state
-    afterwards (also on exceptions). *)

@@ -127,19 +127,3 @@ let chrome_trace () =
       ("traceEvents", Json.List events);
       ("displayTimeUnit", Json.String "ms");
     ]
-
-let pp_text ppf () =
-  List.iter
-    (fun s ->
-      Format.fprintf ppf "%s%s  %.3f ms%s@."
-        (String.make (2 * s.depth) ' ')
-        s.name
-        (Int64.to_float s.dur_ns /. 1e6)
-        (match s.args with
-        | [] -> ""
-        | args ->
-            "  ["
-            ^ String.concat ", "
-                (List.map (fun (k, v) -> k ^ "=" ^ v) args)
-            ^ "]"))
-    (finished ())

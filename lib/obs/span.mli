@@ -6,8 +6,7 @@
     is tracked per domain, so concurrent solvers produce independent
     span stacks distinguished by [tid].
 
-    Exporters: human text ({!pp_text}), plain JSON ({!to_json}), and
-    the Chrome trace-event format ({!chrome_trace}) loadable in
+    Exporters: plain JSON ({!to_json}) and the Chrome trace-event format ({!chrome_trace}) loadable in
     [chrome://tracing] / [ui.perfetto.dev]. *)
 
 type finished = {
@@ -44,6 +43,3 @@ val chrome_trace : unit -> Json.t
 (** The Chrome trace-event document:
     [{"traceEvents": [{"ph": "X", ...}], "displayTimeUnit": "ms"}].
     Timestamps and durations are microseconds, as the format demands. *)
-
-val pp_text : Format.formatter -> unit -> unit
-(** Indented tree, one span per line with its duration. *)

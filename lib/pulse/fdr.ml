@@ -142,10 +142,6 @@ let attach ?(flush_every = 32) ~path () =
      immediate SIGKILL leaves a readable dump *)
   dump_now ~reason:"attach"
 
-let detach () =
-  Atomic.set attached None;
-  Obs.Event.set_hook None
-
 let pp ppf d =
   Format.fprintf ppf
     "flight recorder dump: reason=%s pid=%d events=%d (of %d recorded, %d \

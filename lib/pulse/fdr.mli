@@ -45,9 +45,6 @@ val attach : ?flush_every:int -> path:string -> unit -> unit
     [flush_every] (default 32) events, dump on uncaught exceptions and
     at process exit. *)
 
-val detach : unit -> unit
-(** Stop the cadence writer (tests); the file keeps its last dump. *)
-
 val dump_now : reason:string -> unit
 (** Force a dump to the attached path (no-op when not attached; never
     raises). *)

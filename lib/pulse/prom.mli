@@ -7,10 +7,6 @@
     labels 0.5/0.9/0.99 plus [_sum]/[_count] — with the tracked
     minimum and maximum as companion [_min]/[_max] gauges. *)
 
-val sanitize : string -> string
-(** [sanitize "erm.hypotheses_enumerated"] is
-    ["folearn_erm_hypotheses_enumerated"]. *)
-
 val render : Obs.Metric.snapshot -> string
 (** The full exposition document, one [# HELP]/[# TYPE] pair per
     family. *)

@@ -6,15 +6,12 @@
     than [max_len] is cut off before any allocation, so a corrupt or
     malicious length field cannot balloon the daemon. *)
 
-val default_max_len : int
-(** 8 MiB: comfortably above any hypothesis or stats payload. *)
-
 val encode : Obs.Json.t -> string
 (** The full frame bytes for a JSON body. *)
 
 val decode : ?max_len:int -> string -> (Obs.Json.t, string) result
 (** [Resil.Framed.decode] with the RPC magic and a [max_len] cap
-    (default {!default_max_len}).  [decode ?max_len (encode j) = Ok j]
+    (default 8 MiB).  [decode ?max_len (encode j) = Ok j]
     whenever [String.length (Obs.Json.to_string j) <= max_len]. *)
 
 val read : ?max_len:int -> Unix.file_descr -> (Obs.Json.t, [ `Eof | `Error of string ]) result

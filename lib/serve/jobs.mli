@@ -58,14 +58,12 @@ val mark_shed : t -> string -> unit
 val mark_done :
   t -> string -> code:int -> stdout:string -> stderr:string ->
   spent:Obs.Json.t -> unit
-val mark_mismatch : t -> string -> Resil.Snapshot.mismatch -> unit
 
 val snap_path : t -> string -> string
 
 val resume_snapshot : t -> job -> Resil.Snapshot.t option
 (** Load the job's snapshot for resume; [None] for a fresh start
-    (missing or corrupt snapshot).  A [`Mismatch] marks the job (see
-    {!mark_mismatch}) and resumes fresh under the job's own id, which
+    (missing or corrupt snapshot).  A [`Mismatch] marks the job and resumes fresh under the job's own id, which
     atomically replaces the squatter on the next cadence write. *)
 
 val status_string : status -> string

@@ -1,3 +1,5 @@
+module Formula = Mso.Formula
+
 exception Unsupported of string
 
 let letter_of_color ~sigma c =

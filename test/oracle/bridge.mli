@@ -1,5 +1,5 @@
 (** Bridge between the two logics of the repository: first-order logic
-    over the coloured-graph encoding of a word ({!Word.to_graph}) and MSO
+    over the coloured-graph encoding of a word ({!Mso.Word.to_graph}) and MSO
     over the word itself.
 
     Every FO formula over the word-graph vocabulary
@@ -13,7 +13,7 @@ exception Unsupported of string
 (** Raised on counting quantifiers (MSO on words has no counting here)
     or colour predicates outside the word-graph vocabulary. *)
 
-val mso_of_fo : sigma:int -> Fo.Formula.t -> Formula.t
+val mso_of_fo : sigma:int -> Fo.Formula.t -> Mso.Formula.t
 (** Translate: [E(x,y) ↦ succ(x,y) ∨ succ(y,x)], [La(x) ↦ letter],
     [First(x) ↦ ¬∃p. succ(p,x)], quantifiers to position quantifiers.
     @raise Unsupported per above. *)

@@ -1,3 +1,5 @@
+module Formula = Fo.Formula
+
 type config = {
   free_vars : Formula.var list;
   colors : string list;
@@ -58,6 +60,3 @@ let sentence ?(config = default) ~seed () =
   let body = gen { config with free_vars = [ "x" ] } st in
   if Random.State.bool st then Formula.forall "x" body
   else Formula.exists "x" body
-
-let batch ?(config = default) ~seed n =
-  List.init n (fun i -> formula ~config ~seed:(seed + (i * 7919)) ())

@@ -2,7 +2,7 @@
     evaluator/parser, and workload synthesis in the benches. *)
 
 type config = {
-  free_vars : Formula.var list;  (** variables allowed free *)
+  free_vars : Fo.Formula.var list;  (** variables allowed free *)
   colors : string list;  (** colour predicates to draw atoms from *)
   max_depth : int;  (** connective nesting bound *)
   allow_counting : bool;  (** include [∃^{>=t}] quantifiers (t <= 3) *)
@@ -11,15 +11,12 @@ type config = {
 val default : config
 (** free vars [x, y], colours [Red; Blue], depth 4, no counting. *)
 
-val formula : ?config:config -> seed:int -> unit -> Formula.t
+val formula : ?config:config -> seed:int -> unit -> Fo.Formula.t
 (** A random formula (deterministic per seed).  Built through the
     smart constructors, so the result is a fixpoint of the parser's
-    normalisation: [Parser.parse (Formula.to_string f)] is structurally
+    normalisation: [Parser.parse (Fo.Formula.to_string f)] is structurally
     [f], not merely equivalent. *)
 
-val sentence : ?config:config -> seed:int -> unit -> Formula.t
+val sentence : ?config:config -> seed:int -> unit -> Fo.Formula.t
 (** A random {e sentence}: a random formula with one free variable,
     closed universally or existentially. *)
-
-val batch : ?config:config -> seed:int -> int -> Formula.t list
-(** [batch ~seed n]: [n] formulas from consecutive derived seeds. *)

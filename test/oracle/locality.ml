@@ -1,4 +1,5 @@
 open Cgraph
+module Types = Modelcheck.Types
 
 type violation = {
   left : Graph.Tuple.t;

@@ -9,7 +9,7 @@ open Cgraph
 type violation = {
   left : Graph.Tuple.t;
   right : Graph.Tuple.t;
-  local_type : Types.ty;  (** the shared local type *)
+  local_type : Modelcheck.Types.ty;  (** the shared local type *)
 }
 (** A pair of tuples with equal [ltp_{q,r}] but different [tp_q]. *)
 

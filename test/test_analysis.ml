@@ -302,14 +302,14 @@ let qcheck_budget_clean =
   QCheck.Test.make ~name:"genform formulas are clean at their own budgets"
     ~count:200 QCheck.small_int (fun seed ->
       let cfg =
-        { Fo.Genform.default with allow_counting = seed mod 2 = 0 }
+        { Oracle.Genform.default with allow_counting = seed mod 2 = 0 }
       in
-      let f = Fo.Genform.formula ~config:cfg ~seed () in
+      let f = Oracle.Genform.formula ~config:cfg ~seed () in
       let q = F.quantifier_rank f in
       let frees = F.free_vars f in
       let ds =
         Fo_check.check
-          ~vocab:(Vocab.graph cfg.Fo.Genform.colors)
+          ~vocab:(Vocab.graph cfg.Oracle.Genform.colors)
           ~allowed_free:frees
           ~budget:
             (Fo_check.budget ~max_rank:q ~max_free:(List.length frees) ())
@@ -321,7 +321,7 @@ let qcheck_budget_violation =
   QCheck.Test.make
     ~name:"genform formulas violate the budget rules one notch down"
     ~count:200 QCheck.small_int (fun seed ->
-      let f = Fo.Genform.formula ~seed () in
+      let f = Oracle.Genform.formula ~seed () in
       let q = F.quantifier_rank f in
       let frees = F.free_vars f in
       let rank_violated =
@@ -345,7 +345,7 @@ let qcheck_relativize_local =
     ~count:100
     QCheck.(pair small_int (int_range 1 4))
     (fun (seed, r) ->
-      let f = Fo.Genform.formula ~seed () in
+      let f = Oracle.Genform.formula ~seed () in
       let around =
         match F.free_vars f with [] -> [ "x" ] | vs -> vs
       in

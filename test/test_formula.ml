@@ -343,15 +343,15 @@ let parser_exact_roundtrip =
   QCheck.Test.make ~name:"parse . pp = id over Genform" ~count:300
     QCheck.(int_range 0 100_000)
     (fun seed ->
-      let f = Fo.Genform.formula ~seed () in
+      let f = Oracle.Genform.formula ~seed () in
       Fo.Parser.parse_opt (F.to_string f) = Some f)
 
 let parser_exact_roundtrip_counting =
   QCheck.Test.make ~name:"parse . pp = id over counting Genform" ~count:300
     QCheck.(int_range 0 100_000)
     (fun seed ->
-      let config = { Fo.Genform.default with allow_counting = true } in
-      let f = Fo.Genform.formula ~config ~seed () in
+      let config = { Oracle.Genform.default with allow_counting = true } in
+      let f = Oracle.Genform.formula ~config ~seed () in
       Fo.Parser.parse_opt (F.to_string f) = Some f)
 
 (* The printer before it glued atoms, connectives and quantifier heads

@@ -416,6 +416,32 @@ let ball_matches_distances =
       let ball = Bfs.ball g ~r srcs in
       ball = expected && Stats.ball_size g ~r srcs = List.length ball)
 
+(* [within] is [dist]'s early-exit search cut at depth [r]: the same
+   answer, and from the same start vertex the same fuel when [v] lies
+   within [r], never more when it does not *)
+let within_matches_dist =
+  QCheck.Test.make ~name:"within ~r u v = (dist u v <= r), with equal fuel"
+    ~count:200
+    QCheck.(quad (int_range 1 30) (int_range (-1) 5) (int_range 0 1000)
+      (pair (int_range 0 29) (int_range 0 29)))
+    (fun (n, r, seed, (u, v)) ->
+      let g =
+        if seed mod 2 = 0 then Gen.random_bounded_degree ~seed ~n ~d:3
+        else Gen.gnp ~seed ~n ~p:0.1
+      in
+      let u = u mod n and v = v mod n in
+      let fueled f =
+        let budget = Guard.Budget.unlimited () in
+        match Guard.run ~budget ~salvage:(fun () -> None) (fun () -> f budget) with
+        | Guard.Complete x -> (x, (Guard.Budget.spent budget).Guard.fuel)
+        | Guard.Exhausted _ -> Alcotest.fail "unlimited budget tripped"
+      in
+      let w, w_fuel = fueled (fun budget -> Bfs.within ~budget g ~r u v) in
+      let d, d_fuel = fueled (fun budget -> Bfs.dist ~budget g u v) in
+      w = (d <= r)
+      && (Graph.degree g u > Graph.degree g v
+         || if w then w_fuel = d_fuel else w_fuel <= d_fuel))
+
 (* [Bfs.ball_sizes] is [n] [Bfs.ball] calls: the same sizes, fuel,
    trips, [cgraph.bfs.calls] and histograms *)
 let ball_sizes_match_balls =
@@ -621,6 +647,7 @@ let suite =
     QCheck_alcotest.to_alcotest ball_monotone;
     QCheck_alcotest.to_alcotest ball_matches_distances;
     QCheck_alcotest.to_alcotest ball_sizes_match_balls;
+    QCheck_alcotest.to_alcotest within_matches_dist;
     QCheck_alcotest.to_alcotest ktree_treewidth_property;
     QCheck_alcotest.to_alcotest union_properties;
     QCheck_alcotest.to_alcotest induced_preserves_edges;

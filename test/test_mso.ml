@@ -547,7 +547,7 @@ let test_bridge_atoms () =
   List.iter
     (fun (src, env, expected) ->
       let fo = Fo.Parser.parse src in
-      let mso = Mso.Bridge.mso_of_fo ~sigma:2 fo in
+      let mso = Oracle.Bridge.mso_of_fo ~sigma:2 fo in
       check (src ^ " on the graph") true
         (Modelcheck.Eval.holds g env fo = expected);
       check (src ^ " on the word") true
@@ -558,14 +558,14 @@ let test_bridge_guards () =
   check "counting rejected" true
     (try
        ignore
-         (Mso.Bridge.mso_of_fo ~sigma:2 (Fo.Formula.count_ge 2 "y" (Fo.Formula.edge "x" "y")));
+         (Oracle.Bridge.mso_of_fo ~sigma:2 (Fo.Formula.count_ge 2 "y" (Fo.Formula.edge "x" "y")));
        false
-     with Mso.Bridge.Unsupported _ -> true);
+     with Oracle.Bridge.Unsupported _ -> true);
   check "foreign colour rejected" true
     (try
-       ignore (Mso.Bridge.mso_of_fo ~sigma:2 (Fo.Formula.color "Zeta" "x"));
+       ignore (Oracle.Bridge.mso_of_fo ~sigma:2 (Fo.Formula.color "Zeta" "x"));
        false
-     with Mso.Bridge.Unsupported _ -> true)
+     with Oracle.Bridge.Unsupported _ -> true)
 
 let bridge_correspondence =
   QCheck.Test.make
@@ -574,14 +574,14 @@ let bridge_correspondence =
     (fun seed ->
       let cfg =
         {
-          Fo.Genform.default with
-          Fo.Genform.free_vars = [ "x" ];
+          Oracle.Genform.default with
+          Oracle.Genform.free_vars = [ "x" ];
           colors = [ "L0"; "L1"; "First" ];
           max_depth = 3;
         }
       in
-      let fo = Fo.Genform.formula ~config:cfg ~seed () in
-      let mso = Mso.Bridge.mso_of_fo ~sigma:2 fo in
+      let fo = Oracle.Genform.formula ~config:cfg ~seed () in
+      let mso = Oracle.Bridge.mso_of_fo ~sigma:2 fo in
       let w = W.random ~seed:(seed + 1) ~sigma:2 ~len:(1 + (seed mod 6)) in
       let g = W.to_graph ~sigma:2 w in
       List.for_all

@@ -5,7 +5,7 @@
    - clock monotonicity,
    - a qcheck property that enabling the sink never changes what any
      solver learns (instrumentation must be observation-only),
-   - fresh-name determinism in Prenex / Localize (the satellite fix). *)
+   - fresh-name determinism in Localize. *)
 
 open Cgraph
 module F = Fo.Formula
@@ -253,29 +253,8 @@ let qcheck_tracing_transparent =
            (Sam.all_tuples g ~k:1))
 
 (* ------------------------------------------------------------------ *)
-(* Fresh names in Prenex / Localize                                    *)
+(* Fresh names in Localize                                             *)
 (* ------------------------------------------------------------------ *)
-
-let cycle_red n =
-  Graph.with_colors (Gen.cycle n)
-    [ ("Red", List.filter (fun v -> v mod 2 = 0) (List.init n Fun.id)) ]
-
-let test_prenex_deterministic () =
-  (* the input reuses the generator's own namespace: _p1 appears bound
-     twice, so naive _pN freshening would capture *)
-  let phi =
-    Fo.Parser.parse
-      "(exists _p1. Red(_p1)) /\\ (forall _p1. exists y. E(_p1, y))"
-  in
-  let p1 = Fo.Prenex.to_prenex phi in
-  let p2 = Fo.Prenex.to_prenex phi in
-  check "two runs agree syntactically" true (p1 = p2);
-  check "result is prenex" true (Fo.Prenex.is_prenex p1);
-  check_int "all three quantifiers pulled" 3 (Fo.Prenex.prefix_length p1);
-  check "prenex form stays a sentence" true (F.free_vars p1 = []);
-  let g = cycle_red 6 in
-  check "semantics preserved" (Modelcheck.Eval.sentence g phi)
-    (Modelcheck.Eval.sentence g p1)
 
 let test_localize_avoids_endpoints () =
   (* an endpoint named like a generated variable must not get captured *)
@@ -314,7 +293,6 @@ let suite =
     Alcotest.test_case "json parser" `Quick test_json_parser;
     Alcotest.test_case "clock monotone" `Quick test_clock_monotone;
     QCheck_alcotest.to_alcotest qcheck_tracing_transparent;
-    Alcotest.test_case "prenex fresh names" `Quick test_prenex_deterministic;
     Alcotest.test_case "localize fresh names" `Quick
       test_localize_avoids_endpoints;
   ]

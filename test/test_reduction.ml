@@ -144,7 +144,7 @@ let test_gamma_general_separates () =
   List.iter
     (fun (u, v, q) ->
       (* ensure the premise: types really differ at rank q *)
-      check "premise" true (not (Modelcheck.Ef.equiv ~q g [| u |] g [| v |]));
+      check "premise" true (not (Oracle.Ef.equiv ~q g [| u |] g [| v |]));
       let gamma =
         Red.gamma_general ~oracle:Red.exact_oracle ~oracle_ell:1 ~radius:2 ~q
           g u v ()

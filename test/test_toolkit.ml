@@ -1,5 +1,5 @@
-(* Tests for the toolkit additions: graph I/O, random formula generation,
-   prenex normal form, and the Lemma 14 centre set. *)
+(* Tests for the toolkit additions: graph I/O, random formula generation
+   and the Lemma 14 centre set. *)
 
 open Cgraph
 module F = Fo.Formula
@@ -63,19 +63,19 @@ let io_roundtrip_random =
 
 let test_genform_deterministic () =
   check "same seed" true
-    (Fo.Genform.formula ~seed:5 () = Fo.Genform.formula ~seed:5 ());
+    (Oracle.Genform.formula ~seed:5 () = Oracle.Genform.formula ~seed:5 ());
   check "different seeds differ somewhere" true
     (List.exists
-       (fun s -> Fo.Genform.formula ~seed:s () <> Fo.Genform.formula ~seed:0 ())
+       (fun s -> Oracle.Genform.formula ~seed:s () <> Oracle.Genform.formula ~seed:0 ())
        [ 1; 2; 3; 4; 5 ])
 
 let test_genform_respects_config () =
   let cfg =
-    { Fo.Genform.default with Fo.Genform.free_vars = [ "x" ]; colors = [] }
+    { Oracle.Genform.default with Oracle.Genform.free_vars = [ "x" ]; colors = [] }
   in
   List.iter
     (fun seed ->
-      let f = Fo.Genform.formula ~config:cfg ~seed () in
+      let f = Oracle.Genform.formula ~config:cfg ~seed () in
       check "free vars within config" true
         (List.for_all (fun v -> v = "x") (F.free_vars f));
       check "no colours" true (F.colors_used f = []))
@@ -85,7 +85,7 @@ let test_genform_sentence_closed () =
   List.iter
     (fun seed ->
       check "sentence has no free vars" true
-        (F.free_vars (Fo.Genform.sentence ~seed ()) = []))
+        (F.free_vars (Oracle.Genform.sentence ~seed ()) = []))
     [ 1; 2; 3; 4; 5 ]
 
 let test_genform_counting_flag () =
@@ -97,65 +97,23 @@ let test_genform_counting_flag () =
     | F.Exists (_, f) | F.Forall (_, f) -> has_counting f
     | _ -> false
   in
-  let cfg = { Fo.Genform.default with Fo.Genform.allow_counting = true } in
+  let cfg = { Oracle.Genform.default with Oracle.Genform.allow_counting = true } in
   check "counting appears eventually" true
     (List.exists
-       (fun seed -> has_counting (Fo.Genform.formula ~config:cfg ~seed ()))
+       (fun seed -> has_counting (Oracle.Genform.formula ~config:cfg ~seed ()))
        (List.init 40 Fun.id));
   check "counting off by default" true
     (List.for_all
-       (fun seed -> not (has_counting (Fo.Genform.formula ~seed ())))
+       (fun seed -> not (has_counting (Oracle.Genform.formula ~seed ())))
        (List.init 40 Fun.id))
 
 let genform_parses =
   QCheck.Test.make ~name:"generated formulas survive pp/parse" ~count:80
     QCheck.(int_range 0 10000)
     (fun seed ->
-      let cfg = { Fo.Genform.default with Fo.Genform.allow_counting = true } in
-      let f = Fo.Genform.formula ~config:cfg ~seed () in
+      let cfg = { Oracle.Genform.default with Oracle.Genform.allow_counting = true } in
+      let f = Oracle.Genform.formula ~config:cfg ~seed () in
       Fo.Parser.parse_opt (F.to_string f) <> None)
-
-(* ------------------------------------------------------------------ *)
-(* Prenex                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_prenex_shape () =
-  let f =
-    Fo.Parser.parse
-      "(exists z. E(x, z)) /\\ (forall w. Red(w) -> exists u. E(w, u))"
-  in
-  let p = Fo.Prenex.to_prenex f in
-  check "prenex shape" true (Fo.Prenex.is_prenex p);
-  check "prefix counts all quantifiers" true (Fo.Prenex.prefix_length p = 3);
-  check "original is not prenex" false (Fo.Prenex.is_prenex f)
-
-let test_prenex_counting_rejected () =
-  check "counting rejected" true
-    (try
-       ignore (Fo.Prenex.to_prenex (F.count_ge 2 "y" (F.edge "x" "y")));
-       false
-     with Fo.Prenex.Unsupported _ -> true)
-
-let prenex_preserves_semantics =
-  QCheck.Test.make ~name:"prenex preserves semantics" ~count:100
-    QCheck.(int_range 0 10000)
-    (fun seed ->
-      let f = Fo.Genform.formula ~seed () in
-      let p = Fo.Prenex.to_prenex f in
-      Fo.Prenex.is_prenex p
-      &&
-      let g =
-        Gen.colored ~seed:(seed + 3) ~colors:[ "Red"; "Blue" ]
-          (Gen.gnp ~seed:(seed + 4) ~n:5 ~p:0.4)
-      in
-      List.for_all
-        (fun vx ->
-          List.for_all
-            (fun vy ->
-              let env = [ ("x", vx); ("y", vy) ] in
-              E.holds g env f = E.holds g env p)
-            [ 0; 2; 4 ])
-        [ 1; 3 ])
 
 (* ------------------------------------------------------------------ *)
 (* Lemma 14 centre set                                                 *)
@@ -231,13 +189,9 @@ let suite =
     Alcotest.test_case "genform config" `Quick test_genform_respects_config;
     Alcotest.test_case "genform sentences" `Quick test_genform_sentence_closed;
     Alcotest.test_case "genform counting flag" `Quick test_genform_counting_flag;
-    Alcotest.test_case "prenex shape" `Quick test_prenex_shape;
-    Alcotest.test_case "prenex rejects counting" `Quick
-      test_prenex_counting_rejected;
     Alcotest.test_case "centre set separation" `Quick test_centre_set_separation;
     Alcotest.test_case "centre set cap" `Quick test_centre_set_cap;
     QCheck_alcotest.to_alcotest io_roundtrip_random;
     QCheck_alcotest.to_alcotest genform_parses;
-    QCheck_alcotest.to_alcotest prenex_preserves_semantics;
     QCheck_alcotest.to_alcotest centre_set_property;
   ]

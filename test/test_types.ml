@@ -5,7 +5,7 @@
 
 open Cgraph
 module T = Modelcheck.Types
-module Ef = Modelcheck.Ef
+module Ef = Oracle.Ef
 module H = Modelcheck.Hintikka
 module E = Modelcheck.Eval
 
@@ -144,9 +144,9 @@ let test_ltp_small_radius_coarser () =
 
 let test_fact5_holds () =
   check "Fact 5 on coloured path, q=1, r=3" true
-    (Modelcheck.Locality.fact5_holds coloured_path ~q:1 ~r:3 ~k:1);
+    (Oracle.Locality.fact5_holds coloured_path ~q:1 ~r:3 ~k:1);
   check "Fact 5 pairs" true
-    (Modelcheck.Locality.fact5_holds p6 ~q:1 ~r:3 ~k:2)
+    (Oracle.Locality.fact5_holds p6 ~q:1 ~r:3 ~k:2)
 
 let fact5_random =
   QCheck.Test.make ~name:"Fact 5 at the Gaifman radius (q=1, random trees)"
@@ -157,10 +157,10 @@ let fact5_random =
         Gen.colored ~seed ~colors:[ "Red"; "Blue" ]
           (Gen.random_tree ~seed:(seed + 11) 9)
       in
-      Modelcheck.Locality.fact5_holds g ~q:1 ~r:(Fo.Gaifman.radius 1) ~k:1)
+      Oracle.Locality.fact5_holds g ~q:1 ~r:(Fo.Gaifman.radius 1) ~k:1)
 
 let test_minimal_radius () =
-  match Modelcheck.Locality.minimal_radius p6 ~q:1 ~k:1 ~max_r:5 with
+  match Oracle.Locality.minimal_radius p6 ~q:1 ~k:1 ~max_r:5 with
   | Some r -> check "minimal radius sane" true (r <= 3)
   | None -> Alcotest.fail "expected locality to hold within r=5"
 
