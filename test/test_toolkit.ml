@@ -115,6 +115,18 @@ let genform_parses =
       let f = Oracle.Genform.formula ~config:cfg ~seed () in
       Fo.Parser.parse_opt (F.to_string f) <> None)
 
+(* Genform builds through the smart constructors, so printing and
+   re-parsing gives back the same tree, not merely an equivalent one. *)
+let test_genform_parse_fixpoint () =
+  let cfg = { Oracle.Genform.default with Oracle.Genform.allow_counting = true } in
+  List.iter
+    (fun seed ->
+      let f = Oracle.Genform.formula ~config:cfg ~seed () in
+      if Fo.Parser.parse (F.to_string f) <> f then
+        Alcotest.failf "seed %d: %s is not a parse fixpoint" seed
+          (F.to_string f))
+    (List.init 40 Fun.id)
+
 (* ------------------------------------------------------------------ *)
 (* Lemma 14 centre set                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -148,6 +160,24 @@ let test_centre_set_cap () =
   let critical = List.map (fun v -> [| v |]) (List.init 60 Fun.id) in
   let xs = Folearn.Erm_nd.centre_set g ~r:1 ~cap:3 ~critical in
   check "cap respected" true (List.length xs <= 3)
+
+let test_centre_set_empty () =
+  check "no critical tuples, no centres" true
+    (Folearn.Erm_nd.centre_set (Gen.path 20) ~r:1 ~cap:5 ~critical:[] = [])
+
+(* Three critical vertices bunched at 5..7 and one alone at 30: the
+   greedy takes a vertex attending all three of the bunch first, then
+   one attending the lone tuple. *)
+let test_centre_set_attendance_order () =
+  let g = Gen.path 40 in
+  let critical = List.map (fun v -> [| v |]) [ 5; 6; 7; 30 ] in
+  let attends x v = Bfs.dist g x v <= 3 in
+  match Folearn.Erm_nd.centre_set g ~r:1 ~cap:5 ~critical with
+  | [ x; y ] ->
+      check "first centre attends the bunch" true
+        (List.for_all (attends x) [ 5; 6; 7 ]);
+      check "second centre attends the lone tuple" true (attends y 30)
+  | xs -> Alcotest.failf "expected two centres, got %d" (List.length xs)
 
 let centre_set_property =
   QCheck.Test.make ~name:"Lemma 14 centre set properties (random trees)"
@@ -191,6 +221,11 @@ let suite =
     Alcotest.test_case "genform counting flag" `Quick test_genform_counting_flag;
     Alcotest.test_case "centre set separation" `Quick test_centre_set_separation;
     Alcotest.test_case "centre set cap" `Quick test_centre_set_cap;
+    Alcotest.test_case "centre set empty" `Quick test_centre_set_empty;
+    Alcotest.test_case "centre set attendance order" `Quick
+      test_centre_set_attendance_order;
+    Alcotest.test_case "genform parse fixpoint" `Quick
+      test_genform_parse_fixpoint;
     QCheck_alcotest.to_alcotest io_roundtrip_random;
     QCheck_alcotest.to_alcotest genform_parses;
     QCheck_alcotest.to_alcotest centre_set_property;
